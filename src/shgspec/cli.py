@@ -63,10 +63,12 @@ def _config_from_args(args) -> RunConfig:
     if cfg.threads:
         try:
             from threadpoolctl import threadpool_limits
-
-            threadpool_limits(limits=cfg.threads)
-        except ImportError:
-            pass  # reductions are order-fixed; thread count only affects speed
+        except ImportError as exc:
+            raise SystemExit2(
+                f"threads={cfg.threads} needs the threadpoolctl package, "
+                "which is not installed"
+            ) from exc
+        threadpool_limits(limits=cfg.threads)
     return cfg
 
 

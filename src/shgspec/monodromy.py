@@ -3,30 +3,56 @@ Floquet data.
 
 The 2x2 system is
 
-    dM/dx = J (lambda - A(x) - B(x)^2/lambda) M,   M(0) = I,
+    dM/dx = L(x, lambda) M,   M(0) = I,
+    L = J (lambda - A(x) - B(x)^2/lambda)
+      = [[w/4, lambda - e^q/(16 lambda)], [-lambda + e^-q/(16 lambda), -w/4]],
 
-integrated together with its first (and optionally second) derivative in
-lambda via the variational equations
+with w = P p + q_x.  L is traceless, so det M = 1.
 
-    dM'/dx  = L M'  + L' M,
-    dM''/dx = L M'' + 2 L' M' + L'' M,
+It is propagated by the sixth-order Magnus scheme of Blanes, Casas, Oteo &
+Ros (Phys. Rep. 470, 2009) on a uniform grid of N steps.  Each step samples
+L at its three Gauss points and forms the commutator combination Omega; the
+step map is exp(Omega) = cosh(s) I + sinh(s)/s Omega with s^2 = -det Omega,
+which is exact for a traceless 2x2 generator.  The fields w and exp(+-q) do
+not depend on lambda: they are evaluated once per potential and step count
+and cached on the potential (up to CACHE_STEPS steps; beyond that they are
+computed block by block as needed).  The step maps are multiplied as a tree,
+vectorised over lambda, in blocks of at most BLOCK (lambda x step) elements.
 
-where L = J(lambda - A - B^2/lambda), L' = J(1 + B^2/lambda^2) and
-L'' = -2 J B^2/lambda^3.  The lambda-derivative of the discriminant obtained
-this way is exact up to integrator tolerance; the sign and branch logic of the
-root modules depends on it.
+Step count.  Every lambda is propagated twice, on N and on N/2 steps.  For
+a sixth-order scheme the difference divided by 2^6 - 1 estimates the error
+of the N-step result; where it exceeds tol/3, N is doubled (the N-step
+result becomes the half-grid one) until it does not.  The error depends on
+the size of the potential, not only on its band limit, so the first N is a
+guess,
 
-At the zero potential, M(x,lambda,0) = E_{omega(lambda)}(x) with
-omega(lambda) = lambda - 1/(16 lambda); those closed forms serve as the oracle
-for the integrator.
+    N = STEP_CONST (2 pi K_f)^(1/5) max(|omega|, 2 pi K_f)^(4/5) tol^(-1/6),
+
+with omega(lambda) = lambda - 1/(16 lambda) and K_f the band limit (see
+step_count).  On potentials of amplitude up to about 0.1 it meets tol/3
+without doubling; on cosines of amplitude 1 and 2, some lambda at the
+reciprocal end need one and two doublings.  The estimate covers the
+truncation error only.  Rounding adds up to about 5e-17 N relative error,
+which it does not see; at tol = 1e-13 that exceeds tol from |omega| of
+about 300 on (2.6e-13 there at v = 0), and N is not doubled where the
+estimate is already below 1e-17 N.
+
+lambda-derivatives.  order=1 and order=2 carry the Taylor jets (M, M', M''/2)
+in lambda through Omega, the exponential and the step products.  The result
+is the exact derivative of the discrete map, not a separately integrated
+variational system, so Newton's f/f' sees a consistent pair.
+
+At the zero potential L does not depend on x, every commutator vanishes and
+M(x,lambda,0) = E_{omega(lambda)}(x) holds to rounding at any N; those closed
+forms serve as the oracle for the propagator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import factorial
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .potential import Potential
 
@@ -46,6 +72,31 @@ __all__ = [
 LAM_MIN = 1e-8
 LAM_MAX = 1e8
 DEFAULT_TOL = 1e-11
+
+# Gauss-Legendre nodes of a unit step
+GAUSS = 0.5 + np.array([-1.0, 0.0, 1.0]) * np.sqrt(15.0) / 10.0
+# first guess N = STEP_CONST (2 pi K_f)^(1/5) max(|omega|, 2 pi K_f)^(4/5)
+# tol^(-1/6), before rounding up
+STEP_CONST = 0.3
+# (lambda x step) elements propagated at once; bounds the temporaries
+BLOCK = 2048
+# largest step count whose fields are cached on the potential (~160 B a step)
+CACHE_STEPS = 2**16
+# times the step count of a lambda may be doubled to meet tol
+MAX_DOUBLINGS = 6
+# relative rounding error per step: the product of N step maps carries up to
+# about 5e-17 N of it (zero potential, |omega| up to 3000), so a truncation
+# estimate below ROUNDING N is not worth more steps, which add rounding
+ROUNDING = 1e-17
+# power series of cosh sqrt z, sinh sqrt z / sqrt z and the latter's first two
+# derivatives, used for |z| <= SERIES_RADIUS (truncation below 1e-19 there)
+SERIES_RADIUS = 0.25
+SERIES_COEFFS = [
+    [1.0 / factorial(2 * k) for k in range(9)],
+    [1.0 / factorial(2 * k + 1) for k in range(9)],
+    [(k + 1) / factorial(2 * k + 3) for k in range(9)],
+    [(k + 2) * (k + 1) / factorial(2 * k + 5) for k in range(9)],
+]
 
 
 def omega(lam):
@@ -174,13 +225,17 @@ def closed_form_zero(lam, order=2) -> MonodromyResult:
 class BatchResult:
     """Monodromy data for a batch of spectral parameters (arrays over lambda)."""
 
-    def __init__(self, lams, Mg, Mgd, Mgdd=None, path=None, path_x=None):
+    def __init__(
+        self, lams, Mg, Mgd, Mgdd=None, path=None, path_x=None, steps=None, err=None
+    ):
         self.lams = lams
         self.Mgrave = Mg
         self.Mgrave_dot = Mgd
         self.Mgrave_ddot = Mgdd
         self.path = path  # (L, n_nodes, 2, 2) or None
         self.path_x = path_x
+        self.steps = steps  # propagation steps per lambda (work counter)
+        self.err = err  # estimated relative error per lambda
 
     @property
     def Delta(self):
@@ -225,6 +280,243 @@ class BatchResult:
         )
 
 
+def step_count(v: Potential, lams, tol: float) -> np.ndarray:
+    """First Magnus step count N per lambda for the requested tolerance.
+
+    N is the smallest m 2^e (m = 4..7, e >= 1) that is at least
+    STEP_CONST (2 pi K_f)^(1/5) max(|omega(lambda)|, 2 pi K_f)^(4/5)
+    tol^(-1/6).  The constant and the exponent 4/5 come from a sweep over
+    v1-v3 against grids eight times finer, |omega| from 0.5 to 1500 at both
+    ends, 5% and 30% off-axis: the error constant falls as |omega| grows, so
+    N grows more slowly than |omega|, and the worst case (reciprocal end at
+    |omega| = 2 pi K_f) stays at 0.2 tol.  The rounding keeps the number of
+    distinct N in a batch small, keeps N even for the half-grid error
+    estimate, and each decade of tol still moves N by a factor
+    10^(1/6) ~ 1.47.  integrate_many doubles N where the estimate says this
+    first guess misses tol.
+    """
+    band = 2.0 * np.pi * v.Kf
+    scale = np.maximum(np.abs(omega(lams)), band)
+    n = np.maximum(STEP_CONST * band**0.2 * scale**0.8 * tol ** (-1.0 / 6.0), 8.0)
+    e = np.exp2(np.floor(np.log2(n / 4.0)))
+    return (np.ceil(n / e) * e).astype(np.int64)
+
+
+def _step_fields(v: Potential, n: int, path_x):
+    """The propagation grid for step count n, in blocks of at most BLOCK
+    uniform steps: per block the breakpoints x, step lengths h, the
+    lambda-free parts of alpha_1..3, and the path nodes that end a step of
+    the block (their indices into path_x and into x).
+
+    The breakpoints are those of the uniform n-grid together with path_x.  In
+    alphas[m, c, step], c = 0 is the diagonal entry of alpha_{m+1}, and c = 1,
+    2 are the coefficients of 1/lambda in its (0,1) and (1,0) entries; the
+    lambda J part of L enters alpha_1 only.  Cached on the potential up to
+    CACHE_STEPS steps; beyond that each block is computed when it is needed,
+    so memory stays flat and only time grows with n.
+    """
+    key = ("magnus", n, None if path_x is None else path_x.tobytes())
+    if key in v._cache:
+        return v._cache[key]
+    blocks = (_block_fields(v, n, path_x, j0, min(j0 + BLOCK, n))
+              for j0 in range(0, n, BLOCK))
+    if n > CACHE_STEPS:
+        return blocks
+    v._cache[key] = list(blocks)
+    return v._cache[key]
+
+
+def _block_fields(v: Potential, n: int, path_x, j0: int, j1: int):
+    """One block of _step_fields: uniform steps j0..j1-1 of the n-grid."""
+    x = np.arange(j0, j1 + 1) / n
+    hit = at = None
+    if path_x is not None:
+        hit = np.flatnonzero((path_x > x[0]) & (path_x <= x[-1]))
+        x = np.union1d(x, path_x[hit])
+        at = np.searchsorted(x, path_x[hit])  # M(x[j]) is the product of j steps
+    h = np.diff(x)
+    xg = x[:-1, None] + h[:, None] * GAUSS
+    # in chunks: exp_q_at builds a (nodes x modes) phase matrix
+    f = np.concatenate(
+        [_node_fields(v, xg[i : i + BLOCK // 4]) for i in range(0, h.size, BLOCK // 4)],
+        axis=1,
+    )  # (3, steps, 3)
+    a1 = h * f[..., 1]
+    a2 = (np.sqrt(15.0) / 3.0) * h * (f[..., 2] - f[..., 0])
+    a3 = (10.0 / 3.0) * h * (f[..., 2] - 2.0 * f[..., 1] + f[..., 0])
+    return x, h, np.stack([a1, a2, a3]), hit, at
+
+
+def _node_fields(v: Potential, xg):
+    """w/4, -e^q/16 and e^-q/16 at the nodes xg."""
+    emq, eq = v.exp_q_at(xg)
+    return np.stack([0.25 * v.w_at(xg), -eq / 16.0, emq / 16.0])
+
+
+def _pairs(K):
+    """Index pairs (i, j) with i + j < K: the terms of a truncated jet product."""
+    return [(i, j) for i in range(K) for j in range(K - i)]
+
+
+# Jet arithmetic loops over the pairs and matrix entries in Python, so that
+# each numpy operation runs on one contiguous (steps, lams) array: a single
+# broadcast expression over all of them builds K^2-fold temporaries that fall
+# out of cache and is several times slower on full blocks.  Small arrays (the
+# upper levels of the product tree) are bound by per-call overhead instead,
+# so _mul broadcasts there.
+
+
+def _comm(X, Y):
+    """Jet of [X, Y] for traceless 2x2 jets stored as (K, 3, ...) = (a, b, c),
+    meaning [[a, b], [c, -a]]."""
+    Z = np.zeros_like(X)
+    for i, j in _pairs(Z.shape[0]):
+        (xa, xb, xc), (ya, yb, yc), z = X[i], Y[j], Z[i + j]
+        z[0] += xb * yc - xc * yb
+        z[1] += 2.0 * (xa * yb - xb * ya)
+        z[2] += 2.0 * (xc * ya - xa * yc)
+    return Z
+
+
+def _mul(A, B):
+    """Jet of the matrix product A B for 2x2 jets stored as (K, 2, 2, ...)."""
+    K = A.shape[0]
+    if A[0, 0, 0].size <= 256:
+        # P[i, j, r, t] = A[i, r, 0] B[j, 0, t] + A[i, r, 1] B[j, 1, t]
+        P = A[:, None, :, :1] * B[None, :, None, 0]
+        P += A[:, None, :, 1:] * B[None, :, None, 1]
+        C = P[:, 0]
+        for i, j in _pairs(K):
+            if j:
+                C[i + j] += P[i, j]
+        return C
+    C = np.zeros(np.broadcast_shapes(A.shape, B.shape), dtype=complex)
+    for i, j in _pairs(K):
+        a, b, c = A[i], B[j], C[i + j]
+        for r in range(2):
+            for t in range(2):
+                c[r, t] += a[r, 0] * b[0, t] + a[r, 1] * b[1, t]
+    return C
+
+
+def _magnus_omega(alphas, h, lams, K):
+    """Jets (K, 3, steps, lams) of the sixth-order Magnus generator."""
+    inv = np.stack([1.0 / lams, -1.0 / lams**2, 1.0 / lams**3][:K])  # (K, lams)
+    X = np.zeros((3, K, 3, h.size, lams.size), dtype=complex)
+    X[:, 0, 0] = alphas[:, 0, :, None]
+    X[:, :, 1:] = alphas[:, None, 1:, :, None] * inv[None, :, None, None, :]
+    hl = np.multiply.outer(h, lams)
+    X[0, 0, 1] += hl
+    X[0, 0, 2] -= hl
+    if K > 1:
+        X[0, 1, 1] += h[:, None]
+        X[0, 1, 2] -= h[:, None]
+    a1, a2, a3 = X
+    c1 = _comm(a1, a2)
+    c2 = _comm(a1, 2.0 * a3 + c1) / -60.0
+    return a1 + a3 / 12.0 + _comm(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0
+
+
+def _cosh_sinhc(z, K):
+    """c = cosh sqrt z, S = sinh sqrt z / sqrt z, and S', S'' as needed for
+    order K - 1 jets; power series for |z| <= SERIES_RADIUS."""
+    out = [np.empty_like(z) for _ in range(K + 1)]
+    small = np.abs(z) <= SERIES_RADIUS
+    zs = z[small]
+    for f, coef in zip(out, SERIES_COEFFS):
+        acc = np.full_like(zs, coef[-1])
+        for a in coef[-2::-1]:
+            acc = acc * zs + a
+        f[small] = acc
+    big = ~small
+    if big.any():
+        zb = z[big]
+        r = np.sqrt(zb)
+        fb = [np.cosh(r), np.sinh(r) / r]
+        fb.append((fb[0] - fb[1]) / (2.0 * zb))
+        fb.append((fb[1] - 6.0 * fb[2]) / (4.0 * zb))
+        for f, g in zip(out, fb):
+            f[big] = g
+    return out
+
+
+def _exp_jet(W):
+    """Jets (K, 2, 2, ...) of exp(W) = c I + S W for a traceless jet W."""
+    K = W.shape[0]
+    z = np.zeros_like(W[:, 0])  # jets of -det W = a^2 + b c
+    for i, j in _pairs(K):
+        z[i + j] += W[i, 0] * W[j, 0] + W[i, 1] * W[j, 2]
+    f = _cosh_sinhc(z[0], K)
+    cj, sj = [f[0]], [f[1]]
+    if K > 1:  # chain rule; c' = S/2, c'' = S'/2
+        cj.append(0.5 * f[1] * z[1])
+        sj.append(f[2] * z[1])
+    if K > 2:
+        cj.append(0.5 * f[1] * z[2] + 0.25 * f[2] * z[1] ** 2)
+        sj.append(f[2] * z[2] + 0.5 * f[3] * z[1] ** 2)
+    SW = np.zeros_like(W)
+    for i, j in _pairs(K):
+        SW[i + j] += sj[i] * W[j]
+    E = np.empty((K, 2, 2) + W.shape[2:], dtype=complex)
+    for k in range(K):
+        E[k, 0, 0] = cj[k] + SW[k, 0]
+        E[k, 1, 1] = cj[k] - SW[k, 0]
+        E[k, 0, 1] = SW[k, 1]
+        E[k, 1, 0] = SW[k, 2]
+    return E
+
+
+def _tree(E):
+    """Ordered product E[.., n-1] ... E[.., 0] over the step axis (axis 3)."""
+    while E.shape[3] > 1:
+        m = E.shape[3] // 2
+        P = _mul(E[:, :, :, 1 : 2 * m : 2], E[:, :, :, 0 : 2 * m : 2])
+        E = np.concatenate([P, E[:, :, :, 2 * m :]], axis=3)
+    return E[:, :, :, 0]
+
+
+def _scan(E):
+    """Prefix products E[.., k] ... E[.., 0] for every k (Hillis-Steele)."""
+    d = 1
+    while d < E.shape[3]:
+        E = np.concatenate([E[:, :, :, :d], _mul(E[:, :, :, d:], E[:, :, :, :-d])], axis=3)
+        d *= 2
+    return E
+
+
+def _propagate(v: Potential, n: int, lams, K: int, path_x=None):
+    """Jets (K, 2, 2, lams) of M(1) on the n-step grid, and M at path_x.
+
+    The blocks of the grid run in order; within a block the lambda are taken
+    in chunks so that a chunk holds at most BLOCK (lambda x step) elements.
+    """
+    M = np.zeros((K, 2, 2, lams.size), dtype=complex)
+    M[0, 0, 0] = M[0, 1, 1] = 1.0
+    path = None
+    if path_x is not None:
+        path = np.empty((lams.size, path_x.size, 2, 2), dtype=complex)
+        path[:, path_x == 0.0] = np.eye(2)
+    for x, h, alphas, hit, at in _step_fields(v, n, path_x):
+        lc = max(1, BLOCK // h.size)
+        for c in range(0, lams.size, lc):
+            sl = slice(c, c + lc)
+            E = _exp_jet(_magnus_omega(alphas, h, lams[sl], K))
+            if hit is None or hit.size == 0:
+                M[..., sl] = _mul(_tree(E), M[..., sl])
+                continue
+            pre = _mul(_scan(E), M[:, :, :, None, sl])
+            path[sl, hit] = pre[0][:, :, at - 1].transpose(3, 2, 0, 1)
+            M[..., sl] = pre[:, :, :, -1]
+    return M, path
+
+
+def _defect(A, B):
+    """Largest entry difference of each lambda's jets, relative to
+    max(1, |entries|) of the jet it belongs to; A, B are (K, 2, 2, lams)."""
+    d = np.abs(A - B).max(axis=(1, 2))
+    return np.max(d / np.maximum(1.0, np.abs(A).max(axis=(1, 2))), axis=0)
+
+
 def integrate_many(
     v: Potential,
     lams,
@@ -232,76 +524,63 @@ def integrate_many(
     tol: float = DEFAULT_TOL,
     path_nodes=None,
 ) -> BatchResult:
-    """Integrate the monodromy system for a batch of lambda simultaneously.
+    """Monodromy data for a batch of lambda.
 
-    order=1 adds the variational system for d/dlam M, order=2 also the second
-    derivative.  path_nodes, if given, is an array of x in [0,1] at which
-    M(x) is recorded via dense output (used by the gradient kernels).
+    order=1 adds d/dlam M, order=2 also the second derivative.  path_nodes, if
+    given, is an array of x in [0,1] at which M(x) is recorded (used by the
+    gradient kernels); they become breakpoints of the grid, so M(x) there is
+    a prefix product of the step maps.
+
+    Each lambda starts at step_count steps and is also propagated on the
+    half grid; the difference, divided by 2^6 - 1, estimates the error of
+    the full-grid result.  Where the estimate exceeds tol/3 (and the
+    rounding level ROUNDING N) the step count is doubled, and the previous
+    result becomes the half-grid one, up to MAX_DOUBLINGS times.  The step
+    count and the error estimate of each lambda are returned as
+    BatchResult.steps and BatchResult.err.
     """
     if not (1e-13 <= tol <= 1e-6):
         raise ValueError("tol must lie in [1e-13, 1e-6]")
+    if order not in (0, 1, 2):
+        raise ValueError("order must be 0, 1 or 2")
     lams = _check_lambda(lams)
-    L = lams.size
-    nblk = order + 1
-    inv = 1.0 / lams
-    inv2 = inv * inv
-    inv3 = inv2 * inv
-
-    def rhs(x, y):
-        Y = y.reshape(L, nblk, 2, 2)
-        w = v.w_at(x)
-        emq, eq = v.exp_q_at(x)
-        Lm = np.empty((L, 2, 2), dtype=complex)
-        Lm[:, 0, 0] = 0.25 * w
-        Lm[:, 1, 1] = -0.25 * w
-        Lm[:, 0, 1] = lams - eq * inv / 16.0
-        Lm[:, 1, 0] = -lams + emq * inv / 16.0
-        out = np.empty_like(Y)
-        out[:, 0] = Lm @ Y[:, 0]
-        if order >= 1:
-            Ld = np.zeros((L, 2, 2), dtype=complex)
-            Ld[:, 0, 1] = 1.0 + eq * inv2 / 16.0
-            Ld[:, 1, 0] = -1.0 - emq * inv2 / 16.0
-            out[:, 1] = Lm @ Y[:, 1] + Ld @ Y[:, 0]
-        if order >= 2:
-            Ldd = np.zeros((L, 2, 2), dtype=complex)
-            Ldd[:, 0, 1] = -eq * inv3 / 8.0
-            Ldd[:, 1, 0] = emq * inv3 / 8.0
-            out[:, 2] = Lm @ Y[:, 2] + 2.0 * (Ld @ Y[:, 1]) + Ldd @ Y[:, 0]
-        return out.ravel()
-
-    y0 = np.zeros((L, nblk, 2, 2), dtype=complex)
-    y0[:, 0] = np.eye(2)
-    want_path = path_nodes is not None
-    sol = solve_ivp(
-        rhs,
-        (0.0, 1.0),
-        y0.ravel(),
-        method="DOP853",
-        rtol=tol,
-        atol=tol,
-        dense_output=want_path,
-    )
-    if not sol.success:
-        raise RuntimeError(
-            f"monodromy integration failed: {sol.message}; "
-            f"last accepted x = {sol.t[-1]:.6g}"
-        )
-    Y1 = sol.y[:, -1].reshape(L, nblk, 2, 2)
-    path = None
     path_x = None
-    if want_path:
-        path_x = np.asarray(path_nodes, dtype=float)
-        ys = sol.sol(path_x)  # (ncomp, P)
-        path = ys.reshape(L, nblk, 2, 2, path_x.size)[:, 0]
-        path = np.moveaxis(path, -1, 1)  # (L, P, 2, 2)
+    if path_nodes is not None:
+        path_x = np.atleast_1d(np.asarray(path_nodes, dtype=float))
+        if np.any(path_x < 0.0) or np.any(path_x > 1.0):
+            raise ValueError("path_nodes must lie in [0, 1]")
+    K = order + 1
+    steps = step_count(v, lams, tol)
+    M = np.zeros((K, 2, 2, lams.size), dtype=complex)
+    path = None if path_x is None else np.empty((lams.size, path_x.size, 2, 2), complex)
+    err = np.full(lams.size, np.inf)
+    todo = np.arange(lams.size)
+    for doubling in range(MAX_DOUBLINGS + 1):
+        for n in np.unique(steps[todo]):
+            idx = todo[steps[todo] == n]
+            fine, fine_path = _propagate(v, int(n), lams[idx], K, path_x)
+            if doubling:
+                half = M[..., idx]
+            else:
+                half = _propagate(v, int(n) // 2, lams[idx], K)[0]
+            err[idx] = _defect(fine, half) / (2**6 - 1)
+            M[..., idx] = fine
+            if path is not None:
+                path[idx] = fine_path
+        todo = todo[~(err[todo] <= np.maximum(tol / 3.0, ROUNDING * steps[todo]))]
+        if todo.size == 0 or doubling == MAX_DOUBLINGS:
+            break
+        steps[todo] *= 2
+    M = np.moveaxis(M, -1, 1)  # (K, lams, 2, 2)
     return BatchResult(
         lams,
-        Y1[:, 0],
-        Y1[:, 1] if order >= 1 else None,
-        Y1[:, 2] if order >= 2 else None,
+        M[0],
+        M[1] if order >= 1 else None,
+        2.0 * M[2] if order >= 2 else None,
         path,
         path_x,
+        steps=steps,
+        err=err,
     )
 
 

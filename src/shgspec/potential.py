@@ -182,8 +182,10 @@ class Potential:
     def exp_q_at(self, x):
         """(exp(-q)(x), exp(q)(x)) by spectral interpolation of the cached series."""
         ks, cm, cp = self.exp_q_coeffs()
-        ph = np.exp(2j * np.pi * np.multiply.outer(np.asarray(x, dtype=float), ks))
-        return ph @ cm, ph @ cp
+        kmax = int(np.max(np.abs(ks)))
+        ph = _phases(x, kmax)[ks.astype(int) + kmax]
+        f = np.tensordot(np.stack([cm, cp]), ph, axes=(1, 0))
+        return f[0], f[1]
 
     def h1_norm(self) -> float:
         m = p_multiplier(self.modes) ** 2
@@ -224,10 +226,24 @@ class Potential:
         return v
 
 
+def _phases(x, kmax):
+    """e^{2 pi i k x} for k = -kmax..kmax, shape (2 kmax + 1,) + x.shape.
+
+    Powers of e^{2 pi i x} by repeated multiplication (relative error about
+    k eps): one complex exponential per point instead of one per point and
+    mode."""
+    e1 = np.exp(2j * np.pi * np.asarray(x, dtype=float))
+    ph = np.empty((2 * kmax + 1,) + e1.shape, dtype=complex)
+    ph[kmax] = 1.0
+    for k in range(1, kmax + 1):
+        np.multiply(ph[kmax + k - 1], e1, out=ph[kmax + k, ...])
+        np.conjugate(ph[kmax + k], out=ph[kmax - k, ...])
+    return ph
+
+
 def _trig_eval(coeffs, modes, x):
-    x = np.asarray(x, dtype=float)
-    ph = np.exp(2j * np.pi * np.multiply.outer(x, modes.astype(float)))
-    return ph @ coeffs
+    kmax = int(np.max(np.abs(modes)))
+    return np.tensordot(coeffs, _phases(x, kmax)[modes + kmax], axes=(0, 0))
 
 
 def eval_fields(v: Potential):

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -44,6 +45,22 @@ def test_eval_input_errors(files, capsys):
     assert main(["eval", str(d / "missing.json"), "--lambda", "1,0"]) == 2
     assert main(["eval", str(zero), "--lambda", "oops"]) == 2
     assert main(["eval", str(zero), "--lambda", "0,0"]) == 3  # outside annulus
+
+
+def test_eval_far_out(files, capsys):
+    """Far out in lambda the step count grows (28,672 steps at |lambda| =
+    5000 and the default tol) but has no cap."""
+    d, zero, cos, cfg = files
+    assert main(["eval", str(cos), "--lambda", "5000,0"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert abs(out["Delta"][0]) <= 1.0 and abs(out["Delta"][1]) < 1e-9
+
+
+def test_threads_without_threadpoolctl(files, capsys, monkeypatch):
+    d, zero, cos, cfg = files
+    monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import fails
+    assert main(["eval", str(zero), "--lambda", "1,0", "--threads", "2"]) == 2
+    assert "threadpoolctl" in capsys.readouterr().err
 
 
 def test_spectrum_zero(files, capsys):

@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
+from shgspec.config import seeded_ensemble
+from shgspec.gradients import GL_NODES_DEFAULT, _gauss_legendre
+from shgspec import monodromy
 from shgspec.monodromy import (
     E_nu,
     chi_D,
@@ -10,6 +14,7 @@ from shgspec.monodromy import (
     integrate_many,
     lam_zero,
     omega,
+    step_count,
 )
 from shgspec.potential import Potential
 
@@ -135,3 +140,187 @@ def test_quarter_period_point():
     r = closed_form_zero(lam)
     assert abs(r.Delta) < 1e-14
     assert abs(r.chi_D - 1.0) < 1e-14
+
+
+def dop853_reference(v, lam, order, path_nodes=None):
+    """Oracle independent of the Magnus propagator: M(1, lam) and its
+    lambda-derivatives from the variational system
+
+        M' = L M,  (dM)' = L dM + L_lam M,  (ddM)' = L ddM + 2 L_lam dM + L_lamlam M
+
+    integrated by adaptive DOP853 at rtol = atol = 1e-13.  Returns the stack
+    (M, dM, ddM)[:order+1] and, for path_nodes, M(x) there by dense output.
+    """
+    lam = complex(lam)
+
+    def rhs(x, y):
+        Y = y.reshape(order + 1, 2, 2)
+        w = complex(v.w_at(x))
+        emq, eq = (complex(f) for f in v.exp_q_at(x))
+        L = np.array([[w / 4, lam - eq / (16 * lam)], [-lam + emq / (16 * lam), -w / 4]])
+        L1 = np.array([[0, 1 + eq / (16 * lam**2)], [-1 - emq / (16 * lam**2), 0]])
+        L2 = np.array([[0, -eq / (8 * lam**3)], [emq / (8 * lam**3), 0]])
+        out = [L @ Y[0]]
+        if order >= 1:
+            out.append(L @ Y[1] + L1 @ Y[0])
+        if order >= 2:
+            out.append(L @ Y[2] + 2 * L1 @ Y[1] + L2 @ Y[0])
+        return np.ravel(out)
+
+    y0 = np.zeros((order + 1, 2, 2), dtype=complex)
+    y0[0] = np.eye(2)
+    sol = solve_ivp(rhs, (0.0, 1.0), y0.ravel(), method="DOP853", rtol=1e-13,
+                    atol=1e-13, dense_output=path_nodes is not None)
+    assert sol.success
+    jets = sol.y[:, -1].reshape(order + 1, 2, 2)
+    if path_nodes is None:
+        return jets, None
+    path = sol.sol(path_nodes).reshape(order + 1, 2, 2, -1)[0]
+    return jets, np.moveaxis(path, -1, 0)
+
+
+def _jets(res, i):
+    return [m[i] for m in (res.Mgrave, res.Mgrave_dot, res.Mgrave_ddot) if m is not None]
+
+
+def _rel_err(got, want):
+    """Largest entry error of each jet, relative to max(1, |entries|)."""
+    return np.array([np.max(np.abs(g - w)) / max(1.0, np.max(np.abs(w)))
+                     for g, w in zip(got, want)])
+
+
+def _circle_point(radius, im_omega=1.0):
+    """The point of |lambda| = radius in the first quadrant where Im omega = im_omega."""
+    t = np.arcsin(im_omega / (radius * (1.0 + 1.0 / (16.0 * radius**2))))
+    return radius * np.exp(1j * t)
+
+
+# |omega| up to 50 at both ends, 5% off-axis, and the lower pole of U_*
+ZERO_ORACLE_LAMS = [50.0, 50.0 * (1 + 0.05j), 1.0 / 800, (1.0 + 0.05j) / 800,
+                    0.25j, 1.3, 7.0 - 0.4j]
+
+
+@pytest.mark.parametrize("tol", [1e-7, 1e-11, 1e-13])
+def test_zero_potential_closed_forms_at_every_step_count(tol):
+    """At v = 0 the generator does not depend on x, every commutator of the
+    Magnus scheme vanishes and each step is exact, so M, M' and M'' match the
+    closed forms to rounding whatever step count tol selects."""
+    lams = np.array(ZERO_ORACLE_LAMS)
+    res = integrate_many(Potential.zero(), lams, order=2, tol=tol)
+    for i, lam in enumerate(lams):
+        cf = closed_form_zero(lam)
+        err = _rel_err(_jets(res, i), [cf.Mgrave, cf.Mgrave_dot, cf.Mgrave_ddot])
+        assert np.all(err <= 1e-13), (lam, res.steps[i], err)
+
+
+R4 = 4 * np.pi + np.pi / 2  # outer radius of the N = 4 counting annulus
+# large and reciprocal end, 5% off-axis, and both N = 4 counting circles where
+# |Im omega| = 1 (entries there grow like e^|Im omega|)
+ORACLE_LAMS = [20.0, 20.0 * (1 + 0.05j), 1.0 / 320, (1 + 0.05j) / 320,
+               _circle_point(R4), -np.conj(_circle_point(R4)),
+               _circle_point(1.0 / (16 * R4)), -np.conj(_circle_point(1.0 / (16 * R4)))]
+
+
+# amplitude of order one, and a band limit of four: outside the small
+# potentials v1-v3 on which the first-guess step count is calibrated
+AMPLE = Potential.cosine(1.0, amplitude_p=0.5)
+WIDE = Potential.from_modes({1: 0.2, 3: 0.15j, 4: 0.1}, {2: 0.1, 4: 0.05}, Kf=4)
+
+
+@pytest.fixture(scope="module")
+def dop853_oracle():
+    """DOP853 references at ORACLE_LAMS on v1, v3, AMPLE and WIDE, and the
+    reference's own error there, measured on the zero potential against the
+    closed forms."""
+    ens = seeded_ensemble()
+    pots = {"v1": ens[0], "v3": ens[2], "ample": AMPLE, "wide": WIDE}
+    ref = {k: [dop853_reference(v, lam, 2)[0] for lam in ORACLE_LAMS] for k, v in pots.items()}
+    own = []
+    for lam in ORACLE_LAMS:
+        cf = closed_form_zero(lam)
+        jets = dop853_reference(Potential.zero(), lam, 2)[0]
+        own.append(_rel_err(jets, [cf.Mgrave, cf.Mgrave_dot, cf.Mgrave_ddot]))
+    return pots, ref, np.array(own)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("tol", [1e-11, 1e-13])
+def test_matches_dop853_oracle(dop853_oracle, tol, order):
+    """Relative error of M and its derivatives stays within tol.  The DOP853
+    reference at rtol = 1e-13 is itself off by up to ~5e-13 at |omega| = 20;
+    its error at the same lambda on the zero potential is added to the
+    allowance, which matters only at tol = 1e-13."""
+    pots, ref, own = dop853_oracle
+    for k, want in ref.items():
+        res = integrate_many(pots[k], ORACLE_LAMS, order=order, tol=tol)
+        assert np.all(res.err <= tol / 3)
+        for i in range(len(ORACLE_LAMS)):
+            err = _rel_err(_jets(res, i), want[i][: order + 1])
+            assert np.all(err <= tol + own[i, : order + 1]), (k, ORACLE_LAMS[i], err)
+
+
+def test_error_estimate_doubles_steps_where_first_guess_misses():
+    """On AMPLE at the reciprocal end the first-guess step count misses
+    tol/3; the half-grid estimate catches it and the step count is doubled.
+    The estimate tracks the error against a grid eight times finer."""
+    tol = 1e-11
+    lams = np.array([1.0 / 320, (1 + 0.05j) / 320])
+    res = integrate_many(AMPLE, lams, order=1, tol=tol)
+    first = step_count(AMPLE, lams, tol)
+    assert np.all(res.steps == 2 * first)
+    assert np.all(res.err <= tol / 3)
+    for i in range(lams.size):
+        n = int(first[i])
+        fine = monodromy._propagate(AMPLE, 8 * n, lams[i : i + 1], 2)[0]
+        guess = monodromy._propagate(AMPLE, n, lams[i : i + 1], 2)[0]
+        assert monodromy._defect(guess, fine)[0] > tol / 3
+        got = np.stack([res.Mgrave[i], res.Mgrave_dot[i]])[..., None]
+        assert monodromy._defect(got, fine)[0] <= tol / 3
+
+
+def test_fields_beyond_cache_budget(monkeypatch):
+    """Above CACHE_STEPS the fields are computed block by block and not
+    cached; the result, path included, is that of the cached grid."""
+    v = seeded_ensemble()[2]
+    lams = [3.0, 9.7 + 0.3j, 1.0 / (16 * 9.7)]
+    x = np.array([0.0, 0.1, 0.37, 1.0 / 3, 0.9, 1.0])
+    want = integrate_many(v, lams, order=2, tol=1e-11, path_nodes=x)
+    monkeypatch.setattr(monodromy, "BLOCK", 64)
+    monkeypatch.setattr(monodromy, "CACHE_STEPS", 32)
+    w = Potential(v.q_coeffs, v.p_coeffs, v.Kf, v.grid_size, v.real)  # empty cache
+    got = integrate_many(w, lams, order=2, tol=1e-11, path_nodes=x)
+    assert not any(key[0] == "magnus" and key[1] > 32 for key in w._cache)
+    assert np.array_equal(got.steps, want.steps)
+    for a, b in [(got.Mgrave, want.Mgrave), (got.Mgrave_ddot, want.Mgrave_ddot),
+                 (got.path, want.path)]:
+        assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
+
+
+def test_path_matches_dense_output():
+    """M(x) at the Gauss-Legendre nodes of the gradient kernels is a prefix
+    product of the step maps; it matches the DOP853 dense output, and
+    det M(x) = 1."""
+    x, _ = _gauss_legendre(GL_NODES_DEFAULT)
+    v = seeded_ensemble()[2]
+    for lam in (2.2, 9.7 + 0.3j, 1.0 / (16 * 9.7)):
+        res = integrate(v, lam, order=1, tol=1e-11, path_nodes=x)
+        jets, path = dop853_reference(v, lam, 1, path_nodes=x)
+        assert np.max(np.abs(res.trace_path - path)) <= 1e-11 * np.max(np.abs(path))
+        assert np.max(np.abs(np.linalg.det(res.trace_path) - 1.0)) <= 1e-12
+        assert np.all(_rel_err([res.Mgrave, res.Mgrave_dot], jets) <= 1e-11)
+
+
+def test_step_count_follows_omega_and_tol():
+    """N grows with |omega| (both ends alike) and a 100x tighter tol
+    multiplies it by 100^(1/6) ~ 2.15, up to the rounding of N to m 2^e
+    (m = 4..7), which moves it by less than a factor 1.25."""
+    v = Potential.cosine(0.1)
+    big = np.array([1.0, 5.0, 10.0, 20.0, 40.0])
+    lams = np.concatenate([big, -1.0 / (16.0 * big)])
+    n11 = integrate_many(v, lams, order=0, tol=1e-11).steps
+    n13 = integrate_many(v, lams, order=0, tol=1e-13).steps
+    for n in (n11, n13):
+        assert np.all(np.diff(n[:5]) >= 0) and n[4] > n[0]
+        assert np.array_equal(n[:5], n[5:])
+    ratio = n13 / n11
+    assert np.all(ratio > 100 ** (1 / 6) / 1.25) and np.all(ratio < 100 ** (1 / 6) * 1.25)

@@ -99,3 +99,20 @@ def test_lax_coefficients():
     assert np.max(np.abs(A[..., 0, 1] - A[..., 1, 0])) == 0
     assert LaxCoefficients.pi_n(0) == 1.0
     assert LaxCoefficients.pi_n(3) == 3 * np.pi
+
+
+def test_fields_match_direct_exponentials():
+    """Fields built from powers of e^{2 pi i x} match the same sums over
+    one complex exponential per point and mode, to the k eps the powers
+    cost."""
+    v = Potential.from_modes({1: 0.5, 3: 0.2j, 4: 0.1}, {2: 0.3, 4: 0.05}, Kf=4)
+    x = np.random.default_rng(2).random((40, 3))
+    ks, cm, cp = v.exp_q_coeffs()
+    ph = np.exp(2j * np.pi * np.multiply.outer(x, ks))
+    emq, eq = v.exp_q_at(x)
+    assert np.max(np.abs(emq - ph @ cm)) <= 1e-13 * np.max(np.abs(cm)) * ks.size
+    assert np.max(np.abs(eq - ph @ cp)) <= 1e-13 * np.max(np.abs(cp)) * ks.size
+    ph = np.exp(2j * np.pi * np.multiply.outer(x, v.modes))
+    w = ph @ (v.p_coeffs * p_multiplier(v.modes) + v.q_coeffs * 2j * np.pi * v.modes)
+    assert np.max(np.abs(v.w_at(x) - w)) <= 1e-13 * np.max(np.abs(w))
+    assert v.q_at(0.3).shape == ()
