@@ -26,7 +26,6 @@ from .spectrum import (
 from .roots_products import (
     CanonicalRootEvaluator,
     NodeFamily,
-    canonical_root_chip,
     interpolate_reconstruct,
     sign_tables,
     standard_root,

@@ -21,19 +21,27 @@ one sweep over the cached contour nodes assembles residual and Jacobian
 together.  Unknowns are truncated to |k| <= K with the zero-potential tail
 closure; iterates leaving the isolating discs are clamped back to a boundary
 ring and the event is counted.
+
+A solution carries the workspace it was solved with; psi evaluation and the
+normalization checks reuse it for the same table, isolating discs, n and K
+and build one only otherwise.  On every node set (the workspace's solve
+nodes and each fresh verification contour) the zero-potential tails at
+lambda and at -1/(16 lambda) are computed once and shared between psi_n and
+sqrt_c(chi_p); psi evaluation itself never reads the workspace's cached
+sqrt_c(chi_p) values.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from .potential import pi_k
 from .quadrature import ContourSpec, contour_integral
-from .roots_products import CanonicalRootEvaluator, zero_tail
+from .roots_products import CanonicalRootEvaluator, zero_tail, zero_tails
 
 __all__ = [
     "SigmaSolution",
@@ -64,6 +72,8 @@ class SigmaSolution:
     newton_iters: int
     C_n: complex
     clamp_events: int = 0
+    # the workspace of the solve; it does not depend on sigma
+    workspace: SigmaWorkspace | None = field(default=None, repr=False, compare=False)
 
     def sigma1_at(self, k):
         return complex(self.sigma1[k + self.K])
@@ -82,6 +92,7 @@ class SigmaSolution:
                 "residual": self.residual_norm,
                 "iters": self.newton_iters,
                 "C_n": c2(self.C_n),
+                "clamp_events": self.clamp_events,
                 "normalization_max_dev": normalization_max_dev,
             }
         )
@@ -143,9 +154,9 @@ class SigmaWorkspace:
             z, dz = spec.points()
             self.rows.append((2, int(m), z, dz, 16.0 * pi_k(m) ** 2 * pi_k(n)))
         self.z_all = np.concatenate([r[2] for r in self.rows])
-        self.chip_all = self.evaluator.chip(self.z_all)
-        self.tail1_all = zero_tail(self.z_all, K)
-        self.tail2_all = zero_tail(-1.0 / (16.0 * self.z_all), K)
+        tails = zero_tails(self.z_all, K)
+        self.tail1_all, self.tail2_all = tails
+        self.chip_all = self.evaluator.chip(self.z_all, tails=tails)
         self.tail2_zero = complex(zero_tail(np.array([0.0 + 0j]), K)[0])
 
     # -- state vector mapping ------------------------------------------------
@@ -177,9 +188,7 @@ class SigmaWorkspace:
 
     def psi(self, sigma1, sigma2, lam):
         lam = np.atleast_1d(np.asarray(lam, dtype=complex))
-        t1 = zero_tail(lam, self.K)
-        t2 = zero_tail(-1.0 / (16.0 * lam), self.K)
-        val, _ = self._fn_on(sigma1, sigma2, lam, t1, t2)
+        val, _ = self._fn_on(sigma1, sigma2, lam, *zero_tails(lam, self.K))
         return val
 
     # -- residual and Jacobian -------------------------------------------------
@@ -317,25 +326,38 @@ def solve_sigma(
     sigma1, sigma2 = ws.unpack(u)
     f2_inf = np.prod(sigma2 / ws.piks) * ws.tail2_zero
     return SigmaSolution(
-        n, K, sigma1, sigma2, rnorm, iters, complex(1.0 / f2_inf), clamps
+        n, K, sigma1, sigma2, rnorm, iters, complex(1.0 / f2_inf), clamps, ws
     )
+
+
+def _workspace(sol: SigmaSolution, table, iso) -> SigmaWorkspace:
+    """The solution's own workspace if it was built for this table and iso,
+    else a fresh one."""
+    ws = sol.workspace
+    if (
+        ws is not None
+        and ws.table is table
+        and ws.iso is iso
+        and ws.n == sol.n
+        and ws.K == sol.K
+    ):
+        return ws
+    return SigmaWorkspace(table, iso, sol.n, sol.K)
 
 
 def eval_psi(sol: SigmaSolution, table, iso, lam):
     """psi_n(lambda) for a converged solution."""
-    ws = SigmaWorkspace(table, iso, sol.n, sol.K)
-    return ws.psi(sol.sigma1, sol.sigma2, lam)
+    return _workspace(sol, table, iso).psi(sol.sigma1, sol.sigma2, lam)
 
 
-def _psi_over_chip_integrals(psi_fn, evaluator, iso, K, nodes, scale):
-    """(1/2 pi) oint psi/sqrt_c(chi_p) over both contour families."""
+def _contour_integrals(integrand, iso, K, nodes, scale):
+    """(1/2 pi) oint integrand over both contour families."""
     out = {}
     for j in (1, 2):
         for m in range(-K, K + 1):
             spec = iso.contour(j, m, nodes=nodes, scale=scale)
             z, dz = spec.points()
-            vals = psi_fn(z) / evaluator.chip(z)
-            out[(j, m)] = complex(np.sum(vals * dz) / (2.0 * np.pi))
+            out[(j, m)] = complex(np.sum(integrand(z) * dz) / (2.0 * np.pi))
     return out
 
 
@@ -347,11 +369,14 @@ def verify_normalization(
     Returns the matrix {(j,m): (1/2 pi) oint psi_n/sqrt_c(chi_p)} and the
     maximum deviation from delta_{nm} (family 1) resp. 0 (family 2).
     """
-    ws = SigmaWorkspace(table, iso, sol.n, sol.K)
-    psi_fn = lambda z: ws.psi(sol.sigma1, sol.sigma2, z)
-    mat = _psi_over_chip_integrals(
-        psi_fn, ws.evaluator, iso, sol.K, nodes, contour_scale
-    )
+    ws = _workspace(sol, table, iso)
+
+    def integrand(z):
+        tails = zero_tails(z, sol.K)
+        psi, _ = ws._fn_on(sol.sigma1, sol.sigma2, z, *tails)
+        return psi / ws.evaluator.chip(z, tails=tails)
+
+    mat = _contour_integrals(integrand, iso, sol.K, nodes, contour_scale)
     dev = 0.0
     for (j, m), val in mat.items():
         want = 1.0 if (j == 1 and m == sol.n) else 0.0
@@ -366,7 +391,7 @@ def psi_negative(sol_reflected: SigmaSolution, table_reflected, iso_reflected, l
     potential (-q, p).
     """
     lam = np.atleast_1d(np.asarray(lam, dtype=complex))
-    ws = SigmaWorkspace(table_reflected, iso_reflected, sol_reflected.n, sol_reflected.K)
+    ws = _workspace(sol_reflected, table_reflected, iso_reflected)
     return ws.psi(
         sol_reflected.sigma1, sol_reflected.sigma2, 1.0 / (16.0 * lam)
     ) / (16.0 * lam**2)
@@ -380,8 +405,11 @@ def verify_negative_normalization(
     n = sol_reflected.n
     K = sol_reflected.K
     ev = CanonicalRootEvaluator(table, K)
-    psi_fn = lambda z: psi_negative(sol_reflected, table_reflected, iso_reflected, z)
-    mat = _psi_over_chip_integrals(psi_fn, ev, iso, K, nodes, contour_scale)
+    # psi_{-n} needs the tails at 1/(16 lambda), not at lambda: none to share
+    integrand = lambda z: (
+        psi_negative(sol_reflected, table_reflected, iso_reflected, z) / ev.chip(z)
+    )
+    mat = _contour_integrals(integrand, iso, K, nodes, contour_scale)
     dev = 0.0
     for (j, m), val in mat.items():
         want = 1.0 if (j == 2 and m == -n) else 0.0

@@ -31,13 +31,11 @@ from .potential import pi_k
 
 __all__ = [
     "zero_tail",
+    "zero_tails",
     "standard_root",
     "f1n",
     "NodeFamily",
     "CanonicalRootEvaluator",
-    "canonical_root_chi1",
-    "canonical_root_chi2",
-    "canonical_root_chip",
     "sign_tables",
     "verify_product_reps",
     "constraint_products",
@@ -45,27 +43,91 @@ __all__ = [
 ]
 
 _TAIL_M_EXTRA = 64
+# bound on the remainder-series terms zero_tail leaves out, below the ~1e-12
+# the tail is good to
+_TAIL_TOL = 1e-13
+_TAIL_M_MAX = 1 << 18  # |z| up to about 1.6e5
+_TAIL_BLOCK = 1 << 18  # (point, factor) pairs per block of the R_K product
+
+
+def _omitted_terms_bound(r, a):
+    """Bound on the terms of zero_tail's remainder series that are left out.
+
+    The series run over powers of r = |z/pi|^2/a^2 < 1 with a = M + 1; the
+    first stops after j = 5, the second after j = 3.  With
+    zeta(s, a) <= a^-s (1 + a/(s-1)) the terms left out are bounded by
+    geometric series in r.
+    """
+    first = r**6 / (1 - r) * (1 + a / 13) / a**2 / (8 * np.pi**2)
+    second = (
+        r**4 * (5 - 4 * r) / (1 - r) ** 2 * (1 + a / 11) / a**4 / (128 * np.pi**4)
+    )
+    return first + second
+
+
+def _tail_cutoff(rho2, K):
+    """The smallest M = K + 64 * 2^j whose omitted remainder terms are bounded
+    by _TAIL_TOL at |z/pi|^2 = rho2; M = K + 64 for |z| up to about
+    0.21 (K + 65) pi."""
+    M = K + _TAIL_M_EXTRA
+    while True:
+        a = M + 1.0
+        r = rho2 / a**2
+        if r <= 0.5 and _omitted_terms_bound(r, a) <= _TAIL_TOL:
+            return M
+        M = K + 2 * (M - K)
+        if M > _TAIL_M_MAX:
+            raise ValueError(
+                f"|z| = {np.pi * rho2**0.5:.3g} beyond the range of the tail closure"
+            )
 
 
 def zero_tail(z, K: int, M: int | None = None):
     """prod over |k| > K of (t_k - z)/pi_k with t_k the zero-potential nodes.
 
     Vectorized in z; exact to ~1e-12 relative.  z must stay away from the
-    tail lattice points k pi, |k| > K.
+    tail lattice points k pi, |k| > K.  The product runs explicitly up to
+    k = M, by default chosen per point from |z| (_tail_cutoff), and the
+    remainder beyond M is summed as a series.
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    if M is None:
-        M = K + _TAIL_M_EXTRA
-    ks = np.arange(-K, K + 1)
-    piks = pi_k(ks)
-
     # beyond the truncation ring the sine factor and R_K trade zeros against
     # poles; that is well-conditioned except essentially on a lattice node
     near = np.abs(z.real - np.pi * np.rint(z.real / np.pi)) < 1e-12
     big = np.abs(z) > (K + 0.45) * np.pi
     if np.any(big & near & (np.abs(z.imag) < 1e-12)):
         raise ValueError("tail evaluation on a lattice node beyond the ring")
+    if M is None:
+        rho2 = np.abs(z / np.pi) ** 2
+        rho2 = np.where(np.isfinite(rho2), rho2, 0.0)
+        hi = float(rho2.max(initial=0.0))
+        M = _tail_cutoff(hi, K)
+        if M > _tail_cutoff(float(rho2.min(initial=hi)), K):
+            # far out: a cutoff per point, so no value depends on the batch
+            Ms = np.array([_tail_cutoff(float(r), K) for r in rho2])
+            out = np.empty_like(z)
+            for m in np.unique(Ms):
+                out[Ms == m] = zero_tail(z[Ms == m], K, int(m))
+            return out
+    rows = max(1, _TAIL_BLOCK // max(M - K, 1))
+    if z.size <= rows:
+        return _zero_tail_upto(z, K, M)
+    return np.concatenate(
+        [_zero_tail_upto(z[i : i + rows], K, M) for i in range(0, z.size, rows)]
+    )
 
+
+def zero_tails(z, K: int):
+    """zero_tail at z and at the reciprocal variable -1/(16 z): the tails of
+    every product over both node families at the points z."""
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    return zero_tail(z, K), zero_tail(-1.0 / (16.0 * z), K)
+
+
+def _zero_tail_upto(z, K, M):
+    """zero_tail with the explicit product over K < k <= M."""
+    ks = np.arange(-K, K + 1)
+    piks = pi_k(ks)
     P = np.prod((ks * np.pi - z[:, None]) / piks, axis=1)
     sin_part = np.where(z == 0, 1.0, -np.sin(z) / np.where(P == 0, 1.0, P))
 
@@ -78,16 +140,10 @@ def zero_tail(z, K: int, M: int | None = None):
     # remainder of log R over k > M: sum d_k/(a_k^2 - z^2) - (1/2) sum (...)^2,
     # d_k = t_k^2 - k^2 pi^2 = 1/8 - 1/(256 k^2 pi^2) + O(k^-4)
     w2 = (z / np.pi) ** 2
-    S1 = sum(w2**j * _hurwitz_zeta(2 * j + 2, M + 1) for j in range(6)) / np.pi**2
-    S1b = (
-        sum((j + 1) * w2**j * _hurwitz_zeta(2 * j + 4, M + 1) for j in range(4))
-        / np.pi**4
-    )
-    logrem = (
-        0.125 * S1
-        - _hurwitz_zeta(4, M + 1) / (256.0 * np.pi**4)
-        - 0.5 * (1.0 / 64.0) * S1b
-    )
+    zeta = _hurwitz_zeta(np.arange(2, 14, 2), M + 1)  # zeta(2j + 2, M + 1)
+    S1 = sum(w2**j * zeta[j] for j in range(6)) / np.pi**2
+    S1b = sum((j + 1) * w2**j * zeta[j + 1] for j in range(4)) / np.pi**4
+    logrem = 0.125 * S1 - zeta[1] / (256.0 * np.pi**4) - 0.5 * (1.0 / 64.0) * S1b
     return sin_part * R * np.exp(logrem)
 
 
@@ -163,15 +219,21 @@ class CanonicalRootEvaluator:
         mu = -1.0 / (16.0 * lam)
         return _sroot(self.tau2, self.gam2, mu[:, None])
 
-    def chi1(self, lam):
-        """sqrt_c of chi_{p,1}: the product of all w_{1,k}/pi_k (analytic at 0)."""
-        lam = np.atleast_1d(np.asarray(lam, dtype=complex))
-        return np.prod(self.w1(lam) / self.piks, axis=1) * zero_tail(lam, self.K)
+    def chi1(self, lam, tail=None):
+        """sqrt_c of chi_{p,1}: the product of all w_{1,k}/pi_k (analytic at 0).
 
-    def chi2(self, lam):
+        tail, when given, is zero_tail(lam, K)."""
         lam = np.atleast_1d(np.asarray(lam, dtype=complex))
-        mu = -1.0 / (16.0 * lam)
-        return np.prod(self.w2(lam) / self.piks, axis=1) * zero_tail(mu, self.K)
+        if tail is None:
+            tail = zero_tail(lam, self.K)
+        return np.prod(self.w1(lam) / self.piks, axis=1) * tail
+
+    def chi2(self, lam, tail=None):
+        """tail, when given, is zero_tail(-1/(16 lam), K)."""
+        lam = np.atleast_1d(np.asarray(lam, dtype=complex))
+        if tail is None:
+            tail = zero_tail(-1.0 / (16.0 * lam), self.K)
+        return np.prod(self.w2(lam) / self.piks, axis=1) * tail
 
     def chi2_inf(self) -> complex:
         w = _sroot(self.tau2, self.gam2, np.zeros(1)[:, None] * 0j)
@@ -179,8 +241,11 @@ class CanonicalRootEvaluator:
             np.prod(w / self.piks, axis=1)[0] * zero_tail(np.array([0.0 + 0j]), self.K)[0]
         )
 
-    def chip(self, lam, check_gaps: bool = True):
-        """sqrt_c of chi_p = i * sqrt_c(chi_1) sqrt_c(chi_2) / sqrt_c(chi_1)(0)."""
+    def chip(self, lam, check_gaps: bool = True, *, tails=None):
+        """sqrt_c of chi_p = i * sqrt_c(chi_1) sqrt_c(chi_2) / sqrt_c(chi_1)(0).
+
+        tails, when given, is zero_tails(lam, K), shared with a caller that
+        needs the same tails on the same points."""
         lam = np.atleast_1d(np.asarray(lam, dtype=complex))
         if check_gaps:
             d = np.abs(lam[:, None] - self._gap_ends[None, :])
@@ -188,27 +253,14 @@ class CanonicalRootEvaluator:
                 raise ValueError(
                     "lambda within 1e-10 of a gap endpoint: branch ambiguous"
                 )
-        return 1j * self.chi1(lam) * self.chi2(lam) / self.chi1_zero
+        t1, t2 = zero_tails(lam, self.K) if tails is None else tails
+        return 1j * self.chi1(lam, t1) * self.chi2(lam, t2) / self.chi1_zero
 
     def chip_from_below(self, lam_real, seg_len):
         """Gap-interior values as the limit from below, Im lambda -> 0^-."""
         eps = 1e-7 * max(float(seg_len), 1e-30)
         lam = np.atleast_1d(np.asarray(lam_real, dtype=complex)) - 1j * eps
         return self.chip(lam, check_gaps=False)
-
-
-def canonical_root_chi1(lam, table, K: int):
-    """sqrt_c of chi_{p,1} at lam (truncation K, sine-closed tails)."""
-    return CanonicalRootEvaluator(table, K).chi1(lam)
-
-
-def canonical_root_chi2(lam, table, K: int):
-    return CanonicalRootEvaluator(table, K).chi2(lam)
-
-
-def canonical_root_chip(lam, table, K: int):
-    """The canonical square root of chi_p = Delta^2 - 1 off the gaps."""
-    return CanonicalRootEvaluator(table, K).chip(lam)
 
 
 # ---------------------------------------------------------------------------
@@ -432,13 +484,6 @@ class NodeFamily:
     @property
     def kappa2(self):
         return -1.0 / (16.0 * self.sigma2)
-
-    def tail_deviation(self):
-        """Monitored, not asserted: cumulative sums of |sigma_{j,k} - k pi|^2,
-        whose increments should die out toward the edge of the window."""
-        d1 = np.abs(self.sigma1 - self.ks * np.pi) ** 2
-        d2 = np.abs(self.sigma2 - self.ks * np.pi) ** 2
-        return np.cumsum(d1), np.cumsum(d2)
 
     @staticmethod
     def from_table(table, K) -> "NodeFamily":

@@ -1,5 +1,6 @@
 import json
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -49,11 +50,16 @@ def test_eval_input_errors(files, capsys):
 
 def test_eval_far_out(files, capsys):
     """Far out in lambda the step count grows (28,672 steps at |lambda| =
-    5000 and the default tol) but has no cap."""
+    5000 and the default tol) but has no cap, and the tail closure of
+    sqrt_c(chi_p) stays finite."""
     d, zero, cos, cfg = files
-    assert main(["eval", str(cos), "--lambda", "5000,0"]) == 0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["eval", str(cos), "--lambda", "5000,0"]) == 0
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     out = json.loads(capsys.readouterr().out)
     assert abs(out["Delta"][0]) <= 1.0 and abs(out["Delta"][1]) < 1e-9
+    assert np.all(np.isfinite(out["sqrtc_chi_p"]))
 
 
 def test_threads_without_threadpoolctl(files, capsys, monkeypatch):
@@ -102,6 +108,7 @@ def test_differentials_round_trip(files, capsys, tmp_path):
     sol = json.loads(direct)[0]
     assert sol["normalization_max_dev"] < 1e-6
     assert sol["iters"] <= 10
+    assert sol["clamp_events"] == 0
 
 
 def test_differentials_rejects_negative_n(files, capsys):

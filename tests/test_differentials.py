@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -302,3 +304,71 @@ def test_workspace_requires_K_geq_table(tab16, iso16):
 def test_solver_iteration_budget(v_seed, tab16, iso16):
     with pytest.raises(RuntimeError, match="outside solvable neighborhood"):
         solve_sigma(tab16, iso16, 1, 16, tol=1e-14, max_iter=0)
+
+
+def _count_builds(monkeypatch):
+    """Record (table, iso) of every SigmaWorkspace construction."""
+    builds = []
+    init = SigmaWorkspace.__init__
+
+    def counting(self, table, iso, *args, **kwargs):
+        builds.append((table, iso))
+        init(self, table, iso, *args, **kwargs)
+
+    monkeypatch.setattr(SigmaWorkspace, "__init__", counting)
+    return builds
+
+
+def test_one_workspace_per_solution(monkeypatch, tab16, iso16, reflected):
+    """The solve builds the only workspace; psi and both normalization checks
+    reuse it."""
+    vr, tabr, isor = reflected
+    builds = _count_builds(monkeypatch)
+    sol = solve_sigma(tab16, iso16, 1, 16)
+    verify_normalization(sol, tab16, iso16, nodes=96)
+    eval_psi(sol, tab16, iso16, np.array([0.3 + 0.2j, 5.0]))
+    assert len(builds) == 1
+    builds.clear()
+    solr = solve_sigma(tabr, isor, 1, 16)
+    verify_negative_normalization(solr, tabr, isor, tab16, iso16, nodes=96)
+    assert len(builds) == 1
+
+
+def test_reused_workspace_matches_fresh_build(tab16, iso16, reflected):
+    """Values through the solution's workspace equal, bit for bit, those of a
+    fresh build (workspace=None)."""
+    vr, tabr, isor = reflected
+    sol = solve_sigma(tab16, iso16, 1, 16)
+    fresh = replace(sol, workspace=None)
+    assert fresh.workspace is None and sol.workspace is not None
+    assert verify_normalization(sol, tab16, iso16) == verify_normalization(
+        fresh, tab16, iso16
+    )
+    lam = np.array([0.3 + 0.2j, 5.0, 40.0 - 1.0j])
+    assert np.array_equal(
+        eval_psi(sol, tab16, iso16, lam), eval_psi(fresh, tab16, iso16, lam)
+    )
+    solr = solve_sigma(tabr, isor, 1, 16)
+    z, _ = iso16.contour(2, 2, nodes=96).points()
+    assert np.array_equal(
+        psi_negative(solr, tabr, isor, z),
+        psi_negative(replace(solr, workspace=None), tabr, isor, z),
+    )
+
+
+def test_workspace_not_reused_for_other_table_or_iso(
+    monkeypatch, v_seed, tab32, tab16, iso16
+):
+    """Another table or iso object builds a fresh workspace from the inputs
+    given and gives the fresh-build result."""
+    sol = solve_sigma(tab16, iso16, 1, 16)
+    fresh = replace(sol, workspace=None)
+    other_tab = tab32.truncated(16)
+    other_iso = build_isolating(v_seed, tab16)
+    builds = _count_builds(monkeypatch)
+    for table, iso in ((other_tab, iso16), (tab16, other_iso)):
+        builds.clear()
+        got = verify_normalization(sol, table, iso, nodes=96)
+        assert len(builds) == 1
+        assert builds[0][0] is table and builds[0][1] is iso
+        assert got == verify_normalization(fresh, table, iso, nodes=96)

@@ -38,6 +38,17 @@ def test_zero_tail_against_brute_force(z, K):
     assert abs(closed - brute) / abs(brute) < 1e-8
 
 
+@pytest.mark.parametrize("lam", [60.0, 300.0, 1000.0, 5000.0])
+def test_canonical_root_far_out_zero_potential(v_zero, tab0, lam):
+    """Far out in lambda the tail keeps sqrt_c(chi_p)^2 = chi_p: the remainder
+    series of zero_tail converges only for |z| < (M+1) pi."""
+    ev = CanonicalRootEvaluator(tab0, 16)
+    lams = np.array([lam, lam + 0.5j])
+    res = integrate_many(v_zero, lams, order=0, tol=1e-12)
+    rel = np.abs(ev.chip(lams) ** 2 - res.chi_p) / np.abs(res.chi_p)
+    assert np.max(rel) <= 1e-9
+
+
 def test_zero_tail_lattice_guard():
     with pytest.raises(ValueError, match="lattice"):
         zero_tail(np.array([20 * np.pi + 0j]), 8)
