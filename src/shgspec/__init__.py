@@ -3,7 +3,7 @@ normalized differentials of the sinh-Gordon Lax operator on the torus."""
 
 from .potential import Potential, eval_fields
 from .monodromy import (
-    MonodromyResult,
+    BatchResult,
     chi_D,
     chi_p,
     closed_form_zero,
@@ -18,7 +18,6 @@ from .spectrum import (
     build_isolating,
     build_table,
     count_annulus,
-    count_roots,
     locate_dirichlet,
     locate_periodic,
     trace_formula_tau,

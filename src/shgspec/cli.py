@@ -41,8 +41,11 @@ class SystemExit2(Exception):
 
 def _config_from_args(args) -> RunConfig:
     if getattr(args, "config", None):
-        with open(args.config) as fh:
-            cfg = RunConfig.from_json(fh.read())
+        try:
+            with open(args.config) as fh:
+                cfg = RunConfig.from_json(fh.read())
+        except (OSError, ValueError, TypeError) as exc:
+            raise SystemExit2(f"cannot read config file {args.config}: {exc}") from exc
     else:
         cfg = RunConfig()
     for name, attr in (
@@ -51,7 +54,6 @@ def _config_from_args(args) -> RunConfig:
         ("tol", "ode_tol"),
         ("nodes", "nodes"),
         ("seed", "seed"),
-        ("threads", "threads"),
     ):
         val = getattr(args, name, None)
         if val is not None:
@@ -60,15 +62,6 @@ def _config_from_args(args) -> RunConfig:
         cfg.out_format = args.format
     if cfg.K < cfg.n_max:
         cfg.K = cfg.n_max
-    if cfg.threads:
-        try:
-            from threadpoolctl import threadpool_limits
-        except ImportError as exc:
-            raise SystemExit2(
-                f"threads={cfg.threads} needs the threadpoolctl package, "
-                "which is not installed"
-            ) from exc
-        threadpool_limits(limits=cfg.threads)
     return cfg
 
 
@@ -287,7 +280,6 @@ def _build_parser():
         sp.add_argument("--K", type=int)
         sp.add_argument("--tol", type=float)
         sp.add_argument("--nodes", type=int)
-        sp.add_argument("--threads", type=int)
         sp.add_argument("--seed", type=int)
         sp.add_argument("--out", help="output path (default stdout)")
         sp.add_argument("--format", choices=["json", "csv"])

@@ -7,7 +7,7 @@ share a single source of truth.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 
 from .potential import Potential
 
@@ -56,7 +56,6 @@ class RunConfig:
     ode_tol: float = 1e-11
     spectral_tol: float = 1e-13
     seed: int = 0
-    threads: int = 0  # 0 = leave BLAS defaults
     out_format: str = "json"
     product_K_list: tuple = (8, 16, 24, 32)
     differentials_n_list: tuple = (0, 1, 2)
@@ -72,6 +71,11 @@ class RunConfig:
     @staticmethod
     def from_json(text: str) -> "RunConfig":
         d = json.loads(text)
+        if not isinstance(d, dict):
+            raise ValueError("a run configuration is a JSON object")
+        unknown = sorted(set(d) - {f.name for f in fields(RunConfig)})
+        if unknown:
+            raise ValueError(f"unknown run configuration keys: {', '.join(unknown)}")
         thr = dict(THRESHOLDS)
         thr.update(d.pop("thresholds", {}))
         cfg = RunConfig(**{k: v for k, v in d.items() if k != "thresholds"})

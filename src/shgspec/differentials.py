@@ -8,6 +8,7 @@ sigma_{2,k} of the candidate differential numerator
     f_{n,1} = prod_{k != n} (sigma_{1,k} - lambda)/pi_k,
     f_{n,2} = prod_k (sigma_{2,k} + 1/(16 lambda))/pi_k,
 
+each a node_product (roots_products) closed by the zero-potential tail,
 and the equations demand vanishing contour integrals of psi_n/sqrt_c(chi_p)
 over Gamma_{1,m} (m != n) and Gamma_{2,m} (all m):
 
@@ -41,7 +42,12 @@ from scipy.linalg import lu_factor, lu_solve
 
 from .potential import pi_k
 from .quadrature import ContourSpec, contour_integral
-from .roots_products import CanonicalRootEvaluator, zero_tail, zero_tails
+from .roots_products import (
+    CanonicalRootEvaluator,
+    node_product,
+    zero_tail,
+    zero_tails,
+)
 
 __all__ = [
     "SigmaSolution",
@@ -139,10 +145,9 @@ class SigmaWorkspace:
         self.ks = ks
         self.idx1 = np.array([k for k in ks if k != n])
         self.idx2 = ks.copy()
-        self.piks = pi_k(ks)
         self.evaluator = CanonicalRootEvaluator(table, K)
-        self.tau1 = np.array([table.tau2(1, int(k)) for k in ks])
-        self.tau2 = np.array([table.tau2(2, int(k)) for k in ks])
+        self.tau1 = table.family("tau2", 1, K)
+        self.tau2 = table.family("tau2", 2, K)
         # contour node data; family 1 rows for m != n, family 2 rows for all m
         self.rows = []
         for m in self.idx1:
@@ -157,7 +162,7 @@ class SigmaWorkspace:
         tails = zero_tails(self.z_all, K)
         self.tail1_all, self.tail2_all = tails
         self.chip_all = self.evaluator.chip(self.z_all, tails=tails)
-        self.tail2_zero = complex(zero_tail(np.array([0.0 + 0j]), K)[0])
+        self.tail2_zero = complex(zero_tail(0.0, K)[0])
 
     # -- state vector mapping ------------------------------------------------
 
@@ -176,20 +181,20 @@ class SigmaWorkspace:
 
     # -- psi evaluation --------------------------------------------------------
 
-    def _fn_on(self, sigma1, sigma2, z, tail1, tail2):
-        mask = self.ks != self.n
-        a = (sigma1[mask] - z[:, None]) / self.piks[mask]
-        f1 = np.prod(a, axis=1) * tail1
-        mu = -1.0 / (16.0 * z)
-        b = (sigma2 - mu[:, None]) / self.piks
-        f2 = np.prod(b, axis=1) * tail2
-        f2_inf = np.prod(sigma2 / self.piks) * self.tail2_zero
-        return -(1.0 / pi_k(self.n)) * f1 * f2 / f2_inf, f2_inf
+    def f2_inf(self, sigma2):
+        """f_{n,2}(inf) = prod_k sigma_{2,k}/pi_k times the tail at 0."""
+        return node_product(sigma2, 0.0, self.K, tail=self.tail2_zero)[0]
+
+    def _psi_on(self, sigma1, sigma2, z, f2_inf, tails=(None, None)):
+        """psi_n at z; tails, when given, is zero_tails(z, K).  f_{n,1} is
+        NodeFamily's f1 with the factor n removed, f_{n,2} its f2."""
+        f1 = node_product(sigma1, z, self.K, tail=tails[0], skip=self.n)
+        f2 = node_product(sigma2, -1.0 / (16.0 * z), self.K, tail=tails[1])
+        return -(1.0 / pi_k(self.n)) * f1 * f2 / f2_inf
 
     def psi(self, sigma1, sigma2, lam):
         lam = np.atleast_1d(np.asarray(lam, dtype=complex))
-        val, _ = self._fn_on(sigma1, sigma2, lam, *zero_tails(lam, self.K))
-        return val
+        return self._psi_on(sigma1, sigma2, lam, self.f2_inf(sigma2))
 
     # -- residual and Jacobian -------------------------------------------------
 
@@ -226,16 +231,13 @@ class SigmaWorkspace:
         Q = np.empty((n_unk, n_unk), dtype=complex) if want_jacobian else None
         pos = 0
         m1 = len(self.idx1)
+        # psi_n/sqrt_c(chi_p) on all rows' nodes at once; the rows then only
+        # sum their slice
+        tails = (self.tail1_all, self.tail2_all)
+        g = self._psi_on(sigma1, sigma2, self.z_all, self.f2_inf(sigma2), tails)
+        g = g / self.chip_all
         for (fam, m, z, dz, pref), sl in zip(self.rows, self._slices()):
-            g, _ = self._fn_on(
-                sigma1,
-                sigma2,
-                z,
-                self.tail1_all[sl],
-                self.tail2_all[sl],
-            )
-            g = g / self.chip_all[sl]
-            gdz = g * dz
+            gdz = g[sl] * dz
             F[pos] = pref * np.sum(gdz)
             if want_jacobian:
                 mask = self.ks != self.n
@@ -324,10 +326,8 @@ def solve_sigma(
         F, rnorm = Ft, tnorm
         iters += 1
     sigma1, sigma2 = ws.unpack(u)
-    f2_inf = np.prod(sigma2 / ws.piks) * ws.tail2_zero
-    return SigmaSolution(
-        n, K, sigma1, sigma2, rnorm, iters, complex(1.0 / f2_inf), clamps, ws
-    )
+    C_n = complex(1.0 / ws.f2_inf(sigma2))
+    return SigmaSolution(n, K, sigma1, sigma2, rnorm, iters, C_n, clamps, ws)
 
 
 def _workspace(sol: SigmaSolution, table, iso) -> SigmaWorkspace:
@@ -370,10 +370,11 @@ def verify_normalization(
     maximum deviation from delta_{nm} (family 1) resp. 0 (family 2).
     """
     ws = _workspace(sol, table, iso)
+    f2_inf = ws.f2_inf(sol.sigma2)
 
     def integrand(z):
         tails = zero_tails(z, sol.K)
-        psi, _ = ws._fn_on(sol.sigma1, sol.sigma2, z, *tails)
+        psi = ws._psi_on(sol.sigma1, sol.sigma2, z, f2_inf, tails)
         return psi / ws.evaluator.chip(z, tails=tails)
 
     mat = _contour_integrals(integrand, iso, sol.K, nodes, contour_scale)

@@ -81,7 +81,7 @@ def _path_data(v, lam, tol, n_nodes):
     x, w = _gauss_legendre(n_nodes)
     res = integrate(v, lam, order=1, tol=tol, path_nodes=x)
     emq, eq = v.exp_q_at(x)
-    return x, w, res, res.trace_path, emq, eq
+    return x, w, res, res.path, emq, eq
 
 
 def _minv(path):

@@ -49,7 +49,6 @@ forms serve as the oracle for the propagator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import factorial
 
 import numpy as np
@@ -59,7 +58,7 @@ from .potential import Potential
 __all__ = [
     "omega",
     "E_nu",
-    "MonodromyResult",
+    "BatchResult",
     "closed_form_zero",
     "integrate",
     "integrate_many",
@@ -122,9 +121,11 @@ def E_nu(nu, x):
 def lam_zero(n):
     """Zero-potential periodic eigenvalue in C+ (double root of chi_p):
     the C+ solution of omega(lambda) = n*pi, i.e. (n pi + sqrt(n^2 pi^2 + 1/4))/2.
+    For n < 0 that sum cancels; there it is 1/(8 (sqrt(n^2 pi^2 + 1/4) + |n| pi)).
     """
     n = np.asarray(n, dtype=float)
-    return (n * np.pi + np.sqrt((n * np.pi) ** 2 + 0.25)) / 2.0
+    r = np.sqrt((n * np.pi) ** 2 + 0.25)
+    return np.where(n >= 0, (n * np.pi + r) / 2.0, 0.125 / (r + np.abs(n) * np.pi))
 
 
 def tau_zero(k):
@@ -148,58 +149,87 @@ def _check_lambda(lams):
     return lams
 
 
-@dataclass
-class MonodromyResult:
-    """Floquet matrix and derived scalars at one spectral parameter."""
+class BatchResult:
+    """Monodromy data at one lambda or at a batch of them.
 
-    lam: complex
-    Mgrave: np.ndarray  # 2x2, M(1, lam)
-    Mgrave_dot: np.ndarray | None  # 2x2, d/dlam M(1, lam)
-    Mgrave_ddot: np.ndarray | None = None
-    trace_path: np.ndarray | None = None  # (n_nodes, 2, 2) M(x_i) samples
-    trace_x: np.ndarray | None = None
+    The 2x2 entries sit in the last two axes: Mgrave is (2, 2) at one lambda
+    and (L, 2, 2) for a batch, path (n_nodes, 2, 2) resp. (L, n_nodes, 2, 2)
+    samples of M(x) at path_x.  The derived scalars are 0-d resp. (L,).
+    """
+
+    def __init__(
+        self, lams, Mg, Mgd=None, Mgdd=None, path=None, path_x=None, steps=None, err=None
+    ):
+        self.lams = lams
+        self.Mgrave = Mg  # M(1, lambda)
+        self.Mgrave_dot = Mgd  # d/dlam M(1, lambda), order >= 1
+        self.Mgrave_ddot = Mgdd  # order 2
+        self.path = path
+        self.path_x = path_x
+        self.steps = steps  # propagation steps per lambda (work counter)
+        self.err = err  # estimated relative error per lambda
+
+    def single(self, i) -> "BatchResult":
+        """The one-lambda result of batch entry i."""
+        at = lambda a: None if a is None else a[i]
+        return BatchResult(
+            self.lams[i], self.Mgrave[i], at(self.Mgrave_dot), at(self.Mgrave_ddot),
+            at(self.path), self.path_x, at(self.steps), at(self.err),
+        )
+
+    def _jet(self, order):
+        M = (self.Mgrave, self.Mgrave_dot, self.Mgrave_ddot)[order]
+        if M is None:
+            raise ValueError(f"lambda-derivative of order {order} was not integrated")
+        return M
 
     @property
-    def Delta(self) -> complex:
-        return 0.5 * (self.Mgrave[0, 0] + self.Mgrave[1, 1])
+    def Delta(self):
+        return 0.5 * (self.Mgrave[..., 0, 0] + self.Mgrave[..., 1, 1])
 
     @property
-    def delta_anti(self) -> complex:
-        return 0.5 * (self.Mgrave[0, 0] - self.Mgrave[1, 1])
+    def delta_anti(self):
+        return 0.5 * (self.Mgrave[..., 0, 0] - self.Mgrave[..., 1, 1])
 
     @property
-    def Delta_dot(self) -> complex:
-        if self.Mgrave_dot is None:
-            raise ValueError("lambda-derivative was not integrated")
-        return 0.5 * (self.Mgrave_dot[0, 0] + self.Mgrave_dot[1, 1])
+    def Delta_dot(self):
+        M = self._jet(1)
+        return 0.5 * (M[..., 0, 0] + M[..., 1, 1])
 
     @property
-    def Delta_ddot(self) -> complex:
-        if self.Mgrave_ddot is None:
-            raise ValueError("second lambda-derivative was not integrated")
-        return 0.5 * (self.Mgrave_ddot[0, 0] + self.Mgrave_ddot[1, 1])
+    def Delta_ddot(self):
+        M = self._jet(2)
+        return 0.5 * (M[..., 0, 0] + M[..., 1, 1])
 
     @property
-    def chi_p(self) -> complex:
+    def chi_p(self):
         return self.Delta**2 - 1.0
 
     @property
-    def chi_D(self) -> complex:
-        return self.Mgrave[0, 1]
+    def chi_p_dot(self):
+        return 2.0 * self.Delta * self.Delta_dot
 
     @property
-    def xi_plus(self) -> complex:
-        return self.Delta + np.sqrt(self.Delta**2 - 1.0 + 0j)
+    def chi_D(self):
+        return self.Mgrave[..., 0, 1]
 
     @property
-    def xi_minus(self) -> complex:
-        return self.Delta - np.sqrt(self.Delta**2 - 1.0 + 0j)
+    def chi_D_dot(self):
+        return self._jet(1)[..., 0, 1]
 
-    def det_Mgrave(self) -> complex:
+    @property
+    def xi_plus(self):
+        return self.Delta + np.sqrt(self.chi_p + 0j)
+
+    @property
+    def xi_minus(self):
+        return self.Delta - np.sqrt(self.chi_p + 0j)
+
+    def det_Mgrave(self):
         return np.linalg.det(self.Mgrave)
 
 
-def closed_form_zero(lam, order=2) -> MonodromyResult:
+def closed_form_zero(lam, order=2) -> BatchResult:
     """Exact monodromy data at the zero potential.
 
     Delta = cos(omega), chi_D = sin(omega),
@@ -219,65 +249,7 @@ def closed_form_zero(lam, order=2) -> MonodromyResult:
         Mdd = ompp * dE + omp**2 * d2E
     else:
         Mdd = None
-    return MonodromyResult(lam, M, Md, Mdd)
-
-
-class BatchResult:
-    """Monodromy data for a batch of spectral parameters (arrays over lambda)."""
-
-    def __init__(
-        self, lams, Mg, Mgd, Mgdd=None, path=None, path_x=None, steps=None, err=None
-    ):
-        self.lams = lams
-        self.Mgrave = Mg
-        self.Mgrave_dot = Mgd
-        self.Mgrave_ddot = Mgdd
-        self.path = path  # (L, n_nodes, 2, 2) or None
-        self.path_x = path_x
-        self.steps = steps  # propagation steps per lambda (work counter)
-        self.err = err  # estimated relative error per lambda
-
-    @property
-    def Delta(self):
-        return 0.5 * (self.Mgrave[:, 0, 0] + self.Mgrave[:, 1, 1])
-
-    @property
-    def delta_anti(self):
-        return 0.5 * (self.Mgrave[:, 0, 0] - self.Mgrave[:, 1, 1])
-
-    @property
-    def Delta_dot(self):
-        return 0.5 * (self.Mgrave_dot[:, 0, 0] + self.Mgrave_dot[:, 1, 1])
-
-    @property
-    def Delta_ddot(self):
-        return 0.5 * (self.Mgrave_ddot[:, 0, 0] + self.Mgrave_ddot[:, 1, 1])
-
-    @property
-    def chi_p(self):
-        return self.Delta**2 - 1.0
-
-    @property
-    def chi_p_dot(self):
-        return 2.0 * self.Delta * self.Delta_dot
-
-    @property
-    def chi_D(self):
-        return self.Mgrave[:, 0, 1]
-
-    @property
-    def chi_D_dot(self):
-        return self.Mgrave_dot[:, 0, 1]
-
-    def single(self, i) -> MonodromyResult:
-        return MonodromyResult(
-            complex(self.lams[i]),
-            self.Mgrave[i],
-            None if self.Mgrave_dot is None else self.Mgrave_dot[i],
-            None if self.Mgrave_ddot is None else self.Mgrave_ddot[i],
-            None if self.path is None else self.path[i],
-            self.path_x,
-        )
+    return BatchResult(lam, M, Md, Mdd)
 
 
 def step_count(v: Potential, lams, tol: float) -> np.ndarray:
@@ -590,11 +562,10 @@ def integrate(
     order: int = 1,
     tol: float = DEFAULT_TOL,
     path_nodes=None,
-) -> MonodromyResult:
+) -> BatchResult:
     """Monodromy data at a single lambda; see integrate_many."""
-    return integrate_many(v, [lam], order=order, tol=tol, path_nodes=path_nodes).single(
-        0
-    )
+    res = integrate_many(v, [lam], order=order, tol=tol, path_nodes=path_nodes)
+    return res.single(0)
 
 
 def chi_p(v: Potential, lam, tol: float = DEFAULT_TOL) -> complex:

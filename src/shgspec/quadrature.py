@@ -35,15 +35,9 @@ class ContourSpec:
         dz = 1j * self.radius * np.exp(1j * th) * (2.0 * np.pi / n)
         return z, dz
 
-    def scaled(self, s: float) -> "ContourSpec":
-        return ContourSpec(self.center, self.radius * s, self.nodes)
-
     def mirrored(self) -> "ContourSpec":
         """The curve {-z : z on contour}, still counterclockwise."""
         return ContourSpec(-self.center, self.radius, self.nodes)
-
-    def contains(self, z) -> bool:
-        return bool(np.all(np.abs(np.asarray(z) - self.center) < self.radius))
 
 
 def contour_integral(g, spec: ContourSpec, error_estimate: bool = False):

@@ -6,9 +6,11 @@ The standard root of the quadratic gap factor is
                       (4 (tau_{1,n} - lambda)^2)),
 
 analytic off the gap segment G_{1,n}; w_{2,n} is the same expression in the
-reciprocal variable mu = -1/(16 lambda) with the (2,n) nodes.  Canonical
-roots are truncated products of standard roots over |k| <= K closed by the
-exact zero-potential tail
+reciprocal variable mu = -1/(16 lambda) with the (2,n) nodes.
+
+Every product here is one call of node_product: the truncated product over
+|k| <= K of (node_k - x)/pi_k, or of standard roots w_k(x)/pi_k, optionally
+with one factor removed, closed by the exact zero-potential tail
 
     prod_{|k|>K} (t_k - z)/pi_k
         = [-sin(z) / prod_{|k|<=K} (k pi - z)/pi_k] * R_K(z),
@@ -17,6 +19,11 @@ where t_k are the zero-potential gap midpoints (omega(t_k) = k pi) and the
 correction R_K = prod_{k>K} (z^2-t_k^2)/(z^2-k^2 pi^2) is summed to machine
 precision with Hurwitz-zeta tail estimates.  The first factor is the sine
 product over the integer lattice; R_K accounts for t_k - k pi = O(1/k).
+The caller passes the product's own variable x: lambda, mu = -1/(16 lambda),
+or 0 for the reciprocal end.  This covers the canonical roots sqrt_c(chi_p),
+f_{1,n}, the product forms of chi_p, chi_D and dDelta/dlambda, the node
+family of the interpolation and psi_n in differentials; a tail shared by
+several products on the same points is computed once and passed in.
 """
 
 from __future__ import annotations
@@ -26,12 +33,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import zeta as _hurwitz_zeta
 
-from .monodromy import lam_zero, omega, tau_zero
+from .monodromy import lam_zero, tau_zero
 from .potential import pi_k
 
 __all__ = [
     "zero_tail",
     "zero_tails",
+    "node_product",
     "standard_root",
     "f1n",
     "NodeFamily",
@@ -168,15 +176,35 @@ def standard_root(j: int, n: int, lam, table):
     raise ValueError("j must be 1 or 2")
 
 
+def node_product(nodes, x, K: int, gammas=None, tail=None, skip=None):
+    """prod over |k| <= K, k != skip, of w_k(x)/pi_k, times zero_tail(x, K).
+
+    nodes[k + K] is the node of index k.  w_k(x) is the linear factor
+    nodes_k - x, or the standard root _sroot(nodes_k, gammas_k, x) when gap
+    widths gammas are given.  x is the variable of the product itself:
+    lambda, mu = -1/(16 lambda), or 0 for the reciprocal end.  tail, when
+    given, is zero_tail(x, K), computed once by a caller that shares it
+    between products (tail = 1 leaves the bare truncated product); skip
+    removes the factor of that index.  Vectorized in x.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=complex))
+    ks = np.arange(-K, K + 1)
+    piks = pi_k(ks)
+    if skip is not None:
+        keep = ks != skip
+        nodes, piks = nodes[keep], piks[keep]
+        gammas = None if gammas is None else gammas[keep]
+    w = nodes - x[:, None] if gammas is None else _sroot(nodes, gammas, x[:, None])
+    if tail is None:
+        tail = zero_tail(x, K)
+    return np.prod(w / piks, axis=1) * tail
+
+
 def f1n(table, n: int, lam, K: int):
     """f_{1,n}(lambda) = (1/pi_n) prod_{m != n} w_{1,m}(lambda)/pi_m."""
-    lam = np.atleast_1d(np.asarray(lam, dtype=complex))
-    ks = np.array([k for k in range(-K, K + 1) if k != n])
-    taus = np.array([table.tau2(1, k) for k in ks])
-    gams = np.array([table.gamma2(1, k) for k in ks])
-    piks = pi_k(ks)
-    w = _sroot(taus, gams, lam[:, None])
-    return np.prod(w / piks, axis=1) * zero_tail(lam, K) / pi_k(n)
+    return node_product(
+        table.family("tau2", 1, K), lam, K, table.family("gamma2", 1, K), skip=n
+    ) / pi_k(n)
 
 
 class CanonicalRootEvaluator:
@@ -192,54 +220,34 @@ class CanonicalRootEvaluator:
             raise ValueError("K must be >= 1")
         self.table = table
         self.K = int(K)
-        ks = np.arange(-K, K + 1)
-        self.ks = ks
-        self.piks = pi_k(ks)
-        self.tau1 = np.array([table.tau2(1, k) for k in ks])
-        self.gam1 = np.array([table.gamma2(1, k) for k in ks])
-        self.tau2 = np.array([table.tau2(2, k) for k in ks])
-        self.gam2 = np.array([table.gamma2(2, k) for k in ks])
+        self.tau1 = table.family("tau2", 1, K)
+        self.gam1 = table.family("gamma2", 1, K)
+        self.tau2 = table.family("tau2", 2, K)
+        self.gam2 = table.family("gamma2", 2, K)
         # branch ambiguity exists only at endpoints of open gaps; collapsed
         # gaps are removable points of the root
         ends = []
         for j in (1, 2):
-            for k in ks:
-                lo, hi = table.gap2(j, int(k))
+            for k in range(-K, K + 1):
+                lo, hi = table.gap2(j, k)
                 if abs(hi - lo) > 1e-9:
                     ends += [lo, hi]
         self._gap_ends = np.asarray(ends if ends else [np.inf], dtype=complex)
-        self.chi1_zero = complex(self.chi1(np.array([0.0 + 0j]))[0])
-
-    def w1(self, lam):
-        lam = np.atleast_1d(np.asarray(lam, dtype=complex))
-        return _sroot(self.tau1, self.gam1, lam[:, None])
-
-    def w2(self, lam):
-        lam = np.atleast_1d(np.asarray(lam, dtype=complex))
-        mu = -1.0 / (16.0 * lam)
-        return _sroot(self.tau2, self.gam2, mu[:, None])
+        self.chi1_zero = complex(self.chi1(0.0)[0])
 
     def chi1(self, lam, tail=None):
         """sqrt_c of chi_{p,1}: the product of all w_{1,k}/pi_k (analytic at 0).
 
         tail, when given, is zero_tail(lam, K)."""
-        lam = np.atleast_1d(np.asarray(lam, dtype=complex))
-        if tail is None:
-            tail = zero_tail(lam, self.K)
-        return np.prod(self.w1(lam) / self.piks, axis=1) * tail
+        return node_product(self.tau1, lam, self.K, self.gam1, tail)
 
     def chi2(self, lam, tail=None):
         """tail, when given, is zero_tail(-1/(16 lam), K)."""
         lam = np.atleast_1d(np.asarray(lam, dtype=complex))
-        if tail is None:
-            tail = zero_tail(-1.0 / (16.0 * lam), self.K)
-        return np.prod(self.w2(lam) / self.piks, axis=1) * tail
+        return node_product(self.tau2, -1.0 / (16.0 * lam), self.K, self.gam2, tail)
 
     def chi2_inf(self) -> complex:
-        w = _sroot(self.tau2, self.gam2, np.zeros(1)[:, None] * 0j)
-        return complex(
-            np.prod(w / self.piks, axis=1)[0] * zero_tail(np.array([0.0 + 0j]), self.K)[0]
-        )
+        return complex(node_product(self.tau2, 0.0, self.K, self.gam2)[0])
 
     def chip(self, lam, check_gaps: bool = True, *, tails=None):
         """sqrt_c of chi_p = i * sqrt_c(chi_1) sqrt_c(chi_2) / sqrt_c(chi_1)(0).
@@ -253,7 +261,7 @@ class CanonicalRootEvaluator:
                 raise ValueError(
                     "lambda within 1e-10 of a gap endpoint: branch ambiguous"
                 )
-        t1, t2 = zero_tails(lam, self.K) if tails is None else tails
+        t1, t2 = (None, None) if tails is None else tails
         return 1j * self.chi1(lam, t1) * self.chi2(lam, t2) / self.chi1_zero
 
     def chip_from_below(self, lam_real, seg_len):
@@ -351,58 +359,29 @@ def sign_tables(v, table, K: int | None = None, samples_per_band: int = 3):
 def product_chi_p(table, K, lam):
     """chi_p by its product representation -c_p chi_{p,1} chi_{p,2}."""
     lam = np.atleast_1d(np.asarray(lam, dtype=complex))
-    ks = np.arange(-K, K + 1)
-    piks = pi_k(ks)
-    lp1 = np.array([table.lam2(1, int(k), +1) for k in ks])
-    lm1 = np.array([table.lam2(1, int(k), -1) for k in ks])
-    lp2 = np.array([table.lam2(2, int(k), +1) for k in ks])
-    lm2 = np.array([table.lam2(2, int(k), -1) for k in ks])
-    t1 = zero_tail(lam, K)
-    chi_p1 = (
-        np.prod((lp1 - lam[:, None]) * (lm1 - lam[:, None]) / piks**2, axis=1)
-        * t1
-        * t1
-    )
-    mu = -1.0 / (16.0 * lam)
-    t2 = zero_tail(mu, K)
-    chi_p2 = (
-        np.prod((lp2 - mu[:, None]) * (lm2 - mu[:, None]) / piks**2, axis=1) * t2 * t2
-    )
-    t0 = zero_tail(np.array([0.0 + 0j]), K)[0]
-    chi_p1_zero = np.prod(lp1 * lm1 / piks**2) * t0 * t0
-    return -chi_p1 * chi_p2 / chi_p1_zero
+
+    def chi(j, x):  # chi_{p,j} at x; both edge products share the tail
+        t = zero_tail(x, K)
+        return node_product(table.family("lam2", j, K, +1), x, K, tail=t) * (
+            node_product(table.family("lam2", j, K, -1), x, K, tail=t)
+        )
+
+    return -chi(1, lam) * chi(2, -1.0 / (16.0 * lam)) / chi(1, 0.0)
 
 
 def product_chi_D(table, K, lam):
     """chi_D by its product representation -c_D chi_{D,1} chi_{D,2}."""
-    lam = np.atleast_1d(np.asarray(lam, dtype=complex))
-    ks = np.arange(-K, K + 1)
-    piks = pi_k(ks)
-    mu1 = np.array([table.mu2(1, int(k)) for k in ks])
-    chi_D1 = np.prod((mu1 - lam[:, None]) / piks, axis=1) * zero_tail(lam, K)
-    mu = -1.0 / (16.0 * lam)
-    mu2 = np.array([table.mu2(2, int(k)) for k in ks])
-    chi_D2 = np.prod((mu2 - mu[:, None]) / piks, axis=1) * zero_tail(mu, K)
-    t0 = zero_tail(np.array([0.0 + 0j]), K)[0]
-    chi_D2_inf = np.prod(mu2 / piks) * t0
-    return -chi_D1 * chi_D2 / chi_D2_inf
+    mus = NodeFamily(table.family("mu2", 1, K), table.family("mu2", 2, K), K)
+    return -mus.f(lam) / mus.f2_inf()
 
 
 def product_delta_dot(table, K, lam):
     """Delta_dot by its product representation
     c * (1 - lam_dot_*^2/lam^2) * Ddot_1 * Ddot_2."""
     lam = np.atleast_1d(np.asarray(lam, dtype=complex))
-    ks = np.arange(-K, K + 1)
-    piks = pi_k(ks)
-    d1 = np.array([table.lam_dot2(1, int(k)) for k in ks])
-    dd1 = np.prod((d1 - lam[:, None]) / piks, axis=1) * zero_tail(lam, K)
-    mu = -1.0 / (16.0 * lam)
-    d2 = np.array([table.lam_dot2(2, int(k)) for k in ks])
-    dd2 = np.prod((d2 - mu[:, None]) / piks, axis=1) * zero_tail(mu, K)
-    t0 = zero_tail(np.array([0.0 + 0j]), K)[0]
-    dd2_inf = np.prod(d2 / piks) * t0
+    dots = NodeFamily(table.family("lam_dot2", 1, K), table.family("lam_dot2", 2, K), K)
     star = table.lam_dot_star
-    return (1.0 - star**2 / lam**2) * dd1 * dd2 / dd2_inf
+    return (1.0 - star**2 / lam**2) * dots.f(lam) / dots.f2_inf()
 
 
 def constraint_products(table, K):
@@ -487,79 +466,44 @@ class NodeFamily:
 
     @staticmethod
     def from_table(table, K) -> "NodeFamily":
-        ks = np.arange(-K, K + 1)
-        s1 = np.array([table.tau2(1, int(k)) for k in ks])
-        s2 = np.array([table.tau2(2, int(k)) for k in ks])
-        return NodeFamily(s1, s2, K)
+        return NodeFamily(table.family("tau2", 1, K), table.family("tau2", 2, K), K)
 
     def f1(self, z):
-        z = np.atleast_1d(np.asarray(z, dtype=complex))
-        piks = pi_k(self.ks)
-        return np.prod((self.sigma1 - z[:, None]) / piks, axis=1) * zero_tail(
-            z, self.K
-        )
+        return node_product(self.sigma1, z, self.K)
 
     def f2(self, z):
         z = np.atleast_1d(np.asarray(z, dtype=complex))
-        mu = -1.0 / (16.0 * z)
-        piks = pi_k(self.ks)
-        return np.prod((self.sigma2 - mu[:, None]) / piks, axis=1) * zero_tail(
-            mu, self.K
-        )
+        return node_product(self.sigma2, -1.0 / (16.0 * z), self.K)
 
     def f2_inf(self) -> complex:
-        piks = pi_k(self.ks)
-        return complex(
-            np.prod(self.sigma2 / piks)
-            * zero_tail(np.array([0.0 + 0j]), self.K)[0]
-        )
+        return complex(node_product(self.sigma2, 0.0, self.K)[0])
 
     def f(self, z):
         return self.f1(z) * self.f2(z)
 
     def fdot_at_sigma1(self, n):
         """d/dz [f1 f2] at z = sigma_{1,n}: product with the n-factor removed."""
-        i = n + self.K
-        z = self.sigma1[i : i + 1]
-        piks = pi_k(self.ks)
-        mask = np.ones(2 * self.K + 1, dtype=bool)
-        mask[i] = False
-        reduced = (
-            np.prod((self.sigma1[mask] - z[:, None]) / piks[mask], axis=1)[0]
-            * zero_tail(z, self.K)[0]
-        )
+        z = self.sigma1[n + self.K]
+        reduced = node_product(self.sigma1, z, self.K, skip=n)[0]
         return complex(-reduced / pi_k(n) * self.f2(z)[0])
 
     def fdot_at_kappa2(self, n):
         """d/dz [f1 f2] at z = kappa_{2,n}; only the n-factor of f2 vanishes."""
-        i = n + self.K
-        z = self.kappa2[i : i + 1]
-        mu = -1.0 / (16.0 * z)
-        piks = pi_k(self.ks)
-        mask = np.ones(2 * self.K + 1, dtype=bool)
-        mask[i] = False
-        reduced = (
-            np.prod((self.sigma2[mask] - mu[:, None]) / piks[mask], axis=1)[0]
-            * zero_tail(mu, self.K)[0]
-        )
-        dfactor = -1.0 / (16.0 * z[0] ** 2) / pi_k(n)
+        z = self.kappa2[n + self.K]
+        reduced = node_product(self.sigma2, -1.0 / (16.0 * z), self.K, skip=n)[0]
+        dfactor = -1.0 / (16.0 * z**2) / pi_k(n)
         return complex(self.f1(z)[0] * reduced * dfactor)
-
-
-def _zero_chi1(z):
-    """The full zero-potential node product prod_k (t_k - z)/pi_k, |z| small."""
-    return (tau_zero(0) - np.asarray(z, complex)) * zero_tail(z, 0)
 
 
 def _w_removed(n):
     """prod over k != n of (t_k - t_n)/pi_k, in closed form.
 
     With h(z) = prod_k (t_k - z)/pi_k = -sin(omega(z)) h(0)/h(-(16 z)^{-1}),
-    the removed-factor product equals -pi_n h'(t_n).
+    the removed-factor product equals -pi_n h'(t_n); h is the node product
+    at K = 0 with the node t_0.
     """
     tn = complex(tau_zero(n))
-    h0 = complex(_zero_chi1(np.array([0.0 + 0j]))[0])
-    h2 = complex(_zero_chi1(np.array([-1.0 / (16.0 * tn)]))[0])
+    h0, h2 = node_product(np.array([tau_zero(0)]), [0.0, -1.0 / (16.0 * tn)], 0)
     return pi_k(n) * (-1.0) ** n * (1.0 + 1.0 / (16.0 * tn**2)) * h0 / h2
 
 
@@ -598,22 +542,23 @@ def interpolate_reconstruct(
 
     K = nodes.K
     window = sum_window or 3 * K
-    piks = pi_k(nodes.ks)
+    taus = tau_zero(nodes.ks)
     for n in [m for m in range(-window, window + 1) if abs(m) > K]:
         tn = complex(tau_zero(n))
-        w_red = _w_removed(n) / np.prod((tau_zero(nodes.ks) - tn) / piks)
+        # the tail with the n-factor removed at t_n
+        w_red = _w_removed(n) / node_product(taus, tn, K, tail=1.0)[0]
         # sigma-ring tail node t_n: f' = -(1/pi_n) * reduced f1 * f2
-        red1 = np.prod((nodes.sigma1 - tn) / piks) * w_red
-        fdot_s = -red1 / pi_k(n) * complex(nodes.f2(np.array([tn]))[0])
+        red1 = node_product(nodes.sigma1, tn, K, tail=w_red)[0]
+        fdot_s = -red1 / pi_k(n) * complex(nodes.f2(tn)[0])
         p1 = complex(phi_fn(tn))
         if p1 != 0:
             total += p1 / fdot_s * fz / (z - tn)
         # kappa-ring tail node -1/(16 t_n): f' = f1 * reduced f2 * d mu/dz / pi_n
         kap = -1.0 / (16.0 * tn)
         mu = tn  # -1/(16 kap)
-        red2 = np.prod((nodes.sigma2 - mu) / piks) * w_red
+        red2 = node_product(nodes.sigma2, mu, K, tail=w_red)[0]
         fdot_k = (
-            complex(nodes.f1(np.array([kap]))[0])
+            complex(nodes.f1(kap)[0])
             * red2
             * (-1.0 / (16.0 * kap**2))
             / pi_k(n)

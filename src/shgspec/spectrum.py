@@ -25,7 +25,6 @@ __all__ = [
     "SpectrumTable",
     "IsolatingNeighborhoods",
     "order_le",
-    "count_roots",
     "count_annulus",
     "locate_periodic",
     "locate_dirichlet",
@@ -131,14 +130,6 @@ def _field(v, kind, tol):
         raise ValueError(kind)
 
     return f_df
-
-
-def count_roots(f_df, contour: ContourSpec, min_abs: float = 1e-8):
-    """Number of roots inside the contour by the argument principle.
-
-    f_df maps an array of lambda to (f, f'); returns (count, dist-from-integer).
-    """
-    return winding_number(f_df, contour, min_abs=min_abs)
 
 
 def count_annulus(v: Potential, N: int, tol=1e-11, nodes=None):
@@ -373,6 +364,12 @@ class SpectrumTable:
                 else -1.0 / (16.0 * self.lam_dot_n(k))
             )
         raise ValueError("j must be 1 or 2")
+
+    def family(self, quantity: str, j: int, K: int, *args) -> np.ndarray:
+        """The nodes k = -K..K of one two-index family: quantity names the
+        accessor ("tau2", "gamma2", "lam2" with its sign, "mu2", "lam_dot2")."""
+        get = getattr(self, quantity)
+        return np.array([get(j, k, *args) for k in range(-K, K + 1)])
 
     def gap2(self, j, m):
         """Endpoints of the gap segment G_{j,m} in the lambda plane."""
@@ -723,14 +720,14 @@ def certify_counts(v, table, iso, n_range=None, tol=1e-11):
         spec = ContourSpec(c, r * 0.98, iso.nodes)
         got = {}
         for kind, expect in (("chi_p", 2), ("chi_D", 1), ("ddelta", 1)):
-            cnt, dist = count_roots(_field(v, kind, tol), spec)
+            cnt, dist = winding_number(_field(v, kind, tol), spec)
             got[kind] = cnt
             if cnt != expect:
                 raise RuntimeError(
                     f"count of {kind} roots in U_{n} is {cnt}, expected {expect}"
                 )
         report[n] = got
-    cnt, _ = count_roots(
+    cnt, _ = winding_number(
         _field(v, "ddelta", tol),
         ContourSpec(iso.star_center, iso.star_radius * 0.98, iso.nodes),
     )

@@ -1,5 +1,4 @@
 import json
-import sys
 import warnings
 
 import numpy as np
@@ -46,6 +45,12 @@ def test_eval_input_errors(files, capsys):
     assert main(["eval", str(d / "missing.json"), "--lambda", "1,0"]) == 2
     assert main(["eval", str(zero), "--lambda", "oops"]) == 2
     assert main(["eval", str(zero), "--lambda", "0,0"]) == 3  # outside annulus
+    # config files: an unknown key (such as the removed "threads") and a
+    # non-object are input errors, not tracebacks
+    for name, text in (("bogus.json", '{"bogus": 1}'), ("list.json", "[1]")):
+        (d / name).write_text(text)
+        assert main(["eval", str(zero), "--lambda", "1,0", "--config", str(d / name)]) == 2
+    assert "config" in capsys.readouterr().err
 
 
 def test_eval_far_out(files, capsys):
@@ -60,13 +65,6 @@ def test_eval_far_out(files, capsys):
     out = json.loads(capsys.readouterr().out)
     assert abs(out["Delta"][0]) <= 1.0 and abs(out["Delta"][1]) < 1e-9
     assert np.all(np.isfinite(out["sqrtc_chi_p"]))
-
-
-def test_threads_without_threadpoolctl(files, capsys, monkeypatch):
-    d, zero, cos, cfg = files
-    monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import fails
-    assert main(["eval", str(zero), "--lambda", "1,0", "--threads", "2"]) == 2
-    assert "threadpoolctl" in capsys.readouterr().err
 
 
 def test_spectrum_zero(files, capsys):

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -54,7 +55,7 @@ def test_zero_path_is_rotation():
     x = np.array([0.0, 0.25, 0.5, 1.0])
     r = integrate(Potential.zero(), 1.3, path_nodes=x)
     ref = E_nu(omega(1.3), x[:, None] * 0 + x)  # E_omega(x)
-    assert np.max(np.abs(r.trace_path - ref)) < 1e-10
+    assert np.max(np.abs(r.path - ref)) < 1e-10
 
 
 def test_delta_dot_star_zero():
@@ -82,7 +83,7 @@ def test_wronskian_along_path():
     v = Potential.cosine(0.1, amplitude_p=0.05)
     x = np.linspace(0.05, 0.95, 7)
     r = integrate(v, 2.2, tol=1e-11, path_nodes=x)
-    dets = np.linalg.det(r.trace_path)
+    dets = np.linalg.det(r.path)
     assert np.max(np.abs(dets - 1.0)) < 1e-9
 
 
@@ -110,6 +111,17 @@ def test_self_convergence():
         for t in (1e-7, 1e-8, 1e-9, 1e-10, 1e-11)
     ]
     assert all(b < a for a, b in zip(defects[:-1], defects[1:]))
+
+
+def test_lam_zero_against_mpmath():
+    """For n < 0 the root (n pi + sqrt(n^2 pi^2 + 1/4))/2 is small and the
+    sum cancels; lam_zero must not lose digits there."""
+    for n in (-1, -4, -9, -16, -32):
+        with mpmath.workdps(50):
+            x = n * mpmath.pi
+            ref = (x + mpmath.sqrt(x**2 + mpmath.mpf(1) / 4)) / 2
+            rel = float(abs((mpmath.mpf(float(lam_zero(n))) - ref) / ref))
+        assert rel <= 1e-15, (n, rel)
 
 
 def test_domain_guards():
@@ -305,8 +317,8 @@ def test_path_matches_dense_output():
     for lam in (2.2, 9.7 + 0.3j, 1.0 / (16 * 9.7)):
         res = integrate(v, lam, order=1, tol=1e-11, path_nodes=x)
         jets, path = dop853_reference(v, lam, 1, path_nodes=x)
-        assert np.max(np.abs(res.trace_path - path)) <= 1e-11 * np.max(np.abs(path))
-        assert np.max(np.abs(np.linalg.det(res.trace_path) - 1.0)) <= 1e-12
+        assert np.max(np.abs(res.path - path)) <= 1e-11 * np.max(np.abs(path))
+        assert np.max(np.abs(np.linalg.det(res.path) - 1.0)) <= 1e-12
         assert np.all(_rel_err([res.Mgrave, res.Mgrave_dot], jets) <= 1e-11)
 
 

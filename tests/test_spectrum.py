@@ -3,7 +3,7 @@ import pytest
 
 from shgspec.monodromy import integrate_many, lam_zero
 from shgspec.potential import Potential
-from shgspec.quadrature import ContourSpec
+from shgspec.quadrature import ContourSpec, winding_number
 from shgspec.spectrum import (
     DiscFamily,
     SpectrumTable,
@@ -12,7 +12,6 @@ from shgspec.spectrum import (
     build_table,
     certify_counts,
     count_annulus,
-    count_roots,
     locate_delta_dot_star,
     locate_dirichlet,
     locate_periodic,
@@ -47,7 +46,7 @@ def test_locate_periodic_single(v_zero):
 def test_count_roots_simple(v_seed):
     # chi_p has a double root in D_1 at the zero potential
     f = _field(Potential.zero(), "chi_p", 1e-11)
-    cnt, dist = count_roots(f, ContourSpec(np.pi, np.pi / 3, 64))
+    cnt, dist = winding_number(f, ContourSpec(np.pi, np.pi / 3, 64))
     assert cnt == 2 and dist < 1e-8
 
 
