@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -48,21 +49,23 @@ def _config_from_args(args) -> RunConfig:
             raise SystemExit2(f"cannot read config file {args.config}: {exc}") from exc
     else:
         cfg = RunConfig()
-    for name, attr in (
-        ("nmax", "n_max"),
-        ("K", "K"),
-        ("tol", "ode_tol"),
-        ("nodes", "nodes"),
-        ("seed", "seed"),
-    ):
-        val = getattr(args, name, None)
-        if val is not None:
-            setattr(cfg, attr, val)
-    if getattr(args, "format", None):
-        cfg.out_format = args.format
-    if cfg.K < cfg.n_max:
-        cfg.K = cfg.n_max
-    return cfg
+    over = {
+        attr: getattr(args, name)
+        for name, attr in (
+            ("nmax", "n_max"),
+            ("K", "K"),
+            ("tol", "ode_tol"),
+            ("nodes", "nodes"),
+            ("seed", "seed"),
+            ("format", "out_format"),
+        )
+        if getattr(args, name, None) is not None
+    }
+    over["K"] = max(over.get("K", cfg.K), over.get("n_max", cfg.n_max))  # K follows n_max
+    try:
+        return replace(cfg, **over)
+    except ValueError as exc:
+        raise SystemExit2(f"invalid run configuration: {exc}") from exc
 
 
 def _emit(text: str, out_path):

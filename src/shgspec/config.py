@@ -62,8 +62,12 @@ class RunConfig:
     thresholds: dict = field(default_factory=lambda: dict(THRESHOLDS))
 
     def __post_init__(self):
+        if self.n_max < 0:
+            raise ValueError("N_max must be >= 0")
         if self.K < self.n_max:
             raise ValueError("K must be >= N_max")
+        if self.nodes < 8:
+            raise ValueError("nodes must be >= 8")
         for name in ("newton_tol", "ode_tol", "spectral_tol"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")

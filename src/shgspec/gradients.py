@@ -351,14 +351,15 @@ def _fd_case(
     eps_order=(3e-3, 3e-4),
     tol=1e-13,
 ):
-    """(max relative error at eps_rel, min observed order) over directions.
+    """(max relative error at eps_rel, min observed order, directions whose
+    order was measured) over directions.
 
     The convergence order is measured on the coarser decade eps_order and
     only counted when both errors clear the integrator noise amplified by
     the difference quotient (tol/(2 eps)); at the floor the quotient is flat
     in eps and an order reading would be meaningless.
     """
-    max_rel, min_order = 0.0, np.inf
+    max_rel, min_order, measured = 0.0, np.inf, 0
     for d in dirs:
         ana = analytic(d)
         fd_small = fd_directional(scalar_fn, v, d, eps_rel)
@@ -369,13 +370,14 @@ def _fd_case(
         errs = [abs(fd_directional(scalar_fn, v, d, e) - ana) for e in eps_order]
         floors = [20.0 * tol / (2.0 * e) * max(1.0, abs(ana)) for e in eps_order]
         if errs[0] > floors[0] and errs[1] > floors[1]:
+            measured += 1
             min_order = min(
                 min_order,
                 np.log(errs[0] / errs[1]) / np.log(eps_order[0] / eps_order[1]),
             )
     if not np.isfinite(min_order):
         min_order = 2.0
-    return max_rel, min_order
+    return max_rel, min_order, measured
 
 
 def grad_deltas_fd_report(v, table, cfg):
@@ -383,7 +385,9 @@ def grad_deltas_fd_report(v, table, cfg):
 
     Returns {"max_rel", "min_order", "zero_delta_norm"} aggregated over the
     discriminant/anti-discriminant, the Floquet entries, mu_1, lambda_1^+ by
-    both routes, and m4 at mu_1, with cfg.seed seeded directions.
+    both routes, and m4 at mu_1, with cfg.seed seeded directions, and
+    "order_measured" of "order_cases" (case, direction) pairs whose FD order
+    cleared the noise floor; min_order is 2.0 where none did.
     """
     from .spectrum import _newton_batch
 
@@ -391,12 +395,14 @@ def grad_deltas_fd_report(v, table, cfg):
     # the tight spectral tolerance so the eps^2 truncation stays visible
     tol = cfg.spectral_tol
     dirs = seeded_directions(cfg.seed, 3)
-    max_rel, min_order = 0.0, np.inf
+    max_rel, min_order, measured, cases = 0.0, np.inf, 0, 0
 
-    def fold(rel, order):
-        nonlocal max_rel, min_order
+    def fold(rel, order, n_measured):
+        nonlocal max_rel, min_order, measured, cases
         max_rel = max(max_rel, rel)
         min_order = min(min_order, order)
+        measured += n_measured
+        cases += len(dirs)
 
     lam_a, lam_b = 1.7, 2.3
     kq, kp = grad_discriminant(v, lam_a, tol=tol)
@@ -464,4 +470,5 @@ def grad_deltas_fd_report(v, table, cfg):
         kq0, kp0 = grad_discriminant(Potential.zero(), lam, tol=tol)
         zd = max(zd, kq0.l2_norm(), kp0.l2_norm())
         zd = max(zd, max(abs(kq0.pair(d) + kp0.pair(d)) for d in dirs))
-    return {"max_rel": max_rel, "min_order": float(min_order), "zero_delta_norm": zd}
+    return {"max_rel": max_rel, "min_order": float(min_order), "zero_delta_norm": zd,
+            "order_measured": measured, "order_cases": cases}

@@ -2,14 +2,16 @@
 deterministic pass/fail report.
 
 Each check produces a CheckReport with a scalar metric and its threshold
-(from config.THRESHOLDS); a check whose upstream data failed to build is
-reported as skipped with a reason.  The negative control corrupts one root
-of a converged differential and asserts the normalization check notices.
+(from config.THRESHOLDS).  The only skips are the checks that need a
+real-flagged potential; an exception raised while building a check's data
+propagates, so a numerical failure is never reported as a skip.  The
+negative control corrupts one root of a converged differential and asserts
+the normalization check notices.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -51,18 +53,6 @@ class CheckReport:
             f"[{self.status.upper():7s}] {self.check_id:28s} "
             f"metric={self.metric:.3e} thr={self.threshold:.3e}{extra}"
         )
-
-
-def _report(checks, cfg, check_id, metric, trace=None, reason=""):
-    thr = cfg.thresholds[check_id]
-    status = "pass" if metric <= thr else "fail"
-    checks.append(CheckReport(check_id, status, float(metric), float(thr), trace, reason))
-
-
-def _skip(checks, cfg, check_id, reason):
-    checks.append(
-        CheckReport(check_id, "skipped", float("nan"), cfg.thresholds[check_id], None, reason)
-    )
 
 
 # twenty sample points, on and off the real axis, inside the working annulus
@@ -130,18 +120,28 @@ def _build_workspace(v, cfg, n_max_build=None):
 
 
 def run_suite(v: Potential, cfg: RunConfig | None = None):
-    """All cross-module checks for one potential; deterministic order."""
+    """All cross-module checks for one potential; deterministic order.
+
+    A check given the metric None needs a real-flagged potential and is
+    reported as skipped; an exception from any layer propagates.
+    """
     cfg = cfg or RunConfig()
     checks: list[CheckReport] = []
 
-    _report(checks, cfg, "monodromy_zero_closed_forms", check_zero_closed_forms(cfg))
+    def report(check_id, metric, trace=None, reason=""):
+        thr = float(cfg.thresholds[check_id])
+        if metric is None:
+            checks.append(CheckReport(check_id, "skipped", float("nan"), thr,
+                                      reason="potential not real-flagged"))
+        else:
+            status = "pass" if metric <= thr else "fail"
+            checks.append(CheckReport(check_id, status, float(metric), thr, trace, reason))
+
+    report("monodromy_zero_closed_forms", check_zero_closed_forms(cfg))
     wr, even, realsym = check_monodromy_invariants(v, cfg)
-    _report(checks, cfg, "monodromy_wronskian", wr)
-    _report(checks, cfg, "monodromy_evenness", even)
-    if realsym is None:
-        _skip(checks, cfg, "monodromy_real_symmetry", "potential not real-flagged")
-    else:
-        _report(checks, cfg, "monodromy_real_symmetry", realsym)
+    report("monodromy_wronskian", wr)
+    report("monodromy_evenness", even)
+    report("monodromy_real_symmetry", realsym)
 
     # zero-potential spectrum against the quadratic-formula oracle
     v0 = Potential.zero()
@@ -155,7 +155,7 @@ def run_suite(v: Potential, cfg: RunConfig | None = None):
         for n in range(-8, 9)
     ]
     errs.append(abs(tab0.lam_dot_star - 0.25j))
-    _report(checks, cfg, "zero_spectrum", max(errs))
+    report("zero_spectrum", max(errs))
 
     cnt = sp.count_annulus(v, 4, tol=cfg.ode_tol)
     miss = (
@@ -163,41 +163,13 @@ def run_suite(v: Potential, cfg: RunConfig | None = None):
         + abs(cnt["chi_D"][0] - 18)
         + abs(cnt["ddelta"][0] - 20)
     )
-    _report(checks, cfg, "counting_annulus", miss)
+    report("counting_annulus", miss)
 
     # spectral workspace: build once to the largest product truncation and
     # truncate for the differential solves
-    try:
-        table, iso, tab_full = _build_workspace(
-            v, cfg, n_max_build=max(cfg.n_max, max(cfg.product_K_list))
-        )
-    except Exception as exc:  # pragma: no cover - outside working neighborhood
-        for cid in (
-            "counting_discs",
-            "reciprocity",
-            "reality_confinement",
-            "product_reps",
-            "product_reps_monotone",
-            "constraint_products",
-            "canonical_zero",
-            "canonical_symmetries",
-            "sign_tables",
-            "gradient_fd",
-            "gradient_fd_order",
-            "gradient_zero_delta",
-            "sigma_solve_residual",
-            "sigma_newton_iters",
-            "normalization",
-            "normalization_negative",
-            "gap_confinement",
-            "sigma_tau_estimate",
-            "interpolation",
-            "trace_formula",
-            "lamdot_refined",
-            "constraint_monotone",
-        ):
-            _skip(checks, cfg, cid, f"spectrum build failed: {exc}")
-        return checks
+    table, iso, tab_full = _build_workspace(
+        v, cfg, n_max_build=max(cfg.n_max, max(cfg.product_K_list))
+    )
 
     rep = sp.certify_counts(v, table, iso, n_range=range(-4, 5), tol=cfg.ode_tol)
     miss = sum(
@@ -206,7 +178,7 @@ def run_suite(v: Potential, cfg: RunConfig | None = None):
         if n != "star"
         for k, want in (("chi_p", 2), ("chi_D", 1), ("ddelta", 1))
     )
-    _report(checks, cfg, "counting_discs", miss)
+    report("counting_discs", miss)
 
     # reciprocity with the reflected potential
     vr = v.reflected()
@@ -223,9 +195,10 @@ def run_suite(v: Potential, cfg: RunConfig | None = None):
             abs(16.0 * table.lam_dot_n(n) * tabr.lam_dot_n(-n) - 1.0),
         ]
     errs.append(abs(16.0 * table.lam_dot_star * (-tabr.lam_dot_star) - 1.0))
-    _report(checks, cfg, "reciprocity", max(errs))
+    report("reciprocity", max(errs))
 
     # reality and confinement
+    worst = None
     if v.real:
         worst = 0.0
         for n in range(-cfg.n_max, cfg.n_max + 1):
@@ -240,9 +213,7 @@ def run_suite(v: Potential, cfg: RunConfig | None = None):
         # strict gap separation lambda_n^+ < lambda_{n+1}^-
         for n in range(-cfg.n_max, cfg.n_max):
             worst = max(worst, table.lam_pm(n)[1].real - table.lam_pm(n + 1)[0].real)
-        _report(checks, cfg, "reality_confinement", worst)
-    else:
-        _skip(checks, cfg, "reality_confinement", "potential not real-flagged")
+    report("reality_confinement", worst)
 
     # product representations with K-convergence trace; the node table
     # reaches the largest truncation so higher K genuinely adds information
@@ -252,30 +223,18 @@ def run_suite(v: Potential, cfg: RunConfig | None = None):
     for Kp in cfg.product_K_list:
         rep = verify_product_reps(v, tab_prod, Kp, tol_ode=cfg.ode_tol)
         trace.append((Kp, max(rep["chi_p"], rep["chi_D"], rep["delta_dot"])))
-    _report(checks, cfg, "product_reps", trace[-1][1], trace=trace)
-    # monotone decrease, up to the integrator-noise floor of the residuals
-    mono = sum(
-        1 for (_, a), (_, b) in zip(trace[:-1], trace[1:]) if b > a + 1e-9
-    )
-    _report(checks, cfg, "product_reps_monotone", mono, trace=trace)
+    report("product_reps", trace[-1][1], trace=trace)
+    # strictly decreasing in K: every step counts that does not lower it
+    mono = sum(not b < a for (_, a), (_, b) in zip(trace[:-1], trace[1:]))
+    report("product_reps_monotone", mono, trace=trace)
     cons = constraint_products(tab_prod, K_prod)
-    _report(
-        checks,
-        cfg,
-        "constraint_products",
-        max(abs(val - 1.0) for val in cons.values()),
-    )
+    report("constraint_products", max(abs(val - 1.0) for val in cons.values()))
 
     # canonical-root conventions
     ev0 = CanonicalRootEvaluator(tab0, 16)
     sample = np.array([0.7, 1.3 + 0.2j, 5.1], dtype=complex)
     ref = -1j * np.sin(omega(sample))
-    _report(
-        checks,
-        cfg,
-        "canonical_zero",
-        float(np.max(np.abs(ev0.chip(sample) - ref))),
-    )
+    report("canonical_zero", float(np.max(np.abs(ev0.chip(sample) - ref))))
     evv = CanonicalRootEvaluator(table, cfg.K)
     evr = CanonicalRootEvaluator(tabr, cfg.K)
     sym = 0.0
@@ -285,82 +244,68 @@ def run_suite(v: Potential, cfg: RunConfig | None = None):
         sym = max(
             sym, abs(evr.chip(-1.0 / (16.0 * z))[0] - evv.chip(z)[0])
         )
-    _report(checks, cfg, "canonical_symmetries", sym)
+    report("canonical_symmetries", sym)
 
     if v.real:
         st = sign_tables(v, table, K=cfg.K)
-        _report(
-            checks,
-            cfg,
+        report(
             "sign_tables",
             len(st["failures"]),
             reason=f"{st['checked']} checked, {st['skipped']} vacuous",
         )
     else:
-        _skip(checks, cfg, "sign_tables", "potential not real-flagged")
+        report("sign_tables", None)
 
     # gradient FD checks
     fd = grad_deltas_fd_report(v, table, cfg)
-    _report(checks, cfg, "gradient_fd", fd["max_rel"])
-    _report(checks, cfg, "gradient_fd_order", -fd["min_order"])
-    _report(checks, cfg, "gradient_zero_delta", fd["zero_delta_norm"])
+    report("gradient_fd", fd["max_rel"])
+    report(
+        "gradient_fd_order",
+        -fd["min_order"],
+        reason=f"{fd['order_measured']} of {fd['order_cases']} measured",
+    )
+    report("gradient_zero_delta", fd["zero_delta_norm"])
 
-    # differentials
-    try:
-        worst_res, worst_iter, worst_dev, worst_gap, worst_est = 0.0, 0, 0.0, 0.0, 0.0
-        for n in cfg.differentials_n_list:
-            sol = solve_sigma(
-                table, iso, n, cfg.K, tol=cfg.newton_tol, max_iter=cfg.newton_max_iter
-            )
-            _, dev = verify_normalization(sol, table, iso, nodes=cfg.nodes + 32)
-            worst_res = max(worst_res, sol.residual_norm)
-            worst_iter = max(worst_iter, sol.newton_iters)
-            worst_dev = max(worst_dev, dev)
-            for k in range(-cfg.K, cfg.K + 1):
-                gam = abs(table.gamma2(1, k))
-                if k != n:
-                    lo, hi = table.gap2(1, k)
-                    s = sol.sigma1_at(k)
-                    worst_gap = max(
-                        worst_gap,
-                        _segment_distance(s, lo, hi),
-                    )
-                    worst_est = max(
-                        worst_est,
-                        (abs(s - table.tau2(1, k)) - 1e-8) / max(gam**2, 1e-30)
-                        if gam > 1e-6
-                        else 0.0,
-                    )
-                lo2, hi2 = table.gap2(2, k)
-                u = -1.0 / (16.0 * sol.sigma2_at(k))
-                worst_gap = max(worst_gap, _segment_distance(u, lo2, hi2))
-        _report(checks, cfg, "sigma_solve_residual", worst_res)
-        _report(checks, cfg, "sigma_newton_iters", worst_iter)
-        _report(checks, cfg, "normalization", worst_dev)
-        _report(checks, cfg, "gap_confinement", worst_gap)
-        _report(checks, cfg, "sigma_tau_estimate", worst_est)
-        # reflected differential psi_{-1}
-        isor = sp.build_isolating(vr, tabr, nodes=cfg.nodes)
-        solr = solve_sigma(
-            tabr, isor, 1, cfg.K, tol=cfg.newton_tol, max_iter=cfg.newton_max_iter
+    # differentials: every sigma root but sigma_{1,n} lies in its gap and
+    # within 5 gamma^2 (+1e-8) of the gap midpoint, collapsed gaps included
+    def tau_excess(s, j, k):
+        return (abs(s - table.tau2(j, k)) - 1e-8) / max(abs(table.gamma2(j, k)) ** 2, 1e-30)
+
+    worst_res, worst_iter, worst_dev, worst_gap, worst_est = 0.0, 0, 0.0, 0.0, 0.0
+    for n in cfg.differentials_n_list:
+        sol = solve_sigma(
+            table, iso, n, cfg.K, tol=cfg.newton_tol, max_iter=cfg.newton_max_iter
         )
-        _, devm = verify_negative_normalization(
-            solr, tabr, isor, table, iso, nodes=cfg.nodes + 32
-        )
-        _report(checks, cfg, "normalization_negative", devm)
-    except Exception as exc:
-        for cid in (
-            "sigma_solve_residual",
-            "sigma_newton_iters",
-            "normalization",
-            "gap_confinement",
-            "sigma_tau_estimate",
-            "normalization_negative",
-        ):
-            _skip(checks, cfg, cid, f"solver failed: {exc}")
+        _, dev = verify_normalization(sol, table, iso, nodes=cfg.nodes + 32)
+        worst_res = max(worst_res, sol.residual_norm)
+        worst_iter = max(worst_iter, sol.newton_iters)
+        worst_dev = max(worst_dev, dev)
+        for k in range(-cfg.K, cfg.K + 1):
+            if k != n:
+                s = sol.sigma1_at(k)
+                worst_gap = max(worst_gap, _segment_distance(s, *table.gap2(1, k)))
+                worst_est = max(worst_est, tau_excess(s, 1, k))
+            s = sol.sigma2_at(k)
+            u = -1.0 / (16.0 * s)
+            worst_gap = max(worst_gap, _segment_distance(u, *table.gap2(2, k)))
+            worst_est = max(worst_est, tau_excess(s, 2, k))
+    report("sigma_solve_residual", worst_res)
+    report("sigma_newton_iters", worst_iter)
+    report("normalization", worst_dev)
+    report("gap_confinement", worst_gap)
+    report("sigma_tau_estimate", worst_est)
+    # reflected differential psi_{-1}
+    isor = sp.build_isolating(vr, tabr, nodes=cfg.nodes)
+    solr = solve_sigma(
+        tabr, isor, 1, cfg.K, tol=cfg.newton_tol, max_iter=cfg.newton_max_iter
+    )
+    _, devm = verify_negative_normalization(
+        solr, tabr, isor, table, iso, nodes=cfg.nodes + 32
+    )
+    report("normalization_negative", devm)
 
     # interpolation self-test on the zero-potential node family
-    _report(checks, cfg, "interpolation", interpolation_self_test(tab0, K=16, seed=cfg.seed))
+    report("interpolation", interpolation_self_test(tab0, K=16, seed=cfg.seed))
 
     # trace formula against the table
     worst = 0.0
@@ -372,7 +317,7 @@ def run_suite(v: Potential, cfg: RunConfig | None = None):
         worst = max(
             worst, abs(tau - table.tau(n)), abs(g2 - table.gamma(n) ** 2)
         )
-    _report(checks, cfg, "trace_formula", worst)
+    report("trace_formula", worst)
 
     # refined Delta_dot asymptotics (stated for n >= 0):
     # |lamdot_n - tau_n| <= C gamma_n^2
@@ -381,7 +326,7 @@ def run_suite(v: Potential, cfg: RunConfig | None = None):
         gam = abs(table.gamma(n))
         if gam > 1e-6:
             C = max(C, abs(table.lam_dot_n(n) - table.tau(n)) / gam**2)
-    _report(checks, cfg, "lamdot_refined", C)
+    report("lamdot_refined", C)
 
     # partial products of the Delta_dot constraint approach 1 monotonically
     # (noise floor: collapsed factors contribute only rounding jitter)
@@ -389,19 +334,16 @@ def run_suite(v: Potential, cfg: RunConfig | None = None):
     bad = sum(
         1 for a, b in zip(vals[:-1], vals[1:]) if b > a + 1e-13 + 0.01 * a
     )
-    _report(checks, cfg, "constraint_monotone", bad, trace=list(enumerate(vals)))
+    report("constraint_monotone", bad, trace=list(enumerate(vals)))
 
     return checks
 
 
 def _segment_distance(z, a, b):
-    """Distance of z from the segment [a, b], minus a 1e-8 slack floor."""
+    """Distance of z from the segment [a, b] of the complex plane."""
     a, b, z = complex(a), complex(b), complex(z)
-    if a == b:
-        return max(abs(z - a) - 1e-8, 0.0)
-    t = ((z - a) / (b - a)).real
-    t = min(max(t, 0.0), 1.0)
-    return max(abs(z - (a + t * (b - a))) - 1e-8, 0.0)
+    t = 0.0 if a == b else min(max(((z - a) / (b - a)).real, 0.0), 1.0)
+    return abs(z - (a + t * (b - a)))
 
 
 def interpolation_self_test(table, K=24, seed=0, n_points=5):
@@ -447,8 +389,6 @@ def negative_control(v, cfg: RunConfig | None = None):
         gam = 0.05  # collapsed gap: push by an absolute offset instead
     bad = sol.sigma1.copy()
     bad[k0 + sol.K] = table.lam2(1, k0, +1) + 0.5 * abs(gam)
-    from dataclasses import replace
-
     sol_bad = replace(sol, sigma1=bad)
     _, dev1 = verify_normalization(sol_bad, table, iso, nodes=cfg.nodes + 32)
     return dev0, dev1

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from shgspec import verification
 from shgspec.cli import main
 from shgspec.monodromy import lam_zero
 from shgspec.potential import Potential
@@ -45,6 +46,11 @@ def test_eval_input_errors(files, capsys):
     assert main(["eval", str(d / "missing.json"), "--lambda", "1,0"]) == 2
     assert main(["eval", str(zero), "--lambda", "oops"]) == 2
     assert main(["eval", str(zero), "--lambda", "0,0"]) == 3  # outside annulus
+    # overrides go through RunConfig validation: input errors, not numerical ones
+    for flags in (["--tol", "0"], ["--tol", "-1"], ["--nodes", "4"]):
+        assert main(["eval", str(zero), "--lambda", "1,0", *flags]) == 2
+    assert main(["spectrum", str(zero), "--nmax", "-2"]) == 2
+    assert "invalid run configuration" in capsys.readouterr().err
     # config files: an unknown key (such as the removed "threads") and a
     # non-object are input errors, not tracebacks
     for name, text in (("bogus.json", '{"bogus": 1}'), ("list.json", "[1]")):
@@ -121,6 +127,26 @@ def test_verify_exit_codes(files, capsys):
     )
     text = capsys.readouterr().out
     assert "[PASS" in text and "FAIL" not in text
+
+
+@pytest.mark.parametrize("exc", [RuntimeError, ZeroDivisionError])
+def test_verify_crash_is_not_a_skip(files, capsys, monkeypatch, exc):
+    """A layer that raises ends ``verify`` with exit 3 (a numerical failure)
+    or, for any other exception, a traceback; its checks are never reported
+    as skipped."""
+    d, zero, cos, cfg = files
+
+    def fail(*args, **kwargs):
+        raise exc("injected")
+
+    monkeypatch.setattr(verification, "solve_sigma", fail)
+    argv = ["verify", str(cos), "--config", str(cfg), "--format", "csv"]
+    if exc is RuntimeError:
+        assert main(argv) == 3
+        assert "injected" in capsys.readouterr().err
+    else:
+        with pytest.raises(ZeroDivisionError):
+            main(argv)
 
 
 def test_gradients_csv(files, capsys):

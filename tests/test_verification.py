@@ -66,9 +66,9 @@ def test_complex_potential_skips_real_checks():
     cfg.thresholds["normalization_negative"] = 1e-4
     checks = run_suite(v, cfg)
     by_id = {c.check_id: c for c in checks}
-    assert by_id["monodromy_real_symmetry"].status == "skipped"
-    assert by_id["reality_confinement"].status == "skipped"
-    assert by_id["sign_tables"].status == "skipped"
+    # the real-flag checks are the only skips
+    assert {c.check_id for c in checks if c.status == "skipped"} == {
+        "monodromy_real_symmetry", "reality_confinement", "sign_tables"}
     # the analytic machinery still works off the real line
     for cid in ("reciprocity", "product_reps", "normalization"):
         assert by_id[cid].status == "pass", (cid, by_id[cid].metric)
