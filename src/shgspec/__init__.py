@@ -1,7 +1,7 @@
 """Numerical toolkit for the periodic spectrum, canonical roots and
 normalized differentials of the sinh-Gordon Lax operator on the torus."""
 
-from .potential import Potential, eval_fields
+from .potential import Potential
 from .monodromy import (
     BatchResult,
     chi_D,

@@ -81,8 +81,12 @@ class RunConfig:
         if unknown:
             raise ValueError(f"unknown run configuration keys: {', '.join(unknown)}")
         thr = dict(THRESHOLDS)
-        thr.update(d.pop("thresholds", {}))
-        cfg = RunConfig(**{k: v for k, v in d.items() if k != "thresholds"})
+        given = d.pop("thresholds", {})
+        unknown = sorted(set(given) - set(THRESHOLDS))
+        if unknown:
+            raise ValueError(f"unknown threshold ids: {', '.join(unknown)}")
+        thr.update(given)
+        cfg = RunConfig(**d)
         cfg.thresholds = thr
         return cfg
 

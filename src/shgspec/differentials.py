@@ -40,8 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from .potential import pi_k
-from .quadrature import ContourSpec, contour_integral
+from .potential import family_var, pi_k
 from .roots_products import (
     CanonicalRootEvaluator,
     node_product,
@@ -51,16 +50,11 @@ from .roots_products import (
 
 __all__ = [
     "SigmaSolution",
-    "JacobianBlocks",
     "SigmaWorkspace",
-    "assemble_F",
-    "assemble_jacobian",
     "solve_sigma",
     "eval_psi",
     "verify_normalization",
     "psi_negative",
-    "ContourSpec",
-    "contour_integral",
 ]
 
 COND_LIMIT = 1e12
@@ -102,32 +96,6 @@ class SigmaSolution:
                 "normalization_max_dev": normalization_max_dev,
             }
         )
-
-
-@dataclass
-class JacobianBlocks:
-    """Dense Jacobian of the truncated system, split for diagnostics."""
-
-    Q: np.ndarray
-    idx1: np.ndarray  # unknown indices k (sigma1 slots)
-    idx2: np.ndarray
-    n: int
-
-    @property
-    def diagonal(self):
-        return np.diag(self.Q)
-
-    def q11_diag(self):
-        m = len(self.idx1)
-        return np.diag(self.Q[:m, :m])
-
-    def q22_diag(self):
-        m = len(self.idx1)
-        return np.diag(self.Q[m:, m:])
-
-    def offdiag_frobenius(self) -> float:
-        K = self.Q - np.diag(np.diag(self.Q))
-        return float(np.linalg.norm(K))
 
 
 class SigmaWorkspace:
@@ -199,30 +167,23 @@ class SigmaWorkspace:
     # -- residual and Jacobian -------------------------------------------------
 
     def admissible(self, sigma1, sigma2, clamp=False):
-        """Check (and optionally restore) sigma_{1,k} in U_{1,k} and
-        (-16 sigma_{2,k})^{-1} in U_{2,k}."""
+        """Check (and optionally restore) the lambda-plane image
+        family_var(j, sigma_{j,k}) of every root in its disc U_{j,k}."""
         events = 0
-        s1 = sigma1.copy()
-        s2 = sigma2.copy()
-        for i, k in enumerate(self.ks):
-            if k != self.n:
-                c, r = self.iso.U2(1, int(k))
-                d = abs(s1[i] - c)
+        out = (sigma1.copy(), sigma2.copy())
+        for j, s in zip((1, 2), out):
+            for i, k in enumerate(self.ks):
+                if j == 1 and k == self.n:
+                    continue
+                c, r = self.iso.U2(j, int(k))
+                u = family_var(j, s[i])
+                d = abs(u - c)
                 if d > 0.9 * r:
                     if not clamp:
-                        raise ValueError(f"sigma_1,{k} left its isolating disc")
-                    s1[i] = c + (s1[i] - c) * (0.9 * r / d)
+                        raise ValueError(f"sigma_{j},{k} left its isolating disc")
+                    s[i] = family_var(j, c + (u - c) * (0.9 * r / d))
                     events += 1
-            c, r = self.iso.U2(2, int(k))
-            u = -1.0 / (16.0 * s2[i])
-            d = abs(u - c)
-            if d > 0.9 * r:
-                if not clamp:
-                    raise ValueError(f"sigma_2,{k} image left its isolating disc")
-                u = c + (u - c) * (0.9 * r / d)
-                s2[i] = -1.0 / (16.0 * u)
-                events += 1
-        return s1, s2, events
+        return (*out, events)
 
     def residual_and_jacobian(self, u, want_jacobian=True):
         sigma1, sigma2 = self.unpack(u)
@@ -256,22 +217,6 @@ class SigmaWorkspace:
             out.append(slice(start, start + r[2].size))
             start += r[2].size
         return out
-
-
-def assemble_F(table, iso, n, sigma1, sigma2, K, nodes=64):
-    """Residual vector of the truncated system at the given root families."""
-    ws = SigmaWorkspace(table, iso, n, K, nodes)
-    ws.admissible(np.asarray(sigma1, complex), np.asarray(sigma2, complex))
-    u = ws.pack(np.asarray(sigma1, complex), np.asarray(sigma2, complex))
-    F, _ = ws.residual_and_jacobian(u, want_jacobian=False)
-    return F, ws
-
-
-def assemble_jacobian(table, iso, n, sigma1, sigma2, K, nodes=64):
-    ws = SigmaWorkspace(table, iso, n, K, nodes)
-    u = ws.pack(np.asarray(sigma1, complex), np.asarray(sigma2, complex))
-    F, Q = ws.residual_and_jacobian(u)
-    return JacobianBlocks(Q, ws.idx1, ws.idx2, n), F, ws
 
 
 def solve_sigma(
@@ -388,9 +333,11 @@ def verify_normalization(
 def psi_negative(sol_reflected: SigmaSolution, table_reflected, iso_reflected, lam):
     """psi_{-n}(lambda, q, p) := psi_n(1/(16 lambda), -q, p) / (16 lambda^2).
 
-    sol_reflected must be the solution for index n at the reflected
+    sol_reflected must be the solution for index n >= 1 at the reflected
     potential (-q, p).
     """
+    if sol_reflected.n < 1:
+        raise ValueError("psi_{-n} is defined for n >= 1")
     lam = np.atleast_1d(np.asarray(lam, dtype=complex))
     ws = _workspace(sol_reflected, table_reflected, iso_reflected)
     return ws.psi(
@@ -402,7 +349,8 @@ def verify_negative_normalization(
     sol_reflected, table_reflected, iso_reflected, table, iso, nodes=96, contour_scale=1.5
 ):
     """Normalization of psi_{-n} over the contours of the base potential:
-    zero over Gamma_{1,m}, delta_{-n,m} over Gamma_{2,m}."""
+    zero over Gamma_{1,m}, delta_{-n,m} over Gamma_{2,m}.  Like psi_negative
+    it raises a ValueError for n < 1."""
     n = sol_reflected.n
     K = sol_reflected.K
     ev = CanonicalRootEvaluator(table, K)

@@ -140,45 +140,27 @@ def grad_monodromy(v, lam, form="deriv", tol=1e-11, n_nodes=GL_NODES_DEFAULT):
     return out
 
 
-def _delta_kernels(lam, res, path, emq, eq, x, w, anti=False):
-    m1, m2 = path[:, 0, 0], path[:, 0, 1]
-    m3, m4 = path[:, 1, 0], path[:, 1, 1]
-    g1, g2 = res.Mgrave[0, 0], res.Mgrave[0, 1]
-    g3, g4 = res.Mgrave[1, 0], res.Mgrave[1, 1]
-    Delta = 0.5 * (g1 + g4)
-    delta = 0.5 * (g1 - g4)
-    if not anti:
-        qk = (lam / 4.0) * (
-            g2 * (m3**2 - m1**2) + g3 * (m2**2 - m4**2) + 2 * delta * (m1 * m2 - m3 * m4)
-        ) + (1.0 / (64.0 * lam)) * (
-            emq * (g3 * m2**2 - g2 * m1**2 + 2 * delta * m1 * m2)
-            + eq * (g2 * m3**2 - g3 * m4**2 - 2 * delta * m3 * m4)
-        )
-        pk = 0.25 * (-g2 * m1 * m3 + g3 * m2 * m4 + delta * (m1 * m4 + m2 * m3))
-    else:
-        qk = (lam / 4.0) * (
-            g2 * (m3**2 - m1**2) + g3 * (m4**2 - m2**2) + 2 * Delta * (m1 * m2 - m3 * m4)
-        ) - (1.0 / (64.0 * lam)) * (
-            emq * (g2 * m1**2 + g3 * m2**2 - 2 * Delta * m1 * m2)
-            + eq * (-g3 * m4**2 - g2 * m3**2 + 2 * Delta * m3 * m4)
-        )
-        pk = 0.25 * (-g3 * m2 * m4 - g2 * m1 * m3 + Delta * (m1 * m4 + m2 * m3))
+def _half_trace_kernels(v, lam, combine, tol, n_nodes):
+    """(d_q, d_p) of combine(M_11, M_22)/2 from the boundary-form Floquet
+    kernels, whose diagonal boundary terms are zero."""
+    gm = grad_monodromy(v, lam, form="boundary", tol=tol, n_nodes=n_nodes)
+    (q1, q4), (p1, p4) = ((gm[f][0, 0], gm[f][1, 1]) for f in ("q", "p"))
+    qk = 0.5 * combine(q1.q_kernel, q4.q_kernel)
+    pk = 0.5 * combine(p1.p_kernel, p4.p_kernel)
     return (
-        GradientKernel(x, w, q_kernel=qk),
-        GradientKernel(x, w, p_kernel=pk),
+        GradientKernel(q1.x, q1.weights, q_kernel=qk),
+        GradientKernel(p1.x, p1.weights, p_kernel=pk),
     )
 
 
 def grad_discriminant(v, lam, tol=1e-11, n_nodes=GL_NODES_DEFAULT):
     """(d_q Delta, d_p Delta) as multiplier kernels; vanishes at v=0."""
-    x, w, res, path, emq, eq = _path_data(v, lam, tol, n_nodes)
-    return _delta_kernels(lam, res, path, emq, eq, x, w, anti=False)
+    return _half_trace_kernels(v, lam, np.add, tol, n_nodes)
 
 
 def grad_antidiscriminant(v, lam, tol=1e-11, n_nodes=GL_NODES_DEFAULT):
     """(d_q delta, d_p delta) for the anti-discriminant (m1 - m4)/2."""
-    x, w, res, path, emq, eq = _path_data(v, lam, tol, n_nodes)
-    return _delta_kernels(lam, res, path, emq, eq, x, w, anti=True)
+    return _half_trace_kernels(v, lam, np.subtract, tol, n_nodes)
 
 
 def zero_potential_delta_kernels(lam, x):

@@ -1,4 +1,4 @@
-"""Periodic potentials v=(q,p) on the unit torus and the Lax coefficient fields.
+"""Periodic potentials v=(q,p) on the unit torus and their field evaluations.
 
 A potential is stored as a pair of truncated Fourier series
 
@@ -20,18 +20,13 @@ import numpy as np
 
 __all__ = [
     "Potential",
-    "LaxCoefficients",
-    "eval_fields",
-    "I2",
-    "J2",
     "Z2",
     "R2",
     "pi_k",
+    "family_var",
 ]
 
 # constant 2x2 matrices of the Lax operator
-I2 = np.eye(2, dtype=complex)
-J2 = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
 Z2 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 R2 = np.array([[1j, 0.0], [0.0, -1j]], dtype=complex)
 
@@ -42,6 +37,18 @@ def pi_k(k):
     """Normalizing denominators of the infinite products: k*pi, except 1 at k=0."""
     k = np.asarray(k, dtype=float)
     return np.where(k == 0, 1.0, k * np.pi)
+
+
+def family_var(j, lam):
+    """The variable of node family j: lambda for j = 1, -1/(16 lambda) for j = 2.
+
+    Both maps are involutions, so the same call takes a family-j node back to
+    the lambda-plane."""
+    if j == 1:
+        return lam
+    if j == 2:
+        return -1.0 / (16.0 * lam)
+    raise ValueError("j must be 1 or 2")
 
 
 def p_multiplier(k):
@@ -147,9 +154,6 @@ class Potential:
     def q_at(self, x):
         return _trig_eval(self.q_coeffs, self.modes, x)
 
-    def p_at(self, x):
-        return _trig_eval(self.p_coeffs, self.modes, x)
-
     def dq_at(self, x):
         return _trig_eval(self.q_coeffs * (2j * np.pi * self.modes), self.modes, x)
 
@@ -244,43 +248,3 @@ def _phases(x, kmax):
 def _trig_eval(coeffs, modes, x):
     kmax = int(np.max(np.abs(modes)))
     return np.tensordot(coeffs, _phases(x, kmax)[modes + kmax], axes=(0, 0))
-
-
-def eval_fields(v: Potential):
-    """Sample q, dq/dx, P p, exp(q), exp(-q) on the uniform grid of v.
-
-    P acts diagonally in Fourier space with symbol sqrt(1 + 4 pi^2 k^2).
-    """
-    v.validate()
-    x = np.arange(v.grid_size) / v.grid_size
-    q = v.q_at(x)
-    return {
-        "x": x,
-        "q": q,
-        "dq": v.dq_at(x),
-        "Pp": v.Pp_at(x),
-        "exp_q": np.exp(q),
-        "exp_mq": np.exp(-q),
-    }
-
-
-class LaxCoefficients:
-    """Matrix coefficients A(x) = -(Pp+q_x)/4 * Z and B(x) = diag(e^{-q/2}, e^{q/2})/4."""
-
-    def __init__(self, v: Potential):
-        self.v = v
-
-    def A_at(self, x):
-        w = self.v.w_at(x)
-        return -0.25 * np.multiply.outer(w, Z2)
-
-    def B_at(self, x):
-        q = self.v.q_at(x)
-        B = np.zeros(np.shape(q) + (2, 2), dtype=complex)
-        B[..., 0, 0] = 0.25 * np.exp(-q / 2.0)
-        B[..., 1, 1] = 0.25 * np.exp(q / 2.0)
-        return B
-
-    @staticmethod
-    def pi_n(n):
-        return pi_k(n)

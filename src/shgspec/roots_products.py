@@ -34,7 +34,7 @@ import numpy as np
 from scipy.special import zeta as _hurwitz_zeta
 
 from .monodromy import lam_zero, tau_zero
-from .potential import pi_k
+from .potential import family_var, pi_k
 
 __all__ = [
     "zero_tail",
@@ -168,12 +168,8 @@ def _sroot(tau, gamma, z):
 
 def standard_root(j: int, n: int, lam, table):
     """The standard root w_{j,n}(lambda) for the given spectrum table."""
-    lam = np.asarray(lam, dtype=complex)
-    if j == 1:
-        return _sroot(table.tau2(1, n), table.gamma2(1, n), lam)
-    if j == 2:
-        return _sroot(table.tau2(2, n), table.gamma2(2, n), -1.0 / (16.0 * lam))
-    raise ValueError("j must be 1 or 2")
+    x = family_var(j, np.asarray(lam, dtype=complex))
+    return _sroot(table.tau2(j, n), table.gamma2(j, n), x)
 
 
 def node_product(nodes, x, K: int, gammas=None, tail=None, skip=None):

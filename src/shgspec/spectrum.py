@@ -4,20 +4,21 @@ Periodic eigenvalues lambda_n^+- are the roots of chi_p = Delta^2 - 1,
 Dirichlet eigenvalues mu_n the roots of chi_D, and lambda_dot_n the roots of
 d Delta/d lambda, all certified by argument-principle counts and refined by
 Newton iteration on the exact monodromy functions.  The module also builds
-the two-index relabelings used by the product representations, and the
-isolating neighborhoods (discs U_n, U_* and contours Gamma_{j,m}) on which
-every contour integral downstream lives.
+the isolating neighborhoods (discs U_n, U_* and contours Gamma_{j,m}) on
+which every contour integral downstream lives.  Every two-index accessor
+(slot (j, m) of family j = 1, 2) derives from one rule, _single, and the
+family variable potential.family_var.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .monodromy import integrate_many, lam_zero
-from .potential import Potential
+from .potential import Potential, family_var
 from .quadrature import ContourSpec, winding_number
 
 __all__ = [
@@ -33,7 +34,6 @@ __all__ = [
     "build_table",
     "build_isolating",
     "certify_counts",
-    "adaptive_n_count",
     "delta_sign_check",
     "trace_formula_tau",
 ]
@@ -100,16 +100,6 @@ class DiscFamily:
             return n * np.pi + np.pi / 2.0
         return 1.0 / (16.0 * (abs(n) * np.pi + np.pi / 2.0))
 
-    @staticmethod
-    def pairwise_disjoint(n_range) -> bool:
-        discs = [DiscFamily.D(n) for n in n_range]
-        for i in range(len(discs)):
-            for j in range(i + 1, len(discs)):
-                (c1, r1), (c2, r2) = discs[i], discs[j]
-                if abs(c1 - c2) <= r1 + r2:
-                    return False
-        return True
-
 
 # ---------------------------------------------------------------------------
 # argument-principle counting
@@ -150,29 +140,6 @@ def count_annulus(v: Potential, N: int, tol=1e-11, nodes=None):
         n_in, d2 = winding_number(f_df, inner)
         out[kind] = (n_out - n_in, max(d1, d2))
     return out
-
-
-def adaptive_n_count(v: Potential, n_start=1, max_tries=6, tol=1e-11) -> int:
-    """Smallest cutoff N whose annulus counts match the expected totals.
-
-    Fails with a working-neighborhood error if no N up to n_start+max_tries
-    produces a clean count.
-    """
-    for N in range(n_start, n_start + max_tries):
-        try:
-            cnt = count_annulus(v, N, tol=tol)
-        except ValueError:
-            continue
-        if (
-            cnt["chi_p"][0] == 4 + 8 * N
-            and cnt["chi_D"][0] == 2 + 4 * N
-            and cnt["ddelta"][0] == 4 + 4 * N
-        ):
-            return N
-    raise RuntimeError(
-        "no annulus cutoff with clean counts found; potential outside the "
-        "working neighborhood"
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +247,22 @@ def locate_periodic(v: Potential, n: int, tol=1e-12, tol_double=DOUBLE_ROOT_TOL)
 # the spectrum table
 
 
+def _single(j, m):
+    """The single index n and sign s of two-index slot (j, m).
+
+    Family 1 is n = |m|, s = sgn m; family 2 is family 1 read through the
+    involution lambda -> -1/(16 lambda): n = -|m|, s = -sgn m (sgn 0 = +1).
+    In the lambda plane slot (j, m) holds s times the data of n, gap
+    endpoints swapped when s = -1.
+    """
+    sgn = 1 if m >= 0 else -1
+    if j == 1:
+        return abs(m), sgn
+    if j == 2:
+        return -abs(m), -sgn
+    raise ValueError("j must be 1 or 2")
+
+
 @dataclass
 class SpectrumTable:
     """Labeled spectral data for |n| <= n_max, with zero-potential surrogates
@@ -293,7 +276,6 @@ class SpectrumTable:
     lam_dot_star: complex
     real_potential: bool = True
     q0: complex = 0.0  # q(0), enters the Dirichlet constraint product
-    _iso: "IsolatingNeighborhoods | None" = field(default=None, repr=False)
 
     # -- single-index access with surrogates --------------------------------
 
@@ -322,20 +304,10 @@ class SpectrumTable:
     # -- two-index relabelings ----------------------------------------------
 
     def lam2(self, j, k, sign):
-        s = +1 if sign in (+1, "+") else -1
-        if j == 1:
-            if k >= 0:
-                lm, lp = self.lam_pm(k)
-                return lp if s > 0 else lm
-            lm, lp = self.lam_pm(-k)
-            return -lm if s > 0 else -lp
-        if j == 2:
-            if k >= 0:
-                lm, lp = self.lam_pm(-k)
-                return 1.0 / (16.0 * (lm if s > 0 else lp))
-            lm, lp = self.lam_pm(k)
-            return -1.0 / (16.0 * (lp if s > 0 else lm))
-        raise ValueError("j must be 1 or 2")
+        """lambda_{j,k}^+ or ^-: the family-j variable of the gap's upper or
+        lower endpoint."""
+        lo, hi = self.gap2(j, k)
+        return family_var(j, hi if sign in (+1, "+") else lo)
 
     def tau2(self, j, k):
         return 0.5 * (self.lam2(j, k, +1) + self.lam2(j, k, -1))
@@ -344,26 +316,14 @@ class SpectrumTable:
         return self.lam2(j, k, +1) - self.lam2(j, k, -1)
 
     def mu2(self, j, k):
-        if j == 1:
-            return self.mu_n(k) if k >= 0 else -self.mu_n(-k)
-        if j == 2:
-            return (
-                1.0 / (16.0 * self.mu_n(-k))
-                if k >= 0
-                else -1.0 / (16.0 * self.mu_n(k))
-            )
-        raise ValueError("j must be 1 or 2")
+        n, s = _single(j, k)
+        mu = self.mu_n(n)
+        return family_var(j, mu if s > 0 else -mu)
 
     def lam_dot2(self, j, k):
-        if j == 1:
-            return self.lam_dot_n(k) if k >= 0 else -self.lam_dot_n(-k)
-        if j == 2:
-            return (
-                1.0 / (16.0 * self.lam_dot_n(-k))
-                if k >= 0
-                else -1.0 / (16.0 * self.lam_dot_n(k))
-            )
-        raise ValueError("j must be 1 or 2")
+        n, s = _single(j, k)
+        ld = self.lam_dot_n(n)
+        return family_var(j, ld if s > 0 else -ld)
 
     def family(self, quantity: str, j: int, K: int, *args) -> np.ndarray:
         """The nodes k = -K..K of one two-index family: quantity names the
@@ -373,19 +333,9 @@ class SpectrumTable:
 
     def gap2(self, j, m):
         """Endpoints of the gap segment G_{j,m} in the lambda plane."""
-        if j == 1:
-            if m >= 0:
-                lm, lp = self.lam_pm(m)
-                return lm, lp
-            lm, lp = self.lam_pm(-m)
-            return -lp, -lm
-        if j == 2:
-            if m >= 0:
-                lm, lp = self.lam_pm(-m)
-                return -lp, -lm
-            lm, lp = self.lam_pm(m)
-            return lm, lp
-        raise ValueError("j must be 1 or 2")
+        n, s = _single(j, m)
+        lm, lp = self.lam_pm(n)
+        return (lm, lp) if s > 0 else (-lp, -lm)
 
     def truncated(self, n_max: int) -> "SpectrumTable":
         """A view with a smaller tabulated range (surrogates beyond)."""
@@ -535,14 +485,10 @@ class IsolatingNeighborhoods:
         return DiscFamily.D(n)
 
     def U2(self, j, m):
-        """Two-index discs: U_{1,m}=U_m, U_{1,-m}=-U_m, U_{2,m}=-U_{-m}, U_{2,-m}=U_{-m}."""
-        if j == 1:
-            c, r = self.U(abs(m)) if m >= 0 else self.U(-m)
-            return (c, r) if m >= 0 else (-c, r)
-        if j == 2:
-            c, r = self.U(-abs(m))
-            return (-c, r) if m >= 0 else (c, r)
-        raise ValueError("j must be 1 or 2")
+        """The disc U_{j,m}: U_n of the single index, negated when s = -1."""
+        n, s = _single(j, m)
+        c, r = self.U(n)
+        return (c, r) if s > 0 else (-c, r)
 
     def gamma_single(self, m, nodes=None, scale=1.0) -> ContourSpec:
         """The contour Gamma_m around the single-index gap G_m."""
@@ -558,14 +504,10 @@ class IsolatingNeighborhoods:
         return ContourSpec(c, r * scale, nodes or self.nodes)
 
     def contour(self, j, m, nodes=None, scale=1.0) -> ContourSpec:
-        """Gamma_{1,m} / Gamma_{2,m} per the two-index conventions."""
-        if j == 1:
-            g = self.gamma_single(abs(m) if m >= 0 else -m, nodes, scale)
-            return g if m >= 0 else g.mirrored()
-        if j == 2:
-            g = self.gamma_single(-abs(m), nodes, scale)
-            return g.mirrored() if m >= 0 else g
-        raise ValueError("j must be 1 or 2")
+        """Gamma_{j,m}: Gamma_n of the single index, mirrored when s = -1."""
+        n, s = _single(j, m)
+        g = self.gamma_single(n, nodes, scale)
+        return g if s > 0 else g.mirrored()
 
 
 def _cluster(table, n):
@@ -692,7 +634,6 @@ def build_isolating(
         nodes,
     )
     _check_inclusion(table, iso)
-    table._iso = iso
     return iso
 
 

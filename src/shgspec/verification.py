@@ -24,7 +24,7 @@ from .differentials import (
 )
 from .gradients import grad_deltas_fd_report
 from .monodromy import integrate_many, lam_zero, omega
-from .potential import Potential
+from .potential import Potential, family_var
 from .quadrature import ContourSpec
 from .roots_products import (
     CanonicalRootEvaluator,
@@ -280,15 +280,14 @@ def run_suite(v: Potential, cfg: RunConfig | None = None):
         worst_res = max(worst_res, sol.residual_norm)
         worst_iter = max(worst_iter, sol.newton_iters)
         worst_dev = max(worst_dev, dev)
-        for k in range(-cfg.K, cfg.K + 1):
-            if k != n:
-                s = sol.sigma1_at(k)
-                worst_gap = max(worst_gap, _segment_distance(s, *table.gap2(1, k)))
-                worst_est = max(worst_est, tau_excess(s, 1, k))
-            s = sol.sigma2_at(k)
-            u = -1.0 / (16.0 * s)
-            worst_gap = max(worst_gap, _segment_distance(u, *table.gap2(2, k)))
-            worst_est = max(worst_est, tau_excess(s, 2, k))
+        for j, sigma_at in ((1, sol.sigma1_at), (2, sol.sigma2_at)):
+            for k in range(-cfg.K, cfg.K + 1):
+                if j == 1 and k == n:
+                    continue
+                s = sigma_at(k)
+                u = family_var(j, s)
+                worst_gap = max(worst_gap, _segment_distance(u, *table.gap2(j, k)))
+                worst_est = max(worst_est, tau_excess(s, j, k))
     report("sigma_solve_residual", worst_res)
     report("sigma_newton_iters", worst_iter)
     report("normalization", worst_dev)

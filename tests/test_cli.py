@@ -51,9 +51,13 @@ def test_eval_input_errors(files, capsys):
         assert main(["eval", str(zero), "--lambda", "1,0", *flags]) == 2
     assert main(["spectrum", str(zero), "--nmax", "-2"]) == 2
     assert "invalid run configuration" in capsys.readouterr().err
-    # config files: an unknown key (such as the removed "threads") and a
-    # non-object are input errors, not tracebacks
-    for name, text in (("bogus.json", '{"bogus": 1}'), ("list.json", "[1]")):
+    # config files: an unknown key (such as the removed "threads"), an unknown
+    # threshold id and a non-object are input errors, not tracebacks
+    for name, text in (
+        ("bogus.json", '{"bogus": 1}'),
+        ("thr.json", '{"thresholds": {"normalisation": 1e-3}}'),
+        ("list.json", "[1]"),
+    ):
         (d / name).write_text(text)
         assert main(["eval", str(zero), "--lambda", "1,0", "--config", str(d / name)]) == 2
     assert "config" in capsys.readouterr().err

@@ -5,8 +5,6 @@ import pytest
 
 from shgspec.differentials import (
     SigmaWorkspace,
-    assemble_F,
-    assemble_jacobian,
     eval_psi,
     psi_negative,
     solve_sigma,
@@ -108,7 +106,10 @@ def test_normalization_fresh_contours(v_seed, tab16, iso16):
 
 def test_solver_idempotence(v_seed, tab16, iso16):
     sol = solve_sigma(tab16, iso16, 0, 16)
-    F, ws = assemble_F(tab16, iso16, 0, sol.sigma1, sol.sigma2, 16)
+    ws = SigmaWorkspace(tab16, iso16, 0, 16)
+    ws.admissible(sol.sigma1, sol.sigma2)
+    u = ws.pack(sol.sigma1, sol.sigma2)
+    F, _ = ws.residual_and_jacobian(u, want_jacobian=False)
     assert np.linalg.norm(F) <= 1e-9
 
 
@@ -143,15 +144,14 @@ def test_sign_change_across_gap(v_seed, tab16, iso16):
 
 
 def test_jacobian_structure(v_seed, tab16, iso16):
-    blocks, F, ws = assemble_jacobian(
-        tab16, iso16, 1, np.array([tab16.tau2(1, k) for k in range(-16, 17)]),
-        np.array([tab16.tau2(2, k) for k in range(-16, 17)]), 16
-    )
-    d11 = blocks.q11_diag()
+    ws = SigmaWorkspace(tab16, iso16, 1, 16)
+    _, Q = ws.residual_and_jacobian(ws.initial_state())
+    m1 = len(ws.idx1)
+    d11 = np.diag(Q[:m1, :m1])
     assert np.all(np.abs(d11) > 0.5)
     assert abs(np.median(d11.real) - 2.0) < 0.3
     # |Q11_mm - 2| dies out toward large |m|
-    ms = blocks.idx1
+    ms = ws.idx1
     inner = np.mean(np.abs(d11 - 2.0)[np.abs(ms) <= 4])
     outer = np.mean(np.abs(d11 - 2.0)[np.abs(ms) >= 12])
     assert outer < inner
@@ -164,10 +164,10 @@ def test_jacobian_structure(v_seed, tab16, iso16):
     )[0]
     f2_inf = np.prod(s2 / pi_k(ws.ks)) * ws.tail2_zero
     want = 2 * np.pi * f1_0 / f2_inf
-    d22 = blocks.q22_diag()
+    d22 = np.diag(Q[m1:, m1:])
     assert abs(np.median(d22.real) - want.real) < 0.3 * abs(want)
     # D + K split: off-diagonal part has bounded Frobenius norm
-    assert blocks.offdiag_frobenius() < 10.0
+    assert np.linalg.norm(Q - np.diag(np.diag(Q))) < 10.0
 
 
 def test_jacobian_vs_finite_differences(v_seed, tab16, iso16):
@@ -246,6 +246,16 @@ def test_psi_negative_zero_potential(tab0, iso0):
     mat, dev = verify_negative_normalization(solr, tab0, iso0, tab0, iso0, nodes=96)
     assert dev < 1e-7
     assert abs(mat[(2, -1)] - 1.0) < 1e-7
+
+
+def test_psi_negative_needs_positive_index(tab0, iso0):
+    """psi_{-n} is defined for n >= 1: the reflected n = 0 solution is refused
+    instead of giving a normalization deviation of 1."""
+    solr = solve_sigma(tab0, iso0, 0, 8)
+    with pytest.raises(ValueError, match="n >= 1"):
+        psi_negative(solr, tab0, iso0, np.array([0.3 + 0.1j]))
+    with pytest.raises(ValueError, match="n >= 1"):
+        verify_negative_normalization(solr, tab0, iso0, tab0, iso0)
 
 
 def test_psi_negative_small_v(v_seed, tab16, iso16, reflected):

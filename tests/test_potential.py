@@ -1,23 +1,29 @@
 import numpy as np
 import pytest
 
-from shgspec.potential import LaxCoefficients, Potential, eval_fields, p_multiplier
+from shgspec.potential import Potential, p_multiplier, pi_k
+
+
+def _grid(v):
+    return np.arange(v.grid_size) / v.grid_size
 
 
 def test_zero_potential_fields():
-    f = eval_fields(Potential.zero())
-    assert np.max(np.abs(f["q"])) == 0
-    assert np.max(np.abs(f["Pp"])) == 0
-    assert np.max(np.abs(f["exp_q"] - 1)) == 0
-    assert np.max(np.abs(f["exp_mq"] - 1)) == 0
+    v = Potential.zero()
+    x = _grid(v)
+    emq, eq = v.exp_q_at(x)
+    assert np.max(np.abs(v.q_at(x))) == 0
+    assert np.max(np.abs(v.Pp_at(x))) == 0
+    assert np.max(np.abs(eq - 1)) == 0
+    assert np.max(np.abs(emq - 1)) == 0
 
 
 def test_constant_q_fields():
     c = 0.37
     v = Potential.from_modes({0: c}, {}, Kf=1)
-    f = eval_fields(v)
-    assert np.max(np.abs(f["dq"])) < 1e-14
-    assert np.max(np.abs(f["exp_q"] - np.exp(c))) < 1e-13
+    x = _grid(v)
+    assert np.max(np.abs(v.dq_at(x))) < 1e-14
+    assert np.max(np.abs(v.exp_q_at(x)[1] - np.exp(c))) < 1e-13
 
 
 def test_p_multiplier_single_mode():
@@ -48,9 +54,9 @@ def test_parseval():
 
 def test_real_flag_fields_real():
     v = Potential.cosine(0.3, amplitude_p=0.1)
-    f = eval_fields(v)
-    for key in ("q", "dq", "Pp", "exp_q"):
-        assert np.max(np.abs(np.imag(f[key]))) < 1e-13
+    x = _grid(v)
+    for f in (v.q_at(x), v.dq_at(x), v.Pp_at(x), v.exp_q_at(x)[1]):
+        assert np.max(np.abs(np.imag(f))) < 1e-13
 
 
 def test_real_flag_validation():
@@ -87,18 +93,15 @@ def test_json_round_trip():
 
 
 def test_lax_coefficients():
+    """The Lax fields on the grid: w = P p + q_x, and exp(-q) exp(q) = 1
+    (the diagonal coefficient diag(e^{-q/2}, e^{q/2})/4 has product 1/16)."""
     v = Potential.cosine(0.4, amplitude_p=0.2)
-    lc = LaxCoefficients(v)
     x = np.array([0.1, 0.6])
-    B = lc.B_at(x)
-    # diagonal, product of diagonal entries 1/16
-    assert np.max(np.abs(B[..., 0, 1])) == 0
-    assert np.max(np.abs(B[..., 0, 0] * B[..., 1, 1] - 1.0 / 16.0)) < 1e-14
-    A = lc.A_at(x)
-    assert np.max(np.abs(A[..., 0, 0])) == 0
-    assert np.max(np.abs(A[..., 0, 1] - A[..., 1, 0])) == 0
-    assert LaxCoefficients.pi_n(0) == 1.0
-    assert LaxCoefficients.pi_n(3) == 3 * np.pi
+    emq, eq = v.exp_q_at(x)
+    assert np.max(np.abs(emq * eq - 1.0)) < 1e-14
+    assert np.max(np.abs(v.w_at(x) - v.Pp_at(x) - v.dq_at(x))) == 0
+    assert pi_k(0) == 1.0
+    assert pi_k(3) == 3 * np.pi
 
 
 def test_fields_match_direct_exponentials():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from shgspec.config import seeded_ensemble
 from shgspec.monodromy import integrate_many, lam_zero
 from shgspec.potential import Potential
 from shgspec.quadrature import ContourSpec, winding_number
@@ -180,7 +181,10 @@ def test_delta_sign_at_periodic(v_seed, tab16):
 
 
 def test_disc_family():
-    assert DiscFamily.pairwise_disjoint(range(-4, 5))
+    discs = [DiscFamily.D(n) for n in range(-4, 5)]
+    for i, (c1, r1) in enumerate(discs):
+        for c2, r2 in discs[i + 1 :]:
+            assert abs(c1 - c2) > r1 + r2
     c, r = DiscFamily.D(0)
     assert c == 0.25 and abs(r - 1 / (4 * np.pi)) < 1e-15
     c, r = DiscFamily.D(-1)
@@ -263,7 +267,59 @@ def test_isolating_failure_far_from_real():
         build_isolating(Potential.cosine(0.1), bad)
 
 
-def test_adaptive_n_count(v_seed):
-    from shgspec.spectrum import adaptive_n_count
+def test_annulus_counts_at_cutoff_2(v_seed):
+    """A_2 holds 4 + 8N periodic, 2 + 4N Dirichlet and 4 + 4N Delta_dot roots."""
+    cnt = count_annulus(v_seed, 2)
+    assert (cnt["chi_p"][0], cnt["chi_D"][0], cnt["ddelta"][0]) == (20, 10, 12)
 
-    assert adaptive_n_count(v_seed, n_start=2, max_tries=3) == 2
+
+def _relabeled(tab, iso, j, m):
+    """Slot (j, m) of the two-index relabelings, written out case by case:
+    (lambda^+, lambda^-, mu, lambda_dot, gap endpoints, U disc, contour)."""
+    n = abs(m)
+    if j == 1 and m >= 0:
+        lm, lp = tab.lam_pm(n)
+        c, r = iso.U(n)
+        return (lp, lm, tab.mu_n(n), tab.lam_dot_n(n), (lm, lp), (c, r),
+                iso.gamma_single(n))
+    if j == 1:
+        lm, lp = tab.lam_pm(n)
+        c, r = iso.U(n)
+        return (-lm, -lp, -tab.mu_n(n), -tab.lam_dot_n(n), (-lp, -lm), (-c, r),
+                iso.gamma_single(n).mirrored())
+    if m >= 0:
+        lm, lp = tab.lam_pm(-n)
+        c, r = iso.U(-n)
+        return (1.0 / (16.0 * lm), 1.0 / (16.0 * lp), 1.0 / (16.0 * tab.mu_n(-n)),
+                1.0 / (16.0 * tab.lam_dot_n(-n)), (-lp, -lm), (-c, r),
+                iso.gamma_single(-n).mirrored())
+    lm, lp = tab.lam_pm(m)
+    c, r = iso.U(m)
+    return (-1.0 / (16.0 * lp), -1.0 / (16.0 * lm), -1.0 / (16.0 * tab.mu_n(m)),
+            -1.0 / (16.0 * tab.lam_dot_n(m)), (lm, lp), (c, r), iso.gamma_single(m))
+
+
+def test_two_index_relabelings_case_by_case():
+    """Every two-index accessor equals its case-by-case definition exactly,
+    on the complex potential v3, inside the table and on the surrogates."""
+    v3 = seeded_ensemble()[2]
+    tab = build_table(v3, 3, tol=1e-12)
+    iso = build_isolating(v3, tab)
+    K = 6
+    for j in (1, 2):
+        for m in range(-K, K + 1):
+            plus, minus, mu, ld, gap, disc, contour = _relabeled(tab, iso, j, m)
+            assert tab.lam2(j, m, +1) == plus and tab.lam2(j, m, "+") == plus
+            assert tab.lam2(j, m, -1) == minus and tab.lam2(j, m, "-") == minus
+            assert tab.tau2(j, m) == 0.5 * (plus + minus)
+            assert tab.gamma2(j, m) == plus - minus
+            assert tab.mu2(j, m) == mu
+            assert tab.lam_dot2(j, m) == ld
+            assert tab.gap2(j, m) == gap
+            assert iso.U2(j, m) == disc
+            assert iso.contour(j, m) == contour
+    for bad in (0, 3):
+        with pytest.raises(ValueError):
+            tab.lam2(bad, 1, +1)
+        with pytest.raises(ValueError):
+            iso.U2(bad, 1)

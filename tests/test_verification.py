@@ -98,6 +98,15 @@ def test_runconfig_json_round_trip():
         RunConfig(n_max=10, K=4)
 
 
+def test_runconfig_rejects_unknown_threshold_id():
+    """A misspelt threshold id is an error, not an unused key."""
+    with pytest.raises(ValueError, match="unknown threshold ids: normalisation"):
+        RunConfig.from_json('{"thresholds": {"normalisation": 1e-3}}')
+    cfg = RunConfig.from_json('{"thresholds": {"normalization": 1e-3}}')
+    assert cfg.thresholds["normalization"] == 1e-3
+    assert set(cfg.thresholds) == set(THRESHOLDS)
+
+
 def test_seeded_ensemble_fixed():
     ens = seeded_ensemble()
     assert len(ens) == 3
