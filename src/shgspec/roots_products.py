@@ -464,6 +464,13 @@ class NodeFamily:
     def from_table(table, K) -> "NodeFamily":
         return NodeFamily(table.family("tau2", 1, K), table.family("tau2", 2, K), K)
 
+    def padded(self, W: int) -> "NodeFamily":
+        """The same f1, f2 and f with the tail nodes tau_zero(k), K < |k| <= W,
+        written out in both sequences and the family closed at W."""
+        out = np.arange(self.K + 1, W + 1)
+        pad = lambda s: np.concatenate([tau_zero(-out[::-1]), s, tau_zero(out)])
+        return NodeFamily(pad(self.sigma1), pad(self.sigma2), W)
+
     def f1(self, z):
         return node_product(self.sigma1, z, self.K)
 
@@ -491,75 +498,42 @@ class NodeFamily:
         return complex(self.f1(z)[0] * reduced * dfactor)
 
 
-def _w_removed(n):
-    """prod over k != n of (t_k - t_n)/pi_k, in closed form.
-
-    With h(z) = prod_k (t_k - z)/pi_k = -sin(omega(z)) h(0)/h(-(16 z)^{-1}),
-    the removed-factor product equals -pi_n h'(t_n); h is the node product
-    at K = 0 with the node t_0.
-    """
-    tn = complex(tau_zero(n))
-    h0, h2 = node_product(np.array([tau_zero(0)]), [0.0, -1.0 / (16.0 * tn)], 0)
-    return pi_k(n) * (-1.0) ** n * (1.0 + 1.0 / (16.0 * tn**2)) * h0 / h2
-
-
 def interpolate_reconstruct(
     nodes: NodeFamily, phi_sigma1, phi_kappa2, z, phi_fn=None, sum_window=None
-) -> complex:
+):
     """Residue-sum reconstruction of an analytic function from its node values:
 
-        phi(z) ~= sum_n phi(sigma_{1,n})/f'(sigma_{1,n}) * f(z)/(z - sigma_{1,n})
-                 + phi(kappa_{2,n})/f'(kappa_{2,n}) * f(z)/(z - kappa_{2,n})
+        phi(z) ~= f(z) sum_n [phi(sigma_{1,n})/f'(sigma_{1,n}) / (z - sigma_{1,n})
+                              + phi(kappa_{2,n})/f'(kappa_{2,n}) / (z - kappa_{2,n})]
 
     The sum over |n| <= K uses the supplied node values.  When phi_fn is
-    given, the residue sum is extended over the zero-potential tail nodes up
-    to |n| <= sum_window (default 3K); the tail weights f'(t_n), f'(kappa_n)
-    are assembled from the closed-form removed-factor products.
+    given, the family is padded with its zero-potential tail nodes up to
+    |n| <= sum_window (default 3K), which leaves f unchanged, and one call of
+    phi_fn on the array of tail nodes supplies their values.  Each weight
+    1/f'(node) is computed once per call (the barycentric form); z may be an
+    array, and a scalar z gives a complex.
     """
-    z = complex(z)
+    scalar = np.ndim(z) == 0
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    phi1, phi2 = phi_sigma1, phi_kappa2
+    if phi_fn is not None:
+        K = nodes.K
+        nodes = nodes.padded(sum_window or 3 * K)
+        tail = np.abs(nodes.ks) > K
+        ring = np.concatenate([nodes.sigma1[tail], nodes.kappa2[tail]])
+        phi1, phi2 = np.zeros((2, tail.size), dtype=complex)
+        phi1[~tail], phi2[~tail] = phi_sigma1, phi_kappa2
+        phi1[tail], phi2[tail] = np.split(np.asarray(phi_fn(ring)), 2)
     allnodes = np.concatenate([nodes.sigma1, nodes.kappa2])
     d = np.abs(allnodes[:, None] - allnodes[None, :])
     np.fill_diagonal(d, np.inf)
     if d.min() < 1e-12:
         raise ValueError("node collision: nodes must be pairwise distinct")
-    if np.min(np.abs(allnodes - z)) < 1e-12:
+    dz = z[:, None] - allnodes
+    if np.min(np.abs(dz)) < 1e-12:
         raise ValueError("z coincides with a node")
-    fz = complex(nodes.f(np.array([z]))[0])
-    total = 0.0 + 0.0j
-    for idx, n in enumerate(nodes.ks):
-        p1 = phi_sigma1[idx]
-        if p1 != 0:
-            total += p1 / nodes.fdot_at_sigma1(int(n)) * fz / (z - nodes.sigma1[idx])
-        p2 = phi_kappa2[idx]
-        if p2 != 0:
-            total += p2 / nodes.fdot_at_kappa2(int(n)) * fz / (z - nodes.kappa2[idx])
-    if phi_fn is None:
-        return total
-
-    K = nodes.K
-    window = sum_window or 3 * K
-    taus = tau_zero(nodes.ks)
-    for n in [m for m in range(-window, window + 1) if abs(m) > K]:
-        tn = complex(tau_zero(n))
-        # the tail with the n-factor removed at t_n
-        w_red = _w_removed(n) / node_product(taus, tn, K, tail=1.0)[0]
-        # sigma-ring tail node t_n: f' = -(1/pi_n) * reduced f1 * f2
-        red1 = node_product(nodes.sigma1, tn, K, tail=w_red)[0]
-        fdot_s = -red1 / pi_k(n) * complex(nodes.f2(tn)[0])
-        p1 = complex(phi_fn(tn))
-        if p1 != 0:
-            total += p1 / fdot_s * fz / (z - tn)
-        # kappa-ring tail node -1/(16 t_n): f' = f1 * reduced f2 * d mu/dz / pi_n
-        kap = -1.0 / (16.0 * tn)
-        mu = tn  # -1/(16 kap)
-        red2 = node_product(nodes.sigma2, mu, K, tail=w_red)[0]
-        fdot_k = (
-            complex(nodes.f1(kap)[0])
-            * red2
-            * (-1.0 / (16.0 * kap**2))
-            / pi_k(n)
-        )
-        p2 = complex(phi_fn(kap))
-        if p2 != 0:
-            total += p2 / fdot_k * fz / (z - kap)
-    return total
+    fdot = [nodes.fdot_at_sigma1(int(n)) for n in nodes.ks]
+    fdot += [nodes.fdot_at_kappa2(int(n)) for n in nodes.ks]
+    coef = np.concatenate([phi1, phi2]) / np.array(fdot)
+    total = nodes.f(z) * np.sum(coef / dz, axis=1)
+    return complex(total[0]) if scalar else total

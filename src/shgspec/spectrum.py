@@ -105,21 +105,29 @@ class DiscFamily:
 # argument-principle counting
 
 
+# (f, df/dlam) of each monodromy function from a BatchResult
+_PAIRS = {
+    "chi_p": lambda r: (r.chi_p, r.chi_p_dot),
+    "chi_D": lambda r: (r.chi_D, r.chi_D_dot),
+    "ddelta": lambda r: (r.Delta_dot, r.Delta_ddot),
+}
+
+
 def _field(v, kind, tol):
     """Callable lams -> (f, df/dlam) backed by the monodromy integrator."""
+    order = 2 if kind == "ddelta" else 1
 
     def f_df(lams):
-        order = 2 if kind == "ddelta" else 1
-        res = integrate_many(v, lams, order=order, tol=tol)
-        if kind == "chi_p":
-            return res.chi_p, res.chi_p_dot
-        if kind == "chi_D":
-            return res.chi_D, res.chi_D_dot
-        if kind == "ddelta":
-            return res.Delta_dot, res.Delta_ddot
-        raise ValueError(kind)
+        return _PAIRS[kind](integrate_many(v, lams, order=order, tol=tol))
 
     return f_df
+
+
+def _windings(v, spec, kinds, tol):
+    """{kind: winding_number(...)} on one contour, every kind from the same
+    order-2 propagation on the contour's nodes."""
+    res = integrate_many(v, spec.points()[0], order=2, tol=tol)
+    return {k: winding_number(lambda z, k=k: _PAIRS[k](res), spec) for k in kinds}
 
 
 def count_annulus(v: Potential, N: int, tol=1e-11, nodes=None):
@@ -131,15 +139,12 @@ def count_annulus(v: Potential, N: int, tol=1e-11, nodes=None):
     """
     if nodes is None:
         nodes = max(256, 96 * N)
-    outer = ContourSpec(0.0, DiscFamily.B_radius(N), nodes)
-    inner = ContourSpec(0.0, DiscFamily.B_radius(-N), nodes)
-    out = {}
-    for kind in ("chi_p", "chi_D", "ddelta"):
-        f_df = _field(v, kind, tol)
-        n_out, d1 = winding_number(f_df, outer)
-        n_in, d2 = winding_number(f_df, inner)
-        out[kind] = (n_out - n_in, max(d1, d2))
-    return out
+    outer = _windings(v, ContourSpec(0.0, DiscFamily.B_radius(N), nodes), _PAIRS, tol)
+    inner = _windings(v, ContourSpec(0.0, DiscFamily.B_radius(-N), nodes), _PAIRS, tol)
+    return {
+        kind: (outer[kind][0] - inner[kind][0], max(outer[kind][1], inner[kind][1]))
+        for kind in _PAIRS
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -198,18 +203,19 @@ def _periodic_pair_from_ddot(v, lam_dots, tol=1e-13, tol_double=DOUBLE_ROOT_TOL)
     chi_p'(lam_dot)=0, so chi_p ~ chi_p(ld) + chi_p''(ld)(lam-ld)^2/2 with
     chi_p'' = 2(Delta_dot^2 + Delta*Delta_ddot); the two roots sit at
     ld +- h, h = sqrt(-2 chi_p / chi_p'').  The squared half-width h^2 is
-    measured down to the integrator noise (estimated by re-running at a
-    coarser tolerance); below max(tol_double, noise) the pair is a double
-    eigenvalue.  Newton polish on chi_p is only applied to well-open gaps,
-    where the roots are comfortably simple; for barely-open gaps the
-    quadratic model is already more accurate than Newton on a nearly double
-    root can be.
+    measured down to the integrator noise; below max(tol_double, noise) the
+    pair is a double eigenvalue.  The noise of chi_p = Delta^2 - 1 is
+    bounded by 2 |Delta| |M| BatchResult.err, the run's own half-grid
+    estimate (relative to the largest entry of M).  Newton polish on chi_p
+    is only applied to well-open gaps, where the roots are comfortably
+    simple; for barely-open gaps the quadratic model is already more
+    accurate than Newton on a nearly double root can be.
     """
     lam_dots = np.asarray(lam_dots, dtype=complex)
     res = integrate_many(v, lam_dots, order=2, tol=tol)
-    res_coarse = integrate_many(v, lam_dots, order=2, tol=min(100 * tol, 1e-6))
     chi = res.chi_p
-    noise = np.abs(chi - res_coarse.chi_p) + 1e-15 * (1.0 + np.abs(lam_dots))
+    m_max = np.maximum(1.0, np.abs(res.Mgrave).max(axis=(-2, -1)))
+    noise = 2.0 * res.err * m_max**2 + 1e-15 * (1.0 + np.abs(lam_dots))
     chi_dd = 2.0 * (res.Delta_dot**2 + res.Delta * res.Delta_ddot)
     h2 = -2.0 * chi / chi_dd
     h = np.sqrt(h2 + 0j)
@@ -655,23 +661,19 @@ def certify_counts(v, table, iso, n_range=None, tol=1e-11):
     1 Delta_dot root in each U_n; 1 Delta_dot root in U_*."""
     if n_range is None:
         n_range = range(-min(iso.n_max, 6), min(iso.n_max, 6) + 1)
+    want = {"chi_p": 2, "chi_D": 1, "ddelta": 1}
     report = {}
     for n in n_range:
         c, r = iso.U(n)
-        spec = ContourSpec(c, r * 0.98, iso.nodes)
-        got = {}
-        for kind, expect in (("chi_p", 2), ("chi_D", 1), ("ddelta", 1)):
-            cnt, dist = winding_number(_field(v, kind, tol), spec)
-            got[kind] = cnt
-            if cnt != expect:
+        got = _windings(v, ContourSpec(c, r * 0.98, iso.nodes), want, tol)
+        report[n] = {kind: cnt for kind, (cnt, _) in got.items()}
+        for kind, cnt in report[n].items():
+            if cnt != want[kind]:
                 raise RuntimeError(
-                    f"count of {kind} roots in U_{n} is {cnt}, expected {expect}"
+                    f"count of {kind} roots in U_{n} is {cnt}, expected {want[kind]}"
                 )
-        report[n] = got
-    cnt, _ = winding_number(
-        _field(v, "ddelta", tol),
-        ContourSpec(iso.star_center, iso.star_radius * 0.98, iso.nodes),
-    )
+    star = ContourSpec(iso.star_center, iso.star_radius * 0.98, iso.nodes)
+    cnt, _ = _windings(v, star, ["ddelta"], tol)["ddelta"]
     if cnt != 1:
         raise RuntimeError(f"count of Delta_dot roots in U_* is {cnt}, expected 1")
     report["star"] = cnt

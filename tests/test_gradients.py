@@ -3,6 +3,7 @@ import pytest
 
 from shgspec.gradients import (
     GradientKernel,
+    _fd_case,
     fd_directional,
     grad_antidiscriminant,
     grad_dirichlet,
@@ -88,6 +89,30 @@ def test_grad_discriminant_fd(v_seed, dirs):
         order = np.log10(errs[0] / errs[1])
         assert order > 1.9
         assert abs(_fd(delta_at, v_seed, d) - ana) / abs(ana) < 1e-5
+
+
+def test_fd_order_gate_can_fail(v_seed, dirs):
+    """_fd_case measures order 2 for the Delta kernel at its default step
+    sizes, and an order below 1.9 once the pairing is off by 1e-5 either
+    way: the FD error then stops falling with eps.  (Off by +1e-6 the
+    kernel error cancels the truncation error at eps = 0.03 here and the
+    reading rises to 2.8.)  With both step sizes at the noise floor no
+    order is measured."""
+    lam = 1.7
+    kq, kp = grad_discriminant(v_seed, lam, tol=TOL)
+
+    def delta_at(vv):
+        return complex(integrate(vv, lam, order=0, tol=TOL).Delta)
+
+    exact = lambda d: kq.pair(d) + kp.pair(d)
+    _, order, measured = _fd_case(delta_at, exact, v_seed, dirs[:2])
+    assert measured == 2 and order > 1.9
+    for off in (1e-5, -1e-5):
+        wrong = lambda d: exact(d) * (1 + off)
+        _, order, measured = _fd_case(delta_at, wrong, v_seed, dirs[:2])
+        assert measured == 2 and order < 1.9
+    _, order, measured = _fd_case(delta_at, exact, v_seed, dirs[:1], eps_order=(3e-5, 1e-5))
+    assert measured == 0 and order == np.inf
 
 
 def test_grad_antidiscriminant_fd(v_seed, dirs):

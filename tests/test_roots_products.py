@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import zeta
 
-from shgspec.monodromy import integrate_many, lam_zero, omega
+from shgspec.monodromy import integrate_many, lam_zero, omega, tau_zero
 from shgspec.potential import Potential, pi_k
 from shgspec.quadrature import contour_integral
 from shgspec.roots_products import (
@@ -17,6 +17,7 @@ from shgspec.roots_products import (
     sign_tables,
     standard_root,
     verify_product_reps,
+    node_product,
     zero_tail,
 )
 from shgspec.spectrum import build_table
@@ -310,3 +311,76 @@ def test_interpolation_self_consistency(tab0):
     from shgspec.verification import interpolation_self_test
 
     assert interpolation_self_test(tab0, K=24, seed=0) < 1e-5
+
+
+def test_interpolation_vectorized_in_z(tab16):
+    """An array of z gives the per-point values, with and without phi_fn."""
+    nodes = NodeFamily.from_table(tab16, 8)
+    rng = np.random.default_rng(5)
+    a, b = rng.standard_normal((2, 17)) + 1j * rng.standard_normal((2, 17))
+    zs = np.array([0.9 + 0.7j, 2.1 + 0.3j, 0.05 + 0.02j, -1.3 + 0.4j])
+    fn = lambda w: np.sin(w) + 0.1 * w
+    for phi_fn in (None, fn):
+        many = interpolate_reconstruct(nodes, a, b, zs, phi_fn=phi_fn)
+        one = [interpolate_reconstruct(nodes, a, b, z, phi_fn=phi_fn) for z in zs]
+        assert np.max(np.abs(many - one) / np.abs(one)) < 1e-14
+
+
+def test_padded_family_is_the_same_function(tab16):
+    nodes = NodeFamily.from_table(tab16, 8)
+    wide = nodes.padded(24)
+    assert wide.K == 24 and np.array_equal(wide.sigma1[16:33], nodes.sigma1)
+    z = np.array([0.9 + 0.7j, 7.3 - 0.2j, 0.02 + 0.01j])
+    for f in ("f1", "f2", "f"):
+        want = getattr(nodes, f)(z)
+        assert np.max(np.abs(getattr(wide, f)(z) - want) / np.abs(want)) < 1e-13
+    assert abs(wide.f2_inf() / nodes.f2_inf() - 1) < 1e-13
+
+
+def _w_removed(n):
+    """prod over k != n of (t_k - t_n)/pi_k over the zero-potential nodes t_k,
+    in closed form: with h(z) = prod_k (t_k - z)/pi_k
+    = -sin(omega(z)) h(0)/h(-(16 z)^{-1}), it equals -pi_n h'(t_n); h is
+    the node product at K = 0 with the node t_0."""
+    tn = complex(tau_zero(n))
+    h0, h2 = node_product(np.array([tau_zero(0)]), [0.0, -1.0 / (16.0 * tn)], 0)
+    return pi_k(n) * (-1.0) ** n * (1.0 + 1.0 / (16.0 * tn**2)) * h0 / h2
+
+
+def test_padded_tail_weights_match_removed_factor_products(tab16):
+    """f' at the tail nodes of the padded family equals f' assembled from the
+    closed-form removed-factor product of the zero-potential tail.  The two
+    routes round differently: zero_tail at a node t_n ~ n pi divides sin(t_n)
+    by the float n pi - t_n, which costs up to ~1e-11 at |n| ~ 22."""
+    K, W = 8, 24
+    nodes = NodeFamily.from_table(tab16, K)
+    wide = nodes.padded(W)
+    taus = tau_zero(nodes.ks)
+    worst = 0.0
+    for n in [m for m in range(-W, W + 1) if abs(m) > K]:
+        tn = complex(tau_zero(n))
+        # the tail beyond K with the n-factor removed, at t_n
+        w_red = _w_removed(n) / node_product(taus, tn, K, tail=1.0)[0]
+        red1 = node_product(nodes.sigma1, tn, K, tail=w_red)[0]
+        fdot_s = -red1 / pi_k(n) * nodes.f2(tn)[0]
+        kap = -1.0 / (16.0 * tn)
+        red2 = node_product(nodes.sigma2, tn, K, tail=w_red)[0]
+        fdot_k = nodes.f1(kap)[0] * red2 * (-1.0 / (16.0 * kap**2)) / pi_k(n)
+        worst = max(
+            worst,
+            abs(wide.fdot_at_sigma1(n) / fdot_s - 1),
+            abs(wide.fdot_at_kappa2(n) / fdot_k - 1),
+        )
+    assert worst < 1e-10
+
+
+def test_interpolation_self_test_weights_once(tab0, monkeypatch):
+    """The self-test computes each node weight once, not once per point."""
+    import shgspec.roots_products as rp
+    from shgspec.verification import interpolation_self_test
+
+    calls = []
+    tail = rp.zero_tail
+    monkeypatch.setattr(rp, "zero_tail", lambda *a, **k: calls.append(1) or tail(*a, **k))
+    assert interpolation_self_test(tab0, K=16, seed=0) < 1e-5
+    assert len(calls) <= 500

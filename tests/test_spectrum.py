@@ -65,6 +65,27 @@ def test_certified_counts(v_seed, tab16, iso16):
                for n, got in rep.items() if n != "star")
 
 
+def test_one_propagation_per_counting_contour(v_seed, tab16, iso16, monkeypatch):
+    """chi_p, chi_D and Delta_dot are counted from one order-2 run per
+    contour: one per U_n and one for U_*, two for the annulus."""
+    import shgspec.spectrum as sp
+
+    orders = []
+    run = sp.integrate_many
+
+    def counted(v, lams, order=1, **kw):
+        orders.append(order)
+        return run(v, lams, order, **kw)
+
+    monkeypatch.setattr(sp, "integrate_many", counted)
+    ns = range(-2, 3)
+    rep = certify_counts(v_seed, tab16, iso16, n_range=ns)
+    assert rep["star"] == 1 and orders == [2] * (len(ns) + 1)
+    orders.clear()
+    cnt = count_annulus(v_seed, 2)
+    assert cnt["chi_p"][0] == 4 + 8 * 2 and orders == [2, 2]
+
+
 def _direct_period2_eigenvalues(v, nmodes=40):
     """Independent oracle: Fourier-matrix discretization of the first-order
     operator on period-2 functions, linearized in the spectral parameter by a
