@@ -157,6 +157,7 @@ def cmd_differentials(args) -> int:
 def cmd_gradients(args) -> int:
     from .gradients import (
         fd_directional,
+        fd_rel_error,
         grad_antidiscriminant,
         grad_dirichlet,
         grad_discriminant,
@@ -174,28 +175,25 @@ def cmd_gradients(args) -> int:
     eps = 1e-4
     rows = []
 
-    def add(quantity, n, analytic_fn, scalar_fn):
+    def add(quantity, n, kern, scalar_fn):
         for i, d in enumerate(dirs):
-            ana = analytic_fn(d)
+            ana = kern.pair(d)
             fd = fd_directional(scalar_fn, v, d, eps)
-            rel = abs(ana - fd) / max(abs(ana), abs(fd), 1e-8)
-            rows.append([quantity, n, i, complex(ana), complex(fd), rel])
+            rows.append([quantity, n, i, complex(ana), complex(fd), fd_rel_error(ana, fd)])
 
     lam = 1.7
-    kq, kp = grad_discriminant(v, lam, tol=tol)
-    add("Delta", "", lambda d: kq.pair(d) + kp.pair(d),
+    add("Delta", "", grad_discriminant(v, lam, tol=tol),
         lambda vv: complex(integrate(vv, lam, order=0, tol=tol).Delta))
-    kqa, kpa = grad_antidiscriminant(v, lam, tol=tol)
-    add("delta", "", lambda d: kqa.pair(d) + kpa.pair(d),
+    add("delta", "", grad_antidiscriminant(v, lam, tol=tol),
         lambda vv: complex(integrate(vv, lam, order=0, tol=tol).delta_anti))
     for n in (0, 1):
-        kern, mu = grad_dirichlet(v, n, mu=table.mu_n(n), tol=tol)
-        add("mu", n, lambda d, kern=kern: kern.pair(d),
+        mu = table.mu_n(n)
+        add("mu", n, grad_dirichlet(v, mu, tol=tol),
             lambda vv, mu=mu: complex(_newton_batch(vv, [mu], "chi_D", tol=1e-13)[0]))
     if abs(table.gamma(1)) > 1e-6:
-        kern, lamp = grad_periodic(v, 1, "+", lam=table.lam_pm(1)[1], tol=tol)
-        add("lambda_plus", 1, lambda d, kern=kern: kern.pair(d),
-            lambda vv, lamp=lamp: complex(_newton_batch(vv, [lamp], "chi_p", tol=1e-13)[0]))
+        lamp = table.lam_pm(1)[1]
+        add("lambda_plus", 1, grad_periodic(v, lamp, tol=tol),
+            lambda vv: complex(_newton_batch(vv, [lamp], "chi_p", tol=1e-13)[0]))
     buf = io.StringIO()
     w = csv.writer(buf)
     w.writerow(["quantity", "n", "direction", "analytic", "fd", "rel_error"])

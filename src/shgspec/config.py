@@ -29,7 +29,7 @@ THRESHOLDS = {
     "canonical_symmetries": 1e-7,
     "sign_tables": 0.5,
     "gradient_fd": 1e-5,
-    "gradient_fd_order": -1.9,  # negative: metric is -order, pass if <= -1.9
+    "gradient_fd_order": 0.1,  # max |FD order - 2| over the measured cases
     "gradient_zero_delta": 1e-9,
     "sigma_solve_residual": 1e-9,
     "sigma_newton_iters": 10.5,

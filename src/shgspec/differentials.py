@@ -112,7 +112,6 @@ class SigmaWorkspace:
         ks = np.arange(-K, K + 1)
         self.ks = ks
         self.idx1 = np.array([k for k in ks if k != n])
-        self.idx2 = ks.copy()
         self.evaluator = CanonicalRootEvaluator(table, K)
         self.tau1 = table.family("tau2", 1, K)
         self.tau2 = table.family("tau2", 2, K)

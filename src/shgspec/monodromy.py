@@ -217,39 +217,25 @@ class BatchResult:
     def chi_D_dot(self):
         return self._jet(1)[..., 0, 1]
 
-    @property
-    def xi_plus(self):
-        return self.Delta + np.sqrt(self.chi_p + 0j)
-
-    @property
-    def xi_minus(self):
-        return self.Delta - np.sqrt(self.chi_p + 0j)
-
-    def det_Mgrave(self):
-        return np.linalg.det(self.Mgrave)
-
 
 def closed_form_zero(lam, order=2) -> BatchResult:
-    """Exact monodromy data at the zero potential.
+    """Exact monodromy data at the zero potential, for one lambda or an array.
 
     Delta = cos(omega), chi_D = sin(omega),
     Delta_dot = -(1 + 1/(16 lambda^2)) sin(omega).
     """
-    lam = complex(_check_lambda(lam)[0])
-    om = complex(omega(lam))
-    omp = 1.0 + 1.0 / (16.0 * lam**2)  # d omega / d lambda
-    ompp = -1.0 / (8.0 * lam**3)
+    lams = _check_lambda(lam)
+    om = omega(lams)
+    omp = (1.0 + 1.0 / (16.0 * lams**2))[:, None, None]  # d omega / d lambda
+    ompp = (-1.0 / (8.0 * lams**3))[:, None, None]
     M = E_nu(om, 1.0)
-    dE = np.array(
-        [[-np.sin(om), np.cos(om)], [-np.cos(om), -np.sin(om)]], dtype=complex
-    )
-    Md = omp * dE
-    if order >= 2:
-        d2E = -E_nu(om, 1.0)
-        Mdd = ompp * dE + omp**2 * d2E
-    else:
-        Mdd = None
-    return BatchResult(lam, M, Md, Mdd)
+    dE = np.empty_like(M)  # d E_omega(1) / d omega
+    dE[:, 0, 0] = dE[:, 1, 1] = -M[:, 0, 1]
+    dE[:, 0, 1] = M[:, 0, 0]
+    dE[:, 1, 0] = -M[:, 0, 0]
+    Mdd = ompp * dE - omp**2 * M if order >= 2 else None
+    res = BatchResult(lams, M, omp * dE, Mdd)
+    return res.single(0) if np.ndim(lam) == 0 else res
 
 
 def step_count(v: Potential, lams, tol: float) -> np.ndarray:

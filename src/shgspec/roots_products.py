@@ -242,9 +242,6 @@ class CanonicalRootEvaluator:
         lam = np.atleast_1d(np.asarray(lam, dtype=complex))
         return node_product(self.tau2, -1.0 / (16.0 * lam), self.K, self.gam2, tail)
 
-    def chi2_inf(self) -> complex:
-        return complex(node_product(self.tau2, 0.0, self.K, self.gam2)[0])
-
     def chip(self, lam, check_gaps: bool = True, *, tails=None):
         """sqrt_c of chi_p = i * sqrt_c(chi_1) sqrt_c(chi_2) / sqrt_c(chi_1)(0).
 

@@ -52,19 +52,6 @@ def order_le(a, b, tol=ORDER_TIE_TOL) -> bool:
     return a.imag <= b.imag
 
 
-def _sort_order(values):
-    vals = list(values)
-    out = []
-    while vals:
-        m = vals[0]
-        for w in vals[1:]:
-            if order_le(w, m):
-                m = w
-        vals.remove(m)
-        out.append(m)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # domains D_n, B_n, A_N
 

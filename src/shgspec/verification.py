@@ -23,7 +23,7 @@ from .differentials import (
     verify_normalization,
 )
 from .gradients import grad_deltas_fd_report
-from .monodromy import integrate_many, lam_zero, omega
+from .monodromy import closed_form_zero, integrate_many, lam_zero, omega
 from .potential import Potential, family_var
 from .quadrature import ContourSpec
 from .roots_products import (
@@ -87,13 +87,10 @@ def check_zero_closed_forms(cfg):
     """Integrator vs closed forms at v=0 on the 20-point sample."""
     v0 = Potential.zero()
     res = integrate_many(v0, ZERO_SAMPLE_LAMBDAS, order=1, tol=cfg.ode_tol)
-    om = omega(ZERO_SAMPLE_LAMBDAS)
-    ref_D = np.cos(om)
-    ref_chiD = np.sin(om)
-    ref_Dd = -(1.0 + 1.0 / (16.0 * ZERO_SAMPLE_LAMBDAS**2)) * np.sin(om)
+    ref = closed_form_zero(ZERO_SAMPLE_LAMBDAS, order=1)
     rel = lambda a, b: np.max(np.abs(a - b) / np.maximum(np.abs(b), 1.0))
     return max(
-        rel(res.Delta, ref_D), rel(res.chi_D, ref_chiD), rel(res.Delta_dot, ref_Dd)
+        rel(res.Delta, ref.Delta), rel(res.chi_D, ref.chi_D), rel(res.Delta_dot, ref.Delta_dot)
     )
 
 
@@ -261,7 +258,7 @@ def run_suite(v: Potential, cfg: RunConfig | None = None):
     report("gradient_fd", fd["max_rel"])
     report(
         "gradient_fd_order",
-        -fd["min_order"],
+        fd["order_dev"],
         reason=f"{fd['order_measured']} of {fd['order_cases']} measured",
     )
     report("gradient_zero_delta", fd["zero_delta_norm"])

@@ -1,6 +1,11 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
+from shgspec.cli import main
+from shgspec.config import THRESHOLDS, RunConfig
 from shgspec.gradients import (
     GradientKernel,
     _fd_case,
@@ -16,7 +21,7 @@ from shgspec.gradients import (
     seeded_directions,
     zero_potential_delta_kernels,
 )
-from shgspec.monodromy import integrate
+from shgspec.monodromy import integrate, lam_zero
 from shgspec.potential import Potential
 from shgspec.spectrum import _newton_batch
 
@@ -48,41 +53,53 @@ def test_perturbed_merges_band_limits():
     assert np.max(np.abs(w.q_at(x) - v.q_at(x) - 0.5 * d.q_at(x))) < 1e-14
 
 
+def test_every_gradient_is_one_kernel(v_seed, tab16):
+    mu1, lam1p = tab16.mu_n(1), tab16.lam_pm(1)[1]
+    kernels = [
+        grad_discriminant(v_seed, 1.7),
+        grad_antidiscriminant(v_seed, 1.7),
+        grad_dirichlet(v_seed, mu1),
+        grad_periodic(v_seed, lam1p),
+        grad_periodic_via_delta(v_seed, lam1p),
+        grad_m4_at_dirichlet(v_seed, mu1),
+    ]
+    gm = grad_monodromy(v_seed, 2.3)
+    assert sorted(gm) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    for k in kernels + list(gm.values()):
+        assert isinstance(k, GradientKernel)
+        assert k.q_kernel.shape == k.p_kernel.shape == k.x.shape
+
+
 def test_grad_monodromy_fd(v_seed, dirs):
     lam = 2.3
-    gm = grad_monodromy(v_seed, lam, form="deriv", tol=TOL)
-    gb = grad_monodromy(v_seed, lam, form="boundary", tol=TOL)
-    for (i, j) in ((0, 0), (0, 1), (1, 0), (1, 1)):
+    gm = grad_monodromy(v_seed, lam, tol=TOL)
+    for (i, j), kern in gm.items():
         def entry(vv, i=i, j=j):
             return complex(integrate(vv, lam, order=0, tol=TOL).Mgrave[i, j])
 
         for d in dirs[:2]:
             fd = _fd(entry, v_seed, d)
-            a_deriv = gm["q"][(i, j)].pair(d) + gm["p"][(i, j)].pair(d)
-            a_bound = gb["q"][(i, j)].pair(d) + gb["p"][(i, j)].pair(d)
-            assert abs(a_deriv - fd) / abs(fd) < 1e-6
-            # integration by parts: both forms pair identically
-            assert abs(a_deriv - a_bound) < 1e-9 * max(1.0, abs(a_deriv))
+            assert abs(kern.pair(d) - fd) / abs(fd) < 1e-6
 
 
 def test_boundary_term_coefficient(v_seed):
     lam = 2.3
-    gb = grad_monodromy(v_seed, lam, form="boundary", tol=TOL)
+    gm = grad_monodromy(v_seed, lam, tol=TOL)
     res = integrate(v_seed, lam, order=0, tol=TOL)
-    assert abs(gb["q"][(0, 1)].boundary_term - 0.5 * res.Mgrave[0, 1]) < 1e-9
-    assert abs(gb["q"][(1, 0)].boundary_term + 0.5 * res.Mgrave[1, 0]) < 1e-9
-    assert gb["q"][(0, 0)].boundary_term == 0.0
+    assert abs(gm[0, 1].boundary_term - 0.5 * res.Mgrave[0, 1]) < 1e-9
+    assert abs(gm[1, 0].boundary_term + 0.5 * res.Mgrave[1, 0]) < 1e-9
+    assert gm[0, 0].boundary_term == 0.0
 
 
 def test_grad_discriminant_fd(v_seed, dirs):
     lam = 1.7
-    kq, kp = grad_discriminant(v_seed, lam, tol=TOL)
+    kern = grad_discriminant(v_seed, lam, tol=TOL)
 
     def delta_at(vv):
         return complex(integrate(vv, lam, order=0, tol=TOL).Delta)
 
     for d in dirs:
-        ana = kq.pair(d) + kp.pair(d)
+        ana = kern.pair(d)
         # Delta's directional third derivative is tiny here; the eps^2 term
         # only dominates the integrator noise on a coarse decade
         errs = [abs(_fd(delta_at, v_seed, d, e) - ana) for e in (3e-2, 3e-3)]
@@ -92,63 +109,95 @@ def test_grad_discriminant_fd(v_seed, dirs):
 
 
 def test_fd_order_gate_can_fail(v_seed, dirs):
-    """_fd_case measures order 2 for the Delta kernel at its default step
-    sizes, and an order below 1.9 once the pairing is off by 1e-5 either
-    way: the FD error then stops falling with eps.  (Off by +1e-6 the
-    kernel error cancels the truncation error at eps = 0.03 here and the
-    reading rises to 2.8.)  With both step sizes at the noise floor no
-    order is measured."""
+    """The gradient_fd_order gate passes only when every measured FD order
+    lies within THRESHOLDS["gradient_fd_order"] of 2.  The exact Delta kernel
+    passes at _fd_case's default step sizes.  A pairing off by 1e-5 either
+    way reads an order below 1.9, since the FD error stops falling with eps;
+    off by +1e-6 the kernel error cancels the truncation error at eps = 0.03
+    here and the reading rises to 2.8.  All three fail.  With both step
+    sizes at the noise floor no order is measured."""
     lam = 1.7
-    kq, kp = grad_discriminant(v_seed, lam, tol=TOL)
+    kern = grad_discriminant(v_seed, lam, tol=TOL)
+    thr = THRESHOLDS["gradient_fd_order"]
 
     def delta_at(vv):
         return complex(integrate(vv, lam, order=0, tol=TOL).Delta)
 
-    exact = lambda d: kq.pair(d) + kp.pair(d)
-    _, order, measured = _fd_case(delta_at, exact, v_seed, dirs[:2])
-    assert measured == 2 and order > 1.9
-    for off in (1e-5, -1e-5):
-        wrong = lambda d: exact(d) * (1 + off)
-        _, order, measured = _fd_case(delta_at, wrong, v_seed, dirs[:2])
-        assert measured == 2 and order < 1.9
-    _, order, measured = _fd_case(delta_at, exact, v_seed, dirs[:1], eps_order=(3e-5, 1e-5))
-    assert measured == 0 and order == np.inf
+    def order_dev(orders):
+        return max(abs(o - 2.0) for o in orders)
+
+    _, orders = _fd_case(delta_at, kern.pair, v_seed, dirs[:2])
+    assert len(orders) == 2 and order_dev(orders) <= thr
+    for off in (1e-5, -1e-5, 1e-6):
+        wrong = lambda d: kern.pair(d) * (1 + off)
+        _, orders = _fd_case(delta_at, wrong, v_seed, dirs[:2])
+        assert len(orders) == 2 and order_dev(orders) > thr
+        if off != 1e-6:
+            assert min(orders) < 1.9
+    assert max(orders) > 2.1  # the +1e-6 case reads too high an order
+    _, orders = _fd_case(delta_at, kern.pair, v_seed, dirs[:1], eps_order=(3e-5, 1e-5))
+    assert orders == []
+
+
+def test_cli_rows_use_the_suite_error(tmp_path, capsys):
+    """Each row of `shgspec gradients` carries the per-direction error that
+    _fd_case folds into gradient_fd.  At v = 0 the Delta pairing and its FD
+    quotient both vanish (below 1e-8), while the delta ones do not."""
+    v0 = Potential.zero()
+    path = tmp_path / "zero.json"
+    path.write_text(v0.to_json())
+    assert main(["gradients", str(path)]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    cfg = RunConfig()
+    dirs = seeded_directions(cfg.seed, 3)
+    lam, tol = 1.7, cfg.spectral_tol
+    for quantity, grad, attr in (("Delta", grad_discriminant, "Delta"),
+                                 ("delta", grad_antidiscriminant, "delta_anti")):
+        kern = grad(v0, lam, tol=tol)
+        scalar_fn = lambda vv, attr=attr: complex(getattr(integrate(vv, lam, order=0, tol=tol), attr))
+        mine = [r for r in rows if r["quantity"] == quantity]
+        assert len(mine) == len(dirs)
+        for row, d in zip(mine, dirs):
+            small = max(abs(complex(row["analytic"])), abs(complex(row["fd"]))) < 1e-8
+            assert small == (quantity == "Delta")
+            rel, _ = _fd_case(scalar_fn, kern.pair, v0, [d])
+            assert row["rel_error"] == f"{rel:.3e}"
 
 
 def test_grad_antidiscriminant_fd(v_seed, dirs):
     lam = 1.7
-    kq, kp = grad_antidiscriminant(v_seed, lam, tol=TOL)
+    kern = grad_antidiscriminant(v_seed, lam, tol=TOL)
 
     def anti_at(vv):
         return complex(integrate(vv, lam, order=0, tol=TOL).delta_anti)
 
     for d in dirs[:2]:
-        ana = kq.pair(d) + kp.pair(d)
+        ana = kern.pair(d)
         assert abs(_fd(anti_at, v_seed, d) - ana) / abs(ana) < 1e-5
 
 
 def test_zero_potential_gradients():
     v0 = Potential.zero()
     lam = 1.9
-    kq, kp = grad_discriminant(v0, lam, tol=TOL)
-    assert kq.l2_norm() < 1e-10 and kp.l2_norm() < 1e-10
-    kqa, kpa = grad_antidiscriminant(v0, lam, tol=TOL)
-    q_ref, p_ref = zero_potential_delta_kernels(lam, kqa.x)
-    assert np.max(np.abs(kqa.q_kernel - q_ref)) < 1e-9
-    assert np.max(np.abs(kpa.p_kernel - p_ref)) < 1e-9
+    assert grad_discriminant(v0, lam, tol=TOL).l2_norm() < 1e-10
+    ka = grad_antidiscriminant(v0, lam, tol=TOL)
+    q_ref, p_ref = zero_potential_delta_kernels(lam, ka.x)
+    assert np.max(np.abs(ka.q_kernel - q_ref)) < 1e-9
+    assert np.max(np.abs(ka.p_kernel - p_ref)) < 1e-9
 
 
 def test_kernel_pairing_linearity(v_seed, dirs):
-    kq, kp = grad_discriminant(v_seed, 1.7, tol=1e-11)
+    kern = grad_monodromy(v_seed, 1.7, tol=1e-11)[0, 1]  # with a boundary term
     d1, d2 = dirs[0], dirs[1]
     both = perturbed(d1, d2, 1.0)
-    a = kq.pair(d1) + kq.pair(d2)
-    b = kq.pair(both)
+    a = kern.pair(d1) + kern.pair(d2)
+    b = kern.pair(both)
     assert abs(a - b) < 1e-13 * max(1.0, abs(b))
 
 
 def test_grad_dirichlet_fd(v_seed, tab16, dirs):
-    kern, mu1 = grad_dirichlet(v_seed, 1, mu=tab16.mu_n(1), tol=TOL)
+    mu1 = tab16.mu_n(1)
+    kern = grad_dirichlet(v_seed, mu1, tol=TOL)
 
     def mu_at(vv):
         return complex(_newton_batch(vv, [mu1], "chi_D", tol=TOL)[0])
@@ -160,15 +209,15 @@ def test_grad_dirichlet_fd(v_seed, tab16, dirs):
 
 def test_grad_periodic_fd_and_chain_rule(v_seed, tab16, dirs):
     lam1p = tab16.lam_pm(1)[1]
-    kern, lam1p = grad_periodic(v_seed, 1, "+", lam=lam1p, tol=TOL)
-    kq2, kp2, _ = grad_periodic_via_delta(v_seed, 1, "+", lam=lam1p, tol=TOL)
+    kern = grad_periodic(v_seed, lam1p, tol=TOL)
+    chain_kern = grad_periodic_via_delta(v_seed, lam1p, tol=TOL)
 
     def lam_at(vv):
         return complex(_newton_batch(vv, [lam1p], "chi_p", tol=TOL)[0])
 
     for d in dirs:
         ana = kern.pair(d)
-        chain = kq2.pair(d) + kp2.pair(d)
+        chain = chain_kern.pair(d)
         fd = _fd(lam_at, v_seed, d)
         assert abs(ana - fd) / abs(fd) < 1e-6
         assert abs(chain - fd) / abs(fd) < 1e-5
@@ -176,7 +225,8 @@ def test_grad_periodic_fd_and_chain_rule(v_seed, tab16, dirs):
 
 def test_grad_m4_fd(v_seed, tab16, dirs):
     for n in (0, 1):
-        kern, mu = grad_m4_at_dirichlet(v_seed, n, mu=tab16.mu_n(n), tol=TOL)
+        mu = tab16.mu_n(n)
+        kern = grad_m4_at_dirichlet(v_seed, mu, tol=TOL)
 
         def m4_at(vv, mu=mu):
             return complex(integrate(vv, mu, order=0, tol=TOL).Mgrave[1, 1])
@@ -189,7 +239,8 @@ def test_grad_m4_fd(v_seed, tab16, dirs):
 def test_grad_zero_reduction_fd(dirs):
     # at v=0 the m4 formula built from E_omega matches direct FD
     v0 = Potential.zero()
-    kern, mu = grad_m4_at_dirichlet(v0, 1, tol=TOL)
+    mu = lam_zero(1)  # the zero potential's Dirichlet eigenvalue mu_1
+    kern = grad_m4_at_dirichlet(v0, mu, tol=TOL)
 
     def m4_at(vv):
         return complex(integrate(vv, mu, order=0, tol=TOL).Mgrave[1, 1])
@@ -203,14 +254,14 @@ def test_grad_zero_reduction_fd(dirs):
 def test_simplicity_guard():
     # all periodic eigenvalues at v=0 are double
     with pytest.raises(ValueError, match="multiple|multiplicity"):
-        grad_periodic(Potential.zero(), 1, "+", tol=1e-12)
+        grad_periodic(Potential.zero(), lam_zero(1), tol=1e-12)
 
 
-def test_dirichlet_gradient_asymptotic_shape(v_seed):
+def test_dirichlet_gradient_asymptotic_shape(v_seed, tab16):
     """d_q mu_n ~ (n pi / 2) cos(2 n pi x) for large n."""
     ratios = []
     for n in (6, 8, 10):
-        kern, _ = grad_dirichlet(v_seed, n, tol=1e-11)
+        kern = grad_dirichlet(v_seed, tab16.mu_n(n), tol=1e-11)
         coeff = 2.0 * np.sum(
             kern.weights * kern.q_kernel * np.cos(2 * n * np.pi * kern.x)
         )
@@ -223,8 +274,7 @@ def test_gradient_decay_witness(v_seed, tab16):
     """|| d Delta (lambda_n^+) || decays; tail sums shrink."""
     norms = []
     for n in range(1, 9):
-        kq, kp = grad_discriminant(v_seed, tab16.lam_pm(n)[1], tol=1e-11)
-        norms.append(kq.l2_norm() ** 2 + kp.l2_norm() ** 2)
+        norms.append(grad_discriminant(v_seed, tab16.lam_pm(n)[1], tol=1e-11).l2_norm() ** 2)
     tails = np.cumsum(norms[::-1])[::-1]
     assert all(b < a for a, b in zip(tails[:-1], tails[1:]))
     assert norms[-1] < 0.1 * norms[0]
