@@ -159,9 +159,10 @@ class SigmaWorkspace:
         f2 = node_product(sigma2, -1.0 / (16.0 * z), self.K, tail=tails[1])
         return -(1.0 / pi_k(self.n)) * f1 * f2 / f2_inf
 
-    def psi(self, sigma1, sigma2, lam):
+    def psi(self, sigma1, sigma2, lam, tails=(None, None)):
+        """psi_n at lam; tails, when given, is zero_tails(lam, K)."""
         lam = np.atleast_1d(np.asarray(lam, dtype=complex))
-        return self._psi_on(sigma1, sigma2, lam, self.f2_inf(sigma2))
+        return self._psi_on(sigma1, sigma2, lam, self.f2_inf(sigma2), tails)
 
     # -- residual and Jacobian -------------------------------------------------
 
@@ -329,19 +330,20 @@ def verify_normalization(
     return mat, dev
 
 
-def psi_negative(sol_reflected: SigmaSolution, table_reflected, iso_reflected, lam):
+def psi_negative(sol_reflected: SigmaSolution, table_reflected, iso_reflected, lam,
+                 tails=(None, None)):
     """psi_{-n}(lambda, q, p) := psi_n(1/(16 lambda), -q, p) / (16 lambda^2).
 
     sol_reflected must be the solution for index n >= 1 at the reflected
-    potential (-q, p).
+    potential (-q, p).  tails, when given, is zero_tails(lam, K): zero_tail
+    is even, so psi_n's tails at 1/(16 lambda) are the two in swapped order.
     """
     if sol_reflected.n < 1:
         raise ValueError("psi_{-n} is defined for n >= 1")
     lam = np.atleast_1d(np.asarray(lam, dtype=complex))
     ws = _workspace(sol_reflected, table_reflected, iso_reflected)
-    return ws.psi(
-        sol_reflected.sigma1, sol_reflected.sigma2, 1.0 / (16.0 * lam)
-    ) / (16.0 * lam**2)
+    u = 1.0 / (16.0 * lam)
+    return ws.psi(sol_reflected.sigma1, sol_reflected.sigma2, u, tails[::-1]) / (16.0 * lam**2)
 
 
 def verify_negative_normalization(
@@ -353,10 +355,12 @@ def verify_negative_normalization(
     n = sol_reflected.n
     K = sol_reflected.K
     ev = CanonicalRootEvaluator(table, K)
-    # psi_{-n} needs the tails at 1/(16 lambda), not at lambda: none to share
-    integrand = lambda z: (
-        psi_negative(sol_reflected, table_reflected, iso_reflected, z) / ev.chip(z)
-    )
+
+    def integrand(z):  # the two tails serve psi_{-n} and sqrt_c(chi_p) alike
+        tails = zero_tails(z, K)
+        psi = psi_negative(sol_reflected, table_reflected, iso_reflected, z, tails)
+        return psi / ev.chip(z, tails=tails)
+
     mat = _contour_integrals(integrand, iso, K, nodes, contour_scale)
     dev = 0.0
     for (j, m), val in mat.items():

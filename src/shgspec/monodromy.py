@@ -13,11 +13,16 @@ It is propagated by the sixth-order Magnus scheme of Blanes, Casas, Oteo &
 Ros (Phys. Rep. 470, 2009) on a uniform grid of N steps.  Each step samples
 L at its three Gauss points and forms the commutator combination Omega; the
 step map is exp(Omega) = cosh(s) I + sinh(s)/s Omega with s^2 = -det Omega,
-which is exact for a traceless 2x2 generator.  The fields w and exp(+-q) do
-not depend on lambda: they are evaluated once per potential and step count
+which is exact for a traceless 2x2 generator.  lambda enters L only through
+lambda J and 1/lambda, so Omega is a Laurent polynomial in lambda: its
+diagonal has the even powers -4..2, its off-diagonal entries the odd powers
+-5..3.  Those coefficients do not depend on lambda; they are built once per
+potential and step count from the fields w and exp(+-q) at the Gauss points
 and cached on the potential (up to CACHE_STEPS steps; beyond that they are
-computed block by block as needed).  The step maps are multiplied as a tree,
-vectorised over lambda, in blocks of at most BLOCK (lambda x step) elements.
+computed block by block as needed).  For each batch of lambda, Omega and its
+lambda-jets are one matrix product of the coefficients with the powers of
+lambda.  The step maps are multiplied as a tree, vectorised over lambda, in
+blocks of at most BLOCK (lambda x step) elements.
 
 Step count.  Every lambda is propagated twice, on N and on N/2 steps.  For
 a sixth-order scheme the difference divided by 2^6 - 1 estimates the error
@@ -79,8 +84,13 @@ GAUSS = 0.5 + np.array([-1.0, 0.0, 1.0]) * np.sqrt(15.0) / 10.0
 STEP_CONST = 0.3
 # (lambda x step) elements propagated at once; bounds the temporaries
 BLOCK = 2048
-# largest step count whose fields are cached on the potential (~160 B a step)
+# largest step count whose fields are cached on the potential (~260 B a step:
+# x, h and 15 complex Laurent coefficients of Omega)
 CACHE_STEPS = 2**16
+# powers of lambda in Omega's packed coefficients: the diagonal entry has the
+# even powers -4..2 (its fifth coefficient is a zero pad), the off-diagonal
+# entries the odd powers -5..3
+POWERS = ((-4, -2, 0, 2), (-5, -3, -1, 1, 3), (-5, -3, -1, 1, 3))
 # times the step count of a lambda may be doubled to meet tol
 MAX_DOUBLINGS = 6
 # relative rounding error per step: the product of N step maps carries up to
@@ -262,16 +272,14 @@ def step_count(v: Potential, lams, tol: float) -> np.ndarray:
 
 def _step_fields(v: Potential, n: int, path_x):
     """The propagation grid for step count n, in blocks of at most BLOCK
-    uniform steps: per block the breakpoints x, step lengths h, the
-    lambda-free parts of alpha_1..3, and the path nodes that end a step of
-    the block (their indices into path_x and into x).
+    uniform steps: per block the breakpoints x, step lengths h, the packed
+    Laurent coefficients of Omega (see _block_fields), and the path nodes
+    that end a step of the block (their indices into path_x and into x).
 
-    The breakpoints are those of the uniform n-grid together with path_x.  In
-    alphas[m, c, step], c = 0 is the diagonal entry of alpha_{m+1}, and c = 1,
-    2 are the coefficients of 1/lambda in its (0,1) and (1,0) entries; the
-    lambda J part of L enters alpha_1 only.  Cached on the potential up to
-    CACHE_STEPS steps; beyond that each block is computed when it is needed,
-    so memory stays flat and only time grows with n.
+    The breakpoints are those of the uniform n-grid together with path_x.
+    Cached on the potential up to CACHE_STEPS steps; beyond that each block
+    is computed when it is needed, so memory stays flat and only time grows
+    with n.
     """
     key = ("magnus", n, None if path_x is None else path_x.tobytes())
     if key in v._cache:
@@ -285,7 +293,11 @@ def _step_fields(v: Potential, n: int, path_x):
 
 
 def _block_fields(v: Potential, n: int, path_x, j0: int, j1: int):
-    """One block of _step_fields: uniform steps j0..j1-1 of the n-grid."""
+    """One block of _step_fields: uniform steps j0..j1-1 of the n-grid.
+
+    coef[e, step, i] is the coefficient of lambda^POWERS[e][i] in entry e of
+    Omega, e = 0 the diagonal entry, 1 and 2 the (0,1) and (1,0) entries.
+    """
     x = np.arange(j0, j1 + 1) / n
     hit = at = None
     if path_x is not None:
@@ -299,16 +311,71 @@ def _block_fields(v: Potential, n: int, path_x, j0: int, j1: int):
         [_node_fields(v, xg[i : i + BLOCK // 4]) for i in range(0, h.size, BLOCK // 4)],
         axis=1,
     )  # (3, steps, 3)
-    a1 = h * f[..., 1]
-    a2 = (np.sqrt(15.0) / 3.0) * h * (f[..., 2] - f[..., 0])
-    a3 = (10.0 / 3.0) * h * (f[..., 2] - 2.0 * f[..., 1] + f[..., 0])
-    return x, h, np.stack([a1, a2, a3]), hit, at
+    # alpha_1..3 as (diagonal, (0,1), (1,0)) Laurent polynomials in lambda;
+    # the lambda J part of L enters alpha_1 only
+    alphas = (h * f[..., 1], (np.sqrt(15.0) / 3.0) * h * (f[..., 2] - f[..., 0]),
+              (10.0 / 3.0) * h * (f[..., 2] - 2.0 * f[..., 1] + f[..., 0]))
+    a1, a2, a3 = (({0: c[0]}, {-1: c[1]}, {-1: c[2]}) for c in alphas)
+    a1[1][1], a1[2][1] = h, -h
+    c1 = _lcomm(a1, a2)
+    c2 = _lcomm(a1, _lcomb((2.0, a3), (1.0, c1)))
+    om = _lcomb(
+        (1.0, a1),
+        (1.0 / 12.0, a3),
+        (1.0 / 240.0, _lcomm(_lcomb((-20.0, a1), (-1.0, a3), (1.0, c1)),
+                             _lcomb((1.0, a2), (-1.0 / 60.0, c2)))),
+    )
+    coef = np.zeros((3, h.size, 5), dtype=complex)
+    for e, entry in enumerate(om):
+        for p, c in entry.items():
+            coef[e, :, (p - POWERS[e][0]) // 2] = c
+    return x, h, coef, hit, at
 
 
 def _node_fields(v: Potential, xg):
     """w/4, -e^q/16 and e^-q/16 at the nodes xg."""
     emq, eq = v.exp_q_at(xg)
     return np.stack([0.25 * v.w_at(xg), -eq / 16.0, emq / 16.0])
+
+
+# Laurent polynomials in lambda are dicts {power: coefficient array over the
+# steps}; a traceless 2x2 one is the triple (a, b, c) = [[a, b], [c, -a]].
+# The diagonal a holds only even powers and b, c only odd ones, and only the
+# powers present are multiplied, so no product of zero coefficients is formed.
+_ONE = {0: 1.0}
+
+
+def _lbil(*terms):
+    """sum of s X Y over the (s, X, Y) terms, X and Y Laurent polynomials."""
+    Z = {}
+    for s, X, Y in terms:
+        for p, c in X.items():
+            for r, d in Y.items():
+                Z[p + r] = Z[p + r] + c * (s * d) if p + r in Z else c * (s * d)
+    return Z
+
+
+def _lcomb(*terms):
+    """sum of s X over the (s, X) terms, X traceless Laurent triples."""
+    return tuple(_lbil(*((s, X[e], _ONE) for s, X in terms)) for e in range(3))
+
+
+def _lcomm(X, Y):
+    """[X, Y] of traceless Laurent triples: [diag, off] and [off, diag] are
+    off-diagonal, [off, off] is diagonal, [diag, diag] = 0."""
+    (xa, xb, xc), (ya, yb, yc) = X, Y
+    return (_lbil((1.0, xb, yc), (-1.0, xc, yb)),
+            _lbil((2.0, xa, yb), (-2.0, xb, ya)),
+            _lbil((2.0, xc, ya), (-2.0, xa, yc)))
+
+
+def _omega_jets(coef, lams, K):
+    """Jets (K, 3, steps, lams) of Omega from its packed Laurent coefficients:
+    Omega_k = sum_p C(p, k) C_p lambda^(p - k), one stacked matmul."""
+    p = np.array([POWERS[0] + (0,), *POWERS[1:]])  # the pad's coefficient is 0
+    binom = np.stack([np.ones_like(p), p, p * (p - 1) // 2])[:K]  # C(p, k)
+    k = np.arange(K)[:, None, None, None]
+    return np.matmul(coef, binom[..., None] * lams ** (p[..., None] - k))
 
 
 def _pairs(K):
@@ -322,18 +389,6 @@ def _pairs(K):
 # out of cache and is several times slower on full blocks.  Small arrays (the
 # upper levels of the product tree) are bound by per-call overhead instead,
 # so _mul broadcasts there.
-
-
-def _comm(X, Y):
-    """Jet of [X, Y] for traceless 2x2 jets stored as (K, 3, ...) = (a, b, c),
-    meaning [[a, b], [c, -a]]."""
-    Z = np.zeros_like(X)
-    for i, j in _pairs(Z.shape[0]):
-        (xa, xb, xc), (ya, yb, yc), z = X[i], Y[j], Z[i + j]
-        z[0] += xb * yc - xc * yb
-        z[1] += 2.0 * (xa * yb - xb * ya)
-        z[2] += 2.0 * (xc * ya - xa * yc)
-    return Z
 
 
 def _mul(A, B):
@@ -355,24 +410,6 @@ def _mul(A, B):
             for t in range(2):
                 c[r, t] += a[r, 0] * b[0, t] + a[r, 1] * b[1, t]
     return C
-
-
-def _magnus_omega(alphas, h, lams, K):
-    """Jets (K, 3, steps, lams) of the sixth-order Magnus generator."""
-    inv = np.stack([1.0 / lams, -1.0 / lams**2, 1.0 / lams**3][:K])  # (K, lams)
-    X = np.zeros((3, K, 3, h.size, lams.size), dtype=complex)
-    X[:, 0, 0] = alphas[:, 0, :, None]
-    X[:, :, 1:] = alphas[:, None, 1:, :, None] * inv[None, :, None, None, :]
-    hl = np.multiply.outer(h, lams)
-    X[0, 0, 1] += hl
-    X[0, 0, 2] -= hl
-    if K > 1:
-        X[0, 1, 1] += h[:, None]
-        X[0, 1, 2] -= h[:, None]
-    a1, a2, a3 = X
-    c1 = _comm(a1, a2)
-    c2 = _comm(a1, 2.0 * a3 + c1) / -60.0
-    return a1 + a3 / 12.0 + _comm(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0
 
 
 def _cosh_sinhc(z, K):
@@ -454,11 +491,11 @@ def _propagate(v: Potential, n: int, lams, K: int, path_x=None):
     if path_x is not None:
         path = np.empty((lams.size, path_x.size, 2, 2), dtype=complex)
         path[:, path_x == 0.0] = np.eye(2)
-    for x, h, alphas, hit, at in _step_fields(v, n, path_x):
+    for x, h, coef, hit, at in _step_fields(v, n, path_x):
         lc = max(1, BLOCK // h.size)
         for c in range(0, lams.size, lc):
             sl = slice(c, c + lc)
-            E = _exp_jet(_magnus_omega(alphas, h, lams[sl], K))
+            E = _exp_jet(_omega_jets(coef, lams[sl], K))
             if hit is None or hit.size == 0:
                 M[..., sl] = _mul(_tree(E), M[..., sl])
                 continue

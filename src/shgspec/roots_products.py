@@ -56,6 +56,9 @@ _TAIL_M_EXTRA = 64
 _TAIL_TOL = 1e-13
 _TAIL_M_MAX = 1 << 18  # |z| up to about 1.6e5
 _TAIL_BLOCK = 1 << 18  # (point, factor) pairs per block of the R_K product
+# pi = _PI_HI + _PI_LO: pi rounded to 24 bits, and the rest to double precision
+_PI_HI = 3.1415927410125732
+_PI_LO = -8.742278000372485e-08
 
 
 def _omitted_terms_bound(r, a):
@@ -136,7 +139,9 @@ def _zero_tail_upto(z, K, M):
     """zero_tail with the explicit product over K < k <= M."""
     ks = np.arange(-K, K + 1)
     piks = pi_k(ks)
-    P = np.prod((ks * np.pi - z[:, None]) / piks, axis=1)
+    # k pi - z in two parts: k PI_HI is exact, and so is k PI_HI - z near the
+    # lattice point, where the float k pi would cost its ulp against k pi - z
+    P = np.prod(((ks * _PI_HI - z[:, None]) + ks * _PI_LO) / piks, axis=1)
     sin_part = np.where(z == 0, 1.0, -np.sin(z) / np.where(P == 0, 1.0, P))
 
     kk = np.arange(K + 1, M + 1)

@@ -248,6 +248,27 @@ def test_psi_negative_zero_potential(tab0, iso0):
     assert abs(mat[(2, -1)] - 1.0) < 1e-7
 
 
+def test_psi_negative_shares_the_tails_of_chip(tab0, iso0, monkeypatch):
+    """zero_tail is even, so psi_{-n} at z reuses zero_tails(z, K) of
+    sqrt_c(chi_p) in swapped order: two tail evaluations per contour, not
+    four, and the same normalization matrix as psi_negative on its own."""
+    import shgspec.roots_products as rp
+
+    solr = solve_sigma(tab0, iso0, 1, 8)
+    calls = []
+    tail = rp.zero_tail
+    monkeypatch.setattr(rp, "zero_tail", lambda *a, **k: calls.append(1) or tail(*a, **k))
+    mat, _ = verify_negative_normalization(solr, tab0, iso0, tab0, iso0, nodes=32)
+    monkeypatch.undo()
+    contours = 2 * (2 * 8 + 1)
+    assert len(calls) <= 2 * contours + 1  # one more for the evaluator's chi1(0)
+    ev = CanonicalRootEvaluator(tab0, 8)
+    for (j, m), val in mat.items():
+        z, dz = iso0.contour(j, m, nodes=32, scale=1.5).points()
+        alone = np.sum(psi_negative(solr, tab0, iso0, z) / ev.chip(z) * dz) / (2 * np.pi)
+        assert abs(val - alone) <= 1e-13
+
+
 def test_psi_negative_needs_positive_index(tab0, iso0):
     """psi_{-n} is defined for n >= 1: the reflected n = 0 solution is refused
     instead of giving a normalization deviation of 1."""

@@ -309,6 +309,110 @@ def test_fields_beyond_cache_budget(monkeypatch):
         assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
 
 
+# the sixth-order Magnus generator written out as jet commutators: an
+# oracle for its Laurent coefficients
+
+
+def _comm_jets(X, Y):
+    """Jets of [X, Y] for traceless 2x2 jets (K, 3, ...) = (a, b, c), meaning
+    [[a, b], [c, -a]]."""
+    Z = np.zeros_like(X)
+    K = Z.shape[0]
+    for i in range(K):
+        for j in range(K - i):
+            (xa, xb, xc), (ya, yb, yc) = X[i], Y[j]
+            Z[i + j, 0] += xb * yc - xc * yb
+            Z[i + j, 1] += 2.0 * (xa * yb - xb * ya)
+            Z[i + j, 2] += 2.0 * (xc * ya - xa * yc)
+    return Z
+
+
+def _omega_direct(v, x, lams, K):
+    """Jets (K, 3, steps, lams) of Omega = a1 + a3/12 + [-20 a1 - a3 + c1,
+    a2 + c2]/240, c1 = [a1, a2], c2 = -[a1, 2 a3 + c1]/60, from the alphas at
+    the Gauss points of the steps between the breakpoints x."""
+    h = np.diff(x)
+    xg = x[:-1, None] + h[:, None] * monodromy.GAUSS
+    f = monodromy._node_fields(v, xg)  # (3, steps, 3)
+    alphas = np.stack([h * f[..., 1], (np.sqrt(15.0) / 3.0) * h * (f[..., 2] - f[..., 0]),
+                       (10.0 / 3.0) * h * (f[..., 2] - 2.0 * f[..., 1] + f[..., 0])])
+    inv = np.stack([1.0 / lams, -1.0 / lams**2, 1.0 / lams**3][:K])  # jets of 1/lambda
+    X = np.zeros((3, K, 3, h.size, lams.size), dtype=complex)
+    X[:, 0, 0] = alphas[:, 0, :, None]
+    X[:, :, 1:] = alphas[:, None, 1:, :, None] * inv[None, :, None, None, :]
+    X[0, 0, 1] += np.multiply.outer(h, lams)
+    X[0, 0, 2] -= np.multiply.outer(h, lams)
+    if K > 1:
+        X[0, 1, 1] += h[:, None]
+        X[0, 1, 2] -= h[:, None]
+    a1, a2, a3 = X
+    c1 = _comm_jets(a1, a2)
+    c2 = _comm_jets(a1, 2.0 * a3 + c1) / -60.0
+    return a1 + a3 / 12.0 + _comm_jets(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0
+
+
+def _coefficients(v, n):
+    """Breakpoints, step lengths and Omega's packed Laurent coefficients
+    (3, steps, 5) of the uniform n-grid."""
+    return monodromy._block_fields(v, n, None, 0, n)[:3]
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_omega_coefficients_match_commutator_form(order):
+    """Omega and its lambda-jets from the Laurent coefficients agree with the
+    jet-commutator form to 1e-14 relative to |Omega|, from the reciprocal end
+    to |lambda| = 300."""
+    lams = np.array([1e-3, 1.1e-3 + 2e-4j, 0.25, 1.7 + 0.1j, 300.0, 300.0 - 7j])
+    for v in seeded_ensemble()[:3]:
+        for n in (48, 448):
+            x, _, coef = _coefficients(v, n)
+            got = monodromy._omega_jets(coef, lams, order + 1)
+            want = _omega_direct(v, x, lams, order + 1)
+            scale = np.abs(want).max(axis=(1, 2))  # (K, lams)
+            err = np.abs(got - want).max(axis=(1, 2))
+            assert np.all(err <= 1e-14 * scale), (n, err / scale)
+
+
+def test_omega_coefficients_parity():
+    """Sampled on |lambda| = 1 and Fourier-transformed, the commutator form of
+    Omega has only even powers -4..2 on the diagonal and only odd powers -5..3
+    off it, and the packed coefficients are those powers' coefficients."""
+    lams = np.exp(2j * np.pi * np.arange(16) / 16)
+    for v in seeded_ensemble()[:3]:
+        x, _, coef = _coefficients(v, 32)
+        C = np.fft.fft(_omega_direct(v, x, lams, 1)[0], axis=-1) / 16  # C[e, step, p % 16]
+        tol = 1e-14 * np.abs(C).max()
+        for e, powers in enumerate(monodromy.POWERS):
+            others = [p for p in range(-8, 8) if p not in powers]
+            assert np.all(np.abs(C[e][:, others]) <= tol), e
+            assert np.all(np.abs(C[e][:, list(powers)] - coef[e, :, : len(powers)]) <= tol), e
+        assert np.all(coef[0, :, 4] == 0.0)  # the diagonal's pad
+
+
+def test_omega_coefficients_at_zero_potential_are_alpha_1():
+    """At v = 0 the fields are constant, alpha_2 and alpha_3 are exactly zero,
+    and so is every commutator: Omega's coefficients are alpha_1's,
+    lambda h and -h/(16 lambda) off the diagonal, exactly."""
+    _, h, coef = _coefficients(Potential.zero(), 40)
+    want = np.zeros_like(coef)
+    want[1, :, 3], want[1, :, 2] = h, -h / 16.0  # powers 1 and -1
+    want[2, :, 3], want[2, :, 2] = -h, h / 16.0
+    assert np.array_equal(coef, want)
+
+
+def test_cached_fields_stay_within_300_bytes_a_step():
+    """The grids cached on the potential hold x, h and 15 complex coefficients
+    a step (~260 B); the bound keeps the cache, and peak memory, from
+    growing with a wider Laurent storage."""
+    v = seeded_ensemble()[0]  # a fresh potential, its cache empty
+    integrate_many(v, [0.01, 1.7 + 0.1j, 40.0], order=2, tol=1e-11)
+    grids = {key: blocks for key, blocks in v._cache.items() if key[0] == "magnus"}
+    assert grids
+    for (_, n, _), blocks in grids.items():
+        size = sum(a.nbytes for block in blocks for a in block if a is not None)
+        assert size <= 300 * n, (n, size / n)
+
+
 def test_path_matches_dense_output():
     """M(x) at the Gauss-Legendre nodes of the gradient kernels is a prefix
     product of the step maps; it matches the DOP853 dense output, and

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import zeta
@@ -48,6 +49,42 @@ def test_canonical_root_far_out_zero_potential(v_zero, tab0, lam):
     res = integrate_many(v_zero, lams, order=0, tol=1e-12)
     rel = np.abs(ev.chip(lams) ** 2 - res.chi_p) / np.abs(res.chi_p)
     assert np.max(rel) <= 1e-9
+
+
+def test_zero_tail_is_even():
+    """Every factor of the tail pairs k with -k, so zero_tail(-z) = zero_tail(z)
+    up to rounding, from near 0 to beyond the truncation ring."""
+    r = np.logspace(-3, np.log10(150.0), 41)
+    for K in (8, 16):
+        for z in (r + 0.37j, r * np.exp(0.3j), r * np.exp(1.1j), 1j * r):
+            a, b = zero_tail(z, K), zero_tail(-z, K)
+            assert np.max(np.abs(a - b) / np.abs(a)) <= 1e-14
+
+
+def _tail_mp(z, K):
+    """zero_tail to 40 digits: sin z / z over the factors 1 - z^2/(k pi)^2 for
+    k <= K, times the product over k > K of (t_k^2 - z^2)/((k pi)^2 - z^2)."""
+    with mpmath.workdps(40):
+        z = mpmath.mpf(z)
+        t = lambda k: (k * mpmath.pi + mpmath.sqrt((k * mpmath.pi) ** 2 + 0.25)) / 2
+        sine = mpmath.sin(z) / z / mpmath.fprod(
+            1 - (z / (k * mpmath.pi)) ** 2 for k in range(1, K + 1)
+        )
+        rest = mpmath.nprod(
+            lambda k: (t(k) ** 2 - z**2) / ((k * mpmath.pi) ** 2 - z**2), [K + 1, mpmath.inf]
+        )
+        return complex(sine * rest)
+
+
+@pytest.mark.parametrize("k", [3, 10, 22])
+def test_zero_tail_near_a_lattice_point_against_mpmath(k):
+    """At z = t_k ~ k pi + 1/(16 k pi), |k| <= K, the sine factor divides sin z
+    by k pi - z; with the float k pi that costs its ulp (1.1e-11 relative at
+    k = 22).  M = 200 keeps the remainder series well below the checked level."""
+    z = float(lam_zero(k))
+    got = zero_tail(np.array([z], complex), 24, M=200)[0]
+    want = _tail_mp(z, 24)
+    assert abs(got - want) / abs(want) <= 2e-14
 
 
 def test_zero_tail_lattice_guard():
@@ -350,9 +387,10 @@ def _w_removed(n):
 
 def test_padded_tail_weights_match_removed_factor_products(tab16):
     """f' at the tail nodes of the padded family equals f' assembled from the
-    closed-form removed-factor product of the zero-potential tail.  The two
-    routes round differently: zero_tail at a node t_n ~ n pi divides sin(t_n)
-    by the float n pi - t_n, which costs up to ~1e-11 at |n| ~ 22."""
+    closed-form removed-factor product of the zero-potential tail.  zero_tail
+    at a node t_n ~ n pi divides sin(t_n) by n pi - t_n, formed with pi in two
+    parts; with the float n pi the two routes differed by 1.1e-11 at |n| = 22,
+    now by 4e-13."""
     K, W = 8, 24
     nodes = NodeFamily.from_table(tab16, K)
     wide = nodes.padded(W)
@@ -372,7 +410,7 @@ def test_padded_tail_weights_match_removed_factor_products(tab16):
             abs(wide.fdot_at_sigma1(n) / fdot_s - 1),
             abs(wide.fdot_at_kappa2(n) / fdot_k - 1),
         )
-    assert worst < 1e-10
+    assert worst < 2e-12
 
 
 def test_interpolation_self_test_weights_once(tab0, monkeypatch):
