@@ -155,52 +155,23 @@ def cmd_differentials(args) -> int:
 
 
 def cmd_gradients(args) -> int:
-    from .gradients import (
-        fd_directional,
-        fd_rel_error,
-        grad_antidiscriminant,
-        grad_dirichlet,
-        grad_discriminant,
-        grad_periodic,
-        seeded_directions,
-    )
-    from .monodromy import integrate
-    from .spectrum import _newton_batch, build_table
+    from .gradients import CLI_FD_CASES, FD_EPS, fd_evaluate, fd_rel_error, seeded_directions
+    from .spectrum import build_table
 
     cfg = _config_from_args(args)
     v = _load_potential(args.potential)
-    table = build_table(v, max(2, min(cfg.n_max, 4)), tol=cfg.spectral_tol)
-    dirs = seeded_directions(cfg.seed, 3)
     tol = cfg.spectral_tol
-    eps = 1e-4
-    rows = []
-
-    def add(quantity, n, kern, scalar_fn):
-        for i, d in enumerate(dirs):
-            ana = kern.pair(d)
-            fd = fd_directional(scalar_fn, v, d, eps)
-            rows.append([quantity, n, i, complex(ana), complex(fd), fd_rel_error(ana, fd)])
-
-    lam = 1.7
-    add("Delta", "", grad_discriminant(v, lam, tol=tol),
-        lambda vv: complex(integrate(vv, lam, order=0, tol=tol).Delta))
-    add("delta", "", grad_antidiscriminant(v, lam, tol=tol),
-        lambda vv: complex(integrate(vv, lam, order=0, tol=tol).delta_anti))
-    for n in (0, 1):
-        mu = table.mu_n(n)
-        add("mu", n, grad_dirichlet(v, mu, tol=tol),
-            lambda vv, mu=mu: complex(_newton_batch(vv, [mu], "chi_D", tol=1e-13)[0]))
-    if abs(table.gamma(1)) > 1e-6:
-        lamp = table.lam_pm(1)[1]
-        add("lambda_plus", 1, grad_periodic(v, lamp, tol=tol),
-            lambda vv: complex(_newton_batch(vv, [lamp], "chi_p", tol=1e-13)[0]))
+    table = build_table(v, max(2, min(cfg.n_max, 4)), tol=tol)
+    dirs = seeded_directions(cfg.seed, 3)
+    cases = fd_evaluate(v, table, CLI_FD_CASES, dirs, (FD_EPS,), tol)
     buf = io.StringIO()
     w = csv.writer(buf)
     w.writerow(["quantity", "n", "direction", "analytic", "fd", "rel_error"])
-    for row in rows:
-        w.writerow(row[:3] + [str(row[3]), str(row[4]), f"{row[5]:.3e}"])
+    for c in cases:
+        for i, (a, f) in enumerate(zip(c.analytic, c.fd[FD_EPS])):
+            w.writerow([c.quantity, c.n, i, str(a), str(f), f"{fd_rel_error(a, f):.3e}"])
     _emit(buf.getvalue(), args.out)
-    worst = max(r[5] for r in rows)
+    worst = np.max([c.error()[0] for c in cases])
     return EXIT_OK if worst <= cfg.thresholds["gradient_fd"] else EXIT_CHECK_FAILURE
 
 

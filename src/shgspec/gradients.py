@@ -4,46 +4,47 @@ Every gradient is one GradientKernel, a quadrature kernel over the
 recorded x-path of the fundamental solution: a multiplier acting on qdot, a
 coefficient of P(pdot), and a boundary term multiplying qdot(0).  The
 gradient of an eigenvalue takes the eigenvalue itself.  The pairing is the
-real (non-conjugated) L2 pairing on [0,1].  Kernels built from M(x) are generally not 1-periodic, so the
-pairings use Gauss-Legendre quadrature (spectrally accurate for the smooth
-integrands at hand) rather than the periodic trapezoidal rule.
+real (non-conjugated) L2 pairing on [0,1].  Kernels built from M(x) are
+generally not 1-periodic, so the pairings use Gauss-Legendre quadrature
+(spectrally accurate for the smooth integrands at hand) rather than the
+periodic trapezoidal rule.
 
-Central finite differences of the corresponding scalars, recomputed at
-perturbed potentials, serve as the independent oracle for every kernel.
+Central finite differences of the same scalars at perturbed potentials are
+the independent oracle for every kernel.  The suite and `shgspec gradients`
+share one case builder and one evaluator, fd_evaluate, which builds each
+v +- eps d once and reads every scalar on it once.  A direction whose pairing
+and quotient both lie below FD_FLOOR is unresolved; a case without a
+resolved direction fails unless its kernel itself vanishes.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .monodromy import integrate, omega
+from .monodromy import integrate, integrate_many, omega
 from .potential import Potential, R2, Z2
 from .spectrum import _newton_batch
 
 __all__ = [
-    "GradientKernel",
-    "grad_monodromy",
-    "grad_discriminant",
-    "grad_antidiscriminant",
-    "grad_dirichlet",
-    "grad_periodic",
-    "grad_periodic_via_delta",
-    "grad_m4_at_dirichlet",
-    "seeded_directions",
-    "perturbed",
-    "fd_directional",
-    "fd_rel_error",
-    "zero_potential_delta_kernels",
+    "GradientKernel", "grad_monodromy", "grad_discriminant", "grad_antidiscriminant",
+    "grad_dirichlet", "grad_periodic", "grad_periodic_via_delta", "grad_m4_at_dirichlet",
+    "seeded_directions", "perturbed", "fd_directional", "FDCase", "fd_evaluate",
+    "fd_rel_error", "zero_potential_delta_kernels",
 ]
 
 GL_NODES_DEFAULT = 192
 
 
+@functools.lru_cache(maxsize=None)
 def _gauss_legendre(n):
+    """The n-point Gauss-Legendre rule on [0, 1], once per n, read-only."""
     x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (x + 1.0), 0.5 * w
+    x, w = 0.5 * (x + 1.0), 0.5 * w
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 @dataclass
@@ -64,10 +65,8 @@ class GradientKernel:
         return complex(q_part + np.sum(self.weights * self.p_kernel * direction.Pp_at(self.x)))
 
     def l2_norm(self) -> float:
-        return np.sqrt(
-            float(np.sum(self.weights * np.abs(self.q_kernel) ** 2))
-            + float(np.sum(self.weights * np.abs(self.p_kernel) ** 2))
-        )
+        return np.sqrt(float(np.sum(self.weights * np.abs(self.q_kernel) ** 2))
+                       + float(np.sum(self.weights * np.abs(self.p_kernel) ** 2)))
 
 
 def _path_data(v, lam, tol, n_nodes):
@@ -80,10 +79,8 @@ def _path_data(v, lam, tol, n_nodes):
 def _minv(path):
     """Inverse of M(x) from the Wronskian identity det M = 1."""
     inv = np.empty_like(path)
-    inv[..., 0, 0] = path[..., 1, 1]
-    inv[..., 0, 1] = -path[..., 0, 1]
-    inv[..., 1, 0] = -path[..., 1, 0]
-    inv[..., 1, 1] = path[..., 0, 0]
+    inv[..., 0, 0], inv[..., 1, 1] = path[..., 1, 1], path[..., 0, 0]
+    inv[..., 0, 1], inv[..., 1, 0] = -path[..., 0, 1], -path[..., 1, 0]
     return inv
 
 
@@ -95,29 +92,21 @@ def grad_monodromy(v, lam, tol=1e-11, n_nodes=GL_NODES_DEFAULT):
     Mg = res.Mgrave
     Minv = _minv(path)
     E = np.zeros_like(path)
-    E[:, 0, 1] = eq
-    E[:, 1, 0] = emq
+    E[:, 0, 1], E[:, 1, 0] = eq, emq
     ZE = lam * np.broadcast_to(Z2, path.shape) + (1.0 / (16.0 * lam)) * E
     q_mat = -0.5 * (Mg @ (Minv @ ZE @ path))
     p_mat = -0.25j * np.einsum("ab,pbc,cd,pde->pae", Mg, Minv, R2, path)
     boundary = 0.5 * np.array([[0.0, Mg[0, 1]], [-Mg[1, 0], 0.0]], dtype=complex)
-    return {
-        (i, j): GradientKernel(x, w, q_mat[:, i, j], p_mat[:, i, j], complex(boundary[i, j]))
-        for i in range(2)
-        for j in range(2)
-    }
+    return {(i, j): GradientKernel(x, w, q_mat[:, i, j], p_mat[:, i, j], complex(boundary[i, j]))
+            for i in range(2) for j in range(2)}
 
 
 def _half_trace_kernel(v, lam, combine, tol, n_nodes):
     """The kernel of combine(M_11, M_22)/2 from the diagonal Floquet kernels."""
     gm = grad_monodromy(v, lam, tol=tol, n_nodes=n_nodes)
     k1, k4 = gm[0, 0], gm[1, 1]
-    return GradientKernel(
-        k1.x,
-        k1.weights,
-        0.5 * combine(k1.q_kernel, k4.q_kernel),
-        0.5 * combine(k1.p_kernel, k4.p_kernel),
-    )
+    return GradientKernel(k1.x, k1.weights, 0.5 * combine(k1.q_kernel, k4.q_kernel),
+                          0.5 * combine(k1.p_kernel, k4.p_kernel))
 
 
 def grad_discriminant(v, lam, tol=1e-11, n_nodes=GL_NODES_DEFAULT):
@@ -183,8 +172,7 @@ def grad_periodic(v, lam, tol=1e-11, n_nodes=GL_NODES_DEFAULT):
     _require_simple(dd, lam, "periodic")
     g2, g3 = res.Mgrave[0, 1], res.Mgrave[1, 0]
     delta = res.delta_anti
-    M1 = path[:, :, 0]
-    M2 = path[:, :, 1]
+    M1, M2 = path[:, :, 0], path[:, :, 1]
     if abs(g2) >= abs(g3):
         if abs(g2) < SIMPLE_EV_FLOOR:
             raise ValueError("geometric multiplicity two: gradient undefined")
@@ -211,8 +199,7 @@ def grad_m4_at_dirichlet(v, mu, tol=1e-11, n_nodes=GL_NODES_DEFAULT):
     x, w, res, path, emq, eq = _path_data(v, mu, tol, n_nodes)
     _require_simple(res.Mgrave_dot[0, 1], mu, "Dirichlet")
     g3, g4 = res.Mgrave[1, 0], res.Mgrave[1, 1]
-    M1 = path[:, :, 0]
-    M2 = path[:, :, 1]
+    M1, M2 = path[:, :, 0], path[:, :, 1]
     q2, p2 = _grad_expr(M2[:, 0], M2[:, 1], mu, emq, eq)
     qs, ps = _grad_expr(M1[:, 0] + M2[:, 0], M1[:, 1] + M2[:, 1], mu, emq, eq)
     qd, pd = _grad_expr(M1[:, 0] - M2[:, 0], M1[:, 1] - M2[:, 1], mu, emq, eq)
@@ -230,131 +217,171 @@ def seeded_directions(seed=0, count=3, Kf=4, grid_size=64):
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(count):
-        q = {}
-        p = {}
+        q, p = {}, {}
         for k in range(0, Kf + 1):
             q[k] = complex(rng.standard_normal(), rng.standard_normal() if k else 0.0)
             p[k] = complex(rng.standard_normal(), rng.standard_normal() if k else 0.0)
         d = Potential.from_modes(q, p, Kf=Kf, grid_size=grid_size)
         nrm = d.h1_norm()
-        d = Potential(
-            d.q_coeffs / nrm, d.p_coeffs / nrm, d.Kf, d.grid_size, d.real
-        )
-        out.append(d)
+        out.append(Potential(d.q_coeffs / nrm, d.p_coeffs / nrm, d.Kf, d.grid_size, d.real))
     return out
 
 
 def perturbed(v: Potential, direction: Potential, t: float) -> Potential:
     """The potential v + t*direction (band limits merged)."""
     Kf = max(v.Kf, direction.Kf)
-
-    def pad(c, k0):
-        out = np.zeros(2 * Kf + 1, dtype=complex)
-        out[Kf - k0 : Kf + k0 + 1] = c
-        return out
-
-    return Potential(
-        pad(v.q_coeffs, v.Kf) + t * pad(direction.q_coeffs, direction.Kf),
-        pad(v.p_coeffs, v.Kf) + t * pad(direction.p_coeffs, direction.Kf),
-        Kf,
-        max(v.grid_size, direction.grid_size, 4 * Kf),
-        v.real and direction.real,
-    )
+    pad = lambda c, k0: np.pad(c, Kf - k0)
+    return Potential(pad(v.q_coeffs, v.Kf) + t * pad(direction.q_coeffs, direction.Kf),
+                     pad(v.p_coeffs, v.Kf) + t * pad(direction.p_coeffs, direction.Kf),
+                     Kf, max(v.grid_size, direction.grid_size, 4 * Kf), v.real and direction.real)
 
 
 def fd_directional(scalar_fn, v, direction, eps):
-    """Central difference of scalar_fn along the direction."""
-    return (scalar_fn(perturbed(v, direction, eps)) - scalar_fn(perturbed(v, direction, -eps))) / (
-        2.0 * eps
-    )
+    """Central difference of scalar_fn along the direction: the one-off form
+    of fd_evaluate's quotients, with the same arithmetic."""
+    plus, minus = (scalar_fn(perturbed(v, direction, t)) for t in (eps, -eps))
+    return (plus - minus) / (2.0 * eps)
+
+
+FD_FLOOR = 1e-8  # about the noise of a quotient at FD_EPS: 20 tol/(2 eps), tol 1e-13
+FD_EPS, FD_EPS_ORDER = 1e-4, (0.1, 0.03)  # the judged step; the pair the order is read from
+# The cases of run_suite's gradient checks and of `shgspec gradients`, as
+# (quantity, n): Delta and delta at lambda = 1.7, "M" the Floquet entries at 2.3
+SUITE_FD_CASES = (("Delta", ""), ("delta", ""), ("M", ""), ("mu", 1), ("lambda_plus", 1),
+                  ("lambda_plus_via_delta", 1), ("m4", 1))
+CLI_FD_CASES = (("Delta", ""), ("delta", ""), ("mu", 0), ("mu", 1), ("lambda_plus", 1))
 
 
 def fd_rel_error(analytic, fd):
     """The gradient_fd error of one direction: relative where the pairing or
-    its FD quotient exceeds 1e-8, absolute (at the noise scale) where both
-    vanish."""
+    its FD quotient exceeds FD_FLOOR, absolute where both do not (the
+    direction is then unresolved)."""
     scale = max(abs(analytic), abs(fd))
-    return abs(fd - analytic) / scale if scale > 1e-8 else abs(fd - analytic)
+    return abs(fd - analytic) / scale if scale > FD_FLOOR else abs(fd - analytic)
 
 
-def _fd_case(
-    scalar_fn,
-    analytic,
-    v,
-    dirs,
-    eps_rel=1e-4,
-    eps_order=(0.1, 0.03),
-    tol=1e-13,
-):
-    """(max fd_rel_error at eps_rel, the FD convergence orders measured)
-    over directions.
+@dataclass
+class FDCase:
+    """One FD-checked scalar: its kernel at v, the probe (lam, what) that reads
+    it on a perturbed potential, and, from fd_evaluate, its pairings and FD
+    quotients {eps: [...]} per direction.  what is "chi_D" or "chi_p" for the
+    eigenvalue Newton finds from the seed lam, else "Delta", "delta_anti" or
+    an Mgrave entry (i, j) of the order-0 BatchResult at lam."""
 
-    The convergence order is measured between the step sizes eps_order,
-    large enough that the eps^2 truncation error dominates, and only counted
-    when both errors clear the integrator noise amplified by the difference
-    quotient (tol/(2 eps)); at the floor the quotient is flat in eps and an
-    order reading would be meaningless.
+    quantity: str
+    n: int | str  # the eigenvalue index, "" for the scalars at a fixed lambda
+    kernel: GradientKernel
+    probe: tuple
+    analytic: list | None = None
+    fd: dict | None = None
+
+    def error(self):
+        """(gradient_fd error, unresolved directions) at FD_EPS.  An
+        unresolved direction cannot be judged, and a larger eps does not help
+        (its eps^2 error scales with the third derivative, not the pairing).
+        Its absolute error counts, but a case with no resolved direction reads
+        nan, which fails, unless its kernel's L2 norm is itself below the
+        floor (d Delta at v = 0, which gradient_zero_delta checks)."""
+        pairs = list(zip(self.analytic, self.fd[FD_EPS]))
+        unresolved = sum(max(abs(a), abs(f)) <= FD_FLOOR for a, f in pairs)
+        if unresolved == len(pairs) and self.kernel.l2_norm() > FD_FLOOR:
+            return np.nan, unresolved
+        return max(fd_rel_error(a, f) for a, f in pairs), unresolved
+
+    def orders(self, eps_order=FD_EPS_ORDER, tol=1e-13):
+        """The FD orders between the steps eps_order, where both errors clear
+        the integrator noise amplified by the quotient (tol/(2 eps)); at that
+        floor the quotient is flat in eps and an order means nothing."""
+        out = []
+        for i, a in enumerate(self.analytic):
+            errs = [abs(self.fd[e][i] - a) for e in eps_order]
+            floors = [20.0 * tol / (2.0 * e) * max(1.0, abs(a)) for e in eps_order]
+            if errs[0] > floors[0] and errs[1] > floors[1]:
+                out.append(np.log(errs[0] / errs[1]) / np.log(eps_order[0] / eps_order[1]))
+        return out
+
+
+def _probe_values(vv, probes, tol):
+    """{probe: value} on one potential: one order-0 integrate_many over the
+    distinct plain lambda, and one Newton batch per relocated kind."""
+    vals = {}
+    for kind in (None, "chi_D", "chi_p"):
+        mine = [(lam, w) for lam, w in probes if (w if w in ("chi_D", "chi_p") else None) == kind]
+        lams = list(dict.fromkeys(lam for lam, _ in mine))
+        if kind and lams:
+            roots = _newton_batch(vv, lams, kind, tol=1e-13)
+            vals.update(((s, kind), complex(r)) for s, r in zip(lams, roots))
+        elif lams:
+            res = integrate_many(vv, lams, order=0, tol=tol)
+            for lam, w in mine:
+                r = res.single(lams.index(lam))
+                vals[lam, w] = complex(r.Mgrave[w] if isinstance(w, tuple) else getattr(r, w))
+    return vals
+
+
+def fd_evaluate(v, table, keys, dirs, eps_list, tol):
+    """The FD cases named by keys, with kernels at tol, their pairings with
+    dirs and their central quotients at each eps.  lambda_n^+ cases are left
+    out where the gap is numerically closed.
+
+    Each v +- eps d is built once, every distinct probe is read on it at
+    once, and it is freed before the next is built.  A quotient is bit for
+    bit fd_directional's with a scalar_fn that reads its probe alone.
     """
-    max_rel, orders = 0.0, []
+    cases = []
+    for quantity, n in keys:
+        if quantity in ("Delta", "delta"):
+            grad, what = ((grad_discriminant, "Delta") if quantity == "Delta"
+                          else (grad_antidiscriminant, "delta_anti"))
+            cases.append(FDCase(quantity, n, grad(v, 1.7, tol=tol), (1.7, what)))
+        elif quantity == "M":
+            gm = grad_monodromy(v, 2.3, tol=tol)
+            cases += [FDCase(f"M{i + 1}{j + 1}", n, k, (2.3, (i, j))) for (i, j), k in gm.items()]
+        elif quantity in ("mu", "m4"):
+            mu = table.mu_n(n)
+            kern, what = ((grad_dirichlet(v, mu, tol=tol), "chi_D") if quantity == "mu"
+                          else (grad_m4_at_dirichlet(v, mu, tol=tol), (1, 1)))
+            cases.append(FDCase(quantity, n, kern, (mu, what)))
+        elif abs(table.gamma(n)) > 1e-6:  # lambda_plus and lambda_plus_via_delta
+            lam = table.lam_pm(n)[1]
+            grad = grad_periodic if quantity == "lambda_plus" else grad_periodic_via_delta
+            cases.append(FDCase(quantity, n, grad(v, lam, tol=tol), (lam, "chi_p")))
+    probes = list(dict.fromkeys(c.probe for c in cases))
+    for c in cases:
+        c.analytic, c.fd = [c.kernel.pair(d) for d in dirs], {eps: [] for eps in eps_list}
     for d in dirs:
-        ana = analytic(d)
-        max_rel = max(max_rel, fd_rel_error(ana, fd_directional(scalar_fn, v, d, eps_rel)))
-        errs = [abs(fd_directional(scalar_fn, v, d, e) - ana) for e in eps_order]
-        floors = [20.0 * tol / (2.0 * e) * max(1.0, abs(ana)) for e in eps_order]
-        if errs[0] > floors[0] and errs[1] > floors[1]:
-            orders.append(np.log(errs[0] / errs[1]) / np.log(eps_order[0] / eps_order[1]))
-    return max_rel, orders
+        for eps in eps_list:
+            plus, minus = (_probe_values(perturbed(v, d, t), probes, tol) for t in (eps, -eps))
+            for c in cases:
+                c.fd[eps].append((plus[c.probe] - minus[c.probe]) / (2.0 * eps))
+    return cases
 
 
 def grad_deltas_fd_report(v, table, cfg):
-    """FD verification of all section-level gradient kernels at one potential.
+    """FD verification of the SUITE_FD_CASES kernels at one potential, with
+    cfg.seed seeded directions.
 
-    Returns {"max_rel", "order_dev", "zero_delta_norm"} over the
-    discriminant/anti-discriminant, the Floquet entries, mu_1, lambda_1^+ by
-    both routes, and m4 at mu_1, with cfg.seed seeded directions, and
-    "order_measured" of "order_cases" (case, direction) pairs whose FD order
-    cleared the noise floor.  order_dev is the largest |order - 2| over the
-    measured pairs: a kernel error shows as an order below 2, or above it
-    where it cancels part of the eps^2 truncation error.  It is nan where no
-    pair was measured, which fails the gradient_fd_order gate.
+    Returns {"max_rel", "order_dev", "zero_delta_norm"}; of the
+    "order_cases" (case, direction) pairs, "unresolved" are below FD_FLOOR
+    (see FDCase.error) and "order_measured" had an FD order that cleared the
+    noise floor.  order_dev is the largest |order - 2| over those: a kernel
+    error shows as an order below 2, or above it where it cancels part of the
+    eps^2 truncation error.  It is nan where no pair was measured, which
+    fails the gradient_fd_order gate.
     """
     # FD quotients amplify integrator error by 1/(2 eps); run this block at
     # the tight spectral tolerance so the eps^2 truncation stays visible
     tol = cfg.spectral_tol
     dirs = seeded_directions(cfg.seed, 3)
-
-    def at(lam, get):
-        return lambda vv: complex(get(integrate(vv, lam, order=0, tol=tol)))
-
-    def relocated(lam, kind):  # the eigenvalue near lam, found again by Newton
-        return lambda vv: complex(_newton_batch(vv, [lam], kind, tol=1e-13)[0])
-
-    lam_a, lam_b, mu1 = 1.7, 2.3, table.mu_n(1)
-    cases = [
-        (grad_discriminant(v, lam_a, tol=tol), at(lam_a, lambda r: r.Delta)),
-        (grad_antidiscriminant(v, lam_a, tol=tol), at(lam_a, lambda r: r.delta_anti)),
-    ]
-    gm = grad_monodromy(v, lam_b, tol=tol)
-    cases += [(gm[ij], at(lam_b, lambda r, ij=ij: r.Mgrave[ij])) for ij in gm]
-    cases.append((grad_dirichlet(v, mu1, tol=tol), relocated(mu1, "chi_D")))
-    if abs(table.gamma(1)) > 1e-6:  # lambda_1^+ unless the gap is numerically closed
-        lam1p = table.lam_pm(1)[1]
-        cases += [
-            (grad_periodic(v, lam1p, tol=tol), relocated(lam1p, "chi_p")),
-            (grad_periodic_via_delta(v, lam1p, tol=tol), relocated(lam1p, "chi_p")),
-        ]
-    cases.append((grad_m4_at_dirichlet(v, mu1, tol=tol), at(mu1, lambda r: r.Mgrave[1, 1])))
-    max_rel, orders = 0.0, []
-    for kern, scalar_fn in cases:
-        rel, case_orders = _fd_case(scalar_fn, kern.pair, v, dirs)
-        max_rel = max(max_rel, rel)
-        orders += case_orders
+    cases = fd_evaluate(v, table, SUITE_FD_CASES, dirs, (FD_EPS, *FD_EPS_ORDER), tol)
+    errs, unresolved = zip(*(c.error() for c in cases))
+    orders = [o for c in cases for o in c.orders()]
     # d Delta at the zero potential vanishes identically
     zd = 0.0
     for lam in (0.9, 1.7, 3.3):
         k0 = grad_discriminant(Potential.zero(), lam, tol=tol)
         zd = max(zd, k0.l2_norm(), *(abs(k0.pair(d)) for d in dirs))
     order_dev = max(abs(o - 2.0) for o in orders) if orders else np.nan
-    return {"max_rel": max_rel, "order_dev": float(order_dev),
+    return {"max_rel": float(np.max(errs)), "order_dev": float(order_dev),
             "zero_delta_norm": zd, "order_measured": len(orders),
-            "order_cases": len(cases) * len(dirs)}
+            "order_cases": len(cases) * len(dirs), "unresolved": sum(unresolved)}

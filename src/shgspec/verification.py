@@ -255,7 +255,8 @@ def run_suite(v: Potential, cfg: RunConfig | None = None):
 
     # gradient FD checks
     fd = grad_deltas_fd_report(v, table, cfg)
-    report("gradient_fd", fd["max_rel"])
+    report("gradient_fd", fd["max_rel"],
+           reason=f"{fd['unresolved']} of {fd['order_cases']} unresolved")
     report(
         "gradient_fd_order",
         fd["order_dev"],

@@ -4,12 +4,18 @@ import io
 import numpy as np
 import pytest
 
+from shgspec import gradients
 from shgspec.cli import main
 from shgspec.config import THRESHOLDS, RunConfig
 from shgspec.gradients import (
+    FD_EPS,
+    FD_EPS_ORDER,
+    FDCase,
     GradientKernel,
-    _fd_case,
     fd_directional,
+    fd_evaluate,
+    fd_rel_error,
+    grad_deltas_fd_report,
     grad_antidiscriminant,
     grad_dirichlet,
     grad_discriminant,
@@ -23,7 +29,7 @@ from shgspec.gradients import (
 )
 from shgspec.monodromy import integrate, lam_zero
 from shgspec.potential import Potential
-from shgspec.spectrum import _newton_batch
+from shgspec.spectrum import _newton_batch, build_table
 
 TOL = 1e-13
 EPS = 1e-4
@@ -111,38 +117,38 @@ def test_grad_discriminant_fd(v_seed, dirs):
 def test_fd_order_gate_can_fail(v_seed, dirs):
     """The gradient_fd_order gate passes only when every measured FD order
     lies within THRESHOLDS["gradient_fd_order"] of 2.  The exact Delta kernel
-    passes at _fd_case's default step sizes.  A pairing off by 1e-5 either
-    way reads an order below 1.9, since the FD error stops falling with eps;
-    off by +1e-6 the kernel error cancels the truncation error at eps = 0.03
-    here and the reading rises to 2.8.  All three fail.  With both step
-    sizes at the noise floor no order is measured."""
-    lam = 1.7
-    kern = grad_discriminant(v_seed, lam, tol=TOL)
+    passes at the suite's step sizes FD_EPS_ORDER.  A pairing off by 1e-5
+    either way reads an order below 1.9, since the FD error stops falling
+    with eps; off by +1e-6 the kernel error cancels the truncation error at
+    eps = 0.03 here and the reading rises to 2.8.  All three fail.  With both
+    step sizes at the noise floor no order is measured."""
     thr = THRESHOLDS["gradient_fd_order"]
-
-    def delta_at(vv):
-        return complex(integrate(vv, lam, order=0, tol=TOL).Delta)
 
     def order_dev(orders):
         return max(abs(o - 2.0) for o in orders)
 
-    _, orders = _fd_case(delta_at, kern.pair, v_seed, dirs[:2])
+    [case] = fd_evaluate(v_seed, None, [("Delta", "")], dirs[:2], FD_EPS_ORDER, TOL)
+    exact = case.analytic
+    orders = case.orders()
     assert len(orders) == 2 and order_dev(orders) <= thr
     for off in (1e-5, -1e-5, 1e-6):
-        wrong = lambda d: kern.pair(d) * (1 + off)
-        _, orders = _fd_case(delta_at, wrong, v_seed, dirs[:2])
+        case.analytic = [a * (1 + off) for a in exact]
+        orders = case.orders()
         assert len(orders) == 2 and order_dev(orders) > thr
         if off != 1e-6:
             assert min(orders) < 1.9
     assert max(orders) > 2.1  # the +1e-6 case reads too high an order
-    _, orders = _fd_case(delta_at, kern.pair, v_seed, dirs[:1], eps_order=(3e-5, 1e-5))
-    assert orders == []
+    [case] = fd_evaluate(v_seed, None, [("Delta", "")], dirs[:1], (3e-5, 1e-5), TOL)
+    assert case.orders(eps_order=(3e-5, 1e-5)) == []
 
 
 def test_cli_rows_use_the_suite_error(tmp_path, capsys):
     """Each row of `shgspec gradients` carries the per-direction error that
-    _fd_case folds into gradient_fd.  At v = 0 the Delta pairing and its FD
-    quotient both vanish (below 1e-8), while the delta ones do not."""
+    the suite folds into gradient_fd, of the pairing against the naive FD
+    quotient.  At v = 0 the Delta pairing and its FD quotient both vanish
+    (below 1e-8), while the delta ones do not; the Delta case is then
+    unresolved in every direction, and passes only because its kernel
+    vanishes too."""
     v0 = Potential.zero()
     path = tmp_path / "zero.json"
     path.write_text(v0.to_json())
@@ -160,8 +166,112 @@ def test_cli_rows_use_the_suite_error(tmp_path, capsys):
         for row, d in zip(mine, dirs):
             small = max(abs(complex(row["analytic"])), abs(complex(row["fd"]))) < 1e-8
             assert small == (quantity == "Delta")
-            rel, _ = _fd_case(scalar_fn, kern.pair, v0, [d])
+            rel = fd_rel_error(kern.pair(d), fd_directional(scalar_fn, v0, d, EPS))
             assert row["rel_error"] == f"{rel:.3e}"
+    [case] = fd_evaluate(v0, None, [("Delta", "")], dirs, (FD_EPS,), tol)
+    err, unresolved = case.error()
+    assert unresolved == len(dirs) and case.kernel.l2_norm() < 1e-8
+    assert f"{err:.3e}" == max((r["rel_error"] for r in rows if r["quantity"] == "Delta"),
+                               key=float)
+
+
+def test_unresolved_directions_cannot_pass(dirs):
+    """A kernel 100% wrong on a 1e-9 pairing read an absolute error of 1e-9
+    and passed gradient_fd.  Such a direction is now unresolved: a case with
+    no resolved direction fails (nan), unless its kernel vanishes; one
+    resolved direction judges the case, and the unresolved ones still count
+    their absolute error."""
+    thr = THRESHOLDS["gradient_fd"]
+    kern = grad_antidiscriminant(Potential.zero(), 1.7, tol=TOL)  # L2 norm ~0.4
+    assert fd_rel_error(2e-9, 1e-9) <= thr  # the old per-direction reading
+
+    def case(k, analytic, fd):
+        return FDCase("delta", "", k, (1.7, "delta_anti"), analytic, {FD_EPS: fd})
+
+    err, unresolved = case(kern, [2e-9] * 3, [1e-9] * 3).error()
+    assert np.isnan(err) and unresolved == 3 and not err <= thr
+    err, unresolved = case(kern, [2e-9, 2e-9, 0.5], [1e-9, 1e-9, 0.5 + 1e-7]).error()
+    assert unresolved == 2 and err == pytest.approx(2e-7) and err <= thr
+    err, _ = case(kern, [2e-9, 2e-9, 0.5], [1e-9, 1e-9, 0.6]).error()
+    assert err > thr
+    zero_kern = grad_discriminant(Potential.zero(), 1.7, tol=TOL)
+    err, unresolved = case(zero_kern, [2e-9] * 3, [1e-9] * 3).error()
+    assert unresolved == 3 and err == pytest.approx(1e-9)
+
+
+def test_fd_quotients_match_the_naive_oracle(v_seed, tmp_path, capsys):
+    """Every row of `shgspec gradients` on v1 carries the quotient that
+    fd_directional gives with that row's own scalar, bit for bit: the shared
+    evaluator's batched integrations and Newton runs change no value."""
+    path = tmp_path / "v1.json"
+    path.write_text(v_seed.to_json())
+    assert main(["gradients", str(path)]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    cfg = RunConfig()
+    v = Potential.from_json(path.read_text())
+    tol = cfg.spectral_tol
+    table = build_table(v, max(2, min(cfg.n_max, 4)), tol=tol)
+    dirs = seeded_directions(cfg.seed, 3)
+
+    def at(attr):
+        return lambda vv: complex(getattr(integrate(vv, 1.7, order=0, tol=tol), attr))
+
+    def relocated(lam, kind):
+        return lambda vv: complex(_newton_batch(vv, [lam], kind, tol=1e-13)[0])
+
+    scalar_fns = {
+        ("Delta", ""): at("Delta"),
+        ("delta", ""): at("delta_anti"),
+        ("mu", "0"): relocated(table.mu_n(0), "chi_D"),
+        ("mu", "1"): relocated(table.mu_n(1), "chi_D"),
+        ("lambda_plus", "1"): relocated(table.lam_pm(1)[1], "chi_p"),
+    }
+    assert [(r["quantity"], r["n"], r["direction"]) for r in rows] == [
+        (*key, str(i)) for key in scalar_fns for i in range(len(dirs))]
+    for row in rows:
+        fn = scalar_fns[row["quantity"], row["n"]]
+        assert row["fd"] == str(fd_directional(fn, v, dirs[int(row["direction"])], EPS))
+
+
+def _count_fd_work(monkeypatch):
+    """Wrap the FD path's perturbed, integrate_many and _newton_batch; return
+    the perturbed potentials built and the (potential, lambda, kind) reads."""
+    built, reads = [], []
+
+    def wrap(name, record):
+        orig = getattr(gradients, name)
+
+        def wrapper(*args, **kwargs):
+            out = orig(*args, **kwargs)
+            record(args, out)
+            return out
+
+        monkeypatch.setattr(gradients, name, wrapper)
+
+    wrap("perturbed", lambda args, out: built.append(out))
+    wrap("integrate_many", lambda args, out: reads.extend(
+        (id(args[0]), complex(lam), "plain") for lam in args[1]))
+    wrap("_newton_batch", lambda args, out: reads.extend(
+        (id(args[0]), complex(lam), args[2]) for lam in args[1]))
+    return built, reads
+
+
+def test_fd_work_count(v_seed, tab16, tmp_path, monkeypatch, capsys):
+    """`shgspec gradients` on v1 builds each of its 3 x 2 perturbed
+    potentials once, and the suite's report its 3 x 3 x 2; every
+    (perturbed potential, lambda, kind) reaches integrate_many or
+    _newton_batch once, and no other potential is read."""
+    path = tmp_path / "v1.json"
+    path.write_text(v_seed.to_json())
+    for run, count in ((lambda: main(["gradients", str(path)]), 6),
+                       (lambda: grad_deltas_fd_report(v_seed, tab16, RunConfig()), 18)):
+        built, reads = _count_fd_work(monkeypatch)
+        run()
+        assert len(built) == count
+        assert len(set(reads)) == len(reads)
+        assert {r[0] for r in reads} == {id(vv) for vv in built}
+        monkeypatch.undo()
+    capsys.readouterr()
 
 
 def test_grad_antidiscriminant_fd(v_seed, dirs):
