@@ -25,11 +25,14 @@ ring and the event is counted.
 
 A solution carries the workspace it was solved with; psi evaluation and the
 normalization checks reuse it for the same table, isolating discs, n and K
-and build one only otherwise.  On every node set (the workspace's solve
-nodes and each fresh verification contour) the zero-potential tails at
-lambda and at -1/(16 lambda) are computed once and shared between psi_n and
-sqrt_c(chi_p); psi evaluation itself never reads the workspace's cached
-sqrt_c(chi_p) values.
+and build one only otherwise.  psi_n and sqrt_c(chi_p) carry the same
+zero-potential tails, zero_tail(lambda, K) zero_tail(-1/(16 lambda), K), and
+so does psi_{-n} (zero_tail is even), so their quotient is a product over
+|k| <= K alone: on every node set (the workspace's solve nodes and each fresh
+verification contour) both are evaluated without these tails.  Their
+scalars f_{n,2}(inf) and sqrt_c(chi_1)(0) keep theirs, zero_tail(0, K) both,
+which cancel as well.  psi evaluation itself is tailed and never reads the
+workspace's cached sqrt_c(chi_p) values.
 """
 
 from __future__ import annotations
@@ -41,12 +44,7 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from .potential import family_var, pi_k
-from .roots_products import (
-    CanonicalRootEvaluator,
-    node_product,
-    zero_tail,
-    zero_tails,
-)
+from .roots_products import CanonicalRootEvaluator, node_product, zero_tail
 
 __all__ = [
     "SigmaSolution",
@@ -99,7 +97,8 @@ class SigmaSolution:
 
 
 class SigmaWorkspace:
-    """Cached contours, quadrature nodes and sqrt_c(chi_p) values for one n."""
+    """Cached contours, quadrature nodes and bare sqrt_c(chi_p) values for
+    one n."""
 
     def __init__(self, table, iso, n, K, nodes=64, contour_scale=1.0):
         if K < table.n_max:
@@ -126,9 +125,7 @@ class SigmaWorkspace:
             z, dz = spec.points()
             self.rows.append((2, int(m), z, dz, 16.0 * pi_k(m) ** 2 * pi_k(n)))
         self.z_all = np.concatenate([r[2] for r in self.rows])
-        tails = zero_tails(self.z_all, K)
-        self.tail1_all, self.tail2_all = tails
-        self.chip_all = self.evaluator.chip(self.z_all, tails=tails)
+        self.chip_all = self.evaluator._bare_chip(self.z_all)
         self.tail2_zero = complex(zero_tail(0.0, K)[0])
 
     # -- state vector mapping ------------------------------------------------
@@ -152,17 +149,18 @@ class SigmaWorkspace:
         """f_{n,2}(inf) = prod_k sigma_{2,k}/pi_k times the tail at 0."""
         return node_product(sigma2, 0.0, self.K, tail=self.tail2_zero)[0]
 
-    def _psi_on(self, sigma1, sigma2, z, f2_inf, tails=(None, None)):
-        """psi_n at z; tails, when given, is zero_tails(z, K).  f_{n,1} is
-        NodeFamily's f1 with the factor n removed, f_{n,2} its f2."""
-        f1 = node_product(sigma1, z, self.K, tail=tails[0], skip=self.n)
-        f2 = node_product(sigma2, -1.0 / (16.0 * z), self.K, tail=tails[1])
+    def _bare_psi(self, sigma1, sigma2, z, f2_inf):
+        """psi_n at z without its tails zero_tail(z, K) zero_tail(-1/(16 z), K).
+        f_{n,1} is NodeFamily's f1 with the factor n removed, f_{n,2} its f2."""
+        f1 = node_product(sigma1, z, self.K, tail=1.0, skip=self.n)
+        f2 = node_product(sigma2, -1.0 / (16.0 * z), self.K, tail=1.0)
         return -(1.0 / pi_k(self.n)) * f1 * f2 / f2_inf
 
-    def psi(self, sigma1, sigma2, lam, tails=(None, None)):
-        """psi_n at lam; tails, when given, is zero_tails(lam, K)."""
+    def psi(self, sigma1, sigma2, lam):
+        """psi_n at lam."""
         lam = np.atleast_1d(np.asarray(lam, dtype=complex))
-        return self._psi_on(sigma1, sigma2, lam, self.f2_inf(sigma2), tails)
+        bare = self._bare_psi(sigma1, sigma2, lam, self.f2_inf(sigma2))
+        return bare * zero_tail(lam, self.K) * zero_tail(-1.0 / (16.0 * lam), self.K)
 
     # -- residual and Jacobian -------------------------------------------------
 
@@ -185,28 +183,26 @@ class SigmaWorkspace:
                     events += 1
         return (*out, events)
 
-    def residual_and_jacobian(self, u, want_jacobian=True):
+    def residual_and_jacobian(self, u):
         sigma1, sigma2 = self.unpack(u)
         n_unk = u.size
         F = np.empty(n_unk, dtype=complex)
-        Q = np.empty((n_unk, n_unk), dtype=complex) if want_jacobian else None
+        Q = np.empty((n_unk, n_unk), dtype=complex)
         pos = 0
         m1 = len(self.idx1)
         # psi_n/sqrt_c(chi_p) on all rows' nodes at once; the rows then only
         # sum their slice
-        tails = (self.tail1_all, self.tail2_all)
-        g = self._psi_on(sigma1, sigma2, self.z_all, self.f2_inf(sigma2), tails)
+        g = self._bare_psi(sigma1, sigma2, self.z_all, self.f2_inf(sigma2))
         g = g / self.chip_all
+        s1 = sigma1[self.ks != self.n]
         for (fam, m, z, dz, pref), sl in zip(self.rows, self._slices()):
             gdz = g[sl] * dz
             F[pos] = pref * np.sum(gdz)
-            if want_jacobian:
-                mask = self.ks != self.n
-                B1 = 1.0 / (sigma1[mask] - z[:, None])
-                mu = -1.0 / (16.0 * z)
-                B2 = 1.0 / (sigma2 - mu[:, None]) - 1.0 / sigma2
-                Q[pos, :m1] = pref * (gdz @ B1)
-                Q[pos, m1:] = pref * (gdz @ B2)
+            B1 = 1.0 / (s1 - z[:, None])
+            mu = -1.0 / (16.0 * z)
+            B2 = 1.0 / (sigma2 - mu[:, None]) - 1.0 / sigma2
+            Q[pos, :m1] = pref * (gdz @ B1)
+            Q[pos, m1:] = pref * (gdz @ B2)
             pos += 1
         return F, Q
 
@@ -233,12 +229,14 @@ def solve_sigma(
 
     At the zero potential the initializer is already the solution (zero
     Newton steps); otherwise convergence in a handful of iterations is the
-    expected behavior for potentials in the solvable neighborhood.
+    expected behavior for potentials in the solvable neighborhood.  Each
+    trial point is evaluated once, with its Jacobian, which the next
+    iteration uses when the trial is accepted.
     """
     ws = SigmaWorkspace(table, iso, n, K, nodes)
     u = ws.initial_state()
     clamps = 0
-    F, _ = ws.residual_and_jacobian(u, want_jacobian=False)
+    F, Q = ws.residual_and_jacobian(u)
     rnorm = float(np.linalg.norm(F))
     iters = 0
     while rnorm > tol:
@@ -247,7 +245,6 @@ def solve_sigma(
                 f"Newton did not reach tol={tol:g} in {max_iter} iterations "
                 f"(residual {rnorm:.3e}); outside solvable neighborhood"
             )
-        F, Q = ws.residual_and_jacobian(u)
         cond = np.linalg.cond(Q)
         if not np.isfinite(cond) or cond > COND_LIMIT:
             raise RuntimeError(
@@ -261,14 +258,14 @@ def solve_sigma(
             s1, s2 = ws.unpack(trial)
             s1, s2, ev = ws.admissible(s1, s2, clamp=True)
             trial = ws.pack(s1, s2)
-            Ft, _ = ws.residual_and_jacobian(trial, want_jacobian=False)
+            Ft, Qt = ws.residual_and_jacobian(trial)
             tnorm = float(np.linalg.norm(Ft))
             if tnorm < rnorm or scale <= 2.0 ** (-max_halvings):
                 break
             scale *= 0.5
         u = trial
         clamps += ev
-        F, rnorm = Ft, tnorm
+        F, Q, rnorm = Ft, Qt, tnorm
         iters += 1
     sigma1, sigma2 = ws.unpack(u)
     C_n = complex(1.0 / ws.f2_inf(sigma2))
@@ -295,15 +292,17 @@ def eval_psi(sol: SigmaSolution, table, iso, lam):
     return _workspace(sol, table, iso).psi(sol.sigma1, sol.sigma2, lam)
 
 
-def _contour_integrals(integrand, iso, K, nodes, scale):
-    """(1/2 pi) oint integrand over both contour families."""
-    out = {}
+def _normalization(integrand, iso, K, nodes, scale, one):
+    """The matrix {(j,m): (1/2 pi) oint_{Gamma_{j,m}} integrand} over both
+    contour families, |m| <= K, and its largest deviation from 1 at the
+    entry one, from 0 elsewhere."""
+    mat = {}
     for j in (1, 2):
         for m in range(-K, K + 1):
-            spec = iso.contour(j, m, nodes=nodes, scale=scale)
-            z, dz = spec.points()
-            out[(j, m)] = complex(np.sum(integrand(z) * dz) / (2.0 * np.pi))
-    return out
+            z, dz = iso.contour(j, m, nodes=nodes, scale=scale).points()
+            mat[(j, m)] = complex(np.sum(integrand(z) * dz) / (2.0 * np.pi))
+    dev = max(abs(val - float(key == one)) for key, val in mat.items())
+    return mat, dev
 
 
 def verify_normalization(
@@ -318,32 +317,28 @@ def verify_normalization(
     f2_inf = ws.f2_inf(sol.sigma2)
 
     def integrand(z):
-        tails = zero_tails(z, sol.K)
-        psi = ws._psi_on(sol.sigma1, sol.sigma2, z, f2_inf, tails)
-        return psi / ws.evaluator.chip(z, tails=tails)
+        psi = ws._bare_psi(sol.sigma1, sol.sigma2, z, f2_inf)
+        return psi / ws.evaluator._bare_chip(z)
 
-    mat = _contour_integrals(integrand, iso, sol.K, nodes, contour_scale)
-    dev = 0.0
-    for (j, m), val in mat.items():
-        want = 1.0 if (j == 1 and m == sol.n) else 0.0
-        dev = max(dev, abs(val - want))
-    return mat, dev
+    return _normalization(integrand, iso, sol.K, nodes, contour_scale, (1, sol.n))
 
 
-def psi_negative(sol_reflected: SigmaSolution, table_reflected, iso_reflected, lam,
-                 tails=(None, None)):
+def _reflected_workspace(sol_reflected, table_reflected, iso_reflected):
+    if sol_reflected.n < 1:
+        raise ValueError("psi_{-n} is defined for n >= 1")
+    return _workspace(sol_reflected, table_reflected, iso_reflected)
+
+
+def psi_negative(sol_reflected: SigmaSolution, table_reflected, iso_reflected, lam):
     """psi_{-n}(lambda, q, p) := psi_n(1/(16 lambda), -q, p) / (16 lambda^2).
 
     sol_reflected must be the solution for index n >= 1 at the reflected
-    potential (-q, p).  tails, when given, is zero_tails(lam, K): zero_tail
-    is even, so psi_n's tails at 1/(16 lambda) are the two in swapped order.
+    potential (-q, p).
     """
-    if sol_reflected.n < 1:
-        raise ValueError("psi_{-n} is defined for n >= 1")
     lam = np.atleast_1d(np.asarray(lam, dtype=complex))
-    ws = _workspace(sol_reflected, table_reflected, iso_reflected)
+    ws = _reflected_workspace(sol_reflected, table_reflected, iso_reflected)
     u = 1.0 / (16.0 * lam)
-    return ws.psi(sol_reflected.sigma1, sol_reflected.sigma2, u, tails[::-1]) / (16.0 * lam**2)
+    return ws.psi(sol_reflected.sigma1, sol_reflected.sigma2, u) / (16.0 * lam**2)
 
 
 def verify_negative_normalization(
@@ -352,18 +347,16 @@ def verify_negative_normalization(
     """Normalization of psi_{-n} over the contours of the base potential:
     zero over Gamma_{1,m}, delta_{-n,m} over Gamma_{2,m}.  Like psi_negative
     it raises a ValueError for n < 1."""
-    n = sol_reflected.n
-    K = sol_reflected.K
-    ev = CanonicalRootEvaluator(table, K)
+    ws = _reflected_workspace(sol_reflected, table_reflected, iso_reflected)
+    s1, s2 = sol_reflected.sigma1, sol_reflected.sigma2
+    f2_inf = ws.f2_inf(s2)
+    ev = CanonicalRootEvaluator(table, sol_reflected.K)
 
-    def integrand(z):  # the two tails serve psi_{-n} and sqrt_c(chi_p) alike
-        tails = zero_tails(z, K)
-        psi = psi_negative(sol_reflected, table_reflected, iso_reflected, z, tails)
-        return psi / ev.chip(z, tails=tails)
+    def integrand(z):
+        # zero_tail is even, so psi_n's tails at 1/(16 z) are those of
+        # sqrt_c(chi_p) at z
+        psi = ws._bare_psi(s1, s2, 1.0 / (16.0 * z), f2_inf) / (16.0 * z**2)
+        return psi / ev._bare_chip(z)
 
-    mat = _contour_integrals(integrand, iso, K, nodes, contour_scale)
-    dev = 0.0
-    for (j, m), val in mat.items():
-        want = 1.0 if (j == 2 and m == -n) else 0.0
-        dev = max(dev, abs(val - want))
-    return mat, dev
+    one = (2, -sol_reflected.n)
+    return _normalization(integrand, iso, sol_reflected.K, nodes, contour_scale, one)

@@ -22,8 +22,9 @@ product over the integer lattice; R_K accounts for t_k - k pi = O(1/k).
 The caller passes the product's own variable x: lambda, mu = -1/(16 lambda),
 or 0 for the reciprocal end.  This covers the canonical roots sqrt_c(chi_p),
 f_{1,n}, the product forms of chi_p, chi_D and dDelta/dlambda, the node
-family of the interpolation and psi_n in differentials; a tail shared by
-several products on the same points is computed once and passed in.
+family of the interpolation and psi_n in differentials.  A quotient of two
+products over the same variable needs no tail: both carry the same one, so
+it is left out of both (tail = 1).
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .potential import family_var, pi_k
 
 __all__ = [
     "zero_tail",
-    "zero_tails",
     "node_product",
     "standard_root",
     "f1n",
@@ -128,13 +128,6 @@ def zero_tail(z, K: int, M: int | None = None):
     )
 
 
-def zero_tails(z, K: int):
-    """zero_tail at z and at the reciprocal variable -1/(16 z): the tails of
-    every product over both node families at the points z."""
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    return zero_tail(z, K), zero_tail(-1.0 / (16.0 * z), K)
-
-
 def _zero_tail_upto(z, K, M):
     """zero_tail with the explicit product over K < k <= M."""
     ks = np.arange(-K, K + 1)
@@ -185,8 +178,8 @@ def node_product(nodes, x, K: int, gammas=None, tail=None, skip=None):
     widths gammas are given.  x is the variable of the product itself:
     lambda, mu = -1/(16 lambda), or 0 for the reciprocal end.  tail, when
     given, is zero_tail(x, K), computed once by a caller that shares it
-    between products (tail = 1 leaves the bare truncated product); skip
-    removes the factor of that index.  Vectorized in x.
+    between products, or 1 for the bare truncated product; skip removes the
+    factor of that index.  Vectorized in x.
     """
     x = np.atleast_1d(np.asarray(x, dtype=complex))
     ks = np.arange(-K, K + 1)
@@ -247,11 +240,16 @@ class CanonicalRootEvaluator:
         lam = np.atleast_1d(np.asarray(lam, dtype=complex))
         return node_product(self.tau2, -1.0 / (16.0 * lam), self.K, self.gam2, tail)
 
-    def chip(self, lam, check_gaps: bool = True, *, tails=None):
-        """sqrt_c of chi_p = i * sqrt_c(chi_1) sqrt_c(chi_2) / sqrt_c(chi_1)(0).
+    def chip(self, lam, check_gaps: bool = True):
+        """sqrt_c of chi_p = i * sqrt_c(chi_1) sqrt_c(chi_2) / sqrt_c(chi_1)(0)."""
+        lam = np.atleast_1d(np.asarray(lam, dtype=complex))
+        bare = self._bare_chip(lam, check_gaps)
+        return bare * zero_tail(lam, self.K) * zero_tail(-1.0 / (16.0 * lam), self.K)
 
-        tails, when given, is zero_tails(lam, K), shared with a caller that
-        needs the same tails on the same points."""
+    def _bare_chip(self, lam, check_gaps: bool = True):
+        """chip without its tails zero_tail(lam, K) zero_tail(-1/(16 lam), K):
+        the quotients psi/sqrt_c(chi_p) of differentials, whose numerators
+        carry the same two tails, leave them out of both."""
         lam = np.atleast_1d(np.asarray(lam, dtype=complex))
         if check_gaps:
             d = np.abs(lam[:, None] - self._gap_ends[None, :])
@@ -259,8 +257,7 @@ class CanonicalRootEvaluator:
                 raise ValueError(
                     "lambda within 1e-10 of a gap endpoint: branch ambiguous"
                 )
-        t1, t2 = (None, None) if tails is None else tails
-        return 1j * self.chi1(lam, t1) * self.chi2(lam, t2) / self.chi1_zero
+        return 1j * self.chi1(lam, 1.0) * self.chi2(lam, 1.0) / self.chi1_zero
 
     def chip_from_below(self, lam_real, seg_len):
         """Gap-interior values as the limit from below, Im lambda -> 0^-."""

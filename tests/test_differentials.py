@@ -11,10 +11,13 @@ from shgspec.differentials import (
     verify_negative_normalization,
     verify_normalization,
 )
+import shgspec.differentials as df
+import shgspec.roots_products as rp
+from shgspec.config import seeded_ensemble
 from shgspec.potential import pi_k
 from shgspec.quadrature import contour_integral
 from shgspec.roots_products import CanonicalRootEvaluator, zero_tail
-from shgspec.spectrum import build_isolating
+from shgspec.spectrum import build_isolating, build_table
 
 
 def test_mean_value_bound(tab16, iso16):
@@ -109,7 +112,7 @@ def test_solver_idempotence(v_seed, tab16, iso16):
     ws = SigmaWorkspace(tab16, iso16, 0, 16)
     ws.admissible(sol.sigma1, sol.sigma2)
     u = ws.pack(sol.sigma1, sol.sigma2)
-    F, _ = ws.residual_and_jacobian(u, want_jacobian=False)
+    F, _ = ws.residual_and_jacobian(u)
     assert np.linalg.norm(F) <= 1e-9
 
 
@@ -119,7 +122,7 @@ def test_residual_tail_decay(v_seed, tab16, iso16):
     ws = SigmaWorkspace(tab16, iso16, 0, 16)
     s1, s2 = ws.unpack(ws.initial_state())
     s1[1 + 16] += 0.25 * tab16.gamma2(1, 1)  # quarter of the open gap
-    F, _ = ws.residual_and_jacobian(ws.pack(s1, s2), want_jacobian=False)
+    F, _ = ws.residual_and_jacobian(ws.pack(s1, s2))
     mags = {}
     for (fam, m, *_), val in zip(ws.rows, F):
         mags[(fam, m)] = abs(val)
@@ -137,7 +140,7 @@ def test_sign_change_across_gap(v_seed, tab16, iso16):
         s1 = np.array([tab16.tau2(1, k) for k in ws.ks])
         s2 = np.array([tab16.tau2(2, k) for k in ws.ks])
         s1[1 + 16] = lo + t * (hi - lo)
-        F, _ = ws.residual_and_jacobian(ws.pack(s1, s2), want_jacobian=False)
+        F, _ = ws.residual_and_jacobian(ws.pack(s1, s2))
         row = np.flatnonzero(ws.idx1 == 1)[0]
         vals.append(F[row].real)
     assert vals[0] * vals[1] < 0
@@ -185,8 +188,8 @@ def test_jacobian_vs_finite_differences(v_seed, tab16, iso16):
         up[c] += h
         um = u0.copy()
         um[c] -= h
-        Fp, _ = ws.residual_and_jacobian(up, want_jacobian=False)
-        Fm, _ = ws.residual_and_jacobian(um, want_jacobian=False)
+        Fp, _ = ws.residual_and_jacobian(up)
+        Fm, _ = ws.residual_and_jacobian(um)
         fd = (Fp[r] - Fm[r]) / (2 * h)
         assert abs(Q[r, c] - fd) / max(abs(Q[r, c]), abs(fd)) < 1e-4
     # same agreement at the accepted solution
@@ -198,8 +201,8 @@ def test_jacobian_vs_finite_differences(v_seed, tab16, iso16):
         up[c] += h
         um = us.copy()
         um[c] -= h
-        Fp, _ = ws.residual_and_jacobian(up, want_jacobian=False)
-        Fm, _ = ws.residual_and_jacobian(um, want_jacobian=False)
+        Fp, _ = ws.residual_and_jacobian(up)
+        Fm, _ = ws.residual_and_jacobian(um)
         fd = (Fp[r] - Fm[r]) / (2 * h)
         assert abs(Qs[r, c] - fd) / max(abs(Qs[r, c]), abs(fd)) < 1e-4
 
@@ -249,19 +252,17 @@ def test_psi_negative_zero_potential(tab0, iso0):
 
 
 def test_psi_negative_shares_the_tails_of_chip(tab0, iso0, monkeypatch):
-    """zero_tail is even, so psi_{-n} at z reuses zero_tails(z, K) of
-    sqrt_c(chi_p) in swapped order: two tail evaluations per contour, not
-    four, and the same normalization matrix as psi_negative on its own."""
-    import shgspec.roots_products as rp
-
+    """zero_tail is even, so psi_{-n} at z carries the tails of
+    sqrt_c(chi_p) at z, and the check leaves them out of both: no tail
+    evaluation per contour, and the same normalization matrix as
+    psi_negative on its own."""
     solr = solve_sigma(tab0, iso0, 1, 8)
     calls = []
     tail = rp.zero_tail
     monkeypatch.setattr(rp, "zero_tail", lambda *a, **k: calls.append(1) or tail(*a, **k))
     mat, _ = verify_negative_normalization(solr, tab0, iso0, tab0, iso0, nodes=32)
     monkeypatch.undo()
-    contours = 2 * (2 * 8 + 1)
-    assert len(calls) <= 2 * contours + 1  # one more for the evaluator's chi1(0)
+    assert len(calls) <= 1  # the evaluator's chi1(0)
     ev = CanonicalRootEvaluator(tab0, 8)
     for (j, m), val in mat.items():
         z, dz = iso0.contour(j, m, nodes=32, scale=1.5).points()
@@ -403,3 +404,111 @@ def test_workspace_not_reused_for_other_table_or_iso(
         assert len(builds) == 1
         assert builds[0][0] is table and builds[0][1] is iso
         assert got == verify_normalization(fresh, table, iso, nodes=96)
+
+
+@pytest.fixture(scope="module")
+def v3_and_reflected():
+    """(table, iso) of v3 at N = 16 and of its reflection (-q, p)."""
+    v3 = seeded_ensemble()[2]
+    out = []
+    for v in (v3, v3.reflected()):
+        tab = build_table(v, 16, tol=1e-13)
+        out.append((tab, build_isolating(v, tab)))
+    return out
+
+
+def _verify_integrand(monkeypatch, verify, *args):
+    """Run a normalization check and return the integrand it integrated."""
+    got = []
+    normalization = df._normalization
+    monkeypatch.setattr(
+        df, "_normalization", lambda f, *a: got.append(f) or normalization(f, *a)
+    )
+    verify(*args)
+    monkeypatch.undo()
+    return got[0]
+
+
+def test_bare_quotient_matches_the_tailed_oracle(
+    monkeypatch, tab16, iso16, reflected, v3_and_reflected
+):
+    """psi/sqrt_c(chi_p) without the zero-potential tails equals the tailed
+    eval_psi/chip (psi_negative/chip for psi_{-n}) to 1e-13 relative, on the
+    solve nodes and on the verification contours: the tails cancel."""
+    rel = lambda a, b: float(np.max(np.abs(a - b) / np.abs(b)))
+    verify_nodes = lambda iso: np.concatenate([
+        iso.contour(j, m, nodes=96, scale=1.5).points()[0]
+        for j in (1, 2) for m in range(-16, 17)
+    ])
+    (tab3, iso3), (tab3r, iso3r) = v3_and_reflected
+    for (tab, iso), (tabr, isor) in (
+        ((tab16, iso16), reflected[1:]),
+        ((tab3, iso3), (tab3r, iso3r)),
+    ):
+        ev = CanonicalRootEvaluator(tab, 16)
+        z = verify_nodes(iso)
+        for n in (0, 1, 2):
+            sol = solve_sigma(tab, iso, n, 16)
+            ws = sol.workspace
+            solve = ws._bare_psi(sol.sigma1, sol.sigma2, ws.z_all, ws.f2_inf(sol.sigma2))
+            oracle = eval_psi(sol, tab, iso, ws.z_all) / ev.chip(ws.z_all)
+            assert rel(solve / ws.chip_all, oracle) <= 1e-13
+            f = _verify_integrand(monkeypatch, verify_normalization, sol, tab, iso)
+            assert rel(f(z), eval_psi(sol, tab, iso, z) / ev.chip(z)) <= 1e-13
+        solr = solve_sigma(tabr, isor, 1, 16)
+        ws = solr.workspace
+        solve = ws._bare_psi(solr.sigma1, solr.sigma2, ws.z_all, ws.f2_inf(solr.sigma2))
+        oracle = eval_psi(solr, tabr, isor, ws.z_all) / ws.evaluator.chip(ws.z_all)
+        assert rel(solve / ws.chip_all, oracle) <= 1e-13
+        f = _verify_integrand(
+            monkeypatch, verify_negative_normalization, solr, tabr, isor, tab, iso
+        )
+        assert rel(f(z), psi_negative(solr, tabr, isor, z) / ev.chip(z)) <= 1e-13
+
+
+def test_sigma_layer_evaluates_tails_only_at_zero(tab16, iso16, reflected, monkeypatch):
+    """solve_sigma and both normalization checks evaluate zero_tail only at
+    the point 0, for sqrt_c(chi_1)(0) and f_{n,2}(inf), and on no contour
+    node: psi and sqrt_c(chi_p) carry the same tails there, which cancel."""
+    vr, tabr, isor = reflected
+    points = []
+    tail = rp.zero_tail
+
+    def counting(z, *args, **kwargs):
+        points.append(np.atleast_1d(z))
+        return tail(z, *args, **kwargs)
+
+    monkeypatch.setattr(rp, "zero_tail", counting)
+    monkeypatch.setattr(df, "zero_tail", counting)
+    sol = solve_sigma(tab16, iso16, 1, 16)
+    assert len(points) == 2  # the evaluator's chi1(0) and the workspace's f2(inf)
+    verify_normalization(sol, tab16, iso16)
+    assert len(points) == 2
+    solr = solve_sigma(tabr, isor, 1, 16)
+    verify_negative_normalization(solr, tabr, isor, tab16, iso16)
+    assert len(points) == 5  # one more for the base potential's evaluator
+    assert all(z.shape == (1,) and z[0] == 0 for z in points)
+
+
+def test_one_residual_evaluation_per_newton_trial(
+    monkeypatch, tab16, iso16, v3_and_reflected
+):
+    """solve_sigma evaluates the residual, with its Jacobian, once at the
+    initializer and once per trial point (each trial passes admissible):
+    1 + iterations + rejected trials calls per solve."""
+    calls, trials = [], []
+    rj, adm = SigmaWorkspace.residual_and_jacobian, SigmaWorkspace.admissible
+    monkeypatch.setattr(
+        SigmaWorkspace, "residual_and_jacobian", lambda ws, *a, **k: calls.append(1) or rj(ws, *a, **k)
+    )
+    monkeypatch.setattr(
+        SigmaWorkspace, "admissible", lambda ws, *a, **k: trials.append(1) or adm(ws, *a, **k)
+    )
+    for tab, iso in ((tab16, iso16), v3_and_reflected[0]):
+        for n in (0, 1, 2):
+            calls.clear()
+            trials.clear()
+            sol = solve_sigma(tab, iso, n, 16)
+            rejected = len(trials) - sol.newton_iters
+            assert sol.newton_iters >= 1 and rejected >= 0
+            assert len(calls) == 1 + sol.newton_iters + rejected
