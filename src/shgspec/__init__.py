@@ -4,8 +4,6 @@ normalized differentials of the sinh-Gordon Lax operator on the torus."""
 from .potential import Potential
 from .monodromy import (
     BatchResult,
-    chi_D,
-    chi_p,
     closed_form_zero,
     integrate,
     integrate_many,
@@ -18,8 +16,6 @@ from .spectrum import (
     build_isolating,
     build_table,
     count_annulus,
-    locate_dirichlet,
-    locate_periodic,
     trace_formula_tau,
 )
 from .roots_products import (

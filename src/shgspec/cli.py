@@ -32,7 +32,7 @@ def _load_potential(path: str) -> Potential:
             return Potential.from_json(fh.read())
     except FileNotFoundError as exc:
         raise SystemExit2(f"potential file not found: {exc}") from exc
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise SystemExit2(f"cannot parse potential file {path}: {exc}") from exc
 
 

@@ -44,6 +44,13 @@ THRESHOLDS = {
 }
 
 
+def _int_list(vals, lo, hi) -> bool:
+    """vals is a non-empty list or tuple of ints (not bools) in lo..hi."""
+    return isinstance(vals, (list, tuple)) and len(vals) > 0 and all(
+        isinstance(k, int) and not isinstance(k, bool) and lo <= k <= hi for k in vals
+    )
+
+
 @dataclass
 class RunConfig:
     """Knobs shared by the CLI and the verification suite."""
@@ -71,6 +78,12 @@ class RunConfig:
         for name in ("newton_tol", "ode_tol", "spectral_tol"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if not _int_list(self.product_K_list, 1, float("inf")):
+            raise ValueError("product_K_list must be a non-empty list of ints >= 1")
+        if not _int_list(self.differentials_n_list, 0, self.K):
+            raise ValueError(
+                f"differentials_n_list must be a non-empty list of ints in 0..{self.K}"
+            )
 
     @staticmethod
     def from_json(text: str) -> "RunConfig":

@@ -23,22 +23,23 @@ together.  Unknowns are truncated to |k| <= K with the zero-potential tail
 closure; iterates leaving the isolating discs are clamped back to a boundary
 ring and the event is counted.
 
-A solution carries the workspace it was solved with; psi evaluation and the
-normalization checks reuse it for the same table, isolating discs, n and K
-and build one only otherwise.  psi_n and sqrt_c(chi_p) carry the same
-zero-potential tails, zero_tail(lambda, K) zero_tail(-1/(16 lambda), K), and
-so does psi_{-n} (zero_tail is even), so their quotient is a product over
-|k| <= K alone: on every node set (the workspace's solve nodes and each fresh
-verification contour) both are evaluated without these tails.  Their
-scalars f_{n,2}(inf) and sqrt_c(chi_1)(0) keep theirs, zero_tail(0, K) both,
-which cancel as well.  psi evaluation itself is tailed and never reads the
-workspace's cached sqrt_c(chi_p) values.
+The solve, psi evaluation and each normalization check build their own
+workspace; a workspace builds its contour nodes and sqrt_c(chi_p) values
+on first use, so only the solve builds them.  psi_n and sqrt_c(chi_p) carry
+the same zero-potential tails, zero_tail(lambda, K)
+zero_tail(-1/(16 lambda), K), and so does psi_{-n} (zero_tail is even), so
+their quotient is a product over |k| <= K alone: on every node set (the
+solve nodes and each fresh verification contour) both are evaluated
+without these tails.  Their scalars f_{n,2}(inf) and sqrt_c(chi_1)(0) keep
+theirs, zero_tail(0, K) both, which cancel as well.  psi evaluation itself
+is tailed.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
@@ -56,6 +57,7 @@ __all__ = [
 ]
 
 COND_LIMIT = 1e12
+MAX_HALVINGS = 6  # step halvings per damped Newton iteration
 
 
 @dataclass
@@ -70,8 +72,6 @@ class SigmaSolution:
     newton_iters: int
     C_n: complex
     clamp_events: int = 0
-    # the workspace of the solve; it does not depend on sigma
-    workspace: SigmaWorkspace | None = field(default=None, repr=False, compare=False)
 
     def sigma1_at(self, k):
         return complex(self.sigma1[k + self.K])
@@ -97,10 +97,10 @@ class SigmaSolution:
 
 
 class SigmaWorkspace:
-    """Cached contours, quadrature nodes and bare sqrt_c(chi_p) values for
-    one n."""
+    """Contours, quadrature nodes and bare sqrt_c(chi_p) values for one n,
+    each built on first use."""
 
-    def __init__(self, table, iso, n, K, nodes=64, contour_scale=1.0):
+    def __init__(self, table, iso, n, K, nodes=64):
         if K < table.n_max:
             raise ValueError("truncation K must be >= the table range N_max")
         self.table = table
@@ -111,22 +111,34 @@ class SigmaWorkspace:
         ks = np.arange(-K, K + 1)
         self.ks = ks
         self.idx1 = np.array([k for k in ks if k != n])
-        self.evaluator = CanonicalRootEvaluator(table, K)
         self.tau1 = table.family("tau2", 1, K)
         self.tau2 = table.family("tau2", 2, K)
-        # contour node data; family 1 rows for m != n, family 2 rows for all m
-        self.rows = []
-        for m in self.idx1:
-            spec = iso.contour(1, int(m), nodes=nodes, scale=contour_scale)
-            z, dz = spec.points()
-            self.rows.append((1, int(m), z, dz, (n - m)))
-        for m in ks:
-            spec = iso.contour(2, int(m), nodes=nodes, scale=contour_scale)
-            z, dz = spec.points()
-            self.rows.append((2, int(m), z, dz, 16.0 * pi_k(m) ** 2 * pi_k(n)))
-        self.z_all = np.concatenate([r[2] for r in self.rows])
-        self.chip_all = self.evaluator._bare_chip(self.z_all)
         self.tail2_zero = complex(zero_tail(0.0, K)[0])
+
+    @cached_property
+    def evaluator(self):
+        return CanonicalRootEvaluator(self.table, self.K)
+
+    @cached_property
+    def rows(self):
+        """Contour node data; family 1 rows for m != n, family 2 rows for
+        all m."""
+        rows = []
+        for m in self.idx1:
+            z, dz = self.iso.contour(1, int(m), nodes=self.nodes).points()
+            rows.append((1, int(m), z, dz, (self.n - m)))
+        for m in self.ks:
+            z, dz = self.iso.contour(2, int(m), nodes=self.nodes).points()
+            rows.append((2, int(m), z, dz, 16.0 * pi_k(m) ** 2 * pi_k(self.n)))
+        return rows
+
+    @cached_property
+    def z_all(self):
+        return np.concatenate([r[2] for r in self.rows])
+
+    @cached_property
+    def chip_all(self):
+        return self.evaluator._bare_chip(self.z_all)
 
     # -- state vector mapping ------------------------------------------------
 
@@ -188,31 +200,23 @@ class SigmaWorkspace:
         n_unk = u.size
         F = np.empty(n_unk, dtype=complex)
         Q = np.empty((n_unk, n_unk), dtype=complex)
-        pos = 0
         m1 = len(self.idx1)
         # psi_n/sqrt_c(chi_p) on all rows' nodes at once; the rows then only
         # sum their slice
         g = self._bare_psi(sigma1, sigma2, self.z_all, self.f2_inf(sigma2))
         g = g / self.chip_all
         s1 = sigma1[self.ks != self.n]
-        for (fam, m, z, dz, pref), sl in zip(self.rows, self._slices()):
-            gdz = g[sl] * dz
+        start = 0
+        for pos, (_, _, z, dz, pref) in enumerate(self.rows):
+            gdz = g[start : start + z.size] * dz
+            start += z.size
             F[pos] = pref * np.sum(gdz)
             B1 = 1.0 / (s1 - z[:, None])
             mu = -1.0 / (16.0 * z)
             B2 = 1.0 / (sigma2 - mu[:, None]) - 1.0 / sigma2
             Q[pos, :m1] = pref * (gdz @ B1)
             Q[pos, m1:] = pref * (gdz @ B2)
-            pos += 1
         return F, Q
-
-    def _slices(self):
-        out = []
-        start = 0
-        for r in self.rows:
-            out.append(slice(start, start + r[2].size))
-            start += r[2].size
-        return out
 
 
 def solve_sigma(
@@ -223,7 +227,6 @@ def solve_sigma(
     tol=1e-9,
     max_iter=12,
     nodes=64,
-    max_halvings=6,
 ) -> SigmaSolution:
     """Damped Newton solve of F^n = 0 from the tau initializer.
 
@@ -253,14 +256,14 @@ def solve_sigma(
             )
         step = lu_solve(lu_factor(Q), F)
         scale = 1.0
-        for _ in range(max_halvings + 1):
+        for _ in range(MAX_HALVINGS + 1):
             trial = u - scale * step
             s1, s2 = ws.unpack(trial)
             s1, s2, ev = ws.admissible(s1, s2, clamp=True)
             trial = ws.pack(s1, s2)
             Ft, Qt = ws.residual_and_jacobian(trial)
             tnorm = float(np.linalg.norm(Ft))
-            if tnorm < rnorm or scale <= 2.0 ** (-max_halvings):
+            if tnorm < rnorm or scale <= 2.0 ** (-MAX_HALVINGS):
                 break
             scale *= 0.5
         u = trial
@@ -269,27 +272,12 @@ def solve_sigma(
         iters += 1
     sigma1, sigma2 = ws.unpack(u)
     C_n = complex(1.0 / ws.f2_inf(sigma2))
-    return SigmaSolution(n, K, sigma1, sigma2, rnorm, iters, C_n, clamps, ws)
-
-
-def _workspace(sol: SigmaSolution, table, iso) -> SigmaWorkspace:
-    """The solution's own workspace if it was built for this table and iso,
-    else a fresh one."""
-    ws = sol.workspace
-    if (
-        ws is not None
-        and ws.table is table
-        and ws.iso is iso
-        and ws.n == sol.n
-        and ws.K == sol.K
-    ):
-        return ws
-    return SigmaWorkspace(table, iso, sol.n, sol.K)
+    return SigmaSolution(n, K, sigma1, sigma2, rnorm, iters, C_n, clamps)
 
 
 def eval_psi(sol: SigmaSolution, table, iso, lam):
     """psi_n(lambda) for a converged solution."""
-    return _workspace(sol, table, iso).psi(sol.sigma1, sol.sigma2, lam)
+    return SigmaWorkspace(table, iso, sol.n, sol.K).psi(sol.sigma1, sol.sigma2, lam)
 
 
 def _normalization(integrand, iso, K, nodes, scale, one):
@@ -313,7 +301,7 @@ def verify_normalization(
     Returns the matrix {(j,m): (1/2 pi) oint psi_n/sqrt_c(chi_p)} and the
     maximum deviation from delta_{nm} (family 1) resp. 0 (family 2).
     """
-    ws = _workspace(sol, table, iso)
+    ws = SigmaWorkspace(table, iso, sol.n, sol.K)
     f2_inf = ws.f2_inf(sol.sigma2)
 
     def integrand(z):
@@ -323,10 +311,10 @@ def verify_normalization(
     return _normalization(integrand, iso, sol.K, nodes, contour_scale, (1, sol.n))
 
 
-def _reflected_workspace(sol_reflected, table_reflected, iso_reflected):
-    if sol_reflected.n < 1:
+def _reflected_workspace(sol, table, iso):
+    if sol.n < 1:
         raise ValueError("psi_{-n} is defined for n >= 1")
-    return _workspace(sol_reflected, table_reflected, iso_reflected)
+    return SigmaWorkspace(table, iso, sol.n, sol.K)
 
 
 def psi_negative(sol_reflected: SigmaSolution, table_reflected, iso_reflected, lam):

@@ -35,7 +35,7 @@ __all__ = [
     "fd_rel_error", "zero_potential_delta_kernels",
 ]
 
-GL_NODES_DEFAULT = 192
+GL_NODES_DEFAULT = 192  # Gauss-Legendre nodes of every kernel
 
 
 @functools.lru_cache(maxsize=None)
@@ -69,8 +69,8 @@ class GradientKernel:
                        + float(np.sum(self.weights * np.abs(self.p_kernel) ** 2)))
 
 
-def _path_data(v, lam, tol, n_nodes):
-    x, w = _gauss_legendre(n_nodes)
+def _path_data(v, lam, tol):
+    x, w = _gauss_legendre(GL_NODES_DEFAULT)
     res = integrate(v, lam, order=1, tol=tol, path_nodes=x)
     emq, eq = v.exp_q_at(x)
     return x, w, res, res.path, emq, eq
@@ -84,11 +84,11 @@ def _minv(path):
     return inv
 
 
-def grad_monodromy(v, lam, tol=1e-11, n_nodes=GL_NODES_DEFAULT):
+def grad_monodromy(v, lam, tol=1e-11):
     """Gradient kernels of the four entries of the Floquet matrix,
     {(i, j): kernel}.  The d/dx qdot part is integrated by parts into the
     q-multiplier and the EV_0 boundary term, which is zero on the diagonal."""
-    x, w, res, path, emq, eq = _path_data(v, lam, tol, n_nodes)
+    x, w, res, path, emq, eq = _path_data(v, lam, tol)
     Mg = res.Mgrave
     Minv = _minv(path)
     E = np.zeros_like(path)
@@ -101,22 +101,22 @@ def grad_monodromy(v, lam, tol=1e-11, n_nodes=GL_NODES_DEFAULT):
             for i in range(2) for j in range(2)}
 
 
-def _half_trace_kernel(v, lam, combine, tol, n_nodes):
+def _half_trace_kernel(v, lam, combine, tol):
     """The kernel of combine(M_11, M_22)/2 from the diagonal Floquet kernels."""
-    gm = grad_monodromy(v, lam, tol=tol, n_nodes=n_nodes)
+    gm = grad_monodromy(v, lam, tol=tol)
     k1, k4 = gm[0, 0], gm[1, 1]
     return GradientKernel(k1.x, k1.weights, 0.5 * combine(k1.q_kernel, k4.q_kernel),
                           0.5 * combine(k1.p_kernel, k4.p_kernel))
 
 
-def grad_discriminant(v, lam, tol=1e-11, n_nodes=GL_NODES_DEFAULT):
+def grad_discriminant(v, lam, tol=1e-11):
     """The kernel of Delta = (m1 + m4)/2; vanishes at v=0."""
-    return _half_trace_kernel(v, lam, np.add, tol, n_nodes)
+    return _half_trace_kernel(v, lam, np.add, tol)
 
 
-def grad_antidiscriminant(v, lam, tol=1e-11, n_nodes=GL_NODES_DEFAULT):
+def grad_antidiscriminant(v, lam, tol=1e-11):
     """The kernel of the anti-discriminant delta = (m1 - m4)/2."""
-    return _half_trace_kernel(v, lam, np.subtract, tol, n_nodes)
+    return _half_trace_kernel(v, lam, np.subtract, tol)
 
 
 def zero_potential_delta_kernels(lam, x):
@@ -149,10 +149,10 @@ def _require_simple(deriv, lam, kind):
         raise ValueError(f"gradient undefined at multiple {kind} eigenvalue")
 
 
-def grad_dirichlet(v, mu, tol=1e-11, n_nodes=GL_NODES_DEFAULT):
+def grad_dirichlet(v, mu, tol=1e-11):
     """Kernel of the Dirichlet eigenvalue mu,
     d mu = (m1(mu)/chi_D'(mu)) Grad{M_2}{mu}."""
-    x, w, res, path, emq, eq = _path_data(v, mu, tol, n_nodes)
+    x, w, res, path, emq, eq = _path_data(v, mu, tol)
     chiD_dot = res.Mgrave_dot[0, 1]
     _require_simple(chiD_dot, mu, "Dirichlet")
     pref = res.Mgrave[0, 0] / chiD_dot
@@ -160,14 +160,14 @@ def grad_dirichlet(v, mu, tol=1e-11, n_nodes=GL_NODES_DEFAULT):
     return GradientKernel(x, w, pref * qk, pref * pk)
 
 
-def grad_periodic(v, lam, tol=1e-11, n_nodes=GL_NODES_DEFAULT):
+def grad_periodic(v, lam, tol=1e-11):
     """Kernel of the simple periodic eigenvalue lam.
 
     The eigenfunction route: with m2 = chi_D(lam) != 0 the eigenfunction is
     m2 M_1 - delta M_2 and d lam = -(1/(2 Delta_dot m2)) Grad{...}; with
     m3 != 0 it is m3 M_2 + delta M_1 and d lam = (1/(2 Delta_dot m3)) Grad{...}.
     """
-    x, w, res, path, emq, eq = _path_data(v, lam, tol, n_nodes)
+    x, w, res, path, emq, eq = _path_data(v, lam, tol)
     dd = res.Delta_dot
     _require_simple(dd, lam, "periodic")
     g2, g3 = res.Mgrave[0, 1], res.Mgrave[1, 0]
@@ -185,18 +185,18 @@ def grad_periodic(v, lam, tol=1e-11, n_nodes=GL_NODES_DEFAULT):
     return GradientKernel(x, w, pref * qk, pref * pk)
 
 
-def grad_periodic_via_delta(v, lam, tol=1e-11, n_nodes=GL_NODES_DEFAULT):
+def grad_periodic_via_delta(v, lam, tol=1e-11):
     """Chain-rule route d lam = -d Delta / Delta_dot, as a cross-check."""
-    k = grad_discriminant(v, lam, tol=tol, n_nodes=n_nodes)
+    k = grad_discriminant(v, lam, tol=tol)
     dd = integrate(v, lam, order=1, tol=tol).Delta_dot
     _require_simple(dd, lam, "periodic")
     return GradientKernel(k.x, k.weights, -k.q_kernel / dd, -k.p_kernel / dd)
 
 
-def grad_m4_at_dirichlet(v, mu, tol=1e-11, n_nodes=GL_NODES_DEFAULT):
+def grad_m4_at_dirichlet(v, mu, tol=1e-11):
     """Kernel of m4(lambda) at the fixed Dirichlet eigenvalue lambda = mu:
     -m3 Grad{M_2} + (m4/4)(Grad{M_1+M_2} - Grad{M_1-M_2})."""
-    x, w, res, path, emq, eq = _path_data(v, mu, tol, n_nodes)
+    x, w, res, path, emq, eq = _path_data(v, mu, tol)
     _require_simple(res.Mgrave_dot[0, 1], mu, "Dirichlet")
     g3, g4 = res.Mgrave[1, 0], res.Mgrave[1, 1]
     M1, M2 = path[:, :, 0], path[:, :, 1]
@@ -212,16 +212,16 @@ def grad_m4_at_dirichlet(v, mu, tol=1e-11, n_nodes=GL_NODES_DEFAULT):
 # finite-difference oracles
 
 
-def seeded_directions(seed=0, count=3, Kf=4, grid_size=64):
-    """Reproducible band-limited real directions with unit H1 norm."""
+def seeded_directions(seed=0, count=3):
+    """Reproducible real directions of band limit 4 with unit H1 norm."""
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(count):
         q, p = {}, {}
-        for k in range(0, Kf + 1):
+        for k in range(0, 5):
             q[k] = complex(rng.standard_normal(), rng.standard_normal() if k else 0.0)
             p[k] = complex(rng.standard_normal(), rng.standard_normal() if k else 0.0)
-        d = Potential.from_modes(q, p, Kf=Kf, grid_size=grid_size)
+        d = Potential.from_modes(q, p, Kf=4, grid_size=64)
         nrm = d.h1_norm()
         out.append(Potential(d.q_coeffs / nrm, d.p_coeffs / nrm, d.Kf, d.grid_size, d.real))
     return out

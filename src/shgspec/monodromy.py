@@ -67,8 +67,6 @@ __all__ = [
     "closed_form_zero",
     "integrate",
     "integrate_many",
-    "chi_p",
-    "chi_D",
     "lam_zero",
     "tau_zero",
 ]
@@ -590,12 +588,3 @@ def integrate(
     res = integrate_many(v, [lam], order=order, tol=tol, path_nodes=path_nodes)
     return res.single(0)
 
-
-def chi_p(v: Potential, lam, tol: float = DEFAULT_TOL) -> complex:
-    """Characteristic function of the periodic spectrum, Delta^2 - 1."""
-    return complex(integrate(v, lam, order=0, tol=tol).chi_p)
-
-
-def chi_D(v: Potential, lam, tol: float = DEFAULT_TOL) -> complex:
-    """Characteristic function of the Dirichlet spectrum, entry m2 of M(1)."""
-    return complex(integrate(v, lam, order=0, tol=tol).chi_D)

@@ -202,7 +202,8 @@ def f1n(table, n: int, lam, K: int):
 
 
 class CanonicalRootEvaluator:
-    """Branch-consistent square roots sqrt_c of chi_1, chi_2 and chi_p.
+    """The branch-consistent square root sqrt_c of chi_p, from those of
+    chi_{p,1} and chi_{p,2}.
 
     Nodes for |k| <= K come from the spectrum table (zero-potential
     surrogates beyond its range); the |k| > K tail is closed exactly.  All
@@ -227,18 +228,8 @@ class CanonicalRootEvaluator:
                 if abs(hi - lo) > 1e-9:
                     ends += [lo, hi]
         self._gap_ends = np.asarray(ends if ends else [np.inf], dtype=complex)
-        self.chi1_zero = complex(self.chi1(0.0)[0])
-
-    def chi1(self, lam, tail=None):
-        """sqrt_c of chi_{p,1}: the product of all w_{1,k}/pi_k (analytic at 0).
-
-        tail, when given, is zero_tail(lam, K)."""
-        return node_product(self.tau1, lam, self.K, self.gam1, tail)
-
-    def chi2(self, lam, tail=None):
-        """tail, when given, is zero_tail(-1/(16 lam), K)."""
-        lam = np.atleast_1d(np.asarray(lam, dtype=complex))
-        return node_product(self.tau2, -1.0 / (16.0 * lam), self.K, self.gam2, tail)
+        # sqrt_c(chi_{p,1}), the product of all w_{1,k}/pi_k, at 0
+        self.chi1_zero = complex(node_product(self.tau1, 0.0, self.K, self.gam1)[0])
 
     def chip(self, lam, check_gaps: bool = True):
         """sqrt_c of chi_p = i * sqrt_c(chi_1) sqrt_c(chi_2) / sqrt_c(chi_1)(0)."""
@@ -257,7 +248,9 @@ class CanonicalRootEvaluator:
                 raise ValueError(
                     "lambda within 1e-10 of a gap endpoint: branch ambiguous"
                 )
-        return 1j * self.chi1(lam, 1.0) * self.chi2(lam, 1.0) / self.chi1_zero
+        chi1 = node_product(self.tau1, lam, self.K, self.gam1, 1.0)
+        chi2 = node_product(self.tau2, -1.0 / (16.0 * lam), self.K, self.gam2, 1.0)
+        return 1j * chi1 * chi2 / self.chi1_zero
 
     def chip_from_below(self, lam_real, seg_len):
         """Gap-interior values as the limit from below, Im lambda -> 0^-."""
@@ -270,10 +263,10 @@ class CanonicalRootEvaluator:
 # sign tables (real potentials)
 
 
-def sign_tables(v, table, K: int | None = None, samples_per_band: int = 3):
+def sign_tables(v, table, K: int | None = None):
     """Verify the sign conventions of sqrt_c(chi_p) and f_{1,n} on the real axis.
 
-    Checks, for a real potential:
+    Checks, at three samples per band or gap, for a real potential:
       * between consecutive gaps on the positive axis (both families),
         (-1)^n Im sqrt_c(chi_p) > 0 with n the index of the right-hand gap;
       * inside open gaps approached from below, (-1)^(n+1) sqrt_c(chi_p) > 0,
@@ -307,7 +300,7 @@ def sign_tables(v, table, K: int | None = None, samples_per_band: int = 3):
         a, b = left[3], right[2]
         if b - a <= 0:
             continue
-        xs = a + (b - a) * np.linspace(0.15, 0.85, samples_per_band)
+        xs = a + (b - a) * np.linspace(0.15, 0.85, 3)
         vals = ev.chip(xs.astype(complex))
         want = (-1.0) ** right[1]
         checked += 1
@@ -324,9 +317,7 @@ def sign_tables(v, table, K: int | None = None, samples_per_band: int = 3):
             if seg <= 1e-9 * (1.0 + abs(lo)):
                 skipped += 1
                 continue
-            xs = lo.real + (hi.real - lo.real) * np.linspace(
-                0.2, 0.8, samples_per_band
-            )
+            xs = lo.real + (hi.real - lo.real) * np.linspace(0.2, 0.8, 3)
             vals = ev.chip_from_below(xs, seg)
             want = (-1.0) ** (n + 1)
             checked += 1
@@ -337,7 +328,7 @@ def sign_tables(v, table, K: int | None = None, samples_per_band: int = 3):
     for n in range(-N + 1, N):
         a = table.lam2(1, n - 1, +1).real
         b = table.lam2(1, n + 1, -1).real
-        xs = a + (b - a) * np.linspace(0.1, 0.9, samples_per_band)
+        xs = a + (b - a) * np.linspace(0.1, 0.9, 3)
         vals = f1n(table, n, xs.astype(complex), K)
         want = (-1.0) ** n
         checked += 1
@@ -497,9 +488,7 @@ class NodeFamily:
         return complex(self.f1(z)[0] * reduced * dfactor)
 
 
-def interpolate_reconstruct(
-    nodes: NodeFamily, phi_sigma1, phi_kappa2, z, phi_fn=None, sum_window=None
-):
+def interpolate_reconstruct(nodes: NodeFamily, phi_sigma1, phi_kappa2, z, phi_fn=None):
     """Residue-sum reconstruction of an analytic function from its node values:
 
         phi(z) ~= f(z) sum_n [phi(sigma_{1,n})/f'(sigma_{1,n}) / (z - sigma_{1,n})
@@ -507,7 +496,7 @@ def interpolate_reconstruct(
 
     The sum over |n| <= K uses the supplied node values.  When phi_fn is
     given, the family is padded with its zero-potential tail nodes up to
-    |n| <= sum_window (default 3K), which leaves f unchanged, and one call of
+    |n| <= 3K, which leaves f unchanged, and one call of
     phi_fn on the array of tail nodes supplies their values.  Each weight
     1/f'(node) is computed once per call (the barycentric form); z may be an
     array, and a scalar z gives a complex.
@@ -517,7 +506,7 @@ def interpolate_reconstruct(
     phi1, phi2 = phi_sigma1, phi_kappa2
     if phi_fn is not None:
         K = nodes.K
-        nodes = nodes.padded(sum_window or 3 * K)
+        nodes = nodes.padded(3 * K)
         tail = np.abs(nodes.ks) > K
         ring = np.concatenate([nodes.sigma1[tail], nodes.kappa2[tail]])
         phi1, phi2 = np.zeros((2, tail.size), dtype=complex)

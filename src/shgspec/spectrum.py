@@ -27,10 +27,6 @@ __all__ = [
     "IsolatingNeighborhoods",
     "order_le",
     "count_annulus",
-    "locate_periodic",
-    "locate_dirichlet",
-    "locate_delta_dot",
-    "locate_delta_dot_star",
     "build_table",
     "build_isolating",
     "certify_counts",
@@ -117,15 +113,14 @@ def _windings(v, spec, kinds, tol):
     return {k: winding_number(lambda z, k=k: _PAIRS[k](res), spec) for k in kinds}
 
 
-def count_annulus(v: Potential, N: int, tol=1e-11, nodes=None):
+def count_annulus(v: Potential, N: int, tol=1e-11):
     """Root counts of chi_p, chi_D and Delta_dot in the annulus A_N.
 
     For potentials in the working neighborhood the annulus holds exactly
     4+8N periodic eigenvalues, 2+4N Dirichlet eigenvalues and 4+4N roots of
     the discriminant derivative.
     """
-    if nodes is None:
-        nodes = max(256, 96 * N)
+    nodes = max(256, 96 * N)
     outer = _windings(v, ContourSpec(0.0, DiscFamily.B_radius(N), nodes), _PAIRS, tol)
     inner = _windings(v, ContourSpec(0.0, DiscFamily.B_radius(-N), nodes), _PAIRS, tol)
     return {
@@ -170,28 +165,14 @@ def _newton_batch(v, seeds, kind, tol=1e-12, max_iter=40):
     return lam
 
 
-def locate_delta_dot(v: Potential, n: int, tol=1e-12) -> complex:
-    """The root of d Delta/d lambda in U_n (simple for real v)."""
-    return complex(_newton_batch(v, [lam_zero(n)], "ddelta", tol=tol)[0])
-
-
-def locate_delta_dot_star(v: Potential, tol=1e-12) -> complex:
-    """The extra Delta_dot root on the positive imaginary axis (i/4 at v=0)."""
-    return complex(_newton_batch(v, [0.25j], "ddelta", tol=tol)[0])
-
-
-def locate_dirichlet(v: Potential, n: int, tol=1e-12) -> complex:
-    return complex(_newton_batch(v, [lam_zero(n)], "chi_D", tol=tol)[0])
-
-
-def _periodic_pair_from_ddot(v, lam_dots, tol=1e-13, tol_double=DOUBLE_ROOT_TOL):
+def _periodic_pair_from_ddot(v, lam_dots, tol=1e-13):
     """Quadratic model of chi_p at the Delta_dot roots, then Newton polish.
 
     chi_p'(lam_dot)=0, so chi_p ~ chi_p(ld) + chi_p''(ld)(lam-ld)^2/2 with
     chi_p'' = 2(Delta_dot^2 + Delta*Delta_ddot); the two roots sit at
     ld +- h, h = sqrt(-2 chi_p / chi_p'').  The squared half-width h^2 is
-    measured down to the integrator noise; below max(tol_double, noise) the
-    pair is a double eigenvalue.  The noise of chi_p = Delta^2 - 1 is
+    measured down to the integrator noise; below max(DOUBLE_ROOT_TOL, noise)
+    the pair is a double eigenvalue.  The noise of chi_p = Delta^2 - 1 is
     bounded by 2 |Delta| |M| BatchResult.err, the run's own half-grid
     estimate (relative to the largest entry of M).  Newton polish on chi_p
     is only applied to well-open gaps, where the roots are comfortably
@@ -207,7 +188,7 @@ def _periodic_pair_from_ddot(v, lam_dots, tol=1e-13, tol_double=DOUBLE_ROOT_TOL)
     h2 = -2.0 * chi / chi_dd
     h = np.sqrt(h2 + 0j)
     scale = 1.0 + np.abs(lam_dots)
-    dbl = np.abs(h2) < np.maximum(tol_double * scale, 25.0 * noise / np.abs(chi_dd))
+    dbl = np.abs(h2) < np.maximum(DOUBLE_ROOT_TOL * scale, 25.0 * noise / np.abs(chi_dd))
     minus = np.where(dbl, lam_dots, lam_dots - h)
     plus = np.where(dbl, lam_dots, lam_dots + h)
     # the quadratic model degrades on the local oscillation scale omega';
@@ -226,14 +207,7 @@ def _periodic_pair_from_ddot(v, lam_dots, tol=1e-13, tol_double=DOUBLE_ROOT_TOL)
         [not order_le(a, b) for a, b in zip(minus, plus)], dtype=bool
     )
     minus[swap], plus[swap] = plus[swap].copy(), minus[swap].copy()
-    return minus, plus, dbl
-
-
-def locate_periodic(v: Potential, n: int, tol=1e-12, tol_double=DOUBLE_ROOT_TOL):
-    """The pair (lambda_n^-, lambda_n^+), ordered; equal for a double root."""
-    ld = locate_delta_dot(v, n, tol=tol)
-    minus, plus, _ = _periodic_pair_from_ddot(v, [ld], tol=tol, tol_double=tol_double)
-    return complex(minus[0]), complex(plus[0])
+    return minus, plus
 
 
 # ---------------------------------------------------------------------------
@@ -402,12 +376,7 @@ class SpectrumTable:
         )
 
 
-def build_table(
-    v: Potential,
-    n_max: int,
-    tol=1e-12,
-    tol_double=DOUBLE_ROOT_TOL,
-) -> SpectrumTable:
+def build_table(v: Potential, n_max: int, tol=1e-12) -> SpectrumTable:
     """Localize all spectral data for |n| <= n_max and label it.
 
     Delta_dot roots are found first (they seed the quadratic model for the
@@ -417,11 +386,10 @@ def build_table(
     v.validate()
     ns = np.arange(-n_max, n_max + 1)
     lam_dots = _newton_batch(v, lam_zero(ns), "ddelta", tol=tol)
-    minus, plus, _ = _periodic_pair_from_ddot(
-        v, lam_dots, tol=tol, tol_double=tol_double
-    )
+    minus, plus = _periodic_pair_from_ddot(v, lam_dots, tol=tol)
     mus = _newton_batch(v, lam_dots, "chi_D", tol=tol)
-    ld_star = locate_delta_dot_star(v, tol=tol)
+    # the extra Delta_dot root on the positive imaginary axis (i/4 at v = 0)
+    ld_star = complex(_newton_batch(v, [0.25j], "ddelta", tol=tol)[0])
     if ld_star.imag < 0:
         ld_star = -ld_star
     for arr in (minus, plus, mus, lam_dots):
@@ -643,11 +611,9 @@ def _check_inclusion(table, iso):
         raise ValueError("(I-1) violated: lambda_dot_star outside U_*")
 
 
-def certify_counts(v, table, iso, n_range=None, tol=1e-11):
+def certify_counts(v, table, iso, n_range, tol=1e-11):
     """Argument-principle certification: 2 chi_p roots, 1 chi_D root and
-    1 Delta_dot root in each U_n; 1 Delta_dot root in U_*."""
-    if n_range is None:
-        n_range = range(-min(iso.n_max, 6), min(iso.n_max, 6) + 1)
+    1 Delta_dot root in each U_n, n in n_range; 1 Delta_dot root in U_*."""
     want = {"chi_p": 2, "chi_D": 1, "ddelta": 1}
     report = {}
     for n in n_range:

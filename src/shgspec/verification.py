@@ -343,12 +343,12 @@ def _segment_distance(z, a, b):
     return abs(z - (a + t * (b - a)))
 
 
-def interpolation_self_test(table, K=24, seed=0, n_points=5):
+def interpolation_self_test(table, K=24, seed=0):
     """Reconstruction of phi = f1 (f2 - f2(inf)) from its node values.
 
     phi vanishes at every sigma_1 node, so only the kappa ring contributes;
-    the residue sum is extended over the zero-potential tail nodes, and all
-    n_points are reconstructed in one call.
+    the residue sum is extended over the zero-potential tail nodes, and five
+    random points are reconstructed in one call.
     """
     nodes = NodeFamily.from_table(table, K)
     f2_inf = nodes.f2_inf()
@@ -357,7 +357,7 @@ def interpolation_self_test(table, K=24, seed=0, n_points=5):
         return nodes.f1(z) * (nodes.f2(z) - f2_inf)
 
     rng = np.random.default_rng(seed)
-    zs = rng.uniform(0.4, 2.5, n_points) + 1j * rng.uniform(0.1, 0.8, n_points)
+    zs = rng.uniform(0.4, 2.5, 5) + 1j * rng.uniform(0.1, 0.8, 5)
     phi_s1 = np.zeros(2 * K + 1, dtype=complex)  # f1 vanishes at sigma1 nodes
     phi_k2 = -nodes.f1(nodes.kappa2) * f2_inf
     rec = interpolate_reconstruct(nodes, phi_s1, phi_k2, zs, phi_fn=phi)
@@ -370,7 +370,7 @@ def negative_control(v, cfg: RunConfig | None = None):
     must detect it.  Returns (clean_dev, corrupted_dev)."""
     cfg = cfg or RunConfig()
     table, iso, _ = _build_workspace(v, cfg)
-    sol = solve_sigma(table, iso, 1, cfg.K, tol=cfg.newton_tol)
+    sol = solve_sigma(table, iso, 1, cfg.K, tol=cfg.newton_tol, max_iter=cfg.newton_max_iter)
     _, dev0 = verify_normalization(sol, table, iso, nodes=cfg.nodes + 32)
     # push sigma_{1,k0} half a gap length beyond the + endpoint
     k0 = 1 if sol.n != 1 else 2

@@ -63,7 +63,7 @@ def test_criterion_9_zero_potential_solver(tab0, iso0):
 
 def test_criterion_10_interpolation(tab0):
     """The suite tests K = 16; the acceptance criterion states K = 24."""
-    metric = interpolation_self_test(tab0, K=24, seed=0, n_points=5)
+    metric = interpolation_self_test(tab0, K=24, seed=0)
     check("criterion 10 (interpolation self-test)", metric, THRESHOLDS["interpolation"])
 
 

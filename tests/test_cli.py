@@ -43,7 +43,12 @@ def test_eval_zero_potential(files, capsys):
 
 def test_eval_input_errors(files, capsys):
     d, zero, cos, cfg = files
-    assert main(["eval", str(d / "missing.json"), "--lambda", "1,0"]) == 2
+    # potential files: a missing one and one whose "q" is not a list of pairs
+    bad = json.loads(zero.read_text())
+    bad["q"] = 5
+    (d / "q5.json").write_text(json.dumps(bad))
+    for path in (d / "missing.json", d / "q5.json"):
+        assert main(["eval", str(path), "--lambda", "1,0"]) == 2
     assert main(["eval", str(zero), "--lambda", "oops"]) == 2
     assert main(["eval", str(zero), "--lambda", "0,0"]) == 3  # outside annulus
     # overrides go through RunConfig validation: input errors, not numerical ones
@@ -52,11 +57,15 @@ def test_eval_input_errors(files, capsys):
     assert main(["spectrum", str(zero), "--nmax", "-2"]) == 2
     assert "invalid run configuration" in capsys.readouterr().err
     # config files: an unknown key (such as the removed "threads"), an unknown
-    # threshold id and a non-object are input errors, not tracebacks
+    # threshold id, a non-object and malformed index lists are input errors,
+    # not tracebacks
     for name, text in (
         ("bogus.json", '{"bogus": 1}'),
         ("thr.json", '{"thresholds": {"normalisation": 1e-3}}'),
         ("list.json", "[1]"),
+        ("k5.json", '{"product_K_list": 5}'),
+        ("kempty.json", '{"product_K_list": []}'),
+        ("nbig.json", '{"differentials_n_list": [0, 17]}'),
     ):
         (d / name).write_text(text)
         assert main(["eval", str(zero), "--lambda", "1,0", "--config", str(d / name)]) == 2

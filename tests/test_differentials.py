@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -338,74 +336,6 @@ def test_solver_iteration_budget(v_seed, tab16, iso16):
         solve_sigma(tab16, iso16, 1, 16, tol=1e-14, max_iter=0)
 
 
-def _count_builds(monkeypatch):
-    """Record (table, iso) of every SigmaWorkspace construction."""
-    builds = []
-    init = SigmaWorkspace.__init__
-
-    def counting(self, table, iso, *args, **kwargs):
-        builds.append((table, iso))
-        init(self, table, iso, *args, **kwargs)
-
-    monkeypatch.setattr(SigmaWorkspace, "__init__", counting)
-    return builds
-
-
-def test_one_workspace_per_solution(monkeypatch, tab16, iso16, reflected):
-    """The solve builds the only workspace; psi and both normalization checks
-    reuse it."""
-    vr, tabr, isor = reflected
-    builds = _count_builds(monkeypatch)
-    sol = solve_sigma(tab16, iso16, 1, 16)
-    verify_normalization(sol, tab16, iso16, nodes=96)
-    eval_psi(sol, tab16, iso16, np.array([0.3 + 0.2j, 5.0]))
-    assert len(builds) == 1
-    builds.clear()
-    solr = solve_sigma(tabr, isor, 1, 16)
-    verify_negative_normalization(solr, tabr, isor, tab16, iso16, nodes=96)
-    assert len(builds) == 1
-
-
-def test_reused_workspace_matches_fresh_build(tab16, iso16, reflected):
-    """Values through the solution's workspace equal, bit for bit, those of a
-    fresh build (workspace=None)."""
-    vr, tabr, isor = reflected
-    sol = solve_sigma(tab16, iso16, 1, 16)
-    fresh = replace(sol, workspace=None)
-    assert fresh.workspace is None and sol.workspace is not None
-    assert verify_normalization(sol, tab16, iso16) == verify_normalization(
-        fresh, tab16, iso16
-    )
-    lam = np.array([0.3 + 0.2j, 5.0, 40.0 - 1.0j])
-    assert np.array_equal(
-        eval_psi(sol, tab16, iso16, lam), eval_psi(fresh, tab16, iso16, lam)
-    )
-    solr = solve_sigma(tabr, isor, 1, 16)
-    z, _ = iso16.contour(2, 2, nodes=96).points()
-    assert np.array_equal(
-        psi_negative(solr, tabr, isor, z),
-        psi_negative(replace(solr, workspace=None), tabr, isor, z),
-    )
-
-
-def test_workspace_not_reused_for_other_table_or_iso(
-    monkeypatch, v_seed, tab32, tab16, iso16
-):
-    """Another table or iso object builds a fresh workspace from the inputs
-    given and gives the fresh-build result."""
-    sol = solve_sigma(tab16, iso16, 1, 16)
-    fresh = replace(sol, workspace=None)
-    other_tab = tab32.truncated(16)
-    other_iso = build_isolating(v_seed, tab16)
-    builds = _count_builds(monkeypatch)
-    for table, iso in ((other_tab, iso16), (tab16, other_iso)):
-        builds.clear()
-        got = verify_normalization(sol, table, iso, nodes=96)
-        assert len(builds) == 1
-        assert builds[0][0] is table and builds[0][1] is iso
-        assert got == verify_normalization(fresh, table, iso, nodes=96)
-
-
 @pytest.fixture(scope="module")
 def v3_and_reflected():
     """(table, iso) of v3 at N = 16 and of its reflection (-q, p)."""
@@ -449,14 +379,14 @@ def test_bare_quotient_matches_the_tailed_oracle(
         z = verify_nodes(iso)
         for n in (0, 1, 2):
             sol = solve_sigma(tab, iso, n, 16)
-            ws = sol.workspace
+            ws = SigmaWorkspace(tab, iso, n, 16)
             solve = ws._bare_psi(sol.sigma1, sol.sigma2, ws.z_all, ws.f2_inf(sol.sigma2))
             oracle = eval_psi(sol, tab, iso, ws.z_all) / ev.chip(ws.z_all)
             assert rel(solve / ws.chip_all, oracle) <= 1e-13
             f = _verify_integrand(monkeypatch, verify_normalization, sol, tab, iso)
             assert rel(f(z), eval_psi(sol, tab, iso, z) / ev.chip(z)) <= 1e-13
         solr = solve_sigma(tabr, isor, 1, 16)
-        ws = solr.workspace
+        ws = SigmaWorkspace(tabr, isor, 1, 16)
         solve = ws._bare_psi(solr.sigma1, solr.sigma2, ws.z_all, ws.f2_inf(solr.sigma2))
         oracle = eval_psi(solr, tabr, isor, ws.z_all) / ws.evaluator.chip(ws.z_all)
         assert rel(solve / ws.chip_all, oracle) <= 1e-13
@@ -483,11 +413,43 @@ def test_sigma_layer_evaluates_tails_only_at_zero(tab16, iso16, reflected, monke
     sol = solve_sigma(tab16, iso16, 1, 16)
     assert len(points) == 2  # the evaluator's chi1(0) and the workspace's f2(inf)
     verify_normalization(sol, tab16, iso16)
-    assert len(points) == 2
+    assert len(points) == 4  # the same two in the check's own workspace
     solr = solve_sigma(tabr, isor, 1, 16)
     verify_negative_normalization(solr, tabr, isor, tab16, iso16)
-    assert len(points) == 5  # one more for the base potential's evaluator
+    # f2(inf) of the reflected workspace, chi1(0) of the base potential's evaluator
+    assert len(points) == 8
     assert all(z.shape == (1,) and z[0] == 0 for z in points)
+
+
+def test_checks_build_no_solve_contours(tab16, iso16, reflected, monkeypatch):
+    """After the solve, a normalization check evaluates sqrt_c(chi_p) on its
+    own contours alone, 2 (2K+1) nodes points, and psi evaluation on none:
+    the workspace builds its solve contours and their sqrt_c(chi_p) values
+    only when the residual asks for them."""
+    vr, tabr, isor = reflected
+    points = []
+    bare = CanonicalRootEvaluator._bare_chip
+
+    def counting(ev, lam, *args, **kwargs):
+        points.append(np.size(lam))
+        return bare(ev, lam, *args, **kwargs)
+
+    monkeypatch.setattr(CanonicalRootEvaluator, "_bare_chip", counting)
+    sol = solve_sigma(tab16, iso16, 1, 16)
+    solr = solve_sigma(tabr, isor, 1, 16)
+    for check in (
+        lambda: verify_normalization(sol, tab16, iso16),
+        lambda: verify_negative_normalization(solr, tabr, isor, tab16, iso16),
+    ):
+        points.clear()
+        check()
+        assert sum(points) == 2 * 33 * 96  # K = 16, 96 nodes a contour
+    points.clear()
+    lam = np.array([0.3 + 0.2j, 5.0, 40.0 - 1.0j])
+    eval_psi(sol, tab16, iso16, lam)
+    eval_psi(solr, tabr, isor, lam)
+    psi_negative(solr, tabr, isor, lam)
+    assert points == []
 
 
 def test_one_residual_evaluation_per_newton_trial(

@@ -8,8 +8,6 @@ from shgspec.gradients import GL_NODES_DEFAULT, _gauss_legendre
 from shgspec import monodromy
 from shgspec.monodromy import (
     E_nu,
-    chi_D,
-    chi_p,
     closed_form_zero,
     integrate,
     integrate_many,
@@ -136,14 +134,15 @@ def test_domain_guards():
 
 
 def test_chi_wrappers():
+    """The BatchResult scalars chi_p and chi_D of an order-0 run."""
     v0 = Potential.zero()
-    assert abs(chi_p(v0, lam_zero(1))) < 1e-9  # omega = pi, cos^2 - 1 = 0
-    assert abs(chi_D(v0, 1.0) - SIN_15_16) < 1e-9
+    assert abs(integrate(v0, lam_zero(1), order=0).chi_p) < 1e-9  # omega = pi
+    assert abs(integrate(v0, 1.0, order=0).chi_D - SIN_15_16) < 1e-9
     # reciprocity spot value: chi_p(-1/(16 lam), (-q,p)) = chi_p(lam, (q,p))
     v = Potential.cosine(0.1)
     lam = 1.3 + 0.2j
-    a = chi_p(v.reflected(), -1.0 / (16.0 * lam))
-    b = chi_p(v, lam)
+    a = integrate(v.reflected(), -1.0 / (16.0 * lam), order=0).chi_p
+    b = integrate(v, lam, order=0).chi_p
     assert abs(a - b) < 1e-9
 
 

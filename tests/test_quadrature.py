@@ -17,17 +17,6 @@ def test_cauchy_zero():
     assert abs(val) < 1e-10
 
 
-def test_error_estimate():
-    spec = ContourSpec(0.0, 1.0, 16)
-    # pole close to the contour: coarse rule is inaccurate, estimate sees it
-    val, err = contour_integral(lambda z: 1.0 / (z - 1.2), spec, error_estimate=True)
-    assert err > 1e-8
-    val2, err2 = contour_integral(
-        lambda z: 1.0 / (z - 3.0), ContourSpec(0.0, 1.0, 64), error_estimate=True
-    )
-    assert err2 < 1e-12
-
-
 def test_nonfinite_integrand():
     spec = ContourSpec(0.0, 1.0, 8)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -15,9 +15,6 @@ from shgspec.spectrum import (
     build_table,
     certify_counts,
     count_annulus,
-    locate_delta_dot_star,
-    locate_dirichlet,
-    locate_periodic,
     order_le,
     trace_formula_tau,
 )
@@ -36,13 +33,14 @@ def test_zero_potential_periodic_oracle(tab0):
     assert abs(tab0.lam_pm(-1)[1] - 1.0 / (16.0 * LAM1_ZERO)) < 1e-11
 
 
-def test_zero_potential_dirichlet_and_star(v_zero):
-    assert abs(locate_dirichlet(v_zero, 1) - LAM1_ZERO) < 1e-10
-    assert abs(locate_delta_dot_star(v_zero) - 0.25j) < 1e-12
+def test_zero_potential_dirichlet_and_star(tab0):
+    assert abs(tab0.mu_n(1) - LAM1_ZERO) < 1e-10
+    assert abs(tab0.lam_dot_star - 0.25j) < 1e-12
 
 
 def test_locate_periodic_single(v_zero):
-    lm, lp = locate_periodic(v_zero, 0)
+    """A one-index table at the zero potential: the double root 1/4 at n = 0."""
+    lm, lp = build_table(v_zero, 1).lam_pm(0)
     assert abs(lm - 0.25) < 1e-11 and abs(lp - 0.25) < 1e-11
 
 
