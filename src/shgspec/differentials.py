@@ -54,6 +54,7 @@ __all__ = [
     "eval_psi",
     "verify_normalization",
     "psi_negative",
+    "verify_negative_normalization",
 ]
 
 COND_LIMIT = 1e12
@@ -195,28 +196,36 @@ class SigmaWorkspace:
                     events += 1
         return (*out, events)
 
-    def residual_and_jacobian(self, u):
+    def residual_and_jacobian(self, u, jacobian=True):
+        """F at u and its Jacobian Q; with jacobian=False, F and a function
+        of no arguments that forms Q from the terms g dz that F summed."""
         sigma1, sigma2 = self.unpack(u)
-        n_unk = u.size
-        F = np.empty(n_unk, dtype=complex)
-        Q = np.empty((n_unk, n_unk), dtype=complex)
-        m1 = len(self.idx1)
+        F = np.empty(u.size, dtype=complex)
         # psi_n/sqrt_c(chi_p) on all rows' nodes at once; the rows then only
         # sum their slice
         g = self._bare_psi(sigma1, sigma2, self.z_all, self.f2_inf(sigma2))
         g = g / self.chip_all
-        s1 = sigma1[self.ks != self.n]
+        gdz = []
         start = 0
         for pos, (_, _, z, dz, pref) in enumerate(self.rows):
-            gdz = g[start : start + z.size] * dz
+            gdz.append(g[start : start + z.size] * dz)
             start += z.size
-            F[pos] = pref * np.sum(gdz)
+            F[pos] = pref * np.sum(gdz[-1])
+        jac = lambda: self._jacobian(sigma1, sigma2, gdz)
+        return (F, jac()) if jacobian else (F, jac)
+
+    def _jacobian(self, sigma1, sigma2, gdz):
+        """Q = dF/du at (sigma1, sigma2) from each row's terms g dz."""
+        Q = np.empty((len(gdz), len(gdz)), dtype=complex)
+        m1 = len(self.idx1)
+        s1 = sigma1[self.ks != self.n]
+        for pos, (_, _, z, _, pref) in enumerate(self.rows):
             B1 = 1.0 / (s1 - z[:, None])
             mu = -1.0 / (16.0 * z)
             B2 = 1.0 / (sigma2 - mu[:, None]) - 1.0 / sigma2
-            Q[pos, :m1] = pref * (gdz @ B1)
-            Q[pos, m1:] = pref * (gdz @ B2)
-        return F, Q
+            Q[pos, :m1] = pref * (gdz[pos] @ B1)
+            Q[pos, m1:] = pref * (gdz[pos] @ B2)
+        return Q
 
 
 def solve_sigma(
@@ -233,13 +242,14 @@ def solve_sigma(
     At the zero potential the initializer is already the solution (zero
     Newton steps); otherwise convergence in a handful of iterations is the
     expected behavior for potentials in the solvable neighborhood.  Each
-    trial point is evaluated once, with its Jacobian, which the next
-    iteration uses when the trial is accepted.
+    trial point is evaluated once; its Jacobian is formed from the same
+    terms only when the trial is accepted and its residual is still above
+    tol.
     """
     ws = SigmaWorkspace(table, iso, n, K, nodes)
     u = ws.initial_state()
     clamps = 0
-    F, Q = ws.residual_and_jacobian(u)
+    F, jac = ws.residual_and_jacobian(u, jacobian=False)
     rnorm = float(np.linalg.norm(F))
     iters = 0
     while rnorm > tol:
@@ -248,6 +258,7 @@ def solve_sigma(
                 f"Newton did not reach tol={tol:g} in {max_iter} iterations "
                 f"(residual {rnorm:.3e}); outside solvable neighborhood"
             )
+        Q = jac()
         cond = np.linalg.cond(Q)
         if not np.isfinite(cond) or cond > COND_LIMIT:
             raise RuntimeError(
@@ -261,14 +272,14 @@ def solve_sigma(
             s1, s2 = ws.unpack(trial)
             s1, s2, ev = ws.admissible(s1, s2, clamp=True)
             trial = ws.pack(s1, s2)
-            Ft, Qt = ws.residual_and_jacobian(trial)
+            Ft, jac_t = ws.residual_and_jacobian(trial, jacobian=False)
             tnorm = float(np.linalg.norm(Ft))
             if tnorm < rnorm or scale <= 2.0 ** (-MAX_HALVINGS):
                 break
             scale *= 0.5
         u = trial
         clamps += ev
-        F, Q, rnorm = Ft, Qt, tnorm
+        F, jac, rnorm = Ft, jac_t, tnorm
         iters += 1
     sigma1, sigma2 = ws.unpack(u)
     C_n = complex(1.0 / ws.f2_inf(sigma2))

@@ -32,7 +32,7 @@ __all__ = [
     "GradientKernel", "grad_monodromy", "grad_discriminant", "grad_antidiscriminant",
     "grad_dirichlet", "grad_periodic", "grad_periodic_via_delta", "grad_m4_at_dirichlet",
     "seeded_directions", "perturbed", "fd_directional", "FDCase", "fd_evaluate",
-    "fd_rel_error", "zero_potential_delta_kernels",
+    "fd_rel_error", "zero_potential_delta_kernels", "grad_deltas_fd_report",
 ]
 
 GL_NODES_DEFAULT = 192  # Gauss-Legendre nodes of every kernel
@@ -101,9 +101,9 @@ def grad_monodromy(v, lam, tol=1e-11):
             for i in range(2) for j in range(2)}
 
 
-def _half_trace_kernel(v, lam, combine, tol):
-    """The kernel of combine(M_11, M_22)/2 from the diagonal Floquet kernels."""
-    gm = grad_monodromy(v, lam, tol=tol)
+def _half_trace_kernel(gm, combine):
+    """The kernel of combine(M_11, M_22)/2 from the diagonal Floquet kernels
+    gm of grad_monodromy."""
     k1, k4 = gm[0, 0], gm[1, 1]
     return GradientKernel(k1.x, k1.weights, 0.5 * combine(k1.q_kernel, k4.q_kernel),
                           0.5 * combine(k1.p_kernel, k4.p_kernel))
@@ -111,12 +111,12 @@ def _half_trace_kernel(v, lam, combine, tol):
 
 def grad_discriminant(v, lam, tol=1e-11):
     """The kernel of Delta = (m1 + m4)/2; vanishes at v=0."""
-    return _half_trace_kernel(v, lam, np.add, tol)
+    return _half_trace_kernel(grad_monodromy(v, lam, tol=tol), np.add)
 
 
 def grad_antidiscriminant(v, lam, tol=1e-11):
     """The kernel of the anti-discriminant delta = (m1 - m4)/2."""
-    return _half_trace_kernel(v, lam, np.subtract, tol)
+    return _half_trace_kernel(grad_monodromy(v, lam, tol=tol), np.subtract)
 
 
 def zero_potential_delta_kernels(lam, x):
@@ -329,11 +329,13 @@ def fd_evaluate(v, table, keys, dirs, eps_list, tol):
     bit fd_directional's with a scalar_fn that reads its probe alone.
     """
     cases = []
+    gm_half = None  # the Floquet kernels at 1.7, shared by the Delta and delta cases
     for quantity, n in keys:
         if quantity in ("Delta", "delta"):
-            grad, what = ((grad_discriminant, "Delta") if quantity == "Delta"
-                          else (grad_antidiscriminant, "delta_anti"))
-            cases.append(FDCase(quantity, n, grad(v, 1.7, tol=tol), (1.7, what)))
+            gm_half = gm_half or grad_monodromy(v, 1.7, tol=tol)
+            combine, what = ((np.add, "Delta") if quantity == "Delta"
+                             else (np.subtract, "delta_anti"))
+            cases.append(FDCase(quantity, n, _half_trace_kernel(gm_half, combine), (1.7, what)))
         elif quantity == "M":
             gm = grad_monodromy(v, 2.3, tol=tol)
             cases += [FDCase(f"M{i + 1}{j + 1}", n, k, (2.3, (i, j))) for (i, j), k in gm.items()]

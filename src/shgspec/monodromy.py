@@ -69,6 +69,7 @@ __all__ = [
     "integrate_many",
     "lam_zero",
     "tau_zero",
+    "step_count",
 ]
 
 LAM_MIN = 1e-8
@@ -381,12 +382,14 @@ def _pairs(K):
     return [(i, j) for i in range(K) for j in range(K - i)]
 
 
-# Jet arithmetic loops over the pairs and matrix entries in Python, so that
-# each numpy operation runs on one contiguous (steps, lams) array: a single
-# broadcast expression over all of them builds K^2-fold temporaries that fall
-# out of cache and is several times slower on full blocks.  Small arrays (the
-# upper levels of the product tree) are bound by per-call overhead instead,
-# so _mul broadcasts there.
+# Jets are laid out as (K, 2, 2, lams, steps): the step axis is last and
+# contiguous, so that every numpy operation of the exponential and of the
+# product tree runs its inner loop over the steps of a chunk (up to BLOCK)
+# rather than over its few lambda.  On full blocks _mul makes one broadcast
+# per pair of jets: one over all K^2 pairs builds temporaries that fall out of
+# cache and is several times slower.  Small arrays (the upper levels of the
+# product tree) are bound by per-call overhead instead, so _mul broadcasts
+# over all pairs there.
 
 
 def _mul(A, B):
@@ -402,34 +405,41 @@ def _mul(A, B):
                 C[i + j] += P[i, j]
         return C
     C = np.zeros(np.broadcast_shapes(A.shape, B.shape), dtype=complex)
+    t, u = np.empty_like(C[0]), np.empty_like(C[0])
     for i, j in _pairs(K):
-        a, b, c = A[i], B[j], C[i + j]
-        for r in range(2):
-            for t in range(2):
-                c[r, t] += a[r, 0] * b[0, t] + a[r, 1] * b[1, t]
+        # t[r, s] = A[i, r, 0] B[j, 0, s] + A[i, r, 1] B[j, 1, s]
+        np.multiply(A[i, :, :1], B[j, None, 0], out=t)
+        np.multiply(A[i, :, 1:], B[j, None, 1], out=u)
+        t += u
+        C[i + j] += t
     return C
 
 
 def _cosh_sinhc(z, K):
     """c = cosh sqrt z, S = sinh sqrt z / sqrt z, and S', S'' as needed for
     order K - 1 jets; power series for |z| <= SERIES_RADIUS."""
-    out = [np.empty_like(z) for _ in range(K + 1)]
     small = np.abs(z) <= SERIES_RADIUS
-    zs = z[small]
-    for f, coef in zip(out, SERIES_COEFFS):
+    every = small.all()
+    zs = z if every else z[small]
+    out = []
+    for coef in SERIES_COEFFS[: K + 1]:
         acc = np.full_like(zs, coef[-1])
         for a in coef[-2::-1]:
-            acc = acc * zs + a
-        f[small] = acc
+            acc *= zs
+            acc += a
+        out.append(acc)
+    if every:
+        return out
     big = ~small
-    if big.any():
-        zb = z[big]
-        r = np.sqrt(zb)
-        fb = [np.cosh(r), np.sinh(r) / r]
-        fb.append((fb[0] - fb[1]) / (2.0 * zb))
-        fb.append((fb[1] - 6.0 * fb[2]) / (4.0 * zb))
-        for f, g in zip(out, fb):
-            f[big] = g
+    zb = z[big]
+    r = np.sqrt(zb)
+    fb = [np.cosh(r), np.sinh(r) / r]
+    fb.append((fb[0] - fb[1]) / (2.0 * zb))
+    fb.append((fb[1] - 6.0 * fb[2]) / (4.0 * zb))
+    for k, g in enumerate(fb[: K + 1]):
+        f = np.empty_like(z)
+        f[small], f[big] = out[k], g
+        out[k] = f
     return out
 
 
@@ -452,27 +462,28 @@ def _exp_jet(W):
         SW[i + j] += sj[i] * W[j]
     E = np.empty((K, 2, 2) + W.shape[2:], dtype=complex)
     for k in range(K):
-        E[k, 0, 0] = cj[k] + SW[k, 0]
-        E[k, 1, 1] = cj[k] - SW[k, 0]
+        np.add(cj[k], SW[k, 0], out=E[k, 0, 0])
+        np.subtract(cj[k], SW[k, 0], out=E[k, 1, 1])
         E[k, 0, 1] = SW[k, 1]
         E[k, 1, 0] = SW[k, 2]
     return E
 
 
 def _tree(E):
-    """Ordered product E[.., n-1] ... E[.., 0] over the step axis (axis 3)."""
-    while E.shape[3] > 1:
-        m = E.shape[3] // 2
-        P = _mul(E[:, :, :, 1 : 2 * m : 2], E[:, :, :, 0 : 2 * m : 2])
-        E = np.concatenate([P, E[:, :, :, 2 * m :]], axis=3)
-    return E[:, :, :, 0]
+    """Ordered product E[.., n-1] ... E[.., 0] over the step axis (the last)."""
+    while E.shape[-1] > 1:
+        m = E.shape[-1] // 2
+        P = _mul(E[..., 1 : 2 * m : 2], E[..., 0 : 2 * m : 2])
+        E = P if E.shape[-1] == 2 * m else np.concatenate([P, E[..., 2 * m :]], axis=-1)
+    return E[..., 0]
 
 
 def _scan(E):
-    """Prefix products E[.., k] ... E[.., 0] for every k (Hillis-Steele)."""
+    """Prefix products E[.., k] ... E[.., 0] for every k over the step axis
+    (the last; Hillis-Steele)."""
     d = 1
-    while d < E.shape[3]:
-        E = np.concatenate([E[:, :, :, :d], _mul(E[:, :, :, d:], E[:, :, :, :-d])], axis=3)
+    while d < E.shape[-1]:
+        E = np.concatenate([E[..., :d], _mul(E[..., d:], E[..., :-d])], axis=-1)
         d *= 2
     return E
 
@@ -481,7 +492,8 @@ def _propagate(v: Potential, n: int, lams, K: int, path_x=None):
     """Jets (K, 2, 2, lams) of M(1) on the n-step grid, and M at path_x.
 
     The blocks of the grid run in order; within a block the lambda are taken
-    in chunks so that a chunk holds at most BLOCK (lambda x step) elements.
+    in chunks so that a chunk holds at most BLOCK (lambda x step) elements,
+    whose step maps are jets (K, 2, 2, lams, steps).
     """
     M = np.zeros((K, 2, 2, lams.size), dtype=complex)
     M[0, 0, 0] = M[0, 1, 1] = 1.0
@@ -493,13 +505,15 @@ def _propagate(v: Potential, n: int, lams, K: int, path_x=None):
         lc = max(1, BLOCK // h.size)
         for c in range(0, lams.size, lc):
             sl = slice(c, c + lc)
-            E = _exp_jet(_omega_jets(coef, lams[sl], K))
+            # _omega_jets' matmul gives (K, 3, steps, lams), and a gemm of
+            # another shape rounds differently: copy it once with steps last
+            E = _exp_jet(_omega_jets(coef, lams[sl], K).swapaxes(2, 3).copy())
             if hit is None or hit.size == 0:
                 M[..., sl] = _mul(_tree(E), M[..., sl])
                 continue
-            pre = _mul(_scan(E), M[:, :, :, None, sl])
-            path[sl, hit] = pre[0][:, :, at - 1].transpose(3, 2, 0, 1)
-            M[..., sl] = pre[:, :, :, -1]
+            pre = _mul(_scan(E), M[..., sl, None])
+            path[sl, hit] = pre[0][..., at - 1].transpose(2, 3, 0, 1)
+            M[..., sl] = pre[..., -1]
     return M, path
 
 

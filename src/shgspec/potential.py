@@ -24,6 +24,7 @@ __all__ = [
     "R2",
     "pi_k",
     "family_var",
+    "p_multiplier",
 ]
 
 # constant 2x2 matrices of the Lax operator

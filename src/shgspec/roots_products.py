@@ -48,6 +48,9 @@ __all__ = [
     "verify_product_reps",
     "constraint_products",
     "interpolate_reconstruct",
+    "product_chi_p",
+    "product_chi_D",
+    "product_delta_dot",
 ]
 
 _TAIL_M_EXTRA = 64

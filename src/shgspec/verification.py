@@ -35,7 +35,10 @@ from .roots_products import (
     verify_product_reps,
 )
 
-__all__ = ["CheckReport", "run_suite", "negative_control", "ZERO_SAMPLE_LAMBDAS"]
+__all__ = [
+    "CheckReport", "run_suite", "negative_control", "ZERO_SAMPLE_LAMBDAS",
+    "check_zero_closed_forms", "check_monodromy_invariants", "interpolation_self_test",
+]
 
 
 @dataclass

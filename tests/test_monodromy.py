@@ -440,3 +440,49 @@ def test_step_count_follows_omega_and_tol():
         assert np.array_equal(n[:5], n[5:])
     ratio = n13 / n11
     assert np.all(ratio > 100 ** (1 / 6) / 1.25) and np.all(ratio < 100 ** (1 / 6) * 1.25)
+
+
+# the jet kernels of the propagator, against products written out entry by
+# entry
+
+
+def _random_jets(rng, shape, scale=1.0):
+    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+@pytest.mark.parametrize("K", [1, 2, 3])
+@pytest.mark.parametrize("b_steps", [100, 1])
+def test_jet_product_on_large_arrays_is_the_entrywise_sum(K, b_steps):
+    """Above 256 elements an entry, _mul is bit for bit the truncated jet
+    product C_k = sum_{i+j=k} A_i B_j with each entry summed as
+    A_r0 B_0s + A_r1 B_1s, pairs in the order of i; B may broadcast over
+    the step axis, as M does against the prefix products."""
+    rng = np.random.default_rng(K)
+    A = _random_jets(rng, (K, 2, 2, 3, 100))
+    B = _random_jets(rng, (K, 2, 2, 3, b_steps))
+    want = np.zeros((K, 2, 2, 3, 100), dtype=complex)
+    for i in range(K):
+        for j in range(K - i):
+            for r in range(2):
+                for s in range(2):
+                    want[i + j, r, s] += A[i, r, 0] * B[j, 0, s] + A[i, r, 1] * B[j, 1, s]
+    got = monodromy._mul(A, B)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("steps", [1, 2, 3, 7, 160, 161])
+def test_tree_is_the_ordered_product(steps):
+    """_tree over the step axis equals E_{n-1} ... E_0 formed one step at a
+    time, for step maps exp(W) of small traceless W with two derivatives."""
+    rng = np.random.default_rng(steps)
+    K, lams = 3, 4
+    E = monodromy._exp_jet(_random_jets(rng, (K, 3, lams, steps), 0.1))
+    jets = np.moveaxis(E, (3, 4), (0, 1))  # (lams, steps, K, 2, 2)
+    want = jets[:, 0]
+    for n in range(1, steps):
+        step = jets[:, n]
+        want = np.stack([sum(step[:, i] @ want[:, k - i] for i in range(k + 1))
+                         for k in range(K)], axis=1)
+    got = np.moveaxis(monodromy._tree(E), 3, 0)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))

@@ -1,4 +1,5 @@
 import importlib
+import inspect
 import pkgutil
 
 import shgspec
@@ -16,4 +17,25 @@ def test_every_all_name_exists():
         assert len(set(names)) == len(names), info.name
         missing = [n for n in names if not hasattr(mod, n)]
         assert not missing, (info.name, missing)
+    assert checked >= 8
+
+
+def test_every_public_definition_is_in_all():
+    """Each public function or class a module defines is in its __all__, so
+    that a star import and the module's documented API see all of them."""
+    checked = 0
+    for info in pkgutil.iter_modules(shgspec.__path__):
+        mod = importlib.import_module(f"shgspec.{info.name}")
+        names = getattr(mod, "__all__", None)
+        if names is None:
+            continue
+        checked += 1
+        left_out = [
+            name for name, obj in vars(mod).items()
+            if not name.startswith("_")
+            and (inspect.isfunction(obj) or inspect.isclass(obj))
+            and obj.__module__ == mod.__name__
+            and name not in names
+        ]
+        assert not left_out, (info.name, left_out)
     assert checked >= 8
