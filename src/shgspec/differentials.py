@@ -196,36 +196,28 @@ class SigmaWorkspace:
                     events += 1
         return (*out, events)
 
-    def residual_and_jacobian(self, u, jacobian=True):
-        """F at u and its Jacobian Q; with jacobian=False, F and a function
-        of no arguments that forms Q from the terms g dz that F summed."""
+    def residual_and_jacobian(self, u):
         sigma1, sigma2 = self.unpack(u)
-        F = np.empty(u.size, dtype=complex)
+        n_unk = u.size
+        F = np.empty(n_unk, dtype=complex)
+        Q = np.empty((n_unk, n_unk), dtype=complex)
+        m1 = len(self.idx1)
         # psi_n/sqrt_c(chi_p) on all rows' nodes at once; the rows then only
         # sum their slice
         g = self._bare_psi(sigma1, sigma2, self.z_all, self.f2_inf(sigma2))
         g = g / self.chip_all
-        gdz = []
+        s1 = sigma1[self.ks != self.n]
         start = 0
         for pos, (_, _, z, dz, pref) in enumerate(self.rows):
-            gdz.append(g[start : start + z.size] * dz)
+            gdz = g[start : start + z.size] * dz
             start += z.size
-            F[pos] = pref * np.sum(gdz[-1])
-        jac = lambda: self._jacobian(sigma1, sigma2, gdz)
-        return (F, jac()) if jacobian else (F, jac)
-
-    def _jacobian(self, sigma1, sigma2, gdz):
-        """Q = dF/du at (sigma1, sigma2) from each row's terms g dz."""
-        Q = np.empty((len(gdz), len(gdz)), dtype=complex)
-        m1 = len(self.idx1)
-        s1 = sigma1[self.ks != self.n]
-        for pos, (_, _, z, _, pref) in enumerate(self.rows):
+            F[pos] = pref * np.sum(gdz)
             B1 = 1.0 / (s1 - z[:, None])
             mu = -1.0 / (16.0 * z)
             B2 = 1.0 / (sigma2 - mu[:, None]) - 1.0 / sigma2
-            Q[pos, :m1] = pref * (gdz[pos] @ B1)
-            Q[pos, m1:] = pref * (gdz[pos] @ B2)
-        return Q
+            Q[pos, :m1] = pref * (gdz @ B1)
+            Q[pos, m1:] = pref * (gdz @ B2)
+        return F, Q
 
 
 def solve_sigma(
@@ -242,14 +234,13 @@ def solve_sigma(
     At the zero potential the initializer is already the solution (zero
     Newton steps); otherwise convergence in a handful of iterations is the
     expected behavior for potentials in the solvable neighborhood.  Each
-    trial point is evaluated once; its Jacobian is formed from the same
-    terms only when the trial is accepted and its residual is still above
-    tol.
+    trial point is evaluated once, with its Jacobian, which the next
+    iteration uses when the trial is accepted.
     """
     ws = SigmaWorkspace(table, iso, n, K, nodes)
     u = ws.initial_state()
     clamps = 0
-    F, jac = ws.residual_and_jacobian(u, jacobian=False)
+    F, Q = ws.residual_and_jacobian(u)
     rnorm = float(np.linalg.norm(F))
     iters = 0
     while rnorm > tol:
@@ -258,7 +249,6 @@ def solve_sigma(
                 f"Newton did not reach tol={tol:g} in {max_iter} iterations "
                 f"(residual {rnorm:.3e}); outside solvable neighborhood"
             )
-        Q = jac()
         cond = np.linalg.cond(Q)
         if not np.isfinite(cond) or cond > COND_LIMIT:
             raise RuntimeError(
@@ -272,14 +262,14 @@ def solve_sigma(
             s1, s2 = ws.unpack(trial)
             s1, s2, ev = ws.admissible(s1, s2, clamp=True)
             trial = ws.pack(s1, s2)
-            Ft, jac_t = ws.residual_and_jacobian(trial, jacobian=False)
+            Ft, Qt = ws.residual_and_jacobian(trial)
             tnorm = float(np.linalg.norm(Ft))
             if tnorm < rnorm or scale <= 2.0 ** (-MAX_HALVINGS):
                 break
             scale *= 0.5
         u = trial
         clamps += ev
-        F, jac, rnorm = Ft, jac_t, tnorm
+        F, Q, rnorm = Ft, Qt, tnorm
         iters += 1
     sigma1, sigma2 = ws.unpack(u)
     C_n = complex(1.0 / ws.f2_inf(sigma2))

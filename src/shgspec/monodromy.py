@@ -418,28 +418,24 @@ def _mul(A, B):
 def _cosh_sinhc(z, K):
     """c = cosh sqrt z, S = sinh sqrt z / sqrt z, and S', S'' as needed for
     order K - 1 jets; power series for |z| <= SERIES_RADIUS."""
+    out = [np.empty_like(z) for _ in range(K + 1)]
     small = np.abs(z) <= SERIES_RADIUS
-    every = small.all()
-    zs = z if every else z[small]
-    out = []
-    for coef in SERIES_COEFFS[: K + 1]:
+    zs = z[small]
+    for f, coef in zip(out, SERIES_COEFFS):
         acc = np.full_like(zs, coef[-1])
         for a in coef[-2::-1]:
             acc *= zs
             acc += a
-        out.append(acc)
-    if every:
-        return out
+        f[small] = acc
     big = ~small
-    zb = z[big]
-    r = np.sqrt(zb)
-    fb = [np.cosh(r), np.sinh(r) / r]
-    fb.append((fb[0] - fb[1]) / (2.0 * zb))
-    fb.append((fb[1] - 6.0 * fb[2]) / (4.0 * zb))
-    for k, g in enumerate(fb[: K + 1]):
-        f = np.empty_like(z)
-        f[small], f[big] = out[k], g
-        out[k] = f
+    if big.any():
+        zb = z[big]
+        r = np.sqrt(zb)
+        fb = [np.cosh(r), np.sinh(r) / r]
+        fb.append((fb[0] - fb[1]) / (2.0 * zb))
+        fb.append((fb[1] - 6.0 * fb[2]) / (4.0 * zb))
+        for f, g in zip(out, fb):
+            f[big] = g
     return out
 
 

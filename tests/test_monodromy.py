@@ -486,3 +486,44 @@ def test_tree_is_the_ordered_product(steps):
                          for k in range(K)], axis=1)
     got = np.moveaxis(monodromy._tree(E), 3, 0)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def _ring(rng, n, lo, hi):
+    return rng.uniform(lo, hi, n) * np.exp(1j * rng.uniform(-np.pi, np.pi, n))
+
+
+def _cosh_sinhc_oracle(z):
+    """c, S, S', S'' from 0F1: cosh sqrt z = 0F1(;1/2;z/4), S = 0F1(;3/2;z/4),
+    and d/dz 0F1(;b;z/4) = 0F1(;b+1;z/4) / (4b)."""
+    with mpmath.workdps(30):
+        x = mpmath.mpc(z) / 4
+        return [complex(mpmath.hyp0f1(0.5, x)), complex(mpmath.hyp0f1(1.5, x)),
+                complex(mpmath.hyp0f1(2.5, x)) / 6, complex(mpmath.hyp0f1(3.5, x)) / 60]
+
+
+@pytest.mark.parametrize("K", [1, 2, 3])
+@pytest.mark.parametrize("region", ["series", "closed", "mixed"])
+def test_cosh_sinhc_against_hypergeometric_oracle(K, region):
+    """The exponential's scalar kernel on |z| <= SERIES_RADIUS only (power
+    series), |z| > SERIES_RADIUS only (cosh, sinh and their recurrences),
+    and both interleaved in one array, which must give each entry the value
+    it has in a one-region array."""
+    rng = np.random.default_rng(K)
+    r = monodromy.SERIES_RADIUS
+    series = np.concatenate([_ring(rng, 30, 0.0, r), [r, -r, 1j * r, 0.0]])
+    closed = np.concatenate([_ring(rng, 30, r * (1 + 1e-6), 40.0), [r * (1 + 1e-6), -40.0, 40.0]])
+    if region == "mixed":
+        z = np.concatenate([series, closed])
+        perm = rng.permutation(z.size)
+        z = z[perm]
+        parts = [np.concatenate(p)[perm] for p in
+                 zip(monodromy._cosh_sinhc(series, K), monodromy._cosh_sinhc(closed, K))]
+    else:
+        z = series if region == "series" else closed
+    got = monodromy._cosh_sinhc(z, K)
+    assert len(got) == K + 1
+    want = np.array([_cosh_sinhc_oracle(x) for x in z]).T
+    for k in range(K + 1):
+        assert np.all(np.abs(got[k] - want[k]) <= 1e-14 * np.maximum(np.abs(want[k]), 1.0))
+        if region == "mixed":
+            assert got[k].tobytes() == parts[k].tobytes()
