@@ -202,7 +202,6 @@ def cmd_verify(args) -> int:
 
 def cmd_eval(args) -> int:
     from .monodromy import integrate
-    from .roots_products import CanonicalRootEvaluator
     from .spectrum import build_table
 
     cfg = _config_from_args(args)
@@ -214,8 +213,7 @@ def cmd_eval(args) -> int:
         raise SystemExit2(f"--lambda expects 're,im': {exc}") from exc
     res = integrate(v, lam, order=1, tol=cfg.ode_tol)
     table = build_table(v, 8, tol=cfg.spectral_tol)
-    ev = CanonicalRootEvaluator(table, max(cfg.K, 8))
-    sqrtc = complex(ev.chip(np.array([lam]))[0])
+    sqrtc = complex(table.evaluator(max(cfg.K, 8)).chip(np.array([lam]))[0])
     payload = {
         "lambda": _c2(lam),
         "Delta": _c2(res.Delta),

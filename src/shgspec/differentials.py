@@ -23,16 +23,17 @@ together.  Unknowns are truncated to |k| <= K with the zero-potential tail
 closure; iterates leaving the isolating discs are clamped back to a boundary
 ring and the event is counted.
 
-The solve, psi evaluation and each normalization check build their own
-workspace; a workspace builds its contour nodes and sqrt_c(chi_p) values
-on first use, so only the solve builds them.  psi_n and sqrt_c(chi_p) carry
-the same zero-potential tails, zero_tail(lambda, K)
-zero_tail(-1/(16 lambda), K), and so does psi_{-n} (zero_tail is even), so
-their quotient is a product over |k| <= K alone: on every node set (the
-solve nodes and each fresh verification contour) both are evaluated
-without these tails.  Their scalars f_{n,2}(inf) and sqrt_c(chi_1)(0) keep
-theirs, zero_tail(0, K) both, which cancel as well.  psi evaluation itself
-is tailed.
+On a contour sqrt_c(chi_p) depends on the table, K and the contour alone,
+so the table's evaluator (SpectrumTable.evaluator) computes it once per
+contour and keeps it for the solves of every n and every normalization
+check.  The solve, psi evaluation and each check build their own workspace,
+whose contour nodes are built on first use, so only the solve builds them.
+psi_n and sqrt_c(chi_p) carry the same zero-potential tails,
+zero_tail(lambda, K) zero_tail(-1/(16 lambda), K), and so does psi_{-n}
+(zero_tail is even), so their quotient is a product over |k| <= K alone:
+on every node set both are evaluated without these tails.  Their scalars
+f_{n,2}(inf) and sqrt_c(chi_1)(0) keep theirs, zero_tail(0, K) both, which
+cancel as well.  psi evaluation itself is tailed.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from .potential import family_var, pi_k
-from .roots_products import CanonicalRootEvaluator, node_product, zero_tail
+from .roots_products import node_product, zero_tail
 
 __all__ = [
     "SigmaSolution",
@@ -98,13 +99,12 @@ class SigmaSolution:
 
 
 class SigmaWorkspace:
-    """Contours, quadrature nodes and bare sqrt_c(chi_p) values for one n,
-    each built on first use."""
+    """Contours and quadrature nodes for one n, built on first use, with the
+    table's evaluator of truncation K."""
 
     def __init__(self, table, iso, n, K, nodes=64):
         if K < table.n_max:
             raise ValueError("truncation K must be >= the table range N_max")
-        self.table = table
         self.iso = iso
         self.n = int(n)
         self.K = int(K)
@@ -112,34 +112,29 @@ class SigmaWorkspace:
         ks = np.arange(-K, K + 1)
         self.ks = ks
         self.idx1 = np.array([k for k in ks if k != n])
-        self.tau1 = table.family("tau2", 1, K)
-        self.tau2 = table.family("tau2", 2, K)
-        self.tail2_zero = complex(zero_tail(0.0, K)[0])
-
-    @cached_property
-    def evaluator(self):
-        return CanonicalRootEvaluator(self.table, self.K)
+        self.evaluator = table.evaluator(self.K)
+        self.tau1, self.tau2 = self.evaluator.tau1, self.evaluator.tau2
+        self.tail2_zero = self.evaluator.tail_zero
 
     @cached_property
     def rows(self):
-        """Contour node data; family 1 rows for m != n, family 2 rows for
-        all m."""
+        """Contour node data (j, m, contour, nodes, weights, prefactor);
+        family 1 rows for m != n, family 2 rows for all m."""
         rows = []
-        for m in self.idx1:
-            z, dz = self.iso.contour(1, int(m), nodes=self.nodes).points()
-            rows.append((1, int(m), z, dz, (self.n - m)))
-        for m in self.ks:
-            z, dz = self.iso.contour(2, int(m), nodes=self.nodes).points()
-            rows.append((2, int(m), z, dz, 16.0 * pi_k(m) ** 2 * pi_k(self.n)))
+        for j, ms in ((1, self.idx1), (2, self.ks)):
+            for m in ms:
+                spec = self.iso.contour(j, int(m), nodes=self.nodes)
+                pref = self.n - m if j == 1 else 16.0 * pi_k(m) ** 2 * pi_k(self.n)
+                rows.append((j, int(m), spec, *spec.points(), pref))
         return rows
 
     @cached_property
     def z_all(self):
-        return np.concatenate([r[2] for r in self.rows])
+        return np.concatenate([r[3] for r in self.rows])
 
     @cached_property
     def chip_all(self):
-        return self.evaluator._bare_chip(self.z_all)
+        return np.concatenate([self.evaluator.contour_chip(r[2]) for r in self.rows])
 
     # -- state vector mapping ------------------------------------------------
 
@@ -208,7 +203,7 @@ class SigmaWorkspace:
         g = g / self.chip_all
         s1 = sigma1[self.ks != self.n]
         start = 0
-        for pos, (_, _, z, dz, pref) in enumerate(self.rows):
+        for pos, (_, _, _, z, dz, pref) in enumerate(self.rows):
             gdz = g[start : start + z.size] * dz
             start += z.size
             F[pos] = pref * np.sum(gdz)
@@ -281,15 +276,17 @@ def eval_psi(sol: SigmaSolution, table, iso, lam):
     return SigmaWorkspace(table, iso, sol.n, sol.K).psi(sol.sigma1, sol.sigma2, lam)
 
 
-def _normalization(integrand, iso, K, nodes, scale, one):
-    """The matrix {(j,m): (1/2 pi) oint_{Gamma_{j,m}} integrand} over both
-    contour families, |m| <= K, and its largest deviation from 1 at the
-    entry one, from 0 elsewhere."""
+def _normalization(psi, ev, iso, K, nodes, scale, one):
+    """The matrix {(j,m): (1/2 pi) oint_{Gamma_{j,m}} psi/sqrt_c(chi_p)} over
+    both contour families, |m| <= K, and its largest deviation from 1 at the
+    entry one, from 0 elsewhere.  psi and sqrt_c(chi_p) are both bare, the
+    latter the evaluator ev's values on each contour."""
     mat = {}
     for j in (1, 2):
         for m in range(-K, K + 1):
-            z, dz = iso.contour(j, m, nodes=nodes, scale=scale).points()
-            mat[(j, m)] = complex(np.sum(integrand(z) * dz) / (2.0 * np.pi))
+            spec = iso.contour(j, m, nodes=nodes, scale=scale)
+            z, dz = spec.points()
+            mat[(j, m)] = complex(np.sum(psi(z) / ev.contour_chip(spec) * dz) / (2.0 * np.pi))
     dev = max(abs(val - float(key == one)) for key, val in mat.items())
     return mat, dev
 
@@ -304,12 +301,8 @@ def verify_normalization(
     """
     ws = SigmaWorkspace(table, iso, sol.n, sol.K)
     f2_inf = ws.f2_inf(sol.sigma2)
-
-    def integrand(z):
-        psi = ws._bare_psi(sol.sigma1, sol.sigma2, z, f2_inf)
-        return psi / ws.evaluator._bare_chip(z)
-
-    return _normalization(integrand, iso, sol.K, nodes, contour_scale, (1, sol.n))
+    psi = lambda z: ws._bare_psi(sol.sigma1, sol.sigma2, z, f2_inf)
+    return _normalization(psi, ws.evaluator, iso, sol.K, nodes, contour_scale, (1, sol.n))
 
 
 def _reflected_workspace(sol, table, iso):
@@ -335,17 +328,16 @@ def verify_negative_normalization(
 ):
     """Normalization of psi_{-n} over the contours of the base potential:
     zero over Gamma_{1,m}, delta_{-n,m} over Gamma_{2,m}.  Like psi_negative
-    it raises a ValueError for n < 1."""
+    it raises a ValueError for n < 1.  It reads sqrt_c(chi_p) from the base
+    table's evaluator, as verify_normalization does on the same contours."""
     ws = _reflected_workspace(sol_reflected, table_reflected, iso_reflected)
     s1, s2 = sol_reflected.sigma1, sol_reflected.sigma2
     f2_inf = ws.f2_inf(s2)
-    ev = CanonicalRootEvaluator(table, sol_reflected.K)
 
-    def integrand(z):
+    def psi(z):
         # zero_tail is even, so psi_n's tails at 1/(16 z) are those of
         # sqrt_c(chi_p) at z
-        psi = ws._bare_psi(s1, s2, 1.0 / (16.0 * z), f2_inf) / (16.0 * z**2)
-        return psi / ev._bare_chip(z)
+        return ws._bare_psi(s1, s2, 1.0 / (16.0 * z), f2_inf) / (16.0 * z**2)
 
-    one = (2, -sol_reflected.n)
-    return _normalization(integrand, iso, sol_reflected.K, nodes, contour_scale, one)
+    K, one = sol_reflected.K, (2, -sol_reflected.n)
+    return _normalization(psi, table.evaluator(K), iso, K, nodes, contour_scale, one)

@@ -540,7 +540,8 @@ def integrate_many(
     rounding level ROUNDING N) the step count is doubled, and the previous
     result becomes the half-grid one, up to MAX_DOUBLINGS times.  The step
     count and the error estimate of each lambda are returned as
-    BatchResult.steps and BatchResult.err.
+    BatchResult.steps and BatchResult.err.  A lambda whose M overflows
+    (|Im omega| beyond about 709) raises a ValueError naming it.
     """
     if not (1e-13 <= tol <= 1e-6):
         raise ValueError("tol must lie in [1e-13, 1e-6]")
@@ -562,6 +563,9 @@ def integrate_many(
         for n in np.unique(steps[todo]):
             idx = todo[steps[todo] == n]
             fine, fine_path = _propagate(v, int(n), lams[idx], K, path_x)
+            bad = ~np.isfinite(fine).all(axis=(0, 1, 2))
+            if bad.any():  # M overflows (|Im omega| beyond ~709): no doubling helps
+                raise ValueError(f"monodromy not finite at lambda = {lams[idx][bad][0]}")
             if doubling:
                 half = M[..., idx]
             else:

@@ -210,13 +210,13 @@ class CanonicalRootEvaluator:
 
     Nodes for |k| <= K come from the spectrum table (zero-potential
     surrogates beyond its range); the |k| > K tail is closed exactly.  All
-    evaluators are vectorized over lambda and pure.
+    evaluators are vectorized over lambda and pure; contour_chip keeps its
+    values per contour.
     """
 
     def __init__(self, table, K: int):
         if K < 1:
             raise ValueError("K must be >= 1")
-        self.table = table
         self.K = int(K)
         self.tau1 = table.family("tau2", 1, K)
         self.gam1 = table.family("gamma2", 1, K)
@@ -231,8 +231,10 @@ class CanonicalRootEvaluator:
                 if abs(hi - lo) > 1e-9:
                     ends += [lo, hi]
         self._gap_ends = np.asarray(ends if ends else [np.inf], dtype=complex)
+        self.tail_zero = complex(zero_tail(0.0, self.K)[0])
         # sqrt_c(chi_{p,1}), the product of all w_{1,k}/pi_k, at 0
-        self.chi1_zero = complex(node_product(self.tau1, 0.0, self.K, self.gam1)[0])
+        self.chi1_zero = complex(node_product(self.tau1, 0.0, K, self.gam1, self.tail_zero)[0])
+        self._on_contour = {}  # ContourSpec -> _bare_chip on its nodes
 
     def chip(self, lam, check_gaps: bool = True):
         """sqrt_c of chi_p = i * sqrt_c(chi_1) sqrt_c(chi_2) / sqrt_c(chi_1)(0)."""
@@ -254,6 +256,16 @@ class CanonicalRootEvaluator:
         chi1 = node_product(self.tau1, lam, self.K, self.gam1, 1.0)
         chi2 = node_product(self.tau2, -1.0 / (16.0 * lam), self.K, self.gam2, 1.0)
         return 1j * chi1 * chi2 / self.chi1_zero
+
+    def contour_chip(self, spec):
+        """_bare_chip on the nodes of the contour spec, computed on the first
+        request and kept (read-only): it depends on the table, K and the
+        contour alone."""
+        if spec not in self._on_contour:
+            vals = self._bare_chip(spec.points()[0])
+            vals.setflags(write=False)
+            self._on_contour[spec] = vals
+        return self._on_contour[spec]
 
     def chip_from_below(self, lam_real, seg_len):
         """Gap-interior values as the limit from below, Im lambda -> 0^-."""
@@ -283,7 +295,7 @@ def sign_tables(v, table, K: int | None = None):
     N = table.n_max
     if K is None:
         K = max(N, 8)
-    ev = CanonicalRootEvaluator(table, K)
+    ev = table.evaluator(K)
     failures = []
     checked = 0
     skipped = 0
@@ -477,18 +489,25 @@ class NodeFamily:
     def f(self, z):
         return self.f1(z) * self.f2(z)
 
-    def fdot_at_sigma1(self, n):
-        """d/dz [f1 f2] at z = sigma_{1,n}: product with the n-factor removed."""
-        z = self.sigma1[n + self.K]
-        reduced = node_product(self.sigma1, z, self.K, skip=n)[0]
-        return complex(-reduced / pi_k(n) * self.f2(z)[0])
+    def fdot_at_nodes(self):
+        """d/dz [f1 f2] at every sigma_{1,n} and at every kappa_{2,n}.
 
-    def fdot_at_kappa2(self, n):
-        """d/dz [f1 f2] at z = kappa_{2,n}; only the n-factor of f2 vanishes."""
-        z = self.kappa2[n + self.K]
-        reduced = node_product(self.sigma2, -1.0 / (16.0 * z), self.K, skip=n)[0]
-        dfactor = -1.0 / (16.0 * z**2) / pi_k(n)
-        return complex(self.f1(z)[0] * reduced * dfactor)
+        At a node only its own factor vanishes, so f' there is the product
+        with that factor removed: per family one (2K+1)^2 matrix of factors
+        with its diagonal set to 1, and one tail and one f1 or f2 call.
+        """
+        piks = pi_k(self.ks)
+
+        def removed(nodes, x):  # prod over k != n of (nodes_k - x_n)/pi_k, tailed
+            w = (nodes - x[:, None]) / piks
+            np.fill_diagonal(w, 1.0)
+            return np.prod(w, axis=1) * zero_tail(x, self.K)
+
+        s1, k2 = self.sigma1, self.kappa2
+        at_sigma1 = -removed(s1, s1) / piks * self.f2(s1)
+        dfactor = -1.0 / (16.0 * k2**2) / piks
+        at_kappa2 = self.f1(k2) * removed(self.sigma2, -1.0 / (16.0 * k2)) * dfactor
+        return at_sigma1, at_kappa2
 
 
 def interpolate_reconstruct(nodes: NodeFamily, phi_sigma1, phi_kappa2, z, phi_fn=None):
@@ -523,8 +542,6 @@ def interpolate_reconstruct(nodes: NodeFamily, phi_sigma1, phi_kappa2, z, phi_fn
     dz = z[:, None] - allnodes
     if np.min(np.abs(dz)) < 1e-12:
         raise ValueError("z coincides with a node")
-    fdot = [nodes.fdot_at_sigma1(int(n)) for n in nodes.ks]
-    fdot += [nodes.fdot_at_kappa2(int(n)) for n in nodes.ks]
-    coef = np.concatenate([phi1, phi2]) / np.array(fdot)
+    coef = np.concatenate([phi1, phi2]) / np.concatenate(nodes.fdot_at_nodes())
     total = nodes.f(z) * np.sum(coef / dz, axis=1)
     return complex(total[0]) if scalar else total

@@ -13,13 +13,14 @@ family variable potential.family_var.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .monodromy import integrate_many, lam_zero
 from .potential import Potential, family_var
 from .quadrature import ContourSpec, winding_number
+from .roots_products import CanonicalRootEvaluator
 
 __all__ = [
     "DiscFamily",
@@ -243,6 +244,21 @@ class SpectrumTable:
     lam_dot_star: complex
     real_potential: bool = True
     q0: complex = 0.0  # q(0), enters the Dirichlet constraint product
+    _evaluators: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # read-only copies: the cached evaluators derive from these arrays
+        for name in ("lam_minus", "lam_plus", "mu", "lam_dot"):
+            arr = np.array(getattr(self, name))
+            arr.setflags(write=False)
+            setattr(self, name, arr)
+
+    def evaluator(self, K: int) -> CanonicalRootEvaluator:
+        """The CanonicalRootEvaluator of truncation K, built on first request;
+        it keeps the sqrt_c(chi_p) values of every contour it evaluated."""
+        if K not in self._evaluators:
+            self._evaluators[K] = CanonicalRootEvaluator(self, K)
+        return self._evaluators[K]
 
     # -- single-index access with surrogates --------------------------------
 

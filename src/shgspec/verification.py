@@ -27,7 +27,6 @@ from .monodromy import closed_form_zero, integrate_many, lam_zero, omega
 from .potential import Potential, family_var
 from .quadrature import ContourSpec
 from .roots_products import (
-    CanonicalRootEvaluator,
     NodeFamily,
     constraint_products,
     interpolate_reconstruct,
@@ -231,12 +230,12 @@ def run_suite(v: Potential, cfg: RunConfig | None = None):
     report("constraint_products", max(abs(val - 1.0) for val in cons.values()))
 
     # canonical-root conventions
-    ev0 = CanonicalRootEvaluator(tab0, 16)
+    ev0 = tab0.evaluator(16)
     sample = np.array([0.7, 1.3 + 0.2j, 5.1], dtype=complex)
     ref = -1j * np.sin(omega(sample))
     report("canonical_zero", float(np.max(np.abs(ev0.chip(sample) - ref))))
-    evv = CanonicalRootEvaluator(table, cfg.K)
-    evr = CanonicalRootEvaluator(tabr, cfg.K)
+    evv = table.evaluator(cfg.K)
+    evr = tabr.evaluator(cfg.K)
     sym = 0.0
     for lam in (0.83 + 0.1j, 4.4 - 0.3j, 1.7 + 0.6j):
         z = np.array([lam])

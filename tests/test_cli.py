@@ -86,6 +86,15 @@ def test_eval_far_out(files, capsys):
     assert np.all(np.isfinite(out["sqrtc_chi_p"]))
 
 
+def test_eval_overflow_is_a_numerical_failure(files, capsys):
+    """Where M overflows (|Im omega| beyond about 709) eval exits 3 and names
+    the lambda, instead of printing NaN."""
+    d, zero, cos, cfg = files
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["eval", str(zero), "--lambda", "0.01,800"]) == 3
+    assert "not finite at lambda" in capsys.readouterr().err
+
+
 def test_spectrum_zero(files, capsys):
     d, zero, cos, cfg = files
     assert main(["spectrum", str(zero), "--nmax", "4", "--K", "4"]) == 0

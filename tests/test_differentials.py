@@ -347,16 +347,21 @@ def v3_and_reflected():
     return out
 
 
-def _verify_integrand(monkeypatch, verify, *args):
-    """Run a normalization check and return the integrand it integrated."""
+def _verify_quotient(monkeypatch, verify, *args):
+    """Run a normalization check; return the nodes of all its contours and
+    the integrand psi/sqrt_c(chi_p) it integrated there, with sqrt_c(chi_p)
+    the values its evaluator kept."""
     got = []
     normalization = df._normalization
-    monkeypatch.setattr(
-        df, "_normalization", lambda f, *a: got.append(f) or normalization(f, *a)
-    )
+    monkeypatch.setattr(df, "_normalization", lambda *a: got.append(a) or normalization(*a))
     verify(*args)
     monkeypatch.undo()
-    return got[0]
+    psi, ev, iso, K, nodes, scale, _ = got[0]
+    specs = [
+        iso.contour(j, m, nodes=nodes, scale=scale) for j in (1, 2) for m in range(-K, K + 1)
+    ]
+    z = np.concatenate([s.points()[0] for s in specs])
+    return z, psi(z) / np.concatenate([ev.contour_chip(s) for s in specs])
 
 
 def test_bare_quotient_matches_the_tailed_oracle(
@@ -366,41 +371,38 @@ def test_bare_quotient_matches_the_tailed_oracle(
     eval_psi/chip (psi_negative/chip for psi_{-n}) to 1e-13 relative, on the
     solve nodes and on the verification contours: the tails cancel."""
     rel = lambda a, b: float(np.max(np.abs(a - b) / np.abs(b)))
-    verify_nodes = lambda iso: np.concatenate([
-        iso.contour(j, m, nodes=96, scale=1.5).points()[0]
-        for j in (1, 2) for m in range(-16, 17)
-    ])
     (tab3, iso3), (tab3r, iso3r) = v3_and_reflected
     for (tab, iso), (tabr, isor) in (
         ((tab16, iso16), reflected[1:]),
         ((tab3, iso3), (tab3r, iso3r)),
     ):
         ev = CanonicalRootEvaluator(tab, 16)
-        z = verify_nodes(iso)
         for n in (0, 1, 2):
             sol = solve_sigma(tab, iso, n, 16)
             ws = SigmaWorkspace(tab, iso, n, 16)
             solve = ws._bare_psi(sol.sigma1, sol.sigma2, ws.z_all, ws.f2_inf(sol.sigma2))
             oracle = eval_psi(sol, tab, iso, ws.z_all) / ev.chip(ws.z_all)
             assert rel(solve / ws.chip_all, oracle) <= 1e-13
-            f = _verify_integrand(monkeypatch, verify_normalization, sol, tab, iso)
-            assert rel(f(z), eval_psi(sol, tab, iso, z) / ev.chip(z)) <= 1e-13
+            z, f = _verify_quotient(monkeypatch, verify_normalization, sol, tab, iso)
+            assert rel(f, eval_psi(sol, tab, iso, z) / ev.chip(z)) <= 1e-13
         solr = solve_sigma(tabr, isor, 1, 16)
         ws = SigmaWorkspace(tabr, isor, 1, 16)
         solve = ws._bare_psi(solr.sigma1, solr.sigma2, ws.z_all, ws.f2_inf(solr.sigma2))
         oracle = eval_psi(solr, tabr, isor, ws.z_all) / ws.evaluator.chip(ws.z_all)
         assert rel(solve / ws.chip_all, oracle) <= 1e-13
-        f = _verify_integrand(
+        z, f = _verify_quotient(
             monkeypatch, verify_negative_normalization, solr, tabr, isor, tab, iso
         )
-        assert rel(f(z), psi_negative(solr, tabr, isor, z) / ev.chip(z)) <= 1e-13
+        assert rel(f, psi_negative(solr, tabr, isor, z) / ev.chip(z)) <= 1e-13
 
 
 def test_sigma_layer_evaluates_tails_only_at_zero(tab16, iso16, reflected, monkeypatch):
     """solve_sigma and both normalization checks evaluate zero_tail only at
-    the point 0, for sqrt_c(chi_1)(0) and f_{n,2}(inf), and on no contour
-    node: psi and sqrt_c(chi_p) carry the same tails there, which cancel."""
+    the point 0, once per table: its evaluator's zero_tail(0, K) serves
+    sqrt_c(chi_1)(0) and every workspace's f_{n,2}(inf).  On no contour node:
+    psi and sqrt_c(chi_p) carry the same tails there, which cancel."""
     vr, tabr, isor = reflected
+    tab, tabr = tab16.truncated(16), tabr.truncated(16)  # no evaluator built yet
     points = []
     tail = rp.zero_tail
 
@@ -410,23 +412,18 @@ def test_sigma_layer_evaluates_tails_only_at_zero(tab16, iso16, reflected, monke
 
     monkeypatch.setattr(rp, "zero_tail", counting)
     monkeypatch.setattr(df, "zero_tail", counting)
-    sol = solve_sigma(tab16, iso16, 1, 16)
-    assert len(points) == 2  # the evaluator's chi1(0) and the workspace's f2(inf)
-    verify_normalization(sol, tab16, iso16)
-    assert len(points) == 4  # the same two in the check's own workspace
+    sol = solve_sigma(tab, iso16, 1, 16)
+    assert len(points) == 1
+    verify_normalization(sol, tab, iso16)
+    assert len(points) == 1
     solr = solve_sigma(tabr, isor, 1, 16)
-    verify_negative_normalization(solr, tabr, isor, tab16, iso16)
-    # f2(inf) of the reflected workspace, chi1(0) of the base potential's evaluator
-    assert len(points) == 8
+    verify_negative_normalization(solr, tabr, isor, tab, iso16)
+    assert len(points) == 2  # the reflected table's evaluator
     assert all(z.shape == (1,) and z[0] == 0 for z in points)
 
 
-def test_checks_build_no_solve_contours(tab16, iso16, reflected, monkeypatch):
-    """After the solve, a normalization check evaluates sqrt_c(chi_p) on its
-    own contours alone, 2 (2K+1) nodes points, and psi evaluation on none:
-    the workspace builds its solve contours and their sqrt_c(chi_p) values
-    only when the residual asks for them."""
-    vr, tabr, isor = reflected
+def _count_chip_points(monkeypatch):
+    """Patch _bare_chip to record the size of each call; returns the list."""
     points = []
     bare = CanonicalRootEvaluator._bare_chip
 
@@ -435,21 +432,66 @@ def test_checks_build_no_solve_contours(tab16, iso16, reflected, monkeypatch):
         return bare(ev, lam, *args, **kwargs)
 
     monkeypatch.setattr(CanonicalRootEvaluator, "_bare_chip", counting)
-    sol = solve_sigma(tab16, iso16, 1, 16)
+    return points
+
+
+def test_checks_build_no_solve_contours(tab16, iso16, reflected, monkeypatch):
+    """After the solve, a normalization check evaluates sqrt_c(chi_p) on its
+    own contours alone, 2 (2K+1) nodes points, and only once per table: the
+    reflected check on the same base contours reads the kept values.  psi
+    evaluation evaluates it on no point."""
+    vr, tabr, isor = reflected
+    tab, tabr = tab16.truncated(16), tabr.truncated(16)  # no evaluator built yet
+    points = _count_chip_points(monkeypatch)
+    sol = solve_sigma(tab, iso16, 1, 16)
     solr = solve_sigma(tabr, isor, 1, 16)
-    for check in (
-        lambda: verify_normalization(sol, tab16, iso16),
-        lambda: verify_negative_normalization(solr, tabr, isor, tab16, iso16),
+    for check, want in (
+        (lambda: verify_normalization(sol, tab, iso16), 2 * 33 * 96),  # K = 16, 96 nodes
+        (lambda: verify_negative_normalization(solr, tabr, isor, tab, iso16), 0),
     ):
         points.clear()
         check()
-        assert sum(points) == 2 * 33 * 96  # K = 16, 96 nodes a contour
+        assert sum(points) == want
     points.clear()
     lam = np.array([0.3 + 0.2j, 5.0, 40.0 - 1.0j])
-    eval_psi(sol, tab16, iso16, lam)
+    eval_psi(sol, tab, iso16, lam)
     eval_psi(solr, tabr, isor, lam)
     psi_negative(solr, tabr, isor, lam)
     assert points == []
+
+
+def test_sigma_pass_evaluates_each_contour_once(monkeypatch, v3_and_reflected):
+    """The sigma benchmark's sequence on v3 at K = 16 (solves for n = 0, 1, 2,
+    each with verify_normalization, then the reflected n = 1 solve with
+    verify_negative_normalization) evaluates sqrt_c(chi_p) on each distinct
+    contour once: 66 solve contours of the base table, 65 of the reflected
+    one and 66 verification contours, 64 resp. 96 nodes each.  Repeating the
+    sequence evaluates nothing.  The kept values equal a fresh evaluation on
+    the same nodes to a few ulp, not bit for bit: a batch of other size
+    rounds _sroot differently in the last bits (up to 1.02e-15 relative on
+    the reflected table)."""
+    (tab3, iso), (tab3r, isor) = v3_and_reflected
+    tab, tabr = tab3.truncated(16), tab3r.truncated(16)  # no evaluator built yet
+    points = _count_chip_points(monkeypatch)
+
+    def sequence():
+        for n in (0, 1, 2):
+            verify_normalization(solve_sigma(tab, iso, n, 16), tab, iso, nodes=96)
+        solr = solve_sigma(tabr, isor, 1, 16)
+        verify_negative_normalization(solr, tabr, isor, tab, iso, nodes=96)
+
+    sequence()
+    assert sum(points) == 66 * 64 + 65 * 64 + 66 * 96 == 14720
+    points.clear()
+    sequence()
+    assert points == []
+    monkeypatch.undo()
+    for t in (tab, tabr):
+        ev = t.evaluator(16)
+        specs = list(ev._on_contour)
+        kept = np.concatenate([ev.contour_chip(s) for s in specs])
+        fresh = ev._bare_chip(np.concatenate([s.points()[0] for s in specs]))
+        assert np.max(np.abs(kept - fresh) / np.abs(fresh)) <= 2e-15
 
 
 def test_one_residual_evaluation_per_newton_trial(

@@ -290,6 +290,21 @@ def test_error_estimate_doubles_steps_where_first_guess_misses():
         assert monodromy._defect(got, fine)[0] <= tol / 3
 
 
+def test_overflowing_monodromy_raises_without_doubling(monkeypatch):
+    """Where |Im omega| exceeds about 709, M overflows: the lambda is named in
+    a ValueError after its first propagation, not doubled to a silent NaN."""
+    calls = []
+    propagate = monodromy._propagate
+    monkeypatch.setattr(
+        monodromy, "_propagate", lambda *a, **k: calls.append(a[1]) or propagate(*a, **k)
+    )
+    lam = 800j + 0.01
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match=r"not finite at lambda = \(0\.01\+800j\)"):
+            integrate(Potential.zero(), lam, order=0)
+    assert calls == [step_count(Potential.zero(), np.array([lam]), monodromy.DEFAULT_TOL)[0]]
+
+
 def test_fields_beyond_cache_budget(monkeypatch):
     """Above CACHE_STEPS the fields are computed block by block and not
     cached; the result, path included, is that of the cached grid."""

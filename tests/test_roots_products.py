@@ -394,6 +394,7 @@ def test_padded_tail_weights_match_removed_factor_products(tab16):
     K, W = 8, 24
     nodes = NodeFamily.from_table(tab16, K)
     wide = nodes.padded(W)
+    at_sigma1, at_kappa2 = wide.fdot_at_nodes()
     taus = tau_zero(nodes.ks)
     worst = 0.0
     for n in [m for m in range(-W, W + 1) if abs(m) > K]:
@@ -407,14 +408,16 @@ def test_padded_tail_weights_match_removed_factor_products(tab16):
         fdot_k = nodes.f1(kap)[0] * red2 * (-1.0 / (16.0 * kap**2)) / pi_k(n)
         worst = max(
             worst,
-            abs(wide.fdot_at_sigma1(n) / fdot_s - 1),
-            abs(wide.fdot_at_kappa2(n) / fdot_k - 1),
+            abs(at_sigma1[n + W] / fdot_s - 1),
+            abs(at_kappa2[n + W] / fdot_k - 1),
         )
     assert worst < 2e-12
 
 
 def test_interpolation_self_test_weights_once(tab0, monkeypatch):
-    """The self-test computes each node weight once, not once per point."""
+    """The self-test computes the node weights once, not once per point, and
+    each family's weights with one tail and one f1 or f2 call: 24 zero_tail
+    calls in all (with the per-point cutoffs of the far tail nodes)."""
     import shgspec.roots_products as rp
     from shgspec.verification import interpolation_self_test
 
@@ -422,4 +425,4 @@ def test_interpolation_self_test_weights_once(tab0, monkeypatch):
     tail = rp.zero_tail
     monkeypatch.setattr(rp, "zero_tail", lambda *a, **k: calls.append(1) or tail(*a, **k))
     assert interpolation_self_test(tab0, K=16, seed=0) < 1e-5
-    assert len(calls) <= 500
+    assert len(calls) <= 24

@@ -276,17 +276,29 @@ def test_table_json_round_trip(tab16):
 
 
 def test_isolating_failure_far_from_real():
-    # overlapping clusters: isolating neighborhoods must be refused
-    lam_m = np.array([0.24, 2.0], complex)
-    lam_p = np.array([0.26, 4.5], complex)  # n=1 hull swallows its neighbors
-    mu = np.array([0.25, 3.0], complex)
-    ld = np.array([0.25, 3.2], complex)
-    bad = SpectrumTable(0, lam_m[:1], lam_p[:1], mu[:1], ld[:1], 0.25j)
+    # overlapping clusters: isolating neighborhoods must be refused; an
     # n_max=0 table with a huge fake cluster against the surrogate neighbors
-    bad.lam_minus[0] = 0.1
-    bad.lam_plus[0] = 3.3
+    one = lambda z: np.array([z], complex)
+    bad = SpectrumTable(0, one(0.1), one(3.3), one(0.25), one(0.25), 0.25j)
     with pytest.raises(ValueError, match="not constructible|overlap"):
         build_isolating(Potential.cosine(0.1), bad)
+
+
+def test_table_arrays_are_read_only_copies(tab16):
+    """The evaluators a table keeps derive from its arrays, so the table holds
+    read-only copies.  A truncated copy starts without evaluators, and they
+    stay out of to_json."""
+    for name in ("lam_minus", "lam_plus", "mu", "lam_dot"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(tab16, name)[0] = 0.0
+    lam = np.array([0.24 + 0j])
+    tab = SpectrumTable(0, lam, lam + 0.02, lam + 0.01, lam + 0.01, 0.25j)
+    lam[0] = 9.0
+    assert tab.lam_minus[0] == 0.24
+    clone = tab16.truncated(16)
+    ev = tab16.evaluator(16)
+    assert tab16.evaluator(16) is ev and clone.evaluator(16) is not ev
+    assert clone.to_json() == tab16.to_json()
 
 
 def test_annulus_counts_at_cutoff_2(v_seed):
