@@ -134,10 +134,7 @@ def cmd_differentials(args) -> int:
         if n < 0:
             raise SystemExit2("differentials are solved for n >= 0; use the "
                               "reflected potential for negative indices")
-        sol = solve_sigma(
-            table, iso, n, cfg.K, tol=cfg.newton_tol, max_iter=cfg.newton_max_iter,
-            nodes=cfg.nodes,
-        )
+        sol = solve_sigma(table, iso, n, cfg.K, tol=cfg.newton_tol, max_iter=cfg.newton_max_iter)
         mat, dev = verify_normalization(sol, table, iso, nodes=cfg.nodes + 32)
         out_json.append(json.loads(sol.to_json(normalization_max_dev=dev)))
         for (j, m), val in sorted(mat.items()):

@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 from .potential import Potential
 
-# thresholds keyed by check id (see verification.run_suite)
+# thresholds keyed by check id, in the order verification.run_suite reports
 THRESHOLDS = {
     "monodromy_zero_closed_forms": 1e-8,
     "monodromy_wronskian": 1e-9,
@@ -34,9 +34,9 @@ THRESHOLDS = {
     "sigma_solve_residual": 1e-9,
     "sigma_newton_iters": 10.5,
     "normalization": 1e-6,
-    "normalization_negative": 1e-6,
     "gap_confinement": 1e-8,
     "sigma_tau_estimate": 5.0,
+    "normalization_negative": 1e-6,
     "interpolation": 1e-5,
     "trace_formula": 1e-7,
     "lamdot_refined": 10.0,
@@ -104,27 +104,18 @@ class RunConfig:
         return cfg
 
     def to_json(self) -> str:
-        d = asdict(self)
-        d["product_K_list"] = list(self.product_K_list)
-        d["differentials_n_list"] = list(self.differentials_n_list)
-        return json.dumps(d, indent=2)
+        return json.dumps(asdict(self), indent=2)
 
 
-def seeded_ensemble(grid_size=64):
+def seeded_ensemble():
     """The fixed test potentials of the verification suite: two real, one
     genuinely complex but close to real."""
-    v1 = Potential.cosine(0.1, grid_size=grid_size)
-    v2 = Potential.from_modes(
-        {1: 0.025, 2: 0.015j},
-        {1: 0.01},
-        Kf=2,
-        grid_size=grid_size,
-    )
+    v1 = Potential.cosine(0.1)
+    v2 = Potential.from_modes({1: 0.025, 2: 0.015j}, {1: 0.01}, Kf=2)
     v3 = Potential.from_modes(
         {1: 0.03 + 0.002j, -1: 0.03, 2: 0.008, -2: 0.008 - 0.003j},
         {1: 0.012 + 0.004j, -1: 0.012, -2: 0.005j},
         Kf=2,
-        grid_size=grid_size,
         real=False,
     )
     return [v1, v2, v3]

@@ -62,7 +62,7 @@ COND_LIMIT = 1e12
 MAX_HALVINGS = 6  # step halvings per damped Newton iteration
 
 
-@dataclass
+@dataclass(eq=False)
 class SigmaSolution:
     """Converged root families of psi_n and solver diagnostics."""
 
@@ -102,13 +102,12 @@ class SigmaWorkspace:
     """Contours and quadrature nodes for one n, built on first use, with the
     table's evaluator of truncation K."""
 
-    def __init__(self, table, iso, n, K, nodes=64):
+    def __init__(self, table, iso, n, K):
         if K < table.n_max:
             raise ValueError("truncation K must be >= the table range N_max")
         self.iso = iso
         self.n = int(n)
         self.K = int(K)
-        self.nodes = nodes
         ks = np.arange(-K, K + 1)
         self.ks = ks
         self.idx1 = np.array([k for k in ks if k != n])
@@ -119,11 +118,12 @@ class SigmaWorkspace:
     @cached_property
     def rows(self):
         """Contour node data (j, m, contour, nodes, weights, prefactor);
-        family 1 rows for m != n, family 2 rows for all m."""
+        family 1 rows for m != n, family 2 rows for all m, on iso.nodes
+        nodes each."""
         rows = []
         for j, ms in ((1, self.idx1), (2, self.ks)):
             for m in ms:
-                spec = self.iso.contour(j, int(m), nodes=self.nodes)
+                spec = self.iso.contour(j, int(m))
                 pref = self.n - m if j == 1 else 16.0 * pi_k(m) ** 2 * pi_k(self.n)
                 rows.append((j, int(m), spec, *spec.points(), pref))
         return rows
@@ -172,9 +172,10 @@ class SigmaWorkspace:
 
     # -- residual and Jacobian -------------------------------------------------
 
-    def admissible(self, sigma1, sigma2, clamp=False):
-        """Check (and optionally restore) the lambda-plane image
-        family_var(j, sigma_{j,k}) of every root in its disc U_{j,k}."""
+    def admissible(self, sigma1, sigma2):
+        """Copies of sigma1, sigma2 with the lambda-plane image
+        family_var(j, sigma_{j,k}) of every root clamped to 0.9 of the radius
+        of its disc U_{j,k}, and the number of roots clamped."""
         events = 0
         out = (sigma1.copy(), sigma2.copy())
         for j, s in zip((1, 2), out):
@@ -185,8 +186,6 @@ class SigmaWorkspace:
                 u = family_var(j, s[i])
                 d = abs(u - c)
                 if d > 0.9 * r:
-                    if not clamp:
-                        raise ValueError(f"sigma_{j},{k} left its isolating disc")
                     s[i] = family_var(j, c + (u - c) * (0.9 * r / d))
                     events += 1
         return (*out, events)
@@ -215,15 +214,7 @@ class SigmaWorkspace:
         return F, Q
 
 
-def solve_sigma(
-    table,
-    iso,
-    n,
-    K,
-    tol=1e-9,
-    max_iter=12,
-    nodes=64,
-) -> SigmaSolution:
+def solve_sigma(table, iso, n, K, tol=1e-9, max_iter=12) -> SigmaSolution:
     """Damped Newton solve of F^n = 0 from the tau initializer.
 
     At the zero potential the initializer is already the solution (zero
@@ -232,7 +223,7 @@ def solve_sigma(
     trial point is evaluated once, with its Jacobian, which the next
     iteration uses when the trial is accepted.
     """
-    ws = SigmaWorkspace(table, iso, n, K, nodes)
+    ws = SigmaWorkspace(table, iso, n, K)
     u = ws.initial_state()
     clamps = 0
     F, Q = ws.residual_and_jacobian(u)
@@ -255,7 +246,7 @@ def solve_sigma(
         for _ in range(MAX_HALVINGS + 1):
             trial = u - scale * step
             s1, s2 = ws.unpack(trial)
-            s1, s2, ev = ws.admissible(s1, s2, clamp=True)
+            s1, s2, ev = ws.admissible(s1, s2)
             trial = ws.pack(s1, s2)
             Ft, Qt = ws.residual_and_jacobian(trial)
             tnorm = float(np.linalg.norm(Ft))

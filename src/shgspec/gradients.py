@@ -47,7 +47,7 @@ def _gauss_legendre(n):
     return x, w
 
 
-@dataclass
+@dataclass(eq=False)
 class GradientKernel:
     """Sampled gradient kernel of one scalar: a q-multiplier, a P-coefficient
     and a boundary term, paired with a direction (qdot, pdot) as

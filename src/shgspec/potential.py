@@ -75,7 +75,7 @@ def _as_coeff_array(coeffs, Kf):
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Potential:
     """Band-limited periodic potential v=(q,p), coefficients indexed k=-Kf..Kf."""
 
@@ -84,7 +84,7 @@ class Potential:
     Kf: int
     grid_size: int = 64
     real: bool = True
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _cache: dict = field(default_factory=dict, repr=False)
 
     @staticmethod
     def from_modes(q=None, p=None, Kf=None, grid_size=64, real=True) -> "Potential":

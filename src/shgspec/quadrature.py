@@ -14,6 +14,8 @@ import numpy as np
 
 __all__ = ["ContourSpec", "contour_integral", "winding_number"]
 
+MIN_MODULUS = 1e-8  # |f| on a counting contour below this means a root nearby
+
 
 @dataclass(frozen=True)
 class ContourSpec:
@@ -53,19 +55,19 @@ def contour_integral(g, spec: ContourSpec):
     return np.sum(gz * dz, axis=-1)
 
 
-def winding_number(f_df, spec: ContourSpec, min_abs: float = 1e-8):
+def winding_number(f_df, spec: ContourSpec):
     """Argument-principle count (1/2 pi i) * integral of f'/f over the contour.
 
     f_df maps an array of nodes to (f, f') values.  Returns (count, dist)
     where dist is the distance of the raw quadrature value from the nearest
-    integer.  Raises if |f| drops below min_abs on the nodes or if the raw
+    integer.  Raises if |f| drops below MIN_MODULUS on the nodes or if the raw
     value is farther than 0.2 from an integer (contour too coarse or a root
     sits on the contour).
     """
     z, dz = spec.points()
     f, df = f_df(z)
     f = np.asarray(f)
-    if np.min(np.abs(f)) < min_abs:
+    if np.min(np.abs(f)) < MIN_MODULUS:
         raise ValueError("function modulus too small on contour; root nearby")
     raw = np.sum(df / f * dz) / (2j * np.pi)
     count = int(np.rint(raw.real))

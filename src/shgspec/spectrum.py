@@ -37,6 +37,7 @@ __all__ = [
 
 ORDER_TIE_TOL = 1e-12
 DOUBLE_ROOT_TOL = 1e-10
+NEWTON_MAX_ITER = 40
 
 
 def order_le(a, b, tol=ORDER_TIE_TOL) -> bool:
@@ -97,16 +98,6 @@ _PAIRS = {
 }
 
 
-def _field(v, kind, tol):
-    """Callable lams -> (f, df/dlam) backed by the monodromy integrator."""
-    order = 2 if kind == "ddelta" else 1
-
-    def f_df(lams):
-        return _PAIRS[kind](integrate_many(v, lams, order=order, tol=tol))
-
-    return f_df
-
-
 def _windings(v, spec, kinds, tol):
     """{kind: winding_number(...)} on one contour, every kind from the same
     order-2 propagation on the contour's nodes."""
@@ -134,17 +125,17 @@ def count_annulus(v: Potential, N: int, tol=1e-11):
 # Newton localization (batched over indices)
 
 
-def _newton_batch(v, seeds, kind, tol=1e-12, max_iter=40):
+def _newton_batch(v, seeds, kind, tol=1e-12):
     """Batched Newton on a monodromy scalar; stops per element on a tiny step
     or on stagnation at the integrator noise floor."""
     lam = np.array(seeds, dtype=complex)
     active = np.ones(lam.size, dtype=bool)
     prev = np.full(lam.size, np.inf)
-    f_df = _field(v, kind, tol)
-    for it in range(max_iter):
+    order = 2 if kind == "ddelta" else 1
+    for it in range(NEWTON_MAX_ITER):
         if not active.any():
             break
-        f, df = f_df(lam[active])
+        f, df = _PAIRS[kind](integrate_many(v, lam[active], order=order, tol=tol))
         step = f / df
         cap = np.minimum(0.5, 0.2 * np.abs(lam[active]) + 1e-4)
         big = np.abs(step) > cap
@@ -231,7 +222,7 @@ def _single(j, m):
     raise ValueError("j must be 1 or 2")
 
 
-@dataclass
+@dataclass(eq=False)
 class SpectrumTable:
     """Labeled spectral data for |n| <= n_max, with zero-potential surrogates
     beyond (used only as product tails)."""
@@ -244,7 +235,7 @@ class SpectrumTable:
     lam_dot_star: complex
     real_potential: bool = True
     q0: complex = 0.0  # q(0), enters the Dirichlet constraint product
-    _evaluators: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _evaluators: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         # read-only copies: the cached evaluators derive from these arrays
@@ -440,7 +431,7 @@ def delta_sign_check(v: Potential, table: SpectrumTable, tol=1e-11):
 # isolating neighborhoods
 
 
-@dataclass
+@dataclass(eq=False)
 class IsolatingNeighborhoods:
     """Discs U_n (|n| <= n_max), the disc U_* and the contours Gamma_{j,m}."""
 
@@ -494,10 +485,11 @@ def _cluster(table, n):
     return min(xs), max(xs)
 
 
-def _disc_row(hulls):
+def _disc_row(hulls, ns, table):
     """Disc centers/radii from cluster hulls with one-third neighbor clearance.
 
-    The first and last hull only serve as neighbors; no discs for them.
+    hulls[i] is the cluster hull of index ns[i]; the first and last hull only
+    serve as neighbors, no discs for them.
     """
     centers, radii = [], []
     for i in range(1, len(hulls) - 1):
@@ -506,9 +498,13 @@ def _disc_row(hulls):
         s = 0.5 * (hi - lo)
         g = min(lo - hulls[i - 1][1], hulls[i + 1][0] - hi)
         if g <= 0:
+            k = i - 1 if g == lo - hulls[i - 1][1] else i + 1
+            gam = lambda n: abs(table.gamma(n))
+            wide = max(range(-table.n_max, table.n_max + 1), key=gam)
             raise ValueError(
-                "cluster hulls overlap; potential too far from real, "
-                "isolating neighborhoods not constructible"
+                f"cluster hulls of n = {ns[i]} and n = {ns[k]} overlap (|gamma| = "
+                f"{gam(ns[i]):.3g} and {gam(ns[k]):.3g}; widest gap |gamma_{wide}| = "
+                f"{gam(wide):.3g}); isolating neighborhoods not constructible"
             )
         centers.append(c)
         radii.append(s + g / 3.0)
@@ -532,14 +528,14 @@ def build_isolating(
     # n = N+1 surrogate as right neighbor
     hull0 = _cluster(table, 0)
     hulls_pos = [_cluster(table, n) for n in range(-1, N + 2)]
-    cpos, rpos = _disc_row(hulls_pos)  # discs for n = 0..N
+    cpos, rpos = _disc_row(hulls_pos, range(-1, N + 2), table)  # discs for n = 0..N
     # reciprocal-space row for n = -1..-N: clusters 1/(16 lambda) sit near
     # |n| pi; the image of the n=0 cluster is the left neighbor
     rec_hulls = [tuple(sorted((1.0 / (16.0 * hull0[1]), 1.0 / (16.0 * hull0[0]))))]
     for n in range(1, N + 2):
         lo, hi = _cluster(table, -n)
         rec_hulls.append((1.0 / (16.0 * hi), 1.0 / (16.0 * lo)))
-    crec, rrec = _disc_row(rec_hulls)  # discs for n = -1..-N
+    crec, rrec = _disc_row(rec_hulls, range(0, -N - 2, -1), table)  # n = -1..-N
 
     centers = np.zeros(2 * N + 1, dtype=complex)
     radii = np.zeros(2 * N + 1, dtype=float)
@@ -628,24 +624,17 @@ def _check_inclusion(table, iso):
 
 
 def certify_counts(v, table, iso, n_range, tol=1e-11):
-    """Argument-principle certification: 2 chi_p roots, 1 chi_D root and
-    1 Delta_dot root in each U_n, n in n_range; 1 Delta_dot root in U_*."""
-    want = {"chi_p": 2, "chi_D": 1, "ddelta": 1}
+    """Argument-principle counts of the chi_p, chi_D and Delta_dot roots in
+    each U_n, n in n_range ({n: {kind: count}}), and of the Delta_dot roots
+    in U_* (key "star").  Isolation means 2, 1, 1 in every U_n and 1 in U_*;
+    the counts are returned as measured, and the suite judges them."""
     report = {}
     for n in n_range:
         c, r = iso.U(n)
-        got = _windings(v, ContourSpec(c, r * 0.98, iso.nodes), want, tol)
+        got = _windings(v, ContourSpec(c, r * 0.98, iso.nodes), _PAIRS, tol)
         report[n] = {kind: cnt for kind, (cnt, _) in got.items()}
-        for kind, cnt in report[n].items():
-            if cnt != want[kind]:
-                raise RuntimeError(
-                    f"count of {kind} roots in U_{n} is {cnt}, expected {want[kind]}"
-                )
     star = ContourSpec(iso.star_center, iso.star_radius * 0.98, iso.nodes)
-    cnt, _ = _windings(v, star, ["ddelta"], tol)["ddelta"]
-    if cnt != 1:
-        raise RuntimeError(f"count of Delta_dot roots in U_* is {cnt}, expected 1")
-    report["star"] = cnt
+    report["star"] = _windings(v, star, ["ddelta"], tol)["ddelta"][0]
     return report
 
 

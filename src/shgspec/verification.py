@@ -171,10 +171,9 @@ def run_suite(v: Potential, cfg: RunConfig | None = None):
     )
 
     rep = sp.certify_counts(v, table, iso, n_range=range(-4, 5), tol=cfg.ode_tol)
-    miss = sum(
+    miss = abs(rep.pop("star") - 1) + sum(
         abs(got[k] - want)
-        for n, got in rep.items()
-        if n != "star"
+        for got in rep.values()
         for k, want in (("chi_p", 2), ("chi_D", 1), ("ddelta", 1))
     )
     report("counting_discs", miss)

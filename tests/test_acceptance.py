@@ -41,6 +41,11 @@ def test_suite_check(suite, check_id):
     assert c.status == "pass" and c.metric <= c.threshold, c.line()
 
 
+def test_suite_reports_in_threshold_order(suite):
+    """run_suite reports its checks in the order of config.THRESHOLDS."""
+    assert list(suite) == list(THRESHOLDS)
+
+
 def test_criterion_1_zero_closed_forms():
     """Delta, chi_D, Delta_dot at v=0 vs closed forms; 20 samples; < 5 s."""
     t0 = time.time()

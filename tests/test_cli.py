@@ -1,10 +1,11 @@
+import dataclasses
 import json
 import warnings
 
 import numpy as np
 import pytest
 
-from shgspec import verification
+from shgspec import spectrum, verification
 from shgspec.cli import main
 from shgspec.monodromy import lam_zero
 from shgspec.potential import Potential
@@ -149,6 +150,55 @@ def test_verify_exit_codes(files, capsys):
     )
     text = capsys.readouterr().out
     assert "[PASS" in text and "FAIL" not in text
+
+
+def _shrunk_U1_counts(certify):
+    """certify_counts with U_1 shrunk to the disc of radius 0.4 |gamma_1|
+    around lambda_1^-, which holds one chi_p root and no other."""
+
+    def counts(v, table, iso, n_range, tol=1e-11):
+        centers, radii = iso.centers.copy(), iso.radii.copy()
+        centers[1 + iso.n_max] = table.lam_pm(1)[0]
+        radii[1 + iso.n_max] = 0.4 * abs(table.gamma(1))
+        return certify(v, table, dataclasses.replace(iso, centers=centers, radii=radii),
+                       n_range, tol)
+
+    return counts
+
+
+def test_wrong_disc_count_is_returned(v_seed, tab16, iso16):
+    """certify_counts returns the counts it measures instead of raising."""
+    rep = _shrunk_U1_counts(spectrum.certify_counts)(v_seed, tab16, iso16, n_range=(0, 1, 2))
+    assert rep == {0: {"chi_p": 2, "chi_D": 1, "ddelta": 1},
+                   1: {"chi_p": 1, "chi_D": 0, "ddelta": 0},
+                   2: {"chi_p": 2, "chi_D": 1, "ddelta": 1}, "star": 1}
+
+
+def test_verify_judges_counts_and_solves_on_the_disc_nodes(files, capsys, monkeypatch):
+    """One verify --nodes 32 run with the shrunk U_1: counting_discs reads
+    fail, alone, and verify exits 1; and since the sigma contours take their
+    node count from the isolating discs, verify solves for the sigma that
+    differentials --nodes 32 prints."""
+    d, zero, cos, cfg = files
+    monkeypatch.setattr(spectrum, "certify_counts", _shrunk_U1_counts(spectrum.certify_counts))
+    sols = []
+    solve = verification.solve_sigma
+    monkeypatch.setattr(verification, "solve_sigma",
+                        lambda *a, **k: sols.append(solve(*a, **k)) or sols[-1])
+    assert main(["verify", str(cos), "--config", str(cfg), "--nodes", "32"]) == 1
+    failed = [(c["check_id"], c["metric"]) for c in json.loads(capsys.readouterr().out)
+              if c["status"] != "pass"]
+    assert failed == [("counting_discs", 3.0)]
+    assert main(["differentials", str(cos), "--config", str(cfg), "--nodes", "32",
+                 "--n-list", "0"]) == 0
+    printed = json.loads(capsys.readouterr().out)[0]
+    solved = json.loads(sols[0].to_json())  # n = 0 on v; the reflected n = 1 follows
+    assert solved["n"] == printed["n"] == 0
+    assert solved["sigma1"] == printed["sigma1"]
+    assert solved["sigma2"] == printed["sigma2"]
+    # and the node count reaches the solve: 64 nodes give other bits
+    assert main(["differentials", str(cos), "--config", str(cfg), "--n-list", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)[0]["sigma1"] != printed["sigma1"]
 
 
 @pytest.mark.parametrize("exc", [RuntimeError, ZeroDivisionError])

@@ -108,7 +108,7 @@ def test_normalization_fresh_contours(v_seed, tab16, iso16):
 def test_solver_idempotence(v_seed, tab16, iso16):
     sol = solve_sigma(tab16, iso16, 0, 16)
     ws = SigmaWorkspace(tab16, iso16, 0, 16)
-    ws.admissible(sol.sigma1, sol.sigma2)
+    assert ws.admissible(sol.sigma1, sol.sigma2)[2] == 0
     u = ws.pack(sol.sigma1, sol.sigma2)
     F, _ = ws.residual_and_jacobian(u)
     assert np.linalg.norm(F) <= 1e-9
@@ -317,10 +317,9 @@ def test_admissibility_guard(v_seed, tab16, iso16):
     ws = SigmaWorkspace(tab16, iso16, 1, 16)
     s1 = np.array([tab16.tau2(1, k) for k in ws.ks])
     s2 = np.array([tab16.tau2(2, k) for k in ws.ks])
+    assert ws.admissible(s1, s2)[2] == 0
     s1[2 + 16] += 2.0  # way outside U_{1,2}
-    with pytest.raises(ValueError, match="isolating disc"):
-        ws.admissible(s1, s2)
-    c1, c2, events = ws.admissible(s1, s2, clamp=True)
+    c1, c2, events = ws.admissible(s1, s2)
     assert events == 1
     cc, rr = iso16.U2(1, 2)
     assert abs(c1[2 + 16] - cc) <= 0.9 * rr + 1e-12

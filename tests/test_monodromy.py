@@ -154,41 +154,46 @@ def test_quarter_period_point():
     assert abs(r.chi_D - 1.0) < 1e-14
 
 
-def dop853_reference(v, lam, order, path_nodes=None):
+def dop853_reference(v, lams, order, path_nodes=None):
     """Oracle independent of the Magnus propagator: M(1, lam) and its
     lambda-derivatives from the variational system
 
         M' = L M,  (dM)' = L dM + L_lam M,  (ddM)' = L ddM + 2 L_lam dM + L_lamlam M
 
-    integrated by adaptive DOP853 at rtol = atol = 1e-13.  Returns the stack
-    (M, dM, ddM)[:order+1] and, for path_nodes, M(x) there by dense output.
+    for every lam of lams in one system, integrated by adaptive DOP853 at
+    rtol = atol = 1e-13.  Returns the stacks (M, dM, ddM)[:order+1] per lam,
+    shape (len(lams), order+1, 2, 2), and, for path_nodes, M(x) there by
+    dense output, shape (len(lams), len(path_nodes), 2, 2).
     """
-    lam = complex(lam)
+    lam = np.asarray(lams, dtype=complex)
+    shape = (lam.size, order + 1, 2, 2)
+    L, L1, L2 = np.zeros((3, lam.size, 2, 2), dtype=complex)  # L, L_lam, L_lamlam
 
     def rhs(x, y):
-        Y = y.reshape(order + 1, 2, 2)
+        Y = y.reshape(shape)
         w = complex(v.w_at(x))
         emq, eq = (complex(f) for f in v.exp_q_at(x))
-        L = np.array([[w / 4, lam - eq / (16 * lam)], [-lam + emq / (16 * lam), -w / 4]])
-        L1 = np.array([[0, 1 + eq / (16 * lam**2)], [-1 - emq / (16 * lam**2), 0]])
-        L2 = np.array([[0, -eq / (8 * lam**3)], [emq / (8 * lam**3), 0]])
-        out = [L @ Y[0]]
+        L[:, 0, 0], L[:, 1, 1] = w / 4, -w / 4
+        L[:, 0, 1], L[:, 1, 0] = lam - eq / (16 * lam), -lam + emq / (16 * lam)
+        L1[:, 0, 1], L1[:, 1, 0] = 1 + eq / (16 * lam**2), -1 - emq / (16 * lam**2)
+        L2[:, 0, 1], L2[:, 1, 0] = -eq / (8 * lam**3), emq / (8 * lam**3)
+        out = [L @ Y[:, 0]]
         if order >= 1:
-            out.append(L @ Y[1] + L1 @ Y[0])
+            out.append(L @ Y[:, 1] + L1 @ Y[:, 0])
         if order >= 2:
-            out.append(L @ Y[2] + 2 * L1 @ Y[1] + L2 @ Y[0])
-        return np.ravel(out)
+            out.append(L @ Y[:, 2] + 2 * L1 @ Y[:, 1] + L2 @ Y[:, 0])
+        return np.stack(out, 1).ravel()
 
-    y0 = np.zeros((order + 1, 2, 2), dtype=complex)
-    y0[0] = np.eye(2)
+    y0 = np.zeros(shape, dtype=complex)
+    y0[:, 0] = np.eye(2)
     sol = solve_ivp(rhs, (0.0, 1.0), y0.ravel(), method="DOP853", rtol=1e-13,
                     atol=1e-13, dense_output=path_nodes is not None)
     assert sol.success
-    jets = sol.y[:, -1].reshape(order + 1, 2, 2)
+    jets = sol.y[:, -1].reshape(shape)
     if path_nodes is None:
         return jets, None
-    path = sol.sol(path_nodes).reshape(order + 1, 2, 2, -1)[0]
-    return jets, np.moveaxis(path, -1, 0)
+    path = sol.sol(path_nodes).reshape(*shape, -1)[:, 0]
+    return jets, np.moveaxis(path, -1, 1)
 
 
 def _jets(res, i):
@@ -241,16 +246,16 @@ WIDE = Potential.from_modes({1: 0.2, 3: 0.15j, 4: 0.1}, {2: 0.1, 4: 0.05}, Kf=4)
 
 @pytest.fixture(scope="module")
 def dop853_oracle():
-    """DOP853 references at ORACLE_LAMS on v1, v3, AMPLE and WIDE, and the
-    reference's own error there, measured on the zero potential against the
-    closed forms."""
+    """DOP853 references at ORACLE_LAMS on v1, v3, AMPLE and WIDE, one system
+    per potential, and the reference's own error there, measured on the zero
+    potential in the same batch against the closed forms."""
     ens = seeded_ensemble()
     pots = {"v1": ens[0], "v3": ens[2], "ample": AMPLE, "wide": WIDE}
-    ref = {k: [dop853_reference(v, lam, 2)[0] for lam in ORACLE_LAMS] for k, v in pots.items()}
+    ref = {k: dop853_reference(v, ORACLE_LAMS, 2)[0] for k, v in pots.items()}
+    zero = dop853_reference(Potential.zero(), ORACLE_LAMS, 2)[0]
     own = []
-    for lam in ORACLE_LAMS:
+    for lam, jets in zip(ORACLE_LAMS, zero):
         cf = closed_form_zero(lam)
-        jets = dop853_reference(Potential.zero(), lam, 2)[0]
         own.append(_rel_err(jets, [cf.Mgrave, cf.Mgrave_dot, cf.Mgrave_ddot]))
     return pots, ref, np.array(own)
 
@@ -259,9 +264,9 @@ def dop853_oracle():
 @pytest.mark.parametrize("tol", [1e-11, 1e-13])
 def test_matches_dop853_oracle(dop853_oracle, tol, order):
     """Relative error of M and its derivatives stays within tol.  The DOP853
-    reference at rtol = 1e-13 is itself off by up to ~5e-13 at |omega| = 20;
-    its error at the same lambda on the zero potential is added to the
-    allowance, which matters only at tol = 1e-13."""
+    reference at rtol = 1e-13 is itself off by up to ~1.7e-13; its error at
+    the same lambda on the zero potential, integrated in the same batch, is
+    added to the allowance, which matters only at tol = 1e-13."""
     pots, ref, own = dop853_oracle
     for k, want in ref.items():
         res = integrate_many(pots[k], ORACLE_LAMS, order=order, tol=tol)
@@ -433,9 +438,9 @@ def test_path_matches_dense_output():
     det M(x) = 1."""
     x, _ = _gauss_legendre(GL_NODES_DEFAULT)
     v = seeded_ensemble()[2]
-    for lam in (2.2, 9.7 + 0.3j, 1.0 / (16 * 9.7)):
+    lams = [2.2, 9.7 + 0.3j, 1.0 / (16 * 9.7)]
+    for lam, jets, path in zip(lams, *dop853_reference(v, lams, 1, path_nodes=x)):
         res = integrate(v, lam, order=1, tol=1e-11, path_nodes=x)
-        jets, path = dop853_reference(v, lam, 1, path_nodes=x)
         assert np.max(np.abs(res.path - path)) <= 1e-11 * np.max(np.abs(path))
         assert np.max(np.abs(np.linalg.det(res.path) - 1.0)) <= 1e-12
         assert np.all(_rel_err([res.Mgrave, res.Mgrave_dot], jets) <= 1e-11)

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -39,3 +40,18 @@ def test_every_public_definition_is_in_all():
         ]
         assert not left_out, (info.name, left_out)
     assert checked >= 8
+
+
+def test_array_holding_dataclasses_compare_by_identity():
+    """A generated __eq__ compares fields as a tuple, which raises on ndarray
+    fields; every dataclass with an ndarray field keeps object identity."""
+    found = []
+    for info in pkgutil.iter_modules(shgspec.__path__):
+        mod = importlib.import_module(f"shgspec.{info.name}")
+        for name, obj in vars(mod).items():
+            if (dataclasses.is_dataclass(obj) and obj.__module__ == mod.__name__
+                    and any("ndarray" in str(f.type) for f in dataclasses.fields(obj))):
+                found.append(name)
+                assert obj.__eq__ is object.__eq__, name
+    assert sorted(found) == ["GradientKernel", "IsolatingNeighborhoods", "NodeFamily",
+                             "Potential", "SigmaSolution", "SpectrumTable"]

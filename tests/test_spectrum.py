@@ -10,7 +10,7 @@ from shgspec.quadrature import ContourSpec, winding_number
 from shgspec.spectrum import (
     DiscFamily,
     SpectrumTable,
-    _field,
+    _PAIRS,
     build_isolating,
     build_table,
     certify_counts,
@@ -46,7 +46,7 @@ def test_locate_periodic_single(v_zero):
 
 def test_count_roots_simple(v_seed):
     # chi_p has a double root in D_1 at the zero potential
-    f = _field(Potential.zero(), "chi_p", 1e-11)
+    f = lambda z: _PAIRS["chi_p"](integrate_many(Potential.zero(), z, order=1, tol=1e-11))
     cnt, dist = winding_number(f, ContourSpec(np.pi, np.pi / 3, 64))
     assert cnt == 2 and dist < 1e-8
 
@@ -282,6 +282,20 @@ def test_isolating_failure_far_from_real():
     bad = SpectrumTable(0, one(0.1), one(3.3), one(0.25), one(0.25), 0.25j)
     with pytest.raises(ValueError, match="not constructible|overlap"):
         build_isolating(Potential.cosine(0.1), bad)
+
+
+def test_isolating_failure_names_the_overlap():
+    """On the real potential 2 cos(6 pi x), far from zero, the n = -3 and
+    n = -4 clusters coincide; the refusal names them and the widest gap."""
+    v = Potential.cosine(2.0, mode=3)
+    with pytest.raises(ValueError, match=r"n = -3 and n = -4 overlap .*\|gamma_3\| = 8\.03"):
+        build_isolating(v, build_table(v, 4))
+
+
+def test_table_equality_is_identity(tab16):
+    """Tables hold arrays, so == is identity and never raises."""
+    assert (tab16 == tab16.truncated(tab16.n_max)) is False
+    assert tab16 == tab16
 
 
 def test_table_arrays_are_read_only_copies(tab16):

@@ -46,11 +46,10 @@ def test_report_invariant(small_suite):
         assert c.line().startswith("[")
 
 
-def test_suite_deterministic():
-    cfg = _small_cfg()
-    a = run_suite(Potential.cosine(0.1), cfg)
-    b = run_suite(Potential.cosine(0.1), cfg)
-    assert [(c.check_id, c.status, c.metric) for c in a] == [
+def test_suite_deterministic(small_suite):
+    """A second run on a fresh potential repeats the module's run exactly."""
+    b = run_suite(Potential.cosine(0.1), _small_cfg())
+    assert [(c.check_id, c.status, c.metric) for c in small_suite] == [
         (c.check_id, c.status, c.metric) for c in b
     ]
 
