@@ -221,9 +221,9 @@ def seeded_directions(seed=0, count=3):
         for k in range(0, 5):
             q[k] = complex(rng.standard_normal(), rng.standard_normal() if k else 0.0)
             p[k] = complex(rng.standard_normal(), rng.standard_normal() if k else 0.0)
-        d = Potential.from_modes(q, p, Kf=4, grid_size=64)
+        d = Potential.from_modes(q, p, Kf=4)
         nrm = d.h1_norm()
-        out.append(Potential(d.q_coeffs / nrm, d.p_coeffs / nrm, d.Kf, d.grid_size, d.real))
+        out.append(Potential(d.q_coeffs / nrm, d.p_coeffs / nrm, d.Kf, d.real))
     return out
 
 
@@ -233,7 +233,7 @@ def perturbed(v: Potential, direction: Potential, t: float) -> Potential:
     pad = lambda c, k0: np.pad(c, Kf - k0)
     return Potential(pad(v.q_coeffs, v.Kf) + t * pad(direction.q_coeffs, direction.Kf),
                      pad(v.p_coeffs, v.Kf) + t * pad(direction.p_coeffs, direction.Kf),
-                     Kf, max(v.grid_size, direction.grid_size, 4 * Kf), v.real and direction.real)
+                     Kf, v.real and direction.real)
 
 
 def fd_directional(scalar_fn, v, direction, eps):
@@ -309,7 +309,7 @@ def _probe_values(vv, probes, tol):
         mine = [(lam, w) for lam, w in probes if (w if w in ("chi_D", "chi_p") else None) == kind]
         lams = list(dict.fromkeys(lam for lam, _ in mine))
         if kind and lams:
-            roots = _newton_batch(vv, lams, kind, tol=1e-13)
+            roots = _newton_batch(vv, lams, kind, tol=tol)
             vals.update(((s, kind), complex(r)) for s, r in zip(lams, roots))
         elif lams:
             res = integrate_many(vv, lams, order=0, tol=tol)

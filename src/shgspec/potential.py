@@ -7,8 +7,8 @@ A potential is stored as a pair of truncated Fourier series
 All downstream field evaluations (q, dq/dx, the smoothing operator P applied
 to p, exp(+-q)) are spectral: derivatives and the Fourier multiplier
 P = sqrt(1 - d_x^2) act diagonally on coefficients, and exp(+-q) is expanded
-on the sample grid by FFT once per potential and then evaluated anywhere by
-trigonometric interpolation.
+by FFT once per potential, on a grid fine enough to resolve it, and then
+evaluated anywhere by trigonometric interpolation.
 """
 
 from __future__ import annotations
@@ -32,6 +32,8 @@ Z2 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 R2 = np.array([[1j, 0.0], [0.0, -1j]], dtype=complex)
 
 REAL_SYM_TOL = 1e-14
+# the e^{+-q} grid N = 64 * 2^j: its modes at |k| >= N/4 at most EXPQ_TAIL of the largest
+EXPQ_TAIL, EXPQ_MAX_GRID = 1e-15, 2**14
 
 
 def pi_k(k):
@@ -82,12 +84,11 @@ class Potential:
     q_coeffs: np.ndarray
     p_coeffs: np.ndarray
     Kf: int
-    grid_size: int = 64
     real: bool = True
-    _cache: dict = field(default_factory=dict, repr=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     @staticmethod
-    def from_modes(q=None, p=None, Kf=None, grid_size=64, real=True) -> "Potential":
+    def from_modes(q=None, p=None, Kf=None, real=True) -> "Potential":
         """Build from {frequency: coefficient} maps (missing modes are zero)."""
         q = dict(q or {})
         p = dict(p or {})
@@ -99,29 +100,24 @@ class Potential:
                 for k in list(coeffs):
                     if -int(k) not in coeffs:
                         coeffs[-int(k)] = np.conj(coeffs[k])
-        v = Potential(
-            _as_coeff_array(q, Kf), _as_coeff_array(p, Kf), Kf, grid_size, real
-        )
+        v = Potential(_as_coeff_array(q, Kf), _as_coeff_array(p, Kf), Kf, real)
         v.validate()
         return v
 
     @staticmethod
-    def zero(grid_size=64) -> "Potential":
-        return Potential.from_modes({}, {}, Kf=1, grid_size=grid_size)
+    def zero() -> "Potential":
+        return Potential.from_modes({}, {}, Kf=1)
 
     @staticmethod
-    def cosine(amplitude_q=0.1, mode=1, amplitude_p=0.0, grid_size=64) -> "Potential":
+    def cosine(amplitude_q=0.1, mode=1, amplitude_p=0.0) -> "Potential":
         """Real potential q = a*cos(2 pi m x), p = b*cos(2 pi m x)."""
         return Potential.from_modes(
             {mode: amplitude_q / 2.0, -mode: amplitude_q / 2.0},
             {mode: amplitude_p / 2.0, -mode: amplitude_p / 2.0},
             Kf=max(mode, 1),
-            grid_size=grid_size,
         )
 
     def validate(self):
-        if self.grid_size < 4 * self.Kf:
-            raise ValueError("grid_size must be >= 4*Kf to avoid aliasing")
         if not (
             np.all(np.isfinite(self.q_coeffs)) and np.all(np.isfinite(self.p_coeffs))
         ):
@@ -138,13 +134,7 @@ class Potential:
 
     def reflected(self) -> "Potential":
         """The reciprocity image (q,p) -> (-q,p); exact on coefficients."""
-        return Potential(
-            -self.q_coeffs.copy(),
-            self.p_coeffs.copy(),
-            self.Kf,
-            self.grid_size,
-            self.real,
-        )
+        return Potential(-self.q_coeffs.copy(), self.p_coeffs.copy(), self.Kf, self.real)
 
     # -- pointwise evaluation ----------------------------------------------
 
@@ -170,17 +160,28 @@ class Potential:
         return complex(np.sum(self.q_coeffs))
 
     def exp_q_coeffs(self):
-        """Fourier coefficients of (exp(-q), exp(q)) on the sample grid, cached."""
+        """Fourier coefficients of (exp(-q), exp(q)), cached: the FFT on the
+        smallest grid N = 64 * 2^j, N >= 4 Kf, on which both series are resolved
+        (modes at |k| >= N/4 at most EXPQ_TAIL of their largest).  A non-finite
+        sample, or no such N up to EXPQ_MAX_GRID, raises a ValueError."""
         if "expq" not in self._cache:
-            x = np.arange(self.grid_size) / self.grid_size
-            qx = self.q_at(x)
-            cm = np.fft.fft(np.exp(-qx)) / self.grid_size
-            cp = np.fft.fft(np.exp(qx)) / self.grid_size
-            ks = np.fft.fftfreq(self.grid_size, d=1.0 / self.grid_size)
+            n = 64
+            while True:
+                qx = self.q_at(np.arange(n) / n)
+                em, ep = np.exp(-qx), np.exp(qx)
+                if not np.all(np.isfinite(em) & np.isfinite(ep)):
+                    raise ValueError(f"exp(+-q) is not finite on the {n}-point grid")
+                cm, cp = np.fft.fft(em) / n, np.fft.fft(ep) / n
+                ks = np.fft.fftfreq(n, d=1.0 / n)
+                tail = np.abs(ks) >= n / 4
+                if n >= 4 * self.Kf and all(np.abs(c[tail]).max() <= EXPQ_TAIL * np.abs(c).max()
+                                            for c in (cm, cp)):
+                    break
+                if n >= EXPQ_MAX_GRID:
+                    raise ValueError(f"exp(+-q) is not resolved on {n} points")
+                n *= 2
             # drop numerically negligible modes; shortens interpolation sums
-            keep = (np.abs(cm) + np.abs(cp)) > 1e-17 * max(
-                1.0, np.abs(cp).max(), np.abs(cm).max()
-            )
+            keep = (np.abs(cm) + np.abs(cp)) > 1e-17 * max(1.0, np.abs(cp).max(), np.abs(cm).max())
             self._cache["expq"] = (ks[keep], cm[keep], cp[keep])
         return self._cache["expq"]
 
@@ -210,7 +211,6 @@ class Potential:
                 "Kf": int(self.Kf),
                 "q": [[float(c.real), float(c.imag)] for c in self.q_coeffs],
                 "p": [[float(c.real), float(c.imag)] for c in self.p_coeffs],
-                "grid": int(self.grid_size),
             }
         )
 
@@ -224,7 +224,6 @@ class Potential:
             _as_coeff_array(q, Kf),
             _as_coeff_array(p, Kf),
             Kf,
-            int(d.get("grid", 64)),
             bool(d.get("real", True)),
         )
         v.validate()

@@ -89,11 +89,16 @@ def test_eval_far_out(files, capsys):
 
 def test_eval_overflow_is_a_numerical_failure(files, capsys):
     """Where M overflows (|Im omega| beyond about 709) eval exits 3 and names
-    the lambda, instead of printing NaN."""
+    the lambda, instead of printing NaN; so it does where exp(+-q) overflows."""
     d, zero, cos, cfg = files
     with np.errstate(over="ignore", invalid="ignore"):
         assert main(["eval", str(zero), "--lambda", "0.01,800"]) == 3
     assert "not finite at lambda" in capsys.readouterr().err
+    big = d / "big.json"
+    big.write_text(Potential.cosine(800.0).to_json())
+    with np.errstate(over="ignore"):
+        assert main(["eval", str(big), "--lambda", "1.7,0"]) == 3
+    assert "exp(+-q) is not finite" in capsys.readouterr().err
 
 
 def test_spectrum_zero(files, capsys):

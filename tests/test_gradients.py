@@ -142,6 +142,16 @@ def test_fd_order_gate_can_fail(v_seed, dirs):
     assert case.orders(eps_order=(3e-5, 1e-5)) == []
 
 
+def test_fd_relocation_uses_its_tol(v_seed, tab16, dirs, monkeypatch):
+    """fd_evaluate relocates an eigenvalue on each perturbed potential with
+    Newton at the tol it is given."""
+    tols, newton = [], gradients._newton_batch
+    monkeypatch.setattr(gradients, "_newton_batch",
+                        lambda *args, tol: tols.append(tol) or newton(*args, tol=tol))
+    fd_evaluate(v_seed, tab16, [("mu", 1)], dirs[:1], (FD_EPS,), 1e-12)
+    assert tols == [1e-12, 1e-12]
+
+
 def test_cli_rows_use_the_suite_error(tmp_path, capsys):
     """Each row of `shgspec gradients` carries the per-direction error that
     the suite folds into gradient_fd, of the pairing against the naive FD

@@ -97,13 +97,12 @@ def test_evenness_and_real_symmetry():
 
 
 def test_self_convergence():
-    """Reference run at tol/100 on a doubled grid bounds the defect; halving
-    the tolerance shrinks it monotonically."""
-    v = Potential.cosine(0.1, amplitude_p=0.03, grid_size=64)
-    v_fine = Potential.cosine(0.1, amplitude_p=0.03, grid_size=128)
+    """Reference run at tol/100 bounds the defect; halving the tolerance
+    shrinks it monotonically."""
+    v = Potential.cosine(0.1, amplitude_p=0.03)
     lam = 2.0 + 0.3j
     tol = 1e-9
-    ref = integrate(v_fine, lam, order=0, tol=tol / 100).Delta
+    ref = integrate(v, lam, order=0, tol=tol / 100).Delta
     assert abs(integrate(v, lam, order=0, tol=tol).Delta - ref) < 10 * tol
     defects = [
         abs(integrate(v, lam, order=0, tol=t).Delta - ref)
@@ -319,7 +318,7 @@ def test_fields_beyond_cache_budget(monkeypatch):
     want = integrate_many(v, lams, order=2, tol=1e-11, path_nodes=x)
     monkeypatch.setattr(monodromy, "BLOCK", 64)
     monkeypatch.setattr(monodromy, "CACHE_STEPS", 32)
-    w = Potential(v.q_coeffs, v.p_coeffs, v.Kf, v.grid_size, v.real)  # empty cache
+    w = Potential(v.q_coeffs, v.p_coeffs, v.Kf, v.real)  # empty cache
     got = integrate_many(w, lams, order=2, tol=1e-11, path_nodes=x)
     assert not any(key[0] == "magnus" and key[1] > 32 for key in w._cache)
     assert np.array_equal(got.steps, want.steps)

@@ -55,3 +55,18 @@ def test_array_holding_dataclasses_compare_by_identity():
                 assert obj.__eq__ is object.__eq__, name
     assert sorted(found) == ["GradientKernel", "IsolatingNeighborhoods", "NodeFamily",
                              "Potential", "SigmaSolution", "SpectrumTable"]
+
+
+def test_private_dataclass_fields_are_not_constructor_arguments():
+    """A dataclass field whose name starts with _ is internal state, so it is
+    declared init=False and no positional argument can bind to it."""
+    found = []
+    for info in pkgutil.iter_modules(shgspec.__path__):
+        mod = importlib.import_module(f"shgspec.{info.name}")
+        for name, obj in vars(mod).items():
+            if dataclasses.is_dataclass(obj) and obj.__module__ == mod.__name__:
+                for f in dataclasses.fields(obj):
+                    if f.name.startswith("_"):
+                        found.append(f"{name}.{f.name}")
+                        assert not f.init, found[-1]
+    assert "Potential._cache" in found

@@ -1,11 +1,14 @@
+import json
+
 import numpy as np
 import pytest
 
+from shgspec.config import seeded_ensemble
 from shgspec.potential import Potential, p_multiplier, pi_k
 
 
 def _grid(v):
-    return np.arange(v.grid_size) / v.grid_size
+    return np.arange(64) / 64
 
 
 def test_zero_potential_fields():
@@ -46,8 +49,8 @@ def test_periodicity():
 
 def test_parseval():
     v = Potential.from_modes({1: 0.2 - 0.1j, 3: 0.05j}, {2: 0.07}, Kf=3)
-    x = np.arange(v.grid_size) / v.grid_size
-    grid_norm = np.sum(np.abs(v.q_at(x)) ** 2) / v.grid_size
+    x = np.arange(64) / 64
+    grid_norm = np.sum(np.abs(v.q_at(x)) ** 2) / 64
     coeff_norm = np.sum(np.abs(v.q_coeffs) ** 2)
     assert abs(grid_norm - coeff_norm) < 1e-12
 
@@ -62,13 +65,8 @@ def test_real_flag_fields_real():
 def test_real_flag_validation():
     with pytest.raises(ValueError, match="conjugate-symmetric"):
         Potential(
-            np.array([0.0, 0.0, 0.2j]), np.zeros(3, complex), 1, 64, True
+            np.array([0.0, 0.0, 0.2j]), np.zeros(3, complex), 1, True
         ).validate()
-
-
-def test_grid_size_guard():
-    with pytest.raises(ValueError, match="grid_size"):
-        Potential.from_modes({4: 0.1}, {}, Kf=4, grid_size=8)
 
 
 def test_nonfinite_coefficient():
@@ -89,7 +87,61 @@ def test_json_round_trip():
     w = Potential.from_json(v.to_json())
     assert np.array_equal(w.q_coeffs, v.q_coeffs)
     assert np.array_equal(w.p_coeffs, v.p_coeffs)
-    assert w.Kf == v.Kf and w.grid_size == v.grid_size and w.real == v.real
+    assert w.Kf == v.Kf and w.real == v.real
+    assert "grid" not in json.loads(v.to_json())
+    # files written with the former grid setting still load; the key is ignored
+    u = Potential.from_json(json.dumps({**json.loads(v.to_json()), "grid": 128}))
+    assert np.array_equal(u.q_coeffs, v.q_coeffs) and u.real == v.real
+
+
+def _v4():
+    """A real K_f = 8 potential: q_k = 0.02 (a + ib)/k for k = 1..8, then
+    p_k = 0.01 (a + ib)/k for k = 1..4, a, b successive normal draws."""
+    rng = np.random.default_rng(1)
+    q = {k: 0.02 * complex(rng.normal(), rng.normal()) / k for k in range(1, 9)}
+    p = {k: 0.01 * complex(rng.normal(), rng.normal()) / k for k in range(1, 5)}
+    return Potential.from_modes(q, p, Kf=8)
+
+
+@pytest.mark.parametrize("v", [
+    Potential.from_modes({1: 0.2, 3: 0.15j, 4: 0.1}, {2: 0.1, 4: 0.05}, Kf=4),  # WIDE
+    _v4(),
+], ids=["wide", "v4"])
+def test_exp_q_resolved(v):
+    """The e^{+-q} series is taken on a grid that resolves it: exp_q_at
+    agrees with exp(+-q_at) to rounding on potentials whose e^{+-q}
+    outgrows 64 points."""
+    x = np.random.default_rng(3).random(4000)
+    qx = v.q_at(x)
+    for f, ref in zip(v.exp_q_at(x), (np.exp(-qx), np.exp(qx))):
+        assert np.max(np.abs(f - ref) / np.abs(ref)) <= 1e-14
+
+
+def test_exp_q_grid_resolves_q():
+    """The e^{+-q} grid has at least 4 Kf points, so q itself is not aliased:
+    on 64 points q = 0.2 cos(2 pi 64 x) reads as the constant 0.2."""
+    v = Potential.cosine(0.2, mode=64)
+    x = np.random.default_rng(4).random(50)
+    assert np.max(np.abs(v.exp_q_at(x)[1] / np.exp(v.q_at(x)) - 1.0)) <= 1e-13
+
+
+def test_exp_q_not_finite():
+    """An e^{+-q} that overflows on the sample grid raises; it is not
+    expanded into non-finite coefficients."""
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="not finite"):
+        Potential.cosine(800.0).exp_q_coeffs()
+
+
+@pytest.mark.parametrize("v", seeded_ensemble() + [Potential.zero()], ids=["v1", "v2", "v3", "zero"])
+def test_exp_q_small_potentials_keep_64_points(v):
+    """On v1-v3 and v = 0 the series is the 64-point FFT with its 1e-17
+    keep rule, bit for bit."""
+    qx = v.q_at(np.arange(64) / 64)
+    cm, cp = np.fft.fft(np.exp(-qx)) / 64, np.fft.fft(np.exp(qx)) / 64
+    keep = (np.abs(cm) + np.abs(cp)) > 1e-17 * max(1.0, np.abs(cp).max(), np.abs(cm).max())
+    ks = np.fft.fftfreq(64, d=1.0 / 64)
+    for got, want in zip(v.exp_q_coeffs(), (ks[keep], cm[keep], cp[keep])):
+        assert np.array_equal(got, want)
 
 
 def test_lax_coefficients():
