@@ -17,11 +17,12 @@ over Gamma_{1,m} (m != n) and Gamma_{2,m} (all m):
 
 The unit integral over Gamma_{1,n} then holds automatically.  The analytic
 Jacobian inserts 1/(sigma_{1,r}-lambda), resp.
-1/(sigma_{2,r}+1/(16 lambda)) - 1/sigma_{2,r}, under the same integrals, so
-one sweep over the cached contour nodes assembles residual and Jacobian
-together.  Unknowns are truncated to |k| <= K with the zero-potential tail
-closure; iterates leaving the isolating discs are clamped back to a boundary
-ring and the event is counted.
+1/(sigma_{2,r}+1/(16 lambda)) - 1/sigma_{2,r}, under the same integrals.
+One psi sweep over the (rows, nodes) array of contour nodes gives the
+residual as one row sum; the Jacobian is formed from the same terms only at
+the iterates a Newton step starts from.  Unknowns are truncated to |k| <= K
+with the zero-potential tail closure; iterates leaving the isolating discs
+are clamped back to a boundary ring and the event is counted.
 
 On a contour sqrt_c(chi_p) depends on the table, K and the contour alone,
 so the table's evaluator (SpectrumTable.evaluator) computes it once per
@@ -117,20 +118,23 @@ class SigmaWorkspace:
 
     @cached_property
     def rows(self):
-        """Contour node data (j, m, contour, nodes, weights, prefactor);
-        family 1 rows for m != n, family 2 rows for all m, on iso.nodes
-        nodes each."""
-        rows = []
-        for j, ms in ((1, self.idx1), (2, self.ks)):
-            for m in ms:
-                spec = self.iso.contour(j, int(m))
-                pref = self.n - m if j == 1 else 16.0 * pi_k(m) ** 2 * pi_k(self.n)
-                rows.append((j, int(m), spec, *spec.points(), pref))
-        return rows
+        """(j, m, contour) of each residual row: family 1 rows for m != n,
+        family 2 rows for all m, on iso.nodes nodes each."""
+        ms = [(1, int(m)) for m in self.idx1] + [(2, int(m)) for m in self.ks]
+        return [(j, m, self.iso.contour(j, m)) for j, m in ms]
+
+    @cached_property
+    def grid(self):
+        """Nodes z and weights dz of the rows as (rows, nodes) arrays, and
+        the rows' prefactors."""
+        z, dz = (np.array(a) for a in zip(*(r[2].points() for r in self.rows)))
+        pref = [self.n - m if j == 1 else 16.0 * pi_k(m) ** 2 * pi_k(self.n)
+                for j, m, _ in self.rows]
+        return z, dz, np.array(pref)
 
     @cached_property
     def z_all(self):
-        return np.concatenate([r[3] for r in self.rows])
+        return self.grid[0].ravel()
 
     @cached_property
     def chip_all(self):
@@ -191,27 +195,27 @@ class SigmaWorkspace:
         return (*out, events)
 
     def residual_and_jacobian(self, u):
+        """The residual F at u, and a function that forms the Jacobian Q at u
+        from the same g dz terms, for the iterates a Newton step starts from."""
         sigma1, sigma2 = self.unpack(u)
-        n_unk = u.size
-        F = np.empty(n_unk, dtype=complex)
-        Q = np.empty((n_unk, n_unk), dtype=complex)
-        m1 = len(self.idx1)
-        # psi_n/sqrt_c(chi_p) on all rows' nodes at once; the rows then only
-        # sum their slice
+        z, dz, pref = self.grid
+        # psi_n/sqrt_c(chi_p) on all rows' nodes at once
         g = self._bare_psi(sigma1, sigma2, self.z_all, self.f2_inf(sigma2))
-        g = g / self.chip_all
-        s1 = sigma1[self.ks != self.n]
-        start = 0
-        for pos, (_, _, _, z, dz, pref) in enumerate(self.rows):
-            gdz = g[start : start + z.size] * dz
-            start += z.size
-            F[pos] = pref * np.sum(gdz)
-            B1 = 1.0 / (s1 - z[:, None])
-            mu = -1.0 / (16.0 * z)
-            B2 = 1.0 / (sigma2 - mu[:, None]) - 1.0 / sigma2
-            Q[pos, :m1] = pref * (gdz @ B1)
-            Q[pos, m1:] = pref * (gdz @ B2)
-        return F, Q
+        gdz = (g / self.chip_all).reshape(z.shape) * dz
+        F = pref * np.sum(gdz, axis=1)
+
+        def jacobian():
+            s1 = sigma1[self.ks != self.n]
+            Q = np.empty((u.size, u.size), dtype=complex)
+            for row, zr, w, p in zip(Q, z, gdz, pref):
+                B1 = 1.0 / (s1 - zr[:, None])
+                mu = -1.0 / (16.0 * zr)
+                B2 = 1.0 / (sigma2 - mu[:, None]) - 1.0 / sigma2
+                row[: s1.size] = p * (w @ B1)
+                row[s1.size :] = p * (w @ B2)
+            return Q
+
+        return F, jacobian
 
 
 def solve_sigma(table, iso, n, K, tol=1e-9, max_iter=12) -> SigmaSolution:
@@ -220,13 +224,13 @@ def solve_sigma(table, iso, n, K, tol=1e-9, max_iter=12) -> SigmaSolution:
     At the zero potential the initializer is already the solution (zero
     Newton steps); otherwise convergence in a handful of iterations is the
     expected behavior for potentials in the solvable neighborhood.  Each
-    trial point is evaluated once, with its Jacobian, which the next
-    iteration uses when the trial is accepted.
+    trial point is evaluated once; its Jacobian is formed only when a Newton
+    step starts from it.
     """
     ws = SigmaWorkspace(table, iso, n, K)
     u = ws.initial_state()
     clamps = 0
-    F, Q = ws.residual_and_jacobian(u)
+    F, jacobian = ws.residual_and_jacobian(u)
     rnorm = float(np.linalg.norm(F))
     iters = 0
     while rnorm > tol:
@@ -235,6 +239,7 @@ def solve_sigma(table, iso, n, K, tol=1e-9, max_iter=12) -> SigmaSolution:
                 f"Newton did not reach tol={tol:g} in {max_iter} iterations "
                 f"(residual {rnorm:.3e}); outside solvable neighborhood"
             )
+        Q = jacobian()
         cond = np.linalg.cond(Q)
         if not np.isfinite(cond) or cond > COND_LIMIT:
             raise RuntimeError(
@@ -248,14 +253,14 @@ def solve_sigma(table, iso, n, K, tol=1e-9, max_iter=12) -> SigmaSolution:
             s1, s2 = ws.unpack(trial)
             s1, s2, ev = ws.admissible(s1, s2)
             trial = ws.pack(s1, s2)
-            Ft, Qt = ws.residual_and_jacobian(trial)
+            Ft, jt = ws.residual_and_jacobian(trial)
             tnorm = float(np.linalg.norm(Ft))
             if tnorm < rnorm or scale <= 2.0 ** (-MAX_HALVINGS):
                 break
             scale *= 0.5
         u = trial
         clamps += ev
-        F, Q, rnorm = Ft, Qt, tnorm
+        F, jacobian, rnorm = Ft, jt, tnorm
         iters += 1
     sigma1, sigma2 = ws.unpack(u)
     C_n = complex(1.0 / ws.f2_inf(sigma2))
@@ -271,13 +276,14 @@ def _normalization(psi, ev, iso, K, nodes, scale, one):
     """The matrix {(j,m): (1/2 pi) oint_{Gamma_{j,m}} psi/sqrt_c(chi_p)} over
     both contour families, |m| <= K, and its largest deviation from 1 at the
     entry one, from 0 elsewhere.  psi and sqrt_c(chi_p) are both bare, the
-    latter the evaluator ev's values on each contour."""
-    mat = {}
-    for j in (1, 2):
-        for m in range(-K, K + 1):
-            spec = iso.contour(j, m, nodes=nodes, scale=scale)
-            z, dz = spec.points()
-            mat[(j, m)] = complex(np.sum(psi(z) / ev.contour_chip(spec) * dz) / (2.0 * np.pi))
+    latter the evaluator ev's values on each contour; psi is called once, on
+    the nodes of all contours."""
+    keys = [(j, m) for j in (1, 2) for m in range(-K, K + 1)]
+    specs = [iso.contour(j, m, nodes=nodes, scale=scale) for j, m in keys]
+    z, dz = (np.array(a) for a in zip(*(spec.points() for spec in specs)))
+    chip = np.array([ev.contour_chip(spec) for spec in specs])
+    vals = np.sum(psi(z.ravel()).reshape(z.shape) / chip * dz, axis=1) / (2.0 * np.pi)
+    mat = dict(zip(keys, vals.tolist()))
     dev = max(abs(val - float(key == one)) for key, val in mat.items())
     return mat, dev
 

@@ -68,15 +68,16 @@ def _omitted_terms_bound(r, a):
     """Bound on the terms of zero_tail's remainder series that are left out.
 
     The series run over powers of r = |z/pi|^2/a^2 < 1 with a = M + 1; the
-    first stops after j = 5, the second after j = 3.  With
-    zeta(s, a) <= a^-s (1 + a/(s-1)) the terms left out are bounded by
+    first stops after j = 5, the second after j = 3, the third after j = 4.
+    With zeta(s, a) <= a^-s (1 + a/(s-1)) the terms left out are bounded by
     geometric series in r.
     """
     first = r**6 / (1 - r) * (1 + a / 13) / a**2 / (8 * np.pi**2)
     second = (
         r**4 * (5 - 4 * r) / (1 - r) ** 2 * (1 + a / 11) / a**4 / (128 * np.pi**4)
     )
-    return first + second
+    third = r**5 / (1 - r) * (1 + a / 13) / a**4 / (256 * np.pi**4)
+    return first + second + third
 
 
 def _tail_cutoff(rho2, K):
@@ -137,22 +138,25 @@ def _zero_tail_upto(z, K, M):
     piks = pi_k(ks)
     # k pi - z in two parts: k PI_HI is exact, and so is k PI_HI - z near the
     # lattice point, where the float k pi would cost its ulp against k pi - z
-    P = np.prod(((ks * _PI_HI - z[:, None]) + ks * _PI_LO) / piks, axis=1)
+    ks = ks[:, None]  # factors on the leading axis, points contiguous
+    P = np.prod(((ks * _PI_HI - z) + ks * _PI_LO) / piks[:, None], axis=0)
     sin_part = np.where(z == 0, 1.0, -np.sin(z) / np.where(P == 0, 1.0, P))
 
-    kk = np.arange(K + 1, M + 1)
+    kk = np.arange(K + 1, M + 1)[:, None]
     t2 = lam_zero(kk) ** 2
     a2 = (kk * np.pi) ** 2
-    zz = z[:, None] ** 2
-    R = np.prod((zz - t2) / (zz - a2), axis=1)
+    zz = z**2
+    R = np.prod((zz - t2) / (zz - a2), axis=0)
 
     # remainder of log R over k > M: sum d_k/(a_k^2 - z^2) - (1/2) sum (...)^2,
-    # d_k = t_k^2 - k^2 pi^2 = 1/8 - 1/(256 k^2 pi^2) + O(k^-4)
+    # d_k = t_k^2 - k^2 pi^2 = 1/8 - 1/(256 k^2 pi^2) + O(k^-4), each
+    # 1/(a_k^2 - z^2) expanded in powers of (z/(k pi))^2
     w2 = (z / np.pi) ** 2
     zeta = _hurwitz_zeta(np.arange(2, 14, 2), M + 1)  # zeta(2j + 2, M + 1)
     S1 = sum(w2**j * zeta[j] for j in range(6)) / np.pi**2
+    S2 = sum(w2**j * zeta[j + 1] for j in range(5))
     S1b = sum((j + 1) * w2**j * zeta[j + 1] for j in range(4)) / np.pi**4
-    logrem = 0.125 * S1 - zeta[1] / (256.0 * np.pi**4) - 0.5 * (1.0 / 64.0) * S1b
+    logrem = 0.125 * S1 - S2 / (256.0 * np.pi**4) - 0.5 * (1.0 / 64.0) * S1b
     return sin_part * R * np.exp(logrem)
 
 
@@ -191,10 +195,14 @@ def node_product(nodes, x, K: int, gammas=None, tail=None, skip=None):
         keep = ks != skip
         nodes, piks = nodes[keep], piks[keep]
         gammas = None if gammas is None else gammas[keep]
-    w = nodes - x[:, None] if gammas is None else _sroot(nodes, gammas, x[:, None])
+    # factors on the leading axis, points contiguous; w_k times the complex
+    # 1/pi_k is the value numpy's complex division by the real pi_k gives
+    nodes, inv = nodes[:, None], (1.0 / piks[:, None]).astype(complex)
+    w = nodes - x if gammas is None else _sroot(nodes, gammas[:, None], x)
+    w *= inv
     if tail is None:
         tail = zero_tail(x, K)
-    return np.prod(w / piks, axis=1) * tail
+    return np.prod(w, axis=0) * tail
 
 
 def f1n(table, n: int, lam, K: int):
@@ -496,9 +504,9 @@ class NodeFamily:
         piks = pi_k(self.ks)
 
         def removed(nodes, x):  # prod over k != n of (nodes_k - x_n)/pi_k, tailed
-            w = (nodes - x[:, None]) / piks
+            w = (nodes[:, None] - x) / piks[:, None]
             np.fill_diagonal(w, 1.0)
-            return np.prod(w, axis=1) * zero_tail(x, self.K)
+            return np.prod(w, axis=0) * zero_tail(x, self.K)
 
         s1, k2 = self.sigma1, self.kappa2
         at_sigma1 = -removed(s1, s1) / piks * self.f2(s1)

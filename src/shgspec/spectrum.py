@@ -406,6 +406,16 @@ def build_table(v: Potential, n_max: int, tol=1e-12) -> SpectrumTable:
                 f"eigenvalue left the right half-plane at n="
                 f"{np.flatnonzero(bad) - n_max}; outside working neighborhood"
             )
+    # distinct indices hold distinct roots (on v1-v3 6e-2 apart, relative)
+    a = np.abs(lam_dots)
+    sep = np.abs(lam_dots[:, None] - lam_dots) / np.maximum(a[:, None], a)
+    sep[np.tril_indices(ns.size)] = np.inf
+    i, k = np.unravel_index(np.argmin(sep), sep.shape)
+    if sep[i, k] <= 1e-8:
+        raise RuntimeError(
+            f"the Delta_dot roots at n = {ns[i]} and n = {ns[k]} agree to "
+            f"{sep[i, k]:.1e} relative; outside working neighborhood"
+        )
     return SpectrumTable(
         n_max,
         minus,

@@ -146,7 +146,7 @@ def test_sign_change_across_gap(v_seed, tab16, iso16):
 
 def test_jacobian_structure(v_seed, tab16, iso16):
     ws = SigmaWorkspace(tab16, iso16, 1, 16)
-    _, Q = ws.residual_and_jacobian(ws.initial_state())
+    Q = ws.residual_and_jacobian(ws.initial_state())[1]()
     m1 = len(ws.idx1)
     d11 = np.diag(Q[:m1, :m1])
     assert np.all(np.abs(d11) > 0.5)
@@ -174,7 +174,7 @@ def test_jacobian_structure(v_seed, tab16, iso16):
 def test_jacobian_vs_finite_differences(v_seed, tab16, iso16):
     ws = SigmaWorkspace(tab16, iso16, 1, 16)
     u0 = ws.initial_state()
-    F0, Q = ws.residual_and_jacobian(u0)
+    Q = ws.residual_and_jacobian(u0)[1]()
     # sample 10 entries with genuine magnitude (many vanish by symmetry and
     # would only compare quadrature noise)
     rng = np.random.default_rng(4)
@@ -193,7 +193,7 @@ def test_jacobian_vs_finite_differences(v_seed, tab16, iso16):
     # same agreement at the accepted solution
     sol = solve_sigma(tab16, iso16, 1, 16)
     us = ws.pack(sol.sigma1, sol.sigma2)
-    _, Qs = ws.residual_and_jacobian(us)
+    Qs = ws.residual_and_jacobian(us)[1]()
     for r, c in picks[:3]:
         up = us.copy()
         up[c] += h
@@ -496,8 +496,8 @@ def test_sigma_pass_evaluates_each_contour_once(monkeypatch, v3_and_reflected):
 def test_one_residual_evaluation_per_newton_trial(
     monkeypatch, tab16, iso16, v3_and_reflected
 ):
-    """solve_sigma evaluates the residual, with its Jacobian, once at the
-    initializer and once per trial point (each trial passes admissible):
+    """solve_sigma evaluates the residual once at the initializer and once
+    per trial point (each trial passes admissible):
     1 + iterations + rejected trials calls per solve."""
     calls, trials = [], []
     rj, adm = SigmaWorkspace.residual_and_jacobian, SigmaWorkspace.admissible
@@ -515,3 +515,51 @@ def test_one_residual_evaluation_per_newton_trial(
             rejected = len(trials) - sol.newton_iters
             assert sol.newton_iters >= 1 and rejected >= 0
             assert len(calls) == 1 + sol.newton_iters + rejected
+
+
+def test_jacobian_formed_only_where_newton_steps(monkeypatch, v3_and_reflected):
+    """residual_and_jacobian returns F and a function that forms Q; solve_sigma
+    forms Q only at the iterates a Newton step starts from, newton_iters per
+    solve.  The sigma benchmark's solves on v3 at K = 16 (n = 0, 1, 2 and the
+    reflected n = 1) evaluate the residual 12 times and form 8 Jacobians."""
+    calls, jacobians = [], []
+    rj = SigmaWorkspace.residual_and_jacobian
+
+    def counting(ws, u):
+        calls.append(1)
+        F, jacobian = rj(ws, u)
+        return F, lambda: jacobians.append(1) or jacobian()
+
+    monkeypatch.setattr(SigmaWorkspace, "residual_and_jacobian", counting)
+    (tab, iso), (tabr, isor) = v3_and_reflected
+    iters = 0
+    for t, i, n in ((tab, iso, 0), (tab, iso, 1), (tab, iso, 2), (tabr, isor, 1)):
+        before = len(jacobians)
+        sol = solve_sigma(t, i, n, 16)
+        assert len(jacobians) - before == sol.newton_iters
+        iters += sol.newton_iters
+    assert (len(calls), len(jacobians), iters) == (12, 8, 8)
+
+
+def test_normalization_in_one_sweep_matches_each_contour_alone(monkeypatch, v3_and_reflected):
+    """verify_normalization evaluates psi once, on the nodes of all 2 (2K+1)
+    contours; each entry equals that contour's integral evaluated alone."""
+    (tab, iso), _ = v3_and_reflected
+    sol = solve_sigma(tab, iso, 1, 16)
+    sweeps = []
+    bare = SigmaWorkspace._bare_psi
+    monkeypatch.setattr(
+        SigmaWorkspace, "_bare_psi", lambda ws, *a: sweeps.append(np.size(a[2])) or bare(ws, *a)
+    )
+    mat, dev = verify_normalization(sol, tab, iso, nodes=96)
+    monkeypatch.undo()
+    assert sweeps == [2 * 33 * 96]
+    ws = SigmaWorkspace(tab, iso, 1, 16)
+    f2_inf = ws.f2_inf(sol.sigma2)
+    for (j, m), val in mat.items():
+        spec = iso.contour(j, m, nodes=96, scale=1.5)
+        z, dz = spec.points()
+        psi = ws._bare_psi(sol.sigma1, sol.sigma2, z, f2_inf)
+        alone = np.sum(psi / ws.evaluator.contour_chip(spec) * dz) / (2 * np.pi)
+        assert abs(val - alone) <= 1e-14
+    assert dev == max(abs(v - float(key == (1, 1))) for key, v in mat.items())

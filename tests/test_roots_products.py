@@ -76,15 +76,42 @@ def _tail_mp(z, K):
         return complex(sine * rest)
 
 
-@pytest.mark.parametrize("k", [3, 10, 22])
+@pytest.mark.parametrize("k", [3, 10, 16, 22])
 def test_zero_tail_near_a_lattice_point_against_mpmath(k):
     """At z = t_k ~ k pi + 1/(16 k pi), |k| <= K, the sine factor divides sin z
     by k pi - z; with the float k pi that costs its ulp (1.1e-11 relative at
-    k = 22).  M = 200 keeps the remainder series well below the checked level."""
+    k = 22).  The default cutoff holds there too: the remainder series keeps
+    the z-dependence of both terms of d_k (3.7e-13 at k = 16 with the second
+    term's j = 0 alone)."""
     z = float(lam_zero(k))
-    got = zero_tail(np.array([z], complex), 24, M=200)[0]
+    got = zero_tail(np.array([z], complex), 24)[0]
     want = _tail_mp(z, 24)
     assert abs(got - want) / abs(want) <= 2e-14
+
+
+def test_node_product_against_a_loop_over_the_factors(tab16):
+    """node_product holds its factors on the leading axis; with linear or
+    standard-root factors, with or without a removed factor, for a scalar or
+    an array x and with or without its tail, it equals the product of its
+    factors taken one at a time."""
+    from shgspec.roots_products import _sroot
+
+    K = 16
+    tau, gam = tab16.family("tau2", 1, K), tab16.family("gamma2", 1, K)
+    piks = pi_k(np.arange(-K, K + 1))
+    for x in (0.37 + 0.21j, np.array([0.37 + 0.21j, 2.9 - 0.4j, 11.3 + 0.05j, -6.2 + 1.0j])):
+        xa = np.atleast_1d(x)
+        for gammas in (None, gam):
+            for skip in (None, 3, -5):
+                want = np.ones(xa.size, complex)
+                for i, k in enumerate(range(-K, K + 1)):
+                    if k != skip:
+                        w = tau[i] - xa if gammas is None else _sroot(tau[i], gammas[i], xa)
+                        want *= w / piks[i]
+                for tail, t in ((1.0, 1.0), (None, zero_tail(xa, K))):
+                    got = node_product(tau, x, K, gammas, tail=tail, skip=skip)
+                    assert got.shape == xa.shape
+                    assert np.max(np.abs(got - want * t) / np.abs(want * t)) <= 4e-15
 
 
 def test_zero_tail_lattice_guard():

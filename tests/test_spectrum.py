@@ -284,12 +284,41 @@ def test_isolating_failure_far_from_real():
         build_isolating(Potential.cosine(0.1), bad)
 
 
+def _overlapping_table():
+    """The N = 4 table of 2 cos(6 pi x) as localized without the distinct-root
+    check: the n = -4 and n = -3 entries hold the same cluster."""
+    g = 0.0027566842825j
+    return SpectrumTable(
+        4,
+        [0.0043292366049, 0.0043292366049, 0.0139548498509, 0.0254822036111, 0.25,
+         2.4526921201083, 4.4814586225254 - g, 5.9766442041944, 14.660954760399],
+        [0.0106413721144, 0.0106413721144, 0.0139548498509, 0.0254822036111, 0.25,
+         2.4526921201083, 4.4814586225254 + g, 14.003647958222, 14.660954760399],
+        [0.0107315034066, 0.0107315034066, 0.0139548498509, 0.0254822036111, 0.25,
+         2.4526921201083, 4.4787296651512, 11.9798819475342, 14.660954760399],
+        [0.0062625991298, 0.0062625991298, 0.0139548498509, 0.0254822036111, 0.25,
+         2.4526921201083, 4.5221530479444, 9.9798819475342, 14.57134223941],
+        0.25j,
+        True,
+        2.0,
+    )
+
+
 def test_isolating_failure_names_the_overlap():
-    """On the real potential 2 cos(6 pi x), far from zero, the n = -3 and
-    n = -4 clusters coincide; the refusal names them and the widest gap."""
+    """When two clusters coincide, the refusal of the isolating neighborhoods
+    names them and the widest gap."""
     v = Potential.cosine(2.0, mode=3)
     with pytest.raises(ValueError, match=r"n = -3 and n = -4 overlap .*\|gamma_3\| = 8\.03"):
-        build_isolating(v, build_table(v, 4))
+        build_isolating(v, _overlapping_table())
+
+
+def test_table_refuses_one_root_at_two_indices():
+    """On the real potential 2 cos(6 pi x), far from zero, Newton from the
+    zero-potential seeds of n = -4 and n = -3 lands on the same Delta_dot
+    root; build_table names both indices instead of listing it twice."""
+    v = Potential.cosine(2.0, mode=3)
+    with pytest.raises(RuntimeError, match=r"n = -4 and n = -3 .*outside working neighborhood"):
+        build_table(v, 4)
 
 
 def test_table_equality_is_identity(tab16):
