@@ -17,7 +17,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .config import RunConfig
+from .config import THRESHOLDS, RunConfig
 from .potential import Potential
 
 EXIT_OK = 0
@@ -40,6 +40,11 @@ class SystemExit2(Exception):
     """Input error, mapped to exit code 2."""
 
 
+# flag dest -> RunConfig field; every field is set by one flag
+_FLAG_ATTRS = {"nmax": "n_max", "K": "K", "tol": "ode_tol", "nodes": "nodes",
+               "seed": "seed", "format": "out_format"}
+
+
 def _config_from_args(args) -> RunConfig:
     if getattr(args, "config", None):
         try:
@@ -49,18 +54,8 @@ def _config_from_args(args) -> RunConfig:
             raise SystemExit2(f"cannot read config file {args.config}: {exc}") from exc
     else:
         cfg = RunConfig()
-    over = {
-        attr: getattr(args, name)
-        for name, attr in (
-            ("nmax", "n_max"),
-            ("K", "K"),
-            ("tol", "ode_tol"),
-            ("nodes", "nodes"),
-            ("seed", "seed"),
-            ("format", "out_format"),
-        )
-        if getattr(args, name, None) is not None
-    }
+    over = {attr: getattr(args, name) for name, attr in _FLAG_ATTRS.items()
+            if getattr(args, name, None) is not None}
     over["K"] = max(over.get("K", cfg.K), over.get("n_max", cfg.n_max))  # K follows n_max
     try:
         return replace(cfg, **over)
@@ -135,7 +130,7 @@ def cmd_differentials(args) -> int:
             raise SystemExit2("differentials are solved for n >= 0; use the "
                               "reflected potential for negative indices")
         sol = solve_sigma(table, iso, n, cfg.K, tol=cfg.newton_tol, max_iter=cfg.newton_max_iter)
-        mat, dev = verify_normalization(sol, table, iso, nodes=cfg.nodes + 32)
+        mat, dev = verify_normalization(sol, table, iso)
         out_json.append(json.loads(sol.to_json(normalization_max_dev=dev)))
         for (j, m), val in sorted(mat.items()):
             csv_rows.append([n, j, m, val.real, val.imag,
@@ -169,7 +164,7 @@ def cmd_gradients(args) -> int:
             w.writerow([c.quantity, c.n, i, str(a), str(f), f"{fd_rel_error(a, f):.3e}"])
     _emit(buf.getvalue(), args.out)
     worst = np.max([c.error()[0] for c in cases])
-    return EXIT_OK if worst <= cfg.thresholds["gradient_fd"] else EXIT_CHECK_FAILURE
+    return EXIT_OK if worst <= THRESHOLDS["gradient_fd"] else EXIT_CHECK_FAILURE
 
 
 def cmd_verify(args) -> int:

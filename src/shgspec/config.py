@@ -1,13 +1,14 @@
 """Run configuration and the versioned threshold table.
 
-All tolerances live here in one place so the verification suite and the CLI
-share a single source of truth.
+THRESHOLDS is the one place a gate's threshold is read, by the suite and the
+CLI alike; RunConfig holds only the six values the CLI flags set.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
+from typing import ClassVar
 
 from .potential import Potential
 
@@ -44,46 +45,32 @@ THRESHOLDS = {
 }
 
 
-def _int_list(vals, lo, hi) -> bool:
-    """vals is a non-empty list or tuple of ints (not bools) in lo..hi."""
-    return isinstance(vals, (list, tuple)) and len(vals) > 0 and all(
-        isinstance(k, int) and not isinstance(k, bool) and lo <= k <= hi for k in vals
-    )
-
-
 @dataclass
 class RunConfig:
-    """Knobs shared by the CLI and the verification suite."""
+    """The values the CLI flags set; the tolerances no flag sets are constants."""
 
     n_max: int = 16
     K: int = 16
     nodes: int = 64
-    newton_tol: float = 1e-9
-    newton_max_iter: int = 12
     ode_tol: float = 1e-11
-    spectral_tol: float = 1e-13
     seed: int = 0
     out_format: str = "json"
-    product_K_list: tuple = (8, 16, 24, 32)
-    differentials_n_list: tuple = (0, 1, 2)
-    thresholds: dict = field(default_factory=lambda: dict(THRESHOLDS))
+
+    newton_tol: ClassVar[float] = 1e-9
+    newton_max_iter: ClassVar[int] = 12
+    spectral_tol: ClassVar[float] = 1e-13
 
     def __post_init__(self):
         if self.n_max < 0:
             raise ValueError("N_max must be >= 0")
         if self.K < self.n_max:
             raise ValueError("K must be >= N_max")
+        if self.K < 2:
+            raise ValueError("K must be >= 2")
         if self.nodes < 8:
             raise ValueError("nodes must be >= 8")
-        for name in ("newton_tol", "ode_tol", "spectral_tol"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if not _int_list(self.product_K_list, 1, float("inf")):
-            raise ValueError("product_K_list must be a non-empty list of ints >= 1")
-        if not _int_list(self.differentials_n_list, 0, self.K):
-            raise ValueError(
-                f"differentials_n_list must be a non-empty list of ints in 0..{self.K}"
-            )
+        if self.ode_tol <= 0:
+            raise ValueError("ode_tol must be positive")
 
     @staticmethod
     def from_json(text: str) -> "RunConfig":
@@ -93,15 +80,7 @@ class RunConfig:
         unknown = sorted(set(d) - {f.name for f in fields(RunConfig)})
         if unknown:
             raise ValueError(f"unknown run configuration keys: {', '.join(unknown)}")
-        thr = dict(THRESHOLDS)
-        given = d.pop("thresholds", {})
-        unknown = sorted(set(given) - set(THRESHOLDS))
-        if unknown:
-            raise ValueError(f"unknown threshold ids: {', '.join(unknown)}")
-        thr.update(given)
-        cfg = RunConfig(**d)
-        cfg.thresholds = thr
-        return cfg
+        return RunConfig(**d)
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2)

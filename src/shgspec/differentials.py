@@ -279,6 +279,7 @@ def _normalization(psi, ev, iso, K, nodes, scale, one):
     latter the evaluator ev's values on each contour; psi is called once, on
     the nodes of all contours."""
     keys = [(j, m) for j in (1, 2) for m in range(-K, K + 1)]
+    nodes = iso.nodes + 32 if nodes is None else nodes
     specs = [iso.contour(j, m, nodes=nodes, scale=scale) for j, m in keys]
     z, dz = (np.array(a) for a in zip(*(spec.points() for spec in specs)))
     chip = np.array([ev.contour_chip(spec) for spec in specs])
@@ -288,10 +289,9 @@ def _normalization(psi, ev, iso, K, nodes, scale, one):
     return mat, dev
 
 
-def verify_normalization(
-    sol: SigmaSolution, table, iso, nodes=96, contour_scale=1.5
-):
-    """Normalization integrals on fresh contours (scaled radii).
+def verify_normalization(sol: SigmaSolution, table, iso, nodes=None, contour_scale=1.5):
+    """Normalization integrals on fresh contours (scaled radii) of nodes
+    points each, iso.nodes + 32 by default.
 
     Returns the matrix {(j,m): (1/2 pi) oint psi_n/sqrt_c(chi_p)} and the
     maximum deviation from delta_{nm} (family 1) resp. 0 (family 2).
@@ -321,10 +321,11 @@ def psi_negative(sol_reflected: SigmaSolution, table_reflected, iso_reflected, l
 
 
 def verify_negative_normalization(
-    sol_reflected, table_reflected, iso_reflected, table, iso, nodes=96, contour_scale=1.5
+    sol_reflected, table_reflected, iso_reflected, table, iso, nodes=None, contour_scale=1.5
 ):
-    """Normalization of psi_{-n} over the contours of the base potential:
-    zero over Gamma_{1,m}, delta_{-n,m} over Gamma_{2,m}.  Like psi_negative
+    """Normalization of psi_{-n} over the contours of the base potential
+    (nodes as in verify_normalization, from the base iso): zero over
+    Gamma_{1,m}, delta_{-n,m} over Gamma_{2,m}.  Like psi_negative
     it raises a ValueError for n < 1.  It reads sqrt_c(chi_p) from the base
     table's evaluator, as verify_normalization does on the same contours."""
     ws = _reflected_workspace(sol_reflected, table_reflected, iso_reflected)

@@ -33,8 +33,9 @@ class ContourSpec:
 
     def points(self):
         th = 2.0 * np.pi * np.arange(self.nodes) / self.nodes
-        z = self.center + self.radius * np.exp(1j * th)
-        dz = 1j * self.radius * np.exp(1j * th) * (2.0 * np.pi / self.nodes)
+        e = np.exp(1j * th)
+        z = self.center + self.radius * e
+        dz = 1j * self.radius * e * (2.0 * np.pi / self.nodes)
         return z, dz
 
     def mirrored(self) -> "ContourSpec":

@@ -19,17 +19,7 @@ def files(tmp_path_factory):
     cos = d / "cos.json"
     cos.write_text(Potential.cosine(0.1).to_json())
     cfg = d / "cfg.json"
-    cfg.write_text(
-        json.dumps(
-            {
-                "n_max": 6,
-                "K": 6,
-                "product_K_list": [4, 6],
-                "differentials_n_list": [0],
-                "thresholds": {"product_reps": 2e-3},
-            }
-        )
-    )
+    cfg.write_text(json.dumps({"n_max": 6, "K": 6}))
     return d, zero, cos, cfg
 
 
@@ -57,12 +47,13 @@ def test_eval_input_errors(files, capsys):
         assert main(["eval", str(zero), "--lambda", "1,0", *flags]) == 2
     assert main(["spectrum", str(zero), "--nmax", "-2"]) == 2
     assert "invalid run configuration" in capsys.readouterr().err
-    # config files: an unknown key (such as the removed "threads"), an unknown
-    # threshold id, a non-object and malformed index lists are input errors,
-    # not tracebacks
+    # config files: an unknown key (such as the removed "threads"), any
+    # threshold (no configuration overrides a gate), a non-object and the
+    # removed index lists are input errors, not tracebacks
     for name, text in (
         ("bogus.json", '{"bogus": 1}'),
         ("thr.json", '{"thresholds": {"normalisation": 1e-3}}'),
+        ("thr1.json", '{"thresholds": {"normalization": 1.0}}'),
         ("list.json", "[1]"),
         ("k5.json", '{"product_K_list": 5}'),
         ("kempty.json", '{"product_K_list": []}'),

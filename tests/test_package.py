@@ -70,3 +70,15 @@ def test_private_dataclass_fields_are_not_constructor_arguments():
                         found.append(f"{name}.{f.name}")
                         assert not f.init, found[-1]
     assert "Potential._cache" in found
+
+
+def test_every_run_config_field_is_set_by_a_flag():
+    """RunConfig holds exactly the values the CLI flags set, so a new knob
+    needs a flag too."""
+    from shgspec.cli import _FLAG_ATTRS, _build_parser
+    from shgspec.config import RunConfig
+
+    names = [f.name for f in dataclasses.fields(RunConfig)]
+    assert sorted(names) == sorted(_FLAG_ATTRS.values())
+    args = _build_parser().parse_args(["eval", "v.json", "--lambda", "1,0"])
+    assert all(hasattr(args, dest) for dest in _FLAG_ATTRS)

@@ -2,28 +2,16 @@ import json
 
 import pytest
 
+from shgspec import verification
 from shgspec.config import RunConfig, THRESHOLDS, seeded_ensemble
 from shgspec.potential import Potential
 from shgspec.verification import negative_control, run_suite
 
 
-def _small_cfg(**kw):
-    """Down-scaled config for fast suite runs; the product threshold is part
-    of the config and is rescaled with the reduced truncation (1e-4 is the
-    acceptance value at K=32)."""
-    base = dict(
-        n_max=6,
-        K=6,
-        product_K_list=(4, 6),
-        differentials_n_list=(0,),
-        ode_tol=1e-11,
-        spectral_tol=1e-13,
-    )
-    base.update(kw)
-    cfg = RunConfig(**base)
-    cfg.thresholds = dict(cfg.thresholds)
-    cfg.thresholds["product_reps"] = 2e-3
-    return cfg
+def _small_cfg():
+    """Down-scaled config for fast suite runs; the product checks still run
+    at their fixed truncations 8..32, and every gate at its THRESHOLDS value."""
+    return RunConfig(n_max=6, K=6)
 
 
 @pytest.fixture(scope="module")
@@ -42,7 +30,7 @@ def test_report_invariant(small_suite):
             assert c.reason
         else:
             assert (c.status == "pass") == (c.metric <= c.threshold)
-        assert c.check_id in THRESHOLDS
+        assert c.threshold == THRESHOLDS[c.check_id]
         assert c.line().startswith("[")
 
 
@@ -57,20 +45,18 @@ def test_suite_deterministic(small_suite):
 def test_complex_potential_skips_real_checks():
     v = seeded_ensemble()[2]  # genuinely complex
     assert not v.real
-    cfg = _small_cfg()
-    # for non reflection-symmetric potentials the automatic m=n integral
-    # carries the truncated constraint residual (O(1e-5) at K=6, decaying
-    # with K); see decisions ledger
-    cfg.thresholds["normalization"] = 1e-4
-    cfg.thresholds["normalization_negative"] = 1e-4
-    checks = run_suite(v, cfg)
+    checks = run_suite(v, _small_cfg())
     by_id = {c.check_id: c for c in checks}
     # the real-flag checks are the only skips
     assert {c.check_id for c in checks if c.status == "skipped"} == {
         "monodromy_real_symmetry", "reality_confinement", "sign_tables"}
     # the analytic machinery still works off the real line
-    for cid in ("reciprocity", "product_reps", "normalization"):
+    for cid in ("reciprocity", "product_reps"):
         assert by_id[cid].status == "pass", (cid, by_id[cid].metric)
+    # for non reflection-symmetric potentials the automatic m=n integral
+    # carries the truncated constraint residual (1.0e-5 at K=6, decaying
+    # with K), above the gate's 1e-6 at this truncation
+    assert by_id["normalization"].metric <= 1e-4
 
 
 def test_negative_control_detected():
@@ -86,24 +72,48 @@ def test_zero_potential_suite_passes():
     by_id = {c.check_id: c for c in checks}
     # gap-interior sign checks are vacuous for point gaps
     assert "vacuous" in by_id["sign_tables"].reason
+    # the product residuals sit at the rounding floor, below ode_tol, so no
+    # step of the K-trace is judged; the reason says so
+    assert by_id["product_reps_monotone"].reason.startswith("0 of 3 steps")
+
+
+def test_product_monotone_counts_flat_steps_above_the_floor(monkeypatch):
+    """A flat product trace above ode_tol is three steps that do not lower
+    the residual: the monotonicity gate reads 3 and fails."""
+    flat = {"chi_p": 1e-5, "chi_D": 1e-5, "delta_dot": 1e-5}
+    monkeypatch.setattr(verification, "verify_product_reps", lambda *a, **kw: flat)
+    by_id = {c.check_id: c for c in run_suite(Potential.cosine(0.1), _small_cfg())}
+    mono = by_id["product_reps_monotone"]
+    assert mono.metric == 3 and mono.status == "fail"
+    assert mono.reason.startswith("3 of 3 steps")
+    assert [k for k, _ in mono.convergence_trace] == list(verification.PRODUCT_K_LIST)
 
 
 def test_runconfig_json_round_trip():
     cfg = RunConfig(n_max=8, K=10, seed=3)
     clone = RunConfig.from_json(cfg.to_json())
     assert clone.n_max == 8 and clone.K == 10 and clone.seed == 3
-    assert clone.thresholds == cfg.thresholds
+    assert "thresholds" not in json.loads(cfg.to_json())
     with pytest.raises(ValueError, match="K must be >= N_max"):
         RunConfig(n_max=10, K=4)
+    with pytest.raises(ValueError, match="K must be >= 2"):
+        RunConfig(n_max=0, K=1)
+    # the tolerances no flag sets are constants, not configuration
+    assert (cfg.newton_tol, cfg.newton_max_iter, cfg.spectral_tol) == (1e-9, 12, 1e-13)
 
 
 def test_runconfig_rejects_unknown_threshold_id():
-    """A misspelt threshold id is an error, not an unused key."""
-    with pytest.raises(ValueError, match="unknown threshold ids: normalisation"):
-        RunConfig.from_json('{"thresholds": {"normalisation": 1e-3}}')
-    cfg = RunConfig.from_json('{"thresholds": {"normalization": 1e-3}}')
-    assert cfg.thresholds["normalization"] == 1e-3
-    assert set(cfg.thresholds) == set(THRESHOLDS)
+    """A run configuration carries no thresholds, so a threshold id in a
+    config file, spelt right or not, is an error; so is every other key
+    that is not a RunConfig field."""
+    for text in ('{"thresholds": {"normalisation": 1e-3}}',
+                 '{"thresholds": {"normalization": 1.0}}'):
+        with pytest.raises(ValueError, match="unknown run configuration keys: thresholds"):
+            RunConfig.from_json(text)
+    for key, val in (("product_K_list", [8, 16]), ("differentials_n_list", [0]),
+                     ("newton_tol", 1e-9), ("newton_max_iter", 12), ("spectral_tol", 1e-13)):
+        with pytest.raises(ValueError, match=f"unknown run configuration keys: {key}"):
+            RunConfig.from_json(json.dumps({key: val}))
 
 
 def test_seeded_ensemble_fixed():
