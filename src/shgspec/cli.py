@@ -18,7 +18,7 @@ from dataclasses import replace
 import numpy as np
 
 from .config import THRESHOLDS, RunConfig
-from .potential import Potential
+from .potential import Potential, to_pair
 
 EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
@@ -69,11 +69,6 @@ def _emit(text: str, out_path):
             fh.write(text)
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
-
-
-def _c2(z):
-    z = complex(z)
-    return [z.real, z.imag]
 
 
 def cmd_spectrum(args) -> int:
@@ -207,13 +202,13 @@ def cmd_eval(args) -> int:
     table = build_table(v, 8, tol=cfg.spectral_tol)
     sqrtc = complex(table.evaluator(max(cfg.K, 8)).chip(np.array([lam]))[0])
     payload = {
-        "lambda": _c2(lam),
-        "Delta": _c2(res.Delta),
-        "delta": _c2(res.delta_anti),
-        "Delta_dot": _c2(res.Delta_dot),
-        "chi_p": _c2(res.chi_p),
-        "chi_D": _c2(res.chi_D),
-        "sqrtc_chi_p": _c2(sqrtc),
+        "lambda": to_pair(lam),
+        "Delta": to_pair(res.Delta),
+        "delta": to_pair(res.delta_anti),
+        "Delta_dot": to_pair(res.Delta_dot),
+        "chi_p": to_pair(res.chi_p),
+        "chi_D": to_pair(res.chi_D),
+        "sqrtc_chi_p": to_pair(sqrtc),
     }
     if cfg.out_format == "json":
         _emit(json.dumps(payload, indent=1), args.out)

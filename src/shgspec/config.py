@@ -8,8 +8,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, fields
+from numbers import Real
 from typing import ClassVar
 
+from .monodromy import TOL_RANGE
 from .potential import Potential
 
 # thresholds keyed by check id, in the order verification.run_suite reports
@@ -61,6 +63,13 @@ class RunConfig:
     spectral_tol: ClassVar[float] = 1e-13
 
     def __post_init__(self):
+        for name in ("n_max", "K", "nodes", "seed"):
+            if type(getattr(self, name)) is not int:  # refuses True and 6.5 alike
+                raise ValueError(f"{name} must be an integer")
+        if not isinstance(self.ode_tol, Real) or not TOL_RANGE[0] <= self.ode_tol <= TOL_RANGE[1]:
+            raise ValueError(f"ode_tol must be a number in {list(TOL_RANGE)}")
+        if self.out_format not in ("json", "csv"):
+            raise ValueError('out_format must be "json" or "csv"')
         if self.n_max < 0:
             raise ValueError("N_max must be >= 0")
         if self.K < self.n_max:
@@ -69,8 +78,6 @@ class RunConfig:
             raise ValueError("K must be >= 2")
         if self.nodes < 8:
             raise ValueError("nodes must be >= 8")
-        if self.ode_tol <= 0:
-            raise ValueError("ode_tol must be positive")
 
     @staticmethod
     def from_json(text: str) -> "RunConfig":

@@ -24,12 +24,13 @@ the iterates a Newton step starts from.  Unknowns are truncated to |k| <= K
 with the zero-potential tail closure; iterates leaving the isolating discs
 are clamped back to a boundary ring and the event is counted.
 
-On a contour sqrt_c(chi_p) depends on the table, K and the contour alone,
-so the table's evaluator (SpectrumTable.evaluator) computes it once per
-contour and keeps it for the solves of every n and every normalization
-check.  The solve, psi evaluation and each check build their own workspace,
-whose contour nodes are built on first use, so only the solve builds them.
-psi_n and sqrt_c(chi_p) carry the same zero-potential tails,
+psi_n is a function of its state (n, K, sigma_1, sigma_2): the solve calls
+it with its trial states, psi evaluation and the normalization checks with
+a solution's, and only the solve builds a SigmaWorkspace.  On a contour the
+nodes and sqrt_c(chi_p) depend on the table, K and the contour alone, so
+the table's evaluator (SpectrumTable.evaluator) computes them once per
+contour and keeps them for the solves of every n and every normalization
+check.  psi_n and sqrt_c(chi_p) carry the same zero-potential tails,
 zero_tail(lambda, K) zero_tail(-1/(16 lambda), K), and so does psi_{-n}
 (zero_tail is even), so their quotient is a product over |k| <= K alone:
 on every node set both are evaluated without these tails.  Their scalars
@@ -41,12 +42,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from .potential import family_var, pi_k
+from .potential import family_var, pi_k, to_pair
 from .roots_products import node_product, zero_tail
 
 __all__ = [
@@ -83,62 +83,67 @@ class SigmaSolution:
         return complex(self.sigma2[k + self.K])
 
     def to_json(self, normalization_max_dev=None) -> str:
-        c2 = lambda z: [complex(z).real, complex(z).imag]
         return json.dumps(
             {
                 "n": self.n,
                 "K": self.K,
-                "sigma1": [c2(z) for z in self.sigma1],
-                "sigma2": [c2(z) for z in self.sigma2],
+                "sigma1": [to_pair(z) for z in self.sigma1],
+                "sigma2": [to_pair(z) for z in self.sigma2],
                 "residual": self.residual_norm,
                 "iters": self.newton_iters,
-                "C_n": c2(self.C_n),
+                "C_n": to_pair(self.C_n),
                 "clamp_events": self.clamp_events,
                 "normalization_max_dev": normalization_max_dev,
             }
         )
 
 
+def _evaluator(table, K):
+    """The table's evaluator of truncation K, which must cover its range."""
+    if K < table.n_max:
+        raise ValueError("truncation K must be >= the table range N_max")
+    return table.evaluator(K)
+
+
+def _f2_inf(sigma2, K, tail_zero):
+    """f_{n,2}(inf) = prod_k sigma_{2,k}/pi_k times the tail at 0, tail_zero."""
+    return node_product(sigma2, 0.0, K, tail=tail_zero)[0]
+
+
+def _bare_psi(n, K, sigma1, sigma2, z, f2_inf):
+    """psi_n at z without its tails zero_tail(z, K) zero_tail(-1/(16 z), K).
+    f_{n,1} is NodeFamily's f1 with the factor n removed, f_{n,2} its f2."""
+    f1 = node_product(sigma1, z, K, tail=1.0, skip=n)
+    f2 = node_product(sigma2, -1.0 / (16.0 * z), K, tail=1.0)
+    return -(1.0 / pi_k(n)) * f1 * f2 / f2_inf
+
+
+def _contour_terms(psi, ev, specs):
+    """Nodes z and terms psi/sqrt_c(chi_p) dz on the contours specs as
+    (contours, nodes) arrays.  psi is bare and called once, on all nodes;
+    nodes, weights and bare sqrt_c(chi_p) are those the evaluator ev keeps."""
+    z, dz, chip = (np.array(a) for a in zip(*(ev.on_contour(spec) for spec in specs)))
+    return z, psi(z.ravel()).reshape(z.shape) / chip * dz
+
+
 class SigmaWorkspace:
-    """Contours and quadrature nodes for one n, built on first use, with the
-    table's evaluator of truncation K."""
+    """The unknowns of the solve for one n, its residual rows and the table's
+    evaluator of truncation K."""
 
     def __init__(self, table, iso, n, K):
-        if K < table.n_max:
-            raise ValueError("truncation K must be >= the table range N_max")
+        self.evaluator = _evaluator(table, K)
         self.iso = iso
         self.n = int(n)
         self.K = int(K)
-        ks = np.arange(-K, K + 1)
-        self.ks = ks
+        self.ks = ks = np.arange(-K, K + 1)
         self.idx1 = np.array([k for k in ks if k != n])
-        self.evaluator = table.evaluator(self.K)
         self.tau1, self.tau2 = self.evaluator.tau1, self.evaluator.tau2
-        self.tail2_zero = self.evaluator.tail_zero
-
-    @cached_property
-    def rows(self):
-        """(j, m, contour) of each residual row: family 1 rows for m != n,
-        family 2 rows for all m, on iso.nodes nodes each."""
-        ms = [(1, int(m)) for m in self.idx1] + [(2, int(m)) for m in self.ks]
-        return [(j, m, self.iso.contour(j, m)) for j, m in ms]
-
-    @cached_property
-    def grid(self):
-        """Nodes z and weights dz of the rows as (rows, nodes) arrays, and
-        the rows' prefactors."""
-        z, dz = (np.array(a) for a in zip(*(r[2].points() for r in self.rows)))
-        pref = [self.n - m if j == 1 else 16.0 * pi_k(m) ** 2 * pi_k(self.n)
-                for j, m, _ in self.rows]
-        return z, dz, np.array(pref)
-
-    @cached_property
-    def z_all(self):
-        return self.grid[0].ravel()
-
-    @cached_property
-    def chip_all(self):
-        return np.concatenate([self.evaluator.contour_chip(r[2]) for r in self.rows])
+        # (j, m, contour) of each residual row: family 1 rows for m != n,
+        # family 2 rows for all m, on iso.nodes nodes each, and its prefactor
+        ms = [(1, int(m)) for m in self.idx1] + [(2, int(m)) for m in ks]
+        self.rows = [(j, m, iso.contour(j, m)) for j, m in ms]
+        self.pref = np.array([self.n - m if j == 1 else 16.0 * pi_k(m) ** 2 * pi_k(self.n)
+                              for j, m in ms])
 
     # -- state vector mapping ------------------------------------------------
 
@@ -154,25 +159,6 @@ class SigmaWorkspace:
 
     def initial_state(self):
         return self.pack(self.tau1.astype(complex), self.tau2.astype(complex))
-
-    # -- psi evaluation --------------------------------------------------------
-
-    def f2_inf(self, sigma2):
-        """f_{n,2}(inf) = prod_k sigma_{2,k}/pi_k times the tail at 0."""
-        return node_product(sigma2, 0.0, self.K, tail=self.tail2_zero)[0]
-
-    def _bare_psi(self, sigma1, sigma2, z, f2_inf):
-        """psi_n at z without its tails zero_tail(z, K) zero_tail(-1/(16 z), K).
-        f_{n,1} is NodeFamily's f1 with the factor n removed, f_{n,2} its f2."""
-        f1 = node_product(sigma1, z, self.K, tail=1.0, skip=self.n)
-        f2 = node_product(sigma2, -1.0 / (16.0 * z), self.K, tail=1.0)
-        return -(1.0 / pi_k(self.n)) * f1 * f2 / f2_inf
-
-    def psi(self, sigma1, sigma2, lam):
-        """psi_n at lam."""
-        lam = np.atleast_1d(np.asarray(lam, dtype=complex))
-        bare = self._bare_psi(sigma1, sigma2, lam, self.f2_inf(sigma2))
-        return bare * zero_tail(lam, self.K) * zero_tail(-1.0 / (16.0 * lam), self.K)
 
     # -- residual and Jacobian -------------------------------------------------
 
@@ -198,14 +184,14 @@ class SigmaWorkspace:
         """The residual F at u, and a function that forms the Jacobian Q at u
         from the same g dz terms, for the iterates a Newton step starts from."""
         sigma1, sigma2 = self.unpack(u)
-        z, dz, pref = self.grid
-        # psi_n/sqrt_c(chi_p) on all rows' nodes at once
-        g = self._bare_psi(sigma1, sigma2, self.z_all, self.f2_inf(sigma2))
-        gdz = (g / self.chip_all).reshape(z.shape) * dz
+        n, K, pref = self.n, self.K, self.pref
+        f2_inf = _f2_inf(sigma2, K, self.evaluator.tail_zero)
+        psi = lambda z: _bare_psi(n, K, sigma1, sigma2, z, f2_inf)
+        z, gdz = _contour_terms(psi, self.evaluator, [r[2] for r in self.rows])
         F = pref * np.sum(gdz, axis=1)
 
         def jacobian():
-            s1 = sigma1[self.ks != self.n]
+            s1 = sigma1[self.ks != n]
             Q = np.empty((u.size, u.size), dtype=complex)
             for row, zr, w, p in zip(Q, z, gdz, pref):
                 B1 = 1.0 / (s1 - zr[:, None])
@@ -263,13 +249,17 @@ def solve_sigma(table, iso, n, K, tol=1e-9, max_iter=12) -> SigmaSolution:
         F, jacobian, rnorm = Ft, jt, tnorm
         iters += 1
     sigma1, sigma2 = ws.unpack(u)
-    C_n = complex(1.0 / ws.f2_inf(sigma2))
+    C_n = complex(1.0 / _f2_inf(sigma2, ws.K, ws.evaluator.tail_zero))
     return SigmaSolution(n, K, sigma1, sigma2, rnorm, iters, C_n, clamps)
 
 
 def eval_psi(sol: SigmaSolution, table, iso, lam):
-    """psi_n(lambda) for a converged solution."""
-    return SigmaWorkspace(table, iso, sol.n, sol.K).psi(sol.sigma1, sol.sigma2, lam)
+    """psi_n(lambda) for a converged solution: the bare value times the tails
+    zero_tail(lambda, K) zero_tail(-1/(16 lambda), K), as in chip."""
+    lam = np.atleast_1d(np.asarray(lam, dtype=complex))
+    f2_inf = _f2_inf(sol.sigma2, sol.K, _evaluator(table, sol.K).tail_zero)
+    bare = _bare_psi(sol.n, sol.K, sol.sigma1, sol.sigma2, lam, f2_inf)
+    return bare * zero_tail(lam, sol.K) * zero_tail(-1.0 / (16.0 * lam), sol.K)
 
 
 def _normalization(psi, ev, iso, K, nodes, scale, one):
@@ -281,9 +271,7 @@ def _normalization(psi, ev, iso, K, nodes, scale, one):
     keys = [(j, m) for j in (1, 2) for m in range(-K, K + 1)]
     nodes = iso.nodes + 32 if nodes is None else nodes
     specs = [iso.contour(j, m, nodes=nodes, scale=scale) for j, m in keys]
-    z, dz = (np.array(a) for a in zip(*(spec.points() for spec in specs)))
-    chip = np.array([ev.contour_chip(spec) for spec in specs])
-    vals = np.sum(psi(z.ravel()).reshape(z.shape) / chip * dz, axis=1) / (2.0 * np.pi)
+    vals = np.sum(_contour_terms(psi, ev, specs)[1], axis=1) / (2.0 * np.pi)
     mat = dict(zip(keys, vals.tolist()))
     dev = max(abs(val - float(key == one)) for key, val in mat.items())
     return mat, dev
@@ -296,16 +284,15 @@ def verify_normalization(sol: SigmaSolution, table, iso, nodes=None, contour_sca
     Returns the matrix {(j,m): (1/2 pi) oint psi_n/sqrt_c(chi_p)} and the
     maximum deviation from delta_{nm} (family 1) resp. 0 (family 2).
     """
-    ws = SigmaWorkspace(table, iso, sol.n, sol.K)
-    f2_inf = ws.f2_inf(sol.sigma2)
-    psi = lambda z: ws._bare_psi(sol.sigma1, sol.sigma2, z, f2_inf)
-    return _normalization(psi, ws.evaluator, iso, sol.K, nodes, contour_scale, (1, sol.n))
+    ev = _evaluator(table, sol.K)
+    f2_inf = _f2_inf(sol.sigma2, sol.K, ev.tail_zero)
+    psi = lambda z: _bare_psi(sol.n, sol.K, sol.sigma1, sol.sigma2, z, f2_inf)
+    return _normalization(psi, ev, iso, sol.K, nodes, contour_scale, (1, sol.n))
 
 
-def _reflected_workspace(sol, table, iso):
+def _require_positive(sol):
     if sol.n < 1:
         raise ValueError("psi_{-n} is defined for n >= 1")
-    return SigmaWorkspace(table, iso, sol.n, sol.K)
 
 
 def psi_negative(sol_reflected: SigmaSolution, table_reflected, iso_reflected, lam):
@@ -314,10 +301,10 @@ def psi_negative(sol_reflected: SigmaSolution, table_reflected, iso_reflected, l
     sol_reflected must be the solution for index n >= 1 at the reflected
     potential (-q, p).
     """
+    _require_positive(sol_reflected)
     lam = np.atleast_1d(np.asarray(lam, dtype=complex))
-    ws = _reflected_workspace(sol_reflected, table_reflected, iso_reflected)
     u = 1.0 / (16.0 * lam)
-    return ws.psi(sol_reflected.sigma1, sol_reflected.sigma2, u) / (16.0 * lam**2)
+    return eval_psi(sol_reflected, table_reflected, iso_reflected, u) / (16.0 * lam**2)
 
 
 def verify_negative_normalization(
@@ -328,14 +315,13 @@ def verify_negative_normalization(
     Gamma_{1,m}, delta_{-n,m} over Gamma_{2,m}.  Like psi_negative
     it raises a ValueError for n < 1.  It reads sqrt_c(chi_p) from the base
     table's evaluator, as verify_normalization does on the same contours."""
-    ws = _reflected_workspace(sol_reflected, table_reflected, iso_reflected)
-    s1, s2 = sol_reflected.sigma1, sol_reflected.sigma2
-    f2_inf = ws.f2_inf(s2)
+    _require_positive(sol_reflected)
+    s, K = sol_reflected, sol_reflected.K
+    f2_inf = _f2_inf(s.sigma2, K, _evaluator(table_reflected, K).tail_zero)
 
     def psi(z):
         # zero_tail is even, so psi_n's tails at 1/(16 z) are those of
         # sqrt_c(chi_p) at z
-        return ws._bare_psi(s1, s2, 1.0 / (16.0 * z), f2_inf) / (16.0 * z**2)
+        return _bare_psi(s.n, K, s.sigma1, s.sigma2, 1.0 / (16.0 * z), f2_inf) / (16.0 * z**2)
 
-    K, one = sol_reflected.K, (2, -sol_reflected.n)
-    return _normalization(psi, table.evaluator(K), iso, K, nodes, contour_scale, one)
+    return _normalization(psi, table.evaluator(K), iso, K, nodes, contour_scale, (2, -s.n))

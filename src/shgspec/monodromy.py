@@ -75,6 +75,8 @@ __all__ = [
 LAM_MIN = 1e-8
 LAM_MAX = 1e8
 DEFAULT_TOL = 1e-11
+# the tolerances integrate_many accepts, also the range of RunConfig.ode_tol
+TOL_RANGE = (1e-13, 1e-6)
 
 # Gauss-Legendre nodes of a unit step
 GAUSS = 0.5 + np.array([-1.0, 0.0, 1.0]) * np.sqrt(15.0) / 10.0
@@ -543,8 +545,8 @@ def integrate_many(
     BatchResult.steps and BatchResult.err.  A lambda whose M overflows
     (|Im omega| beyond about 709) raises a ValueError naming it.
     """
-    if not (1e-13 <= tol <= 1e-6):
-        raise ValueError("tol must lie in [1e-13, 1e-6]")
+    if not TOL_RANGE[0] <= tol <= TOL_RANGE[1]:
+        raise ValueError(f"tol must lie in {list(TOL_RANGE)}")
     if order not in (0, 1, 2):
         raise ValueError("order must be 0, 1 or 2")
     lams = _check_lambda(lams)

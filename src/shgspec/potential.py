@@ -25,6 +25,8 @@ __all__ = [
     "pi_k",
     "family_var",
     "p_multiplier",
+    "to_pair",
+    "from_pair",
 ]
 
 # constant 2x2 matrices of the Lax operator
@@ -58,6 +60,18 @@ def p_multiplier(k):
     """Fourier symbol of P = sqrt(1 - d_x^2) at frequency k (period 1)."""
     k = np.asarray(k, dtype=float)
     return np.sqrt(1.0 + 4.0 * np.pi**2 * k**2)
+
+
+def to_pair(z):
+    """The JSON form [re, im] of a complex number."""
+    z = complex(z)
+    return [z.real, z.imag]
+
+
+def from_pair(pair):
+    """The complex number of a JSON [re, im] pair."""
+    re, im = pair
+    return complex(re, im)
 
 
 def _as_coeff_array(coeffs, Kf):
@@ -209,8 +223,8 @@ class Potential:
             {
                 "real": bool(self.real),
                 "Kf": int(self.Kf),
-                "q": [[float(c.real), float(c.imag)] for c in self.q_coeffs],
-                "p": [[float(c.real), float(c.imag)] for c in self.p_coeffs],
+                "q": [to_pair(c) for c in self.q_coeffs],
+                "p": [to_pair(c) for c in self.p_coeffs],
             }
         )
 
@@ -218,8 +232,8 @@ class Potential:
     def from_json(text: str) -> "Potential":
         d = json.loads(text)
         Kf = int(d["Kf"])
-        q = np.array([complex(re, im) for re, im in d["q"]])
-        p = np.array([complex(re, im) for re, im in d["p"]])
+        q = np.array([from_pair(c) for c in d["q"]])
+        p = np.array([from_pair(c) for c in d["p"]])
         v = Potential(
             _as_coeff_array(q, Kf),
             _as_coeff_array(p, Kf),

@@ -218,8 +218,8 @@ class CanonicalRootEvaluator:
 
     Nodes for |k| <= K come from the spectrum table (zero-potential
     surrogates beyond its range); the |k| > K tail is closed exactly.  All
-    evaluators are vectorized over lambda and pure; contour_chip keeps its
-    values per contour.
+    evaluators are vectorized over lambda and pure; on_contour keeps the
+    nodes, weights and values of each contour.
     """
 
     def __init__(self, table, K: int):
@@ -242,7 +242,7 @@ class CanonicalRootEvaluator:
         self.tail_zero = complex(zero_tail(0.0, self.K)[0])
         # sqrt_c(chi_{p,1}), the product of all w_{1,k}/pi_k, at 0
         self.chi1_zero = complex(node_product(self.tau1, 0.0, K, self.gam1, self.tail_zero)[0])
-        self._on_contour = {}  # ContourSpec -> _bare_chip on its nodes
+        self._on_contour = {}  # ContourSpec -> (z, dz, _bare_chip(z)) on its nodes
 
     def chip(self, lam, check_gaps: bool = True):
         """sqrt_c of chi_p = i * sqrt_c(chi_1) sqrt_c(chi_2) / sqrt_c(chi_1)(0)."""
@@ -265,14 +265,16 @@ class CanonicalRootEvaluator:
         chi2 = node_product(self.tau2, -1.0 / (16.0 * lam), self.K, self.gam2, 1.0)
         return 1j * chi1 * chi2 / self.chi1_zero
 
-    def contour_chip(self, spec):
-        """_bare_chip on the nodes of the contour spec, computed on the first
-        request and kept (read-only): it depends on the table, K and the
-        contour alone."""
+    def on_contour(self, spec):
+        """The nodes z, weights dz and _bare_chip values of the contour spec,
+        computed on the first request and kept (read-only): they depend on
+        the table, K and the contour alone."""
         if spec not in self._on_contour:
-            vals = self._bare_chip(spec.points()[0])
-            vals.setflags(write=False)
-            self._on_contour[spec] = vals
+            z, dz = spec.points()
+            kept = (z, dz, self._bare_chip(z))
+            for a in kept:
+                a.setflags(write=False)
+            self._on_contour[spec] = kept
         return self._on_contour[spec]
 
     def chip_from_below(self, lam_real, seg_len):

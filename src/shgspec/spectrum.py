@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .monodromy import integrate_many, lam_zero
-from .potential import Potential, family_var
+from .potential import Potential, family_var, from_pair, to_pair
 from .quadrature import ContourSpec, winding_number
 from .roots_products import CanonicalRootEvaluator
 
@@ -330,29 +330,25 @@ class SpectrumTable:
     # -- serialization --------------------------------------------------------
 
     def to_json(self) -> str:
-        def c2(z):
-            z = complex(z)
-            return [z.real, z.imag]
-
         ns = list(range(-self.n_max, self.n_max + 1))
         return json.dumps(
             {
                 "N_max": self.n_max,
                 "real": bool(self.real_potential),
-                "q0": c2(self.q0),
+                "q0": to_pair(self.q0),
                 "lambda": [
                     {
                         "n": n,
-                        "minus": c2(self.lam_minus[n + self.n_max]),
-                        "plus": c2(self.lam_plus[n + self.n_max]),
+                        "minus": to_pair(self.lam_minus[n + self.n_max]),
+                        "plus": to_pair(self.lam_plus[n + self.n_max]),
                     }
                     for n in ns
                 ],
-                "mu": [c2(self.mu[n + self.n_max]) for n in ns],
-                "lambda_dot": [c2(self.lam_dot[n + self.n_max]) for n in ns],
-                "lambda_dot_star": c2(self.lam_dot_star),
-                "tau": [c2(self.tau(n)) for n in ns],
-                "gamma": [c2(self.gamma(n)) for n in ns],
+                "mu": [to_pair(self.mu[n + self.n_max]) for n in ns],
+                "lambda_dot": [to_pair(self.lam_dot[n + self.n_max]) for n in ns],
+                "lambda_dot_star": to_pair(self.lam_dot_star),
+                "tau": [to_pair(self.tau(n)) for n in ns],
+                "gamma": [to_pair(self.gamma(n)) for n in ns],
             }
         )
 
@@ -360,26 +356,22 @@ class SpectrumTable:
     def from_json(text: str) -> "SpectrumTable":
         d = json.loads(text)
         N = int(d["N_max"])
-
-        def cplx(pair):
-            return complex(pair[0], pair[1])
-
         lam_minus = np.zeros(2 * N + 1, dtype=complex)
         lam_plus = np.zeros(2 * N + 1, dtype=complex)
         for row in d["lambda"]:
-            lam_minus[row["n"] + N] = cplx(row["minus"])
-            lam_plus[row["n"] + N] = cplx(row["plus"])
-        mu = np.array([cplx(z) for z in d["mu"]])
-        ld = np.array([cplx(z) for z in d["lambda_dot"]])
+            lam_minus[row["n"] + N] = from_pair(row["minus"])
+            lam_plus[row["n"] + N] = from_pair(row["plus"])
+        mu = np.array([from_pair(z) for z in d["mu"]])
+        ld = np.array([from_pair(z) for z in d["lambda_dot"]])
         return SpectrumTable(
             N,
             lam_minus,
             lam_plus,
             mu,
             ld,
-            cplx(d["lambda_dot_star"]),
+            from_pair(d["lambda_dot_star"]),
             bool(d.get("real", True)),
-            cplx(d.get("q0", [0.0, 0.0])),
+            from_pair(d.get("q0", [0.0, 0.0])),
         )
 
 

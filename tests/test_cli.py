@@ -43,13 +43,15 @@ def test_eval_input_errors(files, capsys):
     assert main(["eval", str(zero), "--lambda", "oops"]) == 2
     assert main(["eval", str(zero), "--lambda", "0,0"]) == 3  # outside annulus
     # overrides go through RunConfig validation: input errors, not numerical ones
-    for flags in (["--tol", "0"], ["--tol", "-1"], ["--nodes", "4"]):
+    for flags in (["--tol", "0"], ["--tol", "-1"], ["--tol", "1"], ["--tol", "1e-14"],
+                  ["--nodes", "4"]):
         assert main(["eval", str(zero), "--lambda", "1,0", *flags]) == 2
     assert main(["spectrum", str(zero), "--nmax", "-2"]) == 2
     assert "invalid run configuration" in capsys.readouterr().err
     # config files: an unknown key (such as the removed "threads"), any
-    # threshold (no configuration overrides a gate), a non-object and the
-    # removed index lists are input errors, not tracebacks
+    # threshold (no configuration overrides a gate), a non-object, the
+    # removed index lists and wrongly typed values are input errors, not
+    # tracebacks
     for name, text in (
         ("bogus.json", '{"bogus": 1}'),
         ("thr.json", '{"thresholds": {"normalisation": 1e-3}}'),
@@ -58,6 +60,9 @@ def test_eval_input_errors(files, capsys):
         ("k5.json", '{"product_K_list": 5}'),
         ("kempty.json", '{"product_K_list": []}'),
         ("nbig.json", '{"differentials_n_list": [0, 17]}'),
+        ("nfloat.json", '{"n_max": 6.5, "K": 7}'),
+        ("nbool.json", '{"n_max": true, "K": 6}'),
+        ("xml.json", '{"out_format": "xml"}'),
     ):
         (d / name).write_text(text)
         assert main(["eval", str(zero), "--lambda", "1,0", "--config", str(d / name)]) == 2

@@ -13,7 +13,7 @@ import shgspec.differentials as df
 import shgspec.roots_products as rp
 from shgspec.config import seeded_ensemble
 from shgspec.potential import pi_k
-from shgspec.quadrature import contour_integral
+from shgspec.quadrature import ContourSpec, contour_integral
 from shgspec.roots_products import CanonicalRootEvaluator, zero_tail
 from shgspec.spectrum import build_isolating, build_table
 
@@ -163,7 +163,7 @@ def test_jacobian_structure(v_seed, tab16, iso16):
     f1_0 = np.prod(s1[mask] / pi_k(ws.ks[mask])) * zero_tail(
         np.array([0.0 + 0j]), 16
     )[0]
-    f2_inf = np.prod(s2 / pi_k(ws.ks)) * ws.tail2_zero
+    f2_inf = np.prod(s2 / pi_k(ws.ks)) * ws.evaluator.tail_zero
     want = 2 * np.pi * f1_0 / f2_inf
     d22 = np.diag(Q[m1:, m1:])
     assert abs(np.median(d22.real) - want.real) < 0.3 * abs(want)
@@ -295,8 +295,7 @@ def test_psi_negative_small_v(v_seed, tab16, iso16, reflected):
         )
         spec2 = isor.contour(1, -m, nodes=96)
         z2, dz2 = spec2.points()
-        ws = SigmaWorkspace(tabr, isor, 1, 16)
-        rhs = np.sum(ws.psi(solr.sigma1, solr.sigma2, z2) / evr.chip(z2) * dz2)
+        rhs = np.sum(eval_psi(solr, tabr, isor, z2) / evr.chip(z2) * dz2)
         assert abs(lhs - rhs) < 1e-8
     # roots of psi_{-n} confined to the gaps of (q,p) except (2,-n):
     # -sigma_{2,k}^r lies in -G_{1,k}(v) (= G_{1,-k} for k != 0, the mirror
@@ -346,21 +345,19 @@ def v3_and_reflected():
     return out
 
 
-def _verify_quotient(monkeypatch, verify, *args):
-    """Run a normalization check; return the nodes of all its contours and
-    the integrand psi/sqrt_c(chi_p) it integrated there, with sqrt_c(chi_p)
-    the values its evaluator kept."""
+def _verify_quotient(monkeypatch, run, *args):
+    """Run a solve or a normalization check; return its result, the nodes of
+    all contours of its last sweep and the integrand psi/sqrt_c(chi_p) it
+    integrated there, with sqrt_c(chi_p) the values its evaluator kept.  The
+    last sweep of a solve is the residual at its solution."""
     got = []
-    normalization = df._normalization
-    monkeypatch.setattr(df, "_normalization", lambda *a: got.append(a) or normalization(*a))
-    verify(*args)
+    terms = df._contour_terms
+    monkeypatch.setattr(df, "_contour_terms", lambda *a: got.append(a) or terms(*a))
+    out = run(*args)
     monkeypatch.undo()
-    psi, ev, iso, K, nodes, scale, _ = got[0]
-    specs = [
-        iso.contour(j, m, nodes=nodes, scale=scale) for j in (1, 2) for m in range(-K, K + 1)
-    ]
-    z = np.concatenate([s.points()[0] for s in specs])
-    return z, psi(z) / np.concatenate([ev.contour_chip(s) for s in specs])
+    psi, ev, specs = got[-1]
+    z, _, chip = (np.concatenate(a) for a in zip(*(ev.on_contour(s) for s in specs)))
+    return out, z, psi(z) / chip
 
 
 def test_bare_quotient_matches_the_tailed_oracle(
@@ -375,21 +372,15 @@ def test_bare_quotient_matches_the_tailed_oracle(
         ((tab16, iso16), reflected[1:]),
         ((tab3, iso3), (tab3r, iso3r)),
     ):
-        ev = CanonicalRootEvaluator(tab, 16)
+        ev, evr = CanonicalRootEvaluator(tab, 16), CanonicalRootEvaluator(tabr, 16)
         for n in (0, 1, 2):
-            sol = solve_sigma(tab, iso, n, 16)
-            ws = SigmaWorkspace(tab, iso, n, 16)
-            solve = ws._bare_psi(sol.sigma1, sol.sigma2, ws.z_all, ws.f2_inf(sol.sigma2))
-            oracle = eval_psi(sol, tab, iso, ws.z_all) / ev.chip(ws.z_all)
-            assert rel(solve / ws.chip_all, oracle) <= 1e-13
-            z, f = _verify_quotient(monkeypatch, verify_normalization, sol, tab, iso)
+            sol, z, f = _verify_quotient(monkeypatch, solve_sigma, tab, iso, n, 16)
             assert rel(f, eval_psi(sol, tab, iso, z) / ev.chip(z)) <= 1e-13
-        solr = solve_sigma(tabr, isor, 1, 16)
-        ws = SigmaWorkspace(tabr, isor, 1, 16)
-        solve = ws._bare_psi(solr.sigma1, solr.sigma2, ws.z_all, ws.f2_inf(solr.sigma2))
-        oracle = eval_psi(solr, tabr, isor, ws.z_all) / ws.evaluator.chip(ws.z_all)
-        assert rel(solve / ws.chip_all, oracle) <= 1e-13
-        z, f = _verify_quotient(
+            _, z, f = _verify_quotient(monkeypatch, verify_normalization, sol, tab, iso)
+            assert rel(f, eval_psi(sol, tab, iso, z) / ev.chip(z)) <= 1e-13
+        solr, z, f = _verify_quotient(monkeypatch, solve_sigma, tabr, isor, 1, 16)
+        assert rel(f, eval_psi(solr, tabr, isor, z) / evr.chip(z)) <= 1e-13
+        _, z, f = _verify_quotient(
             monkeypatch, verify_negative_normalization, solr, tabr, isor, tab, iso
         )
         assert rel(f, psi_negative(solr, tabr, isor, z) / ev.chip(z)) <= 1e-13
@@ -398,7 +389,7 @@ def test_bare_quotient_matches_the_tailed_oracle(
 def test_sigma_layer_evaluates_tails_only_at_zero(tab16, iso16, reflected, monkeypatch):
     """solve_sigma and both normalization checks evaluate zero_tail only at
     the point 0, once per table: its evaluator's zero_tail(0, K) serves
-    sqrt_c(chi_1)(0) and every workspace's f_{n,2}(inf).  On no contour node:
+    sqrt_c(chi_1)(0) and every f_{n,2}(inf).  On no contour node:
     psi and sqrt_c(chi_p) carry the same tails there, which cancel."""
     vr, tabr, isor = reflected
     tab, tabr = tab16.truncated(16), tabr.truncated(16)  # no evaluator built yet
@@ -462,34 +453,56 @@ def test_checks_build_no_solve_contours(tab16, iso16, reflected, monkeypatch):
 def test_sigma_pass_evaluates_each_contour_once(monkeypatch, v3_and_reflected):
     """The sigma benchmark's sequence on v3 at K = 16 (solves for n = 0, 1, 2,
     each with verify_normalization, then the reflected n = 1 solve with
-    verify_negative_normalization) evaluates sqrt_c(chi_p) on each distinct
-    contour once: 66 solve contours of the base table, 65 of the reflected
-    one and 66 verification contours, 64 resp. 96 nodes each.  Repeating the
-    sequence evaluates nothing.  The kept values equal a fresh evaluation on
+    verify_negative_normalization), here followed by eval_psi and
+    psi_negative, builds the nodes of each distinct contour and evaluates
+    sqrt_c(chi_p) on them once: 66 solve contours of the base table, 65 of
+    the reflected one and 66 verification contours, 64 resp. 96 nodes each,
+    197 ContourSpec.points calls.  Repeating the sequence builds and
+    evaluates nothing.  Each solve builds one SigmaWorkspace; the checks and
+    psi evaluation build none.  The kept values equal a fresh evaluation on
     the same nodes to a few ulp, not bit for bit: a batch of other size
     rounds _sroot differently in the last bits (up to 1.02e-15 relative on
     the reflected table)."""
     (tab3, iso), (tab3r, isor) = v3_and_reflected
     tab, tabr = tab3.truncated(16), tab3r.truncated(16)  # no evaluator built yet
     points = _count_chip_points(monkeypatch)
+    builds, nodes = [], []
+    init, pts = SigmaWorkspace.__init__, ContourSpec.points
+    monkeypatch.setattr(SigmaWorkspace, "__init__", lambda ws, *a: builds.append(1) or init(ws, *a))
+    monkeypatch.setattr(ContourSpec, "points", lambda spec: nodes.append(1) or pts(spec))
+    lam = np.array([0.3 + 0.2j, 5.0, 40.0 - 1.0j])
+
+    def run(want_builds, fn, *args, **kwargs):
+        before = len(builds)
+        out = fn(*args, **kwargs)
+        assert len(builds) - before == want_builds, fn.__name__
+        return out
 
     def sequence():
         for n in (0, 1, 2):
-            verify_normalization(solve_sigma(tab, iso, n, 16), tab, iso, nodes=96)
-        solr = solve_sigma(tabr, isor, 1, 16)
-        verify_negative_normalization(solr, tabr, isor, tab, iso, nodes=96)
+            sol = run(1, solve_sigma, tab, iso, n, 16)
+            run(0, verify_normalization, sol, tab, iso, nodes=96)
+        solr = run(1, solve_sigma, tabr, isor, 1, 16)
+        run(0, verify_negative_normalization, solr, tabr, isor, tab, iso, nodes=96)
+        run(0, eval_psi, sol, tab, iso, lam)
+        run(0, psi_negative, solr, tabr, isor, lam)
 
     sequence()
+    assert len(nodes) == 197
     assert sum(points) == 66 * 64 + 65 * 64 + 66 * 96 == 14720
     points.clear()
+    nodes.clear()
     sequence()
-    assert points == []
+    assert points == [] and nodes == []
+    assert len(builds) == 8
     monkeypatch.undo()
     for t in (tab, tabr):
         ev = t.evaluator(16)
         specs = list(ev._on_contour)
-        kept = np.concatenate([ev.contour_chip(s) for s in specs])
-        fresh = ev._bare_chip(np.concatenate([s.points()[0] for s in specs]))
+        z, dz, kept = (np.concatenate(a) for a in zip(*(ev.on_contour(s) for s in specs)))
+        fresh_z, fresh_dz = (np.concatenate(a) for a in zip(*(s.points() for s in specs)))
+        assert np.array_equal(z, fresh_z) and np.array_equal(dz, fresh_dz)
+        fresh = ev._bare_chip(fresh_z)
         assert np.max(np.abs(kept - fresh) / np.abs(fresh)) <= 2e-15
 
 
@@ -547,19 +560,17 @@ def test_normalization_in_one_sweep_matches_each_contour_alone(monkeypatch, v3_a
     (tab, iso), _ = v3_and_reflected
     sol = solve_sigma(tab, iso, 1, 16)
     sweeps = []
-    bare = SigmaWorkspace._bare_psi
-    monkeypatch.setattr(
-        SigmaWorkspace, "_bare_psi", lambda ws, *a: sweeps.append(np.size(a[2])) or bare(ws, *a)
-    )
+    bare = df._bare_psi
+    monkeypatch.setattr(df, "_bare_psi", lambda *a: sweeps.append(np.size(a[4])) or bare(*a))
     mat, dev = verify_normalization(sol, tab, iso, nodes=96)
     monkeypatch.undo()
     assert sweeps == [2 * 33 * 96]
-    ws = SigmaWorkspace(tab, iso, 1, 16)
-    f2_inf = ws.f2_inf(sol.sigma2)
+    ev = tab.evaluator(16)
+    f2_inf = df._f2_inf(sol.sigma2, 16, ev.tail_zero)
     for (j, m), val in mat.items():
         spec = iso.contour(j, m, nodes=96, scale=1.5)
         z, dz = spec.points()
-        psi = ws._bare_psi(sol.sigma1, sol.sigma2, z, f2_inf)
-        alone = np.sum(psi / ws.evaluator.contour_chip(spec) * dz) / (2 * np.pi)
+        psi = df._bare_psi(1, 16, sol.sigma1, sol.sigma2, z, f2_inf)
+        alone = np.sum(psi / ev.on_contour(spec)[2] * dz) / (2 * np.pi)
         assert abs(val - alone) <= 1e-14
     assert dev == max(abs(v - float(key == (1, 1))) for key, v in mat.items())
