@@ -26,14 +26,14 @@ EXIT_INPUT_ERROR = 2
 EXIT_NUMERICAL = 3
 
 
-def _load_potential(path: str) -> Potential:
+def _load(path: str, parse, what: str):
+    """parse applied to the text of the file path; a file that cannot be read
+    or parsed is an input error."""
     try:
         with open(path) as fh:
-            return Potential.from_json(fh.read())
-    except FileNotFoundError as exc:
-        raise SystemExit2(f"potential file not found: {exc}") from exc
-    except (ValueError, KeyError, TypeError) as exc:
-        raise SystemExit2(f"cannot parse potential file {path}: {exc}") from exc
+            return parse(fh.read())
+    except (OSError, ValueError, LookupError, TypeError) as exc:
+        raise SystemExit2(f"cannot read {what} file {path}: {exc}") from exc
 
 
 class SystemExit2(Exception):
@@ -41,22 +41,14 @@ class SystemExit2(Exception):
 
 
 # flag dest -> RunConfig field; every field is set by one flag
-_FLAG_ATTRS = {"nmax": "n_max", "K": "K", "tol": "ode_tol", "nodes": "nodes",
-               "seed": "seed", "format": "out_format"}
+_FLAG_ATTRS = {"nmax": "n_max", "tol": "ode_tol", "nodes": "nodes", "seed": "seed",
+               "format": "out_format"}
 
 
 def _config_from_args(args) -> RunConfig:
-    if getattr(args, "config", None):
-        try:
-            with open(args.config) as fh:
-                cfg = RunConfig.from_json(fh.read())
-        except (OSError, ValueError, TypeError) as exc:
-            raise SystemExit2(f"cannot read config file {args.config}: {exc}") from exc
-    else:
-        cfg = RunConfig()
+    cfg = _load(args.config, RunConfig.from_json, "config") if args.config else RunConfig()
     over = {attr: getattr(args, name) for name, attr in _FLAG_ATTRS.items()
             if getattr(args, name, None) is not None}
-    over["K"] = max(over.get("K", cfg.K), over.get("n_max", cfg.n_max))  # K follows n_max
     try:
         return replace(cfg, **over)
     except ValueError as exc:
@@ -75,7 +67,7 @@ def cmd_spectrum(args) -> int:
     from .spectrum import DiscFamily, build_isolating, build_table
 
     cfg = _config_from_args(args)
-    v = _load_potential(args.potential)
+    v = _load(args.potential, Potential.from_json, "potential")
     table = build_table(v, cfg.n_max, tol=cfg.spectral_tol)
     if cfg.out_format == "json":
         _emit(table.to_json(), args.out)
@@ -110,21 +102,20 @@ def cmd_differentials(args) -> int:
     from .spectrum import SpectrumTable, build_isolating, build_table
 
     cfg = _config_from_args(args)
-    v = _load_potential(args.potential)
-    n_list = [int(s) for s in args.n_list.split(",")]
+    v = _load(args.potential, Potential.from_json, "potential")
     if args.table:
-        with open(args.table) as fh:
-            table = SpectrumTable.from_json(fh.read())
+        table = _load(args.table, SpectrumTable.from_json, "spectrum table")
     else:
-        table = build_table(v, min(cfg.n_max, cfg.K), tol=cfg.spectral_tol)
+        table = build_table(v, cfg.n_max, tol=cfg.spectral_tol)
+    N = table.n_max
+    if any(not 0 <= n <= N for n in args.n_list):
+        raise SystemExit2(f"differentials are solved for 0 <= n <= N_max = {N}; use "
+                          "the reflected potential for negative indices")
     iso = build_isolating(v, table, nodes=cfg.nodes)
     out_json = []
     csv_rows = []
-    for n in n_list:
-        if n < 0:
-            raise SystemExit2("differentials are solved for n >= 0; use the "
-                              "reflected potential for negative indices")
-        sol = solve_sigma(table, iso, n, cfg.K, tol=cfg.newton_tol, max_iter=cfg.newton_max_iter)
+    for n in args.n_list:
+        sol = solve_sigma(table, iso, n, N, tol=cfg.newton_tol, max_iter=cfg.newton_max_iter)
         mat, dev = verify_normalization(sol, table, iso)
         out_json.append(json.loads(sol.to_json(normalization_max_dev=dev)))
         for (j, m), val in sorted(mat.items()):
@@ -146,9 +137,9 @@ def cmd_gradients(args) -> int:
     from .spectrum import build_table
 
     cfg = _config_from_args(args)
-    v = _load_potential(args.potential)
+    v = _load(args.potential, Potential.from_json, "potential")
     tol = cfg.spectral_tol
-    table = build_table(v, max(2, min(cfg.n_max, 4)), tol=tol)
+    table = build_table(v, min(cfg.n_max, 4), tol=tol)
     dirs = seeded_directions(cfg.seed, 3)
     cases = fd_evaluate(v, table, CLI_FD_CASES, dirs, (FD_EPS,), tol)
     buf = io.StringIO()
@@ -166,7 +157,7 @@ def cmd_verify(args) -> int:
     from .verification import run_suite
 
     cfg = _config_from_args(args)
-    v = _load_potential(args.potential)
+    v = _load(args.potential, Potential.from_json, "potential")
     checks = run_suite(v, cfg)
     if cfg.out_format == "json":
         payload = [
@@ -192,7 +183,7 @@ def cmd_eval(args) -> int:
     from .spectrum import build_table
 
     cfg = _config_from_args(args)
-    v = _load_potential(args.potential)
+    v = _load(args.potential, Potential.from_json, "potential")
     try:
         re_s, im_s = args.lam.split(",")
         lam = complex(float(re_s), float(im_s))
@@ -200,7 +191,7 @@ def cmd_eval(args) -> int:
         raise SystemExit2(f"--lambda expects 're,im': {exc}") from exc
     res = integrate(v, lam, order=1, tol=cfg.ode_tol)
     table = build_table(v, 8, tol=cfg.spectral_tol)
-    sqrtc = complex(table.evaluator(max(cfg.K, 8)).chip(np.array([lam]))[0])
+    sqrtc = complex(table.evaluator(table.n_max).chip(np.array([lam]))[0])
     payload = {
         "lambda": to_pair(lam),
         "Delta": to_pair(res.Delta),
@@ -234,7 +225,6 @@ def _build_parser():
         sp.add_argument("potential", help="potential JSON file")
         sp.add_argument("--config", help="RunConfig JSON file")
         sp.add_argument("--nmax", type=int)
-        sp.add_argument("--K", type=int)
         sp.add_argument("--tol", type=float)
         sp.add_argument("--nodes", type=int)
         sp.add_argument("--seed", type=int)
@@ -247,7 +237,7 @@ def _build_parser():
 
     sp = sub.add_parser("differentials", help="solve the normalization system")
     common(sp)
-    sp.add_argument("--n-list", default="0,1,2")
+    sp.add_argument("--n-list", default="0,1,2", type=lambda s: [int(n) for n in s.split(",")])
     sp.add_argument("--table", help="inject a spectrum JSON instead of rebuilding")
     sp.set_defaults(fn=cmd_differentials)
 
@@ -267,7 +257,10 @@ def _build_parser():
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # a usage error exits 2, --help 0
+        return exc.code
     try:
         return args.fn(args)
     except SystemExit2 as exc:

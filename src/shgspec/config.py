@@ -1,7 +1,7 @@
 """Run configuration and the versioned threshold table.
 
 THRESHOLDS is the one place a gate's threshold is read, by the suite and the
-CLI alike; RunConfig holds only the six values the CLI flags set.
+CLI alike; RunConfig holds only the five values the CLI flags set.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ class RunConfig:
     """The values the CLI flags set; the tolerances no flag sets are constants."""
 
     n_max: int = 16
-    K: int = 16
     nodes: int = 64
     ode_tol: float = 1e-11
     seed: int = 0
@@ -63,21 +62,22 @@ class RunConfig:
     spectral_tol: ClassVar[float] = 1e-13
 
     def __post_init__(self):
-        for name in ("n_max", "K", "nodes", "seed"):
+        for name in ("n_max", "nodes", "seed"):
             if type(getattr(self, name)) is not int:  # refuses True and 6.5 alike
                 raise ValueError(f"{name} must be an integer")
         if not isinstance(self.ode_tol, Real) or not TOL_RANGE[0] <= self.ode_tol <= TOL_RANGE[1]:
             raise ValueError(f"ode_tol must be a number in {list(TOL_RANGE)}")
         if self.out_format not in ("json", "csv"):
             raise ValueError('out_format must be "json" or "csv"')
-        if self.n_max < 0:
-            raise ValueError("N_max must be >= 0")
-        if self.K < self.n_max:
-            raise ValueError("K must be >= N_max")
-        if self.K < 2:
-            raise ValueError("K must be >= 2")
+        if self.n_max < 2:  # the sigma system is solved for n = 0, 1, 2
+            raise ValueError("N_max must be >= 2")
         if self.nodes < 8:
             raise ValueError("nodes must be >= 8")
+
+    @property
+    def K(self) -> int:
+        """The product truncation: the table's own range n_max."""
+        return self.n_max
 
     @staticmethod
     def from_json(text: str) -> "RunConfig":

@@ -15,14 +15,16 @@ over Gamma_{1,m} (m != n) and Gamma_{2,m} (all m):
     F_{1,m} = (n-m)        oint_{Gamma_{1,m}} psi_n/sqrt_c(chi_p) dlambda,
     F_{2,m} = 16 pi_m^2 pi_n oint_{Gamma_{2,m}} psi_n/sqrt_c(chi_p) dlambda.
 
-The unit integral over Gamma_{1,n} then holds automatically.  The analytic
+The unit integral over Gamma_{1,n} then holds automatically.  A root at the
+tau of a closed gap (gamma = 0; beyond the table all are) cancels the node
+of sqrt_c(chi_p), and its row vanishes: the unknowns are the open gaps'
+roots but sigma_{1,n}, one row each, the rest stay at their tau.  The
 Jacobian inserts 1/(sigma_{1,r}-lambda), resp.
 1/(sigma_{2,r}+1/(16 lambda)) - 1/sigma_{2,r}, under the same integrals.
 One psi sweep over the (rows, nodes) array of contour nodes gives the
 residual as one row sum; the Jacobian is formed from the same terms only at
-the iterates a Newton step starts from.  Unknowns are truncated to |k| <= K
-with the zero-potential tail closure; iterates leaving the isolating discs
-are clamped back to a boundary ring and the event is counted.
+the iterates a Newton step starts from.  Iterates leaving the isolating
+discs are clamped back to a boundary ring and the event is counted.
 
 psi_n is a function of its state (n, K, sigma_1, sigma_2): the solve calls
 it with its trial states, psi evaluation and the normalization checks with
@@ -69,7 +71,7 @@ class SigmaSolution:
 
     n: int
     K: int
-    sigma1: np.ndarray  # (2K+1,), entry at k=n pinned to tau_{1,n}
+    sigma1: np.ndarray  # (2K+1,); at k = n and in closed gaps the tau
     sigma2: np.ndarray  # (2K+1,)
     residual_norm: float
     newton_iters: int
@@ -119,28 +121,28 @@ def _bare_psi(n, K, sigma1, sigma2, z, f2_inf):
 
 
 def _contour_terms(psi, ev, specs):
-    """Nodes z and terms psi/sqrt_c(chi_p) dz on the contours specs as
-    (contours, nodes) arrays.  psi is bare and called once, on all nodes;
-    nodes, weights and bare sqrt_c(chi_p) are those the evaluator ev keeps."""
-    z, dz, chip = (np.array(a) for a in zip(*(ev.on_contour(spec) for spec in specs)))
+    """Nodes z and terms psi/sqrt_c(chi_p) dz on the contours specs (maybe
+    none) as (contours, nodes) arrays.  psi is bare and called once, on all
+    nodes; nodes, weights and bare sqrt_c(chi_p) are those ev keeps."""
+    kept = [ev.on_contour(spec) for spec in specs]
+    z, dz, chip = (np.array(a) for a in zip(*kept)) if kept else np.empty((3, 0, 0))
     return z, psi(z.ravel()).reshape(z.shape) / chip * dz
 
 
 class SigmaWorkspace:
-    """The unknowns of the solve for one n, its residual rows and the table's
-    evaluator of truncation K."""
+    """The unknowns of the solve for one n, the roots of the open gaps but
+    sigma_{1,n}, its residual rows and the table's evaluator of truncation K."""
 
     def __init__(self, table, iso, n, K):
-        self.evaluator = _evaluator(table, K)
-        self.iso = iso
-        self.n = int(n)
-        self.K = int(K)
+        if abs(n) > K:
+            raise ValueError(f"index n = {n} lies beyond the truncation K = {K}")
+        ev = self.evaluator = _evaluator(table, K)
+        self.iso, self.n, self.K = iso, int(n), int(K)
         self.ks = ks = np.arange(-K, K + 1)
-        self.idx1 = np.array([k for k in ks if k != n])
-        self.tau1, self.tau2 = self.evaluator.tau1, self.evaluator.tau2
-        # (j, m, contour) of each residual row: family 1 rows for m != n,
-        # family 2 rows for all m, on iso.nodes nodes each, and its prefactor
-        ms = [(1, int(m)) for m in self.idx1] + [(2, int(m)) for m in ks]
+        self.tau1, self.tau2 = ev.tau1, ev.tau2
+        # the unknown roots of each family; row (j, m) belongs to root (j, m)
+        self.open1, self.open2 = (ev.gam1 != 0) & (ks != n), ev.gam2 != 0
+        ms = [(1, int(m)) for m in ks[self.open1]] + [(2, int(m)) for m in ks[self.open2]]
         self.rows = [(j, m, iso.contour(j, m)) for j, m in ms]
         self.pref = np.array([self.n - m if j == 1 else 16.0 * pi_k(m) ** 2 * pi_k(self.n)
                               for j, m in ms])
@@ -148,31 +150,28 @@ class SigmaWorkspace:
     # -- state vector mapping ------------------------------------------------
 
     def pack(self, sigma1, sigma2):
-        return np.concatenate([sigma1[self.idx1 + self.K], sigma2])
+        return np.concatenate([sigma1[self.open1], sigma2[self.open2]])
 
     def unpack(self, u):
-        m = len(self.idx1)
-        sigma1 = np.empty(2 * self.K + 1, dtype=complex)
-        sigma1[self.idx1 + self.K] = u[:m]
-        sigma1[self.n + self.K] = self.tau1[self.n + self.K]  # pinned
-        return sigma1, u[m:].copy()
+        sigma1, sigma2 = self.tau1.astype(complex), self.tau2.astype(complex)
+        m = np.count_nonzero(self.open1)
+        sigma1[self.open1], sigma2[self.open2] = u[:m], u[m:]
+        return sigma1, sigma2
 
     def initial_state(self):
-        return self.pack(self.tau1.astype(complex), self.tau2.astype(complex))
+        return self.pack(self.tau1, self.tau2)
 
     # -- residual and Jacobian -------------------------------------------------
 
     def admissible(self, sigma1, sigma2):
         """Copies of sigma1, sigma2 with the lambda-plane image
-        family_var(j, sigma_{j,k}) of every root clamped to 0.9 of the radius
-        of its disc U_{j,k}, and the number of roots clamped."""
+        family_var(j, sigma_{j,k}) of every unknown clamped to 0.9 of the
+        radius of its disc U_{j,k}, and the number of roots clamped."""
         events = 0
         out = (sigma1.copy(), sigma2.copy())
-        for j, s in zip((1, 2), out):
-            for i, k in enumerate(self.ks):
-                if j == 1 and k == self.n:
-                    continue
-                c, r = self.iso.U2(j, int(k))
+        for j, s, unknown in zip((1, 2), out, (self.open1, self.open2)):
+            for i in np.flatnonzero(unknown):
+                c, r = self.iso.U2(j, int(self.ks[i]))
                 u = family_var(j, s[i])
                 d = abs(u - c)
                 if d > 0.9 * r:
@@ -191,12 +190,12 @@ class SigmaWorkspace:
         F = pref * np.sum(gdz, axis=1)
 
         def jacobian():
-            s1 = sigma1[self.ks != n]
+            s1, s2 = sigma1[self.open1], sigma2[self.open2]
             Q = np.empty((u.size, u.size), dtype=complex)
             for row, zr, w, p in zip(Q, z, gdz, pref):
                 B1 = 1.0 / (s1 - zr[:, None])
                 mu = -1.0 / (16.0 * zr)
-                B2 = 1.0 / (sigma2 - mu[:, None]) - 1.0 / sigma2
+                B2 = 1.0 / (s2 - mu[:, None]) - 1.0 / s2
                 row[: s1.size] = p * (w @ B1)
                 row[s1.size :] = p * (w @ B2)
             return Q
@@ -207,9 +206,9 @@ class SigmaWorkspace:
 def solve_sigma(table, iso, n, K, tol=1e-9, max_iter=12) -> SigmaSolution:
     """Damped Newton solve of F^n = 0 from the tau initializer.
 
-    At the zero potential the initializer is already the solution (zero
-    Newton steps); otherwise convergence in a handful of iterations is the
-    expected behavior for potentials in the solvable neighborhood.  Each
+    Without an open gap (v = 0) there is no unknown and no Newton step;
+    otherwise convergence in a handful of iterations is the expected
+    behavior for potentials in the solvable neighborhood.  Each
     trial point is evaluated once; its Jacobian is formed only when a Newton
     step starts from it.
     """
@@ -282,7 +281,8 @@ def verify_normalization(sol: SigmaSolution, table, iso, nodes=None, contour_sca
     points each, iso.nodes + 32 by default.
 
     Returns the matrix {(j,m): (1/2 pi) oint psi_n/sqrt_c(chi_p)} and the
-    maximum deviation from delta_{nm} (family 1) resp. 0 (family 2).
+    maximum deviation from delta_{nm} (family 1) resp. 0 (family 2), also
+    on the closed gaps' contours, whose rows the solve does not form.
     """
     ev = _evaluator(table, sol.K)
     f2_inf = _f2_inf(sol.sigma2, sol.K, ev.tail_zero)

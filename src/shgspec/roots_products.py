@@ -288,7 +288,7 @@ class CanonicalRootEvaluator:
 # sign tables (real potentials)
 
 
-def sign_tables(v, table, K: int | None = None):
+def sign_tables(v, table):
     """Verify the sign conventions of sqrt_c(chi_p) and f_{1,n} on the real axis.
 
     Checks, at three samples per band or gap, for a real potential:
@@ -303,9 +303,7 @@ def sign_tables(v, table, K: int | None = None):
     if not v.real:
         raise ValueError("sign tables are defined for real potentials")
     N = table.n_max
-    if K is None:
-        K = max(N, 8)
-    ev = table.evaluator(K)
+    ev = table.evaluator(N)
     failures = []
     checked = 0
     skipped = 0
@@ -354,7 +352,7 @@ def sign_tables(v, table, K: int | None = None):
         a = table.lam2(1, n - 1, +1).real
         b = table.lam2(1, n + 1, -1).real
         xs = a + (b - a) * np.linspace(0.1, 0.9, 3)
-        vals = f1n(table, n, xs.astype(complex), K)
+        vals = f1n(table, n, xs.astype(complex), N)
         want = (-1.0) ** n
         checked += 1
         if not np.all(want * vals.real > 0):

@@ -163,8 +163,9 @@ def _periodic_pair_from_ddot(v, lam_dots, tol=1e-13):
     chi_p'(lam_dot)=0, so chi_p ~ chi_p(ld) + chi_p''(ld)(lam-ld)^2/2 with
     chi_p'' = 2(Delta_dot^2 + Delta*Delta_ddot); the two roots sit at
     ld +- h, h = sqrt(-2 chi_p / chi_p'').  The squared half-width h^2 is
-    measured down to the integrator noise; below max(DOUBLE_ROOT_TOL, noise)
-    the pair is a double eigenvalue.  The noise of chi_p = Delta^2 - 1 is
+    measured down to the integrator noise; below the larger of the noise and
+    DOUBLE_ROOT_TOL (1 + |ld|) / |omega'(ld)|^2 the pair is a double
+    eigenvalue.  The noise of chi_p = Delta^2 - 1 is
     bounded by 2 |Delta| |M| BatchResult.err, the run's own half-grid
     estimate (relative to the largest entry of M).  Newton polish on chi_p
     is only applied to well-open gaps, where the roots are comfortably
@@ -180,13 +181,13 @@ def _periodic_pair_from_ddot(v, lam_dots, tol=1e-13):
     h2 = -2.0 * chi / chi_dd
     h = np.sqrt(h2 + 0j)
     scale = 1.0 + np.abs(lam_dots)
-    dbl = np.abs(h2) < np.maximum(DOUBLE_ROOT_TOL * scale, 25.0 * noise / np.abs(chi_dd))
+    # both decisions measure h on the local scale omega', which is about
+    # 1/(16 lambda^2) near the reciprocal end
+    freq = np.abs(1.0 + 1.0 / (16.0 * lam_dots**2))
+    dbl = np.abs(h2) < np.maximum(DOUBLE_ROOT_TOL * scale / freq**2,
+                                  25.0 * noise / np.abs(chi_dd))
     minus = np.where(dbl, lam_dots, lam_dots - h)
     plus = np.where(dbl, lam_dots, lam_dots + h)
-    # the quadratic model degrades on the local oscillation scale omega';
-    # near the reciprocal end omega' ~ 1/(16 lambda^2) is large, so the
-    # polish decision uses the rescaled half-width
-    freq = np.abs(1.0 + 1.0 / (16.0 * lam_dots**2))
     polish = (~dbl) & (np.abs(h) * freq > 1e-4 * scale)
     if polish.any():
         seeds = np.concatenate([minus[polish], plus[polish]])

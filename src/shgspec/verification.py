@@ -238,12 +238,12 @@ def run_suite(v: Potential, cfg: RunConfig | None = None):
     report("constraint_products", max(abs(val - 1.0) for val in cons.values()))
 
     # canonical-root conventions
-    ev0 = tab0.evaluator(16)
+    ev0 = tab0.evaluator(tab0.n_max)
     sample = np.array([0.7, 1.3 + 0.2j, 5.1], dtype=complex)
     ref = -1j * np.sin(omega(sample))
     report("canonical_zero", float(np.max(np.abs(ev0.chip(sample) - ref))))
-    evv = table.evaluator(cfg.K)
-    evr = tabr.evaluator(cfg.K)
+    evv = table.evaluator(table.n_max)
+    evr = tabr.evaluator(tabr.n_max)
     sym = 0.0
     for lam in (0.83 + 0.1j, 4.4 - 0.3j, 1.7 + 0.6j):
         z = np.array([lam])
@@ -254,7 +254,7 @@ def run_suite(v: Potential, cfg: RunConfig | None = None):
     report("canonical_symmetries", sym)
 
     if v.real:
-        st = sign_tables(v, table, K=cfg.K)
+        st = sign_tables(v, table)
         report(
             "sign_tables",
             len(st["failures"]),
@@ -282,14 +282,14 @@ def run_suite(v: Potential, cfg: RunConfig | None = None):
     worst_res, worst_iter, worst_dev, worst_gap, worst_est = 0.0, 0, 0.0, 0.0, 0.0
     for n in DIFFERENTIALS_N_LIST:
         sol = solve_sigma(
-            table, iso, n, cfg.K, tol=cfg.newton_tol, max_iter=cfg.newton_max_iter
+            table, iso, n, table.n_max, tol=cfg.newton_tol, max_iter=cfg.newton_max_iter
         )
         _, dev = verify_normalization(sol, table, iso)
         worst_res = max(worst_res, sol.residual_norm)
         worst_iter = max(worst_iter, sol.newton_iters)
         worst_dev = max(worst_dev, dev)
         for j, sigma_at in ((1, sol.sigma1_at), (2, sol.sigma2_at)):
-            for k in range(-cfg.K, cfg.K + 1):
+            for k in range(-sol.K, sol.K + 1):
                 if j == 1 and k == n:
                     continue
                 s = sigma_at(k)
@@ -304,7 +304,7 @@ def run_suite(v: Potential, cfg: RunConfig | None = None):
     # reflected differential psi_{-1}
     isor = sp.build_isolating(vr, tabr, nodes=cfg.nodes)
     solr = solve_sigma(
-        tabr, isor, 1, cfg.K, tol=cfg.newton_tol, max_iter=cfg.newton_max_iter
+        tabr, isor, 1, tabr.n_max, tol=cfg.newton_tol, max_iter=cfg.newton_max_iter
     )
     _, devm = verify_negative_normalization(solr, tabr, isor, table, iso)
     report("normalization_negative", devm)
@@ -378,7 +378,7 @@ def negative_control(v, cfg: RunConfig | None = None):
     must detect it.  Returns (clean_dev, corrupted_dev)."""
     cfg = cfg or RunConfig()
     table, iso, _ = _build_workspace(v, cfg)
-    sol = solve_sigma(table, iso, 1, cfg.K, tol=cfg.newton_tol, max_iter=cfg.newton_max_iter)
+    sol = solve_sigma(table, iso, 1, table.n_max, tol=cfg.newton_tol, max_iter=cfg.newton_max_iter)
     _, dev0 = verify_normalization(sol, table, iso)
     # push sigma_{1,k0} half a gap length beyond the + endpoint
     k0 = 1 if sol.n != 1 else 2

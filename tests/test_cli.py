@@ -19,7 +19,7 @@ def files(tmp_path_factory):
     cos = d / "cos.json"
     cos.write_text(Potential.cosine(0.1).to_json())
     cfg = d / "cfg.json"
-    cfg.write_text(json.dumps({"n_max": 6, "K": 6}))
+    cfg.write_text(json.dumps({"n_max": 6}))
     return d, zero, cos, cfg
 
 
@@ -43,8 +43,10 @@ def test_eval_input_errors(files, capsys):
     assert main(["eval", str(zero), "--lambda", "oops"]) == 2
     assert main(["eval", str(zero), "--lambda", "0,0"]) == 3  # outside annulus
     # overrides go through RunConfig validation: input errors, not numerical ones
+    # (the truncation K is no setting: --K is refused like any unknown flag,
+    # and the sigma system needs n_max >= 2)
     for flags in (["--tol", "0"], ["--tol", "-1"], ["--tol", "1"], ["--tol", "1e-14"],
-                  ["--nodes", "4"]):
+                  ["--nodes", "4"], ["--K", "6"], ["--nmax", "0"], ["--nmax", "1"]):
         assert main(["eval", str(zero), "--lambda", "1,0", *flags]) == 2
     assert main(["spectrum", str(zero), "--nmax", "-2"]) == 2
     assert "invalid run configuration" in capsys.readouterr().err
@@ -60,8 +62,9 @@ def test_eval_input_errors(files, capsys):
         ("k5.json", '{"product_K_list": 5}'),
         ("kempty.json", '{"product_K_list": []}'),
         ("nbig.json", '{"differentials_n_list": [0, 17]}'),
-        ("nfloat.json", '{"n_max": 6.5, "K": 7}'),
-        ("nbool.json", '{"n_max": true, "K": 6}'),
+        ("nfloat.json", '{"n_max": 6.5}'),
+        ("nbool.json", '{"n_max": true}'),
+        ("kkey.json", '{"K": 6}'),
         ("xml.json", '{"out_format": "xml"}'),
     ):
         (d / name).write_text(text)
@@ -99,7 +102,7 @@ def test_eval_overflow_is_a_numerical_failure(files, capsys):
 
 def test_spectrum_zero(files, capsys):
     d, zero, cos, cfg = files
-    assert main(["spectrum", str(zero), "--nmax", "4", "--K", "4"]) == 0
+    assert main(["spectrum", str(zero), "--nmax", "4"]) == 0
     table = json.loads(capsys.readouterr().out)
     assert table["N_max"] == 4
     for row in table["lambda"]:
@@ -111,8 +114,7 @@ def test_spectrum_zero(files, capsys):
 
 def test_spectrum_csv(files, capsys):
     d, zero, cos, cfg = files
-    assert main(["spectrum", str(cos), "--nmax", "3", "--K", "3",
-                 "--format", "csv"]) == 0
+    assert main(["spectrum", str(cos), "--nmax", "3", "--format", "csv"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "n,quantity,re,im"
     assert any("lambda_dot_star" in ln for ln in lines)
@@ -123,13 +125,11 @@ def test_differentials_round_trip(files, capsys, tmp_path):
     """A spectrum JSON re-read as table injection reproduces identical sigma."""
     d, zero, cos, cfg = files
     tab_path = tmp_path / "table.json"
-    assert main(["spectrum", str(cos), "--nmax", "6", "--K", "6",
-                 "--out", str(tab_path)]) == 0
-    assert main(["differentials", str(cos), "--n-list", "1", "--nmax", "6",
-                 "--K", "6"]) == 0
+    assert main(["spectrum", str(cos), "--nmax", "6", "--out", str(tab_path)]) == 0
+    assert main(["differentials", str(cos), "--n-list", "1", "--nmax", "6"]) == 0
     direct = capsys.readouterr().out
     assert main(["differentials", str(cos), "--n-list", "1", "--nmax", "6",
-                 "--K", "6", "--table", str(tab_path)]) == 0
+                 "--table", str(tab_path)]) == 0
     injected = capsys.readouterr().out
     assert json.loads(direct)[0]["sigma1"] == json.loads(injected)[0]["sigma1"]
     assert json.loads(direct)[0]["sigma2"] == json.loads(injected)[0]["sigma2"]
@@ -139,9 +139,23 @@ def test_differentials_round_trip(files, capsys, tmp_path):
     assert sol["clamp_events"] == 0
 
 
-def test_differentials_rejects_negative_n(files, capsys):
+def test_differentials_rejects_negative_n(files, capsys, tmp_path):
+    """Negative n, an n beyond the table's range N_max and an unreadable
+    --table are input errors."""
     d, zero, cos, cfg = files
     assert main(["differentials", str(cos), "--n-list", "-1"]) == 2
+    assert main(["differentials", str(cos), "--nmax", "4", "--n-list", "5"]) == 2
+    assert main(["differentials", str(cos), "--n-list", "0,x"]) == 2
+    tab_path = tmp_path / "table.json"
+    assert main(["spectrum", str(zero), "--nmax", "4", "--out", str(tab_path)]) == 0
+    table = json.loads(tab_path.read_text())
+    assert main(["differentials", str(zero), "--n-list", "5", "--table", str(tab_path)]) == 2
+    table["mu"][0] = [1, 2, 3]
+    (tmp_path / "mu3.json").write_text(json.dumps(table))
+    (tmp_path / "empty.json").write_text("{}")
+    for name in ("missing.json", "empty.json", "mu3.json"):
+        assert main(["differentials", str(zero), "--table", str(tmp_path / name)]) == 2
+    assert "spectrum table" in capsys.readouterr().err
 
 
 def test_verify_exit_codes(files, capsys):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from shgspec.differentials import (
+    SigmaSolution,
     SigmaWorkspace,
     eval_psi,
     psi_negative,
@@ -105,6 +106,26 @@ def test_normalization_fresh_contours(v_seed, tab16, iso16):
     assert abs(dev2 - dev) < 1e-8
 
 
+def test_unknowns_are_the_open_gaps_roots(tab16, iso16, v3_and_reflected, tab0, iso0):
+    """The sigma system solves for the roots of the open gaps (gamma != 0)
+    alone, sigma_{1,n} excepted: at N = 16, 4, 3, 4 unknowns on v1 and
+    8, 7, 7 on v3 for n = 0, 1, 2, one residual row each; none at v = 0.
+    Every other root of the solution is its tau, bit for bit."""
+    (tab3, iso3), _ = v3_and_reflected
+    for tab, iso, counts in ((tab16, iso16, (4, 3, 4)), (tab3, iso3, (8, 7, 7)),
+                             (tab0, iso0, (0, 0, 0))):
+        ev = tab.evaluator(tab.n_max)
+        closed2 = ev.gam2 == 0
+        for n, count in zip((0, 1, 2), counts):
+            ws = SigmaWorkspace(tab, iso, n, tab.n_max)
+            closed1 = (ev.gam1 == 0) | (ws.ks == n)
+            assert ws.initial_state().size == len(ws.rows) == count
+            assert np.count_nonzero(~closed1) + np.count_nonzero(~closed2) == count
+            sol = solve_sigma(tab, iso, n, tab.n_max)
+            assert np.array_equal(sol.sigma1[closed1], ev.tau1[closed1])
+            assert np.array_equal(sol.sigma2[closed2], ev.tau2[closed2])
+
+
 def test_solver_idempotence(v_seed, tab16, iso16):
     sol = solve_sigma(tab16, iso16, 0, 16)
     ws = SigmaWorkspace(tab16, iso16, 0, 16)
@@ -116,14 +137,18 @@ def test_solver_idempotence(v_seed, tab16, iso16):
 
 def test_residual_tail_decay(v_seed, tab16, iso16):
     """|F_{j,m}| decays over m at a fixed admissible point: perturbing one
-    root keeps the residual mass concentrated at low |m|."""
+    root keeps the residual mass concentrated at low |m|.  The rows F_{j,m}
+    (m != n for j = 1) are verify_normalization's entries times the row
+    prefactors: its matrix covers every (j, m), the closed gaps' rows that
+    the solve does not form included."""
     ws = SigmaWorkspace(tab16, iso16, 0, 16)
     s1, s2 = ws.unpack(ws.initial_state())
     s1[1 + 16] += 0.25 * tab16.gamma2(1, 1)  # quarter of the open gap
-    F, _ = ws.residual_and_jacobian(ws.pack(s1, s2))
+    mat, _ = verify_normalization(SigmaSolution(0, 16, s1, s2, 0.0, 0, 0j), tab16, iso16)
     mags = {}
-    for (fam, m, *_), val in zip(ws.rows, F):
-        mags[(fam, m)] = abs(val)
+    for (fam, m), val in mat.items():
+        if (fam, m) != (1, 0):
+            mags[(fam, m)] = abs(val) * (abs(m) if fam == 1 else 16.0 * pi_k(m) ** 2 * pi_k(0))
     outer = max(v for (fam, m), v in mags.items() if abs(m) >= 12)
     peak = max(mags.values())
     assert outer < 1e-3 * peak
@@ -139,23 +164,22 @@ def test_sign_change_across_gap(v_seed, tab16, iso16):
         s2 = np.array([tab16.tau2(2, k) for k in ws.ks])
         s1[1 + 16] = lo + t * (hi - lo)
         F, _ = ws.residual_and_jacobian(ws.pack(s1, s2))
-        row = np.flatnonzero(ws.idx1 == 1)[0]
+        row = [r[:2] for r in ws.rows].index((1, 1))
         vals.append(F[row].real)
     assert vals[0] * vals[1] < 0
 
 
 def test_jacobian_structure(v_seed, tab16, iso16):
+    """The Jacobian over the open gaps' roots.  Q11_mm tends to 2 as the gap
+    m closes; in a closed gap the root at its tau makes the row vanish
+    whatever the other roots, so the solve fixes it there and forms no row
+    or column for it (and no large-|m| trend is left to test)."""
     ws = SigmaWorkspace(tab16, iso16, 1, 16)
     Q = ws.residual_and_jacobian(ws.initial_state())[1]()
-    m1 = len(ws.idx1)
+    m1 = np.count_nonzero(ws.open1)
     d11 = np.diag(Q[:m1, :m1])
     assert np.all(np.abs(d11) > 0.5)
     assert abs(np.median(d11.real) - 2.0) < 0.3
-    # |Q11_mm - 2| dies out toward large |m|
-    ms = ws.idx1
-    inner = np.mean(np.abs(d11 - 2.0)[np.abs(ms) <= 4])
-    outer = np.mean(np.abs(d11 - 2.0)[np.abs(ms) >= 12])
-    assert outer < inner
     # Q22 diagonal tends to 2 pi f_{n,1}(0)/f_{n,2}(inf)
     s1 = np.array([tab16.tau2(1, k) for k in ws.ks])
     s2 = np.array([tab16.tau2(2, k) for k in ws.ks])
@@ -175,11 +199,10 @@ def test_jacobian_vs_finite_differences(v_seed, tab16, iso16):
     ws = SigmaWorkspace(tab16, iso16, 1, 16)
     u0 = ws.initial_state()
     Q = ws.residual_and_jacobian(u0)[1]()
-    # sample 10 entries with genuine magnitude (many vanish by symmetry and
-    # would only compare quadrature noise)
-    rng = np.random.default_rng(4)
-    live = np.argwhere(np.abs(Q) > 1e-6)
-    picks = live[rng.choice(live.shape[0], 10, replace=False)]
+    # every entry with genuine magnitude (one that vanishes by symmetry would
+    # only compare quadrature noise): all 9 of the open gaps' 3 x 3
+    picks = np.argwhere(np.abs(Q) > 1e-6)
+    assert picks.shape[0] == 9
     h = 1e-6
     for r, c in picks:
         up = u0.copy()
@@ -317,16 +340,19 @@ def test_admissibility_guard(v_seed, tab16, iso16):
     s1 = np.array([tab16.tau2(1, k) for k in ws.ks])
     s2 = np.array([tab16.tau2(2, k) for k in ws.ks])
     assert ws.admissible(s1, s2)[2] == 0
-    s1[2 + 16] += 2.0  # way outside U_{1,2}
+    assert ws.open1[-1 + 16] and not ws.open1[2 + 16]
+    s1[-1 + 16] += 2.0  # way outside U_{1,-1}, an open gap's disc
     c1, c2, events = ws.admissible(s1, s2)
     assert events == 1
-    cc, rr = iso16.U2(1, 2)
-    assert abs(c1[2 + 16] - cc) <= 0.9 * rr + 1e-12
+    cc, rr = iso16.U2(1, -1)
+    assert abs(c1[-1 + 16] - cc) <= 0.9 * rr + 1e-12
 
 
 def test_workspace_requires_K_geq_table(tab16, iso16):
     with pytest.raises(ValueError, match="K must be >="):
         SigmaWorkspace(tab16, iso16, 0, 8)
+    with pytest.raises(ValueError, match="n = 17 .* K = 16"):
+        solve_sigma(tab16, iso16, 17, 16)
 
 
 def test_solver_iteration_budget(v_seed, tab16, iso16):
@@ -455,10 +481,10 @@ def test_sigma_pass_evaluates_each_contour_once(monkeypatch, v3_and_reflected):
     each with verify_normalization, then the reflected n = 1 solve with
     verify_negative_normalization), here followed by eval_psi and
     psi_negative, builds the nodes of each distinct contour and evaluates
-    sqrt_c(chi_p) on them once: 66 solve contours of the base table, 65 of
-    the reflected one and 66 verification contours, 64 resp. 96 nodes each,
-    197 ContourSpec.points calls.  Repeating the sequence builds and
-    evaluates nothing.  Each solve builds one SigmaWorkspace; the checks and
+    sqrt_c(chi_p) on them once: the solves' 8 contours of the base table
+    (one per open gap) and 7 of the reflected one, and 66 verification
+    contours, 64 resp. 96 nodes each, 81 ContourSpec.points calls.
+    Repeating the sequence builds and evaluates nothing.  Each solve builds one SigmaWorkspace; the checks and
     psi evaluation build none.  The kept values equal a fresh evaluation on
     the same nodes to a few ulp, not bit for bit: a batch of other size
     rounds _sroot differently in the last bits (up to 1.02e-15 relative on
@@ -488,8 +514,8 @@ def test_sigma_pass_evaluates_each_contour_once(monkeypatch, v3_and_reflected):
         run(0, psi_negative, solr, tabr, isor, lam)
 
     sequence()
-    assert len(nodes) == 197
-    assert sum(points) == 66 * 64 + 65 * 64 + 66 * 96 == 14720
+    assert len(nodes) == 81
+    assert sum(points) == 8 * 64 + 7 * 64 + 66 * 96 == 7296
     points.clear()
     nodes.clear()
     sequence()

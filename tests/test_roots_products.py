@@ -248,13 +248,13 @@ def test_evaluators_deterministic(tab16):
 
 
 def test_sign_tables_zero(v_zero, tab0):
-    rep = sign_tables(v_zero, tab0, K=12)
+    rep = sign_tables(v_zero, tab0)
     assert rep["failures"] == []
     assert rep["skipped"] > 0  # point gaps make interior checks vacuous
 
 
 def test_sign_tables_small_v(v_seed, tab16):
-    rep = sign_tables(v_seed, tab16, K=16)
+    rep = sign_tables(v_seed, tab16)
     assert rep["failures"] == []
     assert rep["checked"] > 30
 

@@ -195,6 +195,24 @@ def test_reality_and_interlacing(v_seed, tab16):
         assert tab16.lam_pm(n)[1].real < tab16.lam_pm(n + 1)[0].real
 
 
+def test_reciprocal_end_gaps_of_the_generic_potential_are_open():
+    """The double-root rule measures the half-width on the local scale
+    omega' ~ 1/(16 lambda^2), so the narrow open gaps at the reciprocal end
+    stay open.  v4 is the generic K_f = 8 potential: q_k = 0.02 (a + ib)/k,
+    k = 1..8, then p_k = 0.01 (a + ib)/k, k = 1..4, with a, b successive
+    normal draws of seed 1.  Its gaps n = -5..-8 are about 5e-6 to 7.5e-6
+    wide in lambda, and |Delta| > 1 at their midpoints."""
+    rng = np.random.default_rng(1)
+    q = {k: 0.02 * complex(rng.normal(), rng.normal()) / k for k in range(1, 9)}
+    p = {k: 0.01 * complex(rng.normal(), rng.normal()) / k for k in range(1, 5)}
+    v4 = Potential.from_modes(q, p, Kf=8)
+    tab = build_table(v4, 8, tol=1e-13)
+    ns = range(-8, -4)
+    assert all(tab.gamma(n) != 0 for n in ns)
+    taus = np.array([tab.tau(n) for n in ns])
+    assert np.all(np.abs(integrate_many(v4, taus, order=0, tol=1e-13).Delta) > 1.0)
+
+
 def test_delta_sign_at_periodic(v_seed, tab16):
     lams = np.array([tab16.lam_pm(n)[1] for n in range(-5, 6)])
     res = integrate_many(v_seed, lams, order=0, tol=1e-12)

@@ -11,7 +11,7 @@ from shgspec.verification import negative_control, run_suite
 def _small_cfg():
     """Down-scaled config for fast suite runs; the product checks still run
     at their fixed truncations 8..32, and every gate at its THRESHOLDS value."""
-    return RunConfig(n_max=6, K=6)
+    return RunConfig(n_max=6)
 
 
 @pytest.fixture(scope="module")
@@ -90,14 +90,17 @@ def test_product_monotone_counts_flat_steps_above_the_floor(monkeypatch):
 
 
 def test_runconfig_json_round_trip():
-    cfg = RunConfig(n_max=8, K=10, seed=3)
+    cfg = RunConfig(n_max=8, seed=3)
     clone = RunConfig.from_json(cfg.to_json())
-    assert clone.n_max == 8 and clone.K == 10 and clone.seed == 3
+    assert clone.n_max == 8 and clone.seed == 3
     assert "thresholds" not in json.loads(cfg.to_json())
-    with pytest.raises(ValueError, match="K must be >= N_max"):
-        RunConfig(n_max=10, K=4)
-    with pytest.raises(ValueError, match="K must be >= 2"):
-        RunConfig(n_max=0, K=1)
+    # the truncation K is the table's range, read-only and never serialized
+    assert clone.K == 8 and "K" not in json.loads(cfg.to_json())
+    with pytest.raises(ValueError, match="unknown run configuration keys: K"):
+        RunConfig.from_json('{"K": 10}')
+    for n_max in (0, 1):  # the sigma system is solved for n = 0, 1, 2
+        with pytest.raises(ValueError, match="N_max must be >= 2"):
+            RunConfig(n_max=n_max)
     # the tolerances no flag sets are constants, not configuration
     assert (cfg.newton_tol, cfg.newton_max_iter, cfg.spectral_tol) == (1e-9, 12, 1e-13)
 
