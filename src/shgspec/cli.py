@@ -108,9 +108,9 @@ def cmd_differentials(args) -> int:
     else:
         table = build_table(v, cfg.n_max, tol=cfg.spectral_tol)
     N = table.n_max
-    if any(not 0 <= n <= N for n in args.n_list):
-        raise SystemExit2(f"differentials are solved for 0 <= n <= N_max = {N}; use "
-                          "the reflected potential for negative indices")
+    if N < 2 or any(not 0 <= n <= N for n in args.n_list):  # RunConfig too needs n_max >= 2
+        raise SystemExit2(f"differentials are solved for 0 <= n <= N_max = {N}, N_max >= 2; "
+                          "use the reflected potential for negative indices")
     iso = build_isolating(v, table, nodes=cfg.nodes)
     out_json = []
     csv_rows = []

@@ -309,7 +309,7 @@ def _probe_values(vv, probes, tol):
         mine = [(lam, w) for lam, w in probes if (w if w in ("chi_D", "chi_p") else None) == kind]
         lams = list(dict.fromkeys(lam for lam, _ in mine))
         if kind and lams:
-            roots = _newton_batch(vv, lams, kind, tol=tol)
+            roots = _newton_batch(vv, lams, kind, tol=tol)[0]
             vals.update(((s, kind), complex(r)) for s, r in zip(lams, roots))
         elif lams:
             res = integrate_many(vv, lams, order=0, tol=tol)

@@ -181,7 +181,8 @@ class BatchResult:
         self.err = err  # estimated relative error per lambda
 
     def single(self, i) -> "BatchResult":
-        """The one-lambda result of batch entry i."""
+        """The one-lambda result of batch entry i; an index array or slice i
+        gives the batch of the entries it selects."""
         at = lambda a: None if a is None else a[i]
         return BatchResult(
             self.lams[i], self.Mgrave[i], at(self.Mgrave_dot), at(self.Mgrave_ddot),

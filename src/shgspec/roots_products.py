@@ -428,17 +428,19 @@ PRODUCT_SAMPLE_LAMBDAS = np.array(
 
 def verify_product_reps(v, table, K, tol_ode=1e-11):
     """Relative residuals of the three product representations against the
-    integrator at PRODUCT_SAMPLE_LAMBDAS."""
+    integrator at PRODUCT_SAMPLE_LAMBDAS, at truncation K.  A sequence K
+    gives a list of them, one per truncation, from one propagation."""
     from .monodromy import integrate_many
 
     lams = PRODUCT_SAMPLE_LAMBDAS
     res = integrate_many(v, lams, order=1, tol=tol_ode)
     rel = lambda a, b: float(np.max(np.abs(a - b) / np.maximum(np.abs(b), 1e-12)))
-    return {
-        "chi_p": rel(product_chi_p(table, K, lams), res.chi_p),
-        "chi_D": rel(product_chi_D(table, K, lams), res.chi_D),
-        "delta_dot": rel(product_delta_dot(table, K, lams), res.Delta_dot),
-    }
+    reps = [{
+        "chi_p": rel(product_chi_p(table, k, lams), res.chi_p),
+        "chi_D": rel(product_chi_D(table, k, lams), res.chi_D),
+        "delta_dot": rel(product_delta_dot(table, k, lams), res.Delta_dot),
+    } for k in np.atleast_1d(K).tolist()]
+    return reps if np.ndim(K) else reps[0]
 
 
 # ---------------------------------------------------------------------------

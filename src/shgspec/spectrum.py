@@ -12,6 +12,7 @@ family variable potential.family_var.
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import dataclass, field
 
@@ -125,44 +126,63 @@ def count_annulus(v: Potential, N: int, tol=1e-11):
 # Newton localization (batched over indices)
 
 
-def _newton_batch(v, seeds, kind, tol=1e-12):
+def _newton_batch(v, seeds, kind, tol=1e-12, first=None):
     """Batched Newton on a monodromy scalar; stops per element on a tiny step
-    or on stagnation at the integrator noise floor."""
+    or on stagnation at the integrator noise floor.  Returns the roots and a
+    BatchResult of each element's last propagation, one step from its root;
+    first, a BatchResult at the seeds, stands in for the first propagation."""
     lam = np.array(seeds, dtype=complex)
     active = np.ones(lam.size, dtype=bool)
     prev = np.full(lam.size, np.inf)
     order = 2 if kind == "ddelta" else 1
+    res, last = first, None
     for it in range(NEWTON_MAX_ITER):
-        if not active.any():
+        idx = np.flatnonzero(active)
+        if idx.size == 0:
             break
-        f, df = _PAIRS[kind](integrate_many(v, lam[active], order=order, tol=tol))
+        if it or res is None:
+            res = integrate_many(v, lam[idx], order=order, tol=tol)
+        last = res if last is None else _merged(last, idx, res)
+        f, df = _PAIRS[kind](res)
         step = f / df
-        cap = np.minimum(0.5, 0.2 * np.abs(lam[active]) + 1e-4)
+        cap = np.minimum(0.5, 0.2 * np.abs(lam[idx]) + 1e-4)
         big = np.abs(step) > cap
         if big.any():
             step[big] *= cap[big] / np.abs(step[big])
-        lam[active] = lam[active] - step
+        lam[idx] = lam[idx] - step
         s = np.abs(step)
-        done = s <= 1e-13 * (1.0 + np.abs(lam[active]))
+        done = s <= 1e-13 * (1.0 + np.abs(lam[idx]))
         if it >= 3:
-            done |= s >= 0.5 * prev[active]
-        prev[active] = s
-        idx = np.flatnonzero(active)
+            done |= s >= 0.5 * prev[idx]
+        prev[idx] = s
         active[idx[done]] = False
     if active.any():
         raise RuntimeError(
             f"Newton localization for {kind} did not converge at indices "
             f"{np.flatnonzero(active)}"
         )
-    return lam
+    return lam, last
 
 
-def _periodic_pair_from_ddot(v, lam_dots, tol=1e-13):
+def _merged(res, idx, part):
+    """The BatchResult res with its entries idx taken from part (a copy); a
+    jet that part lacks is dropped."""
+    out = copy.copy(part)
+    for name in ("lams", "Mgrave", "Mgrave_dot", "Mgrave_ddot", "steps", "err"):
+        if getattr(part, name) is not None:
+            setattr(out, name, getattr(res, name).copy())
+            getattr(out, name)[idx] = getattr(part, name)
+    return out
+
+
+def _periodic_pair_from_ddot(v, lam_dots, res, tol=1e-13):
     """Quadratic model of chi_p at the Delta_dot roots, then Newton polish.
 
     chi_p'(lam_dot)=0, so chi_p ~ chi_p(ld) + chi_p''(ld)(lam-ld)^2/2 with
     chi_p'' = 2(Delta_dot^2 + Delta*Delta_ddot); the two roots sit at
-    ld +- h, h = sqrt(-2 chi_p / chi_p'').  The squared half-width h^2 is
+    ld +- h, h = sqrt(-2 chi_p / chi_p'').  The model reads res, the Delta_dot
+    Newton's last order-2 result, one sub-1e-13 step from each ld; centred on
+    ld, h^2 moves by that step squared.  The squared half-width h^2 is
     measured down to the integrator noise; below the larger of the noise and
     DOUBLE_ROOT_TOL (1 + |ld|) / |omega'(ld)|^2 the pair is a double
     eigenvalue.  The noise of chi_p = Delta^2 - 1 is
@@ -173,7 +193,6 @@ def _periodic_pair_from_ddot(v, lam_dots, tol=1e-13):
     accurate than Newton on a nearly double root can be.
     """
     lam_dots = np.asarray(lam_dots, dtype=complex)
-    res = integrate_many(v, lam_dots, order=2, tol=tol)
     chi = res.chi_p
     m_max = np.maximum(1.0, np.abs(res.Mgrave).max(axis=(-2, -1)))
     noise = 2.0 * res.err * m_max**2 + 1e-15 * (1.0 + np.abs(lam_dots))
@@ -191,7 +210,7 @@ def _periodic_pair_from_ddot(v, lam_dots, tol=1e-13):
     polish = (~dbl) & (np.abs(h) * freq > 1e-4 * scale)
     if polish.any():
         seeds = np.concatenate([minus[polish], plus[polish]])
-        polished = _newton_batch(v, seeds, "chi_p", tol=tol)
+        polished = _newton_batch(v, seeds, "chi_p", tol=tol)[0]
         k = polished.size // 2
         minus[polish] = polished[:k]
         plus[polish] = polished[k:]
@@ -379,17 +398,17 @@ class SpectrumTable:
 def build_table(v: Potential, n_max: int, tol=1e-12) -> SpectrumTable:
     """Localize all spectral data for |n| <= n_max and label it.
 
-    Delta_dot roots are found first (they seed the quadratic model for the
-    periodic pairs), then the periodic and Dirichlet eigenvalues; all Newton
-    runs are batched over the index range.
+    One Newton batch finds the Delta_dot roots and lambda_dot_star (seed i/4);
+    its last order-2 result feeds the quadratic model of the periodic pairs
+    and the first step of the Dirichlet Newton, so no lambda is propagated
+    twice.  All Newton runs are batched over the index range.
     """
     v.validate()
     ns = np.arange(-n_max, n_max + 1)
-    lam_dots = _newton_batch(v, lam_zero(ns), "ddelta", tol=tol)
-    minus, plus = _periodic_pair_from_ddot(v, lam_dots, tol=tol)
-    mus = _newton_batch(v, lam_dots, "chi_D", tol=tol)
-    # the extra Delta_dot root on the positive imaginary axis (i/4 at v = 0)
-    ld_star = complex(_newton_batch(v, [0.25j], "ddelta", tol=tol)[0])
+    roots, res = _newton_batch(v, np.append(lam_zero(ns), 0.25j), "ddelta", tol=tol)
+    lam_dots, ld_star, res = roots[:-1], complex(roots[-1]), res.single(slice(-1))
+    minus, plus = _periodic_pair_from_ddot(v, lam_dots, res, tol=tol)
+    mus = _newton_batch(v, res.lams, "chi_D", tol=tol, first=res)[0]
     if ld_star.imag < 0:
         ld_star = -ld_star
     for arr in (minus, plus, mus, lam_dots):
@@ -424,10 +443,11 @@ def build_table(v: Potential, n_max: int, tol=1e-12) -> SpectrumTable:
 def delta_sign_check(v: Potential, table: SpectrumTable, tol=1e-11):
     """max_n |Delta(lambda_n^+-) - (-1)^n| over the table (real potentials)."""
     ns = np.arange(-table.n_max, table.n_max + 1)
-    lams = np.concatenate([table.lam_minus, table.lam_plus])
+    # a closed gap lists lambda^- = lambda^+: each endpoint is propagated once
+    lams, at = np.unique(np.r_[table.lam_minus, table.lam_plus], return_inverse=True)
     res = integrate_many(v, lams, order=0, tol=tol)
     signs = np.concatenate([(-1.0) ** ns, (-1.0) ** ns])
-    return float(np.max(np.abs(res.Delta - signs)))
+    return float(np.max(np.abs(res.Delta[at] - signs)))
 
 
 # ---------------------------------------------------------------------------

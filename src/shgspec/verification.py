@@ -221,10 +221,8 @@ def run_suite(v: Potential, cfg: RunConfig | None = None):
 
     # product representations with K-convergence trace; the node table
     # reaches the largest truncation so higher K genuinely adds information
-    trace = []
-    for Kp in PRODUCT_K_LIST:
-        rep = verify_product_reps(v, tab_full, Kp, tol_ode=cfg.ode_tol)
-        trace.append((Kp, max(rep["chi_p"], rep["chi_D"], rep["delta_dot"])))
+    reps = verify_product_reps(v, tab_full, PRODUCT_K_LIST, tol_ode=cfg.ode_tol)
+    trace = [(Kp, max(rep.values())) for Kp, rep in zip(PRODUCT_K_LIST, reps)]
     report("product_reps", trace[-1][1], trace=trace)
     # strictly decreasing in K: a step counts that does not lower the residual
     # unless it ends at or below ode_tol, the accuracy of the integrate_many

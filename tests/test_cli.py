@@ -158,6 +158,19 @@ def test_differentials_rejects_negative_n(files, capsys, tmp_path):
     assert "spectrum table" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n_max", [0, 1])
+def test_differentials_rejects_a_table_below_n_max_2(files, capsys, tmp_path, n_max):
+    """An injected table of N_max < 2 is an input error, as --nmax below 2 is:
+    the sigma system is solved for n = 0, 1, 2."""
+    d, zero, cos, cfg = files
+    tab_path = tmp_path / "table.json"
+    assert main(["spectrum", str(cos), "--nmax", "2", "--out", str(tab_path)]) == 0
+    small = spectrum.SpectrumTable.from_json(tab_path.read_text()).truncated(n_max)
+    tab_path.write_text(small.to_json())
+    assert main(["differentials", str(cos), "--n-list", "0", "--table", str(tab_path)]) == 2
+    assert f"N_max = {n_max}" in capsys.readouterr().err
+
+
 def test_verify_exit_codes(files, capsys):
     d, zero, cos, cfg = files
     assert (

@@ -227,7 +227,7 @@ def test_fd_quotients_match_the_naive_oracle(v_seed, tmp_path, capsys):
         return lambda vv: complex(getattr(integrate(vv, 1.7, order=0, tol=tol), attr))
 
     def relocated(lam, kind):
-        return lambda vv: complex(_newton_batch(vv, [lam], kind, tol=1e-13)[0])
+        return lambda vv: complex(_newton_batch(vv, [lam], kind, tol=1e-13)[0][0])
 
     scalar_fns = {
         ("Delta", ""): at("Delta"),
@@ -320,7 +320,7 @@ def test_grad_dirichlet_fd(v_seed, tab16, dirs):
     kern = grad_dirichlet(v_seed, mu1, tol=TOL)
 
     def mu_at(vv):
-        return complex(_newton_batch(vv, [mu1], "chi_D", tol=TOL)[0])
+        return complex(_newton_batch(vv, [mu1], "chi_D", tol=TOL)[0][0])
 
     for d in dirs:
         ana = kern.pair(d)
@@ -333,7 +333,7 @@ def test_grad_periodic_fd_and_chain_rule(v_seed, tab16, dirs):
     chain_kern = grad_periodic_via_delta(v_seed, lam1p, tol=TOL)
 
     def lam_at(vv):
-        return complex(_newton_batch(vv, [lam1p], "chi_p", tol=TOL)[0])
+        return complex(_newton_batch(vv, [lam1p], "chi_p", tol=TOL)[0][0])
 
     for d in dirs:
         ana = kern.pair(d)

@@ -7,10 +7,13 @@ from shgspec.config import seeded_ensemble
 from shgspec.monodromy import integrate_many, lam_zero
 from shgspec.potential import Potential
 from shgspec.quadrature import ContourSpec, winding_number
+import shgspec.spectrum as sp
 from shgspec.spectrum import (
     DiscFamily,
     SpectrumTable,
     _PAIRS,
+    _newton_batch,
+    _periodic_pair_from_ddot,
     build_isolating,
     build_table,
     certify_counts,
@@ -195,22 +198,88 @@ def test_reality_and_interlacing(v_seed, tab16):
         assert tab16.lam_pm(n)[1].real < tab16.lam_pm(n + 1)[0].real
 
 
-def test_reciprocal_end_gaps_of_the_generic_potential_are_open():
-    """The double-root rule measures the half-width on the local scale
-    omega' ~ 1/(16 lambda^2), so the narrow open gaps at the reciprocal end
-    stay open.  v4 is the generic K_f = 8 potential: q_k = 0.02 (a + ib)/k,
-    k = 1..8, then p_k = 0.01 (a + ib)/k, k = 1..4, with a, b successive
-    normal draws of seed 1.  Its gaps n = -5..-8 are about 5e-6 to 7.5e-6
-    wide in lambda, and |Delta| > 1 at their midpoints."""
+def _generic_v4():
+    """v4, the generic K_f = 8 potential: q_k = 0.02 (a + ib)/k, k = 1..8,
+    then p_k = 0.01 (a + ib)/k, k = 1..4, with a, b successive normal draws
+    of seed 1."""
     rng = np.random.default_rng(1)
     q = {k: 0.02 * complex(rng.normal(), rng.normal()) / k for k in range(1, 9)}
     p = {k: 0.01 * complex(rng.normal(), rng.normal()) / k for k in range(1, 5)}
-    v4 = Potential.from_modes(q, p, Kf=8)
+    return Potential.from_modes(q, p, Kf=8)
+
+
+def test_reciprocal_end_gaps_of_the_generic_potential_are_open():
+    """The double-root rule measures the half-width on the local scale
+    omega' ~ 1/(16 lambda^2), so the narrow open gaps at the reciprocal end
+    stay open.  The gaps n = -5..-8 of v4 are about 5e-6 to 7.5e-6 wide in
+    lambda, and |Delta| > 1 at their midpoints."""
+    v4 = _generic_v4()
     tab = build_table(v4, 8, tol=1e-13)
     ns = range(-8, -4)
     assert all(tab.gamma(n) != 0 for n in ns)
     taus = np.array([tab.tau(n) for n in ns])
     assert np.all(np.abs(integrate_many(v4, taus, order=0, tol=1e-13).Delta) > 1.0)
+
+
+def _propagations(monkeypatch):
+    """Wrap spectrum.integrate_many; the list returned gets the lambda and
+    the lambda-steps of every call."""
+    calls = []
+    run = sp.integrate_many
+
+    def counted(v, lams, order=1, **kw):
+        res = run(v, lams, order, **kw)
+        calls.append((np.atleast_1d(lams).copy(), int(np.sum(res.steps))))
+        return res
+
+    monkeypatch.setattr(sp, "integrate_many", counted)
+    return calls
+
+
+@pytest.mark.parametrize("k, n_max, before", [(0, 8, 55168), (2, 16, 188032)])
+def test_build_table_propagates_each_lambda_once(monkeypatch, k, n_max, before):
+    """The Delta_dot Newton hands its last order-2 propagation to the
+    quadratic model and to the Dirichlet Newton's first iteration, and finds
+    lambda_dot_star in the same batch: no lambda reaches integrate_many
+    twice, and the lambda-steps of v1 (n_max 8) and v3 (n_max 16) stay below
+    70% of what propagating each lambda_dot again cost."""
+    calls = _propagations(monkeypatch)
+    build_table(seeded_ensemble()[k], n_max, tol=1e-13)
+    lams = np.concatenate([lam for lam, _ in calls])
+    assert np.unique(lams).size == lams.size
+    assert sum(steps for _, steps in calls) <= 0.7 * before
+
+
+def test_quadratic_model_and_first_dirichlet_step_propagate_nothing(v_seed, monkeypatch):
+    """With the polish Newton stubbed out, the quadratic model propagates no
+    lambda; the Dirichlet Newton's first propagation lies one step away
+    from the handed-forward result, and it finds the roots a Newton from the
+    Delta_dot roots finds."""
+    roots, res = _newton_batch(v_seed, lam_zero(np.arange(-8, 9)), "ddelta", tol=1e-13)
+    calls = _propagations(monkeypatch)
+    with monkeypatch.context() as m:
+        m.setattr(sp, "_newton_batch", lambda v, seeds, kind, tol: (np.asarray(seeds), None))
+        _periodic_pair_from_ddot(v_seed, roots, res, tol=1e-13)
+    assert calls == []
+    mus = _newton_batch(v_seed, res.lams, "chi_D", tol=1e-13, first=res)[0]
+    assert calls and not np.isin(calls[0][0], res.lams).any()
+    fresh = _newton_batch(v_seed, roots, "chi_D", tol=1e-13)[0]
+    assert np.max(np.abs(mus - fresh) / np.abs(fresh)) <= 1e-14
+
+
+@pytest.mark.parametrize("name, n_max", [("v1", 8), ("v3", 16), ("v4", 8)])
+def test_handed_forward_model_matches_a_fresh_propagation(name, n_max):
+    """The quadratic model fed the Delta_dot Newton's last result agrees with
+    the model fed a fresh order-2 propagation at the roots: lambda^+- to
+    1e-13 relative, and every open/double decision the same."""
+    v = {"v1": seeded_ensemble()[0], "v3": seeded_ensemble()[2], "v4": _generic_v4()}[name]
+    roots, res = _newton_batch(v, lam_zero(np.arange(-n_max, n_max + 1)), "ddelta", tol=1e-13)
+    got = _periodic_pair_from_ddot(v, roots, res, tol=1e-13)
+    want = _periodic_pair_from_ddot(v, roots, integrate_many(v, roots, order=2, tol=1e-13),
+                                    tol=1e-13)
+    for a, b in zip(got, want):
+        assert np.max(np.abs(a - b) / np.abs(b)) <= 1e-13
+    assert np.array_equal(got[0] == got[1], want[0] == want[1])
 
 
 def test_delta_sign_at_periodic(v_seed, tab16):

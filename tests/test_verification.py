@@ -81,7 +81,7 @@ def test_product_monotone_counts_flat_steps_above_the_floor(monkeypatch):
     """A flat product trace above ode_tol is three steps that do not lower
     the residual: the monotonicity gate reads 3 and fails."""
     flat = {"chi_p": 1e-5, "chi_D": 1e-5, "delta_dot": 1e-5}
-    monkeypatch.setattr(verification, "verify_product_reps", lambda *a, **kw: flat)
+    monkeypatch.setattr(verification, "verify_product_reps", lambda v, table, K, **kw: [flat] * len(K))
     by_id = {c.check_id: c for c in run_suite(Potential.cosine(0.1), _small_cfg())}
     mono = by_id["product_reps_monotone"]
     assert mono.metric == 3 and mono.status == "fail"
