@@ -7,7 +7,8 @@ Newton iteration on the exact monodromy functions.  The module also builds
 the isolating neighborhoods (discs U_n, U_* and contours Gamma_{j,m}) on
 which every contour integral downstream lives.  Every two-index accessor
 (slot (j, m) of family j = 1, 2) derives from one rule, _single, and the
-family variable potential.family_var.
+family variable potential.family_var.  Counting and trace-formula circles
+propagate one node per mirror pair of their nodes (_on_contour).
 """
 
 from __future__ import annotations
@@ -99,10 +100,37 @@ _PAIRS = {
 }
 
 
+def _on_contour(v, spec, order, tol):
+    """Monodromy data of the given order on every node of spec from one node
+    propagated per orbit of the circle's symmetries: M(-lam) = S M(lam) S,
+    S = diag(1, -1), for every potential (jet j takes (-1)^j) and M(conj lam) =
+    conj M(lam) for real-flagged ones.  On theta_k = 2 pi k / N they pair k with
+    -k (centre on the real axis), k + N/2 (centre 0) and N/2 - k (centre on the
+    imaginary axis); a centre off an axis by less than the nodes' rounding is on it."""
+    z = spec.points()[0]
+    N, c, k = spec.nodes, complex(spec.center), np.arange(spec.nodes)
+    axis = 1e-15 * (abs(c) + spec.radius)
+    re, im, even = abs(c.imag) <= axis, abs(c.real) <= axis, N % 2 == 0
+    maps = [((-k) % N, False, True, v.real and re),  # (node map, -lam, conj, holds)
+            ((k + N // 2) % N, True, False, even and re and im),
+            ((N // 2 - k) % N, True, True, even and v.real and im)]
+    src, neg, cj = k.copy(), np.zeros(N, bool), np.zeros(N, bool)
+    for node, n, conj, holds in maps:  # each map is an involution
+        take = holds & (node < src)
+        src[take], neg[take], cj[take] = node[take], n, conj
+    reps = np.flatnonzero(src == k)
+    out = integrate_many(v, z[reps], order=order, tol=tol).single(np.searchsorted(reps, src))
+    out.lams, sgn = z, np.array([[1.0, -1.0], [-1.0, 1.0]])
+    for j, name in enumerate(("Mgrave", "Mgrave_dot", "Mgrave_ddot")[: order + 1]):
+        M = np.where(cj[:, None, None], getattr(out, name).conj(), getattr(out, name))
+        setattr(out, name, np.where(neg[:, None, None], (-1) ** j * sgn * M, M))
+    return out
+
+
 def _windings(v, spec, kinds, tol):
     """{kind: winding_number(...)} on one contour, every kind from the same
-    order-2 propagation on the contour's nodes."""
-    res = integrate_many(v, spec.points()[0], order=2, tol=tol)
+    order-2 data on the contour's nodes (_on_contour)."""
+    res = _on_contour(v, spec, 2, tol)
     return {k: winding_number(lambda z, k=k: _PAIRS[k](res), spec) for k in kinds}
 
 
@@ -111,7 +139,8 @@ def count_annulus(v: Potential, N: int, tol=1e-11):
 
     For potentials in the working neighborhood the annulus holds exactly
     4+8N periodic eigenvalues, 2+4N Dirichlet eigenvalues and 4+4N roots of
-    the discriminant derivative.
+    the discriminant derivative.  Both circles are centred at 0: they
+    propagate half their nodes, about a quarter for real potentials.
     """
     nodes = max(256, 96 * N)
     outer = _windings(v, ContourSpec(0.0, DiscFamily.B_radius(N), nodes), _PAIRS, tol)
@@ -543,8 +572,10 @@ def build_isolating(
     built in the reciprocal coordinate 1/(16 lambda) (where the clusters sit
     near |n| pi) and mapped back, which makes property (I-3) hold by
     construction.  Contours are circles centered at the gap midpoints with
-    radius max(2|gamma|, clearance/3) capped inside U_n, which keeps
-    |gamma^2 / 4 (tau - lambda)^2| <= 1/16 on every contour.
+    radius r = min(max(2|gamma|, clearance/3), 0.62 clearance), inside U_n.
+    r > |gamma|/2 is enforced, so each contour encloses its gap and
+    |gamma^2 / 4 (tau - lambda)^2| < 1 on it (<= 1/16 where the cap does not
+    bind); a ValueError names the first n where it fails.
     """
     N = table.n_max
     # positive row n = 0..N, with the n=-1 cluster as left neighbor and the
@@ -613,8 +644,10 @@ def build_isolating(
         gam = abs(table.gamma(n))
         cen, R = centers[n + N], radii[n + N]
         clear = R - abs(tau - cen)
-        r = max(2.0 * gam, clear / 3.0)
-        r = min(r, 0.62 * clear)
+        r = min(max(2.0 * gam, clear / 3.0), 0.62 * clear)
+        if r <= 0.5 * gam:
+            raise ValueError(f"the contour of n = {n} (radius {r:.3g}) misses its gap "
+                             f"(|gamma| = {gam:.3g}); contours not constructible")
         ccent[n + N] = tau
         crad[n + N] = r
 
@@ -650,7 +683,9 @@ def certify_counts(v, table, iso, n_range, tol=1e-11):
     """Argument-principle counts of the chi_p, chi_D and Delta_dot roots in
     each U_n, n in n_range ({n: {kind: count}}), and of the Delta_dot roots
     in U_* (key "star").  Isolation means 2, 1, 1 in every U_n and 1 in U_*;
-    the counts are returned as measured, and the suite judges them."""
+    the counts are returned as measured, and the suite judges them.  For a
+    real potential U_n and U_* (centres on an axis) propagate 33 of 64 nodes,
+    the mirror images of the others; a complex potential propagates all."""
     report = {}
     for n in n_range:
         c, r = iso.U(n)
@@ -670,9 +705,11 @@ def trace_formula_tau(v: Potential, n: int, contour: ContourSpec, tol=1e-11):
 
         (lambda_n^+)^k + (lambda_n^-)^k
             = (1/2 pi i) oint lambda^k 2 Delta Delta_dot/(Delta^2-1) dlambda.
+    On a real-centred contour of a real potential, one node per conjugate pair
+    is propagated (_on_contour).
     """
     z, dz = contour.points()
-    res = integrate_many(v, z, order=1, tol=tol)
+    res = _on_contour(v, contour, 1, tol)
     kern = res.chi_p_dot / res.chi_p
     m1 = np.sum(z * kern * dz) / (2j * np.pi)
     m2 = np.sum(z * z * kern * dz) / (2j * np.pi)

@@ -103,10 +103,12 @@ def check_monodromy_invariants(v, cfg):
     res_m = integrate_many(v, -lams, order=0, tol=cfg.ode_tol)
     dets = np.array([np.linalg.det(res.Mgrave[i]) for i in range(lams.size)])
     wr = np.max(np.abs(dets - 1.0))
-    even = np.max(np.abs(res.Delta - res_m.Delta))
+    # whole matrices, each side propagated on its own; S = diag(1, -1)
+    S = np.diag([1.0, -1.0])
+    even = np.max(np.abs(res_m.Mgrave - S @ res.Mgrave @ S))
     if v.real:
-        rr = integrate_many(v, lams.real, order=0, tol=cfg.ode_tol)
-        realsym = float(np.max(np.abs(rr.Delta.imag)))
+        rr = integrate_many(v, lams.conj(), order=0, tol=cfg.ode_tol)
+        realsym = float(np.max(np.abs(rr.Mgrave - res.Mgrave.conj())))
     else:
         realsym = None
     return wr, even, realsym

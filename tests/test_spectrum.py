@@ -89,6 +89,82 @@ def test_one_propagation_per_counting_contour(v_seed, tab16, iso16, monkeypatch)
     assert cnt["chi_p"][0] == 4 + 8 * 2 and orders == [2, 2]
 
 
+@pytest.fixture(scope="module")
+def v3_iso():
+    v3 = seeded_ensemble()[2]
+    return v3, build_isolating(v3, build_table(v3, 4, tol=1e-13))
+
+
+def _counting_contours(iso):
+    """U_-3, U_0, U_2 and U_* as certify_counts draws them, then both
+    count_annulus circles at N = 4."""
+    discs = [iso.U(n) for n in (-3, 0, 2)] + [(iso.star_center, iso.star_radius)]
+    return [ContourSpec(c, 0.98 * r, iso.nodes) for c, r in discs] + [
+        ContourSpec(0.0, DiscFamily.B_radius(N), 384) for N in (4, -4)]
+
+
+def test_on_contour_matches_direct_propagation(v_seed, iso16, v3_iso, monkeypatch):
+    """Filled in from one node per mirror pair, M and both lambda-jets agree
+    with a direct propagation of every node within 1e-13 relative.  v1 (real)
+    propagates 33 of 64 nodes on U_n and U_* and 97 of 384 on each annulus
+    circle; v3 (complex) keeps only evenness: all 64 on U_n, 192 of 384 on
+    the annulus circles."""
+    calls = _propagations(monkeypatch)
+    cases = [(v_seed, spec, want) for spec, want in
+             zip(_counting_contours(iso16), (33, 33, 33, 33, 97, 97))]
+    v3, iso3 = v3_iso
+    cases += [(v3, spec, want) for spec, want in
+              zip(_counting_contours(iso3), (64, 64, 64, 64, 192, 192))]
+    for v, spec, want in cases:
+        calls.clear()
+        got = sp._on_contour(v, spec, 2, 1e-11)
+        assert [lam.size for lam, _ in calls] == [want]
+        direct = integrate_many(v, spec.points()[0], order=2, tol=1e-11)
+        assert np.array_equal(got.lams, direct.lams)
+        for jet in ("Mgrave", "Mgrave_dot", "Mgrave_ddot"):
+            a, b = getattr(got, jet), getattr(direct, jet)
+            assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b)), (spec, jet)
+
+
+@pytest.mark.parametrize("k, spec, want", [
+    (0, ContourSpec(0.25j, 0.1, 63), 63),  # odd N, centre on the imaginary axis
+    (2, ContourSpec(0.0, 1.5, 63), 63),  # odd N at the origin, complex potential
+    (0, ContourSpec(2.0 + 0.3j, 0.5, 64), 64),  # centre off both axes
+    (0, ContourSpec(0.3 + 0.25j, 0.1, 64), 64),
+    (0, ContourSpec(2.0, 0.5, 63), 32),  # k <-> -k needs no even N
+])
+def test_on_contour_without_symmetry_propagates_every_node(k, spec, want, monkeypatch):
+    """A node count or centre that pairs no nodes propagates every node,
+    exactly as integrate_many alone does.  Only the pairings through N/2 need
+    an even N: on the real axis an odd N still pairs k with -k."""
+    v = seeded_ensemble()[k]
+    calls = _propagations(monkeypatch)
+    got = sp._on_contour(v, spec, 1, 1e-11)
+    assert [lam.size for lam, _ in calls] == [want]
+    direct = integrate_many(v, spec.points()[0], order=1, tol=1e-11)
+    if want == spec.nodes:
+        assert np.array_equal(got.Mgrave, direct.Mgrave)
+        assert np.array_equal(got.Mgrave_dot, direct.Mgrave_dot)
+    for a, b in ((got.Mgrave, direct.Mgrave), (got.Mgrave_dot, direct.Mgrave_dot)):
+        assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
+
+
+def test_counting_work_on_v1(v_seed, tab16, iso16, monkeypatch):
+    """certify_counts at |n| <= 16 and count_annulus(v1, 4) propagate half
+    and a quarter of their nodes: at most 484,416 lambda-steps (929,728
+    propagating every node) and 49,664 (196,608), with the counts isolation
+    requires."""
+    calls = _propagations(monkeypatch)
+    rep = certify_counts(v_seed, tab16, iso16, n_range=range(-16, 17))
+    assert rep.pop("star") == 1
+    assert all(got == {"chi_p": 2, "chi_D": 1, "ddelta": 1} for got in rep.values())
+    assert sum(steps for _, steps in calls) <= 484416
+    calls.clear()
+    cnt = count_annulus(v_seed, 4)
+    assert {k: c for k, (c, _) in cnt.items()} == {"chi_p": 36, "chi_D": 18, "ddelta": 20}
+    assert sum(steps for _, steps in calls) <= 49664
+
+
 def _direct_period2_eigenvalues(v, nmodes=40):
     """Independent oracle: Fourier-matrix discretization of the first-order
     operator on period-2 functions, linearized in the spectral parameter by a
@@ -397,6 +473,20 @@ def test_isolating_failure_names_the_overlap():
     v = Potential.cosine(2.0, mode=3)
     with pytest.raises(ValueError, match=r"n = -3 and n = -4 overlap .*\|gamma_3\| = 8\.03"):
         build_isolating(v, _overlapping_table())
+
+
+def test_isolating_refuses_a_contour_inside_its_gap():
+    """q = cos(2 pi x): the n = -1 gap is wider than twice the radius its
+    disc leaves for the contour (r/|gamma| = 0.456), so the circle would not
+    enclose the gap; build_isolating names n.  At amplitude 0.6 the smallest
+    r/|gamma| is 0.63 and every contour encloses its gap."""
+    v = Potential.cosine(1.0)
+    with pytest.raises(ValueError, match=r"contour of n = -1 .* misses its gap"):
+        build_isolating(v, build_table(v, 16))
+    v = Potential.cosine(0.6)
+    tab = build_table(v, 16)
+    iso = build_isolating(v, tab)
+    assert all(iso.contour_radii[n + 16] > 0.5 * abs(tab.gamma(n)) for n in range(-16, 17))
 
 
 def test_table_refuses_one_root_at_two_indices():

@@ -77,6 +77,33 @@ def test_zero_potential_suite_passes():
     assert by_id["product_reps_monotone"].reason.startswith("0 of 3 steps")
 
 
+@pytest.mark.parametrize("call, entry, check_id", [
+    (1, (0, 1), "monodromy_evenness"),  # the -lambda side, off the diagonal
+    (0, (1, 1), "monodromy_evenness"),
+    (2, (1, 0), "monodromy_real_symmetry"),  # the conj(lambda) side
+    (0, (0, 1), "monodromy_real_symmetry"),
+])
+def test_monodromy_symmetry_checks_see_one_perturbed_entry(monkeypatch, call, entry, check_id):
+    """Evenness and reality compare whole matrices, each side propagated on
+    its own: 1e-8 added to one entry of one side fails the check, and the
+    unperturbed sides pass it."""
+    v, cfg = seeded_ensemble()[0], _small_cfg()
+    at = {"monodromy_evenness": 1, "monodromy_real_symmetry": 2}[check_id]
+    assert verification.check_monodromy_invariants(v, cfg)[at] <= THRESHOLDS[check_id]
+    run, calls = verification.integrate_many, []
+
+    def perturbed(v, lams, order=1, **kw):
+        res = run(v, lams, order, **kw)
+        if len(calls) == call:
+            res.Mgrave[(...,) + entry] += 1e-8
+        calls.append(lams)
+        return res
+
+    monkeypatch.setattr(verification, "integrate_many", perturbed)
+    metric = verification.check_monodromy_invariants(v, cfg)[at]
+    assert len(calls) == 3 and metric > THRESHOLDS[check_id]
+
+
 def test_product_monotone_counts_flat_steps_above_the_floor(monkeypatch):
     """A flat product trace above ode_tol is three steps that do not lower
     the residual: the monotonicity gate reads 3 and fails."""
