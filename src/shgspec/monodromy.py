@@ -17,12 +17,27 @@ which is exact for a traceless 2x2 generator.  lambda enters L only through
 lambda J and 1/lambda, so Omega is a Laurent polynomial in lambda: its
 diagonal has the even powers -4..2, its off-diagonal entries the odd powers
 -5..3.  Those coefficients do not depend on lambda; they are built once per
-potential and step count from the fields w and exp(+-q) at the Gauss points
-and cached on the potential (up to CACHE_STEPS steps; beyond that they are
-computed block by block as needed).  For each batch of lambda, Omega and its
-lambda-jets are one matrix product of the coefficients with the powers of
-lambda.  The step maps are multiplied as a tree, vectorised over lambda, in
-blocks of at most BLOCK (lambda x step) elements.
+potential and step count and cached on the potential (up to CACHE_STEPS
+steps; beyond that they are computed block by block as needed).  They come
+from the three Gauss-point combinations alpha_1..3 of each step, which are
+sums over the Fourier modes k of the fields w/4, -e^q/16 and e^-q/16: for
+the step [x, x + h] and theta = pi k h,
+
+    alpha_i = sum_k c_k w_i(k, h) e^{2 pi i k (x + h/2)},
+    w_1 = h,  w_2 = (2 sqrt 15 / 3) i h sin(sqrt 15 theta / 5),
+    w_3 = -(40/3) h sin^2(sqrt 15 theta / 10),
+
+so no difference of nearly equal node values is formed.  On a cached
+uniform grid the sums over all steps are one inverse FFT of length N of the
+weighted coefficients folded mod N; the steps a path node splits, and the
+blocks of a grid beyond CACHE_STEPS, take the sums directly.  For each batch
+of lambda, Omega and its lambda-jets are one matrix product of the
+coefficients with the powers of lambda.  The step maps are multiplied as a
+tree, vectorised over lambda, in chunks of at most BLOCK (lambda x step)
+elements; a chunk's large arrays live in a workspace that is kept for the
+process (three buffers of at least 12 BLOCK complex per thread), not taken
+afresh for each chunk, so the kernel's steady speed does not depend on the
+allocator's mmap and trim thresholds.
 
 Step count.  Every lambda is propagated twice, on N and on N/2 steps.  For
 a sixth-order scheme the difference divided by 2^6 - 1 estimates the error
@@ -54,11 +69,12 @@ forms serve as the oracle for the propagator.
 
 from __future__ import annotations
 
-from math import factorial
+import threading
+from math import factorial, prod
 
 import numpy as np
 
-from .potential import Potential
+from .potential import Potential, _phases, p_multiplier
 
 __all__ = [
     "omega",
@@ -78,8 +94,6 @@ DEFAULT_TOL = 1e-11
 # the tolerances integrate_many accepts, also the range of RunConfig.ode_tol
 TOL_RANGE = (1e-13, 1e-6)
 
-# Gauss-Legendre nodes of a unit step
-GAUSS = 0.5 + np.array([-1.0, 0.0, 1.0]) * np.sqrt(15.0) / 10.0
 # first guess N = STEP_CONST (2 pi K_f)^(1/5) max(|omega|, 2 pi K_f)^(4/5)
 # tol^(-1/6), before rounding up
 STEP_CONST = 0.3
@@ -279,44 +293,110 @@ def _step_fields(v: Potential, n: int, path_x):
     that end a step of the block (their indices into path_x and into x).
 
     The breakpoints are those of the uniform n-grid together with path_x.
-    Cached on the potential up to CACHE_STEPS steps; beyond that each block
-    is computed when it is needed, so memory stays flat and only time grows
-    with n.
+    Cached on the potential up to CACHE_STEPS steps, with the alphas of the
+    uniform steps from one inverse FFT (_uniform_alphas); beyond that each
+    block is computed when it is needed, its alphas summed directly
+    (_step_alphas), so memory stays flat and only time grows with n.
     """
     key = ("magnus", n, None if path_x is None else path_x.tobytes())
     if key in v._cache:
         return v._cache[key]
-    blocks = (_block_fields(v, n, path_x, j0, min(j0 + BLOCK, n))
-              for j0 in range(0, n, BLOCK))
     if n > CACHE_STEPS:
-        return blocks
-    v._cache[key] = list(blocks)
+        return (_block_fields(v, n, path_x, j0, min(j0 + BLOCK, n))
+                for j0 in range(0, n, BLOCK))
+    uniform = _uniform_alphas(v, n)
+    v._cache[key] = [_block_fields(v, n, path_x, j0, min(j0 + BLOCK, n), uniform)
+                     for j0 in range(0, n, BLOCK)]
     return v._cache[key]
 
 
-def _block_fields(v: Potential, n: int, path_x, j0: int, j1: int):
+def _field_coeffs(v: Potential):
+    """Modes k and Fourier coefficients (3, modes) of the fields w/4, -e^q/16
+    and e^-q/16, the potential parts of L's diagonal, (0,1) and (1,0) entries."""
+    ks, cm, cp = v.exp_q_coeffs()
+    ks = ks.astype(np.int64)
+    k = np.union1d(v.modes, ks)
+    C = np.zeros((3, k.size), dtype=complex)
+    C[0, np.searchsorted(k, v.modes)] = 0.25 * (
+        v.p_coeffs * p_multiplier(v.modes) + v.q_coeffs * (2j * np.pi * v.modes))
+    at = np.searchsorted(k, ks)
+    C[1, at], C[2, at] = -cp / 16.0, cm / 16.0
+    return k, C
+
+
+def _weights(theta):
+    """alpha_i / h of one Fourier mode e^{2 pi i k x} over a step [x, x + h],
+    times e^{-2 pi i k (x + h/2)}, for theta = pi k h: the Gauss-point
+    combinations f(m), (sqrt 15 / 3)(f(r) - f(l)) and (10/3)(f(r) - 2 f(m) +
+    f(l)) of the nodes l, m, r = m -+ (sqrt 15 / 10) h, in closed form."""
+    r = np.sqrt(15.0) / 5.0
+    return np.stack([np.ones_like(theta), (2.0 * np.sqrt(15.0) / 3.0) * 1j * np.sin(r * theta),
+                     (-40.0 / 3.0) * np.sin(0.5 * r * theta) ** 2])
+
+
+def _uniform_alphas(v: Potential, n: int):
+    """alpha_i / h (3, 3, n) of every step of the uniform n-grid, alpha_i as
+    (diagonal, (0,1), (1,0)) entries: step j's sum over the modes,
+    sum_k C_k w_i(pi k / n) e^{pi i k / n} e^{2 pi i k j / n}, is one inverse
+    FFT of length n of the weighted coefficients folded mod n."""
+    k, C = _field_coeffs(v)
+    theta = np.pi * k / n
+    A = np.zeros((3, 3, n), dtype=complex)
+    np.add.at(A, (slice(None), slice(None), k % n),
+              (_weights(theta) * np.exp(1j * theta))[:, None] * C)
+    return np.fft.ifft(A, axis=-1, norm="forward")
+
+
+def _step_alphas(v: Potential, x, h):
+    """alpha_i / h (3, 3, steps) of the steps [x, x + h], the same mode sums
+    as _uniform_alphas taken directly, in chunks of BLOCK // 4 steps: the
+    phases e^{2 pi i k (x + h/2)} form a (modes x steps) matrix."""
+    k, C = _field_coeffs(v)
+    kmax = int(np.abs(k).max())
+    out = np.empty((3, 3, h.size), dtype=complex)
+    for i in range(0, h.size, BLOCK // 4):
+        s = slice(i, i + BLOCK // 4)
+        ph = _phases(x[s] + 0.5 * h[s], kmax)[k + kmax]
+        out[..., s] = np.matmul(C, _weights(np.pi * np.multiply.outer(k, h[s])) * ph)
+    return out
+
+
+def _block_fields(v: Potential, n: int, path_x, j0: int, j1: int, uniform=None):
     """One block of _step_fields: uniform steps j0..j1-1 of the n-grid.
 
-    coef[e, step, i] is the coefficient of lambda^POWERS[e][i] in entry e of
-    Omega, e = 0 the diagonal entry, 1 and 2 the (0,1) and (1,0) entries.
+    uniform, if given, holds the alphas of every uniform step of the n-grid
+    (_uniform_alphas); the steps a path node splits, and all steps without
+    it, are summed directly.  coef[e, step, i] is the coefficient of
+    lambda^POWERS[e][i] in entry e of Omega, e = 0 the diagonal entry, 1 and
+    2 the (0,1) and (1,0) entries.
     """
     x = np.arange(j0, j1 + 1) / n
     hit = at = None
     if path_x is not None:
         hit = np.flatnonzero((path_x > x[0]) & (path_x <= x[-1]))
-        x = np.union1d(x, path_x[hit])
+        xu, x = x, np.union1d(x, path_x[hit])
         at = np.searchsorted(x, path_x[hit])  # M(x[j]) is the product of j steps
     h = np.diff(x)
-    xg = x[:-1, None] + h[:, None] * GAUSS
-    # in chunks: exp_q_at builds a (nodes x modes) phase matrix
-    f = np.concatenate(
-        [_node_fields(v, xg[i : i + BLOCK // 4]) for i in range(0, h.size, BLOCK // 4)],
-        axis=1,
-    )  # (3, steps, 3)
-    # alpha_1..3 as (diagonal, (0,1), (1,0)) Laurent polynomials in lambda;
-    # the lambda J part of L enters alpha_1 only
-    alphas = (h * f[..., 1], (np.sqrt(15.0) / 3.0) * h * (f[..., 2] - f[..., 0]),
-              (10.0 / 3.0) * h * (f[..., 2] - 2.0 * f[..., 1] + f[..., 0]))
+    if uniform is None:
+        alphas = _step_alphas(v, x[:-1], h)
+    elif path_x is None:
+        alphas = uniform[..., j0:j1]
+    else:
+        pos = np.searchsorted(x, xu)
+        whole = np.flatnonzero(np.diff(pos) == 1)  # uniform steps no node splits
+        split = np.ones(h.size, dtype=bool)
+        split[pos[whole]] = False
+        alphas = np.empty((3, 3, h.size), dtype=complex)
+        alphas[..., pos[whole]] = uniform[..., j0 + whole]
+        alphas[..., split] = _step_alphas(v, x[:-1][split], h[split])
+    return x, h, _laurent(h, h * alphas), hit, at
+
+
+def _laurent(h, alphas):
+    """Omega's packed Laurent coefficients (3, steps, 5) from the alphas
+    (3, 3, steps), each alpha_i a (diagonal, (0,1), (1,0)) triple of
+    coefficients of lambda^0, lambda^-1, lambda^-1; the lambda J part of L
+    enters alpha_1 only."""
     a1, a2, a3 = (({0: c[0]}, {-1: c[1]}, {-1: c[2]}) for c in alphas)
     a1[1][1], a1[2][1] = h, -h
     c1 = _lcomm(a1, a2)
@@ -331,13 +411,7 @@ def _block_fields(v: Potential, n: int, path_x, j0: int, j1: int):
     for e, entry in enumerate(om):
         for p, c in entry.items():
             coef[e, :, (p - POWERS[e][0]) // 2] = c
-    return x, h, coef, hit, at
-
-
-def _node_fields(v: Potential, xg):
-    """w/4, -e^q/16 and e^-q/16 at the nodes xg."""
-    emq, eq = v.exp_q_at(xg)
-    return np.stack([0.25 * v.w_at(xg), -eq / 16.0, emq / 16.0])
+    return coef
 
 
 # Laurent polynomials in lambda are dicts {power: coefficient array over the
@@ -371,13 +445,14 @@ def _lcomm(X, Y):
             _lbil((2.0, xc, ya), (-2.0, xa, yc)))
 
 
-def _omega_jets(coef, lams, K):
+def _omega_jets(coef, lams, K, out=None):
     """Jets (K, 3, steps, lams) of Omega from its packed Laurent coefficients:
-    Omega_k = sum_p C(p, k) C_p lambda^(p - k), one stacked matmul."""
+    Omega_k = sum_p C(p, k) C_p lambda^(p - k), one stacked matmul (into
+    out, if given)."""
     p = np.array([POWERS[0] + (0,), *POWERS[1:]])  # the pad's coefficient is 0
     binom = np.stack([np.ones_like(p), p, p * (p - 1) // 2])[:K]  # C(p, k)
     k = np.arange(K)[:, None, None, None]
-    return np.matmul(coef, binom[..., None] * lams ** (p[..., None] - k))
+    return np.matmul(coef, binom[..., None] * lams ** (p[..., None] - k), out=out)
 
 
 def _pairs(K):
@@ -393,10 +468,50 @@ def _pairs(K):
 # cache and is several times slower.  Small arrays (the upper levels of the
 # product tree) are bound by per-call overhead instead, so _mul broadcasts
 # over all pairs there.
+#
+# A chunk's large arrays (the Omega jets and their steps-last copy, the step
+# maps, the lower levels of the product tree, the prefix products and
+# the products' two temporaries: up to 12 BLOCK complex, 384 KB, each) live in
+# a _Workspace kept for the process.  Taken fresh for every chunk, arrays of
+# 128 KB or more come from glibc's mmap, and every chunk page-faults on them,
+# unless an earlier free of a larger array has raised glibc's mmap and trim
+# thresholds.
 
 
-def _mul(A, B):
-    """Jet of the matrix product A B for 2x2 jets stored as (K, 2, 2, ...)."""
+class _Workspace(threading.local):
+    """Three flat complex scratch buffers per thread, reused by every chunk
+    of every call.  Buffers 0 and 1 alternate along the chain of a chunk's
+    arrays: each array goes into the buffer its input does not lie in
+    (apart).  Buffer 2 holds _mul's temporaries."""
+
+    def __init__(self):
+        self.buffers = [np.empty(0, dtype=complex) for _ in range(3)]
+
+    def array(self, i, shape):
+        """A C-contiguous array of the given shape over buffer i; its content
+        is whatever the buffer held.  A buffer grows (to at least 12 BLOCK
+        elements) when the shape does not fit.  Buffers start on a 64-byte
+        boundary (malloc gives 16): the kernel measured 1-2% faster so."""
+        size = prod(shape)
+        if self.buffers[i].size < size:
+            n = max(size, 12 * BLOCK)
+            b = np.empty(n + 3, dtype=complex)
+            lead = -b.ctypes.data % 64 // 16
+            self.buffers[i] = b[lead : lead + n]
+        return self.buffers[i][:size].reshape(shape)
+
+    def apart(self, X, shape):
+        """array() over whichever of buffers 0 and 1 X does not lie in."""
+        return self.array(int(np.may_share_memory(X, self.buffers[0])), shape)
+
+
+_WORK = _Workspace()
+
+
+def _mul(A, B, work):
+    """Jet of the matrix product A B for 2x2 jets stored as (K, 2, 2, ...);
+    on large arrays the product is taken from the workspace, apart from A
+    (B lies in A's buffer or outside the workspace)."""
     K = A.shape[0]
     if A[0, 0, 0].size <= 256:
         # P[i, j, r, t] = A[i, r, 0] B[j, 0, t] + A[i, r, 1] B[j, 1, t]
@@ -407,8 +522,9 @@ def _mul(A, B):
             if j:
                 C[i + j] += P[i, j]
         return C
-    C = np.zeros(np.broadcast_shapes(A.shape, B.shape), dtype=complex)
-    t, u = np.empty_like(C[0]), np.empty_like(C[0])
+    C = work.apart(A, np.broadcast_shapes(A.shape, B.shape))
+    C.fill(0.0)
+    t, u = work.array(2, (2,) + C[0].shape)
     for i, j in _pairs(K):
         # t[r, s] = A[i, r, 0] B[j, 0, s] + A[i, r, 1] B[j, 1, s]
         np.multiply(A[i, :, :1], B[j, None, 0], out=t)
@@ -442,8 +558,9 @@ def _cosh_sinhc(z, K):
     return out
 
 
-def _exp_jet(W):
-    """Jets (K, 2, 2, ...) of exp(W) = c I + S W for a traceless jet W."""
+def _exp_jet(W, work):
+    """Jets (K, 2, 2, ...) of exp(W) = c I + S W for a traceless jet W, in
+    the workspace apart from W."""
     K = W.shape[0]
     z = np.zeros_like(W[:, 0])  # jets of -det W = a^2 + b c
     for i, j in _pairs(K):
@@ -456,33 +573,35 @@ def _exp_jet(W):
     if K > 2:
         cj.append(0.5 * f[1] * z[2] + 0.25 * f[2] * z[1] ** 2)
         sj.append(f[2] * z[2] + 0.5 * f[3] * z[1] ** 2)
-    SW = np.zeros_like(W)
+    E = work.apart(W, (K, 2, 2) + W.shape[2:])
+    # S W = (S a, S b, S c) accumulates in the entries (1,1), (0,1), (1,0)
+    E4 = E.reshape((K, 4) + W.shape[2:])
+    E4[:, 1:] = 0.0
     for i, j in _pairs(K):
-        SW[i + j] += sj[i] * W[j]
-    E = np.empty((K, 2, 2) + W.shape[2:], dtype=complex)
+        E4[i + j, 1:3] += sj[i] * W[j, 1:]
+        E4[i + j, 3] += sj[i] * W[j, 0]
     for k in range(K):
-        np.add(cj[k], SW[k, 0], out=E[k, 0, 0])
-        np.subtract(cj[k], SW[k, 0], out=E[k, 1, 1])
-        E[k, 0, 1] = SW[k, 1]
-        E[k, 1, 0] = SW[k, 2]
+        np.add(cj[k], E4[k, 3], out=E4[k, 0])
+        np.subtract(cj[k], E4[k, 3], out=E4[k, 3])
     return E
 
 
-def _tree(E):
-    """Ordered product E[.., n-1] ... E[.., 0] over the step axis (the last)."""
+def _tree(E, work):
+    """Ordered product E[.., n-1] ... E[.., 0] over the step axis (the last);
+    its large levels alternate between the workspace's buffers."""
     while E.shape[-1] > 1:
         m = E.shape[-1] // 2
-        P = _mul(E[..., 1 : 2 * m : 2], E[..., 0 : 2 * m : 2])
+        P = _mul(E[..., 1 : 2 * m : 2], E[..., 0 : 2 * m : 2], work)
         E = P if E.shape[-1] == 2 * m else np.concatenate([P, E[..., 2 * m :]], axis=-1)
     return E[..., 0]
 
 
-def _scan(E):
+def _scan(E, work):
     """Prefix products E[.., k] ... E[.., 0] for every k over the step axis
-    (the last; Hillis-Steele)."""
+    (the last; Hillis-Steele), in place of E."""
     d = 1
     while d < E.shape[-1]:
-        E = np.concatenate([E[..., :d], _mul(E[..., d:], E[..., :-d])], axis=-1)
+        E[..., d:] = _mul(E[..., d:], E[..., :-d], work)
         d *= 2
     return E
 
@@ -492,7 +611,7 @@ def _propagate(v: Potential, n: int, lams, K: int, path_x=None):
 
     The blocks of the grid run in order; within a block the lambda are taken
     in chunks so that a chunk holds at most BLOCK (lambda x step) elements,
-    whose step maps are jets (K, 2, 2, lams, steps).
+    whose step maps are jets (K, 2, 2, lams, steps), computed in _WORK.
     """
     M = np.zeros((K, 2, 2, lams.size), dtype=complex)
     M[0, 0, 0] = M[0, 1, 1] = 1.0
@@ -504,13 +623,17 @@ def _propagate(v: Potential, n: int, lams, K: int, path_x=None):
         lc = max(1, BLOCK // h.size)
         for c in range(0, lams.size, lc):
             sl = slice(c, c + lc)
+            m = lams[sl].size
             # _omega_jets' matmul gives (K, 3, steps, lams), and a gemm of
             # another shape rounds differently: copy it once with steps last
-            E = _exp_jet(_omega_jets(coef, lams[sl], K).swapaxes(2, 3).copy())
+            R = _omega_jets(coef, lams[sl], K, out=_WORK.array(0, (K, 3, h.size, m)))
+            W = _WORK.apart(R, (K, 3, m, h.size))
+            np.copyto(W, R.swapaxes(2, 3))
+            E = _exp_jet(W, _WORK)
             if hit is None or hit.size == 0:
-                M[..., sl] = _mul(_tree(E), M[..., sl])
+                M[..., sl] = _mul(_tree(E, _WORK), M[..., sl], _WORK)
                 continue
-            pre = _mul(_scan(E), M[..., sl, None])
+            pre = _mul(_scan(E, _WORK), M[..., sl, None], _WORK)
             path[sl, hit] = pre[0][..., at - 1].transpose(2, 3, 0, 1)
             M[..., sl] = pre[..., -1]
     return M, path

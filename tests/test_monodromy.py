@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import mpmath
 import numpy as np
 import pytest
@@ -327,6 +332,111 @@ def test_fields_beyond_cache_budget(monkeypatch):
         assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
 
 
+@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("k", [0, 2])
+@pytest.mark.parametrize("branch", ["blocks", "path"])
+def test_direct_sums_match_the_fft_grid(monkeypatch, branch, k, order):
+    """The alphas summed directly, on every step of a grid above CACHE_STEPS
+    or on the steps a path node splits, agree with the cached grid, whose
+    uniform steps take theirs from the inverse FFT: M(1), its jets and the
+    path within 1e-13 relative.  The path grid is the gradients' one; with
+    CACHE_STEPS below n every one of its steps is summed directly.  Blocks of
+    64 steps make every grid span several blocks."""
+    v = seeded_ensemble()[k]
+    lams = [0.01, 1.7 + 0.1j, 40.0]
+    x = _gauss_legendre(GL_NODES_DEFAULT)[0] if branch == "path" else None
+    monkeypatch.setattr(monodromy, "BLOCK", 64)
+    want = integrate_many(v, lams, order=order, tol=1e-11, path_nodes=x)
+    monkeypatch.setattr(monodromy, "CACHE_STEPS", 32)
+    w = Potential(v.q_coeffs, v.p_coeffs, v.Kf, v.real)  # empty cache
+    got = integrate_many(w, lams, order=order, tol=1e-11, path_nodes=x)
+    assert not any(key[0] == "magnus" for key in w._cache)
+    assert np.array_equal(got.steps, want.steps)
+    for i in range(len(lams)):
+        assert np.all(_rel_err(_jets(got, i), _jets(want, i)) <= 1e-13)
+    if x is not None:
+        assert np.max(np.abs(got.path - want.path)) <= 1e-13 * np.max(np.abs(want.path))
+
+
+def _alphas_oracle(v, x, h):
+    """alpha_i (3 alphas, 3 entries) of the step [x, x + h], from the fields
+    w/4, -e^q/16 and e^-q/16 at its Gauss points in 30 digits: h f(m),
+    (sqrt 15 / 3) h (f(r) - f(l)) and (10/3) h (f(r) - 2 f(m) + f(l))."""
+    with mpmath.workdps(30):
+        x, h, r = mpmath.mpf(x), mpmath.mpf(h), mpmath.sqrt(15) / 10
+        fields = []
+        for t in (-r, 0, r):
+            ph = [mpmath.expjpi(2 * int(k) * (x + h * (0.5 + t))) for k in v.modes]
+            q = mpmath.fsum(mpmath.mpc(c) * e for c, e in zip(v.q_coeffs, ph))
+            w = mpmath.fsum((mpmath.mpc(p) * mpmath.sqrt(1 + 4 * mpmath.pi**2 * int(k) ** 2)
+                             + 2j * mpmath.pi * int(k) * mpmath.mpc(c)) * e
+                            for k, p, c, e in zip(v.modes, v.p_coeffs, v.q_coeffs, ph))
+            fields.append([w / 4, -mpmath.exp(q) / 16, mpmath.exp(-q) / 16])
+        (fl, fm, fr) = fields
+        return np.array([[complex(h * m) for m in fm],
+                         [complex(mpmath.sqrt(15) / 3 * h * (b - a)) for a, b in zip(fl, fr)],
+                         [complex(10 * h * (b - 2 * m + a) / 3) for a, m, b in zip(fl, fm, fr)]])
+
+
+# largest alpha_1..3 errors, relative to the largest |alpha_i| of an entry
+# over the sampled steps, measured on v1-v3 and AMPLE at n = 48 and 448:
+# 7.7e-16, 8.6e-14 and 2.3e-12 (v1, from the ~1e-17 noise of the e^{+-q}
+# series' high modes); the bounds allow about 4 times that.  Differences of
+# the fields at the Gauss points reach 2.1e-14, 9.1e-13 and 4.6e-10 there.
+ALPHA_BOUNDS = np.array([4e-15, 4e-13, 1e-11])
+
+
+@pytest.mark.parametrize("n", [48, 448])
+def test_alphas_against_mpmath(n):
+    """The alphas of sampled uniform steps, from the inverse FFT and from the
+    direct sum alike, against the Gauss-point combinations in 30 digits."""
+    pots = [*seeded_ensemble()[:3], AMPLE]
+    js = np.unique(np.linspace(0, n - 1, 9).astype(int))
+    h = 1.0 / n
+    for v in pots:
+        want = np.stack([_alphas_oracle(v, j * h, h) for j in js], axis=-1)
+        scale = np.abs(want).max(axis=-1)  # (alphas, entries)
+        fft = h * monodromy._uniform_alphas(v, n)[..., js]
+        direct = h * monodromy._step_alphas(v, js * h, np.full(js.size, h))
+        for got in (fft, direct):
+            err = (np.abs(got - want).max(axis=-1) / scale).max(axis=1)
+            assert np.all(err <= ALPHA_BOUNDS), (n, err)
+
+
+PAGE_FAULT_PROBE = """
+import resource
+import numpy as np
+from shgspec import monodromy
+from shgspec.config import seeded_ensemble
+
+v = seeded_ensemble()[0]
+contour = monodromy.lam_zero(4) + np.exp(2j * np.pi * np.arange(33) / 64)
+batch = monodromy.lam_zero(np.arange(-8, 9)) * (1 + 1e-3j)
+faults = []
+for _ in range(2):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    monodromy.integrate_many(v, contour, order=2)
+    monodromy.integrate_many(v, batch, order=2)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(faults[1])
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="glibc's malloc and getrusage's fault count")
+def test_repeated_propagation_takes_no_page_faults():
+    """A second spectrum-sized run on cached grids (a 33-node contour and a
+    17-lambda batch, order 2) adds fewer than 64 minor page faults: the
+    kernel's large arrays live in its workspace, not in fresh mappings.  It
+    runs in a fresh interpreter, where no earlier large free has raised
+    glibc's mmap and trim thresholds."""
+    src = str(Path(monodromy.__file__).resolve().parents[1])
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    out = subprocess.run([sys.executable, "-c", PAGE_FAULT_PROBE], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert int(out.stdout) < 64
+
+
 # the sixth-order Magnus generator written out as jet commutators: an
 # oracle for its Laurent coefficients
 
@@ -345,15 +455,12 @@ def _comm_jets(X, Y):
     return Z
 
 
-def _omega_direct(v, x, lams, K):
+def _omega_direct(v, n, lams, K):
     """Jets (K, 3, steps, lams) of Omega = a1 + a3/12 + [-20 a1 - a3 + c1,
-    a2 + c2]/240, c1 = [a1, a2], c2 = -[a1, 2 a3 + c1]/60, from the alphas at
-    the Gauss points of the steps between the breakpoints x."""
-    h = np.diff(x)
-    xg = x[:-1, None] + h[:, None] * monodromy.GAUSS
-    f = monodromy._node_fields(v, xg)  # (3, steps, 3)
-    alphas = np.stack([h * f[..., 1], (np.sqrt(15.0) / 3.0) * h * (f[..., 2] - f[..., 0]),
-                       (10.0 / 3.0) * h * (f[..., 2] - 2.0 * f[..., 1] + f[..., 0])])
+    a2 + c2]/240, c1 = [a1, a2], c2 = -[a1, 2 a3 + c1]/60, on the uniform
+    n-grid, from the alphas the propagator uses."""
+    h = np.diff(np.arange(n + 1) / n)
+    alphas = h * monodromy._uniform_alphas(v, n)
     inv = np.stack([1.0 / lams, -1.0 / lams**2, 1.0 / lams**3][:K])  # jets of 1/lambda
     X = np.zeros((3, K, 3, h.size, lams.size), dtype=complex)
     X[:, 0, 0] = alphas[:, 0, :, None]
@@ -372,7 +479,7 @@ def _omega_direct(v, x, lams, K):
 def _coefficients(v, n):
     """Breakpoints, step lengths and Omega's packed Laurent coefficients
     (3, steps, 5) of the uniform n-grid."""
-    return monodromy._block_fields(v, n, None, 0, n)[:3]
+    return monodromy._block_fields(v, n, None, 0, n, monodromy._uniform_alphas(v, n))[:3]
 
 
 @pytest.mark.parametrize("order", [0, 1, 2])
@@ -383,9 +490,9 @@ def test_omega_coefficients_match_commutator_form(order):
     lams = np.array([1e-3, 1.1e-3 + 2e-4j, 0.25, 1.7 + 0.1j, 300.0, 300.0 - 7j])
     for v in seeded_ensemble()[:3]:
         for n in (48, 448):
-            x, _, coef = _coefficients(v, n)
+            coef = _coefficients(v, n)[2]
             got = monodromy._omega_jets(coef, lams, order + 1)
-            want = _omega_direct(v, x, lams, order + 1)
+            want = _omega_direct(v, n, lams, order + 1)
             scale = np.abs(want).max(axis=(1, 2))  # (K, lams)
             err = np.abs(got - want).max(axis=(1, 2))
             assert np.all(err <= 1e-14 * scale), (n, err / scale)
@@ -397,8 +504,8 @@ def test_omega_coefficients_parity():
     off it, and the packed coefficients are those powers' coefficients."""
     lams = np.exp(2j * np.pi * np.arange(16) / 16)
     for v in seeded_ensemble()[:3]:
-        x, _, coef = _coefficients(v, 32)
-        C = np.fft.fft(_omega_direct(v, x, lams, 1)[0], axis=-1) / 16  # C[e, step, p % 16]
+        coef = _coefficients(v, 32)[2]
+        C = np.fft.fft(_omega_direct(v, 32, lams, 1)[0], axis=-1) / 16  # C[e, step, p % 16]
         tol = 1e-14 * np.abs(C).max()
         for e, powers in enumerate(monodromy.POWERS):
             others = [p for p in range(-8, 8) if p not in powers]
@@ -485,7 +592,7 @@ def test_jet_product_on_large_arrays_is_the_entrywise_sum(K, b_steps):
             for r in range(2):
                 for s in range(2):
                     want[i + j, r, s] += A[i, r, 0] * B[j, 0, s] + A[i, r, 1] * B[j, 1, s]
-    got = monodromy._mul(A, B)
+    got = monodromy._mul(A, B, monodromy._Workspace())
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
 
@@ -496,14 +603,15 @@ def test_tree_is_the_ordered_product(steps):
     time, for step maps exp(W) of small traceless W with two derivatives."""
     rng = np.random.default_rng(steps)
     K, lams = 3, 4
-    E = monodromy._exp_jet(_random_jets(rng, (K, 3, lams, steps), 0.1))
+    work = monodromy._Workspace()
+    E = monodromy._exp_jet(_random_jets(rng, (K, 3, lams, steps), 0.1), work)
     jets = np.moveaxis(E, (3, 4), (0, 1))  # (lams, steps, K, 2, 2)
     want = jets[:, 0]
     for n in range(1, steps):
         step = jets[:, n]
         want = np.stack([sum(step[:, i] @ want[:, k - i] for i in range(k + 1))
                          for k in range(K)], axis=1)
-    got = np.moveaxis(monodromy._tree(E), 3, 0)
+    got = np.moveaxis(monodromy._tree(E, work), 3, 0)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
