@@ -63,22 +63,24 @@ def _emit(text: str, out_path):
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
-def cmd_spectrum(args) -> int:
+def _emit_csv(header, rows, out_path):
+    buf = io.StringIO()
+    csv.writer(buf).writerows([header, *rows])
+    _emit(buf.getvalue(), out_path)
+
+
+def cmd_spectrum(args, cfg, v) -> int:
     from .spectrum import DiscFamily, build_isolating, build_table
 
-    cfg = _config_from_args(args)
-    v = _load(args.potential, Potential.from_json, "potential")
     table = build_table(v, cfg.n_max, tol=cfg.spectral_tol)
     if cfg.out_format == "json":
         _emit(table.to_json(), args.out)
         return EXIT_OK
     iso = build_isolating(v, table, nodes=cfg.nodes)
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["n", "quantity", "re", "im"])
+    rows = []
     for n in range(-cfg.n_max, cfg.n_max + 1):
         lm, lp = table.lam_pm(n)
-        rows = {
+        vals = {
             "lambda_minus": lm,
             "lambda_plus": lp,
             "mu": table.mu_n(n),
@@ -90,19 +92,16 @@ def cmd_spectrum(args) -> int:
             "D_center": DiscFamily.D(n)[0],
             "D_radius": DiscFamily.D(n)[1],
         }
-        for q, val in rows.items():
-            w.writerow([n, q, complex(val).real, complex(val).imag])
-    w.writerow(["*", "lambda_dot_star", table.lam_dot_star.real, table.lam_dot_star.imag])
-    _emit(buf.getvalue(), args.out)
+        rows += [[n, q, complex(val).real, complex(val).imag] for q, val in vals.items()]
+    rows.append(["*", "lambda_dot_star", table.lam_dot_star.real, table.lam_dot_star.imag])
+    _emit_csv(["n", "quantity", "re", "im"], rows, args.out)
     return EXIT_OK
 
 
-def cmd_differentials(args) -> int:
+def cmd_differentials(args, cfg, v) -> int:
     from .differentials import solve_sigma, verify_normalization
     from .spectrum import SpectrumTable, build_isolating, build_table
 
-    cfg = _config_from_args(args)
-    v = _load(args.potential, Potential.from_json, "potential")
     if args.table:
         table = _load(args.table, SpectrumTable.from_json, "spectrum table")
     else:
@@ -124,40 +123,30 @@ def cmd_differentials(args) -> int:
     if cfg.out_format == "json":
         _emit(json.dumps(out_json, indent=1), args.out)
     else:
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["n", "family", "m", "integral_re", "integral_im", "expected"])
-        w.writerows(csv_rows)
-        _emit(buf.getvalue(), args.out)
+        _emit_csv(["n", "family", "m", "integral_re", "integral_im", "expected"], csv_rows,
+                  args.out)
     return EXIT_OK
 
 
-def cmd_gradients(args) -> int:
+def cmd_gradients(args, cfg, v) -> int:
     from .gradients import CLI_FD_CASES, FD_EPS, fd_evaluate, fd_rel_error, seeded_directions
     from .spectrum import build_table
 
-    cfg = _config_from_args(args)
-    v = _load(args.potential, Potential.from_json, "potential")
     tol = cfg.spectral_tol
     table = build_table(v, min(cfg.n_max, 4), tol=tol)
     dirs = seeded_directions(cfg.seed, 3)
     cases = fd_evaluate(v, table, CLI_FD_CASES, dirs, (FD_EPS,), tol)
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["quantity", "n", "direction", "analytic", "fd", "rel_error"])
-    for c in cases:
-        for i, (a, f) in enumerate(zip(c.analytic, c.fd[FD_EPS])):
-            w.writerow([c.quantity, c.n, i, str(a), str(f), f"{fd_rel_error(a, f):.3e}"])
-    _emit(buf.getvalue(), args.out)
+    _emit_csv(["quantity", "n", "direction", "analytic", "fd", "rel_error"],
+              ([c.quantity, c.n, i, str(a), str(f), f"{fd_rel_error(a, f):.3e}"]
+               for c in cases for i, (a, f) in enumerate(zip(c.analytic, c.fd[FD_EPS]))),
+              args.out)
     worst = np.max([c.error()[0] for c in cases])
     return EXIT_OK if worst <= THRESHOLDS["gradient_fd"] else EXIT_CHECK_FAILURE
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, cfg, v) -> int:
     from .verification import run_suite
 
-    cfg = _config_from_args(args)
-    v = _load(args.potential, Potential.from_json, "potential")
     checks = run_suite(v, cfg)
     if cfg.out_format == "json":
         payload = [
@@ -178,12 +167,10 @@ def cmd_verify(args) -> int:
     return EXIT_CHECK_FAILURE if failed else EXIT_OK
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args, cfg, v) -> int:
     from .monodromy import integrate
     from .spectrum import build_table
 
-    cfg = _config_from_args(args)
-    v = _load(args.potential, Potential.from_json, "potential")
     try:
         re_s, im_s = args.lam.split(",")
         lam = complex(float(re_s), float(im_s))
@@ -204,12 +191,7 @@ def cmd_eval(args) -> int:
     if cfg.out_format == "json":
         _emit(json.dumps(payload, indent=1), args.out)
     else:
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["quantity", "re", "im"])
-        for k, val in payload.items():
-            w.writerow([k, val[0], val[1]])
-        _emit(buf.getvalue(), args.out)
+        _emit_csv(["quantity", "re", "im"], ([k, *val] for k, val in payload.items()), args.out)
     return EXIT_OK
 
 
@@ -262,7 +244,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # a usage error exits 2, --help 0
         return exc.code
     try:
-        return args.fn(args)
+        cfg = _config_from_args(args)
+        v = _load(args.potential, Potential.from_json, "potential")
+        return args.fn(args, cfg, v)
     except SystemExit2 as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

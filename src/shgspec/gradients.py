@@ -377,7 +377,7 @@ def grad_deltas_fd_report(v, table, cfg):
     dirs = seeded_directions(cfg.seed, 3)
     cases = fd_evaluate(v, table, SUITE_FD_CASES, dirs, (FD_EPS, *FD_EPS_ORDER), tol)
     errs, unresolved = zip(*(c.error() for c in cases))
-    orders = [o for c in cases for o in c.orders()]
+    orders = [o for c in cases for o in c.orders(tol=tol)]
     # d Delta at the zero potential vanishes identically
     zd = 0.0
     for lam in (0.9, 1.7, 3.3):

@@ -177,18 +177,17 @@ def _check_lambda(lams):
 class BatchResult:
     """Monodromy data at one lambda or at a batch of them.
 
-    The 2x2 entries sit in the last two axes: Mgrave is (2, 2) at one lambda
-    and (L, 2, 2) for a batch, path (n_nodes, 2, 2) resp. (L, n_nodes, 2, 2)
-    samples of M(x) at path_x.  The derived scalars are 0-d resp. (L,).
+    jets holds the lambda-Taylor coefficients M(1, lambda), M' and M''/2 up
+    to the integrated order: (K, 2, 2) at one lambda and (K, L, 2, 2) for a
+    batch.  Mgrave and Mgrave_dot are views of jets[0] and jets[1],
+    Mgrave_ddot is 2 jets[2]; each is None where its order was not
+    integrated.  path holds samples (n_nodes, 2, 2) resp. (L, n_nodes, 2, 2)
+    of M(x) at path_x.  The derived scalars are 0-d resp. (L,).
     """
 
-    def __init__(
-        self, lams, Mg, Mgd=None, Mgdd=None, path=None, path_x=None, steps=None, err=None
-    ):
+    def __init__(self, lams, jets, path=None, path_x=None, steps=None, err=None):
         self.lams = lams
-        self.Mgrave = Mg  # M(1, lambda)
-        self.Mgrave_dot = Mgd  # d/dlam M(1, lambda), order >= 1
-        self.Mgrave_ddot = Mgdd  # order 2
+        self.jets = jets
         self.path = path
         self.path_x = path_x
         self.steps = steps  # propagation steps per lambda (work counter)
@@ -198,16 +197,18 @@ class BatchResult:
         """The one-lambda result of batch entry i; an index array or slice i
         gives the batch of the entries it selects."""
         at = lambda a: None if a is None else a[i]
-        return BatchResult(
-            self.lams[i], self.Mgrave[i], at(self.Mgrave_dot), at(self.Mgrave_ddot),
-            at(self.path), self.path_x, at(self.steps), at(self.err),
-        )
+        return BatchResult(self.lams[i], self.jets[:, i], at(self.path), self.path_x,
+                           at(self.steps), at(self.err))
 
     def _jet(self, order):
-        M = (self.Mgrave, self.Mgrave_dot, self.Mgrave_ddot)[order]
-        if M is None:
+        """d^order M(1, lambda) / dlambda^order."""
+        if order >= len(self.jets):
             raise ValueError(f"lambda-derivative of order {order} was not integrated")
-        return M
+        return 2.0 * self.jets[2] if order == 2 else self.jets[order]
+
+    Mgrave = property(lambda self: self.jets[0])
+    Mgrave_dot = property(lambda self: self._jet(1) if len(self.jets) > 1 else None)
+    Mgrave_ddot = property(lambda self: self._jet(2) if len(self.jets) > 2 else None)
 
     @property
     def Delta(self):
@@ -259,8 +260,8 @@ def closed_form_zero(lam, order=2) -> BatchResult:
     dE[:, 0, 0] = dE[:, 1, 1] = -M[:, 0, 1]
     dE[:, 0, 1] = M[:, 0, 0]
     dE[:, 1, 0] = -M[:, 0, 0]
-    Mdd = ompp * dE - omp**2 * M if order >= 2 else None
-    res = BatchResult(lams, M, omp * dE, Mdd)
+    jets = [M, omp * dE, 0.5 * (ompp * dE - omp**2 * M)]  # M, M', M''/2
+    res = BatchResult(lams, np.stack(jets[: order + 1]))
     return res.single(0) if np.ndim(lam) == 0 else res
 
 
@@ -704,17 +705,7 @@ def integrate_many(
         if todo.size == 0 or doubling == MAX_DOUBLINGS:
             break
         steps[todo] *= 2
-    M = np.moveaxis(M, -1, 1)  # (K, lams, 2, 2)
-    return BatchResult(
-        lams,
-        M[0],
-        M[1] if order >= 1 else None,
-        2.0 * M[2] if order >= 2 else None,
-        path,
-        path_x,
-        steps=steps,
-        err=err,
-    )
+    return BatchResult(lams, np.moveaxis(M, -1, 1), path, path_x, steps, err)
 
 
 def integrate(

@@ -202,9 +202,7 @@ class Potential:
     def exp_q_at(self, x):
         """(exp(-q)(x), exp(q)(x)) by spectral interpolation of the cached series."""
         ks, cm, cp = self.exp_q_coeffs()
-        kmax = int(np.max(np.abs(ks)))
-        ph = _phases(x, kmax)[ks.astype(int) + kmax]
-        f = np.tensordot(np.stack([cm, cp]), ph, axes=(1, 0))
+        f = _trig_eval(np.stack([cm, cp]), ks.astype(int), x)
         return f[0], f[1]
 
     def h1_norm(self) -> float:
@@ -260,5 +258,6 @@ def _phases(x, kmax):
 
 
 def _trig_eval(coeffs, modes, x):
+    """sum_k coeffs[..., k] e^{2 pi i modes[k] x}, shape coeffs.shape[:-1] + x.shape."""
     kmax = int(np.max(np.abs(modes)))
-    return np.tensordot(coeffs, _phases(x, kmax)[modes + kmax], axes=(0, 0))
+    return np.tensordot(coeffs, _phases(x, kmax)[modes + kmax], axes=(-1, 0))

@@ -42,12 +42,12 @@ DOUBLE_ROOT_TOL = 1e-10
 NEWTON_MAX_ITER = 40
 
 
-def order_le(a, b, tol=ORDER_TIE_TOL) -> bool:
-    """The order on C+: compare moduli first (with a tie tolerance), then Im."""
+def order_le(a, b) -> bool:
+    """The order on C+: compare moduli first (tied within ORDER_TIE_TOL), then Im."""
     a, b = complex(a), complex(b)
-    if abs(a) - abs(b) < -tol:
+    if abs(a) - abs(b) < -ORDER_TIE_TOL:
         return True
-    if abs(a) - abs(b) > tol:
+    if abs(a) - abs(b) > ORDER_TIE_TOL:
         return False
     return a.imag <= b.imag
 
@@ -120,10 +120,9 @@ def _on_contour(v, spec, order, tol):
         src[take], neg[take], cj[take] = node[take], n, conj
     reps = np.flatnonzero(src == k)
     out = integrate_many(v, z[reps], order=order, tol=tol).single(np.searchsorted(reps, src))
-    out.lams, sgn = z, np.array([[1.0, -1.0], [-1.0, 1.0]])
-    for j, name in enumerate(("Mgrave", "Mgrave_dot", "Mgrave_ddot")[: order + 1]):
-        M = np.where(cj[:, None, None], getattr(out, name).conj(), getattr(out, name))
-        setattr(out, name, np.where(neg[:, None, None], (-1) ** j * sgn * M, M))
+    sgn = (-1.0) ** np.arange(order + 1).reshape(-1, 1, 1, 1) * np.array([[1, -1], [-1, 1]])
+    J = np.where(cj[:, None, None], out.jets.conj(), out.jets)
+    out.lams, out.jets = z, np.where(neg[:, None, None], sgn * J, J)
     return out
 
 
@@ -195,12 +194,12 @@ def _newton_batch(v, seeds, kind, tol=1e-12, first=None):
 
 def _merged(res, idx, part):
     """The BatchResult res with its entries idx taken from part (a copy); a
-    jet that part lacks is dropped."""
+    jet order that part lacks is dropped."""
     out = copy.copy(part)
-    for name in ("lams", "Mgrave", "Mgrave_dot", "Mgrave_ddot", "steps", "err"):
-        if getattr(part, name) is not None:
-            setattr(out, name, getattr(res, name).copy())
-            getattr(out, name)[idx] = getattr(part, name)
+    out.lams, out.jets, out.steps, out.err = (
+        a.copy() for a in (res.lams, res.jets[: len(part.jets)], res.steps, res.err))
+    out.lams[idx], out.jets[:, idx], out.steps[idx], out.err[idx] = (
+        part.lams, part.jets, part.steps, part.err)
     return out
 
 

@@ -54,6 +54,29 @@ def test_closed_form_zero_matches_integrator():
         assert abs(res.Delta_ddot[i] - cf.Delta_ddot) < 1e-8
 
 
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_jets_are_the_one_array_of_a_result(order):
+    """A result holds one jet array (M, M', M''/2) of shape (order + 1, L, 2,
+    2): Mgrave and Mgrave_dot are views of it, Mgrave_ddot is twice its last
+    jet, and an order not integrated reads None or raises."""
+    lams = [0.7, 2.0 + 0.1j, 0.05]
+    res = integrate_many(seeded_ensemble()[0], lams, order=order, tol=1e-11)
+    assert res.jets.shape == (order + 1, len(lams), 2, 2)
+    assert np.shares_memory(res.Mgrave, res.jets)
+    if order >= 1:
+        assert np.shares_memory(res.Mgrave_dot, res.jets)
+    else:
+        assert res.Mgrave_dot is None
+        with pytest.raises(ValueError, match="order 1 was not integrated"):
+            res.Delta_dot
+    if order == 2:
+        assert np.array_equal(res.Mgrave_ddot, 2 * res.jets[2])
+    else:
+        assert res.Mgrave_ddot is None
+    for i in range(len(lams)):
+        assert np.array_equal(res.single(i).jets, res.jets[:, i])
+
+
 def test_zero_path_is_rotation():
     x = np.array([0.0, 0.25, 0.5, 1.0])
     r = integrate(Potential.zero(), 1.3, path_nodes=x)
