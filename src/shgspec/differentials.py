@@ -8,36 +8,32 @@ sigma_{2,k} of the candidate differential numerator
     f_{n,1} = prod_{k != n} (sigma_{1,k} - lambda)/pi_k,
     f_{n,2} = prod_k (sigma_{2,k} + 1/(16 lambda))/pi_k,
 
-each a node_product (roots_products) closed by the zero-potential tail,
-and the equations demand vanishing contour integrals of psi_n/sqrt_c(chi_p)
+each the f1 resp. f2 of a NodeFamily (roots_products) over the roots, and
+the equations demand vanishing contour integrals of psi_n/sqrt_c(chi_p)
 over Gamma_{1,m} (m != n) and Gamma_{2,m} (all m):
 
     F_{1,m} = (n-m)        oint_{Gamma_{1,m}} psi_n/sqrt_c(chi_p) dlambda,
     F_{2,m} = 16 pi_m^2 pi_n oint_{Gamma_{2,m}} psi_n/sqrt_c(chi_p) dlambda.
 
-The unit integral over Gamma_{1,n} then holds automatically.  A root at the
-tau of a closed gap (gamma = 0; beyond the table all are) cancels the node
-of sqrt_c(chi_p), and its row vanishes: the unknowns are the open gaps'
-roots but sigma_{1,n}, one row each, the rest stay at their tau.  The
-Jacobian inserts 1/(sigma_{1,r}-lambda), resp.
+A root at the tau of a closed gap (gamma = 0; beyond the table all are)
+cancels the node of sqrt_c(chi_p), and its row vanishes: the unknowns are
+the open gaps' roots but sigma_{1,n}, one row each, the rest stay at their
+tau.  The Jacobian inserts 1/(sigma_{1,r}-lambda), resp.
 1/(sigma_{2,r}+1/(16 lambda)) - 1/sigma_{2,r}, under the same integrals.
 One psi sweep over the (rows, nodes) array of contour nodes gives the
 residual as one row sum; the Jacobian is formed from the same terms only at
 the iterates a Newton step starts from.  Iterates leaving the isolating
 discs are clamped back to a boundary ring and the event is counted.
 
-psi_n is a function of its state (n, K, sigma_1, sigma_2): the solve calls
-it with its trial states, psi evaluation and the normalization checks with
-a solution's, and only the solve builds a SigmaWorkspace.  On a contour the
-nodes and sqrt_c(chi_p) depend on the table, K and the contour alone, so
-the table's evaluator (SpectrumTable.evaluator) computes them once per
-contour and keeps them for the solves of every n and every normalization
-check.  psi_n and sqrt_c(chi_p) carry the same zero-potential tails,
-zero_tail(lambda, K) zero_tail(-1/(16 lambda), K), and so does psi_{-n}
-(zero_tail is even), so their quotient is a product over |k| <= K alone:
-on every node set both are evaluated without these tails.  Their scalars
-f_{n,2}(inf) and sqrt_c(chi_1)(0) keep theirs, zero_tail(0, K) both, which
-cancel as well.  psi evaluation itself is tailed.
+psi_n is a function of its state (n, sigma_1, sigma_2, C_n): the solve
+calls it with its trial states and forms C_n = 1/f_{n,2}(inf), psi
+evaluation and the normalization checks read a solution's, and only the
+solve builds a SigmaWorkspace.  On a contour the nodes and sqrt_c(chi_p)
+depend on the table, K and the contour alone, so the table's evaluator
+(SpectrumTable.evaluator) computes them once per contour and keeps them for
+the solves of every n and every normalization check.  psi_n, psi_{-n} and
+sqrt_c(chi_p) carry the same zero-potential tails, which node_product leaves
+out of both sides of every quotient psi/sqrt_c(chi_p) (tail = 1).
 """
 
 from __future__ import annotations
@@ -49,7 +45,7 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from .potential import family_var, pi_k, to_pair
-from .roots_products import node_product, zero_tail
+from .roots_products import NodeFamily
 
 __all__ = [
     "SigmaSolution",
@@ -107,17 +103,17 @@ def _evaluator(table, K):
     return table.evaluator(K)
 
 
-def _f2_inf(sigma2, K, tail_zero):
-    """f_{n,2}(inf) = prod_k sigma_{2,k}/pi_k times the tail at 0, tail_zero."""
-    return node_product(sigma2, 0.0, K, tail=tail_zero)[0]
+def _psi(n, roots, C_n, z, tail=None):
+    """psi_n(z) = -(C_n/pi_n) f_{n,1}(z) f_{n,2}(z) over the NodeFamily roots
+    of its sigma; tail as in node_product (1 leaves out the zero-potential
+    tails that sqrt_c(chi_p) shares)."""
+    return (-C_n / pi_k(n)) * roots.f(z, skip=n, tail=tail)
 
 
-def _bare_psi(n, K, sigma1, sigma2, z, f2_inf):
-    """psi_n at z without its tails zero_tail(z, K) zero_tail(-1/(16 z), K).
-    f_{n,1} is NodeFamily's f1 with the factor n removed, f_{n,2} its f2."""
-    f1 = node_product(sigma1, z, K, tail=1.0, skip=n)
-    f2 = node_product(sigma2, -1.0 / (16.0 * z), K, tail=1.0)
-    return -(1.0 / pi_k(n)) * f1 * f2 / f2_inf
+def _solution_psi(sol, tail=None):
+    """z -> psi_n(z) of the solution sol, its stored C_n included."""
+    roots = NodeFamily(sol.sigma1, sol.sigma2, sol.K)
+    return lambda z: _psi(sol.n, roots, sol.C_n, z, tail)
 
 
 def _contour_terms(psi, ev, specs):
@@ -139,9 +135,9 @@ class SigmaWorkspace:
         ev = self.evaluator = _evaluator(table, K)
         self.iso, self.n, self.K = iso, int(n), int(K)
         self.ks = ks = np.arange(-K, K + 1)
-        self.tau1, self.tau2 = ev.tau1, ev.tau2
+        self.taus = taus = ev.roots
         # the unknown roots of each family; row (j, m) belongs to root (j, m)
-        self.open1, self.open2 = (ev.gam1 != 0) & (ks != n), ev.gam2 != 0
+        self.open1, self.open2 = (taus.gamma1 != 0) & (ks != n), taus.gamma2 != 0
         ms = [(1, int(m)) for m in ks[self.open1]] + [(2, int(m)) for m in ks[self.open2]]
         self.rows = [(j, m, iso.contour(j, m)) for j, m in ms]
         self.pref = np.array([self.n - m if j == 1 else 16.0 * pi_k(m) ** 2 * pi_k(self.n)
@@ -153,13 +149,19 @@ class SigmaWorkspace:
         return np.concatenate([sigma1[self.open1], sigma2[self.open2]])
 
     def unpack(self, u):
-        sigma1, sigma2 = self.tau1.astype(complex), self.tau2.astype(complex)
+        sigma1, sigma2 = self.taus.sigma1.astype(complex), self.taus.sigma2.astype(complex)
         m = np.count_nonzero(self.open1)
         sigma1[self.open1], sigma2[self.open2] = u[:m], u[m:]
         return sigma1, sigma2
 
     def initial_state(self):
-        return self.pack(self.tau1, self.tau2)
+        return self.pack(self.taus.sigma1, self.taus.sigma2)
+
+    def roots_at(self, u):
+        """The roots at u as a NodeFamily, and there C_n = 1/f_{n,2}(inf),
+        whose tail at 0 is the evaluator's."""
+        roots = NodeFamily(*self.unpack(u), self.K)
+        return roots, complex(1.0 / roots.f2_inf(tail=self.evaluator.tail_zero))
 
     # -- residual and Jacobian -------------------------------------------------
 
@@ -182,17 +184,15 @@ class SigmaWorkspace:
     def residual_and_jacobian(self, u):
         """The residual F at u, and a function that forms the Jacobian Q at u
         from the same g dz terms, for the iterates a Newton step starts from."""
-        sigma1, sigma2 = self.unpack(u)
-        n, K, pref = self.n, self.K, self.pref
-        f2_inf = _f2_inf(sigma2, K, self.evaluator.tail_zero)
-        psi = lambda z: _bare_psi(n, K, sigma1, sigma2, z, f2_inf)
+        roots, C_n = self.roots_at(u)
+        psi = lambda z: _psi(self.n, roots, C_n, z, 1.0)
         z, gdz = _contour_terms(psi, self.evaluator, [r[2] for r in self.rows])
-        F = pref * np.sum(gdz, axis=1)
+        F = self.pref * np.sum(gdz, axis=1)
 
         def jacobian():
-            s1, s2 = sigma1[self.open1], sigma2[self.open2]
+            s1, s2 = roots.sigma1[self.open1], roots.sigma2[self.open2]
             Q = np.empty((u.size, u.size), dtype=complex)
-            for row, zr, w, p in zip(Q, z, gdz, pref):
+            for row, zr, w, p in zip(Q, z, gdz, self.pref):
                 B1 = 1.0 / (s1 - zr[:, None])
                 mu = -1.0 / (16.0 * zr)
                 B2 = 1.0 / (s2 - mu[:, None]) - 1.0 / s2
@@ -247,18 +247,13 @@ def solve_sigma(table, iso, n, K, tol=1e-9, max_iter=12) -> SigmaSolution:
         clamps += ev
         F, jacobian, rnorm = Ft, jt, tnorm
         iters += 1
-    sigma1, sigma2 = ws.unpack(u)
-    C_n = complex(1.0 / _f2_inf(sigma2, ws.K, ws.evaluator.tail_zero))
-    return SigmaSolution(n, K, sigma1, sigma2, rnorm, iters, C_n, clamps)
+    roots, C_n = ws.roots_at(u)
+    return SigmaSolution(n, K, roots.sigma1, roots.sigma2, rnorm, iters, C_n, clamps)
 
 
-def eval_psi(sol: SigmaSolution, table, iso, lam):
-    """psi_n(lambda) for a converged solution: the bare value times the tails
-    zero_tail(lambda, K) zero_tail(-1/(16 lambda), K), as in chip."""
-    lam = np.atleast_1d(np.asarray(lam, dtype=complex))
-    f2_inf = _f2_inf(sol.sigma2, sol.K, _evaluator(table, sol.K).tail_zero)
-    bare = _bare_psi(sol.n, sol.K, sol.sigma1, sol.sigma2, lam, f2_inf)
-    return bare * zero_tail(lam, sol.K) * zero_tail(-1.0 / (16.0 * lam), sol.K)
+def eval_psi(sol: SigmaSolution, lam):
+    """psi_n(lambda) of a converged solution, zero-potential tails included."""
+    return _solution_psi(sol)(lam)
 
 
 def _normalization(psi, ev, iso, K, nodes, scale, one):
@@ -284,9 +279,7 @@ def verify_normalization(sol: SigmaSolution, table, iso, nodes=None, contour_sca
     maximum deviation from delta_{nm} (family 1) resp. 0 (family 2), also
     on the closed gaps' contours, whose rows the solve does not form.
     """
-    ev = _evaluator(table, sol.K)
-    f2_inf = _f2_inf(sol.sigma2, sol.K, ev.tail_zero)
-    psi = lambda z: _bare_psi(sol.n, sol.K, sol.sigma1, sol.sigma2, z, f2_inf)
+    psi, ev = _solution_psi(sol, tail=1.0), _evaluator(table, sol.K)
     return _normalization(psi, ev, iso, sol.K, nodes, contour_scale, (1, sol.n))
 
 
@@ -295,7 +288,7 @@ def _require_positive(sol):
         raise ValueError("psi_{-n} is defined for n >= 1")
 
 
-def psi_negative(sol_reflected: SigmaSolution, table_reflected, iso_reflected, lam):
+def psi_negative(sol_reflected: SigmaSolution, lam):
     """psi_{-n}(lambda, q, p) := psi_n(1/(16 lambda), -q, p) / (16 lambda^2).
 
     sol_reflected must be the solution for index n >= 1 at the reflected
@@ -303,8 +296,7 @@ def psi_negative(sol_reflected: SigmaSolution, table_reflected, iso_reflected, l
     """
     _require_positive(sol_reflected)
     lam = np.atleast_1d(np.asarray(lam, dtype=complex))
-    u = 1.0 / (16.0 * lam)
-    return eval_psi(sol_reflected, table_reflected, iso_reflected, u) / (16.0 * lam**2)
+    return eval_psi(sol_reflected, 1.0 / (16.0 * lam)) / (16.0 * lam**2)
 
 
 def verify_negative_normalization(
@@ -314,14 +306,11 @@ def verify_negative_normalization(
     (nodes as in verify_normalization, from the base iso): zero over
     Gamma_{1,m}, delta_{-n,m} over Gamma_{2,m}.  Like psi_negative
     it raises a ValueError for n < 1.  It reads sqrt_c(chi_p) from the base
-    table's evaluator, as verify_normalization does on the same contours."""
+    table's evaluator, as verify_normalization does on the same contours;
+    table_reflected and iso_reflected are not read."""
     _require_positive(sol_reflected)
-    s, K = sol_reflected, sol_reflected.K
-    f2_inf = _f2_inf(s.sigma2, K, _evaluator(table_reflected, K).tail_zero)
-
-    def psi(z):
-        # zero_tail is even, so psi_n's tails at 1/(16 z) are those of
-        # sqrt_c(chi_p) at z
-        return _bare_psi(s.n, K, s.sigma1, s.sigma2, 1.0 / (16.0 * z), f2_inf) / (16.0 * z**2)
-
-    return _normalization(psi, table.evaluator(K), iso, K, nodes, contour_scale, (2, -s.n))
+    s, ev = sol_reflected, _evaluator(table, sol_reflected.K)
+    # zero_tail is even: psi_n's tails at 1/(16 z) are sqrt_c(chi_p)'s at z
+    psi_n = _solution_psi(s, tail=1.0)
+    psi = lambda z: psi_n(1.0 / (16.0 * z)) / (16.0 * z**2)
+    return _normalization(psi, ev, iso, s.K, nodes, contour_scale, (2, -s.n))

@@ -20,15 +20,17 @@ correction R_K = prod_{k>K} (z^2-t_k^2)/(z^2-k^2 pi^2) is summed to machine
 precision with Hurwitz-zeta tail estimates.  The first factor is the sine
 product over the integer lattice; R_K accounts for t_k - k pi = O(1/k).
 The caller passes the product's own variable x: lambda, mu = -1/(16 lambda),
-or 0 for the reciprocal end.  This covers the canonical roots sqrt_c(chi_p),
-f_{1,n}, the product forms of chi_p, chi_D and dDelta/dlambda, the node
-family of the interpolation and psi_n in differentials.  A quotient of two
-products over the same variable needs no tail: both carry the same one, so
-it is left out of both (tail = 1).
+or 0 for the reciprocal end.  NodeFamily pairs the two products of one node
+family, f = f1 f2, and covers the canonical roots sqrt_c(chi_p) (standard-root
+factors), f_{1,n}, the product forms of chi_p, chi_D and dDelta/dlambda, the
+node family of the interpolation and psi_n in differentials.  A quotient of
+two products over the same variable needs no tail: both carry the same one,
+so it is left out of both (tail = 1).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,29 +83,37 @@ def _omitted_terms_bound(r, a):
 
 
 def _tail_cutoff(rho2, K):
-    """The smallest M = K + 64 * 2^j whose omitted remainder terms are bounded
-    by _TAIL_TOL at |z/pi|^2 = rho2; M = K + 64 for |z| up to about
-    0.21 (K + 65) pi."""
+    """Per point, the smallest M = K + 64 * 2^j whose omitted remainder terms
+    are bounded by _TAIL_TOL at |z/pi|^2 = rho2 (an array); M = K + 64 for
+    |z| up to about 0.21 (K + 65) pi."""
+    Ms = np.zeros(rho2.shape, dtype=int)
     M = K + _TAIL_M_EXTRA
-    while True:
+    while not Ms.all():
+        if M > _TAIL_M_MAX:
+            far = np.pi * float(rho2[Ms == 0].max()) ** 0.5
+            raise ValueError(f"|z| = {far:.3g} beyond the range of the tail closure")
         a = M + 1.0
         r = rho2 / a**2
-        if r <= 0.5 and _omitted_terms_bound(r, a) <= _TAIL_TOL:
-            return M
+        ok = (r <= 0.5) & (_omitted_terms_bound(np.minimum(r, 0.5), a) <= _TAIL_TOL)
+        Ms[ok & (Ms == 0)] = M
         M = K + 2 * (M - K)
-        if M > _TAIL_M_MAX:
-            raise ValueError(
-                f"|z| = {np.pi * rho2**0.5:.3g} beyond the range of the tail closure"
-            )
+    return Ms
 
 
-def zero_tail(z, K: int, M: int | None = None):
+def _as_batch(x):
+    """x, or a single point twice over: numpy reduces one contiguous column of
+    factors in another order than many, so a point alone would round apart."""
+    return np.repeat(x, 2) if x.size == 1 else x
+
+
+def zero_tail(z, K: int):
     """prod over |k| > K of (t_k - z)/pi_k with t_k the zero-potential nodes.
 
     Vectorized in z; exact to ~1e-12 relative.  z must stay away from the
     tail lattice points k pi, |k| > K.  The product runs explicitly up to
-    k = M, by default chosen per point from |z| (_tail_cutoff), and the
-    remainder beyond M is summed as a series.
+    k = M, chosen per point from |z| (_tail_cutoff), and the remainder
+    beyond M is summed as a series; each value is bit for bit the same
+    alone as inside any batch.
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     # beyond the truncation ring the sine factor and R_K trade zeros against
@@ -112,28 +122,20 @@ def zero_tail(z, K: int, M: int | None = None):
     big = np.abs(z) > (K + 0.45) * np.pi
     if np.any(big & near & (np.abs(z.imag) < 1e-12)):
         raise ValueError("tail evaluation on a lattice node beyond the ring")
-    if M is None:
-        rho2 = np.abs(z / np.pi) ** 2
-        rho2 = np.where(np.isfinite(rho2), rho2, 0.0)
-        hi = float(rho2.max(initial=0.0))
-        M = _tail_cutoff(hi, K)
-        if M > _tail_cutoff(float(rho2.min(initial=hi)), K):
-            # far out: a cutoff per point, so no value depends on the batch
-            Ms = np.array([_tail_cutoff(float(r), K) for r in rho2])
-            out = np.empty_like(z)
-            for m in np.unique(Ms):
-                out[Ms == m] = zero_tail(z[Ms == m], K, int(m))
-            return out
-    rows = max(1, _TAIL_BLOCK // max(M - K, 1))
-    if z.size <= rows:
-        return _zero_tail_upto(z, K, M)
-    return np.concatenate(
-        [_zero_tail_upto(z[i : i + rows], K, M) for i in range(0, z.size, rows)]
-    )
+    Ms = _tail_cutoff(np.nan_to_num(np.abs(z / np.pi) ** 2, posinf=0.0), K)
+    out = np.empty_like(z)
+    for M in np.unique(Ms).tolist():
+        at = Ms == M
+        zm, rows = z[at], max(1, _TAIL_BLOCK // (M - K))
+        out[at] = np.concatenate(
+            [_zero_tail_upto(zm[i : i + rows], K, M) for i in range(0, zm.size, rows)]
+        )
+    return out
 
 
 def _zero_tail_upto(z, K, M):
     """zero_tail with the explicit product over K < k <= M."""
+    size, z = z.size, _as_batch(z)
     ks = np.arange(-K, K + 1)
     piks = pi_k(ks)
     # k pi - z in two parts: k PI_HI is exact, and so is k PI_HI - z near the
@@ -157,7 +159,7 @@ def _zero_tail_upto(z, K, M):
     S2 = sum(w2**j * zeta[j + 1] for j in range(5))
     S1b = sum((j + 1) * w2**j * zeta[j + 1] for j in range(4)) / np.pi**4
     logrem = 0.125 * S1 - S2 / (256.0 * np.pi**4) - 0.5 * (1.0 / 64.0) * S1b
-    return sin_part * R * np.exp(logrem)
+    return (sin_part * R * np.exp(logrem))[:size]
 
 
 def _sroot(tau, gamma, z):
@@ -168,13 +170,24 @@ def _sroot(tau, gamma, z):
     d = tau - z
     dd = 4.0 * d * d
     safe = np.where(dd == 0, 1.0, dd)
-    return d * np.sqrt(1.0 - gamma**2 / safe + 0j)
+    # named: numpy multiplies into a large temporary in place, rounding otherwise
+    root = np.sqrt(1.0 - gamma**2 / safe + 0j)
+    return d * root
 
 
 def standard_root(j: int, n: int, lam, table):
     """The standard root w_{j,n}(lambda) for the given spectrum table."""
     x = family_var(j, np.asarray(lam, dtype=complex))
     return _sroot(table.tau2(j, n), table.gamma2(j, n), x)
+
+
+@functools.lru_cache(maxsize=None)
+def _inv_pi(K):
+    """The complex 1/pi_k, k = -K..K, read-only: w_k times it is the value
+    numpy's complex division by the real pi_k gives."""
+    inv = (1.0 / pi_k(np.arange(-K, K + 1))).astype(complex)
+    inv.setflags(write=False)
+    return inv
 
 
 def node_product(nodes, x, K: int, gammas=None, tail=None, skip=None):
@@ -186,30 +199,27 @@ def node_product(nodes, x, K: int, gammas=None, tail=None, skip=None):
     lambda, mu = -1/(16 lambda), or 0 for the reciprocal end.  tail, when
     given, is zero_tail(x, K), computed once by a caller that shares it
     between products, or 1 for the bare truncated product; skip removes the
-    factor of that index.  Vectorized in x.
+    factor of that index.  Vectorized in x; a point alone gets the bits it
+    gets inside a batch.
     """
     x = np.atleast_1d(np.asarray(x, dtype=complex))
-    ks = np.arange(-K, K + 1)
-    piks = pi_k(ks)
+    inv = _inv_pi(K)
     if skip is not None:
-        keep = ks != skip
-        nodes, piks = nodes[keep], piks[keep]
+        keep = np.arange(-K, K + 1) != skip
+        nodes, inv = nodes[keep], inv[keep]
         gammas = None if gammas is None else gammas[keep]
-    # factors on the leading axis, points contiguous; w_k times the complex
-    # 1/pi_k is the value numpy's complex division by the real pi_k gives
-    nodes, inv = nodes[:, None], (1.0 / piks[:, None]).astype(complex)
-    w = nodes - x if gammas is None else _sroot(nodes, gammas[:, None], x)
-    w *= inv
+    # factors on the leading axis, points contiguous
+    nodes, xb = nodes[:, None], _as_batch(x)
+    w = nodes - xb if gammas is None else _sroot(nodes, gammas[:, None], xb)
+    w *= inv[:, None]
     if tail is None:
         tail = zero_tail(x, K)
-    return np.prod(w, axis=0) * tail
+    return np.prod(w, axis=0)[: x.size] * tail
 
 
 def f1n(table, n: int, lam, K: int):
     """f_{1,n}(lambda) = (1/pi_n) prod_{m != n} w_{1,m}(lambda)/pi_m."""
-    return node_product(
-        table.family("tau2", 1, K), lam, K, table.family("gamma2", 1, K), skip=n
-    ) / pi_k(n)
+    return table.evaluator(K).roots.f1(lam, skip=n) / pi_k(n)
 
 
 class CanonicalRootEvaluator:
@@ -217,19 +227,18 @@ class CanonicalRootEvaluator:
     chi_{p,1} and chi_{p,2}.
 
     Nodes for |k| <= K come from the spectrum table (zero-potential
-    surrogates beyond its range); the |k| > K tail is closed exactly.  All
-    evaluators are vectorized over lambda and pure; on_contour keeps the
-    nodes, weights and values of each contour.
+    surrogates beyond its range): roots is their NodeFamily of standard
+    roots, the tau with the gap widths gamma, whose f = f1 f2 is
+    sqrt_c(chi_1) sqrt_c(chi_2).  All evaluators are vectorized over lambda
+    and pure; on_contour keeps the nodes, weights and values of each contour.
     """
 
     def __init__(self, table, K: int):
         if K < 1:
             raise ValueError("K must be >= 1")
         self.K = int(K)
-        self.tau1 = table.family("tau2", 1, K)
-        self.gam1 = table.family("gamma2", 1, K)
-        self.tau2 = table.family("tau2", 2, K)
-        self.gam2 = table.family("gamma2", 2, K)
+        t1, t2, g1, g2 = (table.family(q, j, K) for q in ("tau2", "gamma2") for j in (1, 2))
+        self.roots = NodeFamily(t1, t2, K, g1, g2)
         # branch ambiguity exists only at endpoints of open gaps; collapsed
         # gaps are removable points of the root
         ends = []
@@ -241,29 +250,26 @@ class CanonicalRootEvaluator:
         self._gap_ends = np.asarray(ends if ends else [np.inf], dtype=complex)
         self.tail_zero = complex(zero_tail(0.0, self.K)[0])
         # sqrt_c(chi_{p,1}), the product of all w_{1,k}/pi_k, at 0
-        self.chi1_zero = complex(node_product(self.tau1, 0.0, K, self.gam1, self.tail_zero)[0])
+        self.chi1_zero = complex(self.roots.f1(0.0, tail=self.tail_zero)[0])
         self._on_contour = {}  # ContourSpec -> (z, dz, _bare_chip(z)) on its nodes
 
     def chip(self, lam, check_gaps: bool = True):
         """sqrt_c of chi_p = i * sqrt_c(chi_1) sqrt_c(chi_2) / sqrt_c(chi_1)(0)."""
-        lam = np.atleast_1d(np.asarray(lam, dtype=complex))
-        bare = self._bare_chip(lam, check_gaps)
-        return bare * zero_tail(lam, self.K) * zero_tail(-1.0 / (16.0 * lam), self.K)
+        return 1j * self.roots.f(self._off_ends(lam, check_gaps)) / self.chi1_zero
 
-    def _bare_chip(self, lam, check_gaps: bool = True):
+    def _bare_chip(self, lam):
         """chip without its tails zero_tail(lam, K) zero_tail(-1/(16 lam), K):
         the quotients psi/sqrt_c(chi_p) of differentials, whose numerators
         carry the same two tails, leave them out of both."""
+        return 1j * self.roots.f(self._off_ends(lam, True), tail=1.0) / self.chi1_zero
+
+    def _off_ends(self, lam, check_gaps):
+        """lam as a complex array; with check_gaps, refused within 1e-10 of an
+        open gap's endpoint, where the branch is ambiguous."""
         lam = np.atleast_1d(np.asarray(lam, dtype=complex))
-        if check_gaps:
-            d = np.abs(lam[:, None] - self._gap_ends[None, :])
-            if np.any(d < 1e-10):
-                raise ValueError(
-                    "lambda within 1e-10 of a gap endpoint: branch ambiguous"
-                )
-        chi1 = node_product(self.tau1, lam, self.K, self.gam1, 1.0)
-        chi2 = node_product(self.tau2, -1.0 / (16.0 * lam), self.K, self.gam2, 1.0)
-        return 1j * chi1 * chi2 / self.chi1_zero
+        if check_gaps and np.any(np.abs(lam[:, None] - self._gap_ends[None, :]) < 1e-10):
+            raise ValueError("lambda within 1e-10 of a gap endpoint: branch ambiguous")
+        return lam
 
     def on_contour(self, spec):
         """The nodes z, weights dz and _bare_chip values of the contour spec,
@@ -366,16 +372,9 @@ def sign_tables(v, table):
 
 
 def product_chi_p(table, K, lam):
-    """chi_p by its product representation -c_p chi_{p,1} chi_{p,2}."""
-    lam = np.atleast_1d(np.asarray(lam, dtype=complex))
-
-    def chi(j, x):  # chi_{p,j} at x; both edge products share the tail
-        t = zero_tail(x, K)
-        return node_product(table.family("lam2", j, K, +1), x, K, tail=t) * (
-            node_product(table.family("lam2", j, K, -1), x, K, tail=t)
-        )
-
-    return -chi(1, lam) * chi(2, -1.0 / (16.0 * lam)) / chi(1, 0.0)
+    """chi_p by its product representation -c_p chi_{p,1} chi_{p,2}: the
+    square of sqrt_c(chi_p), since w_k^2 = (lambda_k^+ - x)(lambda_k^- - x)."""
+    return table.evaluator(K).chip(lam, check_gaps=False) ** 2
 
 
 def product_chi_D(table, K, lam):
@@ -450,18 +449,22 @@ def verify_product_reps(v, table, K, tol_ode=1e-11):
 @dataclass(frozen=True, eq=False)
 class NodeFamily:
     """Two node sequences sigma_{1,k}, sigma_{2,k} (|k| <= K) with
-    zero-potential tails; kappa_{2,k} = -1/(16 sigma_{2,k})."""
+    zero-potential tails; kappa_{2,k} = -1/(16 sigma_{2,k}).  With gap widths
+    gamma1, gamma2 the factors are the standard roots w_k instead of the
+    linear sigma_k - x."""
 
     sigma1: np.ndarray
     sigma2: np.ndarray
     K: int
+    gamma1: np.ndarray | None = None
+    gamma2: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.sigma1.shape != (2 * self.K + 1,) or self.sigma2.shape != (
-            2 * self.K + 1,
-        ):
+        n = 2 * self.K + 1
+        arrays = (self.sigma1, self.sigma2, self.gamma1, self.gamma2)
+        if any(a is not None and a.shape != (n,) for a in arrays):
             raise ValueError("node arrays must cover k = -K..K")
-        if np.any(self.sigma1 == 0) or np.any(self.sigma2 == 0):
+        if np.count_nonzero(self.sigma1) + np.count_nonzero(self.sigma2) < 2 * n:
             raise ValueError("nodes must be nonzero")
 
     @property
@@ -478,26 +481,32 @@ class NodeFamily:
 
     def padded(self, W: int) -> "NodeFamily":
         """The same f1, f2 and f with the tail nodes tau_zero(k), K < |k| <= W,
-        written out in both sequences and the family closed at W."""
+        written out in both sequences and the family closed at W (a family
+        of linear factors, as the interpolation's)."""
         out = np.arange(self.K + 1, W + 1)
         pad = lambda s: np.concatenate([tau_zero(-out[::-1]), s, tau_zero(out)])
         return NodeFamily(pad(self.sigma1), pad(self.sigma2), W)
 
-    def f1(self, z):
-        return node_product(self.sigma1, z, self.K)
+    def f1(self, z, skip=None, tail=None):
+        """prod_k w_{1,k}(z)/pi_k, the factor skip removed; tail as in node_product."""
+        return node_product(self.sigma1, z, self.K, self.gamma1, tail, skip)
 
-    def f2(self, z):
+    def f2(self, z, tail=None):
+        """prod_k w_{2,k}(-1/(16 z))/pi_k; tail as in node_product."""
         z = np.atleast_1d(np.asarray(z, dtype=complex))
-        return node_product(self.sigma2, -1.0 / (16.0 * z), self.K)
+        return node_product(self.sigma2, -1.0 / (16.0 * z), self.K, self.gamma2, tail)
 
-    def f2_inf(self) -> complex:
-        return complex(node_product(self.sigma2, 0.0, self.K)[0])
+    def f2_inf(self, tail=None) -> complex:
+        """f2 at z = inf, the product at mu = 0; tail as in node_product."""
+        return complex(node_product(self.sigma2, 0.0, self.K, self.gamma2, tail)[0])
 
-    def f(self, z):
-        return self.f1(z) * self.f2(z)
+    def f(self, z, skip=None, tail=None):
+        """f1 f2, the factor skip of f1 removed; tail as in node_product."""
+        return self.f1(z, skip, tail) * self.f2(z, tail)
 
     def fdot_at_nodes(self):
-        """d/dz [f1 f2] at every sigma_{1,n} and at every kappa_{2,n}.
+        """d/dz [f1 f2] at every sigma_{1,n} and at every kappa_{2,n}, for a
+        family of linear factors.
 
         At a node only its own factor vanishes, so f' there is the product
         with that factor removed: per family one (2K+1)^2 matrix of factors

@@ -699,7 +699,7 @@ def certify_counts(v, table, iso, n_range, tol=1e-11):
 # trace formula
 
 
-def trace_formula_tau(v: Potential, n: int, contour: ContourSpec, tol=1e-11):
+def trace_formula_tau(v: Potential, contour: ContourSpec, tol=1e-11):
     """tau_n and gamma_n^2 from the argument-principle moments
 
         (lambda_n^+)^k + (lambda_n^-)^k

@@ -316,9 +316,7 @@ def run_suite(v: Potential, cfg: RunConfig | None = None):
     worst = 0.0
     for n in (0, 1, -1):
         c, r = iso.U(n)
-        tau, g2 = sp.trace_formula_tau(
-            v, n, ContourSpec(c, 0.9 * r, cfg.nodes + 64), tol=cfg.ode_tol
-        )
+        tau, g2 = sp.trace_formula_tau(v, ContourSpec(c, 0.9 * r, cfg.nodes + 64), tol=cfg.ode_tol)
         worst = max(
             worst, abs(tau - table.tau(n)), abs(g2 - table.gamma(n) ** 2)
         )

@@ -12,10 +12,10 @@ from shgspec.differentials import (
 )
 import shgspec.differentials as df
 import shgspec.roots_products as rp
-from shgspec.config import seeded_ensemble
+from shgspec.config import THRESHOLDS, seeded_ensemble
 from shgspec.potential import pi_k
 from shgspec.quadrature import ContourSpec, contour_integral
-from shgspec.roots_products import CanonicalRootEvaluator, zero_tail
+from shgspec.roots_products import CanonicalRootEvaluator, NodeFamily, zero_tail
 from shgspec.spectrum import build_isolating, build_table
 
 
@@ -52,7 +52,7 @@ def test_zero_potential_psi_normalization(tab0, iso0):
     ev = CanonicalRootEvaluator(tab0, 8)
     spec = iso0.contour(1, 1, nodes=96)
     z, dz = spec.points()
-    val = np.sum(eval_psi(sol, tab0, iso0, z) / ev.chip(z) * dz)
+    val = np.sum(eval_psi(sol, z) / ev.chip(z) * dz)
     assert abs(val - 2 * np.pi) < 1e-7
     mat, dev = verify_normalization(sol, tab0, iso0)
     assert dev < 1e-7
@@ -114,16 +114,16 @@ def test_unknowns_are_the_open_gaps_roots(tab16, iso16, v3_and_reflected, tab0, 
     (tab3, iso3), _ = v3_and_reflected
     for tab, iso, counts in ((tab16, iso16, (4, 3, 4)), (tab3, iso3, (8, 7, 7)),
                              (tab0, iso0, (0, 0, 0))):
-        ev = tab.evaluator(tab.n_max)
-        closed2 = ev.gam2 == 0
+        taus = tab.evaluator(tab.n_max).roots
+        closed2 = taus.gamma2 == 0
         for n, count in zip((0, 1, 2), counts):
             ws = SigmaWorkspace(tab, iso, n, tab.n_max)
-            closed1 = (ev.gam1 == 0) | (ws.ks == n)
+            closed1 = (taus.gamma1 == 0) | (ws.ks == n)
             assert ws.initial_state().size == len(ws.rows) == count
             assert np.count_nonzero(~closed1) + np.count_nonzero(~closed2) == count
             sol = solve_sigma(tab, iso, n, tab.n_max)
-            assert np.array_equal(sol.sigma1[closed1], ev.tau1[closed1])
-            assert np.array_equal(sol.sigma2[closed2], ev.tau2[closed2])
+            assert np.array_equal(sol.sigma1[closed1], taus.sigma1[closed1])
+            assert np.array_equal(sol.sigma2[closed2], taus.sigma2[closed2])
 
 
 def test_solver_idempotence(v_seed, tab16, iso16):
@@ -144,7 +144,8 @@ def test_residual_tail_decay(v_seed, tab16, iso16):
     ws = SigmaWorkspace(tab16, iso16, 0, 16)
     s1, s2 = ws.unpack(ws.initial_state())
     s1[1 + 16] += 0.25 * tab16.gamma2(1, 1)  # quarter of the open gap
-    mat, _ = verify_normalization(SigmaSolution(0, 16, s1, s2, 0.0, 0, 0j), tab16, iso16)
+    C_n = 1.0 / NodeFamily(s1, s2, 16).f2_inf()
+    mat, _ = verify_normalization(SigmaSolution(0, 16, s1, s2, 0.0, 0, C_n), tab16, iso16)
     mags = {}
     for (fam, m), val in mat.items():
         if (fam, m) != (1, 0):
@@ -248,7 +249,7 @@ def test_psi_node_doubling(v_seed, tab16, iso16):
         for nn in nodes:
             spec = iso16.contour(1, 3, nodes=nn)
             z, dz = spec.points()
-            vals.append(np.sum(eval_psi(sol, tab16, iso16, z) / ev.chip(z) * dz))
+            vals.append(np.sum(eval_psi(sol, z) / ev.chip(z) * dz))
         assert abs(vals[0] - vals[1]) < 1e-10
 
 
@@ -287,7 +288,7 @@ def test_psi_negative_shares_the_tails_of_chip(tab0, iso0, monkeypatch):
     ev = CanonicalRootEvaluator(tab0, 8)
     for (j, m), val in mat.items():
         z, dz = iso0.contour(j, m, nodes=32, scale=1.5).points()
-        alone = np.sum(psi_negative(solr, tab0, iso0, z) / ev.chip(z) * dz) / (2 * np.pi)
+        alone = np.sum(psi_negative(solr, z) / ev.chip(z) * dz) / (2 * np.pi)
         assert abs(val - alone) <= 1e-13
 
 
@@ -296,7 +297,7 @@ def test_psi_negative_needs_positive_index(tab0, iso0):
     instead of giving a normalization deviation of 1."""
     solr = solve_sigma(tab0, iso0, 0, 8)
     with pytest.raises(ValueError, match="n >= 1"):
-        psi_negative(solr, tab0, iso0, np.array([0.3 + 0.1j]))
+        psi_negative(solr, np.array([0.3 + 0.1j]))
     with pytest.raises(ValueError, match="n >= 1"):
         verify_negative_normalization(solr, tab0, iso0, tab0, iso0)
 
@@ -314,11 +315,11 @@ def test_psi_negative_small_v(v_seed, tab16, iso16, reflected):
         spec = iso16.contour(2, m, nodes=96)
         z, dz = spec.points()
         lhs = np.sum(
-            psi_negative(solr, tabr, isor, z) / ev.chip(z) * dz
+            psi_negative(solr, z) / ev.chip(z) * dz
         )
         spec2 = isor.contour(1, -m, nodes=96)
         z2, dz2 = spec2.points()
-        rhs = np.sum(eval_psi(solr, tabr, isor, z2) / evr.chip(z2) * dz2)
+        rhs = np.sum(eval_psi(solr, z2) / evr.chip(z2) * dz2)
         assert abs(lhs - rhs) < 1e-8
     # roots of psi_{-n} confined to the gaps of (q,p) except (2,-n):
     # -sigma_{2,k}^r lies in -G_{1,k}(v) (= G_{1,-k} for k != 0, the mirror
@@ -333,6 +334,21 @@ def test_psi_negative_small_v(v_seed, tab16, iso16, reflected):
     root0 = -solr.sigma2_at(0)
     lo, hi = tab16.gap2(2, 0)
     assert _seg_dist(root0, lo, hi) < 1e-7
+
+
+def test_normalization_gates_read_the_stored_C_n(tab16, iso16, reflected):
+    """Both normalization checks integrate psi with the solution's own C_n:
+    scaling C_n alone by 1 + 1e-5 fails each gate, and the converged
+    solutions pass it (v1, n = 1)."""
+    from dataclasses import replace
+
+    _, tabr, isor = reflected
+    sol, solr = solve_sigma(tab16, iso16, 1, 16), solve_sigma(tabr, isor, 1, 16)
+    scaled = lambda s: replace(s, C_n=s.C_n * (1 + 1e-5))
+    check = lambda s: verify_normalization(s, tab16, iso16)[1]
+    check_negative = lambda s: verify_negative_normalization(s, tabr, isor, tab16, iso16)[1]
+    assert check(sol) <= THRESHOLDS["normalization"] < check(scaled(sol))
+    assert check_negative(solr) <= THRESHOLDS["normalization_negative"] < check_negative(scaled(solr))
 
 
 def test_admissibility_guard(v_seed, tab16, iso16):
@@ -401,15 +417,15 @@ def test_bare_quotient_matches_the_tailed_oracle(
         ev, evr = CanonicalRootEvaluator(tab, 16), CanonicalRootEvaluator(tabr, 16)
         for n in (0, 1, 2):
             sol, z, f = _verify_quotient(monkeypatch, solve_sigma, tab, iso, n, 16)
-            assert rel(f, eval_psi(sol, tab, iso, z) / ev.chip(z)) <= 1e-13
+            assert rel(f, eval_psi(sol, z) / ev.chip(z)) <= 1e-13
             _, z, f = _verify_quotient(monkeypatch, verify_normalization, sol, tab, iso)
-            assert rel(f, eval_psi(sol, tab, iso, z) / ev.chip(z)) <= 1e-13
+            assert rel(f, eval_psi(sol, z) / ev.chip(z)) <= 1e-13
         solr, z, f = _verify_quotient(monkeypatch, solve_sigma, tabr, isor, 1, 16)
-        assert rel(f, eval_psi(solr, tabr, isor, z) / evr.chip(z)) <= 1e-13
+        assert rel(f, eval_psi(solr, z) / evr.chip(z)) <= 1e-13
         _, z, f = _verify_quotient(
             monkeypatch, verify_negative_normalization, solr, tabr, isor, tab, iso
         )
-        assert rel(f, psi_negative(solr, tabr, isor, z) / ev.chip(z)) <= 1e-13
+        assert rel(f, psi_negative(solr, z) / ev.chip(z)) <= 1e-13
 
 
 def test_sigma_layer_evaluates_tails_only_at_zero(tab16, iso16, reflected, monkeypatch):
@@ -427,7 +443,6 @@ def test_sigma_layer_evaluates_tails_only_at_zero(tab16, iso16, reflected, monke
         return tail(z, *args, **kwargs)
 
     monkeypatch.setattr(rp, "zero_tail", counting)
-    monkeypatch.setattr(df, "zero_tail", counting)
     sol = solve_sigma(tab, iso16, 1, 16)
     assert len(points) == 1
     verify_normalization(sol, tab, iso16)
@@ -470,9 +485,9 @@ def test_checks_build_no_solve_contours(tab16, iso16, reflected, monkeypatch):
         assert sum(points) == want
     points.clear()
     lam = np.array([0.3 + 0.2j, 5.0, 40.0 - 1.0j])
-    eval_psi(sol, tab, iso16, lam)
-    eval_psi(solr, tabr, isor, lam)
-    psi_negative(solr, tabr, isor, lam)
+    eval_psi(sol, lam)
+    eval_psi(solr, lam)
+    psi_negative(solr, lam)
     assert points == []
 
 
@@ -486,9 +501,8 @@ def test_sigma_pass_evaluates_each_contour_once(monkeypatch, v3_and_reflected):
     contours, 64 resp. 96 nodes each, 81 ContourSpec.points calls.
     Repeating the sequence builds and evaluates nothing.  Each solve builds one SigmaWorkspace; the checks and
     psi evaluation build none.  The kept values equal a fresh evaluation on
-    the same nodes to a few ulp, not bit for bit: a batch of other size
-    rounds _sroot differently in the last bits (up to 1.02e-15 relative on
-    the reflected table)."""
+    all the same nodes at once, bit for bit: no product depends on the
+    batch it is evaluated in."""
     (tab3, iso), (tab3r, isor) = v3_and_reflected
     tab, tabr = tab3.truncated(16), tab3r.truncated(16)  # no evaluator built yet
     points = _count_chip_points(monkeypatch)
@@ -510,8 +524,8 @@ def test_sigma_pass_evaluates_each_contour_once(monkeypatch, v3_and_reflected):
             run(0, verify_normalization, sol, tab, iso, nodes=96)
         solr = run(1, solve_sigma, tabr, isor, 1, 16)
         run(0, verify_negative_normalization, solr, tabr, isor, tab, iso, nodes=96)
-        run(0, eval_psi, sol, tab, iso, lam)
-        run(0, psi_negative, solr, tabr, isor, lam)
+        run(0, eval_psi, sol, lam)
+        run(0, psi_negative, solr, lam)
 
     sequence()
     assert len(nodes) == 81
@@ -528,8 +542,7 @@ def test_sigma_pass_evaluates_each_contour_once(monkeypatch, v3_and_reflected):
         z, dz, kept = (np.concatenate(a) for a in zip(*(ev.on_contour(s) for s in specs)))
         fresh_z, fresh_dz = (np.concatenate(a) for a in zip(*(s.points() for s in specs)))
         assert np.array_equal(z, fresh_z) and np.array_equal(dz, fresh_dz)
-        fresh = ev._bare_chip(fresh_z)
-        assert np.max(np.abs(kept - fresh) / np.abs(fresh)) <= 2e-15
+        assert np.array_equal(kept, ev._bare_chip(fresh_z))
 
 
 def test_one_residual_evaluation_per_newton_trial(
@@ -586,17 +599,17 @@ def test_normalization_in_one_sweep_matches_each_contour_alone(monkeypatch, v3_a
     (tab, iso), _ = v3_and_reflected
     sol = solve_sigma(tab, iso, 1, 16)
     sweeps = []
-    bare = df._bare_psi
-    monkeypatch.setattr(df, "_bare_psi", lambda *a: sweeps.append(np.size(a[4])) or bare(*a))
+    psi = df._psi
+    monkeypatch.setattr(df, "_psi", lambda *a: sweeps.append(np.size(a[3])) or psi(*a))
     mat, dev = verify_normalization(sol, tab, iso, nodes=96)
     monkeypatch.undo()
     assert sweeps == [2 * 33 * 96]
     ev = tab.evaluator(16)
-    f2_inf = df._f2_inf(sol.sigma2, 16, ev.tail_zero)
+    roots = NodeFamily(sol.sigma1, sol.sigma2, 16)
     for (j, m), val in mat.items():
         spec = iso.contour(j, m, nodes=96, scale=1.5)
         z, dz = spec.points()
-        psi = df._bare_psi(1, 16, sol.sigma1, sol.sigma2, z, f2_inf)
+        psi = df._psi(1, roots, sol.C_n, z, 1.0)
         alone = np.sum(psi / ev.on_contour(spec)[2] * dz) / (2 * np.pi)
         assert abs(val - alone) <= 1e-14
     assert dev == max(abs(v - float(key == (1, 1))) for key, v in mat.items())

@@ -114,6 +114,30 @@ def test_node_product_against_a_loop_over_the_factors(tab16):
                     assert np.max(np.abs(got - want * t) / np.abs(want * t)) <= 4e-15
 
 
+def test_products_give_a_point_alone_its_bits_in_a_batch(tab16):
+    """zero_tail, node_product and chip at a point alone equal, bit for bit,
+    their values at that point inside a batch whose points need different
+    tail cutoffs: numpy reduces a single contiguous column of factors in
+    another order than many, so a lone point is computed as a batch.  The
+    batch is large enough (33 x 605 complex factors) for numpy to reuse
+    temporaries in place, which rounds a product differently."""
+    from shgspec.roots_products import _tail_cutoff
+
+    rng = np.random.default_rng(11)
+    far = rng.uniform(-3000, 3000, 4) + 1j * rng.uniform(-40, 40, 4)
+    near = rng.uniform(-5, 5, 601) + 1j * rng.uniform(-2, 2, 601)
+    z = np.concatenate([near, far])
+    tau, gam = tab16.family("tau2", 1, 16), tab16.family("gamma2", 1, 16)
+    ev = CanonicalRootEvaluator(tab16, 16)
+    fns = [lambda x: zero_tail(x, 16), lambda x: zero_tail(x, 48),
+           lambda x: node_product(tau, x, 16, gam, skip=3), ev.chip]
+    for fn in fns:
+        batch = fn(z)
+        assert all(fn(z[i : i + 1])[0] == batch[i] for i in range(z.size))
+        assert fn(z[0])[0] == batch[0]
+    assert np.unique(_tail_cutoff(np.abs(z / np.pi) ** 2, 16)).size >= 3
+
+
 def test_zero_tail_lattice_guard():
     with pytest.raises(ValueError, match="lattice"):
         zero_tail(np.array([20 * np.pi + 0j]), 8)
@@ -184,7 +208,7 @@ def test_canonical_root_chi1_zero_closed_form(tab16):
         val *= lp * lm / (m * np.pi) ** 2
     val *= zero_tail(np.array([0.0 + 0j]), K)[0]
     assert abs(ev.chi1_zero - val) < 1e-12 * abs(val)
-    chi2_inf = node_product(ev.tau2, 0.0, K, ev.gam2)[0]  # sqrt_c(chi_2) at lambda = inf
+    chi2_inf = ev.roots.f2_inf()  # sqrt_c(chi_2) at lambda = inf
     assert abs(ev.chi1_zero - chi2_inf) < 1e-10 * abs(val)
 
 

@@ -415,7 +415,7 @@ def test_contours_inside_discs(tab16, iso16):
 
 def test_trace_formula_zero(v_zero, iso0, tab0):
     c, r = iso0.U(1)
-    tau, g2 = trace_formula_tau(v_zero, 1, ContourSpec(c, 0.9 * r, 128), tol=1e-12)
+    tau, g2 = trace_formula_tau(v_zero, ContourSpec(c, 0.9 * r, 128), tol=1e-12)
     assert abs(tau - LAM1_ZERO) < 1e-9
     assert abs(g2) < 1e-10
 
@@ -423,7 +423,7 @@ def test_trace_formula_zero(v_zero, iso0, tab0):
 def test_trace_formula_small_v(v_seed, tab16, iso16):
     for n in (0, 1, -2):
         c, r = iso16.U(n)
-        tau, g2 = trace_formula_tau(v_seed, n, ContourSpec(c, 0.9 * r, 128), tol=1e-12)
+        tau, g2 = trace_formula_tau(v_seed, ContourSpec(c, 0.9 * r, 128), tol=1e-12)
         assert abs(tau.imag) < 1e-10
         assert g2.real > -1e-12
         assert abs(tau - tab16.tau(n)) < 1e-7
