@@ -13,7 +13,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -149,18 +149,7 @@ def cmd_verify(args, cfg, v) -> int:
 
     checks = run_suite(v, cfg)
     if cfg.out_format == "json":
-        payload = [
-            {
-                "check_id": c.check_id,
-                "status": c.status,
-                "metric": c.metric,
-                "threshold": c.threshold,
-                "trace": c.convergence_trace,
-                "reason": c.reason,
-            }
-            for c in checks
-        ]
-        _emit(json.dumps(payload, indent=1), args.out)
+        _emit(json.dumps([asdict(c) for c in checks], indent=1), args.out)
     else:
         _emit("\n".join(c.line() for c in checks), args.out)
     failed = any(c.status == "fail" for c in checks)

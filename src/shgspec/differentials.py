@@ -42,7 +42,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .potential import family_var, pi_k, to_pair
 from .roots_products import NodeFamily
@@ -231,7 +230,7 @@ def solve_sigma(table, iso, n, K, tol=1e-9, max_iter=12) -> SigmaSolution:
                 f"Jacobian conditioning {cond:.3e} beyond limit; "
                 "outside solvable neighborhood"
             )
-        step = lu_solve(lu_factor(Q), F)
+        step = np.linalg.solve(Q, F)
         scale = 1.0
         for _ in range(MAX_HALVINGS + 1):
             trial = u - scale * step

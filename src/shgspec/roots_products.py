@@ -22,8 +22,9 @@ product over the integer lattice; R_K accounts for t_k - k pi = O(1/k).
 The caller passes the product's own variable x: lambda, mu = -1/(16 lambda),
 or 0 for the reciprocal end.  NodeFamily pairs the two products of one node
 family, f = f1 f2, and covers the canonical roots sqrt_c(chi_p) (standard-root
-factors), f_{1,n}, the product forms of chi_p, chi_D and dDelta/dlambda, the
-node family of the interpolation and psi_n in differentials.  A quotient of
+factors), f_{1,n}, the product forms of chi_p, chi_D and dDelta/dlambda and
+their constraint identities, the node family of the interpolation and psi_n
+in differentials.  A quotient of
 two products over the same variable needs no tail: both carry the same one,
 so it is left out of both (tail = 1).
 """
@@ -379,7 +380,7 @@ def product_chi_p(table, K, lam):
 
 def product_chi_D(table, K, lam):
     """chi_D by its product representation -c_D chi_{D,1} chi_{D,2}."""
-    mus = NodeFamily(table.family("mu2", 1, K), table.family("mu2", 2, K), K)
+    mus = NodeFamily.from_table(table, K, "mu2")
     return -mus.f(lam) / mus.f2_inf()
 
 
@@ -387,7 +388,7 @@ def product_delta_dot(table, K, lam):
     """Delta_dot by its product representation
     c * (1 - lam_dot_*^2/lam^2) * Ddot_1 * Ddot_2."""
     lam = np.atleast_1d(np.asarray(lam, dtype=complex))
-    dots = NodeFamily(table.family("lam_dot2", 1, K), table.family("lam_dot2", 2, K), K)
+    dots = NodeFamily.from_table(table, K, "lam_dot2")
     star = table.lam_dot_star
     return (1.0 - star**2 / lam**2) * dots.f(lam) / dots.f2_inf()
 
@@ -395,28 +396,21 @@ def product_delta_dot(table, K, lam):
 def constraint_products(table, K):
     """The three truncated constraint identities, each expected -> 1.
 
-    Tail factors beyond the table range pair to exactly 1 by the
-    zero-potential reciprocity lambda_{-k} = 1/(16 lambda_k), so only the
-    tabulated range contributes.  The Dirichlet identity carries e^{-q(0)}:
-    numerically chi_{D,2}(inf) = e^{-q(0)} chi_{D,1}(0) to machine precision.
+    Each is a node family's product at 0 over its product at infinity,
+    f1(0)/f2(inf) = prod_k sigma_{1,k}/sigma_{2,k}: with the reciprocity
+    sigma_{2,k} ~ 1/(16 sigma_{1,k}) each factor pairs lambda_n with
+    16 lambda_{-n}.  The periodic identity is that of the standard roots,
+    squared (w_k(0)^2 = lambda_k^+ lambda_k^-); the Dirichlet one carries
+    e^{-q(0)}, since chi_{D,2}(inf) = e^{-q(0)} chi_{D,1}(0); the Delta_dot one
+    carries -16 lambda_dot_*^2.
     """
-    ns = np.arange(1, K + 1)
-    # periodic: (16 lam_0^+ lam_0^-)^2 prod (lam_n^+ 16 lam_-n^+)^2 (lam_n^- 16 lam_-n^-)^2
-    l0m, l0p = table.lam_pm(0)
-    per = (16.0 * l0p * l0m) ** 2
-    for n in ns:
-        lpm, lpp = table.lam_pm(int(n))
-        lmm, lmp = table.lam_pm(int(-n))
-        per *= (lpp * 16.0 * lmp) ** 2 * (lpm * 16.0 * lmm) ** 2
-    # Dirichlet: e^{-q(0)} 16 mu_0^2 prod (mu_n 16 mu_-n)^2
-    dir_ = np.exp(-table.q0) * 16.0 * table.mu_n(0) ** 2
-    for n in ns:
-        dir_ *= (table.mu_n(int(n)) * 16.0 * table.mu_n(int(-n))) ** 2
-    # Delta_dot: -ld_*^2 (16 ld_0)^2 prod (ld_n 16 ld_-n)^2
-    ddot = -table.lam_dot_star**2 * (16.0 * table.lam_dot_n(0)) ** 2
-    for n in ns:
-        ddot *= (table.lam_dot_n(int(n)) * 16.0 * table.lam_dot_n(int(-n))) ** 2
-    return {"periodic": complex(per), "dirichlet": complex(dir_), "delta_dot": complex(ddot)}
+    ratio = lambda fam: complex(fam.f1(0.0)[0]) / fam.f2_inf()
+    return {
+        "periodic": ratio(table.evaluator(K).roots) ** 2,
+        "dirichlet": np.exp(-table.q0) * ratio(NodeFamily.from_table(table, K, "mu2")),
+        "delta_dot": -16.0 * table.lam_dot_star**2
+        * ratio(NodeFamily.from_table(table, K, "lam_dot2")),
+    }
 
 
 # off-gap sample points of verify_product_reps
@@ -427,8 +421,8 @@ PRODUCT_SAMPLE_LAMBDAS = np.array(
 
 def verify_product_reps(v, table, K, tol_ode=1e-11):
     """Relative residuals of the three product representations against the
-    integrator at PRODUCT_SAMPLE_LAMBDAS, at truncation K.  A sequence K
-    gives a list of them, one per truncation, from one propagation."""
+    integrator at PRODUCT_SAMPLE_LAMBDAS: a list with one dict per truncation
+    in the sequence K, all from one propagation."""
     from .monodromy import integrate_many
 
     lams = PRODUCT_SAMPLE_LAMBDAS
@@ -438,8 +432,8 @@ def verify_product_reps(v, table, K, tol_ode=1e-11):
         "chi_p": rel(product_chi_p(table, k, lams), res.chi_p),
         "chi_D": rel(product_chi_D(table, k, lams), res.chi_D),
         "delta_dot": rel(product_delta_dot(table, k, lams), res.Delta_dot),
-    } for k in np.atleast_1d(K).tolist()]
-    return reps if np.ndim(K) else reps[0]
+    } for k in K]
+    return reps
 
 
 # ---------------------------------------------------------------------------
@@ -476,8 +470,9 @@ class NodeFamily:
         return -1.0 / (16.0 * self.sigma2)
 
     @staticmethod
-    def from_table(table, K) -> "NodeFamily":
-        return NodeFamily(table.family("tau2", 1, K), table.family("tau2", 2, K), K)
+    def from_table(table, K, quantity="tau2") -> "NodeFamily":
+        """The linear-factor family of one table accessor (SpectrumTable.family)."""
+        return NodeFamily(table.family(quantity, 1, K), table.family(quantity, 2, K), K)
 
     def padded(self, W: int) -> "NodeFamily":
         """The same f1, f2 and f with the tail nodes tau_zero(k), K < |k| <= W,

@@ -536,17 +536,23 @@ def _cluster(table, n):
     return min(xs), max(xs)
 
 
-def _disc_row(hulls, ns, table):
-    """Disc centers/radii from cluster hulls with one-third neighbor clearance.
-
-    hulls[i] is the cluster hull of index ns[i]; the first and last hull only
-    serve as neighbors, no discs for them.
+def _disc_row(table, s):
+    """The discs of n = 0, s, 2s, ..., s N_max (s = +-1), built in the
+    coordinate of their end: lambda for s = 1, 1/(16 lambda) for s = -1, where
+    the clusters sit near |n| pi.  Each disc is centred on its cluster's hull
+    with one-third neighbor clearance; the hulls of n = -s and s (N_max + 1)
+    only serve as neighbors.
     """
-    centers, radii = [], []
+    ns = [s * n for n in range(-1, table.n_max + 2)]
+    hulls = []
+    for n in ns:
+        lo, hi = _cluster(table, n)
+        hulls.append((lo, hi) if s > 0 else (1.0 / (16.0 * hi), 1.0 / (16.0 * lo)))
+    discs = []
     for i in range(1, len(hulls) - 1):
         lo, hi = hulls[i]
         c = 0.5 * (lo + hi)
-        s = 0.5 * (hi - lo)
+        h = 0.5 * (hi - lo)
         g = min(lo - hulls[i - 1][1], hulls[i + 1][0] - hi)
         if g <= 0:
             k = i - 1 if g == lo - hulls[i - 1][1] else i + 1
@@ -557,9 +563,8 @@ def _disc_row(hulls, ns, table):
                 f"{gam(ns[i]):.3g} and {gam(ns[k]):.3g}; widest gap |gamma_{wide}| = "
                 f"{gam(wide):.3g}); isolating neighborhoods not constructible"
             )
-        centers.append(c)
-        radii.append(s + g / 3.0)
-    return centers, radii
+        discs.append((c, h + g / 3.0))
+    return discs
 
 
 def build_isolating(
@@ -567,87 +572,58 @@ def build_isolating(
 ) -> IsolatingNeighborhoods:
     """Construct discs U_n, U_* and contours Gamma_m satisfying (I-1)-(I-5).
 
-    Discs for n >= 0 are built directly on the real axis; discs for n < 0 are
-    built in the reciprocal coordinate 1/(16 lambda) (where the clusters sit
-    near |n| pi) and mapped back, which makes property (I-3) hold by
-    construction.  Contours are circles centered at the gap midpoints with
-    radius r = min(max(2|gamma|, clearance/3), 0.62 clearance), inside U_n.
+    The two ends follow one rule (_disc_row): discs for n >= 0 are built on
+    the real axis, discs for n <= 0 in the reciprocal coordinate
+    1/(16 lambda) and mapped back, U_0 taken from the n >= 0 row.  One pair
+    test over both rows, the n <= 0 row led by the image of U_0, checks (I-2)
+    and (I-3) and gives the separation constant c.  Contours are circles
+    centered at the gap midpoints with radius
+    r = min(max(2|gamma|, clearance/3), 0.62 clearance), inside U_n.
     r > |gamma|/2 is enforced, so each contour encloses its gap and
     |gamma^2 / 4 (tau - lambda)^2| < 1 on it (<= 1/16 where the cap does not
     bind); a ValueError names the first n where it fails.
     """
     N = table.n_max
-    # positive row n = 0..N, with the n=-1 cluster as left neighbor and the
-    # n = N+1 surrogate as right neighbor
-    hull0 = _cluster(table, 0)
-    hulls_pos = [_cluster(table, n) for n in range(-1, N + 2)]
-    cpos, rpos = _disc_row(hulls_pos, range(-1, N + 2), table)  # discs for n = 0..N
-    # reciprocal-space row for n = -1..-N: clusters 1/(16 lambda) sit near
-    # |n| pi; the image of the n=0 cluster is the left neighbor
-    rec_hulls = [tuple(sorted((1.0 / (16.0 * hull0[1]), 1.0 / (16.0 * hull0[0]))))]
-    for n in range(1, N + 2):
-        lo, hi = _cluster(table, -n)
-        rec_hulls.append((1.0 / (16.0 * hi), 1.0 / (16.0 * lo)))
-    crec, rrec = _disc_row(rec_hulls, range(0, -N - 2, -1), table)  # n = -1..-N
-
-    centers = np.zeros(2 * N + 1, dtype=complex)
-    radii = np.zeros(2 * N + 1, dtype=float)
-    for n in range(0, N + 1):
-        centers[n + N] = cpos[n]
-        radii[n + N] = rpos[n]
-    for n in range(1, N + 1):
-        c, r = _mobius_disc(crec[n - 1], rrec[n - 1])
-        centers[-n + N] = c
-        radii[-n + N] = r
-
-    # U_*: disc on the positive imaginary axis around lambda_dot_star
-    star = complex(table.lam_dot_star)
-    d0 = min(
-        abs(star - centers[n + N]) - radii[n + N] for n in range(-N, N + 1)
-    )
-    star_radius = min(0.5 * star.imag, 0.5 * d0)
-    if star_radius <= 0:
-        raise ValueError("U_* not constructible; lambda_dot_star too close to U_n")
+    ns = range(-N, N + 1)
+    pos, rec = _disc_row(table, 1), _disc_row(table, -1)
+    rec[0] = _mobius_disc(*pos[0])  # the image of U_0 leads the n <= 0 row
+    discs = [_mobius_disc(*d) for d in rec[:0:-1]] + pos  # n = -N..N
+    centers = np.array([c for c, _ in discs], dtype=complex)
+    radii = np.array([r for _, r in discs], dtype=float)
 
     # achieved separation constant c for (I-2), (I-3), (I-5)
     c_req = 1.0
+    for s, row in ((1, pos), (-1, rec)):
+        for m in range(N + 1):
+            for n in range(m + 1, N + 1):
+                (c1, r1), (c2, r2) = row[m], row[n]
+                d = abs(c1 - c2) - r1 - r2
+                if d <= 0:
+                    raise ValueError(f"the discs of n = {s * m} and n = {s * n} overlap")
+                c_req = max(c_req, (n - m) / d, d / (n - m))
 
-    def dist(c1, r1, c2, r2):
-        return abs(c1 - c2) - r1 - r2
-
-    # the (I-3) family: reciprocal images of U_{-n}, n >= 0 (n=0 included)
-    rec_family = [_mobius_disc(centers[N], radii[N])] + [
-        (crec[i], rrec[i]) for i in range(N)
-    ]
-    for m in range(0, N + 1):
-        for n in range(m + 1, N + 1):
-            d = dist(cpos[m], rpos[m], cpos[n], rpos[n])
-            if d <= 0:
-                raise ValueError("U discs overlap on the positive row")
-            c_req = max(c_req, (n - m) / d, d / (n - m))
-            drec = dist(*rec_family[m], *rec_family[n])
-            if drec <= 0:
-                raise ValueError("reciprocal U discs overlap")
-            c_req = max(c_req, (n - m) / drec, drec / (n - m))
-    for n in range(-N, N + 1):
-        d = abs(star - centers[n + N]) - star_radius - radii[n + N]
+    # U_*: disc on the positive imaginary axis around lambda_dot_star
+    star = complex(table.lam_dot_star)
+    dists = [abs(star - c) for c in centers]
+    star_radius = min(0.5 * star.imag, 0.5 * min(a - r for a, r in zip(dists, radii)))
+    if star_radius <= 0:
+        raise ValueError("U_* not constructible; lambda_dot_star too close to U_n")
+    for a, r in zip(dists, radii):
+        d = a - star_radius - r
         if d <= 0:
             raise ValueError("U_* intersects a U_n")
         c_req = max(c_req, 1.0 / d)
 
     # contours around the single-index gaps
-    ccent = np.zeros(2 * N + 1, dtype=complex)
+    ccent = np.array([table.tau(n) for n in ns], dtype=complex)
     crad = np.zeros(2 * N + 1, dtype=float)
-    for n in range(-N, N + 1):
-        tau = table.tau(n)
+    for n, tau, cen, R in zip(ns, ccent, centers, radii):
         gam = abs(table.gamma(n))
-        cen, R = centers[n + N], radii[n + N]
         clear = R - abs(tau - cen)
         r = min(max(2.0 * gam, clear / 3.0), 0.62 * clear)
         if r <= 0.5 * gam:
             raise ValueError(f"the contour of n = {n} (radius {r:.3g}) misses its gap "
                              f"(|gamma| = {gam:.3g}); contours not constructible")
-        ccent[n + N] = tau
         crad[n + N] = r
 
     iso = IsolatingNeighborhoods(

@@ -47,7 +47,7 @@ class CheckReport:
     status: str  # "pass" | "fail" | "skipped"
     metric: float
     threshold: float
-    convergence_trace: list | None = None
+    trace: list | None = None
     reason: str = ""
 
     def line(self) -> str:

@@ -12,6 +12,7 @@ from shgspec.spectrum import (
     DiscFamily,
     SpectrumTable,
     _PAIRS,
+    _mobius_disc,
     _newton_batch,
     _periodic_pair_from_ddot,
     build_isolating,
@@ -401,6 +402,31 @@ def test_isolating_invariants(tab16, iso16):
     for n in range(-N, N + 1):
         cn, rn = iso16.U(n)
         assert abs(iso16.star_center - cn) - iso16.star_radius - rn >= 1.0 / cc - 1e-12
+
+
+def _crowded_reciprocal_iso():
+    """The isolating neighborhoods of v1's N = 4 table with its n = -1 cluster
+    moved to [5.68, 5.98] in 1/(16 lambda), 0.3 short of the n = -2 cluster:
+    the reciprocal row alone sets c (9.54; 8.02 without it)."""
+    v1 = seeded_ensemble()[0]
+    tab = build_table(v1, 4, tol=1e-13)
+    arrs = [np.array(a) for a in (tab.lam_minus, tab.lam_plus, tab.mu, tab.lam_dot)]
+    arrs[0][3], arrs[1][3] = 1 / (16 * 5.98), 1 / (16 * 5.68)
+    arrs[2][3] = arrs[3][3] = 1 / (16 * 5.83)
+    return build_isolating(v1, SpectrumTable(4, *arrs, tab.lam_dot_star, True, tab.q0))
+
+
+@pytest.mark.parametrize("which", ["v1", "v3", "crowded"])
+def test_isolating_reciprocal_separation(which, iso16, v3_iso):
+    """(I-3): for 0 <= m < n <= N the reciprocal images of U_{-m} and U_{-n}
+    lie between (n - m)/c and c (n - m) apart, c the reported constant."""
+    iso = {"v1": iso16, "v3": v3_iso[1]}.get(which) or _crowded_reciprocal_iso()
+    cc = iso.c_const
+    images = [_mobius_disc(*iso.U(-n)) for n in range(iso.n_max + 1)]
+    for m, (cm, rm) in enumerate(images):
+        for n, (cn, rn) in enumerate(images[m + 1 :], m + 1):
+            d = abs(cm - cn) - rm - rn
+            assert (n - m) / cc - 1e-12 <= d <= cc * (n - m) + 1e-12, (m, n)
 
 
 def test_contours_inside_discs(tab16, iso16):

@@ -113,7 +113,7 @@ def test_product_monotone_counts_flat_steps_above_the_floor(monkeypatch):
     mono = by_id["product_reps_monotone"]
     assert mono.metric == 3 and mono.status == "fail"
     assert mono.reason.startswith("3 of 3 steps")
-    assert [k for k, _ in mono.convergence_trace] == list(verification.PRODUCT_K_LIST)
+    assert [k for k, _ in mono.trace] == list(verification.PRODUCT_K_LIST)
 
 
 def test_runconfig_json_round_trip():
