@@ -14,7 +14,7 @@ from typing import ClassVar
 from .monodromy import TOL_RANGE
 from .potential import Potential
 
-# thresholds keyed by check id, in the order verification.run_suite reports
+# thresholds keyed by check id; verification.run_suite reports in this order
 THRESHOLDS = {
     "monodromy_zero_closed_forms": 1e-8,
     "monodromy_wronskian": 1e-9,

@@ -58,6 +58,9 @@ __all__ = [
 
 COND_LIMIT = 1e12
 MAX_HALVINGS = 6  # step halvings per damped Newton iteration
+# the normalization checks' contours: the isolating circles, radii times this,
+# so that they are not the contours the solve integrated over
+CONTOUR_SCALE = 1.5
 
 
 @dataclass(eq=False)
@@ -255,7 +258,7 @@ def eval_psi(sol: SigmaSolution, lam):
     return _solution_psi(sol)(lam)
 
 
-def _normalization(psi, ev, iso, K, nodes, scale, one):
+def _normalization(psi, ev, iso, K, nodes, one):
     """The matrix {(j,m): (1/2 pi) oint_{Gamma_{j,m}} psi/sqrt_c(chi_p)} over
     both contour families, |m| <= K, and its largest deviation from 1 at the
     entry one, from 0 elsewhere.  psi and sqrt_c(chi_p) are both bare, the
@@ -263,23 +266,23 @@ def _normalization(psi, ev, iso, K, nodes, scale, one):
     the nodes of all contours."""
     keys = [(j, m) for j in (1, 2) for m in range(-K, K + 1)]
     nodes = iso.nodes + 32 if nodes is None else nodes
-    specs = [iso.contour(j, m, nodes=nodes, scale=scale) for j, m in keys]
+    specs = [iso.contour(j, m, nodes=nodes, scale=CONTOUR_SCALE) for j, m in keys]
     vals = np.sum(_contour_terms(psi, ev, specs)[1], axis=1) / (2.0 * np.pi)
     mat = dict(zip(keys, vals.tolist()))
     dev = max(abs(val - float(key == one)) for key, val in mat.items())
     return mat, dev
 
 
-def verify_normalization(sol: SigmaSolution, table, iso, nodes=None, contour_scale=1.5):
-    """Normalization integrals on fresh contours (scaled radii) of nodes
-    points each, iso.nodes + 32 by default.
+def verify_normalization(sol: SigmaSolution, table, iso, nodes=None):
+    """Normalization integrals on fresh contours (radii scaled by
+    CONTOUR_SCALE) of nodes points each, iso.nodes + 32 by default.
 
     Returns the matrix {(j,m): (1/2 pi) oint psi_n/sqrt_c(chi_p)} and the
     maximum deviation from delta_{nm} (family 1) resp. 0 (family 2), also
     on the closed gaps' contours, whose rows the solve does not form.
     """
     psi, ev = _solution_psi(sol, tail=1.0), _evaluator(table, sol.K)
-    return _normalization(psi, ev, iso, sol.K, nodes, contour_scale, (1, sol.n))
+    return _normalization(psi, ev, iso, sol.K, nodes, (1, sol.n))
 
 
 def _require_positive(sol):
@@ -298,9 +301,8 @@ def psi_negative(sol_reflected: SigmaSolution, lam):
     return eval_psi(sol_reflected, 1.0 / (16.0 * lam)) / (16.0 * lam**2)
 
 
-def verify_negative_normalization(
-    sol_reflected, table_reflected, iso_reflected, table, iso, nodes=None, contour_scale=1.5
-):
+def verify_negative_normalization(sol_reflected, table_reflected, iso_reflected, table, iso,
+                                  nodes=None):
     """Normalization of psi_{-n} over the contours of the base potential
     (nodes as in verify_normalization, from the base iso): zero over
     Gamma_{1,m}, delta_{-n,m} over Gamma_{2,m}.  Like psi_negative
@@ -312,4 +314,4 @@ def verify_negative_normalization(
     # zero_tail is even: psi_n's tails at 1/(16 z) are sqrt_c(chi_p)'s at z
     psi_n = _solution_psi(s, tail=1.0)
     psi = lambda z: psi_n(1.0 / (16.0 * z)) / (16.0 * z**2)
-    return _normalization(psi, ev, iso, s.K, nodes, contour_scale, (2, -s.n))
+    return _normalization(psi, ev, iso, s.K, nodes, (2, -s.n))

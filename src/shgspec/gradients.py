@@ -322,7 +322,7 @@ def _probe_values(vv, probes, tol):
 def fd_evaluate(v, table, keys, dirs, eps_list, tol):
     """The FD cases named by keys, with kernels at tol, their pairings with
     dirs and their central quotients at each eps.  lambda_n^+ cases are left
-    out where the gap is numerically closed.
+    out where the table collapsed the gap (lambda_n^- = lambda_n^+).
 
     Each v +- eps d is built once, every distinct probe is read on it at
     once, and it is freed before the next is built.  A quotient is bit for
@@ -344,7 +344,7 @@ def fd_evaluate(v, table, keys, dirs, eps_list, tol):
             kern, what = ((grad_dirichlet(v, mu, tol=tol), "chi_D") if quantity == "mu"
                           else (grad_m4_at_dirichlet(v, mu, tol=tol), (1, 1)))
             cases.append(FDCase(quantity, n, kern, (mu, what)))
-        elif abs(table.gamma(n)) > 1e-6:  # lambda_plus and lambda_plus_via_delta
+        elif table.gamma(n) != 0:  # lambda_plus and lambda_plus_via_delta, open gaps
             lam = table.lam_pm(n)[1]
             grad = grad_periodic if quantity == "lambda_plus" else grad_periodic_via_delta
             cases.append(FDCase(quantity, n, grad(v, lam, tol=tol), (lam, "chi_p")))

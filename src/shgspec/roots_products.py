@@ -199,20 +199,22 @@ def node_product(nodes, x, K: int, gammas=None, tail=None, skip=None):
     widths gammas are given.  x is the variable of the product itself:
     lambda, mu = -1/(16 lambda), or 0 for the reciprocal end.  tail, when
     given, is zero_tail(x, K), computed once by a caller that shares it
-    between products, or 1 for the bare truncated product; skip removes the
-    factor of that index.  Vectorized in x; a point alone gets the bits it
-    gets inside a batch.
+    between products, or 1 for the bare truncated product; skip, one index
+    or one per point, sets that factor to 1 (exactly the product without
+    it).  Vectorized in x; a point alone gets the bits it gets inside a batch.
     """
     x = np.atleast_1d(np.asarray(x, dtype=complex))
-    inv = _inv_pi(K)
-    if skip is not None:
-        keep = np.arange(-K, K + 1) != skip
-        nodes, inv = nodes[keep], inv[keep]
-        gammas = None if gammas is None else gammas[keep]
     # factors on the leading axis, points contiguous
     nodes, xb = nodes[:, None], _as_batch(x)
     w = nodes - xb if gammas is None else _sroot(nodes, gammas[:, None], xb)
-    w *= inv[:, None]
+    w *= _inv_pi(K)[:, None]
+    if skip is not None:
+        if np.max(np.abs(skip)) > K:  # a negative index would wrap around
+            raise ValueError(f"skip index beyond the truncation K = {K}")
+        if np.ndim(skip):  # one index per point
+            w[_as_batch(np.asarray(skip)) + K, np.arange(w.shape[1])] = 1.0
+        else:
+            w[skip + K] = 1.0
     if tail is None:
         tail = zero_tail(x, K)
     return np.prod(w, axis=0)[: x.size] * tail
@@ -240,15 +242,14 @@ class CanonicalRootEvaluator:
         self.K = int(K)
         t1, t2, g1, g2 = (table.family(q, j, K) for q in ("tau2", "gamma2") for j in (1, 2))
         self.roots = NodeFamily(t1, t2, K, g1, g2)
-        # branch ambiguity exists only at endpoints of open gaps; collapsed
-        # gaps are removable points of the root
-        ends = []
-        for j in (1, 2):
-            for k in range(-K, K + 1):
-                lo, hi = table.gap2(j, k)
-                if abs(hi - lo) > 1e-9:
-                    ends += [lo, hi]
-        self._gap_ends = np.asarray(ends if ends else [np.inf], dtype=complex)
+        # branch ambiguity exists only at endpoints of open gaps (the table's
+        # lambda^- != lambda^+; beyond it every gap is closed), +- each, as the
+        # two slots of a single index mirror each other; collapsed gaps are
+        # removable points of the root
+        c, N = table.n_max, min(self.K, table.n_max)
+        lo, hi = table.lam_minus[c - N : c + N + 1], table.lam_plus[c - N : c + N + 1]
+        ends = np.concatenate([lo[lo != hi], hi[lo != hi]])
+        self._gap_ends = np.concatenate([ends, -ends])
         self.tail_zero = complex(zero_tail(0.0, self.K)[0])
         # sqrt_c(chi_{p,1}), the product of all w_{1,k}/pi_k, at 0
         self.chi1_zero = complex(self.roots.f1(0.0, tail=self.tail_zero)[0])
@@ -302,8 +303,8 @@ def sign_tables(v, table):
       * between consecutive gaps on the positive axis (both families),
         (-1)^n Im sqrt_c(chi_p) > 0 with n the index of the right-hand gap;
       * inside open gaps approached from below, (-1)^(n+1) sqrt_c(chi_p) > 0,
-        for the 1- and 2-family alike (skipped when the gap is numerically a
-        point);
+        for the 1- and 2-family alike (skipped where the table collapsed the
+        gap, lambda^- = lambda^+);
       * (-1)^n f_{1,n} > 0 between the flanking gaps of index n.
     Returns a report dict; raises nothing, failures are listed.
     """
@@ -315,38 +316,31 @@ def sign_tables(v, table):
     checked = 0
     skipped = 0
 
-    # positive-axis gaps, sorted: (family, index, lo, hi)
-    gaps = []
-    for n in range(0, N + 1):
-        lo, hi = table.gap2(1, n)
-        gaps.append((1, n, lo.real, hi.real))
-    for m in range(1, N + 1):
-        lo, hi = table.gap2(2, -m)
-        gaps.append((2, -m, lo.real, hi.real))
-    gaps.sort(key=lambda g: g[2])
-
-    # (i) inter-band signs
-    for left, right in zip(gaps[:-1], gaps[1:]):
-        a, b = left[3], right[2]
+    # (i) inter-band signs between the positive-axis gaps in their order: the
+    # gap of single index n is slot (1, n) for n >= 0 and slot (2, n) for n < 0
+    minus, plus = table.lam_minus.real, table.lam_plus.real
+    order = np.argsort(minus, kind="stable").tolist()
+    for left, right in zip(order[:-1], order[1:]):
+        a, b, n = plus[left], minus[right], right - N
         if b - a <= 0:
             continue
         xs = a + (b - a) * np.linspace(0.15, 0.85, 3)
         vals = ev.chip(xs.astype(complex))
-        want = (-1.0) ** right[1]
+        want = (-1.0) ** n
         checked += 1
         if not np.all(want * vals.imag > 0):
             failures.append(
-                ("interband", right[0], right[1], xs[np.argmin(want * vals.imag)])
+                ("interband", 1 if n >= 0 else 2, n, xs[np.argmin(want * vals.imag)])
             )
 
-    # (ii) gap-interior signs, from below
+    # (ii) gap-interior signs, from below, in the open gaps (lambda^- != lambda^+)
     for j in (1, 2):
         for n in range(-N, N + 1):
             lo, hi = table.gap2(j, n)
-            seg = abs(hi - lo)
-            if seg <= 1e-9 * (1.0 + abs(lo)):
+            if lo == hi:
                 skipped += 1
                 continue
+            seg = abs(hi - lo)
             xs = lo.real + (hi.real - lo.real) * np.linspace(0.2, 0.8, 3)
             vals = ev.chip_from_below(xs, seg)
             want = (-1.0) ** (n + 1)
@@ -504,21 +498,14 @@ class NodeFamily:
         family of linear factors.
 
         At a node only its own factor vanishes, so f' there is the product
-        with that factor removed: per family one (2K+1)^2 matrix of factors
-        with its diagonal set to 1, and one tail and one f1 or f2 call.
+        with that factor removed: per family one node_product over the nodes
+        with a per-point skip, and one f1 or f2 call.
         """
-        piks = pi_k(self.ks)
-
-        def removed(nodes, x):  # prod over k != n of (nodes_k - x_n)/pi_k, tailed
-            w = (nodes[:, None] - x) / piks[:, None]
-            np.fill_diagonal(w, 1.0)
-            return np.prod(w, axis=0) * zero_tail(x, self.K)
-
-        s1, k2 = self.sigma1, self.kappa2
-        at_sigma1 = -removed(s1, s1) / piks * self.f2(s1)
+        piks, s1, k2 = pi_k(self.ks), self.sigma1, self.kappa2
+        at_sigma1 = -self.f1(s1, skip=self.ks) / piks * self.f2(s1)
         dfactor = -1.0 / (16.0 * k2**2) / piks
-        at_kappa2 = self.f1(k2) * removed(self.sigma2, -1.0 / (16.0 * k2)) * dfactor
-        return at_sigma1, at_kappa2
+        f2_removed = node_product(self.sigma2, -1.0 / (16.0 * k2), self.K, skip=self.ks)
+        return at_sigma1, self.f1(k2) * f2_removed * dfactor
 
 
 def interpolate_reconstruct(nodes: NodeFamily, phi_sigma1, phi_kappa2, z, phi_fn=None):

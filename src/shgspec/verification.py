@@ -127,22 +127,26 @@ DIFFERENTIALS_N_LIST = (0, 1, 2)
 
 
 def run_suite(v: Potential, cfg: RunConfig | None = None):
-    """All cross-module checks for one potential; deterministic order.
+    """All cross-module checks for one potential, one report per THRESHOLDS
+    key in its order.
 
     A check given the metric None needs a real-flagged potential and is
-    reported as skipped; an exception from any layer propagates.
+    reported as skipped; an exception from any layer propagates, and so does
+    a check reported twice, under no THRESHOLDS key, or not at all.
     """
     cfg = cfg or RunConfig()
-    checks: list[CheckReport] = []
+    checks: dict[str, CheckReport] = {}
 
     def report(check_id, metric, trace=None, reason=""):
         thr = float(THRESHOLDS[check_id])
+        if check_id in checks:
+            raise RuntimeError(f"check {check_id} reported twice")
         if metric is None:
-            checks.append(CheckReport(check_id, "skipped", float("nan"), thr,
-                                      reason="potential not real-flagged"))
+            checks[check_id] = CheckReport(check_id, "skipped", float("nan"), thr,
+                                           reason="potential not real-flagged")
         else:
             status = "pass" if metric <= thr else "fail"
-            checks.append(CheckReport(check_id, status, float(metric), thr, trace, reason))
+            checks[check_id] = CheckReport(check_id, status, float(metric), thr, trace, reason)
 
     report("monodromy_zero_closed_forms", check_zero_closed_forms(cfg))
     wr, even, realsym = check_monodromy_invariants(v, cfg)
@@ -212,7 +216,7 @@ def run_suite(v: Potential, cfg: RunConfig | None = None):
             mu = table.mu_n(n)
             ld = table.lam_dot_n(n)
             worst = max(worst, abs(lm.imag), abs(lp.imag), abs(mu.imag), abs(ld.imag))
-            if abs(table.gamma(n)) > 1e-9:
+            if lm != lp:  # open gap
                 worst = max(worst, lm.real - mu.real, mu.real - lp.real)
                 worst = max(worst, lm.real - ld.real, ld.real - lp.real)
         worst = max(worst, sp.delta_sign_check(v, table, tol=cfg.ode_tol))
@@ -327,7 +331,7 @@ def run_suite(v: Potential, cfg: RunConfig | None = None):
     C = 0.0
     for n in range(0, cfg.n_max + 1):
         gam = abs(table.gamma(n))
-        if gam > 1e-6:
+        if gam:  # open gap
             C = max(C, abs(table.lam_dot_n(n) - table.tau(n)) / gam**2)
     report("lamdot_refined", C)
 
@@ -339,7 +343,7 @@ def run_suite(v: Potential, cfg: RunConfig | None = None):
     )
     report("constraint_monotone", bad, trace=list(enumerate(vals)))
 
-    return checks
+    return [checks[check_id] for check_id in THRESHOLDS]
 
 
 def _segment_distance(z, a, b):
@@ -381,7 +385,7 @@ def negative_control(v, cfg: RunConfig | None = None):
     # push sigma_{1,k0} half a gap length beyond the + endpoint
     k0 = 1 if sol.n != 1 else 2
     gam = table.gamma2(1, k0)
-    if abs(gam) < 1e-9:
+    if gam == 0:
         gam = 0.05  # collapsed gap: push by an absolute offset instead
     bad = sol.sigma1.copy()
     bad[k0 + sol.K] = table.lam2(1, k0, +1) + 0.5 * abs(gam)

@@ -94,15 +94,16 @@ def test_root_estimate(v_seed, tab16, iso16):
         assert abs(sol.sigma2_at(k) - tab16.tau2(2, k)) <= 5 * g2**2 + 1e-8
 
 
-def test_normalization_fresh_contours(v_seed, tab16, iso16):
+def test_normalization_fresh_contours(v_seed, tab16, iso16, monkeypatch):
     sol = solve_sigma(tab16, iso16, 1, 16)
-    mat, dev = verify_normalization(sol, tab16, iso16, nodes=96, contour_scale=1.5)
+    mat, dev = verify_normalization(sol, tab16, iso16, nodes=96)
     assert dev < 1e-6
     # columns: delta_{nm} on family 1, zero on family 2
     assert abs(mat[(1, 1)] - 1.0) < 1e-6
     assert abs(mat[(1, 0)]) < 1e-6 and abs(mat[(2, 1)]) < 1e-6
     # contour independence: a further radius change stays within tolerance
-    _, dev2 = verify_normalization(sol, tab16, iso16, nodes=96, contour_scale=1.2)
+    monkeypatch.setattr(df, "CONTOUR_SCALE", 1.2)
+    _, dev2 = verify_normalization(sol, tab16, iso16, nodes=96)
     assert abs(dev2 - dev) < 1e-8
 
 

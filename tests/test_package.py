@@ -1,6 +1,8 @@
+import ast
 import dataclasses
 import importlib
 import inspect
+import pathlib
 import pkgutil
 
 import shgspec
@@ -82,3 +84,25 @@ def test_every_run_config_field_is_set_by_a_flag():
     assert sorted(names) == sorted(_FLAG_ATTRS.values())
     args = _build_parser().parse_args(["eval", "v.json", "--lambda", "1,0"])
     assert all(hasattr(args, dest) for dest in _FLAG_ATTRS)
+
+
+def test_zero_tail_enters_products_through_node_product_alone():
+    """The zero-potential tail is named, outside its own definition, only in
+    node_product, which closes every product with it, and in the evaluator's
+    tail at 0, which the products at 0 and infinity share."""
+    users = set()
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                walk(child, f"{scope}.{child.name}")
+                continue
+            if (isinstance(child, ast.Name) and child.id == "zero_tail") or (
+                    isinstance(child, ast.Attribute) and child.attr == "zero_tail"):
+                users.add(scope)
+            walk(child, scope)
+
+    for path in pathlib.Path(shgspec.__file__).parent.glob("*.py"):
+        walk(ast.parse(path.read_text()), path.stem)
+    assert users == {"roots_products.node_product",
+                     "roots_products.CanonicalRootEvaluator.__init__"}

@@ -504,3 +504,71 @@ def test_interpolation_self_test_weights_once(tab0, monkeypatch):
     monkeypatch.setattr(rp, "zero_tail", lambda *a, **k: calls.append(1) or tail(*a, **k))
     assert interpolation_self_test(tab0, K=16, seed=0) < 1e-5
     assert len(calls) <= 24
+
+
+def test_node_product_skips_one_index_per_point(tab16):
+    """A skip array, one index per point, gives bit for bit what one call per
+    point with that index gives, for linear and standard-root factors; an
+    index beyond K is refused, where a negative one would wrap around."""
+    K = 16
+    tau, gam = tab16.family("tau2", 1, K), tab16.family("gamma2", 1, K)
+    x = np.array([0.37 + 0.21j, 2.9 - 0.4j, 11.3 + 0.05j, -6.2 + 1.0j, 0.05 + 0.01j])
+    skips = np.array([3, -5, 0, 16, -16])
+    for gammas in (None, gam):
+        got = node_product(tau, x, K, gammas, skip=skips)
+        want = [node_product(tau, xi, K, gammas, skip=int(s))[0] for xi, s in zip(x, skips)]
+        assert np.array_equal(got, want)
+    for bad in (-K - 1, K + 1, skips - 1):
+        with pytest.raises(ValueError, match="beyond the truncation"):
+            node_product(tau, x, K, skip=bad)
+
+
+def _fdot_removed_matrix(fam):
+    """f' at the nodes by a route of its own: per family one (2K+1)^2 matrix
+    of factors with its diagonal set to 1, times the tail."""
+    piks = pi_k(fam.ks)
+
+    def removed(nodes, x):
+        w = (nodes[:, None] - x) / piks[:, None]
+        np.fill_diagonal(w, 1.0)
+        return np.prod(w, axis=0) * zero_tail(x, fam.K)
+
+    s1, k2 = fam.sigma1, fam.kappa2
+    at_sigma1 = -removed(s1, s1) / piks * fam.f2(s1)
+    dfactor = -1.0 / (16.0 * k2**2) / piks
+    return at_sigma1, fam.f1(k2) * removed(fam.sigma2, -1.0 / (16.0 * k2)) * dfactor
+
+
+@pytest.mark.parametrize("K", [8, 16])
+def test_fdot_at_nodes_is_the_removed_factor_matrix(tab16, K):
+    """fdot_at_nodes equals the removed-factor matrix form bit for bit, on the
+    families padded with their tail nodes to 3K."""
+    fam = NodeFamily.from_table(tab16, K).padded(3 * K)
+    for got, want in zip(fam.fdot_at_nodes(), _fdot_removed_matrix(fam)):
+        assert np.array_equal(got, want)
+
+
+def test_a_narrow_open_gap_is_open_everywhere(v_seed, tab16):
+    """A gap the table holds open (lambda^- != lambda^+) is open to every
+    layer however narrow: v1's collapsed gap -16 opened to 7e-10 about its
+    double root (the table's floor for an open gap there is about 4.9e-10)
+    gets branch guards at its ends, sign checks in both of its slots, and
+    both slots' roots as unknowns of the sigma solve."""
+    import dataclasses
+
+    from shgspec.differentials import SigmaWorkspace
+    from shgspec.spectrum import build_isolating
+
+    assert tab16.gamma(-16) == 0
+    lm, lp = tab16.lam_minus.copy(), tab16.lam_plus.copy()
+    lm[0], lp[0] = lm[0] - 3.5e-10, lp[0] + 3.5e-10
+    narrow = dataclasses.replace(tab16, lam_minus=lm, lam_plus=lp)
+    ev = narrow.evaluator(16)
+    for end in (lm[0], lp[0], -lm[0], -lp[0]):
+        with pytest.raises(ValueError, match="branch ambiguous"):
+            ev.chip(np.array([end + 5e-11]))
+    base, rep = sign_tables(v_seed, tab16), sign_tables(v_seed, narrow)
+    assert rep["failures"] == []
+    assert (rep["checked"], rep["skipped"]) == (base["checked"] + 2, base["skipped"] - 2)
+    ws = SigmaWorkspace(narrow, build_isolating(v_seed, narrow), 1, 16)
+    assert {(2, -16), (2, 16)} <= {(j, m) for j, m, _ in ws.rows}

@@ -153,3 +153,11 @@ def test_seeded_ensemble_fixed():
     again = seeded_ensemble()
     for a, b in zip(ens, again):
         assert a.to_json() == b.to_json()
+
+
+def test_a_threshold_without_a_check_fails_the_run(monkeypatch):
+    """run_suite returns one report per THRESHOLDS key, so a gate that no
+    check reports raises instead of going missing from the report."""
+    monkeypatch.setitem(THRESHOLDS, "unreported", 1.0)
+    with pytest.raises(KeyError, match="unreported"):
+        run_suite(Potential.zero(), RunConfig(n_max=2))
