@@ -86,9 +86,15 @@ def _omitted_terms_bound(r, a):
 def _tail_cutoff(rho2, K):
     """Per point, the smallest M = K + 64 * 2^j whose omitted remainder terms
     are bounded by _TAIL_TOL at |z/pi|^2 = rho2 (an array); M = K + 64 for
-    |z| up to about 0.21 (K + 65) pi."""
-    Ms = np.zeros(rho2.shape, dtype=int)
+    |z| up to about 0.21 (K + 65) pi.  The bound grows with rho2, so when
+    the largest rho2 takes M = K + 64 every point does: that common case is
+    decided in Python floats.  A nan or inf rho2 fails it and counts as 0."""
     M = K + _TAIL_M_EXTRA
+    top = float(np.max(rho2, initial=0.0)) / (M + 1.0) ** 2
+    if top <= 0.5 and _omitted_terms_bound(top, M + 1.0) <= _TAIL_TOL:
+        return np.full(rho2.shape, M)
+    rho2 = np.nan_to_num(rho2, posinf=0.0)
+    Ms = np.zeros(rho2.shape, dtype=int)
     while not Ms.all():
         if M > _TAIL_M_MAX:
             far = np.pi * float(rho2[Ms == 0].max()) ** 0.5
@@ -123,7 +129,7 @@ def zero_tail(z, K: int):
     big = np.abs(z) > (K + 0.45) * np.pi
     if np.any(big & near & (np.abs(z.imag) < 1e-12)):
         raise ValueError("tail evaluation on a lattice node beyond the ring")
-    Ms = _tail_cutoff(np.nan_to_num(np.abs(z / np.pi) ** 2, posinf=0.0), K)
+    Ms = _tail_cutoff(np.abs(z / np.pi) ** 2, K)
     out = np.empty_like(z)
     for M in np.unique(Ms).tolist():
         at = Ms == M

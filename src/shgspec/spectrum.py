@@ -19,12 +19,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .monodromy import integrate_many, lam_zero
+from .monodromy import TOL_RANGE, integrate_many, lam_zero
 from .potential import Potential, family_var, from_pair, to_pair
 from .quadrature import ContourSpec, winding_number
 from .roots_products import CanonicalRootEvaluator
 
 __all__ = [
+    "CountReport",
     "DiscFamily",
     "SpectrumTable",
     "IsolatingNeighborhoods",
@@ -127,10 +128,24 @@ def _on_contour(v, spec, order, tol):
 
 
 def _windings(v, spec, kinds, tol):
-    """{kind: winding_number(...)} on one contour, every kind from the same
-    order-2 data on the contour's nodes (_on_contour)."""
-    res = _on_contour(v, spec, 2, tol)
-    return {k: winding_number(lambda z, k=k: _PAIRS[k](res), spec) for k in kinds}
+    """({kind: winding_number(...)}, (nodes, tol)) on one contour at the
+    first rung that resolves every count, each kind from the same order-2
+    data (_on_contour).  The first rung is spec.nodes at tol TOL_RANGE[1];
+    each of at most three more doubles the nodes and divides the tolerance
+    by 100, never below tol.  f's noise at a node is BatchResult.err |M|^2.
+    A contour that no rung resolves raises the last rung's ValueError."""
+    rung_tol = TOL_RANGE[1]
+    for rung in range(4):
+        res = _on_contour(v, spec, 2, rung_tol)
+        noise = res.err * np.maximum(1.0, np.abs(res.Mgrave).max(axis=(-2, -1))) ** 2
+        try:
+            return {k: winding_number(lambda z, k=k: _PAIRS[k](res), spec, noise)
+                    for k in kinds}, (spec.nodes, rung_tol)
+        except ValueError:
+            if rung == 3:
+                raise
+        spec = ContourSpec(spec.center, spec.radius, 2 * spec.nodes)
+        rung_tol = max(tol, rung_tol / 100.0)
 
 
 def count_annulus(v: Potential, N: int, tol=1e-11):
@@ -138,12 +153,13 @@ def count_annulus(v: Potential, N: int, tol=1e-11):
 
     For potentials in the working neighborhood the annulus holds exactly
     4+8N periodic eigenvalues, 2+4N Dirichlet eigenvalues and 4+4N roots of
-    the discriminant derivative.  Both circles are centred at 0: they
-    propagate half their nodes, about a quarter for real potentials.
+    the discriminant derivative.  Each circle starts at max(128, 48N) nodes
+    (_windings); both are centred at 0, so they propagate half their nodes,
+    about a quarter for real potentials.
     """
-    nodes = max(256, 96 * N)
-    outer = _windings(v, ContourSpec(0.0, DiscFamily.B_radius(N), nodes), _PAIRS, tol)
-    inner = _windings(v, ContourSpec(0.0, DiscFamily.B_radius(-N), nodes), _PAIRS, tol)
+    nodes = max(128, 48 * N)
+    outer = _windings(v, ContourSpec(0.0, DiscFamily.B_radius(N), nodes), _PAIRS, tol)[0]
+    inner = _windings(v, ContourSpec(0.0, DiscFamily.B_radius(-N), nodes), _PAIRS, tol)[0]
     return {
         kind: (outer[kind][0] - inner[kind][0], max(outer[kind][1], inner[kind][1]))
         for kind in _PAIRS
@@ -654,20 +670,29 @@ def _check_inclusion(table, iso):
         raise ValueError("(I-1) violated: lambda_dot_star outside U_*")
 
 
+class CountReport(dict):
+    """certify_counts' {n: {kind: count}, "star": count}; its trace lists
+    per contour (n or "star", nodes, tol, quad, prop): the rung that resolved
+    it and the largest of each error-budget part over its counts."""
+
+
 def certify_counts(v, table, iso, n_range, tol=1e-11):
     """Argument-principle counts of the chi_p, chi_D and Delta_dot roots in
     each U_n, n in n_range ({n: {kind: count}}), and of the Delta_dot roots
     in U_* (key "star").  Isolation means 2, 1, 1 in every U_n and 1 in U_*;
-    the counts are returned as measured, and the suite judges them.  For a
-    real potential U_n and U_* (centres on an axis) propagate 33 of 64 nodes,
-    the mirror images of the others; a complex potential propagates all."""
-    report = {}
-    for n in n_range:
-        c, r = iso.U(n)
-        got = _windings(v, ContourSpec(c, r * 0.98, iso.nodes), _PAIRS, tol)
-        report[n] = {kind: cnt for kind, (cnt, _) in got.items()}
-    star = ContourSpec(iso.star_center, iso.star_radius * 0.98, iso.nodes)
-    report["star"] = _windings(v, star, ["ddelta"], tol)["ddelta"][0]
+    the counts are returned as measured, and the suite judges them.  Each
+    disc is counted at 0.98 of its radius from 32 nodes on (_windings, down
+    to tol at most; iso.nodes plays no part).  For a real potential U_n and
+    U_* (centres on an axis) propagate 17 of 32 nodes, the mirror images of
+    the others; a complex potential propagates all."""
+    report = CountReport()
+    report.trace = []
+    discs = [(n, iso.U(n), _PAIRS) for n in n_range]
+    for n, (c, r), kinds in discs + [("star", (iso.star_center, iso.star_radius), ["ddelta"])]:
+        got, rung = _windings(v, ContourSpec(c, r * 0.98, 32), kinds, tol)
+        counts = {kind: cnt for kind, (cnt, _, _) in got.items()}
+        report[n] = counts if n != "star" else counts["ddelta"]
+        report.trace.append((n, *rung, *np.max([b for *_, b in got.values()], axis=0).tolist()))
     return report
 
 

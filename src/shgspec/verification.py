@@ -182,13 +182,13 @@ def run_suite(v: Potential, cfg: RunConfig | None = None):
         v, cfg, n_max_build=max(cfg.n_max, max(PRODUCT_K_LIST))
     )
 
-    rep = sp.certify_counts(v, table, iso, n_range=range(-4, 5), tol=cfg.ode_tol)
+    rep = sp.certify_counts(v, table, iso, range(-cfg.n_max, cfg.n_max + 1), cfg.ode_tol)
     miss = abs(rep.pop("star") - 1) + sum(
         abs(got[k] - want)
         for got in rep.values()
         for k, want in (("chi_p", 2), ("chi_D", 1), ("ddelta", 1))
     )
-    report("counting_discs", miss)
+    report("counting_discs", miss, trace=rep.trace)
 
     # reciprocity with the reflected potential
     vr = v.reflected()

@@ -7,6 +7,16 @@ from shgspec.spectrum import build_isolating, build_table
 SPECTRAL_TOL = 1e-13
 
 
+def generic_v4():
+    """v4, the generic K_f = 8 potential: q_k = 0.02 (a + ib)/k, k = 1..8,
+    then p_k = 0.01 (a + ib)/k, k = 1..4, with a, b successive normal draws
+    of seed 1."""
+    rng = np.random.default_rng(1)
+    q = {k: 0.02 * complex(rng.normal(), rng.normal()) / k for k in range(1, 9)}
+    p = {k: 0.01 * complex(rng.normal(), rng.normal()) / k for k in range(1, 5)}
+    return Potential.from_modes(q, p, Kf=8)
+
+
 @pytest.fixture(scope="session")
 def v_seed():
     """The seeded real test potential q = 0.1 cos(2 pi x), p = 0."""

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from conftest import generic_v4
 
 from shgspec.config import seeded_ensemble
 from shgspec.potential import Potential, p_multiplier, pi_k
@@ -94,18 +95,9 @@ def test_json_round_trip():
     assert np.array_equal(u.q_coeffs, v.q_coeffs) and u.real == v.real
 
 
-def _v4():
-    """A real K_f = 8 potential: q_k = 0.02 (a + ib)/k for k = 1..8, then
-    p_k = 0.01 (a + ib)/k for k = 1..4, a, b successive normal draws."""
-    rng = np.random.default_rng(1)
-    q = {k: 0.02 * complex(rng.normal(), rng.normal()) / k for k in range(1, 9)}
-    p = {k: 0.01 * complex(rng.normal(), rng.normal()) / k for k in range(1, 5)}
-    return Potential.from_modes(q, p, Kf=8)
-
-
 @pytest.mark.parametrize("v", [
     Potential.from_modes({1: 0.2, 3: 0.15j, 4: 0.1}, {2: 0.1, 4: 0.05}, Kf=4),  # WIDE
-    _v4(),
+    generic_v4(),
 ], ids=["wide", "v4"])
 def test_exp_q_resolved(v):
     """The e^{+-q} series is taken on a grid that resolves it: exp_q_at

@@ -26,11 +26,11 @@ def test_nonfinite_integrand():
 
 def test_winding_simple_root():
     c = 0.3 - 0.1j
-    count, dist = winding_number(
+    count, dist, _ = winding_number(
         lambda z: (z - c, np.ones_like(z)), ContourSpec(c, 0.4, 32)
     )
     assert count == 1 and dist < 1e-12
-    count, _ = winding_number(
+    count, *_ = winding_number(
         lambda z: ((z - c) ** 3, 3 * (z - c) ** 2), ContourSpec(c, 0.4, 32)
     )
     assert count == 3
@@ -57,3 +57,27 @@ def test_mirrored_contour():
     # counterclockwise around the mirrored point
     val = contour_integral(lambda z: 1.0 / (z + 2.0 + 1.0j), m)
     assert abs(val - 2j * np.pi) < 1e-12
+
+
+def test_winding_budget():
+    """The budget's quadrature part is the full trapezoid sum against the
+    sum over the even nodes, and its propagation part the largest noise /
+    |f|; a count whose budget reaches BUDGET is refused as unresolved, and
+    a value far from an integer although the sums agree is refused too."""
+    spec = ContourSpec(0.0, 1.0, 64)
+    # a root 1.1 radii out: the N-node sum is off by 1.1^-N / (1 - 1.1^-N)
+    f_df = lambda z: (z - 1.1, np.ones_like(z))
+    err = lambda n: 1.1**-n / (1 - 1.1**-n)
+    count, dist, (quad, prop) = winding_number(f_df, spec, noise=np.full(64, 1e-3))
+    assert count == 0 and abs(dist - err(64)) < 1e-12
+    assert abs(quad - (err(32) - err(64))) < 1e-12
+    assert abs(prop - 1e-3 / 0.1) < 1e-12  # min |f| = 0.1 at z = 1
+    with pytest.raises(ValueError, match=r"unresolved on the 32-node circle"):
+        winding_number(f_df, ContourSpec(0.0, 1.0, 32))
+    with pytest.raises(ValueError, match="unresolved"):
+        winding_number(f_df, spec, noise=0.01)
+    # f' is not the derivative of f: every sum reads 0.3
+    with pytest.raises(ValueError, match="too far from an integer"):
+        winding_number(lambda z: (z, 0.3 * np.ones_like(z)), spec)
+    with pytest.raises(ValueError, match="even node count"):
+        winding_number(f_df, ContourSpec(0.0, 1.0, 63))

@@ -1,7 +1,9 @@
+import dataclasses
 from functools import cmp_to_key
 
 import numpy as np
 import pytest
+from conftest import generic_v4
 
 from shgspec.config import seeded_ensemble
 from shgspec.monodromy import integrate_many, lam_zero
@@ -51,7 +53,7 @@ def test_locate_periodic_single(v_zero):
 def test_count_roots_simple(v_seed):
     # chi_p has a double root in D_1 at the zero potential
     f = lambda z: _PAIRS["chi_p"](integrate_many(Potential.zero(), z, order=1, tol=1e-11))
-    cnt, dist = winding_number(f, ContourSpec(np.pi, np.pi / 3, 64))
+    cnt, dist, _ = winding_number(f, ContourSpec(np.pi, np.pi / 3, 64))
     assert cnt == 2 and dist < 1e-8
 
 
@@ -97,8 +99,8 @@ def v3_iso():
 
 
 def _counting_contours(iso):
-    """U_-3, U_0, U_2 and U_* as certify_counts draws them, then both
-    count_annulus circles at N = 4."""
+    """U_-3, U_0, U_2 and U_* at 0.98 of their radii on 64 nodes, then the
+    two circles of A_4 on 384."""
     discs = [iso.U(n) for n in (-3, 0, 2)] + [(iso.star_center, iso.star_radius)]
     return [ContourSpec(c, 0.98 * r, iso.nodes) for c, r in discs] + [
         ContourSpec(0.0, DiscFamily.B_radius(N), 384) for N in (4, -4)]
@@ -151,19 +153,88 @@ def test_on_contour_without_symmetry_propagates_every_node(k, spec, want, monkey
 
 
 def test_counting_work_on_v1(v_seed, tab16, iso16, monkeypatch):
-    """certify_counts at |n| <= 16 and count_annulus(v1, 4) propagate half
-    and a quarter of their nodes: at most 484,416 lambda-steps (929,728
-    propagating every node) and 49,664 (196,608), with the counts isolation
-    requires."""
+    """certify_counts at |n| <= 16 and count_annulus(v1, 4) resolve every
+    contour on its first rung (32 nodes on U_n and U_*, 192 on each annulus
+    circle, tol 1e-6), propagating half and a quarter of the nodes: 35,740
+    and 3,920 lambda-steps measured, bounded here with a 10% margin (at 64
+    nodes and tol 1e-11 they took 479,456 and 49,664), with the counts
+    isolation requires."""
     calls = _propagations(monkeypatch)
     rep = certify_counts(v_seed, tab16, iso16, n_range=range(-16, 17))
     assert rep.pop("star") == 1
     assert all(got == {"chi_p": 2, "chi_D": 1, "ddelta": 1} for got in rep.values())
-    assert sum(steps for _, steps in calls) <= 484416
+    assert {rung[1:3] for rung in rep.trace} == {(32, 1e-6)}
+    assert [lam.size for lam, _ in calls] == [17] * 34
+    assert sum(steps for _, steps in calls) <= 39300
     calls.clear()
     cnt = count_annulus(v_seed, 4)
     assert {k: c for k, (c, _) in cnt.items()} == {"chi_p": 36, "chi_D": 18, "ddelta": 20}
-    assert sum(steps for _, steps in calls) <= 49664
+    assert [lam.size for lam, _ in calls] == [49, 49]
+    assert sum(steps for _, steps in calls) <= 4310
+
+
+# lambda-steps of certify_counts at |n| <= 16 and U_* at 64 nodes and tol 1e-11
+_FULL_WORK = {"v1": 479456, "v2": 584064, "v3": 1132800, "v4": 1436160,
+              "q=0.3,p=0.2": 479456, "q=0.6": 479456}
+
+
+@pytest.mark.parametrize("name", list(_FULL_WORK))
+def test_budgeted_counts_match_the_full_counts(name, monkeypatch):
+    """On v1-v4 and the constant family the budgeted counts at every
+    |n| <= 16 and U_* are the isolation counts 2, 1, 1 and 1, which 64 nodes
+    at tol 1e-11 also give, for at most a fifth of that work (13-16 times
+    less measured); count_annulus(v, 4) gives 36/18/20.  Every budget stays
+    below 1e-3 (largest measured 4.1e-4)."""
+    ens = seeded_ensemble()
+    v = {"v1": ens[0], "v2": ens[1], "v3": ens[2], "v4": generic_v4(),
+         "q=0.3,p=0.2": Potential.from_modes({0: 0.3}, {0: 0.2}, Kf=1),
+         "q=0.6": Potential.from_modes({0: 0.6}, {}, Kf=1)}[name]
+    table = build_table(v, 16, tol=1e-13)
+    iso = build_isolating(v, table)
+    calls = _propagations(monkeypatch)
+    rep = certify_counts(v, table, iso, n_range=range(-16, 17))
+    assert sum(steps for _, steps in calls) <= _FULL_WORK[name] / 5
+    assert rep["star"] == 1
+    assert all(rep[n] == {"chi_p": 2, "chi_D": 1, "ddelta": 1} for n in range(-16, 17))
+    assert max(quad + prop for *_, quad, prop in rep.trace) < 1e-3
+    for n in (-16, -1, 0, 1, 16, "star"):  # the counts at 64 nodes, tol 1e-11
+        c, r = (iso.star_center, iso.star_radius) if n == "star" else iso.U(n)
+        spec = ContourSpec(c, 0.98 * r, 64)
+        res = sp._on_contour(v, spec, 2, 1e-11)
+        full = {k: winding_number(lambda z, k=k: _PAIRS[k](res), spec)[0] for k in _PAIRS}
+        assert (full["ddelta"] if n == "star" else full) == rep[n]
+    cnt = count_annulus(v, 4)
+    assert {k: c for k, (c, _) in cnt.items()} == {"chi_p": 36, "chi_D": 18, "ddelta": 20}
+
+
+def _U1_around_lam_minus(v, table, iso, ratio):
+    """certify_counts' U_1 centred on lambda_1^- with lambda_dot_1, the
+    nearest other root, ratio times the counting radius away."""
+    lm = table.lam_pm(1)[0]
+    centers, radii = iso.centers.copy(), iso.radii.copy()
+    centers[1 + iso.n_max] = lm
+    radii[1 + iso.n_max] = abs(table.lam_dot_n(1) - lm) / ratio / 0.98
+    return certify_counts(v, table, dataclasses.replace(iso, centers=centers, radii=radii),
+                          n_range=(1,))
+
+
+def test_a_root_just_outside_moves_the_count_up_the_ladder(v_seed, tab16, iso16, monkeypatch):
+    """With lambda_dot_1 4% outside the circle, 32 and 64 nodes miss the
+    budget; the third rung (128 nodes, tol 1e-10) resolves the counts of the
+    one chi_p root inside, after one propagation per rung."""
+    calls = _propagations(monkeypatch)
+    rep = _U1_around_lam_minus(v_seed, tab16, iso16, 1.04)
+    assert rep[1] == {"chi_p": 1, "chi_D": 0, "ddelta": 0}
+    assert rep.trace[0][:3] == (1, 128, 1e-10) and rep.trace[0][3] < 0.1
+    assert [lam.size for lam, _ in calls[:3]] == [17, 33, 65]
+
+
+def test_a_contour_no_rung_resolves_raises(v_seed, tab16, iso16):
+    """With lambda_dot_1 1% outside the circle no rung up to 256 nodes at
+    tol 1e-11 resolves the count: certify_counts raises, naming the
+    contour, instead of returning a count."""
+    with pytest.raises(ValueError, match="unresolved on the 256-node circle"):
+        _U1_around_lam_minus(v_seed, tab16, iso16, 1.01)
 
 
 def _direct_period2_eigenvalues(v, nmodes=40):
@@ -275,22 +346,12 @@ def test_reality_and_interlacing(v_seed, tab16):
         assert tab16.lam_pm(n)[1].real < tab16.lam_pm(n + 1)[0].real
 
 
-def _generic_v4():
-    """v4, the generic K_f = 8 potential: q_k = 0.02 (a + ib)/k, k = 1..8,
-    then p_k = 0.01 (a + ib)/k, k = 1..4, with a, b successive normal draws
-    of seed 1."""
-    rng = np.random.default_rng(1)
-    q = {k: 0.02 * complex(rng.normal(), rng.normal()) / k for k in range(1, 9)}
-    p = {k: 0.01 * complex(rng.normal(), rng.normal()) / k for k in range(1, 5)}
-    return Potential.from_modes(q, p, Kf=8)
-
-
 def test_reciprocal_end_gaps_of_the_generic_potential_are_open():
     """The double-root rule measures the half-width on the local scale
     omega' ~ 1/(16 lambda^2), so the narrow open gaps at the reciprocal end
     stay open.  The gaps n = -5..-8 of v4 are about 5e-6 to 7.5e-6 wide in
     lambda, and |Delta| > 1 at their midpoints."""
-    v4 = _generic_v4()
+    v4 = generic_v4()
     tab = build_table(v4, 8, tol=1e-13)
     ns = range(-8, -4)
     assert all(tab.gamma(n) != 0 for n in ns)
@@ -349,7 +410,7 @@ def test_handed_forward_model_matches_a_fresh_propagation(name, n_max):
     """The quadratic model fed the Delta_dot Newton's last result agrees with
     the model fed a fresh order-2 propagation at the roots: lambda^+- to
     1e-13 relative, and every open/double decision the same."""
-    v = {"v1": seeded_ensemble()[0], "v3": seeded_ensemble()[2], "v4": _generic_v4()}[name]
+    v = {"v1": seeded_ensemble()[0], "v3": seeded_ensemble()[2], "v4": generic_v4()}[name]
     roots, res = _newton_batch(v, lam_zero(np.arange(-n_max, n_max + 1)), "ddelta", tol=1e-13)
     got = _periodic_pair_from_ddot(v, roots, res, tol=1e-13)
     want = _periodic_pair_from_ddot(v, roots, integrate_many(v, roots, order=2, tol=1e-13),
