@@ -80,6 +80,7 @@ __all__ = [
     "omega",
     "E_nu",
     "BatchResult",
+    "KINDS",
     "closed_form_zero",
     "integrate",
     "integrate_many",
@@ -90,6 +91,8 @@ __all__ = [
 
 LAM_MIN = 1e-8
 LAM_MAX = 1e8
+# the monodromy functions whose roots are the spectral data (BatchResult.scalar)
+KINDS = ("chi_p", "chi_D", "ddelta")
 DEFAULT_TOL = 1e-11
 # the tolerances integrate_many accepts, also the range of RunConfig.ode_tol
 TOL_RANGE = (1e-13, 1e-6)
@@ -233,16 +236,23 @@ class BatchResult:
         return self.Delta**2 - 1.0
 
     @property
-    def chi_p_dot(self):
-        return 2.0 * self.Delta * self.Delta_dot
-
-    @property
     def chi_D(self):
         return self.Mgrave[..., 0, 1]
 
-    @property
-    def chi_D_dot(self):
-        return self._jet(1)[..., 0, 1]
+    def scalar(self, kind):
+        """(f, df/dlambda, noise of f) for kind "chi_p" (Delta^2 - 1), "chi_D"
+        (M_12) or "ddelta" (Delta_dot): the one rule for how far propagation
+        can have moved f.  err bounds each entry of jet j by err m_j, with
+        m_j = max(1, max |jet j|) (_defect), so chi_D carries err m_0,
+        Delta_dot err m_1 and chi_p 2 |Delta| err m_0 <= 2 err m_0^2."""
+        m = lambda j: np.maximum(1.0, np.abs(self.jets[j]).max(axis=(-2, -1)))
+        if kind == "chi_p":
+            return self.chi_p, 2.0 * self.Delta * self.Delta_dot, 2.0 * self.err * m(0) ** 2
+        if kind == "chi_D":
+            return self.chi_D, self._jet(1)[..., 0, 1], self.err * m(0)
+        if kind == "ddelta":
+            return self.Delta_dot, self.Delta_ddot, self.err * m(1)
+        raise ValueError(f"unknown monodromy function {kind!r}")
 
 
 def closed_form_zero(lam, order=2) -> BatchResult:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .monodromy import TOL_RANGE, integrate_many, lam_zero
+from .monodromy import KINDS, TOL_RANGE, integrate_many, lam_zero
 from .potential import Potential, family_var, from_pair, to_pair
 from .quadrature import ContourSpec, winding_number
 from .roots_products import CanonicalRootEvaluator
@@ -41,6 +41,7 @@ __all__ = [
 ORDER_TIE_TOL = 1e-12
 DOUBLE_ROOT_TOL = 1e-10
 NEWTON_MAX_ITER = 40
+NEWTON_NOISE = 2.0  # Newton takes |f| within this many times its noise as a root
 
 
 def order_le(a, b) -> bool:
@@ -93,14 +94,6 @@ class DiscFamily:
 # argument-principle counting
 
 
-# (f, df/dlam) of each monodromy function from a BatchResult
-_PAIRS = {
-    "chi_p": lambda r: (r.chi_p, r.chi_p_dot),
-    "chi_D": lambda r: (r.chi_D, r.chi_D_dot),
-    "ddelta": lambda r: (r.Delta_dot, r.Delta_ddot),
-}
-
-
 def _on_contour(v, spec, order, tol):
     """Monodromy data of the given order on every node of spec from one node
     propagated per orbit of the circle's symmetries: M(-lam) = S M(lam) S,
@@ -128,27 +121,38 @@ def _on_contour(v, spec, order, tol):
 
 
 def _windings(v, spec, kinds, tol):
-    """({kind: winding_number(...)}, (nodes, tol)) on one contour at the
-    first rung that resolves every count, each kind from the same order-2
-    data (_on_contour).  The first rung is spec.nodes at tol TOL_RANGE[1];
-    each of at most three more doubles the nodes and divides the tolerance
-    by 100, never below tol.  f's noise at a node is BatchResult.err |M|^2.
-    A contour that no rung resolves raises the last rung's ValueError."""
+    """({kind: count}, (nodes, tol, quad, prop)) on one contour at the first
+    rung that resolves every count, each kind from one order-2 _on_contour
+    with its own noise (BatchResult.scalar); quad and prop are the largest
+    budget parts over the counts.  The first rung is spec.nodes at tol
+    TOL_RANGE[1]; each of at most three more doubles the nodes and divides the
+    tolerance by 100, never below tol; a contour that no rung resolves raises
+    the last rung's ValueError."""
     rung_tol = TOL_RANGE[1]
     for rung in range(4):
         res = _on_contour(v, spec, 2, rung_tol)
-        noise = res.err * np.maximum(1.0, np.abs(res.Mgrave).max(axis=(-2, -1))) ** 2
+        scalars = {k: res.scalar(k) for k in kinds}
         try:
-            return {k: winding_number(lambda z, k=k: _PAIRS[k](res), spec, noise)
-                    for k in kinds}, (spec.nodes, rung_tol)
+            got = {k: winding_number(lambda z, s=s: s[:2], spec, s[2])
+                   for k, s in scalars.items()}
         except ValueError:
             if rung == 3:
                 raise
+        else:
+            budget = np.max([b for *_, b in got.values()], axis=0).tolist()
+            return {k: c for k, (c, _, _) in got.items()}, (spec.nodes, rung_tol, *budget)
         spec = ContourSpec(spec.center, spec.radius, 2 * spec.nodes)
         rung_tol = max(tol, rung_tol / 100.0)
 
 
-def count_annulus(v: Potential, N: int, tol=1e-11):
+class CountReport(dict):
+    """certify_counts' {n: {kind: count}, "star": count} or count_annulus'
+    {kind: count}.  Its trace lists per contour (label, nodes, tol, quad,
+    prop) from _windings, labelled n or "star" for a disc and N or -N for the
+    annulus circle of radius DiscFamily.B_radius(N) or B_radius(-N)."""
+
+
+def count_annulus(v: Potential, N: int, tol=1e-11) -> CountReport:
     """Root counts of chi_p, chi_D and Delta_dot in the annulus A_N.
 
     For potentials in the working neighborhood the annulus holds exactly
@@ -158,12 +162,12 @@ def count_annulus(v: Potential, N: int, tol=1e-11):
     about a quarter for real potentials.
     """
     nodes = max(128, 48 * N)
-    outer = _windings(v, ContourSpec(0.0, DiscFamily.B_radius(N), nodes), _PAIRS, tol)[0]
-    inner = _windings(v, ContourSpec(0.0, DiscFamily.B_radius(-N), nodes), _PAIRS, tol)[0]
-    return {
-        kind: (outer[kind][0] - inner[kind][0], max(outer[kind][1], inner[kind][1]))
-        for kind in _PAIRS
-    }
+    (outer, row_out), (inner, row_in) = (
+        _windings(v, ContourSpec(0.0, DiscFamily.B_radius(n), nodes), KINDS, tol)
+        for n in (N, -N))
+    report = CountReport({k: outer[k] - inner[k] for k in KINDS})
+    report.trace = [(N, *row_out), (-N, *row_in)]
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -171,13 +175,14 @@ def count_annulus(v: Potential, N: int, tol=1e-11):
 
 
 def _newton_batch(v, seeds, kind, tol=1e-12, first=None):
-    """Batched Newton on a monodromy scalar; stops per element on a tiny step
-    or on stagnation at the integrator noise floor.  Returns the roots and a
-    BatchResult of each element's last propagation, one step from its root;
-    first, a BatchResult at the seeds, stands in for the first propagation."""
+    """Batched Newton on a monodromy scalar; an element stops on a step below
+    1e-13 (1 + |lambda|) or on |f| within NEWTON_NOISE times its noise
+    (BatchResult.scalar), and one that does neither in NEWTON_MAX_ITER steps
+    raises.  Returns the roots and a BatchResult of each element's last
+    propagation, one step from its root; first, a BatchResult at the seeds,
+    stands in for the first propagation."""
     lam = np.array(seeds, dtype=complex)
     active = np.ones(lam.size, dtype=bool)
-    prev = np.full(lam.size, np.inf)
     order = 2 if kind == "ddelta" else 1
     res, last = first, None
     for it in range(NEWTON_MAX_ITER):
@@ -187,18 +192,15 @@ def _newton_batch(v, seeds, kind, tol=1e-12, first=None):
         if it or res is None:
             res = integrate_many(v, lam[idx], order=order, tol=tol)
         last = res if last is None else _merged(last, idx, res)
-        f, df = _PAIRS[kind](res)
+        f, df, noise = res.scalar(kind)
         step = f / df
         cap = np.minimum(0.5, 0.2 * np.abs(lam[idx]) + 1e-4)
         big = np.abs(step) > cap
         if big.any():
             step[big] *= cap[big] / np.abs(step[big])
         lam[idx] = lam[idx] - step
-        s = np.abs(step)
-        done = s <= 1e-13 * (1.0 + np.abs(lam[idx]))
-        if it >= 3:
-            done |= s >= 0.5 * prev[idx]
-        prev[idx] = s
+        done = np.abs(step) <= 1e-13 * (1.0 + np.abs(lam[idx]))
+        done |= np.abs(f) <= NEWTON_NOISE * noise
         active[idx[done]] = False
     if active.any():
         raise RuntimeError(
@@ -229,17 +231,14 @@ def _periodic_pair_from_ddot(v, lam_dots, res, tol=1e-13):
     ld, h^2 moves by that step squared.  The squared half-width h^2 is
     measured down to the integrator noise; below the larger of the noise and
     DOUBLE_ROOT_TOL (1 + |ld|) / |omega'(ld)|^2 the pair is a double
-    eigenvalue.  The noise of chi_p = Delta^2 - 1 is
-    bounded by 2 |Delta| |M| BatchResult.err, the run's own half-grid
-    estimate (relative to the largest entry of M).  Newton polish on chi_p
-    is only applied to well-open gaps, where the roots are comfortably
-    simple; for barely-open gaps the quadratic model is already more
-    accurate than Newton on a nearly double root can be.
+    eigenvalue.  The noise is chi_p's (BatchResult.scalar) plus a floor of
+    1e-15 (1 + |ld|).  Newton polish on chi_p is only applied to well-open
+    gaps, where the roots are comfortably simple; for barely-open gaps the
+    quadratic model is already more accurate than Newton on a nearly double
+    root can be.
     """
     lam_dots = np.asarray(lam_dots, dtype=complex)
-    chi = res.chi_p
-    m_max = np.maximum(1.0, np.abs(res.Mgrave).max(axis=(-2, -1)))
-    noise = 2.0 * res.err * m_max**2 + 1e-15 * (1.0 + np.abs(lam_dots))
+    chi, _, noise = res.scalar("chi_p")
     chi_dd = 2.0 * (res.Delta_dot**2 + res.Delta * res.Delta_ddot)
     h2 = -2.0 * chi / chi_dd
     h = np.sqrt(h2 + 0j)
@@ -248,7 +247,7 @@ def _periodic_pair_from_ddot(v, lam_dots, res, tol=1e-13):
     # 1/(16 lambda^2) near the reciprocal end
     freq = np.abs(1.0 + 1.0 / (16.0 * lam_dots**2))
     dbl = np.abs(h2) < np.maximum(DOUBLE_ROOT_TOL * scale / freq**2,
-                                  25.0 * noise / np.abs(chi_dd))
+                                  25.0 * (noise + 1e-15 * scale) / np.abs(chi_dd))
     minus = np.where(dbl, lam_dots, lam_dots - h)
     plus = np.where(dbl, lam_dots, lam_dots + h)
     polish = (~dbl) & (np.abs(h) * freq > 1e-4 * scale)
@@ -670,12 +669,6 @@ def _check_inclusion(table, iso):
         raise ValueError("(I-1) violated: lambda_dot_star outside U_*")
 
 
-class CountReport(dict):
-    """certify_counts' {n: {kind: count}, "star": count}; its trace lists
-    per contour (n or "star", nodes, tol, quad, prop): the rung that resolved
-    it and the largest of each error-budget part over its counts."""
-
-
 def certify_counts(v, table, iso, n_range, tol=1e-11):
     """Argument-principle counts of the chi_p, chi_D and Delta_dot roots in
     each U_n, n in n_range ({n: {kind: count}}), and of the Delta_dot roots
@@ -687,12 +680,11 @@ def certify_counts(v, table, iso, n_range, tol=1e-11):
     the others; a complex potential propagates all."""
     report = CountReport()
     report.trace = []
-    discs = [(n, iso.U(n), _PAIRS) for n in n_range]
+    discs = [(n, iso.U(n), KINDS) for n in n_range]
     for n, (c, r), kinds in discs + [("star", (iso.star_center, iso.star_radius), ["ddelta"])]:
-        got, rung = _windings(v, ContourSpec(c, r * 0.98, 32), kinds, tol)
-        counts = {kind: cnt for kind, (cnt, _, _) in got.items()}
+        counts, row = _windings(v, ContourSpec(c, r * 0.98, 32), kinds, tol)
         report[n] = counts if n != "star" else counts["ddelta"]
-        report.trace.append((n, *rung, *np.max([b for *_, b in got.values()], axis=0).tolist()))
+        report.trace.append((n, *row))
     return report
 
 
@@ -710,7 +702,8 @@ def trace_formula_tau(v: Potential, contour: ContourSpec, tol=1e-11):
     """
     z, dz = contour.points()
     res = _on_contour(v, contour, 1, tol)
-    kern = res.chi_p_dot / res.chi_p
+    f, df, _ = res.scalar("chi_p")
+    kern = df / f
     m1 = np.sum(z * kern * dz) / (2j * np.pi)
     m2 = np.sum(z * z * kern * dz) / (2j * np.pi)
     tau = m1 / 2.0

@@ -169,12 +169,8 @@ def run_suite(v: Potential, cfg: RunConfig | None = None):
     report("zero_spectrum", max(errs))
 
     cnt = sp.count_annulus(v, 4, tol=cfg.ode_tol)
-    miss = (
-        abs(cnt["chi_p"][0] - 36)
-        + abs(cnt["chi_D"][0] - 18)
-        + abs(cnt["ddelta"][0] - 20)
-    )
-    report("counting_annulus", miss)
+    miss = abs(cnt["chi_p"] - 36) + abs(cnt["chi_D"] - 18) + abs(cnt["ddelta"] - 20)
+    report("counting_annulus", miss, trace=cnt.trace)
 
     # spectral workspace: build once to the largest product truncation and
     # truncate for the differential solves

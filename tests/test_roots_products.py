@@ -1,3 +1,5 @@
+import dataclasses
+
 import mpmath
 import numpy as np
 import pytest
@@ -282,6 +284,20 @@ def test_sign_tables_small_v(v_seed, tab16):
     rep = sign_tables(v_seed, tab16)
     assert rep["failures"] == []
     assert rep["checked"] > 30
+
+
+def test_sign_tables_report_a_swapped_pair_of_gaps(v_seed, tab16):
+    """The v1 table with the rows of n = 1 and n = 2 swapped, a labeling
+    error: each of the three parts of sign_tables reports it, between the
+    bands, inside the gaps and for f_{1,n}."""
+    rows = {}
+    for name in ("lam_minus", "lam_plus", "mu", "lam_dot"):
+        arr = np.array(getattr(tab16, name))
+        arr[[17, 18]] = arr[[18, 17]]
+        rows[name] = arr
+    rep = sign_tables(v_seed, dataclasses.replace(tab16, **rows))
+    assert {kind for kind, *_ in rep["failures"]} == {"interband", "gap-interior", "f1n"}
+    assert rep["checked"] == sign_tables(v_seed, tab16)["checked"]
 
 
 def test_gap_interior_sign_g11(v_seed, tab16):

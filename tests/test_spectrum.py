@@ -6,14 +6,13 @@ import pytest
 from conftest import generic_v4
 
 from shgspec.config import seeded_ensemble
-from shgspec.monodromy import integrate_many, lam_zero
+from shgspec.monodromy import KINDS, integrate_many, lam_zero
 from shgspec.potential import Potential
 from shgspec.quadrature import ContourSpec, winding_number
 import shgspec.spectrum as sp
 from shgspec.spectrum import (
     DiscFamily,
     SpectrumTable,
-    _PAIRS,
     _mobius_disc,
     _newton_batch,
     _periodic_pair_from_ddot,
@@ -52,7 +51,7 @@ def test_locate_periodic_single(v_zero):
 
 def test_count_roots_simple(v_seed):
     # chi_p has a double root in D_1 at the zero potential
-    f = lambda z: _PAIRS["chi_p"](integrate_many(Potential.zero(), z, order=1, tol=1e-11))
+    f = lambda z: integrate_many(Potential.zero(), z, order=1, tol=1e-11).scalar("chi_p")[:2]
     cnt, dist, _ = winding_number(f, ContourSpec(np.pi, np.pi / 3, 64))
     assert cnt == 2 and dist < 1e-8
 
@@ -60,9 +59,9 @@ def test_count_roots_simple(v_seed):
 def test_annulus_counts(v_seed, v_zero):
     for v in (v_zero, v_seed):
         cnt = count_annulus(v, 4, tol=1e-11)
-        assert cnt["chi_p"][0] == 4 + 8 * 4
-        assert cnt["chi_D"][0] == 2 + 4 * 4
-        assert cnt["ddelta"][0] == 4 + 4 * 4
+        assert cnt["chi_p"] == 4 + 8 * 4
+        assert cnt["chi_D"] == 2 + 4 * 4
+        assert cnt["ddelta"] == 4 + 4 * 4
 
 
 def test_certified_counts(v_seed, tab16, iso16):
@@ -89,7 +88,7 @@ def test_one_propagation_per_counting_contour(v_seed, tab16, iso16, monkeypatch)
     assert rep["star"] == 1 and orders == [2] * (len(ns) + 1)
     orders.clear()
     cnt = count_annulus(v_seed, 2)
-    assert cnt["chi_p"][0] == 4 + 8 * 2 and orders == [2, 2]
+    assert cnt["chi_p"] == 4 + 8 * 2 and orders == [2, 2]
 
 
 @pytest.fixture(scope="module")
@@ -168,7 +167,7 @@ def test_counting_work_on_v1(v_seed, tab16, iso16, monkeypatch):
     assert sum(steps for _, steps in calls) <= 39300
     calls.clear()
     cnt = count_annulus(v_seed, 4)
-    assert {k: c for k, (c, _) in cnt.items()} == {"chi_p": 36, "chi_D": 18, "ddelta": 20}
+    assert cnt == {"chi_p": 36, "chi_D": 18, "ddelta": 20}
     assert [lam.size for lam, _ in calls] == [49, 49]
     assert sum(steps for _, steps in calls) <= 4310
 
@@ -201,10 +200,10 @@ def test_budgeted_counts_match_the_full_counts(name, monkeypatch):
         c, r = (iso.star_center, iso.star_radius) if n == "star" else iso.U(n)
         spec = ContourSpec(c, 0.98 * r, 64)
         res = sp._on_contour(v, spec, 2, 1e-11)
-        full = {k: winding_number(lambda z, k=k: _PAIRS[k](res), spec)[0] for k in _PAIRS}
+        full = {k: winding_number(lambda z, k=k: res.scalar(k)[:2], spec)[0] for k in KINDS}
         assert (full["ddelta"] if n == "star" else full) == rep[n]
     cnt = count_annulus(v, 4)
-    assert {k: c for k, (c, _) in cnt.items()} == {"chi_p": 36, "chi_D": 18, "ddelta": 20}
+    assert cnt == {"chi_p": 36, "chi_D": 18, "ddelta": 20}
 
 
 def _U1_around_lam_minus(v, table, iso, ratio):
@@ -611,7 +610,7 @@ def test_table_arrays_are_read_only_copies(tab16):
 def test_annulus_counts_at_cutoff_2(v_seed):
     """A_2 holds 4 + 8N periodic, 2 + 4N Dirichlet and 4 + 4N Delta_dot roots."""
     cnt = count_annulus(v_seed, 2)
-    assert (cnt["chi_p"][0], cnt["chi_D"][0], cnt["ddelta"][0]) == (20, 10, 12)
+    assert (cnt["chi_p"], cnt["chi_D"], cnt["ddelta"]) == (20, 10, 12)
 
 
 def _relabeled(tab, iso, j, m):
@@ -664,3 +663,42 @@ def test_two_index_relabelings_case_by_case():
             tab.lam2(bad, 1, +1)
         with pytest.raises(ValueError):
             iso.U2(bad, 1)
+
+
+@pytest.mark.parametrize("amplitude, mode, n_max", [(2.0, 3, 2), (1.0, 3, 3), (1.5, 2, 2), (1.5, 2, 3)])
+def test_tabulated_data_are_roots_on_large_cosines(amplitude, mode, n_max):
+    """Far from zero a Newton stop on the ratio of consecutive steps returned
+    non-roots: lambda_dot_2 = 4.5222 on 2 cos 6 pi x at n_max 2, where
+    |Delta_dot| = 0.17 (the root is 4.4787), and mu with |chi_D| up to 0.53
+    on the other three.  Propagated afresh, every tabulated lambda_dot and mu
+    is a root within NEWTON_NOISE times its noise (BatchResult.scalar)."""
+    v = Potential.cosine(amplitude, mode=mode)
+    tab = build_table(v, n_max)
+    for kind, roots in (("ddelta", tab.lam_dot), ("chi_D", tab.mu)):
+        f, _, noise = integrate_many(v, roots, order=2, tol=1e-12).scalar(kind)
+        assert np.all(np.abs(f) <= sp.NEWTON_NOISE * noise), (kind, np.abs(f))
+    if (amplitude, mode, n_max) == (2.0, 3, 2):
+        assert abs(tab.lam_dot_n(2) - 4.4787) < 1e-4
+
+
+def test_newton_raises_where_a_capped_step_cannot_shrink(v_seed):
+    """Seeded at 5 + 30i, far from every Delta_dot root, each Newton step is
+    capped at 0.5 and no root is within the 40 steps' reach: the Newton
+    raises, naming the kind and the index, where a stop on steps that no
+    longer shrink returned 5 + 28i with |Delta_dot| = 1.2e12."""
+    with pytest.raises(RuntimeError, match=r"ddelta did not converge at indices \[1\]"):
+        _newton_batch(v_seed, [lam_zero(1), 5.0 + 30.0j], "ddelta")
+
+
+def test_each_kind_charged_its_own_noise_on_the_inner_annulus_circle(v_seed):
+    """chi_D is one entry of M, so its noise is err max|M|, not err max|M|^2:
+    on v1's inner circle of A_4 (|M| up to 7.6e5) its propagation part of the
+    budget reads 7.3e-8 (chi_p 1.8e-7, Delta_dot 8.1e-8), where err max|M|^2
+    read 5.6e-2 of the 0.1 budget.  count_annulus traces both circles, each
+    resolved on its first rung, with the largest part over the kinds."""
+    spec = ContourSpec(0.0, DiscFamily.B_radius(-4), 192)
+    props = {kind: sp._windings(v_seed, spec, [kind], 1e-11)[1][3] for kind in KINDS}
+    assert props["chi_D"] < 1e-6 and max(props.values()) < 1e-6
+    cnt = count_annulus(v_seed, 4)
+    assert [row[:3] for row in cnt.trace] == [(4, 192, 1e-6), (-4, 192, 1e-6)]
+    assert cnt.trace[1][4] == max(props.values())

@@ -34,6 +34,14 @@ def test_report_invariant(small_suite):
         assert c.line().startswith("[")
 
 
+def test_counting_annulus_reports_its_budget(small_suite):
+    """counting_annulus carries count_annulus' trace: the outer and inner
+    circle of A_4, each resolved on its first rung, far inside the budget."""
+    ann = {c.check_id: c for c in small_suite}["counting_annulus"]
+    assert [row[:3] for row in ann.trace] == [(4, 192, 1e-6), (-4, 192, 1e-6)]
+    assert max(quad + prop for *_, quad, prop in ann.trace) < 1e-3
+
+
 def test_suite_deterministic(small_suite):
     """A second run on a fresh potential repeats the module's run exactly."""
     b = run_suite(Potential.cosine(0.1), _small_cfg())
