@@ -73,10 +73,10 @@ def cmd_spectrum(args, cfg, v) -> int:
     from .spectrum import DiscFamily, build_isolating, build_table
 
     table = build_table(v, cfg.n_max, tol=cfg.spectral_tol)
+    iso = build_isolating(v, table, nodes=cfg.nodes)  # refuses a table in either format
     if cfg.out_format == "json":
         _emit(table.to_json(), args.out)
         return EXIT_OK
-    iso = build_isolating(v, table, nodes=cfg.nodes)
     rows = []
     for n in range(-cfg.n_max, cfg.n_max + 1):
         lm, lp = table.lam_pm(n)

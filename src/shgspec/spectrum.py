@@ -42,6 +42,7 @@ ORDER_TIE_TOL = 1e-12
 DOUBLE_ROOT_TOL = 1e-10
 NEWTON_MAX_ITER = 40
 NEWTON_NOISE = 2.0  # Newton takes |f| within this many times its noise as a root
+ISOLATION = {"chi_p": 2, "chi_D": 1, "ddelta": 1}  # the roots in each U_n
 
 
 def order_le(a, b) -> bool:
@@ -94,79 +95,93 @@ class DiscFamily:
 # argument-principle counting
 
 
-def _on_contour(v, spec, order, tol):
-    """Monodromy data of the given order on every node of spec from one node
-    propagated per orbit of the circle's symmetries: M(-lam) = S M(lam) S,
-    S = diag(1, -1), for every potential (jet j takes (-1)^j) and M(conj lam) =
-    conj M(lam) for real-flagged ones.  On theta_k = 2 pi k / N they pair k with
-    -k (centre on the real axis), k + N/2 (centre 0) and N/2 - k (centre on the
-    imaginary axis); a centre off an axis by less than the nodes' rounding is on it."""
-    z = spec.points()[0]
-    N, c, k = spec.nodes, complex(spec.center), np.arange(spec.nodes)
-    axis = 1e-15 * (abs(c) + spec.radius)
-    re, im, even = abs(c.imag) <= axis, abs(c.real) <= axis, N % 2 == 0
-    maps = [((-k) % N, False, True, v.real and re),  # (node map, -lam, conj, holds)
-            ((k + N // 2) % N, True, False, even and re and im),
-            ((N // 2 - k) % N, True, True, even and v.real and im)]
-    src, neg, cj = k.copy(), np.zeros(N, bool), np.zeros(N, bool)
-    for node, n, conj, holds in maps:  # each map is an involution
-        take = holds & (node < src)
-        src[take], neg[take], cj[take] = node[take], n, conj
-    reps = np.flatnonzero(src == k)
-    out = integrate_many(v, z[reps], order=order, tol=tol).single(np.searchsorted(reps, src))
+def _on_contour(v, specs, order, tol):
+    """Monodromy data of the given order on every node of each contour in specs
+    (one BatchResult each), from one integrate_many over one node per orbit of
+    each circle's symmetries: M(-lam) = S M(lam) S, S = diag(1, -1), for every
+    potential (jet j takes (-1)^j) and M(conj lam) = conj M(lam) for
+    real-flagged ones.  On theta_k = 2 pi k / N they pair k with -k (centre on
+    the real axis), k + N/2 (centre 0) and N/2 - k (centre on the imaginary
+    axis); a centre off an axis by less than the nodes' rounding is on it."""
+    plans = []
+    for spec in specs:
+        N, c, k = spec.nodes, complex(spec.center), np.arange(spec.nodes)
+        axis = 1e-15 * (abs(c) + spec.radius)
+        re, im, even = abs(c.imag) <= axis, abs(c.real) <= axis, N % 2 == 0
+        maps = [((-k) % N, False, True, v.real and re),  # (node map, -lam, conj, holds)
+                ((k + N // 2) % N, True, False, even and re and im),
+                ((N // 2 - k) % N, True, True, even and v.real and im)]
+        src, neg, cj = k.copy(), np.zeros(N, bool), np.zeros(N, bool)
+        for node, n, conj, holds in maps:  # each map is an involution
+            take = holds & (node < src)
+            src[take], neg[take], cj[take] = node[take], n, conj
+        plans.append((spec.points()[0], src, neg, cj, np.flatnonzero(src == k)))
+    res = integrate_many(v, np.concatenate([z[r] for z, *_, r in plans]), order=order, tol=tol)
     sgn = (-1.0) ** np.arange(order + 1).reshape(-1, 1, 1, 1) * np.array([[1, -1], [-1, 1]])
-    J = np.where(cj[:, None, None], out.jets.conj(), out.jets)
-    out.lams, out.jets = z, np.where(neg[:, None, None], sgn * J, J)
+    out, start = [], 0
+    for z, src, neg, cj, reps in plans:
+        part, start = res.single(start + np.searchsorted(reps, src)), start + reps.size
+        J = np.where(cj[:, None, None], part.jets.conj(), part.jets)
+        part.lams, part.jets = z, np.where(neg[:, None, None], sgn * J, J)
+        out.append(part)
     return out
-
-
-def _windings(v, spec, kinds, tol):
-    """({kind: count}, (nodes, tol, quad, prop)) on one contour at the first
-    rung that resolves every count, each kind from one order-2 _on_contour
-    with its own noise (BatchResult.scalar); quad and prop are the largest
-    budget parts over the counts.  The first rung is spec.nodes at tol
-    TOL_RANGE[1]; each of at most three more doubles the nodes and divides the
-    tolerance by 100, never below tol; a contour that no rung resolves raises
-    the last rung's ValueError."""
-    rung_tol = TOL_RANGE[1]
-    for rung in range(4):
-        res = _on_contour(v, spec, 2, rung_tol)
-        scalars = {k: res.scalar(k) for k in kinds}
-        try:
-            got = {k: winding_number(lambda z, s=s: s[:2], spec, s[2])
-                   for k, s in scalars.items()}
-        except ValueError:
-            if rung == 3:
-                raise
-        else:
-            budget = np.max([b for *_, b in got.values()], axis=0).tolist()
-            return {k: c for k, (c, _, _) in got.items()}, (spec.nodes, rung_tol, *budget)
-        spec = ContourSpec(spec.center, spec.radius, 2 * spec.nodes)
-        rung_tol = max(tol, rung_tol / 100.0)
 
 
 class CountReport(dict):
     """certify_counts' {n: {kind: count}, "star": count} or count_annulus'
-    {kind: count}.  Its trace lists per contour (label, nodes, tol, quad,
-    prop) from _windings, labelled n or "star" for a disc and N or -N for the
-    annulus circle of radius DiscFamily.B_radius(N) or B_radius(-N)."""
+    {kind: count}.  Its trace lists per contour (label, nodes, tol, quad, prop)
+    from _count, labelled n or "star" for a disc and N or -N for the annulus
+    circle of radius DiscFamily.B_radius(+-N); miss sums |count - expected|."""
+
+
+def _count(v, contours, tol):
+    """The CountReport {label: {kind: count}} of contours, a list of (label,
+    ContourSpec, {kind: expected count}).  Each rung propagates the contours
+    still unresolved in one order-2 _on_contour; the first takes each at its
+    own nodes and tol TOL_RANGE[1], and each of at most three more doubles the
+    nodes and divides tol by 100, never below tol.  A contour is resolved when
+    winding_number vouches for each kind, charged its own noise
+    (BatchResult.scalar); one that no rung resolves raises."""
+    counts, rows, todo, rung_tol = {}, {}, contours, TOL_RANGE[1]
+    for rung in range(4):
+        left, specs = [], [spec for _, spec, _ in todo]
+        for (label, spec, want), res in zip(todo, _on_contour(v, specs, 2, rung_tol)):
+            scalars = {k: res.scalar(k) for k in want}
+            try:
+                got = {k: winding_number(lambda z, s=s: s[:2], spec, s[2])
+                       for k, s in scalars.items()}
+            except ValueError:
+                if rung == 3:
+                    raise
+                left.append((label, ContourSpec(spec.center, spec.radius, 2 * spec.nodes), want))
+                continue
+            counts[label] = {k: c for k, (c, _, _) in got.items()}
+            budget = np.max([b for *_, b in got.values()], axis=0).tolist()
+            rows[label] = (label, spec.nodes, rung_tol, *budget)
+        if not left:
+            break
+        todo, rung_tol = left, max(tol, rung_tol / 100.0)
+    report = CountReport((label, counts[label]) for label, *_ in contours)
+    report.trace = [rows[label] for label, *_ in contours]
+    report.miss = sum(abs(counts[label][k] - n)
+                      for label, _, want in contours for k, n in want.items())
+    return report
 
 
 def count_annulus(v: Potential, N: int, tol=1e-11) -> CountReport:
     """Root counts of chi_p, chi_D and Delta_dot in the annulus A_N.
 
-    For potentials in the working neighborhood the annulus holds exactly
-    4+8N periodic eigenvalues, 2+4N Dirichlet eigenvalues and 4+4N roots of
-    the discriminant derivative.  Each circle starts at max(128, 48N) nodes
-    (_windings); both are centred at 0, so they propagate half their nodes,
+    In the working neighborhood A_N holds 4+8N, 2+4N and 4+4N roots: its
+    outer circle winds 4N+2, 2N+1 and 2N+1 times and its inner one -(4N+2),
+    -(2N+1) and -(2N+3), as at the zero potential.  Each circle starts at
+    max(128, 48N) nodes (_count) and, centred at 0, propagates half of them,
     about a quarter for real potentials.
     """
-    nodes = max(128, 48 * N)
-    (outer, row_out), (inner, row_in) = (
-        _windings(v, ContourSpec(0.0, DiscFamily.B_radius(n), nodes), KINDS, tol)
-        for n in (N, -N))
-    report = CountReport({k: outer[k] - inner[k] for k in KINDS})
-    report.trace = [(N, *row_out), (-N, *row_in)]
+    winds = {N: (4 * N + 2, 2 * N + 1, 2 * N + 1), -N: (-4 * N - 2, -2 * N - 1, -2 * N - 3)}
+    rep = _count(v, [(n, ContourSpec(0.0, DiscFamily.B_radius(n), max(128, 48 * N)),
+                      dict(zip(KINDS, w))) for n, w in winds.items()], tol)
+    report = CountReport({k: rep[N][k] - rep[-N][k] for k in KINDS})
+    report.trace, report.miss = rep.trace, rep.miss
     return report
 
 
@@ -672,19 +687,15 @@ def _check_inclusion(table, iso):
 def certify_counts(v, table, iso, n_range, tol=1e-11):
     """Argument-principle counts of the chi_p, chi_D and Delta_dot roots in
     each U_n, n in n_range ({n: {kind: count}}), and of the Delta_dot roots
-    in U_* (key "star").  Isolation means 2, 1, 1 in every U_n and 1 in U_*;
-    the counts are returned as measured, and the suite judges them.  Each
-    disc is counted at 0.98 of its radius from 32 nodes on (_windings, down
-    to tol at most; iso.nodes plays no part).  For a real potential U_n and
-    U_* (centres on an axis) propagate 17 of 32 nodes, the mirror images of
-    the others; a complex potential propagates all."""
-    report = CountReport()
-    report.trace = []
-    discs = [(n, iso.U(n), KINDS) for n in n_range]
-    for n, (c, r), kinds in discs + [("star", (iso.star_center, iso.star_radius), ["ddelta"])]:
-        counts, row = _windings(v, ContourSpec(c, r * 0.98, 32), kinds, tol)
-        report[n] = counts if n != "star" else counts["ddelta"]
-        report.trace.append((n, *row))
+    in U_* (key "star"), as measured, with their miss from ISOLATION and 1.
+    Each disc is counted at 0.98 of its radius from 32 nodes on (_count, down
+    to tol at most; iso.nodes plays no part): 17 of them propagated for a
+    real potential (centres on an axis), all for a complex one."""
+    discs = [(n, iso.U(n), ISOLATION) for n in n_range]
+    discs.append(("star", (iso.star_center, iso.star_radius), {"ddelta": 1}))
+    report = _count(v, [(n, ContourSpec(c, r * 0.98, 32), want)
+                        for n, (c, r), want in discs], tol)
+    report["star"] = report["star"]["ddelta"]
     return report
 
 
@@ -692,20 +703,17 @@ def certify_counts(v, table, iso, n_range, tol=1e-11):
 # trace formula
 
 
-def trace_formula_tau(v: Potential, contour: ContourSpec, tol=1e-11):
-    """tau_n and gamma_n^2 from the argument-principle moments
+def trace_formula_tau(v: Potential, contours, tol=1e-11):
+    """[(tau_n, gamma_n^2)] on each of contours, all propagated in one
+    _on_contour, from the argument-principle moments
 
         (lambda_n^+)^k + (lambda_n^-)^k
             = (1/2 pi i) oint lambda^k 2 Delta Delta_dot/(Delta^2-1) dlambda.
-    On a real-centred contour of a real potential, one node per conjugate pair
-    is propagated (_on_contour).
     """
-    z, dz = contour.points()
-    res = _on_contour(v, contour, 1, tol)
-    f, df, _ = res.scalar("chi_p")
-    kern = df / f
-    m1 = np.sum(z * kern * dz) / (2j * np.pi)
-    m2 = np.sum(z * z * kern * dz) / (2j * np.pi)
-    tau = m1 / 2.0
-    gamma_sq = 2.0 * m2 - m1 * m1
-    return complex(tau), complex(gamma_sq)
+    out = []
+    for contour, res in zip(contours, _on_contour(v, contours, 1, tol)):
+        z, dz = contour.points()
+        f, df, _ = res.scalar("chi_p")
+        m1, m2 = (np.sum(w * (df / f) * dz) / (2j * np.pi) for w in (z, z * z))
+        out.append((complex(m1 / 2.0), complex(2.0 * m2 - m1 * m1)))
+    return out

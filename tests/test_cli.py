@@ -121,6 +121,19 @@ def test_spectrum_csv(files, capsys):
     assert any("U_center" in ln for ln in lines)
 
 
+def test_spectrum_refuses_a_table_alike_in_json_and_csv(files, capsys):
+    """On cos 6 pi x at n_max 3 the contour of n = -3 misses its gap, so the
+    isolating discs cannot be built: both formats exit 3, where JSON, which
+    printed the bare table, exited 0."""
+    d = files[0]
+    path = d / "cos3.json"
+    path.write_text(Potential.cosine(1.0, mode=3).to_json())
+    for fmt in ("json", "csv"):
+        assert main(["spectrum", str(path), "--nmax", "3", "--format", fmt]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "misses its gap" in captured.err
+
+
 def test_differentials_round_trip(files, capsys, tmp_path):
     """A spectrum JSON re-read as table injection reproduces identical sigma."""
     d, zero, cos, cfg = files
@@ -195,11 +208,13 @@ def _shrunk_U1_counts(certify):
 
 
 def test_wrong_disc_count_is_returned(v_seed, tab16, iso16):
-    """certify_counts returns the counts it measures instead of raising."""
+    """certify_counts returns the counts it measures instead of raising, and
+    their miss: 1 + 1 + 1 from U_1's 1/0/0 against 2/1/1."""
     rep = _shrunk_U1_counts(spectrum.certify_counts)(v_seed, tab16, iso16, n_range=(0, 1, 2))
     assert rep == {0: {"chi_p": 2, "chi_D": 1, "ddelta": 1},
                    1: {"chi_p": 1, "chi_D": 0, "ddelta": 0},
                    2: {"chi_p": 2, "chi_D": 1, "ddelta": 1}, "star": 1}
+    assert rep.miss == 3
 
 
 def test_verify_judges_counts_and_solves_on_the_disc_nodes(files, capsys, monkeypatch):

@@ -106,3 +106,28 @@ def test_zero_tail_enters_products_through_node_product_alone():
         walk(ast.parse(path.read_text()), path.stem)
     assert users == {"roots_products.node_product",
                      "roots_products.CanonicalRootEvaluator.__init__"}
+
+
+def test_one_counting_routine_owns_the_windings_and_the_expected_counts():
+    """In spectrum.py only _count calls winding_number, and only _on_contour,
+    _newton_batch and delta_sign_check call integrate_many; verification.py
+    names no count kind and no expected annulus count (36, 18, 20), so the
+    expected counts live in spectrum.py alone."""
+    spectrum = pathlib.Path(shgspec.__file__).parent / "spectrum.py"
+    callers = {"winding_number": set(), "integrate_many": set()}
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                walk(child, child.name)
+                continue
+            if isinstance(child, ast.Call) and getattr(child.func, "id", None) in callers:
+                callers[child.func.id].add(scope)
+            walk(child, scope)
+
+    walk(ast.parse(spectrum.read_text()), "spectrum")
+    assert callers == {"winding_number": {"_count"},
+                       "integrate_many": {"_on_contour", "_newton_batch", "delta_sign_check"}}
+    verification = ast.parse((spectrum.parent / "verification.py").read_text())
+    constants = {node.value for node in ast.walk(verification) if isinstance(node, ast.Constant)}
+    assert not constants & {"chi_p", "chi_D", "ddelta", 36, 18, 20}

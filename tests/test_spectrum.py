@@ -71,8 +71,9 @@ def test_certified_counts(v_seed, tab16, iso16):
 
 
 def test_one_propagation_per_counting_contour(v_seed, tab16, iso16, monkeypatch):
-    """chi_p, chi_D and Delta_dot are counted from one order-2 run per
-    contour: one per U_n and one for U_*, two for the annulus."""
+    """chi_p, chi_D and Delta_dot are counted from one order-2 run over every
+    contour of a call that a rung resolves: one for all U_n and U_*, one for
+    both annulus circles."""
     import shgspec.spectrum as sp
 
     orders = []
@@ -85,10 +86,10 @@ def test_one_propagation_per_counting_contour(v_seed, tab16, iso16, monkeypatch)
     monkeypatch.setattr(sp, "integrate_many", counted)
     ns = range(-2, 3)
     rep = certify_counts(v_seed, tab16, iso16, n_range=ns)
-    assert rep["star"] == 1 and orders == [2] * (len(ns) + 1)
+    assert rep["star"] == 1 and orders == [2]
     orders.clear()
     cnt = count_annulus(v_seed, 2)
-    assert cnt["chi_p"] == 4 + 8 * 2 and orders == [2, 2]
+    assert cnt["chi_p"] == 4 + 8 * 2 and orders == [2]
 
 
 @pytest.fixture(scope="module")
@@ -107,25 +108,25 @@ def _counting_contours(iso):
 
 def test_on_contour_matches_direct_propagation(v_seed, iso16, v3_iso, monkeypatch):
     """Filled in from one node per mirror pair, M and both lambda-jets agree
-    with a direct propagation of every node within 1e-13 relative.  v1 (real)
-    propagates 33 of 64 nodes on U_n and U_* and 97 of 384 on each annulus
-    circle; v3 (complex) keeps only evenness: all 64 on U_n, 192 of 384 on
-    the annulus circles."""
+    with a direct propagation of every node within 1e-13 relative.  The six
+    contours of one potential propagate in one call: v1 (real) propagates 33
+    of 64 nodes on U_n and U_* and 97 of 384 on each annulus circle; v3
+    (complex) keeps only evenness: all 64 on U_n, 192 of 384 on the annulus
+    circles."""
     calls = _propagations(monkeypatch)
-    cases = [(v_seed, spec, want) for spec, want in
-             zip(_counting_contours(iso16), (33, 33, 33, 33, 97, 97))]
     v3, iso3 = v3_iso
-    cases += [(v3, spec, want) for spec, want in
-              zip(_counting_contours(iso3), (64, 64, 64, 64, 192, 192))]
-    for v, spec, want in cases:
+    for v, iso, wants in ((v_seed, iso16, (33, 33, 33, 33, 97, 97)),
+                          (v3, iso3, (64, 64, 64, 64, 192, 192))):
         calls.clear()
-        got = sp._on_contour(v, spec, 2, 1e-11)
-        assert [lam.size for lam, _ in calls] == [want]
-        direct = integrate_many(v, spec.points()[0], order=2, tol=1e-11)
-        assert np.array_equal(got.lams, direct.lams)
-        for jet in ("Mgrave", "Mgrave_dot", "Mgrave_ddot"):
-            a, b = getattr(got, jet), getattr(direct, jet)
-            assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b)), (spec, jet)
+        specs = _counting_contours(iso)
+        got = sp._on_contour(v, specs, 2, 1e-11)
+        assert [lam.size for lam, _ in calls] == [sum(wants)] and len(got) == len(specs)
+        for spec, res in zip(specs, got):
+            direct = integrate_many(v, spec.points()[0], order=2, tol=1e-11)
+            assert np.array_equal(res.lams, direct.lams)
+            for jet in ("Mgrave", "Mgrave_dot", "Mgrave_ddot"):
+                a, b = getattr(res, jet), getattr(direct, jet)
+                assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b)), (spec, jet)
 
 
 @pytest.mark.parametrize("k, spec, want", [
@@ -141,7 +142,7 @@ def test_on_contour_without_symmetry_propagates_every_node(k, spec, want, monkey
     an even N: on the real axis an odd N still pairs k with -k."""
     v = seeded_ensemble()[k]
     calls = _propagations(monkeypatch)
-    got = sp._on_contour(v, spec, 1, 1e-11)
+    got, = sp._on_contour(v, [spec], 1, 1e-11)
     assert [lam.size for lam, _ in calls] == [want]
     direct = integrate_many(v, spec.points()[0], order=1, tol=1e-11)
     if want == spec.nodes:
@@ -154,21 +155,21 @@ def test_on_contour_without_symmetry_propagates_every_node(k, spec, want, monkey
 def test_counting_work_on_v1(v_seed, tab16, iso16, monkeypatch):
     """certify_counts at |n| <= 16 and count_annulus(v1, 4) resolve every
     contour on its first rung (32 nodes on U_n and U_*, 192 on each annulus
-    circle, tol 1e-6), propagating half and a quarter of the nodes: 35,740
-    and 3,920 lambda-steps measured, bounded here with a 10% margin (at 64
-    nodes and tol 1e-11 they took 479,456 and 49,664), with the counts
-    isolation requires."""
+    circle, tol 1e-6), propagating half and a quarter of the nodes, each call
+    in one integrate_many: 35,740 and 3,920 lambda-steps measured, bounded
+    here with a 10% margin (at 64 nodes and tol 1e-11 they took 479,456 and
+    49,664), with the counts isolation requires."""
     calls = _propagations(monkeypatch)
     rep = certify_counts(v_seed, tab16, iso16, n_range=range(-16, 17))
     assert rep.pop("star") == 1
     assert all(got == {"chi_p": 2, "chi_D": 1, "ddelta": 1} for got in rep.values())
     assert {rung[1:3] for rung in rep.trace} == {(32, 1e-6)}
-    assert [lam.size for lam, _ in calls] == [17] * 34
+    assert [lam.size for lam, _ in calls] == [17 * 34]
     assert sum(steps for _, steps in calls) <= 39300
     calls.clear()
     cnt = count_annulus(v_seed, 4)
     assert cnt == {"chi_p": 36, "chi_D": 18, "ddelta": 20}
-    assert [lam.size for lam, _ in calls] == [49, 49]
+    assert [lam.size for lam, _ in calls] == [49 + 49]
     assert sum(steps for _, steps in calls) <= 4310
 
 
@@ -182,8 +183,8 @@ def test_budgeted_counts_match_the_full_counts(name, monkeypatch):
     """On v1-v4 and the constant family the budgeted counts at every
     |n| <= 16 and U_* are the isolation counts 2, 1, 1 and 1, which 64 nodes
     at tol 1e-11 also give, for at most a fifth of that work (13-16 times
-    less measured); count_annulus(v, 4) gives 36/18/20.  Every budget stays
-    below 1e-3 (largest measured 4.1e-4)."""
+    less measured); count_annulus(v, 4) gives 36/18/20.  Both reports miss
+    nothing, and every budget stays below 1e-3 (largest measured 4.1e-4)."""
     ens = seeded_ensemble()
     v = {"v1": ens[0], "v2": ens[1], "v3": ens[2], "v4": generic_v4(),
          "q=0.3,p=0.2": Potential.from_modes({0: 0.3}, {0: 0.2}, Kf=1),
@@ -193,17 +194,17 @@ def test_budgeted_counts_match_the_full_counts(name, monkeypatch):
     calls = _propagations(monkeypatch)
     rep = certify_counts(v, table, iso, n_range=range(-16, 17))
     assert sum(steps for _, steps in calls) <= _FULL_WORK[name] / 5
-    assert rep["star"] == 1
+    assert rep["star"] == 1 and rep.miss == 0
     assert all(rep[n] == {"chi_p": 2, "chi_D": 1, "ddelta": 1} for n in range(-16, 17))
     assert max(quad + prop for *_, quad, prop in rep.trace) < 1e-3
-    for n in (-16, -1, 0, 1, 16, "star"):  # the counts at 64 nodes, tol 1e-11
-        c, r = (iso.star_center, iso.star_radius) if n == "star" else iso.U(n)
-        spec = ContourSpec(c, 0.98 * r, 64)
-        res = sp._on_contour(v, spec, 2, 1e-11)
+    ns = (-16, -1, 0, 1, 16, "star")  # the counts at 64 nodes, tol 1e-11
+    discs = [(iso.star_center, iso.star_radius) if n == "star" else iso.U(n) for n in ns]
+    specs = [ContourSpec(c, 0.98 * r, 64) for c, r in discs]
+    for n, spec, res in zip(ns, specs, sp._on_contour(v, specs, 2, 1e-11)):
         full = {k: winding_number(lambda z, k=k: res.scalar(k)[:2], spec)[0] for k in KINDS}
         assert (full["ddelta"] if n == "star" else full) == rep[n]
     cnt = count_annulus(v, 4)
-    assert cnt == {"chi_p": 36, "chi_D": 18, "ddelta": 20}
+    assert cnt == {"chi_p": 36, "chi_D": 18, "ddelta": 20} and cnt.miss == 0
 
 
 def _U1_around_lam_minus(v, table, iso, ratio):
@@ -220,12 +221,14 @@ def _U1_around_lam_minus(v, table, iso, ratio):
 def test_a_root_just_outside_moves_the_count_up_the_ladder(v_seed, tab16, iso16, monkeypatch):
     """With lambda_dot_1 4% outside the circle, 32 and 64 nodes miss the
     budget; the third rung (128 nodes, tol 1e-10) resolves the counts of the
-    one chi_p root inside, after one propagation per rung."""
+    one chi_p root inside, after one propagation per rung.  U_* resolves on
+    the first rung, in the same propagation as U_1, and climbs no further."""
     calls = _propagations(monkeypatch)
     rep = _U1_around_lam_minus(v_seed, tab16, iso16, 1.04)
-    assert rep[1] == {"chi_p": 1, "chi_D": 0, "ddelta": 0}
+    assert rep[1] == {"chi_p": 1, "chi_D": 0, "ddelta": 0} and rep["star"] == 1
     assert rep.trace[0][:3] == (1, 128, 1e-10) and rep.trace[0][3] < 0.1
-    assert [lam.size for lam, _ in calls[:3]] == [17, 33, 65]
+    assert rep.trace[1][:3] == ("star", 32, 1e-6)
+    assert [lam.size for lam, _ in calls] == [17 + 17, 33, 65]
 
 
 def test_a_contour_no_rung_resolves_raises(v_seed, tab16, iso16):
@@ -501,15 +504,19 @@ def test_contours_inside_discs(tab16, iso16):
 
 def test_trace_formula_zero(v_zero, iso0, tab0):
     c, r = iso0.U(1)
-    tau, g2 = trace_formula_tau(v_zero, ContourSpec(c, 0.9 * r, 128), tol=1e-12)
+    [(tau, g2)] = trace_formula_tau(v_zero, [ContourSpec(c, 0.9 * r, 128)], tol=1e-12)
     assert abs(tau - LAM1_ZERO) < 1e-9
     assert abs(g2) < 1e-10
 
 
-def test_trace_formula_small_v(v_seed, tab16, iso16):
-    for n in (0, 1, -2):
-        c, r = iso16.U(n)
-        tau, g2 = trace_formula_tau(v_seed, ContourSpec(c, 0.9 * r, 128), tol=1e-12)
+def test_trace_formula_small_v(v_seed, tab16, iso16, monkeypatch):
+    """The moments of three discs come from one propagation."""
+    ns = (0, 1, -2)
+    calls = _propagations(monkeypatch)
+    circles = [ContourSpec(c, 0.9 * r, 128) for c, r in map(iso16.U, ns)]
+    moments = trace_formula_tau(v_seed, circles, tol=1e-12)
+    assert len(calls) == 1 and len(moments) == 3
+    for n, (tau, g2) in zip(ns, moments):
         assert abs(tau.imag) < 1e-10
         assert g2.real > -1e-12
         assert abs(tau - tab16.tau(n)) < 1e-7
@@ -697,8 +704,11 @@ def test_each_kind_charged_its_own_noise_on_the_inner_annulus_circle(v_seed):
     read 5.6e-2 of the 0.1 budget.  count_annulus traces both circles, each
     resolved on its first rung, with the largest part over the kinds."""
     spec = ContourSpec(0.0, DiscFamily.B_radius(-4), 192)
-    props = {kind: sp._windings(v_seed, spec, [kind], 1e-11)[1][3] for kind in KINDS}
+    winds = dict(zip(KINDS, (-18, -9, -11)))
+    reps = {kind: sp._count(v_seed, [(-4, spec, {kind: winds[kind]})], 1e-11) for kind in KINDS}
+    props = {kind: rep.trace[0][4] for kind, rep in reps.items()}
     assert props["chi_D"] < 1e-6 and max(props.values()) < 1e-6
+    assert all(rep.miss == 0 for rep in reps.values())
     cnt = count_annulus(v_seed, 4)
     assert [row[:3] for row in cnt.trace] == [(4, 192, 1e-6), (-4, 192, 1e-6)]
     assert cnt.trace[1][4] == max(props.values())
