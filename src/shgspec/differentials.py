@@ -144,6 +144,9 @@ class SigmaWorkspace:
         self.rows = [(j, m, iso.contour(j, m)) for j, m in ms]
         self.pref = np.array([self.n - m if j == 1 else 16.0 * pi_k(m) ** 2 * pi_k(self.n)
                               for j, m in ms])
+        # the lambda-plane disc U_{j,m} of each unknown, for admissible
+        discs = np.array([iso.U2(j, m) for j, m in ms], dtype=complex).reshape(-1, 2)
+        self.disc_c, self.disc_r = discs[:, 0], discs[:, 1].real
 
     # -- state vector mapping ------------------------------------------------
 
@@ -171,17 +174,16 @@ class SigmaWorkspace:
         """Copies of sigma1, sigma2 with the lambda-plane image
         family_var(j, sigma_{j,k}) of every unknown clamped to 0.9 of the
         radius of its disc U_{j,k}, and the number of roots clamped."""
-        events = 0
-        out = (sigma1.copy(), sigma2.copy())
-        for j, s, unknown in zip((1, 2), out, (self.open1, self.open2)):
-            for i in np.flatnonzero(unknown):
-                c, r = self.iso.U2(j, int(self.ks[i]))
-                u = family_var(j, s[i])
-                d = abs(u - c)
-                if d > 0.9 * r:
-                    s[i] = family_var(j, c + (u - c) * (0.9 * r / d))
-                    events += 1
-        return (*out, events)
+        m, c, r = np.count_nonzero(self.open1), self.disc_c, self.disc_r
+        s = self.pack(sigma1, sigma2)
+        u = np.concatenate([s[:m], family_var(2, s[m:])])
+        d = np.abs(u - c)
+        out = np.flatnonzero(d > 0.9 * r)
+        u[out] = c[out] + (u - c)[out] * (0.9 * r[out] / d[out])
+        s[out] = np.concatenate([u[:m], family_var(2, u[m:])])[out]
+        sigma1, sigma2 = sigma1.copy(), sigma2.copy()
+        sigma1[self.open1], sigma2[self.open2] = s[:m], s[m:]
+        return sigma1, sigma2, out.size
 
     def residual_and_jacobian(self, u):
         """The residual F at u, and a function that forms the Jacobian Q at u

@@ -226,8 +226,9 @@ def node_product(nodes, x, K: int, gammas=None, tail=None, skip=None):
     return np.prod(w, axis=0)[: x.size] * tail
 
 
-def f1n(table, n: int, lam, K: int):
-    """f_{1,n}(lambda) = (1/pi_n) prod_{m != n} w_{1,m}(lambda)/pi_m."""
+def f1n(table, n, lam, K: int):
+    """f_{1,n}(lambda) = (1/pi_n) prod_{m != n} w_{1,m}(lambda)/pi_m; n is one
+    index or one per point."""
     return table.evaluator(K).roots.f1(lam, skip=n) / pi_k(n)
 
 
@@ -292,8 +293,9 @@ class CanonicalRootEvaluator:
         return self._on_contour[spec]
 
     def chip_from_below(self, lam_real, seg_len):
-        """Gap-interior values as the limit from below, Im lambda -> 0^-."""
-        eps = 1e-7 * max(float(seg_len), 1e-30)
+        """Gap-interior values as the limit from below, Im lambda -> 0^-, at
+        1e-7 of seg_len (one, or one per point) below the axis."""
+        eps = 1e-7 * np.maximum(seg_len, 1e-30)
         lam = np.atleast_1d(np.asarray(lam_real, dtype=complex)) - 1j * eps
         return self.chip(lam, check_gaps=False)
 
@@ -319,53 +321,46 @@ def sign_tables(v, table):
     N = table.n_max
     ev = table.evaluator(N)
     failures = []
-    checked = 0
-    skipped = 0
+
+    def judge(kind, js, ns, xs, signed):
+        """One failure per row of samples xs whose signed values are not all
+        positive, at its least positive sample; returns the rows checked."""
+        for j, n, x, s in zip(js, ns, xs, signed):
+            if not np.all(s > 0):
+                failures.append((kind, int(j), int(n), x[np.argmin(s)]))
+        return len(xs)
+
+    def samples(a, b, t0, t1):
+        """Three points of each interval [a, b], at t0, (t0 + t1)/2 and t1 of it."""
+        return a[:, None] + (b - a)[:, None] * np.linspace(t0, t1, 3)
 
     # (i) inter-band signs between the positive-axis gaps in their order: the
     # gap of single index n is slot (1, n) for n >= 0 and slot (2, n) for n < 0
     minus, plus = table.lam_minus.real, table.lam_plus.real
-    order = np.argsort(minus, kind="stable").tolist()
-    for left, right in zip(order[:-1], order[1:]):
-        a, b, n = plus[left], minus[right], right - N
-        if b - a <= 0:
-            continue
-        xs = a + (b - a) * np.linspace(0.15, 0.85, 3)
-        vals = ev.chip(xs.astype(complex))
-        want = (-1.0) ** n
-        checked += 1
-        if not np.all(want * vals.imag > 0):
-            failures.append(
-                ("interband", 1 if n >= 0 else 2, n, xs[np.argmin(want * vals.imag)])
-            )
+    order = np.argsort(minus, kind="stable")
+    a, b, n = plus[order[:-1]], minus[order[1:]], order[1:] - N
+    a, b, n = (x[b - a > 0] for x in (a, b, n))
+    xs = samples(a, b, 0.15, 0.85)
+    vals = ev.chip(xs.ravel().astype(complex)).reshape(xs.shape)
+    checked = judge("interband", np.where(n >= 0, 1, 2), n, xs, (-1.0) ** n[:, None] * vals.imag)
 
     # (ii) gap-interior signs, from below, in the open gaps (lambda^- != lambda^+)
-    for j in (1, 2):
-        for n in range(-N, N + 1):
-            lo, hi = table.gap2(j, n)
-            if lo == hi:
-                skipped += 1
-                continue
-            seg = abs(hi - lo)
-            xs = lo.real + (hi.real - lo.real) * np.linspace(0.2, 0.8, 3)
-            vals = ev.chip_from_below(xs, seg)
-            want = (-1.0) ** (n + 1)
-            checked += 1
-            if not np.all(want * vals.real > 0):
-                failures.append(("gap-interior", j, n, xs[np.argmin(want * vals.real)]))
+    gaps = [table.family("gap2", j, N) for j in (1, 2)]  # (lo, hi) of slots -N..N
+    lo, hi = np.concatenate(gaps).T
+    js, n = np.repeat([1, 2], 2 * N + 1), np.tile(np.arange(-N, N + 1), 2)
+    opened = lo != hi
+    lo, hi, js, n = (x[opened] for x in (lo, hi, js, n))
+    xs = samples(lo.real, hi.real, 0.2, 0.8)
+    vals = ev.chip_from_below(xs.ravel(), np.repeat(np.abs(hi - lo), 3)).reshape(xs.shape)
+    checked += judge("gap-interior", js, n, xs, (-1.0) ** (n[:, None] + 1) * vals.real)
 
     # (iii) f_{1,n} between flanking gaps
-    for n in range(-N + 1, N):
-        a = table.lam2(1, n - 1, +1).real
-        b = table.lam2(1, n + 1, -1).real
-        xs = a + (b - a) * np.linspace(0.1, 0.9, 3)
-        vals = f1n(table, n, xs.astype(complex), N)
-        want = (-1.0) ** n
-        checked += 1
-        if not np.all(want * vals.real > 0):
-            failures.append(("f1n", 1, n, xs[np.argmin(want * vals.real)]))
+    n = np.arange(-N + 1, N)
+    xs = samples(gaps[0][:-2, 1].real, gaps[0][2:, 0].real, 0.1, 0.9)
+    vals = f1n(table, np.repeat(n, 3), xs.ravel().astype(complex), N).reshape(xs.shape)
+    checked += judge("f1n", np.ones_like(n), n, xs, (-1.0) ** n[:, None] * vals.real)
 
-    return {"checked": checked, "skipped": skipped, "failures": failures}
+    return {"checked": checked, "skipped": int(np.count_nonzero(~opened)), "failures": failures}
 
 
 # ---------------------------------------------------------------------------

@@ -60,11 +60,12 @@ def order_le(a, b) -> bool:
 
 
 def _mobius_disc(center, radius):
-    """Image of the disc |z - c| < r (0 outside) under z -> 1/(16 z)."""
-    c = complex(center)
-    r = float(radius)
-    d = abs(c) ** 2 - r**2
-    if d <= 0:
+    """Image of the disc |z - c| < r (0 outside) under z -> 1/(16 z);
+    elementwise on arrays of centres and radii."""
+    c = np.asarray(center, dtype=complex)
+    r = np.asarray(radius, dtype=float)
+    d = np.abs(c) ** 2 - r**2
+    if np.any(d <= 0):
         raise ValueError("disc contains the origin; reciprocal image not a disc")
     return np.conj(c) / (16.0 * d), r / (16.0 * d)
 
@@ -559,42 +560,34 @@ class IsolatingNeighborhoods:
         return g if s > 0 else g.mirrored()
 
 
-def _cluster(table, n):
-    lm, lp = table.lam_pm(n)
-    pts = [lm, lp, table.mu_n(n), table.lam_dot_n(n)]
-    xs = np.real(pts)
-    return min(xs), max(xs)
-
-
 def _disc_row(table, s):
-    """The discs of n = 0, s, 2s, ..., s N_max (s = +-1), built in the
-    coordinate of their end: lambda for s = 1, 1/(16 lambda) for s = -1, where
-    the clusters sit near |n| pi.  Each disc is centred on its cluster's hull
-    with one-third neighbor clearance; the hulls of n = -s and s (N_max + 1)
-    only serve as neighbors.
+    """The discs (centres, radii) of n = 0, s, 2s, ..., s N_max (s = +-1),
+    built in the coordinate of their end: lambda for s = 1, 1/(16 lambda) for
+    s = -1, where the clusters sit near |n| pi.  Each disc is centred on its
+    cluster's hull, the real span of lambda_n^+-, mu_n and lambda_dot_n, with
+    one-third neighbor clearance; the hulls of n = -s and s (N_max + 1), the
+    latter a zero-potential surrogate, only serve as neighbors.
     """
-    ns = [s * n for n in range(-1, table.n_max + 2)]
-    hulls = []
-    for n in ns:
-        lo, hi = _cluster(table, n)
-        hulls.append((lo, hi) if s > 0 else (1.0 / (16.0 * hi), 1.0 / (16.0 * lo)))
-    discs = []
-    for i in range(1, len(hulls) - 1):
-        lo, hi = hulls[i]
-        c = 0.5 * (lo + hi)
-        h = 0.5 * (hi - lo)
-        g = min(lo - hulls[i - 1][1], hulls[i + 1][0] - hi)
-        if g <= 0:
-            k = i - 1 if g == lo - hulls[i - 1][1] else i + 1
-            gam = lambda n: abs(table.gamma(n))
-            wide = max(range(-table.n_max, table.n_max + 1), key=gam)
-            raise ValueError(
-                f"cluster hulls of n = {ns[i]} and n = {ns[k]} overlap (|gamma| = "
-                f"{gam(ns[i]):.3g} and {gam(ns[k]):.3g}; widest gap |gamma_{wide}| = "
-                f"{gam(wide):.3g}); isolating neighborhoods not constructible"
-            )
-        discs.append((c, h + g / 3.0))
-    return discs
+    N = table.n_max
+    xs = np.array([table.lam_minus, table.lam_plus, table.mu, table.lam_dot]).real
+    ends = lam_zero(np.array([-N - 1, N + 1]))
+    ns = s * np.arange(-1, N + 2)  # the row's hulls, neighbors included
+    lo, hi = (np.r_[ends[0], f(xs, axis=0), ends[1]][ns + N + 1] for f in (np.min, np.max))
+    if s < 0:
+        lo, hi = 1.0 / (16.0 * hi), 1.0 / (16.0 * lo)
+    left, right = lo[1:-1] - hi[:-2], lo[2:] - hi[1:-1]
+    g = np.minimum(left, right)
+    if np.any(g <= 0):
+        i = int(np.argmax(g <= 0)) + 1  # the first hull to meet a neighbor, k
+        k = i - 1 if left[i - 1] == g[i - 1] else i + 1
+        gaps = np.abs(table.lam_plus - table.lam_minus)
+        gam, wide = np.r_[0.0, gaps, 0.0][ns + N + 1], int(np.argmax(gaps))
+        raise ValueError(
+            f"cluster hulls of n = {ns[i]} and n = {ns[k]} overlap (|gamma| = "
+            f"{gam[i]:.3g} and {gam[k]:.3g}; widest gap |gamma_{wide - N}| = "
+            f"{gaps[wide]:.3g}); isolating neighborhoods not constructible"
+        )
+    return 0.5 * (lo + hi)[1:-1], 0.5 * (hi - lo)[1:-1] + g / 3.0
 
 
 def build_isolating(
@@ -602,59 +595,55 @@ def build_isolating(
 ) -> IsolatingNeighborhoods:
     """Construct discs U_n, U_* and contours Gamma_m satisfying (I-1)-(I-5).
 
-    The two ends follow one rule (_disc_row): discs for n >= 0 are built on
-    the real axis, discs for n <= 0 in the reciprocal coordinate
-    1/(16 lambda) and mapped back, U_0 taken from the n >= 0 row.  One pair
-    test over both rows, the n <= 0 row led by the image of U_0, checks (I-2)
-    and (I-3) and gives the separation constant c.  Contours are circles
-    centered at the gap midpoints with radius
-    r = min(max(2|gamma|, clearance/3), 0.62 clearance), inside U_n.
-    r > |gamma|/2 is enforced, so each contour encloses its gap and
-    |gamma^2 / 4 (tau - lambda)^2| < 1 on it (<= 1/16 where the cap does not
-    bind); a ValueError names the first n where it fails.
+    They depend on the table alone: v is not read, and stays only for the
+    callers' (v, table) call shape.  The two ends follow one rule
+    (_disc_row): discs for n >= 0 are built on the real axis, discs for
+    n <= 0 in the reciprocal coordinate 1/(16 lambda) and mapped back, U_0
+    taken from the n >= 0 row.  One pair test over both rows, the n <= 0 row
+    led by the image of U_0, checks (I-2) and (I-3) and gives the
+    separation constant c.  Contours are circles centered at the gap
+    midpoints with radius r = min(max(2|gamma|, clearance/3), 0.62 clearance),
+    inside U_n.  r > |gamma|/2 is enforced, so each contour encloses its gap
+    and |gamma^2 / 4 (tau - lambda)^2| < 1 on it (<= 1/16 where the cap does
+    not bind); a ValueError names the first n where it fails.
     """
     N = table.n_max
-    ns = range(-N, N + 1)
-    pos, rec = _disc_row(table, 1), _disc_row(table, -1)
-    rec[0] = _mobius_disc(*pos[0])  # the image of U_0 leads the n <= 0 row
-    discs = [_mobius_disc(*d) for d in rec[:0:-1]] + pos  # n = -N..N
-    centers = np.array([c for c, _ in discs], dtype=complex)
-    radii = np.array([r for _, r in discs], dtype=float)
+    (pc, pr), (rc, rr) = _disc_row(table, 1), _disc_row(table, -1)
+    # the image of U_0 leads the n <= 0 row
+    rc[0], rr[0] = (z.real for z in _mobius_disc(pc[0], pr[0]))
+    mc, mr = _mobius_disc(rc[:0:-1], rr[:0:-1])
+    centers, radii = np.r_[mc, pc], np.r_[mr, pr]  # n = -N..N
 
     # achieved separation constant c for (I-2), (I-3), (I-5)
     c_req = 1.0
-    for s, row in ((1, pos), (-1, rec)):
-        for m in range(N + 1):
-            for n in range(m + 1, N + 1):
-                (c1, r1), (c2, r2) = row[m], row[n]
-                d = abs(c1 - c2) - r1 - r2
-                if d <= 0:
-                    raise ValueError(f"the discs of n = {s * m} and n = {s * n} overlap")
-                c_req = max(c_req, (n - m) / d, d / (n - m))
+    m, n = np.triu_indices(N + 1, 1)
+    for s, (c, r) in ((1, (pc, pr)), (-1, (rc, rr))):
+        d = np.abs(c[m] - c[n]) - r[m] - r[n]
+        if np.any(d <= 0):
+            i = np.argmax(d <= 0)
+            raise ValueError(f"the discs of n = {s * m[i]} and n = {s * n[i]} overlap")
+        c_req = np.max(np.r_[c_req, (n - m) / d, d / (n - m)])
 
     # U_*: disc on the positive imaginary axis around lambda_dot_star
     star = complex(table.lam_dot_star)
-    dists = [abs(star - c) for c in centers]
-    star_radius = min(0.5 * star.imag, 0.5 * min(a - r for a, r in zip(dists, radii)))
+    dists = np.abs(star - centers)
+    star_radius = min(0.5 * star.imag, 0.5 * np.min(dists - radii))
     if star_radius <= 0:
         raise ValueError("U_* not constructible; lambda_dot_star too close to U_n")
-    for a, r in zip(dists, radii):
-        d = a - star_radius - r
-        if d <= 0:
-            raise ValueError("U_* intersects a U_n")
-        c_req = max(c_req, 1.0 / d)
+    d = dists - star_radius - radii
+    if np.any(d <= 0):
+        raise ValueError("U_* intersects a U_n")
+    c_req = max(c_req, np.max(1.0 / d))
 
     # contours around the single-index gaps
-    ccent = np.array([table.tau(n) for n in ns], dtype=complex)
-    crad = np.zeros(2 * N + 1, dtype=float)
-    for n, tau, cen, R in zip(ns, ccent, centers, radii):
-        gam = abs(table.gamma(n))
-        clear = R - abs(tau - cen)
-        r = min(max(2.0 * gam, clear / 3.0), 0.62 * clear)
-        if r <= 0.5 * gam:
-            raise ValueError(f"the contour of n = {n} (radius {r:.3g}) misses its gap "
-                             f"(|gamma| = {gam:.3g}); contours not constructible")
-        crad[n + N] = r
+    ccent = 0.5 * (table.lam_minus + table.lam_plus)
+    gam = np.abs(table.lam_plus - table.lam_minus)
+    clear = radii - np.abs(ccent - centers)
+    crad = np.minimum(np.maximum(2.0 * gam, clear / 3.0), 0.62 * clear)
+    if np.any(crad <= 0.5 * gam):
+        i = np.argmax(crad <= 0.5 * gam)
+        raise ValueError(f"the contour of n = {i - N} (radius {crad[i]:.3g}) misses its gap "
+                         f"(|gamma| = {gam[i]:.3g}); contours not constructible")
 
     iso = IsolatingNeighborhoods(
         N,
@@ -673,13 +662,12 @@ def build_isolating(
 
 def _check_inclusion(table, iso):
     """(I-1): gap, mu_n and lambda_dot_n inside U_n; lambda_dot_star in U_*."""
-    N = iso.n_max
-    for n in range(-N, N + 1):
-        c, r = iso.U(n)
-        lm, lp = table.lam_pm(n)
-        for z in (lm, lp, table.mu_n(n), table.lam_dot_n(n)):
-            if abs(z - c) >= r:
-                raise ValueError(f"(I-1) violated at n={n}: {z} outside U_n")
+    pts = np.array([table.lam_minus, table.lam_plus, table.mu, table.lam_dot])
+    out = np.abs(pts - iso.centers) >= iso.radii
+    if out.any():
+        i = np.argmax(out.any(axis=0))
+        raise ValueError(f"(I-1) violated at n={i - iso.n_max}: "
+                         f"{complex(pts[out[:, i], i][0])} outside U_n")
     if abs(table.lam_dot_star - iso.star_center) >= iso.star_radius:
         raise ValueError("(I-1) violated: lambda_dot_star outside U_*")
 

@@ -101,8 +101,7 @@ def check_monodromy_invariants(v, cfg):
     lams = np.array([0.6, 1.4, 2.9, 4.4 + 0.5j, 0.2 - 0.1j, 6.8])
     res = integrate_many(v, lams, order=0, tol=cfg.ode_tol)
     res_m = integrate_many(v, -lams, order=0, tol=cfg.ode_tol)
-    dets = np.array([np.linalg.det(res.Mgrave[i]) for i in range(lams.size)])
-    wr = np.max(np.abs(dets - 1.0))
+    wr = np.max(np.abs(np.linalg.det(res.Mgrave) - 1.0))
     # whole matrices, each side propagated on its own; S = diag(1, -1)
     S = np.diag([1.0, -1.0])
     even = np.max(np.abs(res_m.Mgrave - S @ res.Mgrave @ S))
@@ -155,18 +154,9 @@ def run_suite(v: Potential, cfg: RunConfig | None = None):
     report("monodromy_real_symmetry", realsym)
 
     # zero-potential spectrum against the quadratic-formula oracle
-    v0 = Potential.zero()
-    tab0 = sp.build_table(v0, 8, tol=cfg.spectral_tol)
-    errs = [
-        max(
-            abs(tab0.lam_pm(n)[0] - lam_zero(n)),
-            abs(tab0.lam_pm(n)[1] - lam_zero(n)),
-            abs(tab0.mu_n(n) - lam_zero(n)),
-        )
-        for n in range(-8, 9)
-    ]
-    errs.append(abs(tab0.lam_dot_star - 0.25j))
-    report("zero_spectrum", max(errs))
+    tab0 = sp.build_table(Potential.zero(), 8, tol=cfg.spectral_tol)
+    errs = np.abs(np.array([tab0.lam_minus, tab0.lam_plus, tab0.mu]) - lam_zero(np.arange(-8, 9)))
+    report("zero_spectrum", max(np.max(errs), abs(tab0.lam_dot_star - 0.25j)))
 
     cnt = sp.count_annulus(v, 4, tol=cfg.ode_tol)
     report("counting_annulus", cnt.miss, trace=cnt.trace)
@@ -179,40 +169,29 @@ def run_suite(v: Potential, cfg: RunConfig | None = None):
 
     rep = sp.certify_counts(v, table, iso, range(-cfg.n_max, cfg.n_max + 1), cfg.ode_tol)
     report("counting_discs", rep.miss, trace=rep.trace)
+    # the table's rows n = -N..N: data, gap midpoints and widths, open gaps
+    ns = np.arange(-cfg.n_max, cfg.n_max + 1)
+    lm, lp, mu, ld = table.lam_minus, table.lam_plus, table.mu, table.lam_dot
+    taus, gams, opened = 0.5 * (lm + lp), lp - lm, lm != lp
 
-    # reciprocity with the reflected potential
+    # reciprocity with the reflected potential: row n against its row -n
     vr = v.reflected()
-    n_rec = min(cfg.n_max, 6)
     tabr = sp.build_table(vr, cfg.n_max, tol=cfg.spectral_tol)
-    errs = []
-    for n in range(-n_rec, n_rec + 1):
-        lm, lp = table.lam_pm(n)
-        lmr, lpr = tabr.lam_pm(-n)
-        errs += [
-            abs(16.0 * lp * lmr - 1.0),
-            abs(16.0 * lm * lpr - 1.0),
-            abs(16.0 * table.mu_n(n) * tabr.mu_n(-n) - 1.0),
-            abs(16.0 * table.lam_dot_n(n) * tabr.lam_dot_n(-n) - 1.0),
-        ]
-    errs.append(abs(16.0 * table.lam_dot_star * (-tabr.lam_dot_star) - 1.0))
-    report("reciprocity", max(errs))
+    rows_r = np.array([tabr.lam_minus, tabr.lam_plus, tabr.mu, tabr.lam_dot])[:, ::-1]
+    errs = np.abs(16.0 * np.array([lp, lm, mu, ld]) * rows_r - 1.0)
+    star = abs(16.0 * table.lam_dot_star * (-tabr.lam_dot_star) - 1.0)
+    report("reciprocity", max(np.max(errs), star))
 
-    # reality and confinement
+    # reality, confinement to the open gaps, and strict gap separation
+    # lambda_n^+ < lambda_{n+1}^-
     worst = None
     if v.real:
-        worst = 0.0
-        for n in range(-cfg.n_max, cfg.n_max + 1):
-            lm, lp = table.lam_pm(n)
-            mu = table.mu_n(n)
-            ld = table.lam_dot_n(n)
-            worst = max(worst, abs(lm.imag), abs(lp.imag), abs(mu.imag), abs(ld.imag))
-            if lm != lp:  # open gap
-                worst = max(worst, lm.real - mu.real, mu.real - lp.real)
-                worst = max(worst, lm.real - ld.real, ld.real - lp.real)
-        worst = max(worst, sp.delta_sign_check(v, table, tol=cfg.ode_tol))
-        # strict gap separation lambda_n^+ < lambda_{n+1}^-
-        for n in range(-cfg.n_max, cfg.n_max):
-            worst = max(worst, table.lam_pm(n)[1].real - table.lam_pm(n + 1)[0].real)
+        inner = np.array([mu, ld]).real
+        outside = np.r_[lm.real - inner, inner - lp.real]
+        worst = max(np.max(np.abs(np.array([lm, lp, mu, ld]).imag)),
+                    np.max(outside[:, opened], initial=0.0),
+                    sp.delta_sign_check(v, table, tol=cfg.ode_tol),
+                    np.max(lp.real[:-1] - lm.real[1:], initial=0.0))
     report("reality_confinement", worst)
 
     # product representations with K-convergence trace; the node table
@@ -237,15 +216,10 @@ def run_suite(v: Potential, cfg: RunConfig | None = None):
     ref = -1j * np.sin(omega(sample))
     report("canonical_zero", float(np.max(np.abs(ev0.chip(sample) - ref))))
     evv = table.evaluator(table.n_max)
-    evr = tabr.evaluator(tabr.n_max)
-    sym = 0.0
-    for lam in (0.83 + 0.1j, 4.4 - 0.3j, 1.7 + 0.6j):
-        z = np.array([lam])
-        sym = max(sym, abs(evv.chip(z)[0] + evv.chip(-z)[0]))
-        sym = max(
-            sym, abs(evr.chip(-1.0 / (16.0 * z))[0] - evv.chip(z)[0])
-        )
-    report("canonical_symmetries", sym)
+    z = np.array([0.83 + 0.1j, 4.4 - 0.3j, 1.7 + 0.6j])
+    w = evv.chip(z)
+    sym = np.r_[w + evv.chip(-z), tabr.evaluator(tabr.n_max).chip(-1.0 / (16.0 * z)) - w]
+    report("canonical_symmetries", np.max(np.abs(sym)))
 
     if v.real:
         st = sign_tables(v, table)
@@ -268,11 +242,12 @@ def run_suite(v: Potential, cfg: RunConfig | None = None):
     )
     report("gradient_zero_delta", fd["zero_delta_norm"])
 
-    # differentials: every sigma root but sigma_{1,n} lies in its gap and
-    # within 5 gamma^2 (+1e-8) of the gap midpoint, collapsed gaps included
-    def tau_excess(s, j, k):
-        return (abs(s - table.tau2(j, k)) - 1e-8) / max(abs(table.gamma2(j, k)) ** 2, 1e-30)
-
+    # differentials: every sigma root but sigma_{1,n} lies in its gap (lo, hi
+    # in the lambda plane, both families) and within 5 gamma^2 (+1e-8) of the
+    # gap midpoint, collapsed gaps included
+    lo, hi = np.concatenate([table.family("gap2", j, cfg.n_max) for j in (1, 2)]).T
+    roots = table.evaluator(table.n_max).roots
+    tau2, gam2 = np.r_[roots.sigma1, roots.sigma2], np.r_[roots.gamma1, roots.gamma2]
     worst_res, worst_iter, worst_dev, worst_gap, worst_est = 0.0, 0, 0.0, 0.0, 0.0
     for n in DIFFERENTIALS_N_LIST:
         sol = solve_sigma(
@@ -282,14 +257,12 @@ def run_suite(v: Potential, cfg: RunConfig | None = None):
         worst_res = max(worst_res, sol.residual_norm)
         worst_iter = max(worst_iter, sol.newton_iters)
         worst_dev = max(worst_dev, dev)
-        for j, sigma_at in ((1, sol.sigma1_at), (2, sol.sigma2_at)):
-            for k in range(-sol.K, sol.K + 1):
-                if j == 1 and k == n:
-                    continue
-                s = sigma_at(k)
-                u = family_var(j, s)
-                worst_gap = max(worst_gap, _segment_distance(u, *table.gap2(j, k)))
-                worst_est = max(worst_est, tau_excess(s, j, k))
+        s = np.r_[sol.sigma1, sol.sigma2]
+        keep = np.arange(s.size) != n + cfg.n_max  # all but sigma_{1,n}
+        dist = _segment_distance(np.r_[sol.sigma1, family_var(2, sol.sigma2)], lo, hi)
+        excess = (np.abs(s - tau2) - 1e-8) / np.maximum(np.abs(gam2) ** 2, 1e-30)
+        worst_gap = max(worst_gap, np.max(dist[keep]))
+        worst_est = max(worst_est, np.max(excess[keep]))
     report("sigma_solve_residual", worst_res)
     report("sigma_newton_iters", worst_iter)
     report("normalization", worst_dev)
@@ -306,21 +279,17 @@ def run_suite(v: Potential, cfg: RunConfig | None = None):
     # interpolation self-test on the zero-potential node family
     report("interpolation", interpolation_self_test(tab0, K=16, seed=cfg.seed))
 
-    # trace formula against the table
-    ns = (0, 1, -1)
-    circles = [ContourSpec(c, 0.9 * r, cfg.nodes + 64) for c, r in map(iso.U, ns)]
-    moments = sp.trace_formula_tau(v, circles, tol=cfg.ode_tol)
-    report("trace_formula", max(max(abs(tau - table.tau(n)), abs(g2 - table.gamma(n) ** 2))
-                                for n, (tau, g2) in zip(ns, moments)))
+    # trace formula against the table, on the discs of n = 0, 1, -1
+    at = np.array([0, 1, -1]) + cfg.n_max
+    circles = [ContourSpec(complex(c), 0.9 * float(r), cfg.nodes + 64)
+               for c, r in zip(iso.centers[at], iso.radii[at])]
+    tau, g2 = np.array(sp.trace_formula_tau(v, circles, tol=cfg.ode_tol)).T
+    report("trace_formula", np.max(np.abs(np.r_[tau - taus[at], g2 - gams[at] ** 2])))
 
-    # refined Delta_dot asymptotics (stated for n >= 0):
+    # refined Delta_dot asymptotics (stated for n >= 0), over the open gaps:
     # |lamdot_n - tau_n| <= C gamma_n^2
-    C = 0.0
-    for n in range(0, cfg.n_max + 1):
-        gam = abs(table.gamma(n))
-        if gam:  # open gap
-            C = max(C, abs(table.lam_dot_n(n) - table.tau(n)) / gam**2)
-    report("lamdot_refined", C)
+    up = opened & (ns >= 0)
+    report("lamdot_refined", np.max(np.abs(ld - taus)[up] / np.abs(gams[up]) ** 2, initial=0.0))
 
     # partial products of the Delta_dot constraint approach 1 monotonically
     # (noise floor: collapsed factors contribute only rounding jitter)
@@ -334,10 +303,10 @@ def run_suite(v: Potential, cfg: RunConfig | None = None):
 
 
 def _segment_distance(z, a, b):
-    """Distance of z from the segment [a, b] of the complex plane."""
-    a, b, z = complex(a), complex(b), complex(z)
-    t = 0.0 if a == b else min(max(((z - a) / (b - a)).real, 0.0), 1.0)
-    return abs(z - (a + t * (b - a)))
+    """Distance of each z from its segment [a, b] of the complex plane."""
+    ab = b - a
+    t = np.clip(((z - a) / np.where(ab == 0, 1.0, ab)).real, 0.0, 1.0)
+    return np.abs(z - (a + t * ab))
 
 
 def interpolation_self_test(table, K=24, seed=0):

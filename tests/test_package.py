@@ -131,3 +131,27 @@ def test_one_counting_routine_owns_the_windings_and_the_expected_counts():
     verification = ast.parse((spectrum.parent / "verification.py").read_text())
     constants = {node.value for node in ast.walk(verification) if isinstance(node, ast.Constant)}
     assert not constants & {"chi_p", "chi_D", "ddelta", 36, 18, 20}
+
+
+def test_table_loops_read_arrays_not_per_index_accessors():
+    """No loop or comprehension in run_suite, sign_tables, _disc_row,
+    build_isolating, _check_inclusion or SigmaWorkspace.admissible names a
+    per-index accessor of the table or the discs: they read the arrays."""
+    accessors = {"lam_pm", "mu_n", "lam_dot_n", "tau", "gamma", "gap2", "lam2", "tau2",
+                 "gamma2", "U", "U2"}
+    scope = {"verification.py": {"run_suite"}, "roots_products.py": {"sign_tables"},
+             "spectrum.py": {"_disc_row", "build_isolating", "_check_inclusion"},
+             "differentials.py": {"admissible"}}
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    seen, named = set(), {}
+    for name, functions in scope.items():
+        tree = ast.parse((pathlib.Path(shgspec.__file__).parent / name).read_text())
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef) and fn.name in functions:
+                seen.add(fn.name)
+                for loop in (node for node in ast.walk(fn) if isinstance(node, loops)):
+                    attrs = {n.attr for n in ast.walk(loop) if isinstance(n, ast.Attribute)}
+                    if attrs & accessors:
+                        named.setdefault(fn.name, set()).update(attrs & accessors)
+    assert seen == set().union(*scope.values())
+    assert named == {}

@@ -1,10 +1,13 @@
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from shgspec import verification
 from shgspec.config import RunConfig, THRESHOLDS, seeded_ensemble
 from shgspec.potential import Potential
+from shgspec.spectrum import build_isolating, build_table
 from shgspec.verification import negative_control, run_suite
 
 
@@ -122,6 +125,91 @@ def test_product_monotone_counts_flat_steps_above_the_floor(monkeypatch):
     assert mono.metric == 3 and mono.status == "fail"
     assert mono.reason.startswith("3 of 3 steps")
     assert [k for k, _ in mono.trace] == list(verification.PRODUCT_K_LIST)
+
+
+@pytest.fixture(scope="module")
+def suite_tables():
+    """The three tables a small-config suite on v1 builds, by n_max: the
+    v = 0 oracle (8), the main table (32) and the reflected one (6)."""
+    v, tol = seeded_ensemble()[0], _small_cfg().spectral_tol
+    return {8: build_table(Potential.zero(), 8, tol=tol), 32: build_table(v, 32, tol=tol),
+            6: build_table(v.reflected(), 6, tol=tol)}
+
+
+def _edited(n_max, name, n, f):
+    """The tables with entry n of array name of the one of n_max set to f(entry)."""
+    def edit(tables):
+        table = tables[n_max]
+        arr = np.array(getattr(table, name))
+        arr[n + table.n_max] = f(arr[n + table.n_max])
+        return {**tables, n_max: dataclasses.replace(table, **{name: arr})}
+    return edit
+
+
+def _swapped(n_max, n, k):
+    """The tables with rows n and k of the one of n_max exchanged."""
+    def edit(tables):
+        table, rows = tables[n_max], {}
+        for name in ("lam_minus", "lam_plus", "mu", "lam_dot"):
+            arr = np.array(getattr(table, name))
+            arr[[n + table.n_max, k + table.n_max]] = arr[[k + table.n_max, n + table.n_max]]
+            rows[name] = arr
+        return {**tables, n_max: dataclasses.replace(table, **rows)}
+    return edit
+
+
+# case: (table edit, shift of sigma_{1,1} in the n = 2 solve); on v1 at
+# n_max 6 only the gaps of n = -1 (|gamma| 9.9e-4) and n = 1 (0.158) are open
+GATE_CASES = {
+    "zero_spectrum": (_edited(8, "mu", 2, lambda x: x * (1 + 1e-6)), 0),
+    "reciprocity": (_edited(6, "lam_dot", 2, lambda x: x * (1 + 1e-6)), 0),
+    "reality_confinement-imaginary": (_edited(32, "mu", 2, lambda x: x + 1e-6j), 0),
+    "reality_confinement-mu_outside_gap": (_edited(32, "mu", 1, lambda x: x + 0.2), 0),
+    "reality_confinement-gap_order": (_swapped(32, 3, 5), 0),
+    "gap_confinement": (None, 1e-6j),
+    "sigma_tau_estimate": (None, 0.2),
+    "lamdot_refined": (_edited(32, "lam_dot", 1, lambda x: x + 0.3), 0),
+}
+
+
+@pytest.mark.parametrize("case", GATE_CASES)
+def test_each_table_gate_fails_on_one_corrupted_entry(monkeypatch, small_suite, suite_tables,
+                                                      case):
+    """One table entry or one sigma root corrupted through the suite's
+    build_table or solve_sigma fails the gate that reads it, which passes on
+    the clean run.  The gradient FD report, whose gates are not judged here,
+    is stubbed for time.  Rows 3 and 5 hold closed gaps of one parity, so
+    their swap keeps every Delta sign and every product; the disc builder
+    refuses a table with gaps out of order, so there the main table's discs
+    are those of the clean table."""
+    check_id = case.split("-")[0]
+    edit, shift = GATE_CASES[case]
+    assert {c.check_id: c for c in small_suite}[check_id].status == "pass"
+    tables = edit(suite_tables) if edit else suite_tables
+    solve, discs = verification.solve_sigma, verification.sp.build_isolating
+
+    def solve_moved(table, iso, n, K, **kw):
+        sol = solve(table, iso, n, K, **kw)
+        if n != 2 or not shift:
+            return sol
+        sigma1 = sol.sigma1.copy()
+        sigma1[1 + K] += shift
+        return dataclasses.replace(sol, sigma1=sigma1)
+
+    def clean_discs(v, table, nodes=64):
+        if table is not tables[6]:
+            table = suite_tables[32].truncated(table.n_max)
+        return discs(v, table, nodes=nodes)
+
+    monkeypatch.setattr(verification.sp, "build_table", lambda v, n_max, tol: tables[n_max])
+    if case.endswith("gap_order"):
+        monkeypatch.setattr(verification.sp, "build_isolating", clean_discs)
+    monkeypatch.setattr(verification, "solve_sigma", solve_moved)
+    monkeypatch.setattr(verification, "grad_deltas_fd_report", lambda v, table, cfg: dict.fromkeys(
+        ("max_rel", "unresolved", "order_cases", "order_dev", "order_measured",
+         "zero_delta_norm"), 0))
+    by_id = {c.check_id: c for c in run_suite(seeded_ensemble()[0], _small_cfg())}
+    assert by_id[check_id].status == "fail", by_id[check_id].metric
 
 
 def test_runconfig_json_round_trip():
