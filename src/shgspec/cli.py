@@ -77,22 +77,20 @@ def cmd_spectrum(args, cfg, v) -> int:
     if cfg.out_format == "json":
         _emit(table.to_json(), args.out)
         return EXIT_OK
-    rows = []
-    for n in range(-cfg.n_max, cfg.n_max + 1):
-        lm, lp = table.lam_pm(n)
-        vals = {
-            "lambda_minus": lm,
-            "lambda_plus": lp,
-            "mu": table.mu_n(n),
-            "lambda_dot": table.lam_dot_n(n),
-            "tau": table.tau(n),
-            "gamma": table.gamma(n),
-            "U_center": iso.U(n)[0],
-            "U_radius": iso.U(n)[1],
-            "D_center": DiscFamily.D(n)[0],
-            "D_radius": DiscFamily.D(n)[1],
-        }
-        rows += [[n, q, complex(val).real, complex(val).imag] for q, val in vals.items()]
+    N = cfg.n_max
+    cols = {
+        "lambda_minus": table.lam_minus,
+        "lambda_plus": table.lam_plus,
+        "mu": table.mu,
+        "lambda_dot": table.lam_dot,
+        "tau": 0.5 * (table.lam_minus + table.lam_plus),
+        "gamma": table.lam_plus - table.lam_minus,
+        "U_center": iso.centers,
+        "U_radius": iso.radii,
+    }
+    cols["D_center"], cols["D_radius"] = DiscFamily.D(np.arange(-N, N + 1))
+    rows = [[n, q, complex(col[n + N]).real, complex(col[n + N]).imag]
+            for n in range(-N, N + 1) for q, col in cols.items()]
     rows.append(["*", "lambda_dot_star", table.lam_dot_star.real, table.lam_dot_star.imag])
     _emit_csv(["n", "quantity", "re", "im"], rows, args.out)
     return EXIT_OK

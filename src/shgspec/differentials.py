@@ -76,12 +76,6 @@ class SigmaSolution:
     C_n: complex
     clamp_events: int = 0
 
-    def sigma1_at(self, k):
-        return complex(self.sigma1[k + self.K])
-
-    def sigma2_at(self, k):
-        return complex(self.sigma2[k + self.K])
-
     def to_json(self, normalization_max_dev=None) -> str:
         return json.dumps(
             {
@@ -140,13 +134,14 @@ class SigmaWorkspace:
         self.taus = taus = ev.roots
         # the unknown roots of each family; row (j, m) belongs to root (j, m)
         self.open1, self.open2 = (taus.gamma1 != 0) & (ks != n), taus.gamma2 != 0
-        ms = [(1, int(m)) for m in ks[self.open1]] + [(2, int(m)) for m in ks[self.open2]]
-        self.rows = [(j, m, iso.contour(j, m)) for j, m in ms]
-        self.pref = np.array([self.n - m if j == 1 else 16.0 * pi_k(m) ** 2 * pi_k(self.n)
-                              for j, m in ms])
+        m1, m2 = ks[self.open1], ks[self.open2]
+        ms = [(1, m) for m in m1.tolist()] + [(2, m) for m in m2.tolist()]
+        specs = iso.contours(1, m1) + iso.contours(2, m2)
+        self.rows = [(j, m, spec) for (j, m), spec in zip(ms, specs)]
+        self.pref = np.concatenate([self.n - m1, 16.0 * pi_k(m2) ** 2 * pi_k(self.n)])
         # the lambda-plane disc U_{j,m} of each unknown, for admissible
-        discs = np.array([iso.U2(j, m) for j, m in ms], dtype=complex).reshape(-1, 2)
-        self.disc_c, self.disc_r = discs[:, 0], discs[:, 1].real
+        (c1, r1), (c2, r2) = iso.discs(1, m1), iso.discs(2, m2)
+        self.disc_c, self.disc_r = np.concatenate([c1, c2]), np.concatenate([r1, r2])
 
     # -- state vector mapping ------------------------------------------------
 
@@ -268,7 +263,8 @@ def _normalization(psi, ev, iso, K, nodes, one):
     the nodes of all contours."""
     keys = [(j, m) for j in (1, 2) for m in range(-K, K + 1)]
     nodes = iso.nodes + 32 if nodes is None else nodes
-    specs = [iso.contour(j, m, nodes=nodes, scale=CONTOUR_SCALE) for j, m in keys]
+    specs = [spec for j in (1, 2)
+             for spec in iso.contours(j, np.arange(-K, K + 1), nodes, CONTOUR_SCALE)]
     vals = np.sum(_contour_terms(psi, ev, specs)[1], axis=1) / (2.0 * np.pi)
     mat = dict(zip(keys, vals.tolist()))
     dev = max(abs(val - float(key == one)) for key, val in mat.items())

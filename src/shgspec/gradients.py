@@ -340,12 +340,13 @@ def fd_evaluate(v, table, keys, dirs, eps_list, tol):
             gm = grad_monodromy(v, 2.3, tol=tol)
             cases += [FDCase(f"M{i + 1}{j + 1}", n, k, (2.3, (i, j))) for (i, j), k in gm.items()]
         elif quantity in ("mu", "m4"):
-            mu = table.mu_n(n)
+            mu = complex(table.mu[n + table.n_max])
             kern, what = ((grad_dirichlet(v, mu, tol=tol), "chi_D") if quantity == "mu"
                           else (grad_m4_at_dirichlet(v, mu, tol=tol), (1, 1)))
             cases.append(FDCase(quantity, n, kern, (mu, what)))
-        elif table.gamma(n) != 0:  # lambda_plus and lambda_plus_via_delta, open gaps
-            lam = table.lam_pm(n)[1]
+        elif table.lam_minus[n + table.n_max] != table.lam_plus[n + table.n_max]:
+            # lambda_plus and lambda_plus_via_delta, open gaps
+            lam = complex(table.lam_plus[n + table.n_max])
             grad = grad_periodic if quantity == "lambda_plus" else grad_periodic_via_delta
             cases.append(FDCase(quantity, n, grad(v, lam, tol=tol), (lam, "chi_p")))
     probes = list(dict.fromkeys(c.probe for c in cases))

@@ -185,7 +185,8 @@ def _sroot(tau, gamma, z):
 def standard_root(j: int, n: int, lam, table):
     """The standard root w_{j,n}(lambda) for the given spectrum table."""
     x = family_var(j, np.asarray(lam, dtype=complex))
-    return _sroot(table.tau2(j, n), table.gamma2(j, n), x)
+    tau, gamma = (table.family(q, j, abs(n))[n + abs(n)] for q in ("tau2", "gamma2"))
+    return _sroot(tau, gamma, x)
 
 
 @functools.lru_cache(maxsize=None)
@@ -397,9 +398,10 @@ def constraint_products(table, K):
     16 lambda_{-n}.  The periodic identity is that of the standard roots,
     squared (w_k(0)^2 = lambda_k^+ lambda_k^-); the Dirichlet one carries
     e^{-q(0)}, since chi_{D,2}(inf) = e^{-q(0)} chi_{D,1}(0); the Delta_dot one
-    carries -16 lambda_dot_*^2.
+    carries -16 lambda_dot_*^2.  Both products are at the variable 0, so the
+    quotient leaves their common tail zero_tail(0, K) out (tail = 1).
     """
-    ratio = lambda fam: complex(fam.f1(0.0)[0]) / fam.f2_inf()
+    ratio = lambda fam: complex(fam.f1(0.0, tail=1.0)[0]) / fam.f2_inf(tail=1.0)
     return {
         "periodic": ratio(table.evaluator(K).roots) ** 2,
         "dirichlet": np.exp(-table.q0) * ratio(NodeFamily.from_table(table, K, "mu2")),

@@ -5,8 +5,9 @@ Dirichlet eigenvalues mu_n the roots of chi_D, and lambda_dot_n the roots of
 d Delta/d lambda, all certified by argument-principle counts and refined by
 Newton iteration on the exact monodromy functions.  The module also builds
 the isolating neighborhoods (discs U_n, U_* and contours Gamma_{j,m}) on
-which every contour integral downstream lives.  Every two-index accessor
-(slot (j, m) of family j = 1, 2) derives from one rule, _single, and the
+which every contour integral downstream lives.  Every two-index reader (slot
+(j, m) of family j = 1, 2: SpectrumTable.family and the discs and contours
+of IsolatingNeighborhoods) derives from one array map, _slots, and the
 family variable potential.family_var.  Counting and trace-formula circles
 propagate one node per mirror pair of their nodes (_on_contour).
 """
@@ -45,14 +46,13 @@ NEWTON_NOISE = 2.0  # Newton takes |f| within this many times its noise as a roo
 ISOLATION = {"chi_p": 2, "chi_D": 1, "ddelta": 1}  # the roots in each U_n
 
 
-def order_le(a, b) -> bool:
-    """The order on C+: compare moduli first (tied within ORDER_TIE_TOL), then Im."""
-    a, b = complex(a), complex(b)
-    if abs(a) - abs(b) < -ORDER_TIE_TOL:
-        return True
-    if abs(a) - abs(b) > ORDER_TIE_TOL:
-        return False
-    return a.imag <= b.imag
+def order_le(a, b):
+    """The order on C+: compare moduli first (tied within ORDER_TIE_TOL), then
+    Im; elementwise on arrays, a bool for two numbers."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    d = np.abs(a) - np.abs(b)
+    le = (d < -ORDER_TIE_TOL) | ((d <= ORDER_TIE_TOL) & (a.imag <= b.imag))
+    return bool(le) if le.ndim == 0 else le
 
 
 # ---------------------------------------------------------------------------
@@ -75,13 +75,14 @@ class DiscFamily:
 
     @staticmethod
     def D(n):
-        """D_0 around 1/4, D_n around n*pi (n>=1), D_{-n} = reciprocal image."""
-        if n == 0:
-            return 0.25 + 0j, 1.0 / (4.0 * np.pi)
-        if n > 0:
-            return n * np.pi + 0j, np.pi / 3.0
-        c, r = DiscFamily.D(-n)
-        return _mobius_disc(c, r)
+        """D_0 around 1/4, D_n around n*pi (n>=1), D_{-n} = reciprocal image;
+        elementwise on an array of n."""
+        n = np.asarray(n)
+        c = np.where(n == 0, 0.25 + 0j, np.abs(n) * np.pi + 0j)
+        r = np.where(n == 0, 1.0 / (4.0 * np.pi), np.pi / 3.0)
+        neg = n < 0
+        c[neg], r[neg] = _mobius_disc(c[neg], r[neg])
+        return c, r
 
     @staticmethod
     def B_radius(n):
@@ -274,9 +275,7 @@ def _periodic_pair_from_ddot(v, lam_dots, res, tol=1e-13):
         minus[polish] = polished[:k]
         plus[polish] = polished[k:]
     # enforce the C+ listing order
-    swap = np.array(
-        [not order_le(a, b) for a, b in zip(minus, plus)], dtype=bool
-    )
+    swap = ~order_le(minus, plus)
     minus[swap], plus[swap] = plus[swap].copy(), minus[swap].copy()
     return minus, plus
 
@@ -285,19 +284,21 @@ def _periodic_pair_from_ddot(v, lam_dots, res, tol=1e-13):
 # the spectrum table
 
 
-def _single(j, m):
-    """The single index n and sign s of two-index slot (j, m).
+def _slots(j, ms):
+    """The single indices n and signs s of the two-index slots (j, m), m in
+    the array ms.
 
     Family 1 is n = |m|, s = sgn m; family 2 is family 1 read through the
     involution lambda -> -1/(16 lambda): n = -|m|, s = -sgn m (sgn 0 = +1).
     In the lambda plane slot (j, m) holds s times the data of n, gap
     endpoints swapped when s = -1.
     """
-    sgn = 1 if m >= 0 else -1
+    ms = np.asarray(ms)
+    sgn = np.where(ms >= 0, 1, -1)
     if j == 1:
-        return abs(m), sgn
+        return np.abs(ms), sgn
     if j == 2:
-        return -abs(m), -sgn
+        return -np.abs(ms), -sgn
     raise ValueError("j must be 1 or 2")
 
 
@@ -330,65 +331,26 @@ class SpectrumTable:
             self._evaluators[K] = CanonicalRootEvaluator(self, K)
         return self._evaluators[K]
 
-    # -- single-index access with surrogates --------------------------------
-
-    def _get(self, arr, n):
-        if abs(n) <= self.n_max:
-            return complex(arr[n + self.n_max])
-        return complex(lam_zero(n))
-
-    def lam_pm(self, n):
-        return self._get(self.lam_minus, n), self._get(self.lam_plus, n)
-
-    def mu_n(self, n):
-        return self._get(self.mu, n)
-
-    def lam_dot_n(self, n):
-        return self._get(self.lam_dot, n)
-
-    def tau(self, n):
-        lm, lp = self.lam_pm(n)
-        return 0.5 * (lm + lp)
-
-    def gamma(self, n):
-        lm, lp = self.lam_pm(n)
-        return lp - lm
-
-    # -- two-index relabelings ----------------------------------------------
-
-    def lam2(self, j, k, sign):
-        """lambda_{j,k}^+ or ^-: the family-j variable of the gap's upper or
-        lower endpoint."""
-        lo, hi = self.gap2(j, k)
-        return family_var(j, hi if sign in (+1, "+") else lo)
-
-    def tau2(self, j, k):
-        return 0.5 * (self.lam2(j, k, +1) + self.lam2(j, k, -1))
-
-    def gamma2(self, j, k):
-        return self.lam2(j, k, +1) - self.lam2(j, k, -1)
-
-    def mu2(self, j, k):
-        n, s = _single(j, k)
-        mu = self.mu_n(n)
-        return family_var(j, mu if s > 0 else -mu)
-
-    def lam_dot2(self, j, k):
-        n, s = _single(j, k)
-        ld = self.lam_dot_n(n)
-        return family_var(j, ld if s > 0 else -ld)
-
-    def family(self, quantity: str, j: int, K: int, *args) -> np.ndarray:
-        """The nodes k = -K..K of one two-index family: quantity names the
-        accessor ("tau2", "gamma2", "lam2" with its sign, "mu2", "lam_dot2")."""
-        get = getattr(self, quantity)
-        return np.array([get(j, k, *args) for k in range(-K, K + 1)])
-
-    def gap2(self, j, m):
-        """Endpoints of the gap segment G_{j,m} in the lambda plane."""
-        n, s = _single(j, m)
-        lm, lp = self.lam_pm(n)
-        return (lm, lp) if s > 0 else (-lp, -lm)
+    def family(self, quantity: str, j: int, K: int) -> np.ndarray:
+        """The slots k = -K..K of two-index family j, read from the arrays at
+        their single indices (_slots), with the zero-potential surrogates
+        lam_zero(n) beyond n_max: "gap2" the gap's lambda-plane ends (lo, hi),
+        one row per slot; "tau2" and "gamma2" the midpoint and width of
+        lambda_{j,k}^-+, the family-j variables of lo and hi; "mu2" and
+        "lam_dot2" the family-j variable of mu and of lambda_dot."""
+        n, s = _slots(j, np.arange(-K, K + 1))
+        i, pos = np.clip(n + self.n_max, 0, 2 * self.n_max), s > 0
+        inside = np.abs(n) <= self.n_max
+        lm, lp, mu, ld = (np.where(inside, a[i], lam_zero(n) + 0j)
+                          for a in (self.lam_minus, self.lam_plus, self.mu, self.lam_dot))
+        lo, hi = np.where(pos, lm, -lp), np.where(pos, lp, -lm)
+        if quantity == "gap2":
+            return np.stack([lo, hi], axis=1)
+        if quantity in ("tau2", "gamma2"):
+            plus, minus = family_var(j, hi), family_var(j, lo)
+            return 0.5 * (plus + minus) if quantity == "tau2" else plus - minus
+        x = {"mu2": mu, "lam_dot2": ld}[quantity]
+        return family_var(j, np.where(pos, x, -x))
 
     def truncated(self, n_max: int) -> "SpectrumTable":
         """A view with a smaller tabulated range (surrogates beyond)."""
@@ -409,25 +371,20 @@ class SpectrumTable:
     # -- serialization --------------------------------------------------------
 
     def to_json(self) -> str:
-        ns = list(range(-self.n_max, self.n_max + 1))
+        pairs = lambda arr: [to_pair(z) for z in arr]
+        ns = range(-self.n_max, self.n_max + 1)
         return json.dumps(
             {
                 "N_max": self.n_max,
                 "real": bool(self.real_potential),
                 "q0": to_pair(self.q0),
-                "lambda": [
-                    {
-                        "n": n,
-                        "minus": to_pair(self.lam_minus[n + self.n_max]),
-                        "plus": to_pair(self.lam_plus[n + self.n_max]),
-                    }
-                    for n in ns
-                ],
-                "mu": [to_pair(self.mu[n + self.n_max]) for n in ns],
-                "lambda_dot": [to_pair(self.lam_dot[n + self.n_max]) for n in ns],
+                "lambda": [{"n": n, "minus": to_pair(lm), "plus": to_pair(lp)}
+                           for n, lm, lp in zip(ns, self.lam_minus, self.lam_plus)],
+                "mu": pairs(self.mu),
+                "lambda_dot": pairs(self.lam_dot),
                 "lambda_dot_star": to_pair(self.lam_dot_star),
-                "tau": [to_pair(self.tau(n)) for n in ns],
-                "gamma": [to_pair(self.gamma(n)) for n in ns],
+                "tau": pairs(0.5 * (self.lam_minus + self.lam_plus)),
+                "gamma": pairs(self.lam_plus - self.lam_minus),
             }
         )
 
@@ -527,37 +484,39 @@ class IsolatingNeighborhoods:
     contour_radii: np.ndarray
     nodes: int = 64
 
-    def U(self, n):
-        if abs(n) <= self.n_max:
-            return complex(self.centers[n + self.n_max]), float(
-                self.radii[n + self.n_max]
-            )
-        return DiscFamily.D(n)
+    def _at(self, ns):
+        """Centres and radii of the discs U_n and of the contour circles Gamma_n
+        of the single indices ns (an array), with the zero-potential surrogates
+        beyond n_max: D_n, and the circle of radius pi/5 around lam_zero(n),
+        each read through z -> 1/(16 z) for n < 0."""
+        ns = np.asarray(ns)
+        ours = (self.centers, self.radii, self.contour_centers, self.contour_radii)
+        i = ns + self.n_max  # clipped, and overwritten with the surrogates beyond n_max
+        out = [a.take(i, mode="clip") for a in ours]
+        far = np.abs(ns) > self.n_max
+        if far.any():
+            n = ns[far]
+            gc, gr = lam_zero(np.abs(n)) + 0j, np.full(n.shape, np.pi / 5.0)
+            gc[n < 0], gr[n < 0] = _mobius_disc(gc[n < 0], gr[n < 0])
+            for a, b in zip(out, (*DiscFamily.D(n), gc, gr)):
+                a[far] = b
+        return out
 
-    def U2(self, j, m):
-        """The disc U_{j,m}: U_n of the single index, negated when s = -1."""
-        n, s = _single(j, m)
-        c, r = self.U(n)
-        return (c, r) if s > 0 else (-c, r)
+    def discs(self, j, ms):
+        """Centres and radii of the discs U_{j,m}, m in the array ms: U_n of the
+        single index (_slots), its centre negated where s = -1."""
+        n, s = _slots(j, ms)
+        c, r = self._at(n)[:2]
+        return np.where(s > 0, c, -c), r
 
-    def gamma_single(self, m, nodes=None, scale=1.0) -> ContourSpec:
-        """The contour Gamma_m around the single-index gap G_m."""
-        if abs(m) <= self.n_max:
-            c = complex(self.contour_centers[m + self.n_max])
-            r = float(self.contour_radii[m + self.n_max])
-        else:
-            if m > 0:
-                c, r = lam_zero(m) + 0j, np.pi / 5.0
-            else:
-                c, r = _mobius_disc(lam_zero(-m), np.pi / 5.0)
-                c = complex(c)
-        return ContourSpec(c, r * scale, nodes or self.nodes)
-
-    def contour(self, j, m, nodes=None, scale=1.0) -> ContourSpec:
-        """Gamma_{j,m}: Gamma_n of the single index, mirrored when s = -1."""
-        n, s = _single(j, m)
-        g = self.gamma_single(n, nodes, scale)
-        return g if s > 0 else g.mirrored()
+    def contours(self, j, ms, nodes=None, scale=1.0) -> list[ContourSpec]:
+        """The contours Gamma_{j,m}, m in the array ms: Gamma_n of the single
+        index, mirrored where s = -1, of radius times scale and nodes nodes
+        (self.nodes by default)."""
+        n, s = _slots(j, ms)
+        c, r = self._at(n)[2:]
+        return [ContourSpec(complex(z), float(x) * scale, nodes or self.nodes)
+                for z, x in zip(np.where(s > 0, c, -c), r)]
 
 
 def _disc_row(table, s):
@@ -679,9 +638,10 @@ def certify_counts(v, table, iso, n_range, tol=1e-11):
     Each disc is counted at 0.98 of its radius from 32 nodes on (_count, down
     to tol at most; iso.nodes plays no part): 17 of them propagated for a
     real potential (centres on an axis), all for a complex one."""
-    discs = [(n, iso.U(n), ISOLATION) for n in n_range]
+    ns = np.asarray(n_range, dtype=int)
+    discs = [(n, (c, r), ISOLATION) for n, c, r in zip(ns.tolist(), *iso._at(ns)[:2])]
     discs.append(("star", (iso.star_center, iso.star_radius), {"ddelta": 1}))
-    report = _count(v, [(n, ContourSpec(c, r * 0.98, 32), want)
+    report = _count(v, [(n, ContourSpec(complex(c), float(r) * 0.98, 32), want)
                         for n, (c, r), want in discs], tol)
     report["star"] = report["star"]["ddelta"]
     return report

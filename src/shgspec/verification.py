@@ -340,11 +340,12 @@ def negative_control(v, cfg: RunConfig | None = None):
     _, dev0 = verify_normalization(sol, table, iso)
     # push sigma_{1,k0} half a gap length beyond the + endpoint
     k0 = 1 if sol.n != 1 else 2
-    gam = table.gamma2(1, k0)
+    lo, hi = (complex(a[k0 + table.n_max]) for a in (table.lam_minus, table.lam_plus))
+    gam = hi - lo
     if gam == 0:
         gam = 0.05  # collapsed gap: push by an absolute offset instead
     bad = sol.sigma1.copy()
-    bad[k0 + sol.K] = table.lam2(1, k0, +1) + 0.5 * abs(gam)
+    bad[k0 + sol.K] = hi + 0.5 * abs(gam)
     sol_bad = replace(sol, sigma1=bad)
     _, dev1 = verify_normalization(sol_bad, table, iso)
     return dev0, dev1

@@ -1,3 +1,5 @@
+from collections import namedtuple
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,28 @@ from shgspec.potential import Potential
 from shgspec.spectrum import build_isolating, build_table
 
 SPECTRAL_TOL = 1e-13
+
+Row = namedtuple("Row", "lam_minus lam_plus mu lam_dot tau gamma")
+
+
+def row(table, n):
+    """Row n (|n| <= n_max) of a spectrum table, read from its arrays as
+    complex numbers, with the gap's midpoint tau and width gamma."""
+    assert abs(n) <= table.n_max
+    i = n + table.n_max
+    lm, lp, mu, ld = (complex(a[i]) for a in (table.lam_minus, table.lam_plus, table.mu,
+                                              table.lam_dot))
+    return Row(lm, lp, mu, ld, 0.5 * (lm + lp), lp - lm)
+
+
+def disc(iso, n):
+    """The disc U_n (|n| <= n_max) as (centre, radius), read from the arrays."""
+    return complex(iso.centers[n + iso.n_max]), float(iso.radii[n + iso.n_max])
+
+
+def slot(table, quantity, j, m):
+    """table.family(quantity, j, K) at the one slot (j, m)."""
+    return table.family(quantity, j, abs(m))[m + abs(m)]
 
 
 def generic_v4():

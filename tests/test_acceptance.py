@@ -10,6 +10,7 @@ same thresholds.  The remaining tests cover what the suite has no check for.
 import time
 
 import pytest
+from conftest import slot
 
 from shgspec.config import THRESHOLDS, RunConfig
 from shgspec.differentials import solve_sigma
@@ -58,8 +59,8 @@ def test_criterion_1_zero_closed_forms():
 def test_criterion_9_zero_potential_solver(tab0, iso0):
     sol = solve_sigma(tab0, iso0, 1, 8, tol=1e-9)
     err = max(
-        max(abs(sol.sigma1_at(k) - tab0.tau2(1, k)) for k in range(-8, 9)),
-        max(abs(sol.sigma2_at(k) - tab0.tau2(2, k)) for k in range(-8, 9)),
+        max(abs(sol.sigma1[k + sol.K] - slot(tab0, "tau2", 1, k)) for k in range(-8, 9)),
+        max(abs(sol.sigma2[k + sol.K] - slot(tab0, "tau2", 2, k)) for k in range(-8, 9)),
     )
     check("criterion 9 (sigma = tau at v=0)", err, 1e-12)
     check("criterion 9 (residual)", sol.residual_norm, THRESHOLDS["sigma_solve_residual"])

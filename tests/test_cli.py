@@ -1,12 +1,15 @@
+import csv
 import dataclasses
 import json
 import warnings
 
 import numpy as np
 import pytest
+from conftest import disc, row
 
 from shgspec import spectrum, verification
 from shgspec.cli import main
+from shgspec.config import RunConfig
 from shgspec.monodromy import lam_zero
 from shgspec.potential import Potential
 
@@ -113,12 +116,28 @@ def test_spectrum_zero(files, capsys):
 
 
 def test_spectrum_csv(files, capsys):
+    """Each CSV row holds, at its n, the value of the table's arrays, of the
+    isolating discs or of DiscFamily.D, in table order, and lambda_dot_star
+    closes the list."""
     d, zero, cos, cfg = files
     assert main(["spectrum", str(cos), "--nmax", "3", "--format", "csv"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "n,quantity,re,im"
     assert any("lambda_dot_star" in ln for ln in lines)
     assert any("U_center" in ln for ln in lines)
+    v = Potential.from_json(cos.read_text())
+    table = spectrum.build_table(v, 3, tol=RunConfig.spectral_tol)
+    iso = spectrum.build_isolating(v, table)
+    want = {}
+    for n in range(-3, 4):
+        r, (c, radius), (dc, dr) = row(table, n), disc(iso, n), spectrum.DiscFamily.D(n)
+        vals = {"lambda_minus": r.lam_minus, "lambda_plus": r.lam_plus, "mu": r.mu,
+                "lambda_dot": r.lam_dot, "tau": r.tau, "gamma": r.gamma, "U_center": c,
+                "U_radius": radius, "D_center": dc, "D_radius": dr}
+        want.update({(str(n), q): complex(val) for q, val in vals.items()})
+    want["*", "lambda_dot_star"] = complex(table.lam_dot_star)
+    got = {(n, q): complex(float(re), float(im)) for n, q, re, im in csv.reader(lines[1:])}
+    assert list(got) == list(want) and got == want
 
 
 def test_spectrum_refuses_a_table_alike_in_json_and_csv(files, capsys):
@@ -199,8 +218,8 @@ def _shrunk_U1_counts(certify):
 
     def counts(v, table, iso, n_range, tol=1e-11):
         centers, radii = iso.centers.copy(), iso.radii.copy()
-        centers[1 + iso.n_max] = table.lam_pm(1)[0]
-        radii[1 + iso.n_max] = 0.4 * abs(table.gamma(1))
+        centers[1 + iso.n_max] = row(table, 1).lam_minus
+        radii[1 + iso.n_max] = 0.4 * abs(row(table, 1).gamma)
         return certify(v, table, dataclasses.replace(iso, centers=centers, radii=radii),
                        n_range, tol)
 

@@ -15,6 +15,7 @@ solve a 2x2 system of integrals over the two gaps.
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from conftest import row
 
 from shgspec.config import RunConfig
 from shgspec.differentials import solve_sigma
@@ -66,16 +67,16 @@ def test_table_closed_forms(c, p0):
     table = build_table(v, 16, tol=RunConfig.spectral_tol)
     C = p0**2 / 16 + (np.cosh(c) - 1) / 8
     for n in [n for n in range(-16, 17) if n]:
-        tau, npi2 = table.tau(n), (n * np.pi) ** 2
-        assert table.gamma(n) == 0, n
+        r, npi2 = row(table, n), (n * np.pi) ** 2
+        tau = r.tau
+        assert r.gamma == 0, n
         assert abs(omega(tau) ** 2 - npi2 - C) <= 1e-14 * max(1.0, npi2), n
-        for root in (table.mu_n(n), table.lam_dot_n(n)):
+        for root in (r.mu, r.lam_dot):
             assert abs(root - tau) <= 1e-14 * abs(tau), n
-    lm, lp = table.lam_pm(0)
+    lm, lp, mu, ld, *_ = row(table, 0)
     assert abs(omega(lm) + np.sqrt(C)) <= 1e-12 and abs(omega(lp) - np.sqrt(C)) <= 1e-12
     assert abs(16 * lm * lp - 1) <= 1e-13
-    for got, want in ((table.mu_n(0), np.exp(c / 2) / 4), (table.lam_dot_n(0), 0.25),
-                      (table.lam_dot_star, 0.25j)):
+    for got, want in ((mu, np.exp(c / 2) / 4), (ld, 0.25), (table.lam_dot_star, 0.25j)):
         assert abs(got - want) <= 1e-14
 
 
@@ -116,8 +117,8 @@ def test_sigma_against_the_gap_quadratures(c, p0, n):
     table = build_table(v, 16, tol=RunConfig.spectral_tol)
     iso = build_isolating(v, table, nodes=RunConfig().nodes)
     sol = solve_sigma(table, iso, n, 16, tol=RunConfig.newton_tol)
-    a, b = (lam.real for lam in table.lam_pm(0))
-    S, P = _sigma_pair_oracle(a, b, table.tau(n).real)
-    s1, rho = sol.sigma1_at(0), family_var(2, sol.sigma2_at(0))
+    a, b = (lam.real for lam in row(table, 0)[:2])
+    S, P = _sigma_pair_oracle(a, b, row(table, n).tau.real)
+    s1, rho = sol.sigma1[sol.K], family_var(2, sol.sigma2[sol.K])
     assert abs(s1 + rho - S) <= 1e-11 * (abs(s1) + abs(rho))
     assert abs(s1 * rho - P) <= 1e-11 * abs(P)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import slot
 
 from shgspec.differentials import (
     SigmaSolution,
@@ -24,11 +25,12 @@ def test_mean_value_bound(tab16, iso16):
     from shgspec.roots_products import _sroot
 
     m = 1
-    spec = iso16.contour(1, m, nodes=96)
-    lo, hi = tab16.gap2(1, m)
+    spec = iso16.contours(1, [m], nodes=96)[0]
+    lo, hi = slot(tab16, "gap2", 1, m)
     for f in (lambda z: z**2 - 0.3 * z, lambda z: np.exp(0.3 * z)):
         val = contour_integral(
-            lambda z: f(z) / _sroot(tab16.tau2(1, m), tab16.gamma2(1, m), z), spec
+            lambda z: f(z) / _sroot(slot(tab16, "tau2", 1, m), slot(tab16, "gamma2", 1, m), z),
+            spec,
         )
         grid = lo + (hi - lo) * np.linspace(0, 1, 33)
         gap_max = np.max(np.abs(f(grid)))
@@ -43,14 +45,14 @@ def test_zero_potential_solution_exact(tab0, iso0):
         assert sol.newton_iters == 0
         assert sol.residual_norm <= 1e-9
         for k in range(-8, 9):
-            assert abs(sol.sigma1_at(k) - tab0.tau2(1, k)) < 1e-12
-            assert abs(sol.sigma2_at(k) - tab0.tau2(2, k)) < 1e-12
+            assert abs(sol.sigma1[k + sol.K] - slot(tab0, "tau2", 1, k)) < 1e-12
+            assert abs(sol.sigma2[k + sol.K] - slot(tab0, "tau2", 2, k)) < 1e-12
 
 
 def test_zero_potential_psi_normalization(tab0, iso0):
     sol = solve_sigma(tab0, iso0, 1, 8)
     ev = CanonicalRootEvaluator(tab0, 8)
-    spec = iso0.contour(1, 1, nodes=96)
+    spec = iso0.contours(1, [1], nodes=96)[0]
     z, dz = spec.points()
     val = np.sum(eval_psi(sol, z) / ev.chip(z) * dz)
     assert abs(val - 2 * np.pi) < 1e-7
@@ -67,11 +69,11 @@ def test_small_v_solutions(v_seed, tab16, iso16):
         # roots confined to the gap hulls (1e-8 slack)
         for k in range(-16, 17):
             if k != n:
-                lo, hi = tab16.gap2(1, k)
-                s = sol.sigma1_at(k)
+                lo, hi = slot(tab16, "gap2", 1, k)
+                s = sol.sigma1[k + sol.K]
                 assert _seg_dist(s, lo, hi) < 1e-8
-            lo, hi = tab16.gap2(2, k)
-            u = -1.0 / (16.0 * sol.sigma2_at(k))
+            lo, hi = slot(tab16, "gap2", 2, k)
+            u = -1.0 / (16.0 * sol.sigma2[k + sol.K])
             assert _seg_dist(u, lo, hi) < 1e-8
 
 
@@ -87,11 +89,11 @@ def test_root_estimate(v_seed, tab16, iso16):
     floor at the solver tolerance for collapsed gaps)."""
     sol = solve_sigma(tab16, iso16, 1, 16)
     for k in range(-16, 17):
-        g1 = abs(tab16.gamma2(1, k))
+        g1 = abs(slot(tab16, "gamma2", 1, k))
         if k != 1:
-            assert abs(sol.sigma1_at(k) - tab16.tau2(1, k)) <= 5 * g1**2 + 1e-8
-        g2 = abs(tab16.gamma2(2, k))
-        assert abs(sol.sigma2_at(k) - tab16.tau2(2, k)) <= 5 * g2**2 + 1e-8
+            assert abs(sol.sigma1[k + sol.K] - slot(tab16, "tau2", 1, k)) <= 5 * g1**2 + 1e-8
+        g2 = abs(slot(tab16, "gamma2", 2, k))
+        assert abs(sol.sigma2[k + sol.K] - slot(tab16, "tau2", 2, k)) <= 5 * g2**2 + 1e-8
 
 
 def test_normalization_fresh_contours(v_seed, tab16, iso16, monkeypatch):
@@ -144,7 +146,7 @@ def test_residual_tail_decay(v_seed, tab16, iso16):
     the solve does not form included."""
     ws = SigmaWorkspace(tab16, iso16, 0, 16)
     s1, s2 = ws.unpack(ws.initial_state())
-    s1[1 + 16] += 0.25 * tab16.gamma2(1, 1)  # quarter of the open gap
+    s1[1 + 16] += 0.25 * slot(tab16, "gamma2", 1, 1)  # quarter of the open gap
     C_n = 1.0 / NodeFamily(s1, s2, 16).f2_inf()
     mat, _ = verify_normalization(SigmaSolution(0, 16, s1, s2, 0.0, 0, C_n), tab16, iso16)
     mags = {}
@@ -159,11 +161,11 @@ def test_residual_tail_decay(v_seed, tab16, iso16):
 def test_sign_change_across_gap(v_seed, tab16, iso16):
     """Pushing sigma_{1,m} across the gap flips the sign of F_{1,m}."""
     ws = SigmaWorkspace(tab16, iso16, 0, 16)
-    lo, hi = tab16.gap2(1, 1)
+    lo, hi = slot(tab16, "gap2", 1, 1)
     vals = []
     for t in (0.2, 0.8):
-        s1 = np.array([tab16.tau2(1, k) for k in ws.ks])
-        s2 = np.array([tab16.tau2(2, k) for k in ws.ks])
+        s1 = tab16.family("tau2", 1, ws.K)
+        s2 = tab16.family("tau2", 2, ws.K)
         s1[1 + 16] = lo + t * (hi - lo)
         F, _ = ws.residual_and_jacobian(ws.pack(s1, s2))
         row = [r[:2] for r in ws.rows].index((1, 1))
@@ -183,8 +185,8 @@ def test_jacobian_structure(v_seed, tab16, iso16):
     assert np.all(np.abs(d11) > 0.5)
     assert abs(np.median(d11.real) - 2.0) < 0.3
     # Q22 diagonal tends to 2 pi f_{n,1}(0)/f_{n,2}(inf)
-    s1 = np.array([tab16.tau2(1, k) for k in ws.ks])
-    s2 = np.array([tab16.tau2(2, k) for k in ws.ks])
+    s1 = tab16.family("tau2", 1, ws.K)
+    s2 = tab16.family("tau2", 2, ws.K)
     mask = ws.ks != 1
     f1_0 = np.prod(s1[mask] / pi_k(ws.ks[mask])) * zero_tail(
         np.array([0.0 + 0j]), 16
@@ -238,8 +240,8 @@ def test_truncation_stability(v_seed, tab32, iso16):
     for k in range(-12, 13):
         if k == 1:
             continue
-        assert abs(sol16.sigma1_at(k) - sol24.sigma1_at(k)) < 1e-6
-        assert abs(sol16.sigma2_at(k) - sol24.sigma2_at(k)) < 1e-6
+        assert abs(sol16.sigma1[k + sol16.K] - sol24.sigma1[k + sol24.K]) < 1e-6
+        assert abs(sol16.sigma2[k + sol16.K] - sol24.sigma2[k + sol24.K]) < 1e-6
 
 
 def test_psi_node_doubling(v_seed, tab16, iso16):
@@ -248,7 +250,7 @@ def test_psi_node_doubling(v_seed, tab16, iso16):
     for nodes in ((48, 96),):
         vals = []
         for nn in nodes:
-            spec = iso16.contour(1, 3, nodes=nn)
+            spec = iso16.contours(1, [3], nodes=nn)[0]
             z, dz = spec.points()
             vals.append(np.sum(eval_psi(sol, z) / ev.chip(z) * dz))
         assert abs(vals[0] - vals[1]) < 1e-10
@@ -288,7 +290,7 @@ def test_psi_negative_shares_the_tails_of_chip(tab0, iso0, monkeypatch):
     assert len(calls) <= 1  # the evaluator's chi1(0)
     ev = CanonicalRootEvaluator(tab0, 8)
     for (j, m), val in mat.items():
-        z, dz = iso0.contour(j, m, nodes=32, scale=1.5).points()
+        z, dz = iso0.contours(j, [m], nodes=32, scale=1.5)[0].points()
         alone = np.sum(psi_negative(solr, z) / ev.chip(z) * dz) / (2 * np.pi)
         assert abs(val - alone) <= 1e-13
 
@@ -313,12 +315,12 @@ def test_psi_negative_small_v(v_seed, tab16, iso16, reflected):
     ev = CanonicalRootEvaluator(tab16, 16)
     evr = CanonicalRootEvaluator(tabr, 16)
     for m in (2, -3):
-        spec = iso16.contour(2, m, nodes=96)
+        spec = iso16.contours(2, [m], nodes=96)[0]
         z, dz = spec.points()
         lhs = np.sum(
             psi_negative(solr, z) / ev.chip(z) * dz
         )
-        spec2 = isor.contour(1, -m, nodes=96)
+        spec2 = isor.contours(1, [-m], nodes=96)[0]
         z2, dz2 = spec2.points()
         rhs = np.sum(eval_psi(solr, z2) / evr.chip(z2) * dz2)
         assert abs(lhs - rhs) < 1e-8
@@ -326,14 +328,14 @@ def test_psi_negative_small_v(v_seed, tab16, iso16, reflected):
     # -sigma_{2,k}^r lies in -G_{1,k}(v) (= G_{1,-k} for k != 0, the mirror
     # gap G_{2,0} at k=0); 1/(16 sigma_{1,k}^r) lies in -G_{2,k}(v)
     for k in (2, -2):
-        root = -solr.sigma2_at(k)
-        lo, hi = tab16.gap2(1, -k)
+        root = -solr.sigma2[k + solr.K]
+        lo, hi = slot(tab16, "gap2", 1, -k)
         assert _seg_dist(root, lo, hi) < 1e-7
-        root = 1.0 / (16.0 * solr.sigma1_at(k))
-        lo, hi = tab16.gap2(2, -k)
+        root = 1.0 / (16.0 * solr.sigma1[k + solr.K])
+        lo, hi = slot(tab16, "gap2", 2, -k)
         assert _seg_dist(root, lo, hi) < 1e-7
-    root0 = -solr.sigma2_at(0)
-    lo, hi = tab16.gap2(2, 0)
+    root0 = -solr.sigma2[solr.K]
+    lo, hi = slot(tab16, "gap2", 2, 0)
     assert _seg_dist(root0, lo, hi) < 1e-7
 
 
@@ -354,14 +356,14 @@ def test_normalization_gates_read_the_stored_C_n(tab16, iso16, reflected):
 
 def test_admissibility_guard(v_seed, tab16, iso16):
     ws = SigmaWorkspace(tab16, iso16, 1, 16)
-    s1 = np.array([tab16.tau2(1, k) for k in ws.ks])
-    s2 = np.array([tab16.tau2(2, k) for k in ws.ks])
+    s1 = tab16.family("tau2", 1, ws.K)
+    s2 = tab16.family("tau2", 2, ws.K)
     assert ws.admissible(s1, s2)[2] == 0
     assert ws.open1[-1 + 16] and not ws.open1[2 + 16]
     s1[-1 + 16] += 2.0  # way outside U_{1,-1}, an open gap's disc
     c1, c2, events = ws.admissible(s1, s2)
     assert events == 1
-    cc, rr = iso16.U2(1, -1)
+    (cc,), (rr,) = iso16.discs(1, [-1])
     assert abs(c1[-1 + 16] - cc) <= 0.9 * rr + 1e-12
 
 
@@ -608,7 +610,7 @@ def test_normalization_in_one_sweep_matches_each_contour_alone(monkeypatch, v3_a
     ev = tab.evaluator(16)
     roots = NodeFamily(sol.sigma1, sol.sigma2, 16)
     for (j, m), val in mat.items():
-        spec = iso.contour(j, m, nodes=96, scale=1.5)
+        spec = iso.contours(j, [m], nodes=96, scale=1.5)[0]
         z, dz = spec.points()
         psi = df._psi(1, roots, sol.C_n, z, 1.0)
         alone = np.sum(psi / ev.on_contour(spec)[2] * dz) / (2 * np.pi)

@@ -3,6 +3,7 @@ import io
 
 import numpy as np
 import pytest
+from conftest import row
 
 from shgspec import gradients
 from shgspec.cli import main
@@ -60,7 +61,7 @@ def test_perturbed_merges_band_limits():
 
 
 def test_every_gradient_is_one_kernel(v_seed, tab16):
-    mu1, lam1p = tab16.mu_n(1), tab16.lam_pm(1)[1]
+    mu1, lam1p = row(tab16, 1).mu, row(tab16, 1).lam_plus
     kernels = [
         grad_discriminant(v_seed, 1.7),
         grad_antidiscriminant(v_seed, 1.7),
@@ -232,15 +233,15 @@ def test_fd_quotients_match_the_naive_oracle(v_seed, tmp_path, capsys):
     scalar_fns = {
         ("Delta", ""): at("Delta"),
         ("delta", ""): at("delta_anti"),
-        ("mu", "0"): relocated(table.mu_n(0), "chi_D"),
-        ("mu", "1"): relocated(table.mu_n(1), "chi_D"),
-        ("lambda_plus", "1"): relocated(table.lam_pm(1)[1], "chi_p"),
+        ("mu", "0"): relocated(row(table, 0).mu, "chi_D"),
+        ("mu", "1"): relocated(row(table, 1).mu, "chi_D"),
+        ("lambda_plus", "1"): relocated(row(table, 1).lam_plus, "chi_p"),
     }
     assert [(r["quantity"], r["n"], r["direction"]) for r in rows] == [
         (*key, str(i)) for key in scalar_fns for i in range(len(dirs))]
-    for row in rows:
-        fn = scalar_fns[row["quantity"], row["n"]]
-        assert row["fd"] == str(fd_directional(fn, v, dirs[int(row["direction"])], EPS))
+    for line in rows:
+        fn = scalar_fns[line["quantity"], line["n"]]
+        assert line["fd"] == str(fd_directional(fn, v, dirs[int(line["direction"])], EPS))
 
 
 def _count_fd_work(monkeypatch):
@@ -316,7 +317,7 @@ def test_kernel_pairing_linearity(v_seed, dirs):
 
 
 def test_grad_dirichlet_fd(v_seed, tab16, dirs):
-    mu1 = tab16.mu_n(1)
+    mu1 = row(tab16, 1).mu
     kern = grad_dirichlet(v_seed, mu1, tol=TOL)
 
     def mu_at(vv):
@@ -328,7 +329,7 @@ def test_grad_dirichlet_fd(v_seed, tab16, dirs):
 
 
 def test_grad_periodic_fd_and_chain_rule(v_seed, tab16, dirs):
-    lam1p = tab16.lam_pm(1)[1]
+    lam1p = row(tab16, 1).lam_plus
     kern = grad_periodic(v_seed, lam1p, tol=TOL)
     chain_kern = grad_periodic_via_delta(v_seed, lam1p, tol=TOL)
 
@@ -345,7 +346,7 @@ def test_grad_periodic_fd_and_chain_rule(v_seed, tab16, dirs):
 
 def test_grad_m4_fd(v_seed, tab16, dirs):
     for n in (0, 1):
-        mu = tab16.mu_n(n)
+        mu = row(tab16, n).mu
         kern = grad_m4_at_dirichlet(v_seed, mu, tol=TOL)
 
         def m4_at(vv, mu=mu):
@@ -381,7 +382,7 @@ def test_dirichlet_gradient_asymptotic_shape(v_seed, tab16):
     """d_q mu_n ~ (n pi / 2) cos(2 n pi x) for large n."""
     ratios = []
     for n in (6, 8, 10):
-        kern = grad_dirichlet(v_seed, tab16.mu_n(n), tol=1e-11)
+        kern = grad_dirichlet(v_seed, row(tab16, n).mu, tol=1e-11)
         coeff = 2.0 * np.sum(
             kern.weights * kern.q_kernel * np.cos(2 * n * np.pi * kern.x)
         )
@@ -397,9 +398,9 @@ def test_gradient_decay_witness(v_seed, tab16):
     with a floor of 4 ulps of the tail past a closed one."""
     norms = []
     for n in range(1, 9):
-        norms.append(grad_discriminant(v_seed, tab16.lam_pm(n)[1], tol=1e-11).l2_norm() ** 2)
+        norms.append(grad_discriminant(v_seed, row(tab16, n).lam_plus, tol=1e-11).l2_norm() ** 2)
     tails = np.cumsum(norms[::-1])[::-1]
-    open_gap = np.array([abs(tab16.gamma(n)) > 1e-9 for n in range(1, 8)])
+    open_gap = np.array([abs(row(tab16, n).gamma) > 1e-9 for n in range(1, 8)])
     floor = np.where(open_gap, 0.0, 4 * np.spacing(tails[:-1]))
     assert open_gap.any() and np.all(tails[1:] < tails[:-1] + floor)
     assert norms[-1] < 0.1 * norms[0]

@@ -155,3 +155,24 @@ def test_table_loops_read_arrays_not_per_index_accessors():
                         named.setdefault(fn.name, set()).update(attrs & accessors)
     assert seen == set().union(*scope.values())
     assert named == {}
+
+
+def test_the_per_index_accessors_stay_deleted():
+    """Slots (j, m) are read through one array map (spectrum._slots): the
+    per-index accessor layer of the table, its discs and the sigma solution
+    is gone, and so is its scalar map spectrum._single."""
+    from shgspec.differentials import SigmaSolution
+    from shgspec.spectrum import IsolatingNeighborhoods, SpectrumTable
+
+    deleted = {
+        SpectrumTable: ("_get", "lam_pm", "mu_n", "lam_dot_n", "tau", "gamma", "lam2", "tau2",
+                        "gamma2", "mu2", "lam_dot2", "gap2"),
+        IsolatingNeighborhoods: ("U", "U2", "gamma_single", "contour"),
+        SigmaSolution: ("sigma1_at", "sigma2_at"),
+    }
+    for cls, names in deleted.items():
+        assert [name for name in names if hasattr(cls, name)] == [], cls.__name__
+    assert not hasattr(importlib.import_module("shgspec.spectrum"), "_single")
+    public = {name for name, _ in inspect.getmembers(SpectrumTable, callable)
+              if not name.startswith("_")}
+    assert public == {"evaluator", "family", "truncated", "to_json", "from_json"}

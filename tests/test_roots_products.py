@@ -4,10 +4,11 @@ import mpmath
 import numpy as np
 import pytest
 from scipy.special import zeta
+from conftest import row, slot
 
 from shgspec.monodromy import integrate_many, lam_zero, omega, tau_zero
 from shgspec.config import seeded_ensemble
-from shgspec.potential import Potential, pi_k
+from shgspec.potential import Potential, family_var, pi_k
 from shgspec.quadrature import contour_integral
 from shgspec.roots_products import (
     CanonicalRootEvaluator,
@@ -151,7 +152,7 @@ def test_standard_root_collapsed_gap(tab0):
     lam = np.array([0.9 + 0.4j, 2.0])
     for n in (0, 2, -1):
         w = standard_root(1, n, lam, tab0)
-        assert np.max(np.abs(w - (tab0.tau2(1, n) - lam))) == 0
+        assert np.max(np.abs(w - (slot(tab0, "tau2", 1, n) - lam))) == 0
 
 
 def test_standard_root_antisymmetry(tab16):
@@ -166,8 +167,7 @@ def test_standard_root_squares(tab16):
     lam = np.array([0.8, 1.9 + 0.5j])
     for j, n in ((1, 1), (1, -2), (2, 0), (2, 3)):
         w = standard_root(j, n, lam, tab16)
-        lo = tab16.lam2(j, n, -1)
-        hi = tab16.lam2(j, n, +1)
+        lo, hi = family_var(j, slot(tab16, "gap2", j, n))
         if j == 1:
             ref = (hi - lam) * (lo - lam)
         else:
@@ -178,14 +178,14 @@ def test_standard_root_squares(tab16):
 def _w_scalar(table, n, z):
     from shgspec.roots_products import _sroot
 
-    return _sroot(table.tau2(1, n), table.gamma2(1, n), np.asarray(z, complex))
+    return _sroot(slot(table, "tau2", 1, n), slot(table, "gamma2", 1, n), np.asarray(z, complex))
 
 
 def test_inverse_standard_root_integrals(tab16, iso16):
     # (1/2 pi i) oint_{Gamma_{1,m}} dlam / w_{1,n} = -delta_{mn}
     for m in (1, 3):
         for n in (1, 3):
-            spec = iso16.contour(1, m, nodes=96)
+            spec = iso16.contours(1, [m], nodes=96)[0]
             val = contour_integral(
                 lambda z, n=n: 1.0 / _w_scalar(tab16, n, z), spec
             ) / (2j * np.pi)
@@ -204,10 +204,10 @@ def test_canonical_root_chi1_zero_closed_form(tab16):
     # sqrt_c(chi_1)(0) = sqrt+(lam_0^+ lam_0^-) prod lam_m^+ lam_m^-/(m pi)^2
     K = 16
     ev = CanonicalRootEvaluator(tab16, K)
-    l0m, l0p = tab16.lam_pm(0)
+    l0m, l0p = row(tab16, 0)[:2]
     val = np.sqrt(l0p * l0m)
     for m in range(1, K + 1):
-        lm, lp = tab16.lam_pm(m)
+        lm, lp = row(tab16, m)[:2]
         val *= lp * lm / (m * np.pi) ** 2
     val *= zero_tail(np.array([0.0 + 0j]), K)[0]
     assert abs(ev.chi1_zero - val) < 1e-12 * abs(val)
@@ -227,7 +227,7 @@ def test_canonical_root_symmetries(tab16, reflected):
 
 def test_canonical_root_gap_endpoint_guard(tab16):
     ev = CanonicalRootEvaluator(tab16, 16)
-    lam_plus = tab16.lam_pm(1)[1]
+    lam_plus = row(tab16, 1).lam_plus
     with pytest.raises(ValueError, match="branch ambiguous"):
         ev.chip(np.array([lam_plus + 1e-12]))
 
@@ -303,7 +303,7 @@ def test_sign_tables_report_a_swapped_pair_of_gaps(v_seed, tab16):
 def test_gap_interior_sign_g11(v_seed, tab16):
     # on G_{1,1} from below the sign is (-1)^{1+1} = +
     ev = CanonicalRootEvaluator(tab16, 16)
-    lo, hi = tab16.gap2(1, 1)
+    lo, hi = slot(tab16, "gap2", 1, 1)
     xs = np.linspace(lo.real + 0.3 * (hi - lo).real, hi.real - 0.3 * (hi - lo).real, 3)
     vals = ev.chip_from_below(xs, abs(hi - lo))
     assert np.all(vals.real > 0)
@@ -311,8 +311,8 @@ def test_gap_interior_sign_g11(v_seed, tab16):
 
 def test_f1n_positivity(v_seed, tab16):
     for n in (0, 1, -1):
-        a = tab16.lam2(1, n - 1, +1).real
-        b = tab16.lam2(1, n + 1, -1).real
+        a = slot(tab16, "gap2", 1, n - 1)[1].real
+        b = slot(tab16, "gap2", 1, n + 1)[0].real
         xs = np.linspace(a + 0.1 * (b - a), b - 0.1 * (b - a), 5)
         vals = f1n(tab16, n, xs.astype(complex), 16)
         assert np.all((-1.0) ** n * vals.real > 0)
@@ -348,15 +348,15 @@ def test_product_representations_converge(v_seed, tab32):
 def _pair_products(table, K):
     """The constraint identities written out as products of the pairs
     16 lambda_n lambda_{-n}, 0 <= n <= K: the oracle for their node-family form."""
-    l0m, l0p = table.lam_pm(0)
+    l0m, l0p, mu0, ld0, *_ = row(table, 0)
     per = (16.0 * l0p * l0m) ** 2
-    dir_ = np.exp(-table.q0) * 16.0 * table.mu_n(0) ** 2
-    ddot = -table.lam_dot_star**2 * (16.0 * table.lam_dot_n(0)) ** 2
+    dir_ = np.exp(-table.q0) * 16.0 * mu0 ** 2
+    ddot = -table.lam_dot_star**2 * (16.0 * ld0) ** 2
     for n in range(1, K + 1):
-        (lpm, lpp), (lmm, lmp) = table.lam_pm(n), table.lam_pm(-n)
+        (lpm, lpp, mup, ldp, *_), (lmm, lmp, mum, ldm, *_) = row(table, n), row(table, -n)
         per *= (lpp * 16.0 * lmp) ** 2 * (lpm * 16.0 * lmm) ** 2
-        dir_ *= (table.mu_n(n) * 16.0 * table.mu_n(-n)) ** 2
-        ddot *= (table.lam_dot_n(n) * 16.0 * table.lam_dot_n(-n)) ** 2
+        dir_ *= (mup * 16.0 * mum) ** 2
+        ddot *= (ldp * 16.0 * ldm) ** 2
     return {"periodic": per, "dirichlet": dir_, "delta_dot": ddot}
 
 
@@ -376,7 +376,7 @@ def test_ratio_asymptotics(v_seed, tab16, iso16):
     ev = CanonicalRootEvaluator(tab16, 16)
     rs = []
     for m in range(2, 15):
-        c, r = iso16.U2(1, m)
+        (c,), (r,) = iso16.discs(1, [m])
         lam = np.array([c + 0.5j * r])
         w = _w_scalar(tab16, m, lam)
         val = (
@@ -395,12 +395,12 @@ def test_product_ratio_bound(v_seed, tab16, iso16):
     K = 16
     sup = {}
     for n in (4, 8, 12):
-        z, _ = iso16.contour(1, n, nodes=32).points()
+        z, _ = iso16.contours(1, [n], nodes=32)[0].points()
         num = np.ones_like(z)
         for m in range(-K, K + 1):
             if m == n:
                 continue
-            num *= (tab16.lam_dot2(1, m) - z) / _w_scalar(tab16, m, z)
+            num *= (slot(tab16, "lam_dot2", 1, m) - z) / _w_scalar(tab16, m, z)
         sup[n] = np.max(np.abs(num - 1.0))
     assert sup[8] < sup[4] and sup[12] < sup[8]
 
@@ -575,7 +575,7 @@ def test_a_narrow_open_gap_is_open_everywhere(v_seed, tab16):
     from shgspec.differentials import SigmaWorkspace
     from shgspec.spectrum import build_isolating
 
-    assert tab16.gamma(-16) == 0
+    assert row(tab16, -16).gamma == 0
     lm, lp = tab16.lam_minus.copy(), tab16.lam_plus.copy()
     lm[0], lp[0] = lm[0] - 3.5e-10, lp[0] + 3.5e-10
     narrow = dataclasses.replace(tab16, lam_minus=lm, lam_plus=lp)

@@ -3,11 +3,11 @@ from functools import cmp_to_key
 
 import numpy as np
 import pytest
-from conftest import generic_v4
+from conftest import disc, generic_v4, row
 
 from shgspec.config import seeded_ensemble
 from shgspec.monodromy import KINDS, integrate_many, lam_zero
-from shgspec.potential import Potential
+from shgspec.potential import Potential, family_var
 from shgspec.quadrature import ContourSpec, winding_number
 import shgspec.spectrum as sp
 from shgspec.spectrum import (
@@ -31,21 +31,21 @@ LAM1_ZERO = 3.1613626096867287
 def test_zero_potential_periodic_oracle(tab0):
     assert abs(lam_zero(1) - LAM1_ZERO) < 1e-15
     for n in range(-8, 9):
-        lm, lp = tab0.lam_pm(n)
+        lm, lp = row(tab0, n)[:2]
         assert abs(lm - lam_zero(n)) < 1e-9
         assert abs(lp - lam_zero(n)) < 1e-9
     # eq:kap3.170 pairing lambda_{-k}^+ = 1/(16 lambda_k^+)
-    assert abs(tab0.lam_pm(-1)[1] - 1.0 / (16.0 * LAM1_ZERO)) < 1e-11
+    assert abs(row(tab0, -1).lam_plus - 1.0 / (16.0 * LAM1_ZERO)) < 1e-11
 
 
 def test_zero_potential_dirichlet_and_star(tab0):
-    assert abs(tab0.mu_n(1) - LAM1_ZERO) < 1e-10
+    assert abs(row(tab0, 1).mu - LAM1_ZERO) < 1e-10
     assert abs(tab0.lam_dot_star - 0.25j) < 1e-12
 
 
 def test_locate_periodic_single(v_zero):
     """A one-index table at the zero potential: the double root 1/4 at n = 0."""
-    lm, lp = build_table(v_zero, 1).lam_pm(0)
+    lm, lp = row(build_table(v_zero, 1), 0)[:2]
     assert abs(lm - 0.25) < 1e-11 and abs(lp - 0.25) < 1e-11
 
 
@@ -101,7 +101,7 @@ def v3_iso():
 def _counting_contours(iso):
     """U_-3, U_0, U_2 and U_* at 0.98 of their radii on 64 nodes, then the
     two circles of A_4 on 384."""
-    discs = [iso.U(n) for n in (-3, 0, 2)] + [(iso.star_center, iso.star_radius)]
+    discs = [disc(iso, n) for n in (-3, 0, 2)] + [(iso.star_center, iso.star_radius)]
     return [ContourSpec(c, 0.98 * r, iso.nodes) for c, r in discs] + [
         ContourSpec(0.0, DiscFamily.B_radius(N), 384) for N in (4, -4)]
 
@@ -198,7 +198,7 @@ def test_budgeted_counts_match_the_full_counts(name, monkeypatch):
     assert all(rep[n] == {"chi_p": 2, "chi_D": 1, "ddelta": 1} for n in range(-16, 17))
     assert max(quad + prop for *_, quad, prop in rep.trace) < 1e-3
     ns = (-16, -1, 0, 1, 16, "star")  # the counts at 64 nodes, tol 1e-11
-    discs = [(iso.star_center, iso.star_radius) if n == "star" else iso.U(n) for n in ns]
+    discs = [(iso.star_center, iso.star_radius) if n == "star" else disc(iso, n) for n in ns]
     specs = [ContourSpec(c, 0.98 * r, 64) for c, r in discs]
     for n, spec, res in zip(ns, specs, sp._on_contour(v, specs, 2, 1e-11)):
         full = {k: winding_number(lambda z, k=k: res.scalar(k)[:2], spec)[0] for k in KINDS}
@@ -210,10 +210,10 @@ def test_budgeted_counts_match_the_full_counts(name, monkeypatch):
 def _U1_around_lam_minus(v, table, iso, ratio):
     """certify_counts' U_1 centred on lambda_1^- with lambda_dot_1, the
     nearest other root, ratio times the counting radius away."""
-    lm = table.lam_pm(1)[0]
+    lm = row(table, 1).lam_minus
     centers, radii = iso.centers.copy(), iso.radii.copy()
     centers[1 + iso.n_max] = lm
-    radii[1 + iso.n_max] = abs(table.lam_dot_n(1) - lm) / ratio / 0.98
+    radii[1 + iso.n_max] = abs(row(table, 1).lam_dot - lm) / ratio / 0.98
     return certify_counts(v, table, dataclasses.replace(iso, centers=centers, radii=radii),
                           n_range=(1,))
 
@@ -283,13 +283,13 @@ def _direct_period2_eigenvalues(v, nmodes=40):
 def test_periodic_against_direct_discretization(v_seed, tab16):
     ev = _direct_period2_eigenvalues(v_seed)
     for n in (1, 2, 3):
-        lm, lp = tab16.lam_pm(n)
+        lm, lp = row(tab16, n)[:2]
         close_m = np.min(np.abs(ev - lm.real))
         close_p = np.min(np.abs(ev - lp.real))
         assert close_m < 5e-6 and close_p < 5e-6
     # the n=1 gap is open and its width matches the discretization
     block = ev[(ev > 3.0) & (ev < 3.4)]
-    assert abs((block.max() - block.min()) - abs(tab16.gamma(1))) < 5e-6
+    assert abs((block.max() - block.min()) - abs(row(tab16, 1).gamma)) < 5e-6
 
 
 def test_order_relation():
@@ -303,6 +303,15 @@ def test_order_relation():
     assert not order_le(complex(0, 1), complex(0, -1))
     vals = [2.2, 0.5, 1.0, 1.0 + 0.3j, 0.02]
     ref = sort_order(vals)
+    # elementwise on arrays, a bool for two numbers; the rule on Python numbers
+    def le(a, b):
+        a, b = complex(a), complex(b)
+        d = abs(a) - abs(b)
+        return d < -sp.ORDER_TIE_TOL or (d <= sp.ORDER_TIE_TOL and a.imag <= b.imag)
+
+    assert type(order_le(1.0, 2.0)) is bool
+    pairs = [(a, b) for a in vals for b in vals]
+    assert order_le(*np.array(pairs).T).tolist() == [le(a, b) for a, b in pairs]
     # deterministic under perturbations below the tie tolerance
     rng = np.random.default_rng(1)
     for _ in range(5):
@@ -312,40 +321,41 @@ def test_order_relation():
 
 
 def test_two_index_relabelings(tab16):
-    for j in (1, 2):
+    K = 7
+    # lambda_{j,k}^- and lambda_{j,k}^+: the family-j variables of the gap's ends
+    lam2 = {j: family_var(j, tab16.family("gap2", j, K).T) for j in (1, 2)}
+    for j, (minus, plus) in lam2.items():
+        tau, gam = tab16.family("tau2", j, K), tab16.family("gamma2", j, K)
         for k in (1, 3, 7):
-            assert tab16.lam2(j, -k, +1) == -tab16.lam2(j, k, -1)
-            assert tab16.lam2(j, -k, -1) == -tab16.lam2(j, k, +1)
-            assert tab16.gamma2(j, -k) == tab16.gamma2(j, k)
-            assert tab16.tau2(j, -k) == -tab16.tau2(j, k)
+            assert plus[K - k] == -minus[K + k]
+            assert minus[K - k] == -plus[K + k]
+            assert gam[K - k] == gam[K + k]
+            assert tau[K - k] == -tau[K + k]
     # lam_{1,0}^+ = 1/(16 lam_{2,0}^-)
-    assert abs(tab16.lam2(1, 0, +1) - 1.0 / (16.0 * tab16.lam2(2, 0, -1))) < 1e-12
+    assert abs(lam2[1][1][K] - 1.0 / (16.0 * lam2[2][0][K])) < 1e-12
 
 
 def test_reciprocity_of_spectra(tab16, reflected):
     _, tabr, _ = reflected
     for n in range(-6, 7):
-        lm, lp = tab16.lam_pm(n)
-        lmr, lpr = tabr.lam_pm(-n)
+        (lm, lp, mu, ld, *_), (lmr, lpr, mur, ldr, *_) = row(tab16, n), row(tabr, -n)
         assert abs(16.0 * lp * lmr - 1.0) < 1e-8
         assert abs(16.0 * lm * lpr - 1.0) < 1e-8
-        assert abs(16.0 * tab16.mu_n(n) * tabr.mu_n(-n) - 1.0) < 1e-8
-        assert abs(16.0 * tab16.lam_dot_n(n) * tabr.lam_dot_n(-n) - 1.0) < 1e-8
+        assert abs(16.0 * mu * mur - 1.0) < 1e-8
+        assert abs(16.0 * ld * ldr - 1.0) < 1e-8
     assert abs(16.0 * tab16.lam_dot_star * (-tabr.lam_dot_star) - 1.0) < 1e-8
 
 
 def test_reality_and_interlacing(v_seed, tab16):
     for n in range(-16, 17):
-        lm, lp = tab16.lam_pm(n)
-        mu = tab16.mu_n(n)
-        ld = tab16.lam_dot_n(n)
+        lm, lp, mu, ld, _, gamma = row(tab16, n)
         for z in (lm, lp, mu, ld):
             assert abs(z.imag) < 1e-9
-        if abs(tab16.gamma(n)) > 1e-9:
+        if abs(gamma) > 1e-9:
             assert lm.real - 1e-10 <= mu.real <= lp.real + 1e-10
             assert lm.real - 1e-10 <= ld.real <= lp.real + 1e-10
     for n in range(-16, 16):
-        assert tab16.lam_pm(n)[1].real < tab16.lam_pm(n + 1)[0].real
+        assert row(tab16, n).lam_plus.real < row(tab16, n + 1).lam_minus.real
 
 
 def test_reciprocal_end_gaps_of_the_generic_potential_are_open():
@@ -356,8 +366,8 @@ def test_reciprocal_end_gaps_of_the_generic_potential_are_open():
     v4 = generic_v4()
     tab = build_table(v4, 8, tol=1e-13)
     ns = range(-8, -4)
-    assert all(tab.gamma(n) != 0 for n in ns)
-    taus = np.array([tab.tau(n) for n in ns])
+    assert all(row(tab, n).gamma != 0 for n in ns)
+    taus = np.array([row(tab, n).tau for n in ns])
     assert np.all(np.abs(integrate_many(v4, taus, order=0, tol=1e-13).Delta) > 1.0)
 
 
@@ -423,7 +433,7 @@ def test_handed_forward_model_matches_a_fresh_propagation(name, n_max):
 
 
 def test_delta_sign_at_periodic(v_seed, tab16):
-    lams = np.array([tab16.lam_pm(n)[1] for n in range(-5, 6)])
+    lams = np.array([row(tab16, n).lam_plus for n in range(-5, 6)])
     res = integrate_many(v_seed, lams, order=0, tol=1e-12)
     signs = np.array([(-1.0) ** n for n in range(-5, 6)])
     assert np.max(np.abs(res.Delta - signs)) < 1e-8
@@ -444,26 +454,27 @@ def test_isolating_invariants(tab16, iso16):
     N = tab16.n_max
     # (I-1) holds by construction (checked in build); verify a sample
     for n in (-3, 0, 2):
-        c, r = iso16.U(n)
-        lm, lp = tab16.lam_pm(n)
+        c, r = disc(iso16, n)
+        lm, lp, mu, ld, *_ = row(tab16, n)
         assert abs(lm - c) < r and abs(lp - c) < r
-        assert abs(tab16.mu_n(n) - c) < r
-        assert abs(tab16.lam_dot_n(n) - c) < r
+        assert abs(mu - c) < r
+        assert abs(ld - c) < r
     assert abs(tab16.lam_dot_star - iso16.star_center) < iso16.star_radius
     # (I-2): distance scaling with the reported constant
     cc = iso16.c_const
     for m in range(0, N + 1):
         for n in range(m + 1, N + 1):
-            cm, rm = iso16.U(m)
-            cn, rn = iso16.U(n)
+            cm, rm = disc(iso16, m)
+            cn, rn = disc(iso16, n)
             d = abs(cm - cn) - rm - rn
             assert d >= (n - m) / cc - 1e-12
             assert d <= cc * (n - m) + 1e-12
     # (I-4): beyond the table the discs are the reference D_n
-    assert iso16.U(N + 3) == DiscFamily.D(N + 3)
+    (c,), (r,) = iso16.discs(1, [N + 3])
+    assert (c, r) == DiscFamily.D(N + 3)
     # (I-5)
     for n in range(-N, N + 1):
-        cn, rn = iso16.U(n)
+        cn, rn = disc(iso16, n)
         assert abs(iso16.star_center - cn) - iso16.star_radius - rn >= 1.0 / cc - 1e-12
 
 
@@ -485,7 +496,7 @@ def test_isolating_reciprocal_separation(which, iso16, v3_iso):
     lie between (n - m)/c and c (n - m) apart, c the reported constant."""
     iso = {"v1": iso16, "v3": v3_iso[1]}.get(which) or _crowded_reciprocal_iso()
     cc = iso.c_const
-    images = [_mobius_disc(*iso.U(-n)) for n in range(iso.n_max + 1)]
+    images = [_mobius_disc(*disc(iso, -n)) for n in range(iso.n_max + 1)]
     for m, (cm, rm) in enumerate(images):
         for n, (cn, rn) in enumerate(images[m + 1 :], m + 1):
             d = abs(cm - cn) - rm - rn
@@ -493,17 +504,16 @@ def test_isolating_reciprocal_separation(which, iso16, v3_iso):
 
 
 def test_contours_inside_discs(tab16, iso16):
+    ms = [-5, -1, 0, 2, 16]
     for j in (1, 2):
-        for m in (-5, -1, 0, 2, 16):
-            g = iso16.contour(j, m, scale=1.5)
-            c, r = iso16.U2(j, m)
+        gaps = tab16.family("gap2", j, 16)[np.add(ms, 16)]
+        for g, c, r, (lo, hi) in zip(iso16.contours(j, ms, scale=1.5), *iso16.discs(j, ms), gaps):
             assert abs(g.center - c) + g.radius <= r + 1e-12
-            lo, hi = tab16.gap2(j, m)
             assert abs(lo - g.center) < g.radius and abs(hi - g.center) < g.radius
 
 
 def test_trace_formula_zero(v_zero, iso0, tab0):
-    c, r = iso0.U(1)
+    c, r = disc(iso0, 1)
     [(tau, g2)] = trace_formula_tau(v_zero, [ContourSpec(c, 0.9 * r, 128)], tol=1e-12)
     assert abs(tau - LAM1_ZERO) < 1e-9
     assert abs(g2) < 1e-10
@@ -513,14 +523,14 @@ def test_trace_formula_small_v(v_seed, tab16, iso16, monkeypatch):
     """The moments of three discs come from one propagation."""
     ns = (0, 1, -2)
     calls = _propagations(monkeypatch)
-    circles = [ContourSpec(c, 0.9 * r, 128) for c, r in map(iso16.U, ns)]
+    circles = [ContourSpec(c, 0.9 * r, 128) for c, r in (disc(iso16, n) for n in ns)]
     moments = trace_formula_tau(v_seed, circles, tol=1e-12)
     assert len(calls) == 1 and len(moments) == 3
     for n, (tau, g2) in zip(ns, moments):
         assert abs(tau.imag) < 1e-10
         assert g2.real > -1e-12
-        assert abs(tau - tab16.tau(n)) < 1e-7
-        assert abs(g2 - tab16.gamma(n) ** 2) < 1e-7
+        assert abs(tau - row(tab16, n).tau) < 1e-7
+        assert abs(g2 - row(tab16, n).gamma ** 2) < 1e-7
 
 
 def test_table_json_round_trip(tab16):
@@ -579,7 +589,7 @@ def test_isolating_refuses_a_contour_inside_its_gap():
     v = Potential.cosine(0.6)
     tab = build_table(v, 16)
     iso = build_isolating(v, tab)
-    assert all(iso.contour_radii[n + 16] > 0.5 * abs(tab.gamma(n)) for n in range(-16, 17))
+    assert all(iso.contour_radii[n + 16] > 0.5 * abs(row(tab, n).gamma) for n in range(-16, 17))
 
 
 def test_table_refuses_one_root_at_two_indices():
@@ -620,56 +630,83 @@ def test_annulus_counts_at_cutoff_2(v_seed):
     assert (cnt["chi_p"], cnt["chi_D"], cnt["ddelta"]) == (20, 10, 12)
 
 
+def _single(tab, iso, n):
+    """Single index n, read from the arrays within n_max and from the
+    zero-potential surrogates beyond: (lambda^-, lambda^+, mu, lambda_dot),
+    the disc U_n (D_n beyond) and the contour Gamma_n (beyond, the circle of
+    radius pi/5 around lam_zero(n), or its image under z -> 1/(16 z))."""
+    if abs(n) <= tab.n_max:
+        i = n + tab.n_max
+        lm, lp, mu, ld = (complex(a[i]) for a in (tab.lam_minus, tab.lam_plus, tab.mu,
+                                                  tab.lam_dot))
+        U = complex(iso.centers[i]), float(iso.radii[i])
+        g = complex(iso.contour_centers[i]), float(iso.contour_radii[i])
+        return lm, lp, mu, ld, U, ContourSpec(*g, iso.nodes)
+    lm = lp = mu = ld = complex(lam_zero(n))
+    c, r = DiscFamily.D(n)
+    g = (lam_zero(n), np.pi / 5.0) if n > 0 else _mobius_disc(lam_zero(-n), np.pi / 5.0)
+    return lm, lp, mu, ld, (complex(c), float(r)), ContourSpec(complex(g[0]), float(g[1]),
+                                                               iso.nodes)
+
+
 def _relabeled(tab, iso, j, m):
     """Slot (j, m) of the two-index relabelings, written out case by case:
     (lambda^+, lambda^-, mu, lambda_dot, gap endpoints, U disc, contour)."""
     n = abs(m)
     if j == 1 and m >= 0:
-        lm, lp = tab.lam_pm(n)
-        c, r = iso.U(n)
-        return (lp, lm, tab.mu_n(n), tab.lam_dot_n(n), (lm, lp), (c, r),
-                iso.gamma_single(n))
+        lm, lp, mu, ld, (c, r), g = _single(tab, iso, n)
+        return lp, lm, mu, ld, (lm, lp), (c, r), g
     if j == 1:
-        lm, lp = tab.lam_pm(n)
-        c, r = iso.U(n)
-        return (-lm, -lp, -tab.mu_n(n), -tab.lam_dot_n(n), (-lp, -lm), (-c, r),
-                iso.gamma_single(n).mirrored())
+        lm, lp, mu, ld, (c, r), g = _single(tab, iso, n)
+        return -lm, -lp, -mu, -ld, (-lp, -lm), (-c, r), g.mirrored()
     if m >= 0:
-        lm, lp = tab.lam_pm(-n)
-        c, r = iso.U(-n)
-        return (1.0 / (16.0 * lm), 1.0 / (16.0 * lp), 1.0 / (16.0 * tab.mu_n(-n)),
-                1.0 / (16.0 * tab.lam_dot_n(-n)), (-lp, -lm), (-c, r),
-                iso.gamma_single(-n).mirrored())
-    lm, lp = tab.lam_pm(m)
-    c, r = iso.U(m)
-    return (-1.0 / (16.0 * lp), -1.0 / (16.0 * lm), -1.0 / (16.0 * tab.mu_n(m)),
-            -1.0 / (16.0 * tab.lam_dot_n(m)), (lm, lp), (c, r), iso.gamma_single(m))
+        lm, lp, mu, ld, (c, r), g = _single(tab, iso, -n)
+        return (1.0 / (16.0 * lm), 1.0 / (16.0 * lp), 1.0 / (16.0 * mu), 1.0 / (16.0 * ld),
+                (-lp, -lm), (-c, r), g.mirrored())
+    lm, lp, mu, ld, (c, r), g = _single(tab, iso, m)
+    return (-1.0 / (16.0 * lp), -1.0 / (16.0 * lm), -1.0 / (16.0 * mu), -1.0 / (16.0 * ld),
+            (lm, lp), (c, r), g)
 
 
 def test_two_index_relabelings_case_by_case():
-    """Every two-index accessor equals its case-by-case definition exactly,
-    on the complex potential v3, inside the table and on the surrogates."""
+    """The array map of every two-index reader (SpectrumTable.family,
+    IsolatingNeighborhoods.discs and contours) equals its case-by-case
+    definition on the complex potential v3, inside the table, on the
+    surrogates beyond it (K > n_max) and at slot (2, 0): bit for bit for
+    family 1, the gap ends, the discs and the contours.  Family 2 divides in
+    numpy, which rounds apart from Python's complex division, so there each
+    lambda_{2,k}^+-, mu and lambda_dot may move by one ulp per component."""
     v3 = seeded_ensemble()[2]
     tab = build_table(v3, 3, tol=1e-12)
     iso = build_isolating(v3, tab)
     K = 6
+    ms = np.arange(-K, K + 1)
+    bits = lambda *z: np.array(z, dtype=complex).tobytes()
     for j in (1, 2):
-        for m in range(-K, K + 1):
-            plus, minus, mu, ld, gap, disc, contour = _relabeled(tab, iso, j, m)
-            assert tab.lam2(j, m, +1) == plus and tab.lam2(j, m, "+") == plus
-            assert tab.lam2(j, m, -1) == minus and tab.lam2(j, m, "-") == minus
-            assert tab.tau2(j, m) == 0.5 * (plus + minus)
-            assert tab.gamma2(j, m) == plus - minus
-            assert tab.mu2(j, m) == mu
-            assert tab.lam_dot2(j, m) == ld
-            assert tab.gap2(j, m) == gap
-            assert iso.U2(j, m) == disc
-            assert iso.contour(j, m) == contour
+        fam = {q: tab.family(q, j, K) for q in ("tau2", "gamma2", "mu2", "lam_dot2", "gap2")}
+        (cs, rs), contours = iso.discs(j, ms), iso.contours(j, ms)
+        for k, m in enumerate(ms.tolist()):
+            plus, minus, mu, ld, gap, (c, r), contour = _relabeled(tab, iso, j, m)
+            assert bits(*fam["gap2"][k]) == bits(*gap)
+            assert bits(cs[k], rs[k]) == bits(c, r)
+            assert contours[k] == contour and bits(contours[k].center) == bits(contour.center)
+            want = {"tau2": (0.5 * (plus + minus), (plus, minus)),
+                    "gamma2": (plus - minus, (plus, minus)), "mu2": (mu, (mu,)),
+                    "lam_dot2": (ld, (ld,))}
+            for q, (value, ends) in want.items():
+                if j == 1:
+                    assert bits(fam[q][k]) == bits(value), (q, m)
+                    continue
+                for part in ("real", "imag"):
+                    ulps = sum(np.spacing(abs(getattr(z, part))) for z in ends)
+                    assert abs(getattr(fam[q][k], part) - getattr(value, part)) <= ulps, (q, m)
     for bad in (0, 3):
         with pytest.raises(ValueError):
-            tab.lam2(bad, 1, +1)
+            tab.family("tau2", bad, 1)
         with pytest.raises(ValueError):
-            iso.U2(bad, 1)
+            iso.discs(bad, ms)
+        with pytest.raises(ValueError):
+            iso.contours(bad, ms)
 
 
 @pytest.mark.parametrize("amplitude, mode, n_max", [(2.0, 3, 2), (1.0, 3, 3), (1.5, 2, 2), (1.5, 2, 3)])
@@ -685,7 +722,7 @@ def test_tabulated_data_are_roots_on_large_cosines(amplitude, mode, n_max):
         f, _, noise = integrate_many(v, roots, order=2, tol=1e-12).scalar(kind)
         assert np.all(np.abs(f) <= sp.NEWTON_NOISE * noise), (kind, np.abs(f))
     if (amplitude, mode, n_max) == (2.0, 3, 2):
-        assert abs(tab.lam_dot_n(2) - 4.4787) < 1e-4
+        assert abs(row(tab, 2).lam_dot - 4.4787) < 1e-4
 
 
 def test_newton_raises_where_a_capped_step_cannot_shrink(v_seed):
