@@ -21,9 +21,12 @@ the open gaps' roots but sigma_{1,n}, one row each, the rest stay at their
 tau.  The Jacobian inserts 1/(sigma_{1,r}-lambda), resp.
 1/(sigma_{2,r}+1/(16 lambda)) - 1/sigma_{2,r}, under the same integrals.
 One psi sweep over the (rows, nodes) array of contour nodes gives the
-residual as one row sum; the Jacobian is formed from the same terms only at
-the iterates a Newton step starts from.  Iterates leaving the isolating
-discs are clamped back to a boundary ring and the event is counted.
+residual as one row sum; the Jacobian contracts the same terms with the
+(rows, nodes, unknowns) array of inserted factors in one batched product,
+formed only at the iterates a Newton step starts from.  The solve is plain
+Newton on the packed vector u of the unknowns: iterates leaving the
+isolating discs are clamped back to a boundary ring and the event is
+counted.
 
 psi_n is a function of its state (n, sigma_1, sigma_2, C_n): the solve
 calls it with its trial states and forms C_n = 1/f_{n,2}(inf), psi
@@ -57,7 +60,6 @@ __all__ = [
 ]
 
 COND_LIMIT = 1e12
-MAX_HALVINGS = 6  # step halvings per damped Newton iteration
 # the normalization checks' contours: the isolating circles, radii times this,
 # so that they are not the contours the solve integrated over
 CONTOUR_SCALE = 1.5
@@ -134,6 +136,7 @@ class SigmaWorkspace:
         self.taus = taus = ev.roots
         # the unknown roots of each family; row (j, m) belongs to root (j, m)
         self.open1, self.open2 = (taus.gamma1 != 0) & (ks != n), taus.gamma2 != 0
+        self.m1 = np.count_nonzero(self.open1)  # u splits into sigma_1 and sigma_2 there
         m1, m2 = ks[self.open1], ks[self.open2]
         ms = [(1, m) for m in m1.tolist()] + [(2, m) for m in m2.tolist()]
         specs = iso.contours(1, m1) + iso.contours(2, m2)
@@ -150,8 +153,7 @@ class SigmaWorkspace:
 
     def unpack(self, u):
         sigma1, sigma2 = self.taus.sigma1.astype(complex), self.taus.sigma2.astype(complex)
-        m = np.count_nonzero(self.open1)
-        sigma1[self.open1], sigma2[self.open2] = u[:m], u[m:]
+        sigma1[self.open1], sigma2[self.open2] = u[: self.m1], u[self.m1 :]
         return sigma1, sigma2
 
     def initial_state(self):
@@ -165,20 +167,18 @@ class SigmaWorkspace:
 
     # -- residual and Jacobian -------------------------------------------------
 
-    def admissible(self, sigma1, sigma2):
-        """Copies of sigma1, sigma2 with the lambda-plane image
+    def admissible(self, u):
+        """A copy of the state u with the lambda-plane image
         family_var(j, sigma_{j,k}) of every unknown clamped to 0.9 of the
         radius of its disc U_{j,k}, and the number of roots clamped."""
-        m, c, r = np.count_nonzero(self.open1), self.disc_c, self.disc_r
-        s = self.pack(sigma1, sigma2)
-        u = np.concatenate([s[:m], family_var(2, s[m:])])
-        d = np.abs(u - c)
+        m, c, r = self.m1, self.disc_c, self.disc_r
+        w = np.concatenate([u[:m], family_var(2, u[m:])])
+        d = np.abs(w - c)
         out = np.flatnonzero(d > 0.9 * r)
-        u[out] = c[out] + (u - c)[out] * (0.9 * r[out] / d[out])
-        s[out] = np.concatenate([u[:m], family_var(2, u[m:])])[out]
-        sigma1, sigma2 = sigma1.copy(), sigma2.copy()
-        sigma1[self.open1], sigma2[self.open2] = s[:m], s[m:]
-        return sigma1, sigma2, out.size
+        w[out] = c[out] + (w - c)[out] * (0.9 * r[out] / d[out])
+        u = u.copy()
+        u[out] = np.concatenate([w[:m], family_var(2, w[m:])])[out]
+        return u, out.size
 
     def residual_and_jacobian(self, u):
         """The residual F at u, and a function that forms the Jacobian Q at u
@@ -189,35 +189,28 @@ class SigmaWorkspace:
         F = self.pref * np.sum(gdz, axis=1)
 
         def jacobian():
-            s1, s2 = roots.sigma1[self.open1], roots.sigma2[self.open2]
-            Q = np.empty((u.size, u.size), dtype=complex)
-            for row, zr, w, p in zip(Q, z, gdz, self.pref):
-                B1 = 1.0 / (s1 - zr[:, None])
-                mu = -1.0 / (16.0 * zr)
-                B2 = 1.0 / (s2 - mu[:, None]) - 1.0 / s2
-                row[: s1.size] = p * (w @ B1)
-                row[s1.size :] = p * (w @ B2)
-            return Q
+            s1, s2, zc = u[: self.m1], u[self.m1 :], z[..., None]
+            B = np.concatenate([1.0 / (s1 - zc), 1.0 / (s2 + 1.0 / (16.0 * zc)) - 1.0 / s2], axis=2)
+            return self.pref[:, None] * (gdz[:, None] @ B)[:, 0]
 
         return F, jacobian
 
 
 def solve_sigma(table, iso, n, K, tol=1e-9, max_iter=12) -> SigmaSolution:
-    """Damped Newton solve of F^n = 0 from the tau initializer.
+    """Newton solve of F^n = 0 on the packed state u from the tau initializer.
 
-    Without an open gap (v = 0) there is no unknown and no Newton step;
-    otherwise convergence in a handful of iterations is the expected
-    behavior for potentials in the solvable neighborhood.  Each
-    trial point is evaluated once; its Jacobian is formed only when a Newton
-    step starts from it.
+    Each iteration takes the full step u - Q^{-1} F, clamps it into the discs
+    (admissible) and evaluates the residual there once; the Jacobian is
+    formed only where a step starts.  Without an open gap (v = 0) there is
+    no unknown and no Newton step; otherwise convergence in a handful of
+    iterations is the expected behavior for potentials in the solvable
+    neighborhood, and a solve that does not reach tol in max_iter steps, or
+    meets an ill-conditioned Jacobian, raises a RuntimeError.
     """
     ws = SigmaWorkspace(table, iso, n, K)
-    u = ws.initial_state()
-    clamps = 0
+    u, clamps, iters = ws.initial_state(), 0, 0
     F, jacobian = ws.residual_and_jacobian(u)
-    rnorm = float(np.linalg.norm(F))
-    iters = 0
-    while rnorm > tol:
+    while (rnorm := float(np.linalg.norm(F))) > tol:
         if iters >= max_iter:
             raise RuntimeError(
                 f"Newton did not reach tol={tol:g} in {max_iter} iterations "
@@ -230,21 +223,9 @@ def solve_sigma(table, iso, n, K, tol=1e-9, max_iter=12) -> SigmaSolution:
                 f"Jacobian conditioning {cond:.3e} beyond limit; "
                 "outside solvable neighborhood"
             )
-        step = np.linalg.solve(Q, F)
-        scale = 1.0
-        for _ in range(MAX_HALVINGS + 1):
-            trial = u - scale * step
-            s1, s2 = ws.unpack(trial)
-            s1, s2, ev = ws.admissible(s1, s2)
-            trial = ws.pack(s1, s2)
-            Ft, jt = ws.residual_and_jacobian(trial)
-            tnorm = float(np.linalg.norm(Ft))
-            if tnorm < rnorm or scale <= 2.0 ** (-MAX_HALVINGS):
-                break
-            scale *= 0.5
-        u = trial
-        clamps += ev
-        F, jacobian, rnorm = Ft, jt, tnorm
+        u, clamped = ws.admissible(u - np.linalg.solve(Q, F))
+        F, jacobian = ws.residual_and_jacobian(u)
+        clamps += clamped
         iters += 1
     roots, C_n = ws.roots_at(u)
     return SigmaSolution(n, K, roots.sigma1, roots.sigma2, rnorm, iters, C_n, clamps)

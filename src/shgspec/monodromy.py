@@ -169,7 +169,7 @@ def tau_zero(k):
 def _check_lambda(lams):
     lams = np.atleast_1d(np.asarray(lams, dtype=complex))
     a = np.abs(lams)
-    if np.any(a < LAM_MIN) or np.any(a > LAM_MAX):
+    if not np.all((a >= LAM_MIN) & (a <= LAM_MAX)):  # NaN lies in no annulus
         raise ValueError(
             f"|lambda| outside working annulus [{LAM_MIN:g}, {LAM_MAX:g}]; "
             "use the reciprocity map lambda -> -1/(16 lambda) instead"

@@ -390,25 +390,23 @@ class SpectrumTable:
 
     @staticmethod
     def from_json(text: str) -> "SpectrumTable":
+        """The table of to_json's text; a ValueError unless its rows cover
+        each n in -N..N once, mu and lambda_dot hold 2N+1 entries each and
+        every value is finite."""
         d = json.loads(text)
         N = int(d["N_max"])
-        lam_minus = np.zeros(2 * N + 1, dtype=complex)
-        lam_plus = np.zeros(2 * N + 1, dtype=complex)
-        for row in d["lambda"]:
-            lam_minus[row["n"] + N] = from_pair(row["minus"])
-            lam_plus[row["n"] + N] = from_pair(row["plus"])
-        mu = np.array([from_pair(z) for z in d["mu"]])
-        ld = np.array([from_pair(z) for z in d["lambda_dot"]])
-        return SpectrumTable(
-            N,
-            lam_minus,
-            lam_plus,
-            mu,
-            ld,
-            from_pair(d["lambda_dot_star"]),
-            bool(d.get("real", True)),
-            from_pair(d.get("q0", [0.0, 0.0])),
-        )
+        rows = sorted(d["lambda"], key=lambda row: row["n"])
+        pairs = lambda zs: np.array([from_pair(z) for z in zs], dtype=complex)
+        lam_minus, lam_plus = (pairs(row[k] for row in rows) for k in ("minus", "plus"))
+        mu, ld = pairs(d["mu"]), pairs(d["lambda_dot"])
+        star, q0 = from_pair(d["lambda_dot_star"]), from_pair(d.get("q0", [0.0, 0.0]))
+        ns = [row["n"] for row in rows]
+        if ns != list(range(-N, N + 1)) or {mu.size, ld.size} != {2 * N + 1}:
+            raise ValueError(f"a table needs one row for each n in -{N}..{N} and {2 * N + 1} "
+                             "mu and lambda_dot entries")
+        if not np.all(np.isfinite(np.r_[lam_minus, lam_plus, mu, ld, star, q0])):
+            raise ValueError("non-finite value in the spectrum table")
+        return SpectrumTable(N, lam_minus, lam_plus, mu, ld, star, bool(d.get("real", True)), q0)
 
 
 def build_table(v: Potential, n_max: int, tol=1e-12) -> SpectrumTable:

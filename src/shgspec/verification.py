@@ -248,26 +248,18 @@ def run_suite(v: Potential, cfg: RunConfig | None = None):
     lo, hi = np.concatenate([table.family("gap2", j, cfg.n_max) for j in (1, 2)]).T
     roots = table.evaluator(table.n_max).roots
     tau2, gam2 = np.r_[roots.sigma1, roots.sigma2], np.r_[roots.gamma1, roots.gamma2]
-    worst_res, worst_iter, worst_dev, worst_gap, worst_est = 0.0, 0, 0.0, 0.0, 0.0
-    for n in DIFFERENTIALS_N_LIST:
-        sol = solve_sigma(
-            table, iso, n, table.n_max, tol=cfg.newton_tol, max_iter=cfg.newton_max_iter
-        )
-        _, dev = verify_normalization(sol, table, iso)
-        worst_res = max(worst_res, sol.residual_norm)
-        worst_iter = max(worst_iter, sol.newton_iters)
-        worst_dev = max(worst_dev, dev)
-        s = np.r_[sol.sigma1, sol.sigma2]
-        keep = np.arange(s.size) != n + cfg.n_max  # all but sigma_{1,n}
-        dist = _segment_distance(np.r_[sol.sigma1, family_var(2, sol.sigma2)], lo, hi)
-        excess = (np.abs(s - tau2) - 1e-8) / np.maximum(np.abs(gam2) ** 2, 1e-30)
-        worst_gap = max(worst_gap, np.max(dist[keep]))
-        worst_est = max(worst_est, np.max(excess[keep]))
-    report("sigma_solve_residual", worst_res)
-    report("sigma_newton_iters", worst_iter)
-    report("normalization", worst_dev)
-    report("gap_confinement", worst_gap)
-    report("sigma_tau_estimate", worst_est)
+    sols = [solve_sigma(table, iso, n, table.n_max, tol=cfg.newton_tol,
+                        max_iter=cfg.newton_max_iter) for n in DIFFERENTIALS_N_LIST]
+    s = np.array([np.r_[sol.sigma1, sol.sigma2] for sol in sols])  # (n, 2 (2N+1))
+    m = 2 * cfg.n_max + 1
+    keep = np.arange(2 * m) != np.array(DIFFERENTIALS_N_LIST)[:, None] + cfg.n_max
+    dist = _segment_distance(np.c_[s[:, :m], family_var(2, s[:, m:])], lo, hi)
+    excess = (np.abs(s - tau2) - 1e-8) / np.maximum(np.abs(gam2) ** 2, 1e-30)
+    report("sigma_solve_residual", max(sol.residual_norm for sol in sols))
+    report("sigma_newton_iters", max(sol.newton_iters for sol in sols))
+    report("normalization", max(verify_normalization(sol, table, iso)[1] for sol in sols))
+    report("gap_confinement", np.max(dist[keep], initial=0.0))
+    report("sigma_tau_estimate", np.max(excess[keep], initial=0.0))
     # reflected differential psi_{-1}
     isor = sp.build_isolating(vr, tabr, nodes=cfg.nodes)
     solr = solve_sigma(

@@ -44,7 +44,9 @@ def test_eval_input_errors(files, capsys):
     for path in (d / "missing.json", d / "q5.json"):
         assert main(["eval", str(path), "--lambda", "1,0"]) == 2
     assert main(["eval", str(zero), "--lambda", "oops"]) == 2
-    assert main(["eval", str(zero), "--lambda", "0,0"]) == 3  # outside annulus
+    for lam in ("0,0", "nan,0", "1,nan"):  # outside the annulus, NaN included
+        assert main(["eval", str(zero), "--lambda", lam]) == 3
+        assert "annulus" in capsys.readouterr().err
     # overrides go through RunConfig validation: input errors, not numerical ones
     # (the truncation K is no setting: --K is refused like any unknown flag,
     # and the sigma system needs n_max >= 2)
@@ -187,6 +189,27 @@ def test_differentials_rejects_negative_n(files, capsys, tmp_path):
     (tmp_path / "empty.json").write_text("{}")
     for name in ("missing.json", "empty.json", "mu3.json"):
         assert main(["differentials", str(zero), "--table", str(tmp_path / name)]) == 2
+    assert "spectrum table" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit", [
+    lambda t: t["lambda"].pop(2),
+    lambda t: t["lambda"][0].update(n=-4),
+    lambda t: t["lambda"].append(dict(t["lambda"][1])),
+    lambda t: t.update(mu=t["mu"][:-2]),
+    lambda t: t["mu"].__setitem__(3, [float("nan"), 0.0]),
+], ids=["missing_row", "row_beyond_N", "duplicate_row", "mu_two_short", "nan_mu"])
+def test_differentials_refuses_a_malformed_table(files, capsys, tmp_path, edit):
+    """A --table of v1 at N_max = 3 is an input error when its rows do not
+    cover n = -3..3 once each (a row missing, one at n = -4, one twice), its
+    mu list is two entries short, or a mu is NaN."""
+    d, zero, cos, cfg = files
+    tab_path = tmp_path / "table.json"
+    assert main(["spectrum", str(cos), "--nmax", "3", "--out", str(tab_path)]) == 0
+    table = json.loads(tab_path.read_text())
+    edit(table)
+    tab_path.write_text(json.dumps(table))
+    assert main(["differentials", str(cos), "--table", str(tab_path)]) == 2
     assert "spectrum table" in capsys.readouterr().err
 
 

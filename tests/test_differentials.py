@@ -132,8 +132,8 @@ def test_unknowns_are_the_open_gaps_roots(tab16, iso16, v3_and_reflected, tab0, 
 def test_solver_idempotence(v_seed, tab16, iso16):
     sol = solve_sigma(tab16, iso16, 0, 16)
     ws = SigmaWorkspace(tab16, iso16, 0, 16)
-    assert ws.admissible(sol.sigma1, sol.sigma2)[2] == 0
     u = ws.pack(sol.sigma1, sol.sigma2)
+    assert ws.admissible(u)[1] == 0
     F, _ = ws.residual_and_jacobian(u)
     assert np.linalg.norm(F) <= 1e-9
 
@@ -358,11 +358,12 @@ def test_admissibility_guard(v_seed, tab16, iso16):
     ws = SigmaWorkspace(tab16, iso16, 1, 16)
     s1 = tab16.family("tau2", 1, ws.K)
     s2 = tab16.family("tau2", 2, ws.K)
-    assert ws.admissible(s1, s2)[2] == 0
+    assert ws.admissible(ws.pack(s1, s2))[1] == 0
     assert ws.open1[-1 + 16] and not ws.open1[2 + 16]
     s1[-1 + 16] += 2.0  # way outside U_{1,-1}, an open gap's disc
-    c1, c2, events = ws.admissible(s1, s2)
+    u, events = ws.admissible(ws.pack(s1, s2))
     assert events == 1
+    c1, _ = ws.unpack(u)
     (cc,), (rr,) = iso16.discs(1, [-1])
     assert abs(c1[-1 + 16] - cc) <= 0.9 * rr + 1e-12
 
@@ -374,9 +375,15 @@ def test_workspace_requires_K_geq_table(tab16, iso16):
         solve_sigma(tab16, iso16, 17, 16)
 
 
-def test_solver_iteration_budget(v_seed, tab16, iso16):
+def test_solver_iteration_budget(v_seed, tab16, iso16, v3_and_reflected):
+    """A solve that has not reached tol after max_iter steps raises: v1 with
+    no step allowed, and v3 at n = 0, which needs 2 steps, after its one."""
     with pytest.raises(RuntimeError, match="outside solvable neighborhood"):
         solve_sigma(tab16, iso16, 1, 16, tol=1e-14, max_iter=0)
+    tab, iso = v3_and_reflected[0]
+    assert solve_sigma(tab, iso, 0, 16).newton_iters == 2
+    with pytest.raises(RuntimeError, match="did not reach tol"):
+        solve_sigma(tab, iso, 0, 16, max_iter=1)
 
 
 @pytest.fixture(scope="module")
@@ -551,9 +558,9 @@ def test_sigma_pass_evaluates_each_contour_once(monkeypatch, v3_and_reflected):
 def test_one_residual_evaluation_per_newton_trial(
     monkeypatch, tab16, iso16, v3_and_reflected
 ):
-    """solve_sigma evaluates the residual once at the initializer and once
-    per trial point (each trial passes admissible):
-    1 + iterations + rejected trials calls per solve."""
+    """solve_sigma evaluates the residual once at the initializer, then once
+    per Newton iteration at the clamped full step, which passes admissible
+    once: 1 + iterations residual and iterations admissible calls per solve."""
     calls, trials = [], []
     rj, adm = SigmaWorkspace.residual_and_jacobian, SigmaWorkspace.admissible
     monkeypatch.setattr(
@@ -567,9 +574,8 @@ def test_one_residual_evaluation_per_newton_trial(
             calls.clear()
             trials.clear()
             sol = solve_sigma(tab, iso, n, 16)
-            rejected = len(trials) - sol.newton_iters
-            assert sol.newton_iters >= 1 and rejected >= 0
-            assert len(calls) == 1 + sol.newton_iters + rejected
+            assert sol.newton_iters >= 1
+            assert (len(calls), len(trials)) == (1 + sol.newton_iters, sol.newton_iters)
 
 
 def test_jacobian_formed_only_where_newton_steps(monkeypatch, v3_and_reflected):

@@ -329,19 +329,25 @@ def test_grad_dirichlet_fd(v_seed, tab16, dirs):
 
 
 def test_grad_periodic_fd_and_chain_rule(v_seed, tab16, dirs):
-    lam1p = row(tab16, 1).lam_plus
-    kern = grad_periodic(v_seed, lam1p, tol=TOL)
-    chain_kern = grad_periodic_via_delta(v_seed, lam1p, tol=TOL)
+    """At lambda_1^+ |M_21| is the larger off-diagonal entry, at lambda_1^-
+    |M_12|: the two ends of the gap take grad_periodic's two eigenfunction
+    routes."""
+    lam1 = row(tab16, 1)
+    for lam, m12_larger in ((lam1.lam_plus, False), (lam1.lam_minus, True)):
+        M = integrate(v_seed, lam, order=0, tol=TOL).Mgrave
+        assert (abs(M[0, 1]) >= abs(M[1, 0])) == m12_larger
+        kern = grad_periodic(v_seed, lam, tol=TOL)
+        chain_kern = grad_periodic_via_delta(v_seed, lam, tol=TOL)
 
-    def lam_at(vv):
-        return complex(_newton_batch(vv, [lam1p], "chi_p", tol=TOL)[0][0])
+        def lam_at(vv, lam=lam):
+            return complex(_newton_batch(vv, [lam], "chi_p", tol=TOL)[0][0])
 
-    for d in dirs:
-        ana = kern.pair(d)
-        chain = chain_kern.pair(d)
-        fd = _fd(lam_at, v_seed, d)
-        assert abs(ana - fd) / abs(fd) < 1e-6
-        assert abs(chain - fd) / abs(fd) < 1e-5
+        for d in dirs:
+            ana = kern.pair(d)
+            chain = chain_kern.pair(d)
+            fd = _fd(lam_at, v_seed, d)
+            assert abs(ana - fd) / abs(fd) < 1e-6
+            assert abs(chain - fd) / abs(fd) < 1e-5
 
 
 def test_grad_m4_fd(v_seed, tab16, dirs):

@@ -152,10 +152,11 @@ def test_lam_zero_against_mpmath():
 
 def test_domain_guards():
     v = Potential.zero()
-    with pytest.raises(ValueError, match="annulus"):
-        integrate(v, 1e-9)
-    with pytest.raises(ValueError, match="annulus"):
-        integrate(v, 1e9)
+    for lam in (1e-9, 1e9, np.nan, complex(1.0, np.nan)):
+        with pytest.raises(ValueError, match="annulus"):
+            integrate(v, lam)
+        with pytest.raises(ValueError, match="annulus"):
+            closed_form_zero(lam)
     with pytest.raises(ValueError, match="tol"):
         integrate(v, 1.0, tol=1e-20)
 
