@@ -55,7 +55,7 @@ reciprocal end need one and two doublings.  The estimate covers the
 truncation error only.  Rounding adds up to about 5e-17 N relative error,
 which it does not see; at tol = 1e-13 that exceeds tol from |omega| of
 about 300 on (2.6e-13 there at v = 0), and N is not doubled where the
-estimate is already below 1e-17 N.
+estimate is below ROUNDING N, the floor of BatchResult.scalar's noise.
 
 lambda-derivatives.  order=1 and order=2 carry the Taylor jets (M, M', M''/2)
 in lambda through Omega, the exponential and the step products.  The result
@@ -242,16 +242,19 @@ class BatchResult:
     def scalar(self, kind):
         """(f, df/dlambda, noise of f) for kind "chi_p" (Delta^2 - 1), "chi_D"
         (M_12) or "ddelta" (Delta_dot): the one rule for how far propagation
-        can have moved f.  err bounds each entry of jet j by err m_j, with
-        m_j = max(1, max |jet j|) (_defect), so chi_D carries err m_0,
-        Delta_dot err m_1 and chi_p 2 |Delta| err m_0 <= 2 err m_0^2."""
+        can have moved f.  Each lambda's relative error e is its estimate err
+        floored at the rounding level ROUNDING steps, the floor of
+        integrate_many's doubling rule, so e > 0.  e bounds each entry of jet
+        j by e m_j, m_j = max(1, max |jet j|) (_defect), so chi_D carries
+        e m_0, Delta_dot e m_1 and chi_p 2 |Delta| e m_0 <= 2 e m_0^2."""
+        e = np.maximum(self.err, ROUNDING * self.steps)
         m = lambda j: np.maximum(1.0, np.abs(self.jets[j]).max(axis=(-2, -1)))
         if kind == "chi_p":
-            return self.chi_p, 2.0 * self.Delta * self.Delta_dot, 2.0 * self.err * m(0) ** 2
+            return self.chi_p, 2.0 * self.Delta * self.Delta_dot, 2.0 * e * m(0) ** 2
         if kind == "chi_D":
-            return self.chi_D, self._jet(1)[..., 0, 1], self.err * m(0)
+            return self.chi_D, self._jet(1)[..., 0, 1], e * m(0)
         if kind == "ddelta":
-            return self.Delta_dot, self.Delta_ddot, self.err * m(1)
+            return self.Delta_dot, self.Delta_ddot, e * m(1)
         raise ValueError(f"unknown monodromy function {kind!r}")
 
 

@@ -57,11 +57,11 @@ def contour_integral(g, spec: ContourSpec):
     return np.sum(gz * dz, axis=-1)
 
 
-def winding_number(f_df, spec: ContourSpec, noise=0.0):
+def winding_number(spec: ContourSpec, f, df, noise=0.0):
     """Argument-principle count (1/2 pi i) * integral of f'/f over the contour.
 
-    f_df maps an array of nodes to (f, f') values, and noise bounds the
-    error of f on each node.  Returns (count, dist, (quad, prop)): dist is
+    f, df and noise hold f, f' and a bound on the error of f at spec's
+    nodes (spec.points).  Returns (count, dist, (quad, prop)): dist is
     the distance of the quadrature value from count, and quad and prop are
     its error budget, the full trapezoid sum against the sum over the even
     nodes and the largest noise / |f| on the nodes.  Raises, naming the
@@ -71,9 +71,7 @@ def winding_number(f_df, spec: ContourSpec, noise=0.0):
     """
     if spec.nodes % 2:
         raise ValueError("a winding number needs an even node count")
-    z, dz = spec.points()
-    f, df = f_df(z)
-    f = np.asarray(f)
+    dz = spec.points()[1]
     where = f"on the {spec.nodes}-node circle |z - {spec.center:.6g}| = {spec.radius:.6g}"
     if np.min(np.abs(f)) < MIN_MODULUS:
         raise ValueError(f"function modulus too small {where}; root nearby")

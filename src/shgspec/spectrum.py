@@ -142,16 +142,14 @@ def _count(v, contours, tol):
     still unresolved in one order-2 _on_contour; the first takes each at its
     own nodes and tol TOL_RANGE[1], and each of at most three more doubles the
     nodes and divides tol by 100, never below tol.  A contour is resolved when
-    winding_number vouches for each kind, charged its own noise
-    (BatchResult.scalar); one that no rung resolves raises."""
+    winding_number vouches for each kind, given the kind's (f, f', noise)
+    from BatchResult.scalar as they are; one that no rung resolves raises."""
     counts, rows, todo, rung_tol = {}, {}, contours, TOL_RANGE[1]
     for rung in range(4):
         left, specs = [], [spec for _, spec, _ in todo]
         for (label, spec, want), res in zip(todo, _on_contour(v, specs, 2, rung_tol)):
-            scalars = {k: res.scalar(k) for k in want}
             try:
-                got = {k: winding_number(lambda z, s=s: s[:2], spec, s[2])
-                       for k, s in scalars.items()}
+                got = {k: winding_number(spec, *res.scalar(k)) for k in want}
             except ValueError:
                 if rung == 3:
                     raise
@@ -248,11 +246,11 @@ def _periodic_pair_from_ddot(v, lam_dots, res, tol=1e-13):
     ld, h^2 moves by that step squared.  The squared half-width h^2 is
     measured down to the integrator noise; below the larger of the noise and
     DOUBLE_ROOT_TOL (1 + |ld|) / |omega'(ld)|^2 the pair is a double
-    eigenvalue.  The noise is chi_p's (BatchResult.scalar) plus a floor of
-    1e-15 (1 + |ld|).  Newton polish on chi_p is only applied to well-open
-    gaps, where the roots are comfortably simple; for barely-open gaps the
-    quadratic model is already more accurate than Newton on a nearly double
-    root can be.
+    eigenvalue.  The noise is chi_p's as BatchResult.scalar states it,
+    rounding floor included.  Newton polish on chi_p is only applied to
+    well-open gaps, where the roots are comfortably simple; for barely-open
+    gaps the quadratic model is already more accurate than Newton on a
+    nearly double root can be.
     """
     lam_dots = np.asarray(lam_dots, dtype=complex)
     chi, _, noise = res.scalar("chi_p")
@@ -264,7 +262,7 @@ def _periodic_pair_from_ddot(v, lam_dots, res, tol=1e-13):
     # 1/(16 lambda^2) near the reciprocal end
     freq = np.abs(1.0 + 1.0 / (16.0 * lam_dots**2))
     dbl = np.abs(h2) < np.maximum(DOUBLE_ROOT_TOL * scale / freq**2,
-                                  25.0 * (noise + 1e-15 * scale) / np.abs(chi_dd))
+                                  25.0 * noise / np.abs(chi_dd))
     minus = np.where(dbl, lam_dots, lam_dots - h)
     plus = np.where(dbl, lam_dots, lam_dots + h)
     polish = (~dbl) & (np.abs(h) * freq > 1e-4 * scale)

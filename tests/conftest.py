@@ -41,6 +41,22 @@ def generic_v4():
     return Potential.from_modes(q, p, Kf=8)
 
 
+def random_kf3():
+    """Four real K_f = 3 potentials of amplitude 0.206, 0.161, 0.167 and
+    0.117: per potential, successive draws of seed 7 give the amplitude
+    a ~ U(0.05, 0.3), then q_k and p_k (k = 1..3) as complex normals; q is
+    scaled to max |q_k| = a and p to max |p_k| = a / 2."""
+    rng = np.random.default_rng(7)
+    out = []
+    for _ in range(4):
+        amp = rng.uniform(0.05, 0.3)
+        q, p = (np.array([complex(rng.standard_normal(), rng.standard_normal())
+                          for _ in range(3)]) for _ in range(2))
+        q, p = q * (amp / np.abs(q).max()), p * (0.5 * amp / np.abs(p).max())
+        out.append(Potential.from_modes(dict(zip((1, 2, 3), q)), dict(zip((1, 2, 3), p)), Kf=3))
+    return out
+
+
 @pytest.fixture(scope="session")
 def v_seed():
     """The seeded real test potential q = 0.1 cos(2 pi x), p = 0."""

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from conftest import disc, row
 
-from shgspec import spectrum, verification
+from shgspec import differentials, spectrum, verification
 from shgspec.cli import main
 from shgspec.config import RunConfig
 from shgspec.monodromy import lam_zero
@@ -213,6 +213,34 @@ def test_differentials_refuses_a_malformed_table(files, capsys, tmp_path, edit):
     assert "spectrum table" in capsys.readouterr().err
 
 
+def _row(table, n):
+    return next(r for r in table["lambda"] if r["n"] == n)
+
+
+@pytest.mark.parametrize("edit, why", [
+    (lambda t: t.update(lambda_dot_star=[0.3, 0.0]), "U_* not constructible"),
+    (lambda t: t["mu"].__setitem__(4, [3.2409, 2.0]), "(I-1) violated at n=1"),
+    (lambda t: _row(t, 2).update(minus=[float(np.nextafter(t["mu"][4][0], np.inf)), 0.0]),
+     "the discs of n = 1 and n = 2 overlap"),
+], ids=["star_on_the_real_axis", "mu_off_the_axis", "hulls_one_ulp_apart"])
+def test_differentials_refuses_a_table_without_isolating_discs(files, capsys, tmp_path, edit, why):
+    """A readable --table of v1 at N_max = 3 whose discs cannot be built is a
+    numerical failure, named by build_isolating: lambda_dot_star on the real
+    axis leaves U_* no radius; mu_1 = 3.2409 + 2i lies outside U_1; and
+    lambda_2^- one ulp above mu_1, the top of the hull of n = 1, leaves the
+    hulls 4.4e-16 apart, where the rounding of the disc centres and radii
+    makes U_1 and U_2 meet (their distance is a third of the hulls' gap)."""
+    d, zero, cos, cfg = files
+    tab_path = tmp_path / "table.json"
+    assert main(["spectrum", str(cos), "--nmax", "3", "--out", str(tab_path)]) == 0
+    table = json.loads(tab_path.read_text())
+    edit(table)
+    tab_path.write_text(json.dumps(table))
+    assert main(["differentials", str(cos), "--table", str(tab_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure") and why in err, err
+
+
 @pytest.mark.parametrize("n_max", [0, 1])
 def test_differentials_rejects_a_table_below_n_max_2(files, capsys, tmp_path, n_max):
     """An injected table of N_max < 2 is an input error, as --nmax below 2 is:
@@ -314,3 +342,46 @@ def test_gradients_csv(files, capsys):
     assert len(lines) > 9
     rels = [float(ln.rsplit(",", 1)[1]) for ln in lines[1:]]
     assert max(rels) < 1e-5
+
+
+@pytest.mark.parametrize("command", ["eval", "differentials"])
+def test_csv_holds_the_json_values(files, capsys, command):
+    """On v1 at --nmax 3 each eval CSV row is the JSON payload's pair; the
+    differentials CSV holds 2(2N+1) integrals per solved n, expected 1 only
+    at (1, n), and their largest deviation from it is that n's JSON
+    normalization_max_dev."""
+    d, zero, cos, cfg = files
+    args = [command, str(cos), "--nmax", "3", *(["--lambda", "0.7,0.2"] if command == "eval" else [])]
+    outs = []
+    for fmt in ("json", "csv"):
+        assert main([*args, "--format", fmt]) == 0
+        outs.append(capsys.readouterr().out)
+    payload = json.loads(outs[0])
+    header, *rows = csv.reader(outs[1].splitlines())
+    if command == "eval":
+        assert header == ["quantity", "re", "im"]
+        assert [(q, [float(re), float(im)]) for q, re, im in rows] == list(payload.items())
+        return
+    assert header == ["n", "family", "m", "integral_re", "integral_im", "expected"]
+    N, ns = 3, [sol["n"] for sol in payload]
+    assert ns == [0, 1, 2] and len(rows) == len(ns) * 2 * (2 * N + 1)
+    for sol in payload:
+        own = [r for r in rows if int(r[0]) == sol["n"]]
+        expected = {(int(j), int(m)): float(e) for _, j, m, _, _, e in own}
+        assert expected == {(j, m): float((j, m) == (1, sol["n"]))
+                            for j in (1, 2) for m in range(-N, N + 1)}
+        dev = max(abs(complex(float(re), float(im)) - float(e)) for *_, re, im, e in own)
+        assert dev == sol["normalization_max_dev"]
+
+
+def test_an_ill_conditioned_jacobian_is_a_numerical_failure(files, capsys, monkeypatch,
+                                                            tab16, iso16):
+    """A Jacobian whose condition number exceeds COND_LIMIT stops the solve:
+    with the limit at 1 every Jacobian does, so solve_sigma on v1 at n = 1
+    raises and shgspec differentials exits 3, naming the conditioning."""
+    d, zero, cos, cfg = files
+    monkeypatch.setattr(differentials, "COND_LIMIT", 1.0)
+    with pytest.raises(RuntimeError, match="Jacobian conditioning"):
+        differentials.solve_sigma(tab16, iso16, 1, 16)
+    assert main(["differentials", str(cos), "--nmax", "3", "--n-list", "1"]) == 3
+    assert "Jacobian conditioning" in capsys.readouterr().err

@@ -3,10 +3,10 @@ from functools import cmp_to_key
 
 import numpy as np
 import pytest
-from conftest import disc, generic_v4, row
+from conftest import disc, generic_v4, random_kf3, row
 
 from shgspec.config import seeded_ensemble
-from shgspec.monodromy import KINDS, integrate_many, lam_zero
+from shgspec.monodromy import KINDS, ROUNDING, BatchResult, integrate_many, lam_zero
 from shgspec.potential import Potential, family_var
 from shgspec.quadrature import ContourSpec, winding_number
 import shgspec.spectrum as sp
@@ -51,8 +51,9 @@ def test_locate_periodic_single(v_zero):
 
 def test_count_roots_simple(v_seed):
     # chi_p has a double root in D_1 at the zero potential
-    f = lambda z: integrate_many(Potential.zero(), z, order=1, tol=1e-11).scalar("chi_p")[:2]
-    cnt, dist, _ = winding_number(f, ContourSpec(np.pi, np.pi / 3, 64))
+    spec = ContourSpec(np.pi, np.pi / 3, 64)
+    f = integrate_many(Potential.zero(), spec.points()[0], order=1, tol=1e-11).scalar("chi_p")
+    cnt, dist, _ = winding_number(spec, *f[:2])
     assert cnt == 2 and dist < 1e-8
 
 
@@ -201,7 +202,7 @@ def test_budgeted_counts_match_the_full_counts(name, monkeypatch):
     discs = [(iso.star_center, iso.star_radius) if n == "star" else disc(iso, n) for n in ns]
     specs = [ContourSpec(c, 0.98 * r, 64) for c, r in discs]
     for n, spec, res in zip(ns, specs, sp._on_contour(v, specs, 2, 1e-11)):
-        full = {k: winding_number(lambda z, k=k: res.scalar(k)[:2], spec)[0] for k in KINDS}
+        full = {k: winding_number(spec, *res.scalar(k)[:2])[0] for k in KINDS}
         assert (full["ddelta"] if n == "star" else full) == rep[n]
     cnt = count_annulus(v, 4)
     assert cnt == {"chi_p": 36, "chi_D": 18, "ddelta": 20} and cnt.miss == 0
@@ -749,3 +750,37 @@ def test_each_kind_charged_its_own_noise_on_the_inner_annulus_circle(v_seed):
     cnt = count_annulus(v_seed, 4)
     assert [row[:3] for row in cnt.trace] == [(4, 192, 1e-6), (-4, 192, 1e-6)]
     assert cnt.trace[1][4] == max(props.values())
+
+
+def test_no_propagation_noise_reads_zero(monkeypatch):
+    """On q = 0.6 the N- and N/2-step products of some lambda agree to the
+    bit, so their err reads 0 (4 scalar noises of build_table(16, tol=1e-12)
+    read 0 when the noise rule took err alone); BatchResult.scalar floors
+    err at ROUNDING steps, so every noise is at least that."""
+    scalar, seen = BatchResult.scalar, []
+
+    def spy(res, kind):
+        out = scalar(res, kind)
+        seen.append((out[2], ROUNDING * res.steps))
+        return out
+
+    monkeypatch.setattr(BatchResult, "scalar", spy)
+    build_table(Potential.from_modes({0: 0.6}, {}, Kf=1), 16, tol=1e-12)
+    noise, floor = (np.concatenate(a) for a in zip(*seen))
+    assert noise.size and np.all(noise >= floor) and np.all(floor > 0)
+
+
+@pytest.mark.parametrize("i", [0, 2])
+def test_nearly_double_roots_converge_at_the_rounding_floor(i):
+    """Random K_f = 3 potentials (conftest.random_kf3) whose Newton on chi_p
+    stalled, #0 at tol 1e-13 and #2 at 1e-12, while the noise rule read the
+    truncation estimate alone: at an edge of #0's gap 0 (lambda = 0.25099,
+    896 steps) |chi_p| plateaued at 8.9e-16 against a noise of 9e-17 and
+    |chi_p'| = 1.3e-3, so each step of 7e-13 missed the 1.25e-13 step stop
+    and the noise stop missed too.  With the rounding floor both tables
+    build at both tolerances and agree to 1e-10 relative."""
+    v = random_kf3()[i]
+    coarse, fine = (build_table(v, 8, tol=tol) for tol in (1e-12, 1e-13))
+    for name in ("lam_minus", "lam_plus", "mu", "lam_dot"):
+        a, b = getattr(coarse, name), getattr(fine, name)
+        assert np.all(np.abs(a - b) <= 1e-10 * np.abs(b)), name
