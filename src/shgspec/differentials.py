@@ -24,9 +24,8 @@ One psi sweep over the (rows, nodes) array of contour nodes gives the
 residual as one row sum; the Jacobian contracts the same terms with the
 (rows, nodes, unknowns) array of inserted factors in one batched product,
 formed only at the iterates a Newton step starts from.  The solve is plain
-Newton on the packed vector u of the unknowns: iterates leaving the
-isolating discs are clamped back to a boundary ring and the event is
-counted.
+Newton on the packed vector u of the unknowns; a converged root whose
+lambda-plane image lies outside the contour of its own row is refused.
 
 psi_n is a function of its state (n, sigma_1, sigma_2, C_n): the solve
 calls it with its trial states and forms C_n = 1/f_{n,2}(inf), psi
@@ -76,7 +75,7 @@ class SigmaSolution:
     residual_norm: float
     newton_iters: int
     C_n: complex
-    clamp_events: int = 0
+    clamp_events: int = 0  # always 0, no iterate is clamped; the benchmark reads it
 
     def to_json(self, normalization_max_dev=None) -> str:
         return json.dumps(
@@ -131,7 +130,7 @@ class SigmaWorkspace:
         if abs(n) > K:
             raise ValueError(f"index n = {n} lies beyond the truncation K = {K}")
         ev = self.evaluator = _evaluator(table, K)
-        self.iso, self.n, self.K = iso, int(n), int(K)
+        self.n, self.K = int(n), int(K)
         self.ks = ks = np.arange(-K, K + 1)
         self.taus = taus = ev.roots
         # the unknown roots of each family; row (j, m) belongs to root (j, m)
@@ -142,9 +141,6 @@ class SigmaWorkspace:
         specs = iso.contours(1, m1) + iso.contours(2, m2)
         self.rows = [(j, m, spec) for (j, m), spec in zip(ms, specs)]
         self.pref = np.concatenate([self.n - m1, 16.0 * pi_k(m2) ** 2 * pi_k(self.n)])
-        # the lambda-plane disc U_{j,m} of each unknown, for admissible
-        (c1, r1), (c2, r2) = iso.discs(1, m1), iso.discs(2, m2)
-        self.disc_c, self.disc_r = np.concatenate([c1, c2]), np.concatenate([r1, r2])
 
     # -- state vector mapping ------------------------------------------------
 
@@ -167,19 +163,6 @@ class SigmaWorkspace:
 
     # -- residual and Jacobian -------------------------------------------------
 
-    def admissible(self, u):
-        """A copy of the state u with the lambda-plane image
-        family_var(j, sigma_{j,k}) of every unknown clamped to 0.9 of the
-        radius of its disc U_{j,k}, and the number of roots clamped."""
-        m, c, r = self.m1, self.disc_c, self.disc_r
-        w = np.concatenate([u[:m], family_var(2, u[m:])])
-        d = np.abs(w - c)
-        out = np.flatnonzero(d > 0.9 * r)
-        w[out] = c[out] + (w - c)[out] * (0.9 * r[out] / d[out])
-        u = u.copy()
-        u[out] = np.concatenate([w[:m], family_var(2, w[m:])])[out]
-        return u, out.size
-
     def residual_and_jacobian(self, u):
         """The residual F at u, and a function that forms the Jacobian Q at u
         from the same g dz terms, for the iterates a Newton step starts from."""
@@ -199,16 +182,17 @@ class SigmaWorkspace:
 def solve_sigma(table, iso, n, K, tol=1e-9, max_iter=12) -> SigmaSolution:
     """Newton solve of F^n = 0 on the packed state u from the tau initializer.
 
-    Each iteration takes the full step u - Q^{-1} F, clamps it into the discs
-    (admissible) and evaluates the residual there once; the Jacobian is
-    formed only where a step starts.  Without an open gap (v = 0) there is
-    no unknown and no Newton step; otherwise convergence in a handful of
-    iterations is the expected behavior for potentials in the solvable
-    neighborhood, and a solve that does not reach tol in max_iter steps, or
-    meets an ill-conditioned Jacobian, raises a RuntimeError.
+    Each iteration takes the full step u - Q^{-1} F and evaluates the
+    residual there once; the Jacobian is formed only where a step starts.
+    Without an open gap (v = 0) there is no unknown and no Newton step;
+    otherwise convergence in a handful of iterations is the expected behavior
+    for potentials in the solvable neighborhood.  A solve that does not reach
+    tol in max_iter steps, meets an ill-conditioned Jacobian, or converges to
+    a root whose lambda-plane image family_var(j, sigma_{j,m}) lies outside
+    the contour Gamma_{j,m} of its row raises a RuntimeError.
     """
     ws = SigmaWorkspace(table, iso, n, K)
-    u, clamps, iters = ws.initial_state(), 0, 0
+    u, iters = ws.initial_state(), 0
     F, jacobian = ws.residual_and_jacobian(u)
     while (rnorm := float(np.linalg.norm(F))) > tol:
         if iters >= max_iter:
@@ -223,12 +207,16 @@ def solve_sigma(table, iso, n, K, tol=1e-9, max_iter=12) -> SigmaSolution:
                 f"Jacobian conditioning {cond:.3e} beyond limit; "
                 "outside solvable neighborhood"
             )
-        u, clamped = ws.admissible(u - np.linalg.solve(Q, F))
+        u = u - np.linalg.solve(Q, F)
         F, jacobian = ws.residual_and_jacobian(u)
-        clamps += clamped
         iters += 1
+    lam = np.concatenate([u[: ws.m1], family_var(2, u[ws.m1 :])])
+    for (j, m, spec), x in zip(ws.rows, lam):
+        if not abs(x - spec.center) < spec.radius:
+            raise RuntimeError(f"root sigma_({j},{m}) converged outside its contour Gamma_({j},{m}) "
+                               f"(lambda = {x:.6g}); outside solvable neighborhood")
     roots, C_n = ws.roots_at(u)
-    return SigmaSolution(n, K, roots.sigma1, roots.sigma2, rnorm, iters, C_n, clamps)
+    return SigmaSolution(n, K, roots.sigma1, roots.sigma2, rnorm, iters, C_n)
 
 
 def eval_psi(sol: SigmaSolution, lam):

@@ -6,8 +6,8 @@ d Delta/d lambda, all certified by argument-principle counts and refined by
 Newton iteration on the exact monodromy functions.  The module also builds
 the isolating neighborhoods (discs U_n, U_* and contours Gamma_{j,m}) on
 which every contour integral downstream lives.  Every two-index reader (slot
-(j, m) of family j = 1, 2: SpectrumTable.family and the discs and contours
-of IsolatingNeighborhoods) derives from one array map, _slots, and the
+(j, m) of family j = 1, 2: SpectrumTable.family and the contours of
+IsolatingNeighborhoods) derives from one array map, _slots, and the
 family variable potential.family_var.  Counting and trace-formula circles
 propagate one node per mirror pair of their nodes (_on_contour).
 """
@@ -468,7 +468,8 @@ def delta_sign_check(v: Potential, table: SpectrumTable, tol=1e-11):
 
 @dataclass(eq=False)
 class IsolatingNeighborhoods:
-    """Discs U_n (|n| <= n_max), the disc U_* and the contours Gamma_{j,m}."""
+    """Discs U_n (|n| <= n_max, the arrays centers and radii), the disc U_* and
+    the contours Gamma_{j,m}, the one two-index reader of the sigma layer."""
 
     n_max: int
     centers: np.ndarray  # U_n centers, index n+n_max
@@ -497,13 +498,6 @@ class IsolatingNeighborhoods:
             for a, b in zip(out, (*DiscFamily.D(n), gc, gr)):
                 a[far] = b
         return out
-
-    def discs(self, j, ms):
-        """Centres and radii of the discs U_{j,m}, m in the array ms: U_n of the
-        single index (_slots), its centre negated where s = -1."""
-        n, s = _slots(j, ms)
-        c, r = self._at(n)[:2]
-        return np.where(s > 0, c, -c), r
 
     def contours(self, j, ms, nodes=None, scale=1.0) -> list[ContourSpec]:
         """The contours Gamma_{j,m}, m in the array ms: Gamma_n of the single

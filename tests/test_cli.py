@@ -37,12 +37,16 @@ def test_eval_zero_potential(files, capsys):
 
 def test_eval_input_errors(files, capsys):
     d, zero, cos, cfg = files
-    # potential files: a missing one and one whose "q" is not a list of pairs
+    # potential files: a missing one, one whose "q" is not a list of pairs and
+    # one whose "q" holds 2 pairs for Kf 1
     bad = json.loads(zero.read_text())
     bad["q"] = 5
     (d / "q5.json").write_text(json.dumps(bad))
-    for path in (d / "missing.json", d / "q5.json"):
+    bad["q"] = [[0.0, 0.0], [0.1, 0.0]]
+    (d / "q2.json").write_text(json.dumps(bad))
+    for path in (d / "missing.json", d / "q5.json", d / "q2.json"):
         assert main(["eval", str(path), "--lambda", "1,0"]) == 2
+    assert "expected 3 coefficients" in capsys.readouterr().err
     assert main(["eval", str(zero), "--lambda", "oops"]) == 2
     for lam in ("0,0", "nan,0", "1,nan"):  # outside the annulus, NaN included
         assert main(["eval", str(zero), "--lambda", lam]) == 3

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from conftest import slot
@@ -133,7 +135,6 @@ def test_solver_idempotence(v_seed, tab16, iso16):
     sol = solve_sigma(tab16, iso16, 0, 16)
     ws = SigmaWorkspace(tab16, iso16, 0, 16)
     u = ws.pack(sol.sigma1, sol.sigma2)
-    assert ws.admissible(u)[1] == 0
     F, _ = ws.residual_and_jacobian(u)
     assert np.linalg.norm(F) <= 1e-9
 
@@ -354,18 +355,35 @@ def test_normalization_gates_read_the_stored_C_n(tab16, iso16, reflected):
     assert check_negative(solr) <= THRESHOLDS["normalization_negative"] < check_negative(scaled(solr))
 
 
-def test_admissibility_guard(v_seed, tab16, iso16):
+def test_admissibility_guard(monkeypatch, tmp_path, capsys, v_seed, tab16, iso16):
+    """A converged root outside the contour of its own row is refused, by
+    solve_sigma with a RuntimeError that names it and by shgspec
+    differentials with exit 3: sigma_{1,-1}, an open gap's root, moved by 2.0
+    in the initial state, at a tolerance at which no Newton step is taken."""
+    from shgspec.cli import main
+    from shgspec.config import RunConfig
+
     ws = SigmaWorkspace(tab16, iso16, 1, 16)
-    s1 = tab16.family("tau2", 1, ws.K)
-    s2 = tab16.family("tau2", 2, ws.K)
-    assert ws.admissible(ws.pack(s1, s2))[1] == 0
     assert ws.open1[-1 + 16] and not ws.open1[2 + 16]
-    s1[-1 + 16] += 2.0  # way outside U_{1,-1}, an open gap's disc
-    u, events = ws.admissible(ws.pack(s1, s2))
-    assert events == 1
-    c1, _ = ws.unpack(u)
-    (cc,), (rr,) = iso16.discs(1, [-1])
-    assert abs(c1[-1 + 16] - cc) <= 0.9 * rr + 1e-12
+    (spec,) = iso16.contours(1, [-1])
+    assert abs(ws.unpack(ws.initial_state())[0][-1 + 16] + 2.0 - spec.center) > spec.radius
+    assert solve_sigma(tab16, iso16, 1, 16, tol=np.inf).newton_iters == 0
+    init = SigmaWorkspace.initial_state
+
+    def moved(ws):
+        s1, s2 = ws.unpack(init(ws))
+        s1[-1 + ws.K] += 2.0  # way outside Gamma_{1,-1}
+        return ws.pack(s1, s2)
+
+    monkeypatch.setattr(SigmaWorkspace, "initial_state", moved)
+    refusal = r"root sigma_\(1,-1\) converged outside its contour .*outside solvable neighborhood"
+    with pytest.raises(RuntimeError, match=refusal):
+        solve_sigma(tab16, iso16, 1, 16, tol=np.inf)
+    monkeypatch.setattr(RunConfig, "newton_tol", np.inf)
+    path = tmp_path / "v1.json"
+    path.write_text(v_seed.to_json())
+    assert main(["differentials", str(path), "--n-list", "1"]) == 3
+    assert re.search(refusal, capsys.readouterr().err)
 
 
 def test_workspace_requires_K_geq_table(tab16, iso16):
@@ -559,23 +577,19 @@ def test_one_residual_evaluation_per_newton_trial(
     monkeypatch, tab16, iso16, v3_and_reflected
 ):
     """solve_sigma evaluates the residual once at the initializer, then once
-    per Newton iteration at the clamped full step, which passes admissible
-    once: 1 + iterations residual and iterations admissible calls per solve."""
-    calls, trials = [], []
-    rj, adm = SigmaWorkspace.residual_and_jacobian, SigmaWorkspace.admissible
+    per Newton iteration at the full step: 1 + iterations residual calls per
+    solve."""
+    calls = []
+    rj = SigmaWorkspace.residual_and_jacobian
     monkeypatch.setattr(
         SigmaWorkspace, "residual_and_jacobian", lambda ws, *a, **k: calls.append(1) or rj(ws, *a, **k)
-    )
-    monkeypatch.setattr(
-        SigmaWorkspace, "admissible", lambda ws, *a, **k: trials.append(1) or adm(ws, *a, **k)
     )
     for tab, iso in ((tab16, iso16), v3_and_reflected[0]):
         for n in (0, 1, 2):
             calls.clear()
-            trials.clear()
             sol = solve_sigma(tab, iso, n, 16)
             assert sol.newton_iters >= 1
-            assert (len(calls), len(trials)) == (1 + sol.newton_iters, sol.newton_iters)
+            assert len(calls) == 1 + sol.newton_iters
 
 
 def test_jacobian_formed_only_where_newton_steps(monkeypatch, v3_and_reflected):

@@ -159,6 +159,12 @@ def test_domain_guards():
             closed_form_zero(lam)
     with pytest.raises(ValueError, match="tol"):
         integrate(v, 1.0, tol=1e-20)
+    with pytest.raises(ValueError, match="order must be 0, 1 or 2"):
+        integrate_many(v, [1.0], order=3)
+    with pytest.raises(ValueError, match=r"path_nodes must lie in \[0, 1\]"):
+        integrate_many(v, [1.0], path_nodes=[1.5])
+    with pytest.raises(ValueError, match="unknown monodromy function 'x'"):
+        integrate_many(v, [1.0], order=1).scalar("x")
 
 
 def test_chi_wrappers():

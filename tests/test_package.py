@@ -135,13 +135,14 @@ def test_one_counting_routine_owns_the_windings_and_the_expected_counts():
 
 def test_table_loops_read_arrays_not_per_index_accessors():
     """No loop or comprehension in run_suite, sign_tables, _disc_row,
-    build_isolating, _check_inclusion or SigmaWorkspace.admissible names a
-    per-index accessor of the table or the discs: they read the arrays."""
+    build_isolating, _check_inclusion or solve_sigma (its contour check)
+    names a per-index accessor of the table or the discs: they read the
+    arrays."""
     accessors = {"lam_pm", "mu_n", "lam_dot_n", "tau", "gamma", "gap2", "lam2", "tau2",
                  "gamma2", "U", "U2"}
     scope = {"verification.py": {"run_suite"}, "roots_products.py": {"sign_tables"},
              "spectrum.py": {"_disc_row", "build_isolating", "_check_inclusion"},
-             "differentials.py": {"admissible"}}
+             "differentials.py": {"solve_sigma"}}
     loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
     seen, named = set(), {}
     for name, functions in scope.items():
@@ -176,3 +177,46 @@ def test_the_per_index_accessors_stay_deleted():
     public = {name for name, _ in inspect.getmembers(SpectrumTable, callable)
               if not name.startswith("_")}
     assert public == {"evaluator", "family", "truncated", "to_json", "from_json"}
+
+
+def test_the_benchmark_hooks_resolve():
+    """bench/tracer.py patches every TARGETS and HOT name and reads the
+    parameters and result fields below, and bench/workloads.py calls the
+    functions below in these shapes: a simplification that breaks a traced
+    or timed run fails here."""
+    import importlib.util
+
+    from shgspec import differentials, monodromy, quadrature, roots_products, spectrum, verification
+
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    t = tracer.Tracer()
+    try:
+        t.install()
+    finally:
+        t.uninstall()
+    assert t.layer_of and not t._undo
+    read = {spectrum.build_table: "n_max", spectrum.count_annulus: "N",
+            roots_products.verify_product_reps: "K", differentials.solve_sigma: "n",
+            monodromy.integrate_many: "lams", quadrature.winding_number: "spec",
+            roots_products.CanonicalRootEvaluator.chip: "lam"}
+    for fn, name in read.items():
+        assert name in inspect.signature(fn).parameters, (fn.__name__, name)
+    assert "K" in inspect.signature(differentials.solve_sigma).parameters
+    fields = {f.name for f in dataclasses.fields(differentials.SigmaSolution)}
+    assert {"newton_iters", "clamp_events"} <= fields
+    x = object()
+    shapes = [
+        (spectrum.build_table, (x, 16), {"tol": 1e-13}),
+        (spectrum.build_isolating, (x, x), {"nodes": 64}),
+        (spectrum.certify_counts, (x, x, x), {"n_range": x, "tol": 1e-11}),
+        (spectrum.delta_sign_check, (x, x), {"tol": 1e-11}),
+        (differentials.solve_sigma, (x, x, 0, 16), {"tol": 1e-9, "max_iter": 12}),
+        (differentials.verify_normalization, (x, x, x), {"nodes": 96}),
+        (differentials.verify_negative_normalization, (x, x, x, x, x), {"nodes": 96}),
+        (verification.interpolation_self_test, (x,), {"K": 16, "seed": 0}),
+    ]
+    for fn, args, kwargs in shapes:
+        inspect.signature(fn).bind(*args, **kwargs)

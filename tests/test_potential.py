@@ -5,7 +5,8 @@ import pytest
 from conftest import generic_v4
 
 from shgspec.config import seeded_ensemble
-from shgspec.potential import Potential, p_multiplier, pi_k
+from shgspec.potential import Potential, family_var, p_multiplier, pi_k
+from shgspec.spectrum import build_table
 
 
 def _grid(v):
@@ -73,6 +74,20 @@ def test_real_flag_validation():
 def test_nonfinite_coefficient():
     with pytest.raises(ValueError, match="non-finite"):
         Potential.from_modes({1: complex(np.nan, 0)}, {}, Kf=1)
+    # built directly, the coefficients are checked where the table is built
+    v = Potential(np.array([0.0, np.nan, 0.0], complex), np.zeros(3, complex), 1)
+    with pytest.raises(ValueError, match="non-finite"):
+        build_table(v, 2)
+
+
+def test_mode_maps_and_family_variable_guards():
+    """A mode beyond the stated band limit is refused; without one the band
+    limit is the largest mode.  The family variable exists for j = 1, 2 only."""
+    with pytest.raises(ValueError, match="mode 2 outside band limit Kf=1"):
+        Potential.from_modes({2: 0.1}, Kf=1)
+    assert Potential.from_modes({3: 0.1}).Kf == 3
+    with pytest.raises(ValueError, match="j must be 1 or 2"):
+        family_var(3, 1.0)
 
 
 def test_reflection_involution_exact():

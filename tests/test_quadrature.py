@@ -47,6 +47,13 @@ def test_winding_guards():
         winding_number(spec, z - 1.0, np.ones_like(z))
 
 
+def test_contour_spec_guards():
+    with pytest.raises(ValueError, match="radius must be positive"):
+        ContourSpec(0, 0.0)
+    with pytest.raises(ValueError, match="at least 8 quadrature nodes"):
+        ContourSpec(0, 1.0, 6)
+
+
 def test_mirrored_contour():
     spec = ContourSpec(2.0 + 1.0j, 0.5, 32)
     m = spec.mirrored()

@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 from scipy.special import zeta
-from conftest import row, slot
+from conftest import disc, row, slot
 
 from shgspec.monodromy import integrate_many, lam_zero, omega, tau_zero
 from shgspec.config import seeded_ensemble
@@ -376,7 +376,7 @@ def test_ratio_asymptotics(v_seed, tab16, iso16):
     ev = CanonicalRootEvaluator(tab16, 16)
     rs = []
     for m in range(2, 15):
-        (c,), (r,) = iso16.discs(1, [m])
+        c, r = disc(iso16, m)
         lam = np.array([c + 0.5j * r])
         w = _w_scalar(tab16, m, lam)
         val = (

@@ -16,6 +16,7 @@ from shgspec.spectrum import (
     _mobius_disc,
     _newton_batch,
     _periodic_pair_from_ddot,
+    _slots,
     build_isolating,
     build_table,
     certify_counts,
@@ -471,7 +472,7 @@ def test_isolating_invariants(tab16, iso16):
             assert d >= (n - m) / cc - 1e-12
             assert d <= cc * (n - m) + 1e-12
     # (I-4): beyond the table the discs are the reference D_n
-    (c,), (r,) = iso16.discs(1, [N + 3])
+    (c,), (r,) = iso16._at(np.array([N + 3]))[:2]
     assert (c, r) == DiscFamily.D(N + 3)
     # (I-5)
     for n in range(-N, N + 1):
@@ -504,11 +505,19 @@ def test_isolating_reciprocal_separation(which, iso16, v3_iso):
             assert (n - m) / cc - 1e-12 <= d <= cc * (n - m) + 1e-12, (m, n)
 
 
+def _discs(iso, j, ms):
+    """Centres and radii of the discs U_{j,m}, m in the array ms: U_n of the
+    single index (_slots), read through _at, its centre negated where s = -1."""
+    n, s = _slots(j, ms)
+    c, r = iso._at(n)[:2]
+    return np.where(s > 0, c, -c), r
+
+
 def test_contours_inside_discs(tab16, iso16):
     ms = [-5, -1, 0, 2, 16]
     for j in (1, 2):
         gaps = tab16.family("gap2", j, 16)[np.add(ms, 16)]
-        for g, c, r, (lo, hi) in zip(iso16.contours(j, ms, scale=1.5), *iso16.discs(j, ms), gaps):
+        for g, c, r, (lo, hi) in zip(iso16.contours(j, ms, scale=1.5), *_discs(iso16, j, ms), gaps):
             assert abs(g.center - c) + g.radius <= r + 1e-12
             assert abs(lo - g.center) < g.radius and abs(hi - g.center) < g.radius
 
@@ -671,9 +680,10 @@ def _relabeled(tab, iso, j, m):
 
 def test_two_index_relabelings_case_by_case():
     """The array map of every two-index reader (SpectrumTable.family,
-    IsolatingNeighborhoods.discs and contours) equals its case-by-case
-    definition on the complex potential v3, inside the table, on the
-    surrogates beyond it (K > n_max) and at slot (2, 0): bit for bit for
+    IsolatingNeighborhoods.contours, and the discs U_{j,m} read through _at
+    with the _slots sign) equals its case-by-case definition on the complex
+    potential v3, inside the table, on the surrogates beyond it
+    (K > n_max) and at slot (2, 0): bit for bit for
     family 1, the gap ends, the discs and the contours.  Family 2 divides in
     numpy, which rounds apart from Python's complex division, so there each
     lambda_{2,k}^+-, mu and lambda_dot may move by one ulp per component."""
@@ -685,7 +695,7 @@ def test_two_index_relabelings_case_by_case():
     bits = lambda *z: np.array(z, dtype=complex).tobytes()
     for j in (1, 2):
         fam = {q: tab.family(q, j, K) for q in ("tau2", "gamma2", "mu2", "lam_dot2", "gap2")}
-        (cs, rs), contours = iso.discs(j, ms), iso.contours(j, ms)
+        (cs, rs), contours = _discs(iso, j, ms), iso.contours(j, ms)
         for k, m in enumerate(ms.tolist()):
             plus, minus, mu, ld, gap, (c, r), contour = _relabeled(tab, iso, j, m)
             assert bits(*fam["gap2"][k]) == bits(*gap)
@@ -705,7 +715,7 @@ def test_two_index_relabelings_case_by_case():
         with pytest.raises(ValueError):
             tab.family("tau2", bad, 1)
         with pytest.raises(ValueError):
-            iso.discs(bad, ms)
+            _slots(bad, ms)
         with pytest.raises(ValueError):
             iso.contours(bad, ms)
 
