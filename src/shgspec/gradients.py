@@ -2,7 +2,12 @@
 
 Every gradient is one GradientKernel, a quadrature kernel over the
 recorded x-path of the fundamental solution: a multiplier acting on qdot, a
-coefficient of P(pdot), and a boundary term multiplying qdot(0).  The
+coefficient of P(pdot), and a boundary term multiplying qdot(0).  One
+routine, _floquet_kernels, runs the path and forms the kernels of the four
+Floquet entries; every other kernel is a combination of those four.  Delta
+and delta are half the sum and difference of the diagonal ones, and a simple
+eigenvalue lam, a root of f (m2 for mu, Delta -+ 1 for lambda^+-), has the
+kernel -(kernel of f)/f'(lam) (Kappeler & Poschel, KdV & KAM, 2003).  The
 gradient of an eigenvalue takes the eigenvalue itself.  The pairing is the
 real (non-conjugated) L2 pairing on [0,1].  Kernels built from M(x) are
 generally not 1-periodic, so the pairings use Gauss-Legendre quadrature
@@ -30,9 +35,9 @@ from .spectrum import _newton_batch
 
 __all__ = [
     "GradientKernel", "grad_monodromy", "grad_discriminant", "grad_antidiscriminant",
-    "grad_dirichlet", "grad_periodic", "grad_periodic_via_delta", "grad_m4_at_dirichlet",
-    "seeded_directions", "perturbed", "fd_directional", "FDCase", "fd_evaluate",
-    "fd_rel_error", "zero_potential_delta_kernels", "grad_deltas_fd_report",
+    "grad_dirichlet", "grad_periodic", "seeded_directions", "perturbed", "fd_directional",
+    "FDCase", "fd_evaluate", "fd_rel_error", "zero_potential_delta_kernels",
+    "grad_deltas_fd_report",
 ]
 
 GL_NODES_DEFAULT = 192  # Gauss-Legendre nodes of every kernel
@@ -69,13 +74,6 @@ class GradientKernel:
                        + float(np.sum(self.weights * np.abs(self.p_kernel) ** 2)))
 
 
-def _path_data(v, lam, tol):
-    x, w = _gauss_legendre(GL_NODES_DEFAULT)
-    res = integrate(v, lam, order=1, tol=tol, path_nodes=x)
-    emq, eq = v.exp_q_at(x)
-    return x, w, res, res.path, emq, eq
-
-
 def _minv(path):
     """Inverse of M(x) from the Wronskian identity det M = 1."""
     inv = np.empty_like(path)
@@ -84,12 +82,15 @@ def _minv(path):
     return inv
 
 
-def grad_monodromy(v, lam, tol=1e-11):
-    """Gradient kernels of the four entries of the Floquet matrix,
-    {(i, j): kernel}.  The d/dx qdot part is integrated by parts into the
-    q-multiplier and the EV_0 boundary term, which is zero on the diagonal."""
-    x, w, res, path, emq, eq = _path_data(v, lam, tol)
-    Mg = res.Mgrave
+def _floquet_kernels(v, lam, tol):
+    """The gradient kernels of the four Floquet entries, {(i, j): kernel},
+    and the order-1 BatchResult of the one path run they come from.  The
+    d/dx qdot part is integrated by parts into the q-multiplier and the EV_0
+    boundary term, which is zero on the diagonal."""
+    x, w = _gauss_legendre(GL_NODES_DEFAULT)
+    res = integrate(v, lam, order=1, tol=tol, path_nodes=x)
+    path, Mg = res.path, res.Mgrave
+    emq, eq = v.exp_q_at(x)
     Minv = _minv(path)
     E = np.zeros_like(path)
     E[:, 0, 1], E[:, 1, 0] = eq, emq
@@ -97,8 +98,14 @@ def grad_monodromy(v, lam, tol=1e-11):
     q_mat = -0.5 * (Mg @ (Minv @ ZE @ path))
     p_mat = -0.25j * np.einsum("ab,pbc,cd,pde->pae", Mg, Minv, R2, path)
     boundary = 0.5 * np.array([[0.0, Mg[0, 1]], [-Mg[1, 0], 0.0]], dtype=complex)
-    return {(i, j): GradientKernel(x, w, q_mat[:, i, j], p_mat[:, i, j], complex(boundary[i, j]))
-            for i in range(2) for j in range(2)}
+    gm = {(i, j): GradientKernel(x, w, q_mat[:, i, j], p_mat[:, i, j], complex(boundary[i, j]))
+          for i in range(2) for j in range(2)}
+    return gm, res
+
+
+def grad_monodromy(v, lam, tol=1e-11):
+    """Gradient kernels of the four entries of the Floquet matrix, {(i, j): kernel}."""
+    return _floquet_kernels(v, lam, tol)[0]
 
 
 def _half_trace_kernel(gm, combine):
@@ -107,6 +114,15 @@ def _half_trace_kernel(gm, combine):
     k1, k4 = gm[0, 0], gm[1, 1]
     return GradientKernel(k1.x, k1.weights, 0.5 * combine(k1.q_kernel, k4.q_kernel),
                           0.5 * combine(k1.p_kernel, k4.p_kernel))
+
+
+def _root_kernel(k, deriv, lam, kind):
+    """The kernel of a simple root lam of f, d lam = -d f / f'(lam), from the
+    kernel k of f and deriv = f'(lam); a multiple root (deriv ~ 0) is refused."""
+    if abs(deriv) < 1e-8 * (1.0 + abs(lam)):
+        raise ValueError(f"gradient undefined at multiple {kind} eigenvalue")
+    return GradientKernel(k.x, k.weights, -k.q_kernel / deriv, -k.p_kernel / deriv,
+                          -k.boundary_term / deriv)
 
 
 def grad_discriminant(v, lam, tol=1e-11):
@@ -131,81 +147,18 @@ def zero_potential_delta_kernels(lam, x):
     return qk, pk
 
 
-def _grad_expr(f1, f2, lam, emq, eq):
-    """The shared expression Grad{f}{lambda}: multiplier and P-coefficient."""
-    qk = (lam / 2.0) * (f2**2 - f1**2) + (1.0 / (32.0 * lam)) * (
-        f2**2 * eq - f1**2 * emq
-    )
-    pk = -0.5 * f1 * f2
-    return qk, pk
-
-
-SIMPLE_EV_FLOOR = 1e-8
-
-
-def _require_simple(deriv, lam, kind):
-    """Refuse an eigenvalue at which the lambda-derivative deriv vanishes."""
-    if abs(deriv) < SIMPLE_EV_FLOOR * (1.0 + abs(lam)):
-        raise ValueError(f"gradient undefined at multiple {kind} eigenvalue")
-
-
 def grad_dirichlet(v, mu, tol=1e-11):
-    """Kernel of the Dirichlet eigenvalue mu,
-    d mu = (m1(mu)/chi_D'(mu)) Grad{M_2}{mu}."""
-    x, w, res, path, emq, eq = _path_data(v, mu, tol)
-    chiD_dot = res.Mgrave_dot[0, 1]
-    _require_simple(chiD_dot, mu, "Dirichlet")
-    pref = res.Mgrave[0, 0] / chiD_dot
-    qk, pk = _grad_expr(path[:, 0, 1], path[:, 1, 1], mu, emq, eq)
-    return GradientKernel(x, w, pref * qk, pref * pk)
+    """Kernel of the simple Dirichlet eigenvalue mu, a root of chi_D = m2:
+    d mu = -d m2 / chi_D'(mu)."""
+    gm, res = _floquet_kernels(v, mu, tol)
+    return _root_kernel(gm[0, 1], res.Mgrave_dot[0, 1], mu, "Dirichlet")
 
 
 def grad_periodic(v, lam, tol=1e-11):
-    """Kernel of the simple periodic eigenvalue lam.
-
-    The eigenfunction route: with m2 = chi_D(lam) != 0 the eigenfunction is
-    m2 M_1 - delta M_2 and d lam = -(1/(2 Delta_dot m2)) Grad{...}; with
-    m3 != 0 it is m3 M_2 + delta M_1 and d lam = (1/(2 Delta_dot m3)) Grad{...}.
-    """
-    x, w, res, path, emq, eq = _path_data(v, lam, tol)
-    dd = res.Delta_dot
-    _require_simple(dd, lam, "periodic")
-    g2, g3 = res.Mgrave[0, 1], res.Mgrave[1, 0]
-    delta = res.delta_anti
-    M1, M2 = path[:, :, 0], path[:, :, 1]
-    if abs(g2) >= abs(g3):
-        if abs(g2) < SIMPLE_EV_FLOOR:
-            raise ValueError("geometric multiplicity two: gradient undefined")
-        f = g2 * M1 - delta * M2
-        pref = -1.0 / (2.0 * dd * g2)
-    else:
-        f = g3 * M2 + delta * M1
-        pref = 1.0 / (2.0 * dd * g3)
-    qk, pk = _grad_expr(f[:, 0], f[:, 1], lam, emq, eq)
-    return GradientKernel(x, w, pref * qk, pref * pk)
-
-
-def grad_periodic_via_delta(v, lam, tol=1e-11):
-    """Chain-rule route d lam = -d Delta / Delta_dot, as a cross-check."""
-    k = grad_discriminant(v, lam, tol=tol)
-    dd = integrate(v, lam, order=1, tol=tol).Delta_dot
-    _require_simple(dd, lam, "periodic")
-    return GradientKernel(k.x, k.weights, -k.q_kernel / dd, -k.p_kernel / dd)
-
-
-def grad_m4_at_dirichlet(v, mu, tol=1e-11):
-    """Kernel of m4(lambda) at the fixed Dirichlet eigenvalue lambda = mu:
-    -m3 Grad{M_2} + (m4/4)(Grad{M_1+M_2} - Grad{M_1-M_2})."""
-    x, w, res, path, emq, eq = _path_data(v, mu, tol)
-    _require_simple(res.Mgrave_dot[0, 1], mu, "Dirichlet")
-    g3, g4 = res.Mgrave[1, 0], res.Mgrave[1, 1]
-    M1, M2 = path[:, :, 0], path[:, :, 1]
-    q2, p2 = _grad_expr(M2[:, 0], M2[:, 1], mu, emq, eq)
-    qs, ps = _grad_expr(M1[:, 0] + M2[:, 0], M1[:, 1] + M2[:, 1], mu, emq, eq)
-    qd, pd = _grad_expr(M1[:, 0] - M2[:, 0], M1[:, 1] - M2[:, 1], mu, emq, eq)
-    qk = -g3 * q2 + (g4 / 4.0) * (qs - qd)
-    pk = -g3 * p2 + (g4 / 4.0) * (ps - pd)
-    return GradientKernel(x, w, qk, pk)
+    """Kernel of the simple periodic eigenvalue lam, a root of Delta -+ 1:
+    d lam = -d Delta / Delta_dot(lam)."""
+    gm, res = _floquet_kernels(v, lam, tol)
+    return _root_kernel(_half_trace_kernel(gm, np.add), res.Delta_dot, lam, "periodic")
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +201,7 @@ FD_EPS, FD_EPS_ORDER = 1e-4, (0.1, 0.03)  # the judged step; the pair the order 
 # The cases of run_suite's gradient checks and of `shgspec gradients`, as
 # (quantity, n): Delta and delta at lambda = 1.7, "M" the Floquet entries at 2.3
 SUITE_FD_CASES = (("Delta", ""), ("delta", ""), ("M", ""), ("mu", 1), ("lambda_plus", 1),
-                  ("lambda_plus_via_delta", 1), ("m4", 1))
+                  ("m4", 1))
 CLI_FD_CASES = (("Delta", ""), ("delta", ""), ("mu", 0), ("mu", 1), ("lambda_plus", 1))
 
 
@@ -342,13 +295,11 @@ def fd_evaluate(v, table, keys, dirs, eps_list, tol):
         elif quantity in ("mu", "m4"):
             mu = complex(table.mu[n + table.n_max])
             kern, what = ((grad_dirichlet(v, mu, tol=tol), "chi_D") if quantity == "mu"
-                          else (grad_m4_at_dirichlet(v, mu, tol=tol), (1, 1)))
+                          else (grad_monodromy(v, mu, tol=tol)[1, 1], (1, 1)))
             cases.append(FDCase(quantity, n, kern, (mu, what)))
         elif table.lam_minus[n + table.n_max] != table.lam_plus[n + table.n_max]:
-            # lambda_plus and lambda_plus_via_delta, open gaps
-            lam = complex(table.lam_plus[n + table.n_max])
-            grad = grad_periodic if quantity == "lambda_plus" else grad_periodic_via_delta
-            cases.append(FDCase(quantity, n, grad(v, lam, tol=tol), (lam, "chi_p")))
+            lam = complex(table.lam_plus[n + table.n_max])  # lambda_plus, open gaps
+            cases.append(FDCase(quantity, n, grad_periodic(v, lam, tol=tol), (lam, "chi_p")))
     probes = list(dict.fromkeys(c.probe for c in cases))
     for c in cases:
         c.analytic, c.fd = [c.kernel.pair(d) for d in dirs], {eps: [] for eps in eps_list}

@@ -86,8 +86,6 @@ def _as_coeff_array(coeffs, Kf):
         if arr.shape != (2 * Kf + 1,):
             raise ValueError(f"expected {2*Kf+1} coefficients, got {arr.shape}")
         out[:] = arr
-    if not np.all(np.isfinite(out)):
-        raise ValueError("non-finite Fourier coefficient")
     return out
 
 

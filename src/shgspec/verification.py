@@ -330,8 +330,9 @@ def negative_control(v, cfg: RunConfig | None = None):
     table, iso, _ = _build_workspace(v, cfg)
     sol = solve_sigma(table, iso, 1, table.n_max, tol=cfg.newton_tol, max_iter=cfg.newton_max_iter)
     _, dev0 = verify_normalization(sol, table, iso)
-    # push sigma_{1,k0} half a gap length beyond the + endpoint
-    k0 = 1 if sol.n != 1 else 2
+    # push sigma_{1,k0} half a gap length beyond the + endpoint; k0 = 2, since
+    # the root held fixed, sigma_{1,n} with n = 1, must stay as solved
+    k0 = 2
     lo, hi = (complex(a[k0 + table.n_max]) for a in (table.lam_minus, table.lam_plus))
     gam = hi - lo
     if gam == 0:

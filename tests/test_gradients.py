@@ -7,7 +7,7 @@ from conftest import row
 
 from shgspec import gradients
 from shgspec.cli import main
-from shgspec.config import THRESHOLDS, RunConfig
+from shgspec.config import THRESHOLDS, RunConfig, seeded_ensemble
 from shgspec.gradients import (
     FD_EPS,
     FD_EPS_ORDER,
@@ -20,10 +20,8 @@ from shgspec.gradients import (
     grad_antidiscriminant,
     grad_dirichlet,
     grad_discriminant,
-    grad_m4_at_dirichlet,
     grad_monodromy,
     grad_periodic,
-    grad_periodic_via_delta,
     perturbed,
     seeded_directions,
     zero_potential_delta_kernels,
@@ -67,8 +65,6 @@ def test_every_gradient_is_one_kernel(v_seed, tab16):
         grad_antidiscriminant(v_seed, 1.7),
         grad_dirichlet(v_seed, mu1),
         grad_periodic(v_seed, lam1p),
-        grad_periodic_via_delta(v_seed, lam1p),
-        grad_m4_at_dirichlet(v_seed, mu1),
     ]
     gm = grad_monodromy(v_seed, 2.3)
     assert sorted(gm) == [(0, 0), (0, 1), (1, 0), (1, 1)]
@@ -329,31 +325,27 @@ def test_grad_dirichlet_fd(v_seed, tab16, dirs):
 
 
 def test_grad_periodic_fd_and_chain_rule(v_seed, tab16, dirs):
-    """At lambda_1^+ |M_21| is the larger off-diagonal entry, at lambda_1^-
-    |M_12|: the two ends of the gap take grad_periodic's two eigenfunction
-    routes."""
-    lam1 = row(tab16, 1)
-    for lam, m12_larger in ((lam1.lam_plus, False), (lam1.lam_minus, True)):
-        M = integrate(v_seed, lam, order=0, tol=TOL).Mgrave
-        assert (abs(M[0, 1]) >= abs(M[1, 0])) == m12_larger
-        kern = grad_periodic(v_seed, lam, tol=TOL)
-        chain_kern = grad_periodic_via_delta(v_seed, lam, tol=TOL)
+    """grad_periodic is the chain rule d lam = -d Delta / Delta_dot; its
+    pairings match FD at both ends of gap 1, on v1 and on the complex v3."""
+    v3 = seeded_ensemble()[2]
+    for v, tab in ((v_seed, tab16), (v3, build_table(v3, 4, tol=TOL))):
+        lam1 = row(tab, 1)
+        assert lam1.lam_minus != lam1.lam_plus
+        for lam in (lam1.lam_plus, lam1.lam_minus):
+            kern = grad_periodic(v, lam, tol=TOL)
 
-        def lam_at(vv, lam=lam):
-            return complex(_newton_batch(vv, [lam], "chi_p", tol=TOL)[0][0])
+            def lam_at(vv, lam=lam):
+                return complex(_newton_batch(vv, [lam], "chi_p", tol=TOL)[0][0])
 
-        for d in dirs:
-            ana = kern.pair(d)
-            chain = chain_kern.pair(d)
-            fd = _fd(lam_at, v_seed, d)
-            assert abs(ana - fd) / abs(fd) < 1e-6
-            assert abs(chain - fd) / abs(fd) < 1e-5
+            for d in dirs:
+                fd = _fd(lam_at, v, d)
+                assert abs(kern.pair(d) - fd) / abs(fd) < 1e-6
 
 
 def test_grad_m4_fd(v_seed, tab16, dirs):
     for n in (0, 1):
         mu = row(tab16, n).mu
-        kern = grad_m4_at_dirichlet(v_seed, mu, tol=TOL)
+        kern = grad_monodromy(v_seed, mu, tol=TOL)[1, 1]
 
         def m4_at(vv, mu=mu):
             return complex(integrate(vv, mu, order=0, tol=TOL).Mgrave[1, 1])
@@ -364,10 +356,10 @@ def test_grad_m4_fd(v_seed, tab16, dirs):
 
 
 def test_grad_zero_reduction_fd(dirs):
-    # at v=0 the m4 formula built from E_omega matches direct FD
+    # at v=0 the m4 kernel, grad_monodromy's (1, 1) entry, matches direct FD
     v0 = Potential.zero()
     mu = lam_zero(1)  # the zero potential's Dirichlet eigenvalue mu_1
-    kern = grad_m4_at_dirichlet(v0, mu, tol=TOL)
+    kern = grad_monodromy(v0, mu, tol=TOL)[1, 1]
 
     def m4_at(vv):
         return complex(integrate(vv, mu, order=0, tol=TOL).Mgrave[1, 1])

@@ -179,6 +179,21 @@ def test_the_per_index_accessors_stay_deleted():
     assert public == {"evaluator", "family", "truncated", "to_json", "from_json"}
 
 
+def test_one_path_run_builds_every_gradient_kernel():
+    """The second, hand-derived formula family of the gradients is gone, and
+    exactly one function of gradients.py, _floquet_kernels, passes
+    path_nodes to the integrator: every kernel combines its four."""
+    gradients = importlib.import_module("shgspec.gradients")
+    deleted = ("_grad_expr", "_path_data", "grad_m4_at_dirichlet", "grad_periodic_via_delta",
+               "SIMPLE_EV_FLOOR", "_require_simple")
+    assert [name for name in deleted if hasattr(gradients, name)] == []
+    tree = ast.parse(pathlib.Path(gradients.__file__).read_text())
+    path_runs = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                 for call in ast.walk(fn) if isinstance(call, ast.Call)
+                 if any(kw.arg == "path_nodes" for kw in call.keywords)}
+    assert path_runs == {"_floquet_kernels"}
+
+
 def test_the_benchmark_hooks_resolve():
     """bench/tracer.py patches every TARGETS and HOT name and reads the
     parameters and result fields below, and bench/workloads.py calls the

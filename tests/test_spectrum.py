@@ -480,6 +480,15 @@ def test_isolating_invariants(tab16, iso16):
         assert abs(iso16.star_center - cn) - iso16.star_radius - rn >= 1.0 / cc - 1e-12
 
 
+def test_inclusion_check_refuses_lambda_dot_star_outside_u_star(tab16, iso16):
+    """_check_inclusion's U_* branch is reachable: with U_* moved two radii
+    off lambda_dot_star, and every U_n as built, it raises."""
+    moved = dataclasses.replace(iso16, star_center=iso16.star_center + 2 * iso16.star_radius)
+    sp._check_inclusion(tab16, iso16)
+    with pytest.raises(ValueError, match=r"\(I-1\) violated: lambda_dot_star outside U_\*"):
+        sp._check_inclusion(tab16, moved)
+
+
 def _crowded_reciprocal_iso():
     """The isolating neighborhoods of v1's N = 4 table with its n = -1 cluster
     moved to [5.68, 5.98] in 1/(16 lambda), 0.3 short of the n = -2 cluster:
