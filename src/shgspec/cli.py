@@ -165,7 +165,7 @@ def cmd_eval(args, cfg, v) -> int:
         raise SystemExit2(f"--lambda expects 're,im': {exc}") from exc
     res = integrate(v, lam, order=1, tol=cfg.ode_tol)
     table = build_table(v, 8, tol=cfg.spectral_tol)
-    sqrtc = complex(table.evaluator(table.n_max).chip(np.array([lam]))[0])
+    sqrtc = complex(table.evaluator().chip(np.array([lam]))[0])
     payload = {
         "lambda": to_pair(lam),
         "Delta": to_pair(res.Delta),

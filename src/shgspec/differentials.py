@@ -31,7 +31,7 @@ psi_n is a function of its state (n, sigma_1, sigma_2, C_n): the solve
 calls it with its trial states and forms C_n = 1/f_{n,2}(inf), psi
 evaluation and the normalization checks read a solution's, and only the
 solve builds a SigmaWorkspace.  On a contour the nodes and sqrt_c(chi_p)
-depend on the table, K and the contour alone, so the table's evaluator
+depend on the table and the contour alone, so the table's evaluator
 (SpectrumTable.evaluator) computes them once per contour and keeps them for
 the solves of every n and every normalization check.  psi_n, psi_{-n} and
 sqrt_c(chi_p) carry the same zero-potential tails, which node_product leaves
@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .potential import family_var, pi_k, to_pair
-from .roots_products import NodeFamily
+from .roots_products import NodeFamily, _rows
 
 __all__ = [
     "SigmaSolution",
@@ -94,10 +94,10 @@ class SigmaSolution:
 
 
 def _evaluator(table, K):
-    """The table's evaluator of truncation K, which must cover its range."""
-    if K < table.n_max:
-        raise ValueError("truncation K must be >= the table range N_max")
-    return table.evaluator(K)
+    """The table's evaluator for a truncation K, which must be its range."""
+    if K != table.n_max:
+        raise ValueError(f"truncation K = {K} is not the table range N_max = {table.n_max}")
+    return table.evaluator()
 
 
 def _psi(n, roots, C_n, z, tail=None):
@@ -124,13 +124,14 @@ def _contour_terms(psi, ev, specs):
 
 class SigmaWorkspace:
     """The unknowns of the solve for one n, the roots of the open gaps but
-    sigma_{1,n}, its residual rows and the table's evaluator of truncation K."""
+    sigma_{1,n}, its residual rows and the table's evaluator; the truncation
+    K is the table's range."""
 
-    def __init__(self, table, iso, n, K):
-        if abs(n) > K:
-            raise ValueError(f"index n = {n} lies beyond the truncation K = {K}")
-        ev = self.evaluator = _evaluator(table, K)
-        self.n, self.K = int(n), int(K)
+    def __init__(self, table, iso, n):
+        K = table.n_max
+        _rows(n, K)  # refuses an index n beyond the table
+        ev = self.evaluator = table.evaluator()
+        self.n, self.K = int(n), K
         self.ks = ks = np.arange(-K, K + 1)
         self.taus = taus = ev.roots
         # the unknown roots of each family; row (j, m) belongs to root (j, m)
@@ -189,9 +190,11 @@ def solve_sigma(table, iso, n, K, tol=1e-9, max_iter=12) -> SigmaSolution:
     for potentials in the solvable neighborhood.  A solve that does not reach
     tol in max_iter steps, meets an ill-conditioned Jacobian, or converges to
     a root whose lambda-plane image family_var(j, sigma_{j,m}) lies outside
-    the contour Gamma_{j,m} of its row raises a RuntimeError.
+    the contour Gamma_{j,m} of its row raises a RuntimeError.  The table is
+    the truncation: K must be its range n_max, or a ValueError is raised.
     """
-    ws = SigmaWorkspace(table, iso, n, K)
+    _evaluator(table, K)  # refuses a K other than the table's range
+    ws = SigmaWorkspace(table, iso, n)
     u, iters = ws.initial_state(), 0
     F, jacobian = ws.residual_and_jacobian(u)
     while (rnorm := float(np.linalg.norm(F))) > tol:
@@ -224,16 +227,16 @@ def eval_psi(sol: SigmaSolution, lam):
     return _solution_psi(sol)(lam)
 
 
-def _normalization(psi, ev, iso, K, nodes, one):
+def _normalization(psi, ev, iso, nodes, one):
     """The matrix {(j,m): (1/2 pi) oint_{Gamma_{j,m}} psi/sqrt_c(chi_p)} over
-    both contour families, |m| <= K, and its largest deviation from 1 at the
-    entry one, from 0 elsewhere.  psi and sqrt_c(chi_p) are both bare, the
+    both contour families, |m| <= ev.K, and its largest deviation from 1 at
+    the entry one, from 0 elsewhere.  psi and sqrt_c(chi_p) are both bare, the
     latter the evaluator ev's values on each contour; psi is called once, on
     the nodes of all contours."""
-    keys = [(j, m) for j in (1, 2) for m in range(-K, K + 1)]
+    ms = np.arange(-ev.K, ev.K + 1)
+    keys = [(j, m) for j in (1, 2) for m in ms.tolist()]
     nodes = iso.nodes + 32 if nodes is None else nodes
-    specs = [spec for j in (1, 2)
-             for spec in iso.contours(j, np.arange(-K, K + 1), nodes, CONTOUR_SCALE)]
+    specs = [spec for j in (1, 2) for spec in iso.contours(j, ms, nodes, CONTOUR_SCALE)]
     vals = np.sum(_contour_terms(psi, ev, specs)[1], axis=1) / (2.0 * np.pi)
     mat = dict(zip(keys, vals.tolist()))
     dev = max(abs(val - float(key == one)) for key, val in mat.items())
@@ -249,7 +252,7 @@ def verify_normalization(sol: SigmaSolution, table, iso, nodes=None):
     on the closed gaps' contours, whose rows the solve does not form.
     """
     psi, ev = _solution_psi(sol, tail=1.0), _evaluator(table, sol.K)
-    return _normalization(psi, ev, iso, sol.K, nodes, (1, sol.n))
+    return _normalization(psi, ev, iso, nodes, (1, sol.n))
 
 
 def _require_positive(sol):
@@ -281,4 +284,4 @@ def verify_negative_normalization(sol_reflected, table_reflected, iso_reflected,
     # zero_tail is even: psi_n's tails at 1/(16 z) are sqrt_c(chi_p)'s at z
     psi_n = _solution_psi(s, tail=1.0)
     psi = lambda z: psi_n(1.0 / (16.0 * z)) / (16.0 * z**2)
-    return _normalization(psi, ev, iso, s.K, nodes, (2, -s.n))
+    return _normalization(psi, ev, iso, nodes, (2, -s.n))

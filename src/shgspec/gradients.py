@@ -116,9 +116,13 @@ def _half_trace_kernel(gm, combine):
                           0.5 * combine(k1.p_kernel, k4.p_kernel))
 
 
-def _root_kernel(k, deriv, lam, kind):
+def _root_kernel(run, lam, kind):
     """The kernel of a simple root lam of f, d lam = -d f / f'(lam), from the
-    kernel k of f and deriv = f'(lam); a multiple root (deriv ~ 0) is refused."""
+    path run of _floquet_kernels at lam; f is m2 ("Dirichlet") or Delta -+ 1
+    ("periodic").  A multiple root (f'(lam) ~ 0) is refused."""
+    gm, res = run
+    k, deriv = ((gm[0, 1], res.Mgrave_dot[0, 1]) if kind == "Dirichlet"
+                else (_half_trace_kernel(gm, np.add), res.Delta_dot))
     if abs(deriv) < 1e-8 * (1.0 + abs(lam)):
         raise ValueError(f"gradient undefined at multiple {kind} eigenvalue")
     return GradientKernel(k.x, k.weights, -k.q_kernel / deriv, -k.p_kernel / deriv,
@@ -150,15 +154,13 @@ def zero_potential_delta_kernels(lam, x):
 def grad_dirichlet(v, mu, tol=1e-11):
     """Kernel of the simple Dirichlet eigenvalue mu, a root of chi_D = m2:
     d mu = -d m2 / chi_D'(mu)."""
-    gm, res = _floquet_kernels(v, mu, tol)
-    return _root_kernel(gm[0, 1], res.Mgrave_dot[0, 1], mu, "Dirichlet")
+    return _root_kernel(_floquet_kernels(v, mu, tol), mu, "Dirichlet")
 
 
 def grad_periodic(v, lam, tol=1e-11):
     """Kernel of the simple periodic eigenvalue lam, a root of Delta -+ 1:
     d lam = -d Delta / Delta_dot(lam)."""
-    gm, res = _floquet_kernels(v, lam, tol)
-    return _root_kernel(_half_trace_kernel(gm, np.add), res.Delta_dot, lam, "periodic")
+    return _root_kernel(_floquet_kernels(v, lam, tol), lam, "periodic")
 
 
 # ---------------------------------------------------------------------------
@@ -281,25 +283,25 @@ def fd_evaluate(v, table, keys, dirs, eps_list, tol):
     once, and it is freed before the next is built.  A quotient is bit for
     bit fd_directional's with a scalar_fn that reads its probe alone.
     """
-    cases = []
-    gm_half = None  # the Floquet kernels at 1.7, shared by the Delta and delta cases
+    # one path run per distinct lambda of the cases, kept for this call alone
+    cases, run = [], functools.lru_cache(maxsize=None)(lambda lam: _floquet_kernels(v, lam, tol))
     for quantity, n in keys:
         if quantity in ("Delta", "delta"):
-            gm_half = gm_half or grad_monodromy(v, 1.7, tol=tol)
             combine, what = ((np.add, "Delta") if quantity == "Delta"
                              else (np.subtract, "delta_anti"))
-            cases.append(FDCase(quantity, n, _half_trace_kernel(gm_half, combine), (1.7, what)))
+            cases.append(FDCase(quantity, n, _half_trace_kernel(run(1.7)[0], combine), (1.7, what)))
         elif quantity == "M":
-            gm = grad_monodromy(v, 2.3, tol=tol)
-            cases += [FDCase(f"M{i + 1}{j + 1}", n, k, (2.3, (i, j))) for (i, j), k in gm.items()]
+            cases += [FDCase(f"M{i + 1}{j + 1}", n, k, (2.3, (i, j)))
+                      for (i, j), k in run(2.3)[0].items()]
         elif quantity in ("mu", "m4"):
             mu = complex(table.mu[n + table.n_max])
-            kern, what = ((grad_dirichlet(v, mu, tol=tol), "chi_D") if quantity == "mu"
-                          else (grad_monodromy(v, mu, tol=tol)[1, 1], (1, 1)))
+            kern, what = ((_root_kernel(run(mu), mu, "Dirichlet"), "chi_D") if quantity == "mu"
+                          else (run(mu)[0][1, 1], (1, 1)))
             cases.append(FDCase(quantity, n, kern, (mu, what)))
         elif table.lam_minus[n + table.n_max] != table.lam_plus[n + table.n_max]:
             lam = complex(table.lam_plus[n + table.n_max])  # lambda_plus, open gaps
-            cases.append(FDCase(quantity, n, grad_periodic(v, lam, tol=tol), (lam, "chi_p")))
+            cases.append(FDCase(quantity, n, _root_kernel(run(lam), lam, "periodic"),
+                                (lam, "chi_p")))
     probes = list(dict.fromkeys(c.probe for c in cases))
     for c in cases:
         c.analytic, c.fd = [c.kernel.pair(d) for d in dirs], {eps: [] for eps in eps_list}

@@ -182,10 +182,19 @@ def _sroot(tau, gamma, z):
     return d * root
 
 
+def _rows(ns, n_max):
+    """The rows ns + n_max of the single indices ns of a table of range n_max;
+    an index beyond it, whose row would wrap or overrun, is refused."""
+    far = np.extract(np.abs(ns) > n_max, ns)
+    if far.size:
+        raise ValueError(f"index n = {far[0]} beyond the table range N_max = {n_max}")
+    return np.add(ns, n_max)
+
+
 def standard_root(j: int, n: int, lam, table):
     """The standard root w_{j,n}(lambda) for the given spectrum table."""
-    x = family_var(j, np.asarray(lam, dtype=complex))
-    tau, gamma = (table.family(q, j, abs(n))[n + abs(n)] for q in ("tau2", "gamma2"))
+    x, i = family_var(j, np.asarray(lam, dtype=complex)), _rows(n, table.n_max)
+    tau, gamma = (table.family(q, j)[i] for q in ("tau2", "gamma2"))
     return _sroot(tau, gamma, x)
 
 
@@ -227,35 +236,33 @@ def node_product(nodes, x, K: int, gammas=None, tail=None, skip=None):
     return np.prod(w, axis=0)[: x.size] * tail
 
 
-def f1n(table, n, lam, K: int):
+def f1n(table, n, lam):
     """f_{1,n}(lambda) = (1/pi_n) prod_{m != n} w_{1,m}(lambda)/pi_m; n is one
     index or one per point."""
-    return table.evaluator(K).roots.f1(lam, skip=n) / pi_k(n)
+    return table.evaluator().roots.f1(lam, skip=n) / pi_k(n)
 
 
 class CanonicalRootEvaluator:
     """The branch-consistent square root sqrt_c of chi_p, from those of
     chi_{p,1} and chi_{p,2}.
 
-    Nodes for |k| <= K come from the spectrum table (zero-potential
-    surrogates beyond its range): roots is their NodeFamily of standard
-    roots, the tau with the gap widths gamma, whose f = f1 f2 is
+    Its nodes are the table's, |k| <= K = n_max: roots is their NodeFamily
+    of standard roots, the tau with the gap widths gamma, whose f = f1 f2 is
     sqrt_c(chi_1) sqrt_c(chi_2).  All evaluators are vectorized over lambda
     and pure; on_contour keeps the nodes, weights and values of each contour.
     """
 
-    def __init__(self, table, K: int):
-        if K < 1:
-            raise ValueError("K must be >= 1")
-        self.K = int(K)
-        t1, t2, g1, g2 = (table.family(q, j, K) for q in ("tau2", "gamma2") for j in (1, 2))
+    def __init__(self, table):
+        if table.n_max < 1:
+            raise ValueError("the table's range N_max must be >= 1")
+        self.K = K = table.n_max
+        t1, t2, g1, g2 = (table.family(q, j) for q in ("tau2", "gamma2") for j in (1, 2))
         self.roots = NodeFamily(t1, t2, K, g1, g2)
         # branch ambiguity exists only at endpoints of open gaps (the table's
         # lambda^- != lambda^+; beyond it every gap is closed), +- each, as the
         # two slots of a single index mirror each other; collapsed gaps are
         # removable points of the root
-        c, N = table.n_max, min(self.K, table.n_max)
-        lo, hi = table.lam_minus[c - N : c + N + 1], table.lam_plus[c - N : c + N + 1]
+        lo, hi = table.lam_minus, table.lam_plus
         ends = np.concatenate([lo[lo != hi], hi[lo != hi]])
         self._gap_ends = np.concatenate([ends, -ends])
         self.tail_zero = complex(zero_tail(0.0, self.K)[0])
@@ -284,7 +291,7 @@ class CanonicalRootEvaluator:
     def on_contour(self, spec):
         """The nodes z, weights dz and _bare_chip values of the contour spec,
         computed on the first request and kept (read-only): they depend on
-        the table, K and the contour alone."""
+        the table and the contour alone."""
         if spec not in self._on_contour:
             z, dz = spec.points()
             kept = (z, dz, self._bare_chip(z))
@@ -320,7 +327,7 @@ def sign_tables(v, table):
     if not v.real:
         raise ValueError("sign tables are defined for real potentials")
     N = table.n_max
-    ev = table.evaluator(N)
+    ev = table.evaluator()
     failures = []
 
     def judge(kind, js, ns, xs, signed):
@@ -346,7 +353,7 @@ def sign_tables(v, table):
     checked = judge("interband", np.where(n >= 0, 1, 2), n, xs, (-1.0) ** n[:, None] * vals.imag)
 
     # (ii) gap-interior signs, from below, in the open gaps (lambda^- != lambda^+)
-    gaps = [table.family("gap2", j, N) for j in (1, 2)]  # (lo, hi) of slots -N..N
+    gaps = [table.family("gap2", j) for j in (1, 2)]  # (lo, hi) of slots -N..N
     lo, hi = np.concatenate(gaps).T
     js, n = np.repeat([1, 2], 2 * N + 1), np.tile(np.arange(-N, N + 1), 2)
     opened = lo != hi
@@ -358,7 +365,7 @@ def sign_tables(v, table):
     # (iii) f_{1,n} between flanking gaps
     n = np.arange(-N + 1, N)
     xs = samples(gaps[0][:-2, 1].real, gaps[0][2:, 0].real, 0.1, 0.9)
-    vals = f1n(table, np.repeat(n, 3), xs.ravel().astype(complex), N).reshape(xs.shape)
+    vals = f1n(table, np.repeat(n, 3), xs.ravel().astype(complex)).reshape(xs.shape)
     checked += judge("f1n", np.ones_like(n), n, xs, (-1.0) ** n[:, None] * vals.real)
 
     return {"checked": checked, "skipped": int(np.count_nonzero(~opened)), "failures": failures}
@@ -368,29 +375,29 @@ def sign_tables(v, table):
 # product representations
 
 
-def product_chi_p(table, K, lam):
+def product_chi_p(table, lam):
     """chi_p by its product representation -c_p chi_{p,1} chi_{p,2}: the
     square of sqrt_c(chi_p), since w_k^2 = (lambda_k^+ - x)(lambda_k^- - x)."""
-    return table.evaluator(K).chip(lam, check_gaps=False) ** 2
+    return table.evaluator().chip(lam, check_gaps=False) ** 2
 
 
-def product_chi_D(table, K, lam):
+def product_chi_D(table, lam):
     """chi_D by its product representation -c_D chi_{D,1} chi_{D,2}."""
-    mus = NodeFamily.from_table(table, K, "mu2")
+    mus = NodeFamily.from_table(table, "mu2")
     return -mus.f(lam) / mus.f2_inf()
 
 
-def product_delta_dot(table, K, lam):
+def product_delta_dot(table, lam):
     """Delta_dot by its product representation
     c * (1 - lam_dot_*^2/lam^2) * Ddot_1 * Ddot_2."""
     lam = np.atleast_1d(np.asarray(lam, dtype=complex))
-    dots = NodeFamily.from_table(table, K, "lam_dot2")
+    dots = NodeFamily.from_table(table, "lam_dot2")
     star = table.lam_dot_star
     return (1.0 - star**2 / lam**2) * dots.f(lam) / dots.f2_inf()
 
 
-def constraint_products(table, K):
-    """The three truncated constraint identities, each expected -> 1.
+def constraint_products(table):
+    """The three constraint identities over the table's range, each -> 1.
 
     Each is a node family's product at 0 over its product at infinity,
     f1(0)/f2(inf) = prod_k sigma_{1,k}/sigma_{2,k}: with the reciprocity
@@ -399,14 +406,14 @@ def constraint_products(table, K):
     squared (w_k(0)^2 = lambda_k^+ lambda_k^-); the Dirichlet one carries
     e^{-q(0)}, since chi_{D,2}(inf) = e^{-q(0)} chi_{D,1}(0); the Delta_dot one
     carries -16 lambda_dot_*^2.  Both products are at the variable 0, so the
-    quotient leaves their common tail zero_tail(0, K) out (tail = 1).
+    quotient leaves their common tail zero_tail(0, n_max) out (tail = 1).
     """
     ratio = lambda fam: complex(fam.f1(0.0, tail=1.0)[0]) / fam.f2_inf(tail=1.0)
     return {
-        "periodic": ratio(table.evaluator(K).roots) ** 2,
-        "dirichlet": np.exp(-table.q0) * ratio(NodeFamily.from_table(table, K, "mu2")),
+        "periodic": ratio(table.evaluator().roots) ** 2,
+        "dirichlet": np.exp(-table.q0) * ratio(NodeFamily.from_table(table, "mu2")),
         "delta_dot": -16.0 * table.lam_dot_star**2
-        * ratio(NodeFamily.from_table(table, K, "lam_dot2")),
+        * ratio(NodeFamily.from_table(table, "lam_dot2")),
     }
 
 
@@ -418,19 +425,18 @@ PRODUCT_SAMPLE_LAMBDAS = np.array(
 
 def verify_product_reps(v, table, K, tol_ode=1e-11):
     """Relative residuals of the three product representations against the
-    integrator at PRODUCT_SAMPLE_LAMBDAS: a list with one dict per truncation
-    in the sequence K, all from one propagation."""
+    integrator at PRODUCT_SAMPLE_LAMBDAS, all from one propagation: one dict
+    per truncation k <= n_max in the sequence K, read on table.truncated(k)."""
     from .monodromy import integrate_many
 
     lams = PRODUCT_SAMPLE_LAMBDAS
     res = integrate_many(v, lams, order=1, tol=tol_ode)
     rel = lambda a, b: float(np.max(np.abs(a - b) / np.maximum(np.abs(b), 1e-12)))
-    reps = [{
-        "chi_p": rel(product_chi_p(table, k, lams), res.chi_p),
-        "chi_D": rel(product_chi_D(table, k, lams), res.chi_D),
-        "delta_dot": rel(product_delta_dot(table, k, lams), res.Delta_dot),
-    } for k in K]
-    return reps
+    return [{
+        "chi_p": rel(product_chi_p(t, lams), res.chi_p),
+        "chi_D": rel(product_chi_D(t, lams), res.chi_D),
+        "delta_dot": rel(product_delta_dot(t, lams), res.Delta_dot),
+    } for t in map(table.truncated, K)]
 
 
 # ---------------------------------------------------------------------------
@@ -467,9 +473,9 @@ class NodeFamily:
         return -1.0 / (16.0 * self.sigma2)
 
     @staticmethod
-    def from_table(table, K, quantity="tau2") -> "NodeFamily":
+    def from_table(table, quantity="tau2") -> "NodeFamily":
         """The linear-factor family of one table accessor (SpectrumTable.family)."""
-        return NodeFamily(table.family(quantity, 1, K), table.family(quantity, 2, K), K)
+        return NodeFamily(table.family(quantity, 1), table.family(quantity, 2), table.n_max)
 
     def padded(self, W: int) -> "NodeFamily":
         """The same f1, f2 and f with the tail nodes tau_zero(k), K < |k| <= W,

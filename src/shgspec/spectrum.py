@@ -23,7 +23,7 @@ import numpy as np
 from .monodromy import KINDS, TOL_RANGE, integrate_many, lam_zero
 from .potential import Potential, family_var, from_pair, to_pair
 from .quadrature import ContourSpec, winding_number
-from .roots_products import CanonicalRootEvaluator
+from .roots_products import CanonicalRootEvaluator, _rows
 
 __all__ = [
     "CountReport",
@@ -302,8 +302,8 @@ def _slots(j, ms):
 
 @dataclass(eq=False)
 class SpectrumTable:
-    """Labeled spectral data for |n| <= n_max, with zero-potential surrogates
-    beyond (used only as product tails)."""
+    """Labeled spectral data for |n| <= n_max, the truncation of every product
+    over it; a smaller truncation is a smaller table (truncated)."""
 
     n_max: int
     lam_minus: np.ndarray  # index n+n_max
@@ -313,34 +313,31 @@ class SpectrumTable:
     lam_dot_star: complex
     real_potential: bool = True
     q0: complex = 0.0  # q(0), enters the Dirichlet constraint product
-    _evaluators: dict = field(default_factory=dict, init=False, repr=False)
+    _evaluator: CanonicalRootEvaluator | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        # read-only copies: the cached evaluators derive from these arrays
+        # read-only copies: the cached evaluator derives from these arrays
         for name in ("lam_minus", "lam_plus", "mu", "lam_dot"):
             arr = np.array(getattr(self, name))
             arr.setflags(write=False)
             setattr(self, name, arr)
 
-    def evaluator(self, K: int) -> CanonicalRootEvaluator:
-        """The CanonicalRootEvaluator of truncation K, built on first request;
-        it keeps the sqrt_c(chi_p) values of every contour it evaluated."""
-        if K not in self._evaluators:
-            self._evaluators[K] = CanonicalRootEvaluator(self, K)
-        return self._evaluators[K]
+    def evaluator(self) -> CanonicalRootEvaluator:
+        """The table's CanonicalRootEvaluator, built on first request; it
+        keeps the sqrt_c(chi_p) values of every contour it evaluated."""
+        if self._evaluator is None:
+            self._evaluator = CanonicalRootEvaluator(self)
+        return self._evaluator
 
-    def family(self, quantity: str, j: int, K: int) -> np.ndarray:
-        """The slots k = -K..K of two-index family j, read from the arrays at
-        their single indices (_slots), with the zero-potential surrogates
-        lam_zero(n) beyond n_max: "gap2" the gap's lambda-plane ends (lo, hi),
-        one row per slot; "tau2" and "gamma2" the midpoint and width of
-        lambda_{j,k}^-+, the family-j variables of lo and hi; "mu2" and
-        "lam_dot2" the family-j variable of mu and of lambda_dot."""
-        n, s = _slots(j, np.arange(-K, K + 1))
-        i, pos = np.clip(n + self.n_max, 0, 2 * self.n_max), s > 0
-        inside = np.abs(n) <= self.n_max
-        lm, lp, mu, ld = (np.where(inside, a[i], lam_zero(n) + 0j)
-                          for a in (self.lam_minus, self.lam_plus, self.mu, self.lam_dot))
+    def family(self, quantity: str, j: int) -> np.ndarray:
+        """The slots k = -n_max..n_max of two-index family j, read from the
+        arrays at their single indices (_slots): "gap2" the gap's lambda-plane
+        ends (lo, hi), one row per slot; "tau2" and "gamma2" the midpoint and
+        width of lambda_{j,k}^-+, the family-j variables of lo and hi; "mu2"
+        and "lam_dot2" the family-j variable of mu and of lambda_dot."""
+        n, s = _slots(j, np.arange(-self.n_max, self.n_max + 1))
+        i, pos = n + self.n_max, s > 0
+        lm, lp, mu, ld = (a[i] for a in (self.lam_minus, self.lam_plus, self.mu, self.lam_dot))
         lo, hi = np.where(pos, lm, -lp), np.where(pos, lp, -lm)
         if quantity == "gap2":
             return np.stack([lo, hi], axis=1)
@@ -351,20 +348,13 @@ class SpectrumTable:
         return family_var(j, np.where(pos, x, -x))
 
     def truncated(self, n_max: int) -> "SpectrumTable":
-        """A view with a smaller tabulated range (surrogates beyond)."""
-        if n_max > self.n_max:
-            raise ValueError("cannot extend a table by truncation")
+        """A new table of the rows |n| <= n_max, 0 <= n_max <= self.n_max:
+        the route to every truncation below the table's range."""
+        if not 0 <= n_max <= self.n_max:
+            raise ValueError(f"truncation to N_max = {n_max} outside 0..{self.n_max}")
         sl = slice(self.n_max - n_max, self.n_max + n_max + 1)
-        return SpectrumTable(
-            n_max,
-            self.lam_minus[sl],
-            self.lam_plus[sl],
-            self.mu[sl],
-            self.lam_dot[sl],
-            self.lam_dot_star,
-            self.real_potential,
-            self.q0,
-        )
+        rows = (a[sl] for a in (self.lam_minus, self.lam_plus, self.mu, self.lam_dot))
+        return SpectrumTable(n_max, *rows, self.lam_dot_star, self.real_potential, self.q0)
 
     # -- serialization --------------------------------------------------------
 
@@ -481,30 +471,13 @@ class IsolatingNeighborhoods:
     contour_radii: np.ndarray
     nodes: int = 64
 
-    def _at(self, ns):
-        """Centres and radii of the discs U_n and of the contour circles Gamma_n
-        of the single indices ns (an array), with the zero-potential surrogates
-        beyond n_max: D_n, and the circle of radius pi/5 around lam_zero(n),
-        each read through z -> 1/(16 z) for n < 0."""
-        ns = np.asarray(ns)
-        ours = (self.centers, self.radii, self.contour_centers, self.contour_radii)
-        i = ns + self.n_max  # clipped, and overwritten with the surrogates beyond n_max
-        out = [a.take(i, mode="clip") for a in ours]
-        far = np.abs(ns) > self.n_max
-        if far.any():
-            n = ns[far]
-            gc, gr = lam_zero(np.abs(n)) + 0j, np.full(n.shape, np.pi / 5.0)
-            gc[n < 0], gr[n < 0] = _mobius_disc(gc[n < 0], gr[n < 0])
-            for a, b in zip(out, (*DiscFamily.D(n), gc, gr)):
-                a[far] = b
-        return out
-
     def contours(self, j, ms, nodes=None, scale=1.0) -> list[ContourSpec]:
         """The contours Gamma_{j,m}, m in the array ms: Gamma_n of the single
         index, mirrored where s = -1, of radius times scale and nodes nodes
         (self.nodes by default)."""
         n, s = _slots(j, ms)
-        c, r = self._at(n)[2:]
+        i = _rows(n, self.n_max)
+        c, r = self.contour_centers[i], self.contour_radii[i]
         return [ContourSpec(complex(z), float(x) * scale, nodes or self.nodes)
                 for z, x in zip(np.where(s > 0, c, -c), r)]
 
@@ -629,7 +602,8 @@ def certify_counts(v, table, iso, n_range, tol=1e-11):
     to tol at most; iso.nodes plays no part): 17 of them propagated for a
     real potential (centres on an axis), all for a complex one."""
     ns = np.asarray(n_range, dtype=int)
-    discs = [(n, (c, r), ISOLATION) for n, c, r in zip(ns.tolist(), *iso._at(ns)[:2])]
+    i = _rows(ns, iso.n_max)
+    discs = [(n, (c, r), ISOLATION) for n, c, r in zip(ns.tolist(), iso.centers[i], iso.radii[i])]
     discs.append(("star", (iso.star_center, iso.star_radius), {"ddelta": 1}))
     report = _count(v, [(n, ContourSpec(complex(c), float(r) * 0.98, 32), want)
                         for n, (c, r), want in discs], tol)

@@ -194,8 +194,8 @@ def run_suite(v: Potential, cfg: RunConfig | None = None):
                     np.max(lp.real[:-1] - lm.real[1:], initial=0.0))
     report("reality_confinement", worst)
 
-    # product representations with K-convergence trace; the node table
-    # reaches the largest truncation so higher K genuinely adds information
+    # product representations with K-convergence trace, each K on the table
+    # truncated to K; it reaches the largest K, so higher K adds information
     reps = verify_product_reps(v, tab_full, PRODUCT_K_LIST, tol_ode=cfg.ode_tol)
     trace = [(Kp, max(rep.values())) for Kp, rep in zip(PRODUCT_K_LIST, reps)]
     report("product_reps", trace[-1][1], trace=trace)
@@ -207,18 +207,18 @@ def run_suite(v: Potential, cfg: RunConfig | None = None):
     mono = sum(not (b < a or b <= cfg.ode_tol) for a, b in steps)
     report("product_reps_monotone", mono, trace=trace,
            reason=f"{judged} of {len(steps)} steps above the {cfg.ode_tol:.0e} floor")
-    cons = constraint_products(tab_full, PRODUCT_K_LIST[-1])
+    cons = constraint_products(tab_full)
     report("constraint_products", max(abs(val - 1.0) for val in cons.values()))
 
     # canonical-root conventions
-    ev0 = tab0.evaluator(tab0.n_max)
+    ev0 = tab0.evaluator()
     sample = np.array([0.7, 1.3 + 0.2j, 5.1], dtype=complex)
     ref = -1j * np.sin(omega(sample))
     report("canonical_zero", float(np.max(np.abs(ev0.chip(sample) - ref))))
-    evv = table.evaluator(table.n_max)
+    evv = table.evaluator()
     z = np.array([0.83 + 0.1j, 4.4 - 0.3j, 1.7 + 0.6j])
     w = evv.chip(z)
-    sym = np.r_[w + evv.chip(-z), tabr.evaluator(tabr.n_max).chip(-1.0 / (16.0 * z)) - w]
+    sym = np.r_[w + evv.chip(-z), tabr.evaluator().chip(-1.0 / (16.0 * z)) - w]
     report("canonical_symmetries", np.max(np.abs(sym)))
 
     if v.real:
@@ -245,8 +245,8 @@ def run_suite(v: Potential, cfg: RunConfig | None = None):
     # differentials: every sigma root but sigma_{1,n} lies in its gap (lo, hi
     # in the lambda plane, both families) and within 5 gamma^2 (+1e-8) of the
     # gap midpoint, collapsed gaps included
-    lo, hi = np.concatenate([table.family("gap2", j, cfg.n_max) for j in (1, 2)]).T
-    roots = table.evaluator(table.n_max).roots
+    lo, hi = np.concatenate([table.family("gap2", j) for j in (1, 2)]).T
+    roots = table.evaluator().roots
     tau2, gam2 = np.r_[roots.sigma1, roots.sigma2], np.r_[roots.gamma1, roots.gamma2]
     sols = [solve_sigma(table, iso, n, table.n_max, tol=cfg.newton_tol,
                         max_iter=cfg.newton_max_iter) for n in DIFFERENTIALS_N_LIST]
@@ -285,7 +285,8 @@ def run_suite(v: Potential, cfg: RunConfig | None = None):
 
     # partial products of the Delta_dot constraint approach 1 monotonically
     # (noise floor: collapsed factors contribute only rounding jitter)
-    vals = [abs(constraint_products(table, Kc)["delta_dot"] - 1.0) for Kc in range(2, cfg.n_max + 1, 2)]
+    vals = [abs(constraint_products(table.truncated(Kc))["delta_dot"] - 1.0)
+            for Kc in range(2, cfg.n_max + 1, 2)]
     bad = sum(
         1 for a, b in zip(vals[:-1], vals[1:]) if b > a + 1e-13 + 0.01 * a
     )
@@ -302,13 +303,16 @@ def _segment_distance(z, a, b):
 
 
 def interpolation_self_test(table, K=24, seed=0):
-    """Reconstruction of phi = f1 (f2 - f2(inf)) from its node values.
+    """Reconstruction of phi = f1 (f2 - f2(inf)) from its node values on the
+    table's node family, padded to K >= n_max with zero-potential tail nodes.
 
     phi vanishes at every sigma_1 node, so only the kappa ring contributes;
     the residue sum is extended over the zero-potential tail nodes, and five
     random points are reconstructed in one call.
     """
-    nodes = NodeFamily.from_table(table, K)
+    if K < table.n_max:
+        raise ValueError(f"interpolation ring K = {K} inside the table range N_max = {table.n_max}")
+    nodes = NodeFamily.from_table(table).padded(K)
     f2_inf = nodes.f2_inf()
 
     def phi(z):

@@ -27,8 +27,9 @@ def disc(iso, n):
 
 
 def slot(table, quantity, j, m):
-    """table.family(quantity, j, K) at the one slot (j, m)."""
-    return table.family(quantity, j, abs(m))[m + abs(m)]
+    """table.family(quantity, j) at the one slot (j, m), |m| <= n_max."""
+    assert abs(m) <= table.n_max
+    return table.family(quantity, j)[m + table.n_max]
 
 
 def generic_v4():

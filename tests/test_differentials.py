@@ -53,7 +53,7 @@ def test_zero_potential_solution_exact(tab0, iso0):
 
 def test_zero_potential_psi_normalization(tab0, iso0):
     sol = solve_sigma(tab0, iso0, 1, 8)
-    ev = CanonicalRootEvaluator(tab0, 8)
+    ev = CanonicalRootEvaluator(tab0)
     spec = iso0.contours(1, [1], nodes=96)[0]
     z, dz = spec.points()
     val = np.sum(eval_psi(sol, z) / ev.chip(z) * dz)
@@ -119,10 +119,10 @@ def test_unknowns_are_the_open_gaps_roots(tab16, iso16, v3_and_reflected, tab0, 
     (tab3, iso3), _ = v3_and_reflected
     for tab, iso, counts in ((tab16, iso16, (4, 3, 4)), (tab3, iso3, (8, 7, 7)),
                              (tab0, iso0, (0, 0, 0))):
-        taus = tab.evaluator(tab.n_max).roots
+        taus = tab.evaluator().roots
         closed2 = taus.gamma2 == 0
         for n, count in zip((0, 1, 2), counts):
-            ws = SigmaWorkspace(tab, iso, n, tab.n_max)
+            ws = SigmaWorkspace(tab, iso, n)
             closed1 = (taus.gamma1 == 0) | (ws.ks == n)
             assert ws.initial_state().size == len(ws.rows) == count
             assert np.count_nonzero(~closed1) + np.count_nonzero(~closed2) == count
@@ -133,7 +133,7 @@ def test_unknowns_are_the_open_gaps_roots(tab16, iso16, v3_and_reflected, tab0, 
 
 def test_solver_idempotence(v_seed, tab16, iso16):
     sol = solve_sigma(tab16, iso16, 0, 16)
-    ws = SigmaWorkspace(tab16, iso16, 0, 16)
+    ws = SigmaWorkspace(tab16, iso16, 0)
     u = ws.pack(sol.sigma1, sol.sigma2)
     F, _ = ws.residual_and_jacobian(u)
     assert np.linalg.norm(F) <= 1e-9
@@ -145,7 +145,7 @@ def test_residual_tail_decay(v_seed, tab16, iso16):
     (m != n for j = 1) are verify_normalization's entries times the row
     prefactors: its matrix covers every (j, m), the closed gaps' rows that
     the solve does not form included."""
-    ws = SigmaWorkspace(tab16, iso16, 0, 16)
+    ws = SigmaWorkspace(tab16, iso16, 0)
     s1, s2 = ws.unpack(ws.initial_state())
     s1[1 + 16] += 0.25 * slot(tab16, "gamma2", 1, 1)  # quarter of the open gap
     C_n = 1.0 / NodeFamily(s1, s2, 16).f2_inf()
@@ -161,12 +161,12 @@ def test_residual_tail_decay(v_seed, tab16, iso16):
 
 def test_sign_change_across_gap(v_seed, tab16, iso16):
     """Pushing sigma_{1,m} across the gap flips the sign of F_{1,m}."""
-    ws = SigmaWorkspace(tab16, iso16, 0, 16)
+    ws = SigmaWorkspace(tab16, iso16, 0)
     lo, hi = slot(tab16, "gap2", 1, 1)
     vals = []
     for t in (0.2, 0.8):
-        s1 = tab16.family("tau2", 1, ws.K)
-        s2 = tab16.family("tau2", 2, ws.K)
+        s1 = tab16.family("tau2", 1)
+        s2 = tab16.family("tau2", 2)
         s1[1 + 16] = lo + t * (hi - lo)
         F, _ = ws.residual_and_jacobian(ws.pack(s1, s2))
         row = [r[:2] for r in ws.rows].index((1, 1))
@@ -179,15 +179,15 @@ def test_jacobian_structure(v_seed, tab16, iso16):
     m closes; in a closed gap the root at its tau makes the row vanish
     whatever the other roots, so the solve fixes it there and forms no row
     or column for it (and no large-|m| trend is left to test)."""
-    ws = SigmaWorkspace(tab16, iso16, 1, 16)
+    ws = SigmaWorkspace(tab16, iso16, 1)
     Q = ws.residual_and_jacobian(ws.initial_state())[1]()
     m1 = np.count_nonzero(ws.open1)
     d11 = np.diag(Q[:m1, :m1])
     assert np.all(np.abs(d11) > 0.5)
     assert abs(np.median(d11.real) - 2.0) < 0.3
     # Q22 diagonal tends to 2 pi f_{n,1}(0)/f_{n,2}(inf)
-    s1 = tab16.family("tau2", 1, ws.K)
-    s2 = tab16.family("tau2", 2, ws.K)
+    s1 = tab16.family("tau2", 1)
+    s2 = tab16.family("tau2", 2)
     mask = ws.ks != 1
     f1_0 = np.prod(s1[mask] / pi_k(ws.ks[mask])) * zero_tail(
         np.array([0.0 + 0j]), 16
@@ -201,7 +201,7 @@ def test_jacobian_structure(v_seed, tab16, iso16):
 
 
 def test_jacobian_vs_finite_differences(v_seed, tab16, iso16):
-    ws = SigmaWorkspace(tab16, iso16, 1, 16)
+    ws = SigmaWorkspace(tab16, iso16, 1)
     u0 = ws.initial_state()
     Q = ws.residual_and_jacobian(u0)[1]()
     # every entry with genuine magnitude (one that vanishes by symmetry would
@@ -247,7 +247,7 @@ def test_truncation_stability(v_seed, tab32, iso16):
 
 def test_psi_node_doubling(v_seed, tab16, iso16):
     sol = solve_sigma(tab16, iso16, 1, 16)
-    ev = CanonicalRootEvaluator(tab16, 16)
+    ev = CanonicalRootEvaluator(tab16)
     for nodes in ((48, 96),):
         vals = []
         for nn in nodes:
@@ -289,7 +289,7 @@ def test_psi_negative_shares_the_tails_of_chip(tab0, iso0, monkeypatch):
     mat, _ = verify_negative_normalization(solr, tab0, iso0, tab0, iso0, nodes=32)
     monkeypatch.undo()
     assert len(calls) <= 1  # the evaluator's chi1(0)
-    ev = CanonicalRootEvaluator(tab0, 8)
+    ev = CanonicalRootEvaluator(tab0)
     for (j, m), val in mat.items():
         z, dz = iso0.contours(j, [m], nodes=32, scale=1.5)[0].points()
         alone = np.sum(psi_negative(solr, z) / ev.chip(z) * dz) / (2 * np.pi)
@@ -313,8 +313,8 @@ def test_psi_negative_small_v(v_seed, tab16, iso16, reflected):
     assert dev < 1e-6
     # change-of-variable consistency: the Gamma_{2,m}(q,p) integral of
     # psi_{-n} equals the Gamma_{1,-m}(-q,p) integral of psi_n
-    ev = CanonicalRootEvaluator(tab16, 16)
-    evr = CanonicalRootEvaluator(tabr, 16)
+    ev = CanonicalRootEvaluator(tab16)
+    evr = CanonicalRootEvaluator(tabr)
     for m in (2, -3):
         spec = iso16.contours(2, [m], nodes=96)[0]
         z, dz = spec.points()
@@ -363,7 +363,7 @@ def test_admissibility_guard(monkeypatch, tmp_path, capsys, v_seed, tab16, iso16
     from shgspec.cli import main
     from shgspec.config import RunConfig
 
-    ws = SigmaWorkspace(tab16, iso16, 1, 16)
+    ws = SigmaWorkspace(tab16, iso16, 1)
     assert ws.open1[-1 + 16] and not ws.open1[2 + 16]
     (spec,) = iso16.contours(1, [-1])
     assert abs(ws.unpack(ws.initial_state())[0][-1 + 16] + 2.0 - spec.center) > spec.radius
@@ -387,10 +387,15 @@ def test_admissibility_guard(monkeypatch, tmp_path, capsys, v_seed, tab16, iso16
 
 
 def test_workspace_requires_K_geq_table(tab16, iso16):
-    with pytest.raises(ValueError, match="K must be >="):
-        SigmaWorkspace(tab16, iso16, 0, 8)
-    with pytest.raises(ValueError, match="n = 17 .* K = 16"):
+    """The table is the truncation: a solve of any other K, below or above
+    its range, is refused, and so is an index beyond it."""
+    for K in (8, 24):
+        with pytest.raises(ValueError, match=f"K = {K} is not the table range N_max = 16"):
+            solve_sigma(tab16, iso16, 0, K)
+    with pytest.raises(ValueError, match="n = 17 .* N_max = 16"):
         solve_sigma(tab16, iso16, 17, 16)
+    with pytest.raises(ValueError, match="n = -17 .* N_max = 16"):
+        SigmaWorkspace(tab16, iso16, -17)
 
 
 def test_solver_iteration_budget(v_seed, tab16, iso16, v3_and_reflected):
@@ -442,7 +447,7 @@ def test_bare_quotient_matches_the_tailed_oracle(
         ((tab16, iso16), reflected[1:]),
         ((tab3, iso3), (tab3r, iso3r)),
     ):
-        ev, evr = CanonicalRootEvaluator(tab, 16), CanonicalRootEvaluator(tabr, 16)
+        ev, evr = CanonicalRootEvaluator(tab), CanonicalRootEvaluator(tabr)
         for n in (0, 1, 2):
             sol, z, f = _verify_quotient(monkeypatch, solve_sigma, tab, iso, n, 16)
             assert rel(f, eval_psi(sol, z) / ev.chip(z)) <= 1e-13
@@ -565,7 +570,7 @@ def test_sigma_pass_evaluates_each_contour_once(monkeypatch, v3_and_reflected):
     assert len(builds) == 8
     monkeypatch.undo()
     for t in (tab, tabr):
-        ev = t.evaluator(16)
+        ev = t.evaluator()
         specs = list(ev._on_contour)
         z, dz, kept = (np.concatenate(a) for a in zip(*(ev.on_contour(s) for s in specs)))
         fresh_z, fresh_dz = (np.concatenate(a) for a in zip(*(s.points() for s in specs)))
@@ -627,7 +632,7 @@ def test_normalization_in_one_sweep_matches_each_contour_alone(monkeypatch, v3_a
     mat, dev = verify_normalization(sol, tab, iso, nodes=96)
     monkeypatch.undo()
     assert sweeps == [2 * 33 * 96]
-    ev = tab.evaluator(16)
+    ev = tab.evaluator()
     roots = NodeFamily(sol.sigma1, sol.sigma2, 16)
     for (j, m), val in mat.items():
         spec = iso.contours(j, [m], nodes=96, scale=1.5)[0]
@@ -636,3 +641,15 @@ def test_normalization_in_one_sweep_matches_each_contour_alone(monkeypatch, v3_a
         alone = np.sum(psi / ev.on_contour(spec)[2] * dz) / (2 * np.pi)
         assert abs(val - alone) <= 1e-14
     assert dev == max(abs(v - float(key == (1, 1))) for key, v in mat.items())
+
+
+def test_normalization_checks_refuse_another_truncation(tab16, iso16, reflected):
+    """A solution is checked on the table of its own range: a table larger
+    or smaller than the solution's K is refused by both checks."""
+    _, tabr, isor = reflected
+    sol, solr = solve_sigma(tab16, iso16, 1, 16), solve_sigma(tabr, isor, 1, 16)
+    for N, table in ((8, tab16.truncated(8)), (17, build_table(seeded_ensemble()[0], 17))):
+        with pytest.raises(ValueError, match=f"K = 16 is not the table range N_max = {N}"):
+            verify_normalization(sol, table, iso16)
+        with pytest.raises(ValueError, match=f"K = 16 is not the table range N_max = {N}"):
+            verify_negative_normalization(solr, tabr, isor, table, iso16)

@@ -402,3 +402,14 @@ def test_gradient_decay_witness(v_seed, tab16):
     floor = np.where(open_gap, 0.0, 4 * np.spacing(tails[:-1]))
     assert open_gap.any() and np.all(tails[1:] < tails[:-1] + floor)
     assert norms[-1] < 0.1 * norms[0]
+
+
+def test_fd_report_runs_the_path_once_per_lambda(v_seed, tab16, monkeypatch):
+    """The suite's gradient block runs the path integration on v once per
+    distinct lambda of its kernels: at 1.7 (Delta and delta), at 2.3 (the
+    Floquet entries), at mu_1 (mu and m4 share it) and at lambda_1^+."""
+    runs, integrate_path = [], gradients.integrate
+    monkeypatch.setattr(gradients, "integrate", lambda v, lam, *a, **k: (
+        runs.append(complex(lam)) if v is v_seed else None) or integrate_path(v, lam, *a, **k))
+    grad_deltas_fd_report(v_seed, tab16, RunConfig())
+    assert len(runs) == 4 and set(runs) == {1.7, 2.3, row(tab16, 1).mu, row(tab16, 1).lam_plus}

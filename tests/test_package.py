@@ -235,3 +235,20 @@ def test_the_benchmark_hooks_resolve():
     ]
     for fn, args, kwargs in shapes:
         inspect.signature(fn).bind(*args, **kwargs)
+
+
+def test_every_product_reads_its_own_table_range():
+    """No product, canonical root or sigma workspace takes a truncation: each
+    reads its table's range n_max, and a smaller truncation is a smaller
+    table.  The per-truncation evaluator cache and the readers that made up
+    zero-potential rows beyond n_max are gone."""
+    from shgspec import differentials, roots_products as rp
+    from shgspec.spectrum import IsolatingNeighborhoods, SpectrumTable
+
+    fns = (SpectrumTable.evaluator, SpectrumTable.family, rp.CanonicalRootEvaluator,
+           rp.NodeFamily.from_table, rp.f1n, rp.product_chi_p, rp.product_chi_D,
+           rp.product_delta_dot, rp.constraint_products, differentials.SigmaWorkspace)
+    assert [fn.__qualname__ for fn in fns if "K" in inspect.signature(fn).parameters] == []
+    assert not hasattr(IsolatingNeighborhoods, "_at")
+    assert not hasattr(SpectrumTable, "_evaluators")
+    assert "_evaluators" not in {f.name for f in dataclasses.fields(SpectrumTable)}

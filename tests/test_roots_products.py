@@ -48,7 +48,7 @@ def test_zero_tail_against_brute_force(z, K):
 def test_canonical_root_far_out_zero_potential(v_zero, tab0, lam):
     """Far out in lambda the tail keeps sqrt_c(chi_p)^2 = chi_p: the remainder
     series of zero_tail converges only for |z| < (M+1) pi."""
-    ev = CanonicalRootEvaluator(tab0, 16)
+    ev = CanonicalRootEvaluator(tab0)
     lams = np.array([lam, lam + 0.5j])
     res = integrate_many(v_zero, lams, order=0, tol=1e-12)
     rel = np.abs(ev.chip(lams) ** 2 - res.chi_p) / np.abs(res.chi_p)
@@ -101,7 +101,7 @@ def test_node_product_against_a_loop_over_the_factors(tab16):
     from shgspec.roots_products import _sroot
 
     K = 16
-    tau, gam = tab16.family("tau2", 1, K), tab16.family("gamma2", 1, K)
+    tau, gam = tab16.family("tau2", 1), tab16.family("gamma2", 1)
     piks = pi_k(np.arange(-K, K + 1))
     for x in (0.37 + 0.21j, np.array([0.37 + 0.21j, 2.9 - 0.4j, 11.3 + 0.05j, -6.2 + 1.0j])):
         xa = np.atleast_1d(x)
@@ -131,8 +131,8 @@ def test_products_give_a_point_alone_its_bits_in_a_batch(tab16):
     far = rng.uniform(-3000, 3000, 4) + 1j * rng.uniform(-40, 40, 4)
     near = rng.uniform(-5, 5, 601) + 1j * rng.uniform(-2, 2, 601)
     z = np.concatenate([near, far])
-    tau, gam = tab16.family("tau2", 1, 16), tab16.family("gamma2", 1, 16)
-    ev = CanonicalRootEvaluator(tab16, 16)
+    tau, gam = tab16.family("tau2", 1), tab16.family("gamma2", 1)
+    ev = CanonicalRootEvaluator(tab16)
     fns = [lambda x: zero_tail(x, 16), lambda x: zero_tail(x, 48),
            lambda x: node_product(tau, x, 16, gam, skip=3), ev.chip]
     for fn in fns:
@@ -194,7 +194,7 @@ def test_inverse_standard_root_integrals(tab16, iso16):
 
 
 def test_canonical_root_zero_potential(tab0):
-    ev = CanonicalRootEvaluator(tab0, 16)
+    ev = CanonicalRootEvaluator(tab0)
     lams = np.array([0.7, 1.3 + 0.2j, 5.1], complex)
     ref = -1j * np.sin(omega(lams))
     assert np.max(np.abs(ev.chip(lams) - ref)) < 1e-7
@@ -203,7 +203,7 @@ def test_canonical_root_zero_potential(tab0):
 def test_canonical_root_chi1_zero_closed_form(tab16):
     # sqrt_c(chi_1)(0) = sqrt+(lam_0^+ lam_0^-) prod lam_m^+ lam_m^-/(m pi)^2
     K = 16
-    ev = CanonicalRootEvaluator(tab16, K)
+    ev = CanonicalRootEvaluator(tab16)
     l0m, l0p = row(tab16, 0)[:2]
     val = np.sqrt(l0p * l0m)
     for m in range(1, K + 1):
@@ -217,8 +217,8 @@ def test_canonical_root_chi1_zero_closed_form(tab16):
 
 def test_canonical_root_symmetries(tab16, reflected):
     _, tabr, _ = reflected
-    ev = CanonicalRootEvaluator(tab16, 16)
-    evr = CanonicalRootEvaluator(tabr, 16)
+    ev = CanonicalRootEvaluator(tab16)
+    evr = CanonicalRootEvaluator(tabr)
     for lam in (0.83 + 0.1j, 4.4 - 0.3j):
         z = np.array([lam])
         assert abs(ev.chip(z)[0] + ev.chip(-z)[0]) < 1e-8
@@ -226,14 +226,14 @@ def test_canonical_root_symmetries(tab16, reflected):
 
 
 def test_canonical_root_gap_endpoint_guard(tab16):
-    ev = CanonicalRootEvaluator(tab16, 16)
+    ev = CanonicalRootEvaluator(tab16)
     lam_plus = row(tab16, 1).lam_plus
     with pytest.raises(ValueError, match="branch ambiguous"):
         ev.chip(np.array([lam_plus + 1e-12]))
 
 
 def test_squared_consistency_zero(v_zero, tab0):
-    ev = CanonicalRootEvaluator(tab0, 24)
+    ev = CanonicalRootEvaluator(tab0)
     lams = np.array(
         [0.4, 0.7, 1.1, 1.9, 2.7, 3.8, 5.1, 6.3, 0.09, 0.5 + 0.5j,
          1.3 + 0.2j, 2.2 - 0.4j, 0.8j, 1.5j, 3 + 1j, 4 - 2j, 7.1, 0.13,
@@ -254,20 +254,20 @@ def test_squared_consistency_small_v():
                     dtype=complex)
     v = Potential.cosine(0.03)
     tab = build_table(v, 24, tol=1e-13)
-    ev = CanonicalRootEvaluator(tab, 24)
+    ev = CanonicalRootEvaluator(tab)
     res = integrate_many(v, lams, order=0, tol=1e-12)
     rel = np.max(np.abs(ev.chip(lams) ** 2 - res.chi_p) / np.abs(res.chi_p))
     assert rel < 1e-5
     v2 = Potential.cosine(0.01)
     tab2 = build_table(v2, 32, tol=1e-13)
-    ev2 = CanonicalRootEvaluator(tab2, 32)
+    ev2 = CanonicalRootEvaluator(tab2)
     res2 = integrate_many(v2, lams, order=0, tol=1e-12)
     rel2 = np.max(np.abs(ev2.chip(lams) ** 2 - res2.chi_p) / np.abs(res2.chi_p))
     assert rel2 < 1e-6
 
 
 def test_evaluators_deterministic(tab16):
-    ev = CanonicalRootEvaluator(tab16, 16)
+    ev = CanonicalRootEvaluator(tab16)
     lams = np.array([0.7 + 0.1j, 4.2])
     a = ev.chip(lams)
     b = ev.chip(lams.copy())
@@ -302,7 +302,7 @@ def test_sign_tables_report_a_swapped_pair_of_gaps(v_seed, tab16):
 
 def test_gap_interior_sign_g11(v_seed, tab16):
     # on G_{1,1} from below the sign is (-1)^{1+1} = +
-    ev = CanonicalRootEvaluator(tab16, 16)
+    ev = CanonicalRootEvaluator(tab16)
     lo, hi = slot(tab16, "gap2", 1, 1)
     xs = np.linspace(lo.real + 0.3 * (hi - lo).real, hi.real - 0.3 * (hi - lo).real, 3)
     vals = ev.chip_from_below(xs, abs(hi - lo))
@@ -314,18 +314,18 @@ def test_f1n_positivity(v_seed, tab16):
         a = slot(tab16, "gap2", 1, n - 1)[1].real
         b = slot(tab16, "gap2", 1, n + 1)[0].real
         xs = np.linspace(a + 0.1 * (b - a), b - 0.1 * (b - a), 5)
-        vals = f1n(tab16, n, xs.astype(complex), 16)
+        vals = f1n(tab16, n, xs.astype(complex))
         assert np.all((-1.0) ** n * vals.real > 0)
         assert np.max(np.abs(vals.imag)) < 1e-10 * np.max(np.abs(vals.real))
 
 
 def test_product_representation_zero(tab0, v_zero):
     lams = np.array([0.7, 1.9, 2.6 + 0.3j, 4.1], complex)
-    prod = product_chi_p(tab0, 16, lams)
+    prod = product_chi_p(tab0, lams)
     ref = -np.sin(omega(lams)) ** 2
     assert np.max(np.abs(prod - ref) / np.maximum(np.abs(ref), 1e-10)) < 1e-6
     # each factor pairs to 1 exactly; the residue is table localization noise
-    cons = constraint_products(tab0, 16)
+    cons = constraint_products(tab0)
     for val in cons.values():
         assert abs(val - 1.0) < 1e-10
 
@@ -339,7 +339,7 @@ def test_product_representations_converge(v_seed, tab32):
     for key, tr in traces.items():
         assert tr[-1] < 1e-4
         assert all(b < a for a, b in zip(tr[:-1], tr[1:])), (key, tr)
-    cons = constraint_products(tab32, 32)
+    cons = constraint_products(tab32)
     assert abs(cons["periodic"] - 1.0) < 1e-4
     assert abs(cons["dirichlet"] - 1.0) < 1e-4
     assert abs(cons["delta_dot"] - 1.0) < 1e-4
@@ -366,14 +366,14 @@ def test_constraint_products_are_the_pair_products(which):
     product of the 16 lambda_n lambda_{-n} pairs, on v1 and the complex v3."""
     table = build_table(seeded_ensemble()[which], 32, tol=1e-13)
     for K in (8, 16, 32):
-        got, want = constraint_products(table, K), _pair_products(table, K)
+        got, want = constraint_products(table.truncated(K)), _pair_products(table, K)
         for key in want:
             assert abs(got[key] - want[key]) <= 1e-14 * abs(want[key]), (K, key)
 
 
 def test_ratio_asymptotics(v_seed, tab16, iso16):
     # w_{1,m}/sqrt_c(chi_p) * (-i sin omega)/(pi_m - omega) -> 1 inside U_{1,m}
-    ev = CanonicalRootEvaluator(tab16, 16)
+    ev = CanonicalRootEvaluator(tab16)
     rs = []
     for m in range(2, 15):
         c, r = disc(iso16, m)
@@ -410,13 +410,13 @@ def test_product_ratio_bound(v_seed, tab16, iso16):
 
 
 def test_interpolation_zero_values(tab0):
-    nodes = NodeFamily.from_table(tab0, 8)
+    nodes = NodeFamily.from_table(tab0)
     zeros = np.zeros(17, complex)
     assert interpolate_reconstruct(nodes, zeros, zeros, 1.1 + 0.5j) == 0
 
 
 def test_interpolation_linearity(tab0):
-    nodes = NodeFamily.from_table(tab0, 8)
+    nodes = NodeFamily.from_table(tab0)
     rng = np.random.default_rng(3)
     a = rng.standard_normal(17) + 1j * rng.standard_normal(17)
     b = rng.standard_normal(17) + 1j * rng.standard_normal(17)
@@ -429,7 +429,7 @@ def test_interpolation_linearity(tab0):
 
 
 def test_interpolation_node_collision(tab0):
-    nodes = NodeFamily.from_table(tab0, 4)
+    nodes = NodeFamily.from_table(tab0.truncated(4))
     s1 = nodes.sigma1.copy()
     s1[0] = nodes.sigma1[1]
     bad = NodeFamily(s1, nodes.sigma2, 4)
@@ -447,7 +447,7 @@ def test_interpolation_self_consistency(tab0):
 
 def test_interpolation_vectorized_in_z(tab16):
     """An array of z gives the per-point values, with and without phi_fn."""
-    nodes = NodeFamily.from_table(tab16, 8)
+    nodes = NodeFamily.from_table(tab16.truncated(8))
     rng = np.random.default_rng(5)
     a, b = rng.standard_normal((2, 17)) + 1j * rng.standard_normal((2, 17))
     zs = np.array([0.9 + 0.7j, 2.1 + 0.3j, 0.05 + 0.02j, -1.3 + 0.4j])
@@ -459,7 +459,7 @@ def test_interpolation_vectorized_in_z(tab16):
 
 
 def test_padded_family_is_the_same_function(tab16):
-    nodes = NodeFamily.from_table(tab16, 8)
+    nodes = NodeFamily.from_table(tab16.truncated(8))
     wide = nodes.padded(24)
     assert wide.K == 24 and np.array_equal(wide.sigma1[16:33], nodes.sigma1)
     z = np.array([0.9 + 0.7j, 7.3 - 0.2j, 0.02 + 0.01j])
@@ -486,7 +486,7 @@ def test_padded_tail_weights_match_removed_factor_products(tab16):
     parts; with the float n pi the two routes differed by 1.1e-11 at |n| = 22,
     now by 4e-13."""
     K, W = 8, 24
-    nodes = NodeFamily.from_table(tab16, K)
+    nodes = NodeFamily.from_table(tab16.truncated(K))
     wide = nodes.padded(W)
     at_sigma1, at_kappa2 = wide.fdot_at_nodes()
     taus = tau_zero(nodes.ks)
@@ -527,7 +527,7 @@ def test_node_product_skips_one_index_per_point(tab16):
     point with that index gives, for linear and standard-root factors; an
     index beyond K is refused, where a negative one would wrap around."""
     K = 16
-    tau, gam = tab16.family("tau2", 1, K), tab16.family("gamma2", 1, K)
+    tau, gam = tab16.family("tau2", 1), tab16.family("gamma2", 1)
     x = np.array([0.37 + 0.21j, 2.9 - 0.4j, 11.3 + 0.05j, -6.2 + 1.0j, 0.05 + 0.01j])
     skips = np.array([3, -5, 0, 16, -16])
     for gammas in (None, gam):
@@ -559,7 +559,7 @@ def _fdot_removed_matrix(fam):
 def test_fdot_at_nodes_is_the_removed_factor_matrix(tab16, K):
     """fdot_at_nodes equals the removed-factor matrix form bit for bit, on the
     families padded with their tail nodes to 3K."""
-    fam = NodeFamily.from_table(tab16, K).padded(3 * K)
+    fam = NodeFamily.from_table(tab16.truncated(K)).padded(3 * K)
     for got, want in zip(fam.fdot_at_nodes(), _fdot_removed_matrix(fam)):
         assert np.array_equal(got, want)
 
@@ -579,12 +579,32 @@ def test_a_narrow_open_gap_is_open_everywhere(v_seed, tab16):
     lm, lp = tab16.lam_minus.copy(), tab16.lam_plus.copy()
     lm[0], lp[0] = lm[0] - 3.5e-10, lp[0] + 3.5e-10
     narrow = dataclasses.replace(tab16, lam_minus=lm, lam_plus=lp)
-    ev = narrow.evaluator(16)
+    ev = narrow.evaluator()
     for end in (lm[0], lp[0], -lm[0], -lp[0]):
         with pytest.raises(ValueError, match="branch ambiguous"):
             ev.chip(np.array([end + 5e-11]))
     base, rep = sign_tables(v_seed, tab16), sign_tables(v_seed, narrow)
     assert rep["failures"] == []
     assert (rep["checked"], rep["skipped"]) == (base["checked"] + 2, base["skipped"] - 2)
-    ws = SigmaWorkspace(narrow, build_isolating(v_seed, narrow), 1, 16)
+    ws = SigmaWorkspace(narrow, build_isolating(v_seed, narrow), 1)
     assert {(2, -16), (2, 16)} <= {(j, m) for j, m, _ in ws.rows}
+
+
+def test_standard_root_refuses_an_index_beyond_the_table(tab0):
+    """standard_root reads its slot from the table: an index beyond its range
+    is refused by name, where a negative one would wrap around."""
+    lam = np.array([0.9 + 0.4j])
+    assert standard_root(2, 8, lam, tab0).shape == (1,)
+    for j in (1, 2):
+        for n in (9, -9):
+            with pytest.raises(ValueError, match=f"index n = {n} beyond the table range N_max = 8"):
+                standard_root(j, n, lam, tab0)
+
+
+def test_interpolation_ring_covers_the_table(tab16):
+    """The interpolation pads the table's node family out to its ring K; a
+    ring inside the table range is refused."""
+    from shgspec.verification import interpolation_self_test
+
+    with pytest.raises(ValueError, match="ring K = 8 inside the table range N_max = 16"):
+        interpolation_self_test(tab16, K=8)

@@ -324,10 +324,11 @@ def test_order_relation():
 
 def test_two_index_relabelings(tab16):
     K = 7
+    tab = tab16.truncated(K)
     # lambda_{j,k}^- and lambda_{j,k}^+: the family-j variables of the gap's ends
-    lam2 = {j: family_var(j, tab16.family("gap2", j, K).T) for j in (1, 2)}
+    lam2 = {j: family_var(j, tab.family("gap2", j).T) for j in (1, 2)}
     for j, (minus, plus) in lam2.items():
-        tau, gam = tab16.family("tau2", j, K), tab16.family("gamma2", j, K)
+        tau, gam = tab.family("tau2", j), tab.family("gamma2", j)
         for k in (1, 3, 7):
             assert plus[K - k] == -minus[K + k]
             assert minus[K - k] == -plus[K + k]
@@ -471,9 +472,6 @@ def test_isolating_invariants(tab16, iso16):
             d = abs(cm - cn) - rm - rn
             assert d >= (n - m) / cc - 1e-12
             assert d <= cc * (n - m) + 1e-12
-    # (I-4): beyond the table the discs are the reference D_n
-    (c,), (r,) = iso16._at(np.array([N + 3]))[:2]
-    assert (c, r) == DiscFamily.D(N + 3)
     # (I-5)
     for n in range(-N, N + 1):
         cn, rn = disc(iso16, n)
@@ -516,16 +514,17 @@ def test_isolating_reciprocal_separation(which, iso16, v3_iso):
 
 def _discs(iso, j, ms):
     """Centres and radii of the discs U_{j,m}, m in the array ms: U_n of the
-    single index (_slots), read through _at, its centre negated where s = -1."""
+    single index (_slots), read from the arrays, its centre negated where
+    s = -1."""
     n, s = _slots(j, ms)
-    c, r = iso._at(n)[:2]
+    c, r = iso.centers[n + iso.n_max], iso.radii[n + iso.n_max]
     return np.where(s > 0, c, -c), r
 
 
 def test_contours_inside_discs(tab16, iso16):
     ms = [-5, -1, 0, 2, 16]
     for j in (1, 2):
-        gaps = tab16.family("gap2", j, 16)[np.add(ms, 16)]
+        gaps = tab16.family("gap2", j)[np.add(ms, 16)]
         for g, c, r, (lo, hi) in zip(iso16.contours(j, ms, scale=1.5), *_discs(iso16, j, ms), gaps):
             assert abs(g.center - c) + g.radius <= r + 1e-12
             assert abs(lo - g.center) < g.radius and abs(hi - g.center) < g.radius
@@ -638,8 +637,8 @@ def test_table_arrays_are_read_only_copies(tab16):
     lam[0] = 9.0
     assert tab.lam_minus[0] == 0.24
     clone = tab16.truncated(16)
-    ev = tab16.evaluator(16)
-    assert tab16.evaluator(16) is ev and clone.evaluator(16) is not ev
+    ev = tab16.evaluator()
+    assert tab16.evaluator() is ev and clone.evaluator() is not ev
     assert clone.to_json() == tab16.to_json()
 
 
@@ -650,22 +649,13 @@ def test_annulus_counts_at_cutoff_2(v_seed):
 
 
 def _single(tab, iso, n):
-    """Single index n, read from the arrays within n_max and from the
-    zero-potential surrogates beyond: (lambda^-, lambda^+, mu, lambda_dot),
-    the disc U_n (D_n beyond) and the contour Gamma_n (beyond, the circle of
-    radius pi/5 around lam_zero(n), or its image under z -> 1/(16 z))."""
-    if abs(n) <= tab.n_max:
-        i = n + tab.n_max
-        lm, lp, mu, ld = (complex(a[i]) for a in (tab.lam_minus, tab.lam_plus, tab.mu,
-                                                  tab.lam_dot))
-        U = complex(iso.centers[i]), float(iso.radii[i])
-        g = complex(iso.contour_centers[i]), float(iso.contour_radii[i])
-        return lm, lp, mu, ld, U, ContourSpec(*g, iso.nodes)
-    lm = lp = mu = ld = complex(lam_zero(n))
-    c, r = DiscFamily.D(n)
-    g = (lam_zero(n), np.pi / 5.0) if n > 0 else _mobius_disc(lam_zero(-n), np.pi / 5.0)
-    return lm, lp, mu, ld, (complex(c), float(r)), ContourSpec(complex(g[0]), float(g[1]),
-                                                               iso.nodes)
+    """Single index n, |n| <= n_max, read from the arrays: (lambda^-,
+    lambda^+, mu, lambda_dot), the disc U_n and the contour Gamma_n."""
+    i = n + tab.n_max
+    lm, lp, mu, ld = (complex(a[i]) for a in (tab.lam_minus, tab.lam_plus, tab.mu, tab.lam_dot))
+    U = complex(iso.centers[i]), float(iso.radii[i])
+    g = complex(iso.contour_centers[i]), float(iso.contour_radii[i])
+    return lm, lp, mu, ld, U, ContourSpec(*g, iso.nodes)
 
 
 def _relabeled(tab, iso, j, m):
@@ -689,21 +679,19 @@ def _relabeled(tab, iso, j, m):
 
 def test_two_index_relabelings_case_by_case():
     """The array map of every two-index reader (SpectrumTable.family,
-    IsolatingNeighborhoods.contours, and the discs U_{j,m} read through _at
-    with the _slots sign) equals its case-by-case definition on the complex
-    potential v3, inside the table, on the surrogates beyond it
-    (K > n_max) and at slot (2, 0): bit for bit for
-    family 1, the gap ends, the discs and the contours.  Family 2 divides in
+    IsolatingNeighborhoods.contours, and the discs U_{j,m} read from the
+    arrays with the _slots sign) equals its case-by-case definition on the
+    complex potential v3, on every slot of the table, (2, 0) included: bit
+    for bit for family 1, the gap ends, the discs and the contours.  Family 2 divides in
     numpy, which rounds apart from Python's complex division, so there each
     lambda_{2,k}^+-, mu and lambda_dot may move by one ulp per component."""
     v3 = seeded_ensemble()[2]
     tab = build_table(v3, 3, tol=1e-12)
     iso = build_isolating(v3, tab)
-    K = 6
-    ms = np.arange(-K, K + 1)
+    ms = np.arange(-tab.n_max, tab.n_max + 1)
     bits = lambda *z: np.array(z, dtype=complex).tobytes()
     for j in (1, 2):
-        fam = {q: tab.family(q, j, K) for q in ("tau2", "gamma2", "mu2", "lam_dot2", "gap2")}
+        fam = {q: tab.family(q, j) for q in ("tau2", "gamma2", "mu2", "lam_dot2", "gap2")}
         (cs, rs), contours = _discs(iso, j, ms), iso.contours(j, ms)
         for k, m in enumerate(ms.tolist()):
             plus, minus, mu, ld, gap, (c, r), contour = _relabeled(tab, iso, j, m)
@@ -722,7 +710,7 @@ def test_two_index_relabelings_case_by_case():
                     assert abs(getattr(fam[q][k], part) - getattr(value, part)) <= ulps, (q, m)
     for bad in (0, 3):
         with pytest.raises(ValueError):
-            tab.family("tau2", bad, 1)
+            tab.family("tau2", bad)
         with pytest.raises(ValueError):
             _slots(bad, ms)
         with pytest.raises(ValueError):
@@ -803,3 +791,32 @@ def test_nearly_double_roots_converge_at_the_rounding_floor(i):
     for name in ("lam_minus", "lam_plus", "mu", "lam_dot"):
         a, b = getattr(coarse, name), getattr(fine, name)
         assert np.all(np.abs(a - b) <= 1e-10 * np.abs(b)), name
+
+
+def test_truncated_refuses_a_range_outside_the_table(tab16):
+    """truncated is the route to every truncation below a table's range: it
+    keeps 0..n_max rows on each side, and refuses a negative range (a table
+    of empty arrays) as it refuses a larger one."""
+    assert tab16.truncated(0).lam_minus.size == 1
+    for bad in (-1, 17):
+        with pytest.raises(ValueError, match=f"truncation to N_max = {bad} outside 0..16"):
+            tab16.truncated(bad)
+
+
+def test_contours_refuse_an_index_beyond_the_table(iso16):
+    """The contours of slot (j, m) read the arrays at the single index n of
+    the slot; one beyond the table is refused by name, where a negative row
+    would wrap around silently."""
+    assert iso16.contours(2, [16])[0].radius > 0
+    for j, m, n in ((1, 17, 17), (1, -17, 17), (2, 17, -17), (2, -17, -17)):
+        with pytest.raises(ValueError, match=f"index n = {n} beyond the table range N_max = 16"):
+            iso16.contours(j, [0, m])
+
+
+def test_certify_counts_refuses_an_index_beyond_the_table(v_seed, tab16, iso16, monkeypatch):
+    """certify_counts reads the discs U_n from the arrays: an index beyond
+    the table is refused by name before anything is propagated."""
+    monkeypatch.setattr(sp, "integrate_many", None)  # nothing may be propagated
+    for n in (17, -17):
+        with pytest.raises(ValueError, match=f"index n = {n} beyond the table range N_max = 16"):
+            certify_counts(v_seed, tab16, iso16, n_range=[0, n])
